@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # CI gate: formatting, lints, the tier-1 verify (release build + tests),
-# the bgp-check model-checking suites, a smoke run of a figure binary
-# checking that its JSON report and its --trace probe artifacts parse, and
-# the performance-regression gate (bench_gate) against the committed
-# baseline.
+# every crate's unit tests, the bgp-check model-checking suites, a smoke run
+# of a figure binary checking that its JSON report and its --trace probe
+# artifacts parse, and the performance-regression gate (bench_gate) against
+# the committed baseline.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -43,6 +43,13 @@ cargo clippy -p bgp-shmem -p bgp-smp -p bgp-sched --all-targets --features model
 echo "== tier-1: cargo build --release && cargo test -q (full stress volumes)"
 cargo build --release
 BGP_STRESS_FULL=1 cargo test -q
+
+# `cargo test` at the root only runs the facade package. The in-crate unit
+# tests of every workspace member (the kernels' tail-shape suite, the flat
+# ring's cross-op regression, ...) are otherwise compiled by clippy but
+# executed by nothing.
+echo "== in-crate unit tests: cargo test --workspace --lib"
+cargo test -q --workspace --lib
 
 echo "== model checker self-tests (bgp-check)"
 cargo test -q -p bgp-check

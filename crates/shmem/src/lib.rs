@@ -35,7 +35,6 @@
 pub mod bank;
 pub mod bcast_fifo;
 pub mod counter;
-pub mod mutex_fifo;
 pub mod pad;
 pub mod ptp_fifo;
 pub mod region;
@@ -49,7 +48,6 @@ pub mod proc;
 pub use bank::CounterBank;
 pub use bcast_fifo::{BcastConsumer, BcastFifo, FifoStats};
 pub use counter::{CompletionCounter, MessageCounter};
-pub use mutex_fifo::{MutexBcastConsumer, MutexBcastFifo};
 pub use pad::CachePadded;
 pub use ptp_fifo::PtpFifo;
 pub use region::SharedRegion;

@@ -25,8 +25,9 @@
 //!   across the node's inputs into a color buffer, publishing chunk by
 //!   chunk. Rank 0 — the network core — drives *all* colors through the
 //!   ring concurrently (partials accumulate hop by hop in one direction,
-//!   fully-reduced chunks circulate back), and every rank copies finished
-//!   chunks out as result counters advance. Even colors ride the `+` ring
+//!   fully-reduced chunks circulate back; the engine is
+//!   [`wire::flat_ring`]), and every rank copies finished chunks out as
+//!   result counters advance. Even colors ride the `+` ring
 //!   direction, odd colors the `-` direction, standing in for the paper's
 //!   torus-link parallelism.
 //!
@@ -49,7 +50,8 @@ use bgp_shmem::sync::Mutex;
 use bgp_shmem::SharedRegion;
 
 use crate::runtime::{NodeShared, RankCtx};
-use crate::transport::{Fabric, RingDir};
+use crate::transport::Fabric;
+use crate::wire;
 
 /// Default link chunk size (the packetization granularity).
 pub const DEFAULT_CHUNK_BYTES: usize = 16 * 1024;
@@ -491,9 +493,8 @@ impl Drop for Cluster {
     }
 }
 
-/// Broadcast chunk-tag kinds for the allreduce ring (bit 63 of the tag).
-/// `pub(crate)`: the cross-process runners in [`crate::proc`] speak the
-/// same wire format.
+/// Chunk-tag kinds for the ring protocols (bit 63 of the tag).
+/// `pub(crate)`: [`crate::wire`] packs them for every backend.
 pub(crate) const KIND_PARTIAL: u64 = 0;
 pub(crate) const KIND_FULL: u64 = 1;
 
@@ -587,6 +588,42 @@ pub(crate) fn chunks_of(len: usize, chunk: usize) -> impl Iterator<Item = (usize
         let off = k * chunk;
         (k, off, (len - off).min(chunk))
     })
+}
+
+/// The network core's [`wire::Local`]: flow `c` lives in shared region
+/// `bufs[c]`, which other ranks of the node fill concurrently.
+/// `ready(c, off, len)` says whether the node's own contribution to that
+/// range has been published; `landed(c, off, len)` hands a finished range
+/// to the copy-out ranks.
+struct RegionLocal<'a, R, F> {
+    bufs: &'a [Arc<SharedRegion>],
+    ready: R,
+    landed: F,
+}
+
+impl<R: Fn(usize, usize, usize) -> bool, F: FnMut(usize, usize, usize)> wire::Local
+    for RegionLocal<'_, R, F>
+{
+    fn ready(&self, c: usize, off: usize, len: usize) -> bool {
+        (self.ready)(c, off, len)
+    }
+
+    fn read<T>(&self, c: usize, off: usize, len: usize, f: impl FnOnce(&[u8]) -> T) -> T {
+        // SAFETY: per the `Local` contract the producer of this range has
+        // published it (`ready`, an acquire) or this thread wrote it, and
+        // this thread is its only writer from then on.
+        unsafe { self.bufs[c].with_bytes(off, len, f) }
+    }
+
+    fn write<T>(&mut self, c: usize, off: usize, len: usize, f: impl FnOnce(&mut [u8]) -> T) -> T {
+        // SAFETY: as for `read`; other ranks read the range only after
+        // `landed` publishes it.
+        unsafe { self.bufs[c].with_bytes_mut(off, len, f) }
+    }
+
+    fn landed(&mut self, c: usize, off: usize, len: usize) {
+        (self.landed)(c, off, len)
+    }
 }
 
 /// The node-aware collectives (locality-aware reduce-scatter/allgather
@@ -695,6 +732,40 @@ impl ClusterCtx {
         }
     }
 
+    /// The intra-node reduce stage: sum bytes `[lo, hi)` of every local
+    /// input (exposed under `in_tag`) into `dst` at `dst_off`, one link
+    /// chunk at a time — seeded with rank 0's input, the rest lane-added
+    /// over it in place, no scratch vector, no f64↔byte round trips —
+    /// publishing this rank's producer stream after each chunk.
+    fn reduce_span(
+        &mut self,
+        in_tag: u64,
+        dst: &SharedRegion,
+        dst_off: usize,
+        lo: usize,
+        hi: usize,
+    ) {
+        let (n, me) = (self.shared.n, self.ctx.rank());
+        let inputs: Vec<Arc<SharedRegion>> =
+            (0..n).map(|r| self.map_cached(r as u32, in_tag)).collect();
+        for (_, off, len) in chunks_of(hi - lo, self.shared.fabric.chunk_bytes()) {
+            // SAFETY: this rank is the unique writer of the destination
+            // range; readers are gated on the publish below; the inputs
+            // were written before the collective.
+            unsafe {
+                dst.with_bytes_mut(dst_off + off, len, |dst| {
+                    inputs[0].with_bytes(lo + off, len, |src| dst.copy_from_slice(src));
+                    for inp in &inputs[1..] {
+                        inp.with_bytes(lo + off, len, |src| {
+                            crate::kernels::add_bytes_assign(dst, src)
+                        });
+                    }
+                })
+            };
+            self.ctx.aux_counter(me).publish(len as u64);
+        }
+    }
+
     /// Cluster-wide broadcast of `len` bytes from the application buffer of
     /// rank 0 on `root_node` into every rank's `buf` on every node — the
     /// integrated core-specialized broadcast (§V-A/V-B). SPMD: every rank
@@ -742,60 +813,48 @@ impl ClusterCtx {
             if me == 0 {
                 // Network core of the root: inject every chunk into every
                 // outbound tree port, then publish it for the local peers.
-                let outs = shared.fabric.bcast_out(v, root_node);
-                for (k, off, clen) in chunks_of(len, chunk) {
-                    for ch in &outs {
-                        // SAFETY: root reads its own buffer.
-                        ch.send_with(k as u64, clen, |dst| unsafe { buf.read(off, dst) });
-                    }
-                    self.ctx.aux_counter(0).publish(clen as u64);
-                }
+                let ctr = self.ctx.aux_counter(0);
+                wire::tree_send(
+                    &shared.fabric.bcast_out(v, root_node),
+                    chunk,
+                    len,
+                    // SAFETY: root reads its own buffer.
+                    |off, dst| unsafe { buf.read(off, dst) },
+                    |_, clen| {
+                        ctr.publish(clen as u64);
+                    },
+                );
             } else {
                 let src = self.map_cached(0, op);
                 self.chase_copy(buf, &src, len, 0, base, None);
             }
-        } else if n == 1 {
-            // Single-rank node: receive and forward in one loop. The
-            // incoming slot is held on loan while it lands in our buffer
-            // *and* feeds each outbound slot directly — forwarding never
-            // re-reads the application buffer.
-            let in_ch = shared.fabric.bcast_in(v, root_node);
-            let outs = shared.fabric.bcast_out(v, root_node);
-            self.ctx
-                .cluster_stats()
-                .bcast_recv_ops
-                .fetch_add(1, Ordering::Relaxed);
-            for (k, off, clen) in chunks_of(len, chunk) {
-                let rs = in_ch.peek();
-                debug_assert_eq!(rs.tag(), k as u64);
-                // SAFETY: we are the only writer of our buf.
-                rs.with_bytes(|bytes| unsafe { buf.write(off, bytes) });
-                for ch in &outs {
-                    // Blocking on downstream space while holding the loan is
-                    // deadlock-free: tree links form no cycle, so the
-                    // consumer downstream never waits on our retire.
-                    let mut snd = ch.reserve(clen);
-                    rs.with_bytes(|bytes| snd.with_bytes_mut(|dst| dst.copy_from_slice(bytes)));
-                    snd.publish(k as u64);
-                }
-            }
         } else if me == recv_rank {
             // The receiver core: network chunks land directly in the
-            // application buffer; each landing is published.
-            let in_ch = shared.fabric.bcast_in(v, root_node);
+            // application buffer and each landing is published to the
+            // node's other ranks. A single-rank node has none; it forwards
+            // each chunk itself while the incoming slot is still on loan.
+            let outs = if n == 1 {
+                shared.fabric.bcast_out(v, root_node)
+            } else {
+                Vec::new()
+            };
             self.ctx
                 .cluster_stats()
                 .bcast_recv_ops
                 .fetch_add(1, Ordering::Relaxed);
-            for (k, off, clen) in chunks_of(len, chunk) {
-                in_ch.recv_with(|tag, bytes| {
-                    debug_assert_eq!(tag, k as u64);
-                    debug_assert_eq!(bytes.len(), clen);
+            let ctr = self.ctx.aux_counter(recv_rank);
+            wire::tree_recv(
+                shared.fabric.bcast_in(v, root_node),
+                &outs,
+                len,
+                |off, bytes| {
                     // SAFETY: sole writer; readers gated on the publish.
                     unsafe { buf.write(off, bytes) };
-                });
-                self.ctx.aux_counter(recv_rank).publish(clen as u64);
-            }
+                    if n > 1 {
+                        ctr.publish(bytes.len() as u64);
+                    }
+                },
+            );
         } else if me == 0 {
             // The network core: chase the reception counter and forward
             // chunks down the tree; with only two ranks it also back-fills
@@ -854,11 +913,15 @@ impl ClusterCtx {
         let in_tag = 2 * op;
         let cb_tag = 2 * op + 1;
         let me = self.ctx.rank();
-        let ce = shared.fabric.chunk_bytes() / 8; // elements per chunk
 
         let colors = if n == 1 { 1 } else { n - 1 };
         let span = |c: usize| (c * count / colors, (c + 1) * count / colors);
         let owner = |c: usize| if n == 1 { 0 } else { c + 1 };
+
+        // Fulls of color c land on result stream n + c — except on a single
+        // node, where the partials *are* the results and the copy-out
+        // chases the owner's stream itself.
+        let rstream = |c: usize| if m == 1 { owner(c) } else { n + c };
 
         // Cumulative bases, pre-barrier (see `bcast`): partial stream of
         // each color's owner, result stream of each color.
@@ -866,7 +929,7 @@ impl ClusterCtx {
             .map(|c| self.ctx.aux_counter(owner(c)).read())
             .collect();
         let rbase: Vec<u64> = (0..colors)
-            .map(|c| self.ctx.aux_counter(n + c).read())
+            .map(|c| self.ctx.aux_counter(rstream(c)).read())
             .collect();
 
         self.ctx.registry().expose(me as u32, in_tag, input.clone());
@@ -891,54 +954,26 @@ impl ClusterCtx {
         // Phase A — color owners: local reduce of the partition across the
         // node's inputs, pipelined chunk by chunk into the color buffer.
         if let Some(c) = my_color {
-            let inputs: Vec<Arc<SharedRegion>> =
-                (0..n).map(|r| self.map_cached(r as u32, in_tag)).collect();
             let (lo, hi) = span(c);
-            let mut elo = lo;
-            while elo < hi {
-                let ehi = (elo + ce).min(hi);
-                // Reduce straight into the color buffer: seed with rank 0's
-                // input, lane-add the rest over it in place. No scratch
-                // vector, no f64↔byte round trips.
-                // SAFETY: this rank is the unique writer of cbuf; readers
-                // are gated on the counter publish below; inputs were
-                // written before the collective.
-                unsafe {
-                    cbufs[c].with_bytes_mut((elo - lo) * 8, (ehi - elo) * 8, |dst| {
-                        inputs[0].with_bytes(elo * 8, dst.len(), |src| dst.copy_from_slice(src));
-                        for inp in &inputs[1..] {
-                            inp.with_bytes(elo * 8, dst.len(), |src| {
-                                crate::kernels::add_bytes_assign(dst, src)
-                            });
-                        }
-                    })
-                };
-                self.ctx.aux_counter(me).publish(((ehi - elo) * 8) as u64);
-                elo = ehi;
-            }
+            self.reduce_span(in_tag, &cbufs[c], 0, lo * 8, hi * 8);
         }
 
-        // Phase B — the network core drives the ring for all colors.
-        if me == 0 {
-            if m == 1 {
-                // One node: each color's partials *are* the results.
-                for (c, &base) in pbase.iter().enumerate().take(colors) {
-                    let (lo, hi) = span(c);
-                    let total = ((hi - lo) * 8) as u64;
-                    let mut done = 0u64;
-                    while done < total {
-                        let avail = self
-                            .ctx
-                            .aux_counter(owner(c))
-                            .wait_past(base, done + 1)
-                            .min(total);
-                        self.ctx.aux_counter(n + c).publish(avail - done);
-                        done = avail;
-                    }
-                }
-            } else {
-                self.drive_ring(&shared, count, colors, &cbufs, &pbase);
-            }
+        // Phase B — the network core drives the ring for all colors:
+        // partials of color c are ready as its owner's stream passes them,
+        // landed fulls go out on its result stream.
+        if me == 0 && m > 1 {
+            let ctx = &self.ctx;
+            let spans = (0..colors).map(|c| (span(c).1 - span(c).0) * 8);
+            let mut local = RegionLocal {
+                bufs: &cbufs,
+                ready: |c, off, len| {
+                    ctx.aux_counter(owner(c)).read() - pbase[c] >= (off + len) as u64
+                },
+                landed: |c, _, len| {
+                    ctx.aux_counter(n + c).publish(len as u64);
+                },
+            };
+            wire::flat_ring(&shared.fabric, self.node, spans, &mut local);
         }
 
         // Phase C — every rank copies every color's finished chunks out,
@@ -950,7 +985,7 @@ impl ClusterCtx {
             while seen < total {
                 let avail = self
                     .ctx
-                    .aux_counter(n + c)
+                    .aux_counter(rstream(c))
                     .wait_past(rbase[c], seen as u64 + 1) as usize;
                 let avail = avail.min(total);
                 // SAFETY: result counter acquire ordered us after the full
@@ -964,238 +999,6 @@ impl ClusterCtx {
         self.ctx.registry().unexpose(me as u32, in_tag);
         if my_color.is_some() {
             self.ctx.registry().unexpose(me as u32, cb_tag);
-        }
-    }
-
-    /// The ring engine (rank 0, m ≥ 2): advances every color concurrently
-    /// without ever blocking on a single flow. Partials of color `c` travel
-    /// position 0 → m-1 along the color's ring direction, accumulating this
-    /// node's partial at each hop; the last position writes the full result
-    /// and circulates it back 0 → m-2. Every consume is gated on local
-    /// readiness *and* downstream space, so head-of-line blocking cannot
-    /// deadlock: the terminal consumers (last position for partials,
-    /// position m-2 for fulls) consume unconditionally once their local
-    /// partial is ready.
-    fn drive_ring(
-        &mut self,
-        shared: &ClusterShared,
-        count: usize,
-        colors: usize,
-        cbufs: &[Arc<SharedRegion>],
-        pbase: &[u64],
-    ) {
-        let m = shared.m;
-        let n = shared.n;
-        let v = self.node;
-        let fabric = &shared.fabric;
-        let ce = fabric.chunk_bytes() / 8;
-
-        struct Flow {
-            dir: RingDir,
-            pos: usize,
-            owner: usize,
-            span: usize, // elements
-            kt: usize,   // chunks
-            injected: usize,
-            combined: usize,
-            fulls_local: usize,
-            fulls_sent: usize,
-        }
-        let sends_fulls = |pos: usize| pos == m - 1 || pos != m - 2;
-        let finished = |f: &Flow| {
-            f.fulls_local == f.kt
-                && f.injected == if f.pos == 0 { f.kt } else { 0 }
-                && f.combined == if f.pos > 0 { f.kt } else { 0 }
-                && f.fulls_sent == if sends_fulls(f.pos) { f.kt } else { 0 }
-        };
-
-        let mut flows: Vec<Flow> = (0..colors)
-            .map(|c| {
-                let dir = if c % 2 == 0 {
-                    RingDir::Plus
-                } else {
-                    RingDir::Minus
-                };
-                let lo = c * count / colors;
-                let hi = (c + 1) * count / colors;
-                Flow {
-                    dir,
-                    pos: fabric.ring_pos(v, dir),
-                    owner: if n == 1 { 0 } else { c + 1 },
-                    span: hi - lo,
-                    kt: (hi - lo).div_ceil(ce),
-                    injected: 0,
-                    combined: 0,
-                    fulls_local: 0,
-                    fulls_sent: 0,
-                }
-            })
-            .collect();
-        // Bytes of chunk k within a span, and cumulative bytes of the first
-        // `upto` chunks.
-        let chunk_len = |span: usize, k: usize| (span.min((k + 1) * ce) - k * ce) * 8;
-        let cum_bytes = |span: usize, upto: usize| (span.min(upto * ce) * 8) as u64;
-
-        // Chunks this op still expects on each incoming direction. The
-        // drain loop below must never peek past this: there is no
-        // cluster-wide barrier between collectives, so a chunk of the
-        // *next* ring collective can already be queued behind our last
-        // expected one (cross-op pipelining), and its tag — a different
-        // color space entirely — must be left for that op's engine.
-        let mut expect = [0usize; 2];
-        for f in &flows {
-            let di = (f.dir == RingDir::Minus) as usize;
-            if f.pos > 0 {
-                expect[di] += f.kt; // partials, position 1..m-1
-            }
-            if f.pos < m - 1 {
-                expect[di] += f.kt; // fulls, every position but the producer
-            }
-        }
-
-        loop {
-            let mut progressed = false;
-
-            for (c, f) in flows.iter_mut().enumerate() {
-                let out = fabric.ring_send(v, f.dir);
-                if f.pos == 0 {
-                    // Inject partials as the owner publishes them.
-                    while f.injected < f.kt
-                        && self.ctx.aux_counter(f.owner).read() - pbase[c]
-                            >= cum_bytes(f.span, f.injected + 1)
-                        && out.can_send()
-                    {
-                        let k = f.injected;
-                        let clen = chunk_len(f.span, k);
-                        let cbuf = &cbufs[c];
-                        // SAFETY: gated on the owner's publish of chunk k.
-                        let ok =
-                            out.try_send_with(pack_tag(c, KIND_PARTIAL, k), clen, |dst| unsafe {
-                                cbuf.read(k * ce * 8, dst)
-                            });
-                        debug_assert!(ok, "can_send held and we are the sole producer");
-                        f.injected += 1;
-                        progressed = true;
-                    }
-                }
-                if f.pos == m - 1 {
-                    // Send locally produced fulls when the wrap link has room.
-                    while f.fulls_sent < f.fulls_local && out.can_send() {
-                        let k = f.fulls_sent;
-                        let clen = chunk_len(f.span, k);
-                        let cbuf = &cbufs[c];
-                        // SAFETY: the full was written by this thread.
-                        let ok = out.try_send_with(pack_tag(c, KIND_FULL, k), clen, |dst| unsafe {
-                            cbuf.read(k * ce * 8, dst)
-                        });
-                        debug_assert!(ok);
-                        f.fulls_sent += 1;
-                        progressed = true;
-                    }
-                }
-            }
-
-            for dir in [RingDir::Plus, RingDir::Minus] {
-                let di = (dir == RingDir::Minus) as usize;
-                let in_ch = fabric.ring_recv(v, dir);
-                while expect[di] > 0 {
-                    let Some(tag) = in_ch.peek_tag() else { break };
-                    let (c, kind, k) = unpack_tag(tag);
-                    let f = &mut flows[c];
-                    debug_assert_eq!(f.dir, dir, "flow routed on the wrong ring direction");
-                    let out = fabric.ring_send(v, dir);
-                    let clen = chunk_len(f.span, k);
-                    let off = k * ce * 8;
-                    let cbuf = &cbufs[c];
-                    if kind == KIND_PARTIAL {
-                        debug_assert!(f.pos > 0);
-                        debug_assert_eq!(k, f.combined, "partials must arrive in order");
-                        // Gate: our own partial must be ready to combine, and
-                        // (unless we are the last position) the combined
-                        // chunk must have somewhere to go.
-                        if self.ctx.aux_counter(f.owner).read() - pbase[c]
-                            < cum_bytes(f.span, k + 1)
-                        {
-                            break;
-                        }
-                        if f.pos < m - 1 && !out.can_send() {
-                            break;
-                        }
-                        let rs = in_ch.peek();
-                        if f.pos < m - 1 {
-                            // Fused combine: local partial + incoming chunk
-                            // summed by the lane kernel straight into the
-                            // reserved outgoing slot. Zero staging copies.
-                            let mut snd = out.reserve(clen);
-                            rs.with_bytes(|inb| {
-                                // SAFETY: our partial is ready (counter gate
-                                // above) and this thread is the only other
-                                // accessor of cbuf's combine window.
-                                unsafe {
-                                    cbuf.with_bytes(off, clen, |local| {
-                                        snd.with_bytes_mut(|dst| {
-                                            crate::kernels::add_bytes_into(dst, local, inb)
-                                        })
-                                    })
-                                }
-                            });
-                            snd.publish(pack_tag(c, KIND_PARTIAL, k));
-                        } else {
-                            // Last hop: accumulate the incoming chunk into
-                            // the local partial in place — it *is* the
-                            // result.
-                            rs.with_bytes(|inb| {
-                                // SAFETY: as above; result readers are gated
-                                // on the counter publish below.
-                                unsafe {
-                                    cbuf.with_bytes_mut(off, clen, |local| {
-                                        crate::kernels::add_bytes_assign(local, inb)
-                                    })
-                                }
-                            });
-                            self.ctx.aux_counter(n + c).publish(clen as u64);
-                            f.fulls_local += 1;
-                        }
-                        f.combined += 1;
-                        expect[di] -= 1;
-                        progressed = true;
-                    } else {
-                        debug_assert!(f.pos < m - 1, "the originator never receives fulls");
-                        debug_assert_eq!(k, f.fulls_local, "fulls must arrive in order");
-                        let forwards = sends_fulls(f.pos);
-                        if forwards && !out.can_send() {
-                            break;
-                        }
-                        // Hold the incoming slot on loan: it lands in the
-                        // color buffer *and* feeds the outgoing slot
-                        // directly, never re-read from the region.
-                        let rs = in_ch.peek();
-                        // SAFETY: our earlier consumption of partial chunk k
-                        // (or, at position 0, its injection) ordered every
-                        // other reader of this range before this overwrite.
-                        rs.with_bytes(|bytes| unsafe { cbuf.write(off, bytes) });
-                        self.ctx.aux_counter(n + c).publish(clen as u64);
-                        f.fulls_local += 1;
-                        if forwards {
-                            let mut snd = out.reserve(clen);
-                            rs.with_bytes(|bytes| {
-                                snd.with_bytes_mut(|dst| dst.copy_from_slice(bytes))
-                            });
-                            snd.publish(pack_tag(c, KIND_FULL, k));
-                            f.fulls_sent += 1;
-                        }
-                        expect[di] -= 1;
-                        progressed = true;
-                    }
-                }
-            }
-
-            if flows.iter().all(finished) {
-                break;
-            }
-            if !progressed {
-                bgp_shmem::spin();
-            }
         }
     }
 }

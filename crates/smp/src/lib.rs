@@ -13,8 +13,11 @@
 //! channels (tree + ring links, mirroring the simulator's topology), and
 //! [`cluster`] implements the paper's two *integrated* protocols end to
 //! end: the §V-A/V-B core-specialized broadcast and the §V-C multi-color
-//! ring allreduce. Both runtimes are persistent: rank threads park on job
-//! queues between operations instead of being respawned per call.
+//! ring allreduce. The loops that put those protocols on the links are
+//! written once, in [`wire`], generic over where the link slots live — so
+//! the cross-process cluster in `proc` runs the very same code. Both
+//! runtimes are persistent: rank threads park on job queues between
+//! operations instead of being respawned per call.
 //!
 //! This is the half of the reproduction that needs no simulation. It backs:
 //!
@@ -31,6 +34,7 @@ pub mod collectives;
 pub mod kernels;
 pub mod runtime;
 pub mod transport;
+pub mod wire;
 
 #[cfg(not(feature = "model"))]
 pub mod proc;

@@ -13,7 +13,7 @@
 //! chunk grid** (`kt = ceil(bytes/chunk)` chunks for the whole message) in
 //! three stages:
 //!
-//! 1. **Intra-node reduce** — rank `r` reduces chunk range
+//! 1. **Intra-node reduce** (`intra_reduce`) — rank `r` reduces chunk range
 //!    `[r*kt/n, (r+1)*kt/n)` of all `n` local inputs into one node
 //!    accumulator, publishing cumulative bytes on its producer stream.
 //! 2. **Ring reduce-scatter** — node `v` owns chunk segment
@@ -24,48 +24,33 @@
 //!    steps; every rank chases a single prefix-ordered result counter and
 //!    copies finished bytes out.
 //!
+//! This file holds what is node-local: the intra stage, the result-stream
+//! bookkeeping, the copy-out. The ring stages themselves are *plans* —
+//! ordered send and receive lists built by [`wire::plan_allreduce`],
+//! [`wire::plan_reduce_scatter`] and [`wire::plan_allgather`] and stepped
+//! by the one driver [`wire::run_plan`] against the node accumulator; no
+//! collective here except `alltoall` (a store-and-forward ring with an
+//! owned relay queue, which shares no logic with the stages) touches a
+//! link itself.
+//!
 //! Total inter-node traffic is `2(m-1)/m * kt` chunk-sends per node versus
 //! the flat ring's `~2(m-1)/m * kt_flat` with `kt_flat >= kt` (per-color
 //! chunk rounding) — strictly fewer chunks whenever color spans misalign
-//! with the chunk size. `tests/node_aware.rs` asserts the reduction via
-//! the `Fabric::total_chunks_sent` probe.
+//! with the chunk size. Because a plan is built without a fabric,
+//! `tests/node_aware.rs` asserts the `Fabric::total_chunks_sent` delta of
+//! every collective *equals* its planned send count.
 //!
-//! The **fused** variant gates ring injection *per chunk* on the intra
-//! counters, so the inter-node stage starts while slower ranks are still
-//! reducing; the non-fused variant waits for the whole intra stage first.
+//! The **fused** variant opens the plan's step-1 send gates *per chunk* on
+//! the intra counters, so the inter-node stage starts while slower ranks
+//! are still reducing; the non-fused variant waits for the whole intra
+//! stage first.
 //!
 //! Tags ride the same `kind:1 | color:23 | k:40` namespace as the flat
 //! ring (`color` carries the segment / origin id); each collective
 //! validates its widest tag once per op with [`try_pack_tag`].
 
 use super::*;
-
-/// When a queued chunk of the ring schedule may be sent.
-enum Gate {
-    /// The intra-node reduce must have covered the chunk (step-1 partials).
-    Intra,
-    /// The chunk's incoming partial was combined at the previous step.
-    RsAdded,
-    /// The chunk's final value is in the accumulator (allgather stage).
-    Done,
-}
-
-/// One outbound chunk of the node-aware ring schedule.
-struct SendItem {
-    seg: usize,
-    kind: u64,
-    k: usize,
-    gate: Gate,
-}
-
-/// One expected inbound chunk, in arrival order.
-struct RecvItem {
-    seg: usize,
-    kind: u64,
-    k: usize,
-    /// Final reduce-scatter step: the combined chunk is a finished result.
-    last_rs: bool,
-}
+use crate::transport::RingDir;
 
 impl ClusterCtx {
     /// The output span (element range of the reduced vector) this rank
@@ -105,6 +90,30 @@ impl ClusterCtx {
         self.na_allreduce(input, output, count, true);
     }
 
+    /// The shared intra-node stage: this rank reduces its chunk partition
+    /// `[r*kt/n, (r+1)*kt/n)` of every local input (exposed under `in_tag`)
+    /// straight into the node accumulator, chunk by chunk.
+    fn intra_reduce(&mut self, in_tag: u64, acc: &SharedRegion, bytes: usize) {
+        let (n, me) = (self.shared.n, self.ctx.rank());
+        let chunk = self.shared.fabric.chunk_bytes();
+        let kt = bytes.div_ceil(chunk);
+        let lo = bytes.min(me * kt / n * chunk);
+        self.reduce_span(in_tag, acc, lo, lo, bytes.min((me + 1) * kt / n * chunk));
+    }
+
+    /// Rank 0: wait until every rank's [`intra_reduce`](Self::intra_reduce)
+    /// partition of a `bytes`-byte accumulator is on its producer stream.
+    fn wait_intra(&self, pbase: &[u64], bytes: usize) {
+        let chunk = self.shared.fabric.chunk_bytes();
+        let (n, kt) = (pbase.len(), bytes.div_ceil(chunk));
+        for (r, &pb) in pbase.iter().enumerate() {
+            let part = bytes.min((r + 1) * kt / n * chunk) - bytes.min(r * kt / n * chunk);
+            if part > 0 {
+                self.ctx.aux_counter(r).wait_past(pb, part as u64);
+            }
+        }
+    }
+
     fn na_allreduce(
         &mut self,
         input: &Arc<SharedRegion>,
@@ -134,15 +143,13 @@ impl ClusterCtx {
         // Per-chunk readiness: which rank reduces chunk k, and the
         // cumulative byte count on that rank's stream that covers it.
         let mut chunk_need = vec![(0usize, 0u64); kt];
-        let mut part_bytes = vec![0u64; n];
-        for (r, pb) in part_bytes.iter_mut().enumerate() {
+        for r in 0..n {
             let (klo, khi) = rpart(r);
             let mut cum = 0u64;
             for (need, k) in chunk_need[klo..khi].iter_mut().zip(klo..) {
                 cum += clen(k) as u64;
                 *need = (r, cum);
             }
-            *pb = cum;
         }
 
         let pbase: Vec<u64> = (0..n).map(|r| self.ctx.aux_counter(r).read()).collect();
@@ -158,29 +165,7 @@ impl ClusterCtx {
 
         // Stage 1 — every rank reduces its chunk partition of all local
         // inputs straight into the node accumulator, chunk by chunk.
-        {
-            let inputs: Vec<Arc<SharedRegion>> =
-                (0..n).map(|r| self.map_cached(r as u32, in_tag)).collect();
-            let (klo, khi) = rpart(me);
-            for k in klo..khi {
-                let off = k * chunk;
-                let cl = clen(k);
-                // SAFETY: this rank is the unique writer of its chunk
-                // partition of acc; readers are gated on the publish below;
-                // the inputs were written before the collective.
-                unsafe {
-                    acc.with_bytes_mut(off, cl, |dst| {
-                        inputs[0].with_bytes(off, cl, |src| dst.copy_from_slice(src));
-                        for inp in &inputs[1..] {
-                            inp.with_bytes(off, cl, |src| {
-                                crate::kernels::add_bytes_assign(dst, src)
-                            });
-                        }
-                    });
-                }
-                self.ctx.aux_counter(me).publish(cl as u64);
-            }
-        }
+        self.intra_reduce(in_tag, &acc, bytes);
 
         // Stages 2+3 — rank 0 drives the reduce-scatter and allgather
         // rings and publishes results in prefix order on stream n.
@@ -192,146 +177,27 @@ impl ClusterCtx {
                 }
             } else {
                 if !fused {
-                    for r in 0..n {
-                        if part_bytes[r] > 0 {
-                            self.ctx.aux_counter(r).wait_past(pbase[r], part_bytes[r]);
-                        }
-                    }
+                    self.wait_intra(&pbase, bytes);
                 }
-                let seg = |w: usize| (w * kt / m, (w + 1) * kt / m);
-                let mut splan = Vec::new();
-                let mut rplan = Vec::new();
-                for s in 1..m {
-                    let w = (v + 1 + m - s) % m; // reduce-scatter sends
-                    let (klo, khi) = seg(w);
-                    for k in klo..khi {
-                        splan.push(SendItem {
-                            seg: w,
-                            kind: KIND_PARTIAL,
-                            k,
-                            gate: if s == 1 { Gate::Intra } else { Gate::RsAdded },
-                        });
-                    }
-                    let w = (v + m - s) % m; // reduce-scatter receives
-                    let (klo, khi) = seg(w);
-                    for k in klo..khi {
-                        rplan.push(RecvItem {
-                            seg: w,
-                            kind: KIND_PARTIAL,
-                            k,
-                            last_rs: s == m - 1,
-                        });
-                    }
-                }
-                for s in 1..m {
-                    let w = (v + 2 + m - s) % m; // allgather sends
-                    let (klo, khi) = seg(w);
-                    for k in klo..khi {
-                        splan.push(SendItem {
-                            seg: w,
-                            kind: KIND_FULL,
-                            k,
-                            gate: Gate::Done,
-                        });
-                    }
-                    let w = (v + 1 + m - s) % m; // allgather receives
-                    let (klo, khi) = seg(w);
-                    for k in klo..khi {
-                        rplan.push(RecvItem {
-                            seg: w,
-                            kind: KIND_FULL,
-                            k,
-                            last_rs: false,
-                        });
-                    }
-                }
-
-                let intra_ready = |ctx: &crate::runtime::RankCtx, k: usize| {
-                    let (r, need) = chunk_need[k];
-                    !fused || ctx.aux_counter(r).read() - pbase[r] >= need
-                };
-                let mut rs_added = vec![false; kt];
+                let ctx = &self.ctx;
                 let mut done = vec![false; kt];
-                // After the final reduce-scatter step, this node's own
-                // segment is finished without receiving anything further.
                 let mut prefix = 0usize;
-                let (mut si, mut ri) = (0usize, 0usize);
-                let out = shared.fabric.ring_send(v, RingDir::Plus);
-                let in_ch = shared.fabric.ring_recv(v, RingDir::Plus);
-                while si < splan.len() || ri < rplan.len() {
-                    let mut progressed = false;
-
-                    while si < splan.len() {
-                        let it = &splan[si];
-                        let ready = match it.gate {
-                            Gate::Intra => intra_ready(&self.ctx, it.k),
-                            Gate::RsAdded => rs_added[it.k],
-                            Gate::Done => done[it.k],
-                        };
-                        if !ready || !out.can_send() {
-                            break;
+                let mut local = RegionLocal {
+                    bufs: std::slice::from_ref(&acc),
+                    ready: |_, off, _| {
+                        let (r, need) = chunk_need[off / chunk];
+                        !fused || ctx.aux_counter(r).read() - pbase[r] >= need
+                    },
+                    landed: |_, off, _| {
+                        done[off / chunk] = true;
+                        while prefix < kt && done[prefix] {
+                            ctx.aux_counter(n).publish(clen(prefix) as u64);
+                            prefix += 1;
                         }
-                        let off = it.k * chunk;
-                        let cl = clen(it.k);
-                        // SAFETY: the gate ordered us after the writer of
-                        // this accumulator range.
-                        let ok =
-                            out.try_send_with(pack_tag(it.seg, it.kind, it.k), cl, |dst| unsafe {
-                                acc.read(off, dst)
-                            });
-                        debug_assert!(ok, "can_send held and we are the sole producer");
-                        si += 1;
-                        progressed = true;
-                    }
-
-                    while ri < rplan.len() {
-                        let Some(tag) = in_ch.peek_tag() else { break };
-                        let it = &rplan[ri];
-                        debug_assert_eq!(tag, pack_tag(it.seg, it.kind, it.k));
-                        if it.kind == KIND_PARTIAL && !intra_ready(&self.ctx, it.k) {
-                            break;
-                        }
-                        let off = it.k * chunk;
-                        let cl = clen(it.k);
-                        let rs = in_ch.peek();
-                        if it.kind == KIND_PARTIAL {
-                            // SAFETY: the intra gate ordered us after our
-                            // own partial of this chunk; we are the only
-                            // other accessor of the accumulator range.
-                            rs.with_bytes(|inb| unsafe {
-                                acc.with_bytes_mut(off, cl, |local| {
-                                    crate::kernels::add_bytes_assign(local, inb)
-                                })
-                            });
-                            rs_added[it.k] = true;
-                            if it.last_rs {
-                                done[it.k] = true;
-                            }
-                        } else {
-                            // SAFETY: our forwarding of this chunk's partial
-                            // ordered every prior reader before the
-                            // overwrite; result readers gate on stream n.
-                            rs.with_bytes(|inb| unsafe { acc.write(off, inb) });
-                            done[it.k] = true;
-                        }
-                        ri += 1;
-                        progressed = true;
-                    }
-
-                    while prefix < kt && done[prefix] {
-                        self.ctx.aux_counter(n).publish(clen(prefix) as u64);
-                        prefix += 1;
-                        progressed = true;
-                    }
-
-                    if !progressed {
-                        bgp_shmem::spin();
-                    }
-                }
-                while prefix < kt && done[prefix] {
-                    self.ctx.aux_counter(n).publish(clen(prefix) as u64);
-                    prefix += 1;
-                }
+                    },
+                };
+                let plan = wire::plan_allreduce(m, v, bytes, chunk);
+                wire::run_plan(&shared.fabric, v, &plan, &mut local);
                 debug_assert_eq!(prefix, kt, "ring drained with unfinished chunks");
             }
         }
@@ -374,8 +240,6 @@ impl ClusterCtx {
         let chunk = shared.fabric.chunk_bytes();
         let bytes = count * 8;
         let kt = bytes.div_ceil(chunk);
-        let clen = |k: usize| (bytes - k * chunk).min(chunk);
-        let rpart = |r: usize| (r * kt / n, (r + 1) * kt / n);
         // Node w's element segment: the union of its ranks' output spans.
         let nseg = |w: usize| (w * n * count / world, (w + 1) * n * count / world);
         let seg_bytes = |w: usize| {
@@ -398,113 +262,28 @@ impl ClusterCtx {
         self.ctx.barrier();
         let acc = self.map_cached(0, acc_tag);
 
-        // Intra reduce — identical to the node-aware allreduce stage 1.
-        {
-            let inputs: Vec<Arc<SharedRegion>> =
-                (0..n).map(|r| self.map_cached(r as u32, in_tag)).collect();
-            let (klo, khi) = rpart(me);
-            for k in klo..khi {
-                let off = k * chunk;
-                let cl = clen(k);
-                // SAFETY: as in na_allreduce stage 1.
-                unsafe {
-                    acc.with_bytes_mut(off, cl, |dst| {
-                        inputs[0].with_bytes(off, cl, |src| dst.copy_from_slice(src));
-                        for inp in &inputs[1..] {
-                            inp.with_bytes(off, cl, |src| {
-                                crate::kernels::add_bytes_assign(dst, src)
-                            });
-                        }
-                    });
-                }
-                self.ctx.aux_counter(me).publish(cl as u64);
-            }
-        }
+        self.intra_reduce(in_tag, &acc, bytes);
 
         if me == 0 {
             // Non-fused: the ring stage starts once the intra stage is done.
-            for (r, &pb) in pbase.iter().enumerate() {
-                let (klo, khi) = rpart(r);
-                let total: u64 = (klo..khi).map(|k| clen(k) as u64).sum();
-                if total > 0 {
-                    self.ctx.aux_counter(r).wait_past(pb, total);
-                }
-            }
+            self.wait_intra(&pbase, bytes);
             if m == 1 {
                 self.ctx.aux_counter(n).publish(seg_bytes(v) as u64);
             } else {
                 // Ring reduce-scatter over element segments, targeting each
-                // node's *own* segment: step s sends seg (v-s) mod m,
-                // receives seg (v-1-s) mod m; the final receive is seg v.
-                let mut splan = Vec::new();
-                let mut rplan = Vec::new();
-                for s in 1..m {
-                    let w = (v + m - s) % m;
-                    for (j, _, _) in chunks_of(seg_bytes(w), chunk) {
-                        splan.push((w, j, s == 1));
-                    }
-                    let w = (v + 2 * m - 1 - s) % m;
-                    for (j, _, _) in chunks_of(seg_bytes(w), chunk) {
-                        rplan.push((w, j, s == m - 1));
-                    }
-                }
-                // rs_added[(w, j)] — combined at the previous step, so the
-                // forward at the next step may read it from acc.
-                let mut rs_added: Vec<Vec<bool>> = (0..m)
-                    .map(|w| vec![false; seg_bytes(w).div_ceil(chunk)])
-                    .collect();
-                let (mut si, mut ri) = (0usize, 0usize);
-                let out = shared.fabric.ring_send(v, RingDir::Plus);
-                let in_ch = shared.fabric.ring_recv(v, RingDir::Plus);
-                while si < splan.len() || ri < rplan.len() {
-                    let mut progressed = false;
-                    while si < splan.len() {
-                        let (w, j, first) = splan[si];
-                        if !(first || rs_added[w][j]) || !out.can_send() {
-                            break;
-                        }
-                        let blo = nseg(w).0 * 8;
-                        let off = blo + j * chunk;
-                        let cl = (seg_bytes(w) - j * chunk).min(chunk);
-                        // SAFETY: intra stage complete (waited above); for
-                        // forwards, the combine below ordered the writer.
-                        let ok =
-                            out.try_send_with(pack_tag(w, KIND_PARTIAL, j), cl, |dst| unsafe {
-                                acc.read(off, dst)
-                            });
-                        debug_assert!(ok);
-                        si += 1;
-                        progressed = true;
-                    }
-                    while ri < rplan.len() {
-                        if in_ch.peek_tag().is_none() {
-                            break;
-                        }
-                        let (w, j, last) = rplan[ri];
-                        debug_assert_eq!(in_ch.peek_tag(), Some(pack_tag(w, KIND_PARTIAL, j)));
-                        let blo = nseg(w).0 * 8;
-                        let off = blo + j * chunk;
-                        let cl = (seg_bytes(w) - j * chunk).min(chunk);
-                        let rs = in_ch.peek();
-                        // SAFETY: intra stage complete; we are the unique
-                        // accessor of acc during the ring stage.
-                        rs.with_bytes(|inb| unsafe {
-                            acc.with_bytes_mut(off, cl, |local| {
-                                crate::kernels::add_bytes_assign(local, inb)
-                            })
-                        });
-                        rs_added[w][j] = true;
-                        if last {
-                            debug_assert_eq!(w, v, "the final step reduces our own segment");
-                            self.ctx.aux_counter(n).publish(cl as u64);
-                        }
-                        ri += 1;
-                        progressed = true;
-                    }
-                    if !progressed {
-                        bgp_shmem::spin();
-                    }
-                }
+                // node's *own* segment; its chunks land in order, so each
+                // extends the result stream directly.
+                let ctx = &self.ctx;
+                let mut local = RegionLocal {
+                    bufs: std::slice::from_ref(&acc),
+                    ready: |_, _, _| true,
+                    landed: |_, _, len| {
+                        ctx.aux_counter(n).publish(len as u64);
+                    },
+                };
+                let segs: Vec<_> = (0..m).map(|w| (nseg(w).0 * 8, seg_bytes(w))).collect();
+                let plan = wire::plan_reduce_scatter(v, &segs, chunk);
+                wire::run_plan(&shared.fabric, v, &plan, &mut local);
             }
         }
 
@@ -573,12 +352,13 @@ impl ClusterCtx {
             }
             // Contiguous bytes finished per node block; results publish in
             // buffer prefix order as blocks complete.
+            let ctx = &self.ctx;
             let mut blk_done = vec![0usize; m];
             blk_done[v] = bl;
             let mut published = 0u64;
-            let mut advance = |blk_done: &[usize], ctx: &crate::runtime::RankCtx| {
+            let mut advance = |blk_done: &[usize]| {
                 let mut avail = 0usize;
-                for &d in blk_done.iter().take(m) {
+                for &d in blk_done {
                     avail += d;
                     if d < bl {
                         break;
@@ -589,72 +369,19 @@ impl ClusterCtx {
                     published = avail as u64;
                 }
             };
-            advance(&blk_done, &self.ctx);
+            advance(&blk_done);
             if m > 1 && kb > 0 {
-                // Ring allgather: step s sends block (v+1-s) mod m and
-                // receives block (v-s) mod m; sends after the first step
-                // forward the block received one step earlier.
-                let mut splan = Vec::new();
-                let mut rplan = Vec::new();
-                for s in 1..m {
-                    let w = (v + 1 + m - s) % m;
-                    for j in 0..kb {
-                        splan.push((w, j));
-                    }
-                    let w = (v + m - s) % m;
-                    for j in 0..kb {
-                        rplan.push((w, j));
-                    }
-                }
-                let mut have: Vec<Vec<bool>> = (0..m).map(|_| vec![false; kb]).collect();
-                have[v].fill(true);
-                let (mut si, mut ri) = (0usize, 0usize);
-                let out = shared.fabric.ring_send(v, RingDir::Plus);
-                let in_ch = shared.fabric.ring_recv(v, RingDir::Plus);
-                while si < splan.len() || ri < rplan.len() {
-                    let mut progressed = false;
-                    while si < splan.len() {
-                        let (w, j) = splan[si];
-                        if !have[w][j] || !out.can_send() {
-                            break;
-                        }
-                        let off = w * bl + j * chunk;
-                        let cl = (bl - j * chunk).min(chunk);
-                        // SAFETY: the block bytes were written before
-                        // `have` was set (intra wait or the store below).
-                        let ok = out.try_send_with(pack_tag(w, KIND_FULL, j), cl, |dst| unsafe {
-                            acc.read(off, dst)
-                        });
-                        debug_assert!(ok);
-                        si += 1;
-                        progressed = true;
-                    }
-                    while ri < rplan.len() {
-                        if in_ch.peek_tag().is_none() {
-                            break;
-                        }
-                        let (w, j) = rplan[ri];
-                        debug_assert_eq!(in_ch.peek_tag(), Some(pack_tag(w, KIND_FULL, j)));
-                        let off = w * bl + j * chunk;
-                        let cl = (bl - j * chunk).min(chunk);
-                        let rs = in_ch.peek();
-                        // SAFETY: sole writer of remote block regions;
-                        // readers gate on stream n.
-                        rs.with_bytes(|inb| {
-                            debug_assert_eq!(inb.len(), cl);
-                            unsafe { acc.write(off, inb) }
-                        });
-                        have[w][j] = true;
-                        blk_done[w] += cl;
-                        ri += 1;
-                        progressed = true;
-                    }
-                    advance(&blk_done, &self.ctx);
-                    if !progressed {
-                        bgp_shmem::spin();
-                    }
-                }
-                advance(&blk_done, &self.ctx);
+                // Ring allgather of the node blocks.
+                let mut local = RegionLocal {
+                    bufs: std::slice::from_ref(&acc),
+                    ready: |_, _, _| true,
+                    landed: |_, off, len| {
+                        blk_done[off / bl] += len;
+                        advance(&blk_done);
+                    },
+                };
+                let plan = wire::plan_allgather(m, v, bl, chunk);
+                wire::run_plan(&shared.fabric, v, &plan, &mut local);
             }
         }
 

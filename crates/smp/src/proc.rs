@@ -41,8 +41,8 @@ use bgp_shmem::proc::{ShmError, ShmSegment};
 use bgp_shmem::seqlock::{SeqLock, SeqWords};
 use bgp_shmem::sync::atomic::{AtomicU64, Ordering};
 
-use crate::cluster::{chunks_of, pack_tag, unpack_tag, KIND_FULL, KIND_PARTIAL};
-use crate::transport::{ChunkChannel, Fabric, RingDir, SlotStore};
+use crate::transport::{ChunkChannel, Fabric, SlotStore};
+use crate::wire;
 
 /// Environment variables that turn a re-exec of the current binary into a
 /// worker process. [`maybe_worker`] reads them.
@@ -404,151 +404,38 @@ impl ProcLayout {
 }
 
 // ---------------------------------------------------------------------------
-// Single-rank node runners (generic over the slot store)
+// Single-rank node runners: thin calls into `crate::wire`, the one copy of
+// the tree and ring protocols, which the thread cluster runs over heap links
 // ---------------------------------------------------------------------------
 
 /// One node's part of a cluster broadcast, single rank per node: the root
 /// injects `buf` into every outbound tree port; every other node receives
 /// on its root-facing port into `buf`, forwarding each chunk while the
-/// incoming slot is still on loan. Byte-for-byte the `n == 1` arm of
-/// [`crate::cluster::ClusterCtx::bcast`].
+/// incoming slot is still on loan. Byte-for-byte the root and `n == 1` arms
+/// of [`crate::cluster::ClusterCtx::bcast`] — they are the same code.
 pub fn node_bcast<S: SlotStore>(fabric: &Fabric<S>, v: usize, root: usize, buf: &mut [u8]) {
-    let chunk = fabric.chunk_bytes();
+    let (outs, len) = (fabric.bcast_out(v, root), buf.len());
     if v == root {
-        let outs = fabric.bcast_out(v, root);
-        for (k, off, clen) in chunks_of(buf.len(), chunk) {
-            for ch in &outs {
-                ch.send_with(k as u64, clen, |dst| {
-                    dst.copy_from_slice(&buf[off..off + clen])
-                });
-            }
-        }
+        let fill = |off: usize, dst: &mut [u8]| dst.copy_from_slice(&buf[off..off + dst.len()]);
+        wire::tree_send(&outs, fabric.chunk_bytes(), len, fill, |_, _| {});
     } else {
-        let in_ch = fabric.bcast_in(v, root);
-        let outs = fabric.bcast_out(v, root);
-        for (k, off, clen) in chunks_of(buf.len(), chunk) {
-            let rs = in_ch.peek();
-            debug_assert_eq!(rs.tag(), k as u64);
-            rs.with_bytes(|bytes| buf[off..off + clen].copy_from_slice(bytes));
-            for ch in &outs {
-                let mut snd = ch.reserve(clen);
-                rs.with_bytes(|bytes| snd.with_bytes_mut(|dst| dst.copy_from_slice(bytes)));
-                snd.publish(k as u64);
-            }
-        }
+        wire::tree_recv(fabric.bcast_in(v, root), &outs, len, |off, bytes| {
+            buf[off..off + bytes.len()].copy_from_slice(bytes)
+        });
     }
 }
 
 /// One node's part of a cluster allreduce (sum of f64s), single rank per
-/// node: the single-color ring of
-/// [`crate::cluster::ClusterCtx::allreduce_f64`] (`n == 1` ⇒ one color on
-/// the `Plus` ring), with `data` as both the node's input and, on return,
-/// the global sum. Kernel calls and hop order match the in-process engine
-/// exactly, so the result is bitwise identical to the thread cluster's.
+/// node: the flat ring engine of
+/// [`crate::cluster::ClusterCtx::allreduce_f64`] with one color (`n == 1`
+/// ⇒ color 0 on the `Plus` ring) over a buffer this node owns outright,
+/// `data` being both the node's input and, on return, the global sum.
+/// Bitwise identical to the thread cluster's result by construction.
 pub fn node_allreduce_f64<S: SlotStore>(fabric: &Fabric<S>, v: usize, data: &mut [u8]) {
     debug_assert!(data.len().is_multiple_of(8));
-    let m = fabric.n_nodes();
-    if m == 1 || data.is_empty() {
-        return; // the local partial is the result
-    }
-    let chunk = fabric.chunk_bytes();
-    let dir = RingDir::Plus; // color 0
-    let pos = fabric.ring_pos(v, dir);
-    let kt = data.len().div_ceil(chunk);
-    let sends_fulls = pos == m - 1 || pos != m - 2;
-    let (mut injected, mut combined, mut fulls_local, mut fulls_sent) = (0, 0, 0, 0);
-    let total = data.len();
-    let clen_of = move |k: usize| (total - k * chunk).min(chunk);
-    let out = fabric.ring_send(v, dir);
-    let in_ch = fabric.ring_recv(v, dir);
-
-    loop {
-        let mut progressed = false;
-
-        if pos == 0 {
-            while injected < kt && out.can_send() {
-                let (k, off, clen) = (injected, injected * chunk, clen_of(injected));
-                let ok = out.try_send_with(pack_tag(0, KIND_PARTIAL, k), clen, |dst| {
-                    dst.copy_from_slice(&data[off..off + clen])
-                });
-                debug_assert!(ok, "can_send held and we are the sole producer");
-                injected += 1;
-                progressed = true;
-            }
-        }
-        if pos == m - 1 {
-            while fulls_sent < fulls_local && out.can_send() {
-                let (k, off, clen) = (fulls_sent, fulls_sent * chunk, clen_of(fulls_sent));
-                let ok = out.try_send_with(pack_tag(0, KIND_FULL, k), clen, |dst| {
-                    dst.copy_from_slice(&data[off..off + clen])
-                });
-                debug_assert!(ok);
-                fulls_sent += 1;
-                progressed = true;
-            }
-        }
-
-        while let Some(tag) = in_ch.peek_tag() {
-            let (c, kind, k) = unpack_tag(tag);
-            debug_assert_eq!(c, 0);
-            let clen = clen_of(k);
-            let off = k * chunk;
-            if kind == KIND_PARTIAL {
-                debug_assert!(pos > 0);
-                debug_assert_eq!(k, combined, "partials must arrive in order");
-                if pos < m - 1 && !out.can_send() {
-                    break;
-                }
-                let rs = in_ch.peek();
-                if pos < m - 1 {
-                    // Fused combine straight into the outgoing slot — the
-                    // same kernel call as the in-process ring.
-                    let mut snd = out.reserve(clen);
-                    rs.with_bytes(|inb| {
-                        snd.with_bytes_mut(|dst| {
-                            crate::kernels::add_bytes_into(dst, &data[off..off + clen], inb)
-                        })
-                    });
-                    snd.publish(pack_tag(0, KIND_PARTIAL, k));
-                } else {
-                    rs.with_bytes(|inb| {
-                        crate::kernels::add_bytes_assign(&mut data[off..off + clen], inb)
-                    });
-                    fulls_local += 1;
-                }
-                combined += 1;
-                progressed = true;
-            } else {
-                debug_assert!(pos < m - 1, "the originator never receives fulls");
-                debug_assert_eq!(k, fulls_local, "fulls must arrive in order");
-                let forwards = sends_fulls;
-                if forwards && !out.can_send() {
-                    break;
-                }
-                let rs = in_ch.peek();
-                rs.with_bytes(|bytes| data[off..off + clen].copy_from_slice(bytes));
-                fulls_local += 1;
-                if forwards {
-                    let mut snd = out.reserve(clen);
-                    rs.with_bytes(|bytes| snd.with_bytes_mut(|dst| dst.copy_from_slice(bytes)));
-                    snd.publish(pack_tag(0, KIND_FULL, k));
-                    fulls_sent += 1;
-                }
-                progressed = true;
-            }
-        }
-
-        let finished = fulls_local == kt
-            && injected == if pos == 0 { kt } else { 0 }
-            && combined == if pos > 0 { kt } else { 0 }
-            && fulls_sent == if sends_fulls { kt } else { 0 };
-        if finished {
-            break;
-        }
-        if !progressed {
-            bgp_shmem::spin();
-        }
-    }
+    if fabric.n_nodes() > 1 {
+        wire::flat_ring(fabric, v, [data.len()], data);
+    } // else the local partial is the result
 }
 
 // ---------------------------------------------------------------------------
@@ -842,11 +729,28 @@ impl ProcCluster {
         Ok(())
     }
 
-    fn publish_job(&mut self, kind: u64, root: u64, len: u64, seed: u64) -> u64 {
+    fn publish_job(&mut self, kind: u64, root: u64, len: u64, seed: u64) -> [u64; REC_WORDS] {
         self.job_id += 1;
-        let job = RecWords::at(&self.seg, self.layout.job_off());
-        job.publish(&[self.job_id, kind, root, len, seed]);
-        self.job_id
+        let job = [self.job_id, kind, root, len, seed];
+        RecWords::at(&self.seg, self.layout.job_off()).publish(&job);
+        job
+    }
+
+    /// Publish one collective job, take part in it as node 0 — through
+    /// [`run_job`], the very code the workers run — and gather every
+    /// node's `len` result bytes, in node order.
+    fn collective(
+        &mut self,
+        kind: u64,
+        root: usize,
+        len: usize,
+        seed: u64,
+    ) -> Result<Vec<Vec<u8>>, ProcError> {
+        self.check_usable(len)?;
+        let job = self.publish_job(kind, root as u64, len as u64, seed);
+        run_job(&self.fabric, &self.seg, &self.layout, 0, &job);
+        self.gather(job[0])?;
+        Ok(self.collect_results(len))
     }
 
     /// Wait until every worker has published a status for `job`, polling
@@ -908,31 +812,14 @@ impl ProcCluster {
     /// segment's result regions.
     pub fn bcast(&mut self, root: usize, seed: u64, len: usize) -> Result<Vec<Vec<u8>>, ProcError> {
         assert!(root < self.layout.m, "root out of range");
-        self.check_usable(len)?;
-        let job = self.publish_job(JOB_BCAST, root as u64, len as u64, seed);
-        // Participate as node 0.
-        let mut buf = if root == 0 {
-            bcast_pattern(seed, len)
-        } else {
-            vec![0u8; len]
-        };
-        node_bcast(&self.fabric, 0, root, &mut buf);
-        self.finish_own(job, &buf);
-        self.gather(job)?;
-        Ok(self.collect_results(len))
+        self.collective(JOB_BCAST, root, len, seed)
     }
 
     /// Cluster allreduce over `count` doubles: node `v` contributes
     /// [`allreduce_input`]`(seed, v, count)`. Returns each node's result
     /// bytes (all identical on success), in node order.
     pub fn allreduce(&mut self, seed: u64, count: usize) -> Result<Vec<Vec<u8>>, ProcError> {
-        self.check_usable(count * 8)?;
-        let job = self.publish_job(JOB_ALLREDUCE, 0, (count * 8) as u64, seed);
-        let mut buf = allreduce_input(seed, 0, count);
-        node_allreduce_f64(&self.fabric, 0, &mut buf);
-        self.finish_own(job, &buf);
-        self.gather(job)?;
-        Ok(self.collect_results(count * 8))
+        self.collective(JOB_ALLREDUCE, 0, count * 8, seed)
     }
 
     /// Crash injection (tests): direct the worker for `node` to exit
@@ -940,23 +827,10 @@ impl ProcCluster {
     pub fn inject_crash(&mut self, node: usize) -> Result<(), ProcError> {
         assert!(node >= 1 && node < self.layout.m, "can only crash a worker");
         self.check_usable(0)?;
-        let job = self.publish_job(JOB_CRASH, node as u64, 0, 0);
+        let job = self.publish_job(JOB_CRASH, node as u64, 0, 0)[0];
         let status = RecWords::at(&self.seg, self.layout.status_off(0));
         status.publish(&[job, 0, 0, 0, 0]);
         self.gather(job)
-    }
-
-    fn finish_own(&self, job: u64, out: &[u8]) {
-        // SAFETY: node 0's own region; ordered by the status publish.
-        let region = unsafe {
-            std::slice::from_raw_parts_mut(
-                result_ptr(&self.seg, &self.layout, 0),
-                self.layout.max_msg,
-            )
-        };
-        region[..out.len()].copy_from_slice(out);
-        let status = RecWords::at(&self.seg, self.layout.status_off(0));
-        status.publish(&[job, 0, checksum(out), 0, 0]);
     }
 
     fn collect_results(&self, len: usize) -> Vec<Vec<u8>> {

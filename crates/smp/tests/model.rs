@@ -396,3 +396,105 @@ fn mutation_chunk_peek_tag_unvalidated_is_caught() {
     assert_eq!(replayed.kind, failure.kind);
     assert_eq!(replayed.trace, failure.trace);
 }
+
+// ---------------------------------------------------------------------------
+// The wire protocols themselves: `bgp_smp::wire` takes a fabric and a
+// `Local`, not a `ClusterCtx`, so the very loops both clusters run — not
+// miniatures of them — go under the checker. Two nodes, one double per
+// chunk, each node's operand a buffer it owns (`[u8]`, the trivial
+// `Local`); the links are the only shared state.
+
+use bgp_smp::transport::Fabric;
+use bgp_smp::wire;
+
+/// Node `v`'s `chunks`-double operand: element `i` is `10·v + i + 1`.
+fn operand(v: usize, chunks: usize) -> Vec<u8> {
+    (0..chunks)
+        .flat_map(|i| ((10 * v + i + 1) as f64).to_ne_bytes())
+        .collect()
+}
+
+/// Both nodes must end up holding the element-wise sum.
+fn assert_summed(v: usize, data: &[u8], chunks: usize) {
+    let want: Vec<u8> = (0..chunks)
+        .flat_map(|i| ((10 + 2 * (i + 1)) as f64).to_ne_bytes())
+        .collect();
+    assert_eq!(data, want, "node {v} does not hold the sum");
+}
+
+/// Run `node(fabric, v, operand)` for `v = 1` on a model thread and for
+/// `v = 0` on the root thread over a two-node fabric of 8-byte chunks and
+/// two-slot links, then check both results.
+fn two_node_scenario(chunks: usize, node: fn(&Fabric, usize, &mut [u8])) {
+    let fabric = Arc::new(Fabric::new(2, 8, 2));
+    let peer = {
+        let fabric = fabric.clone();
+        thread::spawn(move || {
+            let mut data = operand(1, chunks);
+            node(&fabric, 1, &mut data);
+            assert_summed(1, &data, chunks);
+        })
+    };
+    let mut data = operand(0, chunks);
+    node(&fabric, 0, &mut data);
+    assert_summed(0, &data, chunks);
+    peer.join();
+}
+
+/// The one-flow flat ring — all of `proc::node_allreduce_f64` above one
+/// node (that module is compiled out under the model facade).
+fn flat_ring_node(fabric: &Fabric, v: usize, data: &mut [u8]) {
+    wire::flat_ring(fabric, v, [data.len()], data);
+}
+
+/// The ordered stepper on the node-aware allreduce plan (ring
+/// reduce-scatter + allgather over the chunk grid). With one chunk, node
+/// 0's segment `[0·1/2, 1·1/2)` is empty: the schedule that used to hang.
+fn plan_node(fabric: &Fabric, v: usize, data: &mut [u8]) {
+    let plan = wire::plan_allreduce(2, v, data.len(), fabric.chunk_bytes());
+    wire::run_plan(fabric, v, &plan, data);
+}
+
+/// One chunk, a full window, and past it (a third chunk reuses the first
+/// slot), each under a bounded DFS (which varies the tail of the schedule
+/// exhaustively) and a seeded random sample (which varies all of it).
+fn check_ring_engine(node: fn(&Fabric, usize, &mut [u8])) {
+    for chunks in 1..=3 {
+        model_with(Config::dfs(3_000), move || two_node_scenario(chunks, node));
+        let seed = 0xB6_0000 + chunks as u64;
+        model_with(Config::random(seed, 2_000), move || {
+            two_node_scenario(chunks, node)
+        });
+    }
+}
+
+/// Every explored schedule of the flat ring terminates (a stuck progress
+/// loop is a reported deadlock) with the sum on both nodes.
+#[test]
+fn flat_ring_terminates_with_the_sum_on_both_nodes() {
+    check_ring_engine(flat_ring_node);
+}
+
+/// The same for the ordered plan stepper, including the empty segment.
+#[test]
+fn ring_plan_terminates_with_the_sum_on_both_nodes() {
+    check_ring_engine(plan_node);
+}
+
+/// The scenarios can fail: with the slot publish weakened to `Relaxed`
+/// (the existing `chunk_publish_relaxed` hook) a consumer combines a chunk
+/// it was never ordered after, and the checker flags the race in both
+/// engines.
+#[test]
+fn mutation_chunk_publish_relaxed_breaks_both_ring_engines() {
+    for node in [flat_ring_node, plan_node] {
+        let report = explore(
+            Config::dfs(20_000).mutate("chunk_publish_relaxed"),
+            move || two_node_scenario(2, node),
+        );
+        let failure = report
+            .failure
+            .unwrap_or_else(|| panic!("seeded bug `chunk_publish_relaxed` was NOT caught"));
+        assert_eq!(failure.kind, FailureKind::Race, "{failure}");
+    }
+}

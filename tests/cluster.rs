@@ -210,3 +210,52 @@ fn persistent_cluster_reuses_state_across_mixed_ops() {
     });
     assert!(out.iter().flatten().all(|&ok| ok));
 }
+
+#[test]
+fn back_to_back_node_allreduce_needs_no_barrier_between_ops() {
+    // Regression: `proc::node_allreduce_f64` used to be a hand copy of the
+    // flat ring engine without its bound on how many chunks one op may
+    // consume, so with three nodes and no barrier between operations a
+    // fast node's next-op partial was taken for this op's (debug: "partials
+    // must arrive in order"; release: a hang). `ProcCluster` only escaped
+    // because its job handshake happens to serialise ops. The single-rank
+    // runner is now the shared engine; every iteration must match a serial
+    // fold in ring order, bit for bit, well inside the deadline.
+    use bgp_collectives::smp::kernels::add_bytes_assign;
+    use bgp_collectives::smp::proc::{allreduce_input, node_allreduce_f64};
+    use bgp_collectives::smp::transport::Fabric;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    let iters = stress_iters(4_000).max(1_000);
+    for m in [2usize, 3] {
+        // 64-byte chunks, window 4: one chunk, then more chunks than slots.
+        for count in [8usize, 40] {
+            let fabric = Arc::new(Fabric::new(m, 64, 4));
+            let (done_tx, done_rx) = mpsc::channel();
+            for v in 0..m {
+                let (fabric, done_tx) = (fabric.clone(), done_tx.clone());
+                std::thread::spawn(move || {
+                    for i in 0..iters as u64 {
+                        let mut want = allreduce_input(i, 0, count);
+                        for u in 1..m {
+                            add_bytes_assign(&mut want, &allreduce_input(i, u, count));
+                        }
+                        let mut data = allreduce_input(i, v, count);
+                        node_allreduce_f64(&fabric, v, &mut data);
+                        assert_eq!(data, want, "m={m} count={count} node {v} op {i}");
+                    }
+                    let _ = done_tx.send(v);
+                });
+            }
+            drop(done_tx);
+            for _ in 0..m {
+                // A node that panicked drops its sender and strands its
+                // neighbours: both show up here as a missing completion.
+                done_rx
+                    .recv_timeout(Duration::from_secs(60))
+                    .unwrap_or_else(|e| panic!("m={m} count={count}: a node never finished ({e})"));
+            }
+        }
+    }
+}

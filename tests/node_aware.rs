@@ -18,6 +18,7 @@
 
 use bgp_collectives::shmem::testing::stress_iters;
 use bgp_collectives::smp::collectives::{read_f64s, write_f64s};
+use bgp_collectives::smp::wire::{plan_allgather, plan_allreduce, plan_reduce_scatter, RingPlan};
 use bgp_collectives::smp::{Cluster, ClusterCtx};
 
 /// Integer-valued per-global-rank inputs: f64 summation over them is
@@ -32,6 +33,62 @@ fn vals_for(g: usize, count: usize) -> Vec<f64> {
 /// rank's context).
 fn chunks_sent(cluster: &Cluster) -> usize {
     cluster.run(|cctx: &mut ClusterCtx| cctx.fabric().total_chunks_sent())[0][0]
+}
+
+/// Run `op` and return its result with the number of chunks it put on the
+/// fabric.
+fn counting<R>(cluster: &Cluster, op: impl FnOnce() -> R) -> (R, usize) {
+    let before = chunks_sent(cluster);
+    let out = op();
+    (out, chunks_sent(cluster) - before)
+}
+
+/// Inter-node chunk sends a collective plans, summed over its `m` nodes.
+/// The planners run without a fabric, so what a collective *will* send is
+/// known exactly — the probe below is an identity, not a spot check.
+fn planned(m: usize, plan: impl Fn(usize) -> RingPlan) -> usize {
+    (0..m).map(|v| plan(v).n_sends()).sum()
+}
+
+/// Node `w`'s `(byte offset, byte length)` in a reduce-scatter of `count`
+/// doubles: the union of its ranks' scatter spans.
+fn scatter_segs(m: usize, n: usize, count: usize) -> Vec<(usize, usize)> {
+    let lo = |w: usize| w * n * count / (m * n);
+    (0..m)
+        .map(|w| (lo(w) * 8, (lo(w + 1) - lo(w)) * 8))
+        .collect()
+}
+
+/// `reduce_scatter_f64` on every rank; returns `(span start, output)`.
+fn run_reduce_scatter(cluster: &Cluster, count: usize) -> Vec<Vec<(usize, Vec<f64>)>> {
+    cluster.run(move |cctx: &mut ClusterCtx| {
+        let g = cctx.global_rank();
+        let input = cctx.intra().alloc_buffer((count * 8).max(1));
+        let (lo, hi) = cctx.scatter_span(count);
+        let output = cctx.intra().alloc_buffer(((hi - lo) * 8).max(1));
+        write_f64s(&input, 0, &vals_for(g, count));
+        cctx.intra().barrier();
+        cctx.reduce_scatter_f64(&input, &output, count);
+        (lo, read_f64s(&output, 0, hi - lo))
+    })
+}
+
+/// `allgather` of `len` bytes of `g + 1` per global rank `g`.
+fn run_allgather(cluster: &Cluster, len: usize) -> Vec<Vec<Vec<u8>>> {
+    let world = cluster.n_nodes() * cluster.n_ranks();
+    cluster.run(move |cctx: &mut ClusterCtx| {
+        let g = cctx.global_rank();
+        let input = cctx.intra().alloc_buffer(len.max(1));
+        let output = cctx.intra().alloc_buffer((world * len).max(1));
+        // SAFETY: our buffer, before the collective.
+        unsafe { input.write(0, &vec![g as u8 + 1; len]) };
+        cctx.intra().barrier();
+        cctx.allgather(&input, &output, len);
+        // SAFETY: the collective completed.
+        let mut all = unsafe { output.snapshot() };
+        all.truncate(world * len);
+        all
+    })
 }
 
 /// Run one allreduce variant on every rank; returns `[node][rank]` outputs.
@@ -88,14 +145,33 @@ fn node_aware_sends_fewer_inter_node_chunks_than_flat() {
     // global buffer once (at n = 2 the two schedules tie — the win is a
     // quad-mode property, matching the paper's SMP geometry).
     for (m, n) in [(2usize, 4usize), (3, 4), (4, 4)] {
-        let cluster = Cluster::with_geometry(m, n, 16 * 1024, 2);
+        let chunk = 16 * 1024;
+        let cluster = Cluster::with_geometry(m, n, chunk, 2);
         let count = 8192; // 64 KiB payload => kt = 4 chunks
-        let base = chunks_sent(&cluster);
-        let flat_out = run_allreduce(&cluster, count, 0);
-        let flat = chunks_sent(&cluster) - base;
-        let na_out = run_allreduce(&cluster, count, 1);
-        let na = chunks_sent(&cluster) - base - flat;
+        let (flat_out, flat) = counting(&cluster, || run_allreduce(&cluster, count, 0));
+        let (na_out, na) = counting(&cluster, || run_allreduce(&cluster, count, 1));
         assert_eq!(flat_out, na_out, "({m},{n}): results must match");
+        // Every node-aware collective sends exactly what its plan lists.
+        assert_eq!(
+            na,
+            planned(m, |v| plan_allreduce(m, v, count * 8, chunk)),
+            "({m},{n})"
+        );
+        let (_, fused) = counting(&cluster, || run_allreduce(&cluster, count, 2));
+        assert_eq!(fused, na, "({m},{n}): fusion must not change the traffic");
+        let (_, rs) = counting(&cluster, || run_reduce_scatter(&cluster, count));
+        let segs = scatter_segs(m, n, count);
+        assert_eq!(
+            rs,
+            planned(m, |v| plan_reduce_scatter(v, &segs, chunk)),
+            "({m},{n})"
+        );
+        let (_, ag) = counting(&cluster, || run_allgather(&cluster, count));
+        assert_eq!(
+            ag,
+            planned(m, |v| plan_allgather(m, v, n * count, chunk)),
+            "({m},{n})"
+        );
         assert!(
             na < flat,
             "({m},{n}): node-aware sent {na} chunks, flat sent {flat}"
@@ -194,26 +270,30 @@ fn degenerate_counts_terminate_and_stay_byte_identical() {
         let cluster = Cluster::with_geometry(m, n, 64, 2);
         for count in [0usize, 1, world.saturating_sub(1)] {
             let flat = run_allreduce(&cluster, count, 0);
-            let na = run_allreduce(&cluster, count, 1);
-            let fused = run_allreduce(&cluster, count, 2);
+            let (na, na_sent) = counting(&cluster, || run_allreduce(&cluster, count, 1));
+            let (fused, fused_sent) = counting(&cluster, || run_allreduce(&cluster, count, 2));
             assert_eq!(flat, na, "({m},{n}) count={count}");
             assert_eq!(flat, fused, "({m},{n}) count={count}");
+            // Empty segments plan — and send — nothing.
+            let want = planned(m, |v| plan_allreduce(m, v, count * 8, 64));
+            assert_eq!(
+                (na_sent, fused_sent),
+                (want, want),
+                "({m},{n}) count={count}"
+            );
             let wf = world as f64;
             for (i, &v) in flat[0][0].iter().enumerate() {
                 let want: f64 = (0..world).map(|g| ((i * 7 + g * 3) % 1000) as f64).sum();
                 assert_eq!(v, want, "({m},{n}) count={count} elem {i} (world={wf})");
             }
             // Reduce-scatter: empty spans complete; occupied spans match.
-            let rs = cluster.run(move |cctx: &mut ClusterCtx| {
-                let g = cctx.global_rank();
-                let input = cctx.intra().alloc_buffer((count * 8).max(1));
-                let (lo, hi) = cctx.scatter_span(count);
-                let output = cctx.intra().alloc_buffer(((hi - lo) * 8).max(1));
-                write_f64s(&input, 0, &vals_for(g, count));
-                cctx.intra().barrier();
-                cctx.reduce_scatter_f64(&input, &output, count);
-                (lo, read_f64s(&output, 0, hi - lo))
-            });
+            let (rs, rs_sent) = counting(&cluster, || run_reduce_scatter(&cluster, count));
+            let segs = scatter_segs(m, n, count);
+            assert_eq!(
+                rs_sent,
+                planned(m, |v| plan_reduce_scatter(v, &segs, 64)),
+                "({m},{n}) count={count}"
+            );
             for ranks in &rs {
                 for (lo, got) in ranks {
                     for (j, &v) in got.iter().enumerate() {
@@ -229,19 +309,12 @@ fn degenerate_counts_terminate_and_stay_byte_identical() {
         }
         // Allgather and alltoall degenerate block lengths.
         for len in [0usize, 1] {
-            let ag = cluster.run(move |cctx: &mut ClusterCtx| {
-                let g = cctx.global_rank();
-                let input = cctx.intra().alloc_buffer(len.max(1));
-                let output = cctx.intra().alloc_buffer((world * len).max(1));
-                // SAFETY: our buffer, before the collective.
-                unsafe { input.write(0, &vec![g as u8 + 1; len]) };
-                cctx.intra().barrier();
-                cctx.allgather(&input, &output, len);
-                // SAFETY: the collective completed.
-                let mut all = unsafe { output.snapshot() };
-                all.truncate(world * len);
-                all
-            });
+            let (ag, ag_sent) = counting(&cluster, || run_allgather(&cluster, len));
+            assert_eq!(
+                ag_sent,
+                planned(m, |v| plan_allgather(m, v, n * len, 64)),
+                "({m},{n}) allgather len={len}"
+            );
             let want: Vec<u8> = (0..world).flat_map(|g| vec![g as u8 + 1; len]).collect();
             for ranks in &ag {
                 for got in ranks {
