@@ -46,10 +46,11 @@ BGP_STRESS_FULL=1 cargo test -q
 
 # `cargo test` at the root only runs the facade package. The in-crate unit
 # tests of every workspace member (the kernels' tail-shape suite, the flat
-# ring's cross-op regression, ...) are otherwise compiled by clippy but
-# executed by nothing.
-echo "== in-crate unit tests: cargo test --workspace --lib"
-cargo test -q --workspace --lib
+# ring's cross-op regression, ...) and the crate-level integration suites
+# (crates/sched/tests/{nonblocking,server}.rs, the machine and sim property
+# tests, ...) are otherwise compiled by clippy but executed by nothing.
+echo "== unit + crate-level integration tests: cargo test --workspace --lib --tests"
+cargo test -q --workspace --lib --tests
 
 echo "== model checker self-tests (bgp-check)"
 cargo test -q -p bgp-check

@@ -8,58 +8,84 @@
 //! every rank at post time, so ids agree across the whole cluster and are
 //! never reused:
 //!
-//! * window tags: `(1 << 63) | (op << 1) | role` with role 0 = a member's
+//! * window tags: `(1 << 62) | (op << 1) | role` with role 0 = a member's
 //!   application buffer (broadcast source, allreduce input) and role 1 = an
-//!   engine-owned staging region (broadcast stage, allreduce accumulator).
+//!   engine-owned staging region (broadcast stage, node accumulator).
 //!   The high bit keeps sched tags disjoint from the blocking collectives'.
 //! * counter-bank keys: `(op << 8) | stream` — reception bytes, net-done,
-//!   member-done, result bytes, and one partial stream per member.
+//!   member-done, result bytes, and one contribution stream per member.
 //! * link tags: [`optag::pack`]`(op, kind, chunk)`.
 //!
 //! ## Protocols
+//!
+//! The engine implements one protocol itself and steps the other two:
 //!
 //! **ibcast** — the root exposes its buffer; the engine on the root node
 //! maps it and injects all chunks down the re-rooted tree ([`Fabric::bcast_out`]);
 //! root-node members copy straight out of the root's buffer (valid in full
 //! at post time). On every other node the engine receives chunks into a
 //! staging region, publishes received bytes on the op's reception counter,
-//! and forwards on the remaining tree ports; members chase the counter and
-//! copy out — §V-B's reception/copy overlap, per op. Each member publishes
-//! `+1` on the op's done counter when its copy finishes; the root's request
-//! completes when injection is done and all co-located members copied.
+//! and forwards on the remaining tree ports out of the stage; members chase
+//! the counter and copy out — §V-B's reception/copy overlap, per op. (The
+//! blocking [`wire::tree_recv`](bgp_smp::wire::tree_recv) relays from the
+//! slot loan and blocks on downstream room; a stage the members chase is
+//! what lets this one do neither, so the two share nothing.)
 //!
-//! **iallreduce** — members expose inputs; the engine exposes a node
-//! accumulator. The local reduce is partitioned by member index (member i
-//! sums *all* local inputs for its chunk range, publishing its partial
-//! stream), then the engine runs the same partial/full ring flow as the
-//! blocking `allreduce_f64` — inject at ring position 0, combine-and-forward
-//! in the middle, write+publish results at the end, circulate fully-reduced
-//! chunks back — but tagged per op and interleaved with every other
-//! in-flight op's flow. Ring direction alternates with op parity so
-//! consecutive ops use both links. Members chase the result counter into
-//! their outputs; a member's request completes only when every local
-//! partial stream is also finished (its *input* must be reusable, and
-//! co-members read it during the local reduce).
+//! **iallreduce / ireduce_scatter** — members expose inputs; the engine
+//! exposes a node accumulator. The local reduce is partitioned by member
+//! index (member i sums *all* local inputs over its chunk share, publishing
+//! its contribution stream), and the network side is a
+//! [`wire::RingFlow`](RingFlow) — the very partial/full flow of the
+//! blocking `allreduce_f64`, gating and all — over the accumulator, tagged
+//! per op and interleaved with every other in-flight op's. Ring direction
+//! alternates with op parity so consecutive ops use both links.
 //!
-//! ## Progress, parking, and deadlock-freedom
+//! **iallgather** — members deposit their blocks into the node's superblock
+//! of the accumulator; the network side is [`wire::plan_allgather`] over
+//! ring positions under a [`wire::PlanCursor`](PlanCursor), and the
+//! accumulator publishes the node-major prefix members chase.
 //!
-//! Everything the engine sends uses non-blocking sends; reception of
-//! broadcast data and fully-reduced chunks is ungated (their landing zones
-//! are preallocated), so links always drain and backpressure only ever
-//! pauses *production*. The one gated reception — an allreduce partial
-//! waiting for the local partition or for output window room — only waits
-//! on node-local progress, which member polls guarantee. Chunks that arrive
-//! for an op this node has not posted yet (a faster peer ran ahead,
+//! What is the engine's own: demultiplexing arrivals by op tag, the stash,
+//! the tree-broadcast stage, and retirement.
+//!
+//! ## Members
+//!
+//! A rank's side of any operation is one record ([`Member`]): an optional
+//! *contribution* (sum a share of the inputs, deposit a block), one *chase*
+//! (copy a span of a source region into the rank's buffer as a counter
+//! passes it), and an optional *release* condition under which the buffer
+//! the rank exposed may be withdrawn (a broadcast root: injection done and
+//! every co-located member copied; a reduce member: every local
+//! contribution stream complete, since co-members read its input).
+//!
+//! ## Progress, parking, completion
+//!
+//! Everything the engine sends uses non-blocking sends, and every gate is
+//! the stepper's: broadcast data and planned receives land in preallocated
+//! regions unconditionally; a `RingFlow` consume waits for the local
+//! partial and for downstream room, which `bgp_smp::wire` shows cannot
+//! deadlock the ring cycle however many flows share a link. Chunks that
+//! arrive for an op this node has not posted yet (a faster peer ran ahead,
 //! possibly across a job boundary) are parked in the node's stash
 //! ([`NodeShared::sched_stash`]) and replayed, in arrival order, once the
-//! post happens.
+//! post happens — a replayed chunk and one on a slot loan enter a stepper
+//! the same way.
+//!
+//! A request completes when the rank's member record is finished **and**,
+//! on the engine rank, the op's network flow on this node is too: all its
+//! receives consumed, everything it will ever send in a link. Without the
+//! second half a caller could leave `wait` and block somewhere that does not
+//! poll while its node still owed the ring a chunk — the peer would wait
+//! for it forever. [`Sched`] tracks only in-flight operations; a completed
+//! one leaves nothing behind.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use bgp_shmem::{spin, MessageCounter, SharedRegion};
-use bgp_smp::kernels;
+use bgp_smp::cluster::sum_regions;
 use bgp_smp::transport::{optag, ChunkChannel, Fabric, RingDir};
+use bgp_smp::wire::{plan_allgather, Kind, Local, PlanCursor, RingFlow, RingPlan, Stepper};
 use bgp_smp::{ClusterCtx, NodeShared};
 
 use crate::SchedError;
@@ -127,26 +153,6 @@ pub fn validate_group_shape(group: &[usize], n_ranks: usize) -> Result<(), Sched
     Ok(())
 }
 
-/// `(byte offset, byte length)` of chunk `k` in a `len`-byte message.
-fn chunk_span(len: usize, chunk: usize, k: usize) -> (usize, usize) {
-    let off = k * chunk;
-    (off, (len - off).min(chunk))
-}
-
-/// `(element offset, element count)` of chunk `k` in a `count`-element
-/// f64 message with `ce` elements per chunk.
-fn elem_span(count: usize, ce: usize, k: usize) -> (usize, usize) {
-    let e0 = k * ce;
-    (e0, (count - e0).min(ce))
-}
-
-/// Does ring position `pos` forward fully-reduced chunks? The producer
-/// (last position) always does; every receiver except the final one
-/// (position `m-2`, the producer's upstream neighbor) forwards too.
-fn sends_fulls(pos: usize, m: usize) -> bool {
-    pos == m - 1 || pos != m - 2
-}
-
 /// Handle of one posted nonblocking operation. `Copy`, cheap, and only
 /// meaningful to the [`Sched`] that issued it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,99 +167,177 @@ impl Request {
     }
 }
 
-/// This rank's end of every operation it participates in. One per rank per
-/// job; see the module docs for the protocols it runs.
-enum Role {
-    /// Locally complete (also the state of non-participants).
-    Done,
-    /// Broadcast root: waits for injection + local copies, then unexposes.
-    BcastRoot(BcastRoot),
-    /// Broadcast member: chases the source and copies out.
-    BcastCopy(BcastCopy),
-    /// Allreduce member: local reduce, result copy-out, input retirement.
-    ArMember(Box<ArMember>),
-    /// Allgather member: block deposit, gathered-prefix copy-out.
-    AgMember(Box<AgMember>),
+/// Byte range of member `i`'s share of a node's local reduce: chunks
+/// `[i*kt/g, (i+1)*kt/g)` of a `bytes`-byte vector in `chunk`-byte chunks.
+fn reduce_share(i: usize, g: usize, bytes: usize, chunk: usize) -> (usize, usize) {
+    let kt = bytes.div_ceil(chunk);
+    (
+        (i * kt / g * chunk).min(bytes),
+        ((i + 1) * kt / g * chunk).min(bytes),
+    )
 }
 
-struct BcastRoot {
-    netdone: Arc<MessageCounter>,
-    done: Arc<MessageCounter>,
-    expected_done: u64,
-    src_ptr: usize,
+/// This rank's side of one in-flight operation (see the module docs).
+#[derive(Default)]
+struct Member {
+    contribute: Option<Contribute>,
+    chase: Option<Chase>,
+    /// `(counter, value it must reach)`: once all hold, the buffer this rank
+    /// exposed under [`ROLE_DATA`] is withdrawn.
+    release: Option<Vec<(Arc<MessageCounter>, u64)>>,
+    /// Tells the engine this member is finished. `None` for a broadcast
+    /// root, whose release already waits for the engine.
+    done: Option<Arc<MessageCounter>>,
 }
 
-struct BcastCopy {
-    src_owner: u32,
-    src_tag: u64,
-    src: Option<Arc<SharedRegion>>,
-    dst: Arc<SharedRegion>,
-    len: usize,
-    copied: usize,
-    /// Reception counter to chase; `None` on the root's node, where the
-    /// source is valid in full from the moment it was posted.
-    gate: Option<Arc<MessageCounter>>,
-    done: Arc<MessageCounter>,
-    dst_ptr: usize,
-}
-
-enum ArPhase {
-    /// Waiting for the accumulator and every co-member input to appear.
-    Map,
-    /// Summing all local inputs over this member's chunk partition.
-    Reduce,
-    /// Chasing the result counter into the output buffer.
-    CopyOut,
-    /// Output done; waiting for every local partial stream so the *input*
-    /// is provably no longer read by co-members.
-    AwaitParts,
-}
-
-struct ArMember {
-    group: Vec<usize>,
-    my_index: usize,
-    count: usize,
-    ce: usize,
-    /// This member's chunk partition `[lo, hi)` of the local reduce.
+/// What a member puts into the node accumulator: the f64-lane sum of bytes
+/// `[lo, hi)` of every input, at offset `at`, publishing `part` as it goes.
+/// A reduce member sums every group member's exposed input over its share;
+/// an allgather member "sums" its one block — a copy.
+struct Contribute {
+    /// Ranks whose exposed inputs are summed, mapped in this order into
+    /// `inputs`; empty when `inputs` was handed over complete.
+    owners: Vec<usize>,
+    inputs: Vec<Arc<SharedRegion>>,
     lo: usize,
     hi: usize,
-    phase: ArPhase,
-    inputs: Vec<Option<Arc<SharedRegion>>>,
-    acc: Option<Arc<SharedRegion>>,
-    output: Arc<SharedRegion>,
-    /// Byte span `[res_lo, res_hi)` of the accumulator this member copies
-    /// out (the full message for allreduce, its scatter span for
-    /// reduce-scatter). Output offset 0 maps to `res_lo`.
-    res_lo: usize,
-    res_hi: usize,
-    in_ptr: usize,
-    out_ptr: usize,
-    parts: Vec<Arc<MessageCounter>>,
-    part_total: Vec<u64>,
-    res: Arc<MessageCounter>,
-    done: Arc<MessageCounter>,
+    at: usize,
+    chunk: usize,
+    part: Arc<MessageCounter>,
+}
+
+impl Contribute {
+    /// Make the contribution into `acc`; `false` (nothing written) while a
+    /// co-member's input is not exposed yet.
+    fn run(
+        &mut self,
+        op: u64,
+        acc: &SharedRegion,
+        shared: &NodeShared,
+        seen: &mut HashSet<usize>,
+    ) -> bool {
+        while let Some(&owner) = self.owners.get(self.inputs.len()) {
+            let tag = reg_tag(op, ROLE_DATA);
+            let Some(input) = shared.registry().try_map_auto(owner as u32, tag, seen) else {
+                return false;
+            };
+            self.inputs.push(input);
+        }
+        // SAFETY: this member is the unique writer of its share of the
+        // accumulator and readers (engine sends, co-member copy-outs) are
+        // gated on the publish; inputs are final from before the post, and
+        // reading a co-member's ungated is ordered by the registry map.
+        unsafe {
+            sum_regions(
+                acc,
+                self.at,
+                &self.inputs,
+                self.lo,
+                self.hi,
+                self.chunk,
+                |len| {
+                    self.part.publish(len as u64);
+                },
+            )
+        };
+        true
+    }
+}
+
+/// Copy bytes `[lo, hi)` of a source region — exposed by `owner` under
+/// `tag` — to the start of `dst`, as the gate counter passes them.
+struct Chase {
+    owner: u32,
+    tag: u64,
+    src: Option<Arc<SharedRegion>>,
+    /// Bytes of the source that are valid, as a prefix from offset 0;
+    /// `None` when the source was valid in full at post time.
+    gate: Option<Arc<MessageCounter>>,
+    lo: usize,
+    hi: usize,
+    dst: Arc<SharedRegion>,
     copied: usize,
 }
 
-struct AgMember {
-    /// Global member index (`node * group_len + index_in_group`): the
-    /// member's block offset in the gathered output is `my_global * len`.
-    my_global: usize,
-    len: usize,
-    /// Gathered bytes: `m * group_len * len`.
-    total: usize,
-    deposited: bool,
-    input: Arc<SharedRegion>,
-    output: Arc<SharedRegion>,
-    acc: Option<Arc<SharedRegion>>,
-    in_ptr: usize,
-    out_ptr: usize,
-    /// This member's deposit stream (engine gates its node's superblock
-    /// sends on all local deposits).
-    part: Arc<MessageCounter>,
-    res: Arc<MessageCounter>,
-    done: Arc<MessageCounter>,
-    copied: usize,
+impl Member {
+    /// A member that copies `span` of the region `owner` exposed under
+    /// `tag` to the start of `dst` as `gate` passes it (see [`Chase`]), then
+    /// reports on `done`.
+    fn chasing(
+        owner: u32,
+        tag: u64,
+        gate: Option<Arc<MessageCounter>>,
+        span: std::ops::Range<usize>,
+        dst: Arc<SharedRegion>,
+        done: Arc<MessageCounter>,
+    ) -> Member {
+        let chase = Chase {
+            owner,
+            tag,
+            src: None,
+            gate,
+            lo: span.start,
+            hi: span.end,
+            dst,
+            copied: 0,
+        };
+        Member {
+            chase: Some(chase),
+            done: Some(done),
+            ..Member::default()
+        }
+    }
+
+    /// Advance a little; `true` once finished (and not to be stepped again).
+    fn step(
+        &mut self,
+        op: u64,
+        rank: usize,
+        shared: &NodeShared,
+        seen: &mut HashSet<usize>,
+    ) -> bool {
+        let registry = shared.registry();
+        if let Some(ch) = self.chase.as_mut() {
+            if ch.src.is_none() {
+                ch.src = registry.try_map_auto(ch.owner, ch.tag, seen);
+            }
+            let Some(src) = ch.src.as_ref() else {
+                return false;
+            };
+            // A contribution goes into the region the chase reads from.
+            if let Some(c) = self.contribute.as_mut() {
+                if !c.run(op, src, shared, seen) {
+                    return false;
+                }
+                self.contribute = None;
+            }
+            let valid = ch.gate.as_ref().map_or(ch.hi, |g| g.read() as usize);
+            let avail = valid.min(ch.hi).saturating_sub(ch.lo);
+            if avail > ch.copied {
+                // SAFETY: `[lo + copied, lo + avail)` of the source was
+                // published before the counter value we acquired (or before
+                // the exposure, when ungated); dst is exclusively ours.
+                unsafe {
+                    ch.dst
+                        .copy_from(ch.copied, src, ch.lo + ch.copied, avail - ch.copied)
+                };
+                ch.copied = avail;
+            }
+            if ch.copied < ch.hi - ch.lo {
+                return false;
+            }
+        }
+        if let Some(release) = self.release.as_ref() {
+            if !release.iter().all(|(c, v)| c.read() >= *v) {
+                return false;
+            }
+            registry.unexpose(rank as u32, reg_tag(op, ROLE_DATA));
+        }
+        if let Some(done) = self.done.as_ref() {
+            done.publish(1);
+        }
+        true
+    }
 }
 
 /// The network side of one broadcast on this node.
@@ -272,108 +356,309 @@ struct NetBcast {
     recv_ctr: Option<Arc<MessageCounter>>,
     netdone: Arc<MessageCounter>,
     netdone_published: bool,
-    done: Arc<MessageCounter>,
-    expected_done: u64,
 }
 
-/// The network side of one allreduce on this node.
-struct NetAr {
-    count: usize,
-    ce: usize,
-    kt: usize,
-    g: usize,
-    dir: RingDir,
-    pos: usize,
-    acc: Arc<SharedRegion>,
-    /// Chunk -> owning member index of the local reduce partition.
-    owner: Vec<usize>,
-    /// Chunk -> partial-stream bytes the owner must have published for the
-    /// chunk's local sum to be valid in the accumulator.
-    need: Vec<u64>,
-    parts: Vec<Arc<MessageCounter>>,
-    res: Arc<MessageCounter>,
-    done: Arc<MessageCounter>,
-    expected_done: u64,
-    injected: usize,
-    combined: usize,
-    /// Chunks whose *final* value landed in the accumulator (result
-    /// counter published).
-    fulls_done: usize,
-    fulls_sent: usize,
-}
-
-impl NetAr {
-    fn ready(&self, k: usize) -> bool {
-        self.parts[self.owner[k]].read() >= self.need[k]
+impl NetBcast {
+    fn accept(&mut self, k: usize, bytes: &[u8], chunk: usize) {
+        debug_assert_eq!(k, self.recv_chunks, "broadcast chunks arrive in order");
+        debug_assert_eq!(bytes.len(), (self.len - k * chunk).min(chunk));
+        let stage = self.buf.as_ref().expect("a non-root node has its stage");
+        // SAFETY: the engine is the only writer of the stage; member
+        // reads are gated on the reception counter published below.
+        unsafe { stage.write(k * chunk, bytes) };
+        self.recv_chunks += 1;
+        self.recv_ctr
+            .as_ref()
+            .expect("only non-root nodes receive")
+            .publish(bytes.len() as u64);
     }
 
-    fn flow_finished(&self, m: usize) -> bool {
-        let inj = if m > 1 && self.pos == 0 { self.kt } else { 0 };
-        let comb = if m > 1 && self.pos > 0 { self.kt } else { 0 };
-        let sent = if m > 1 && sends_fulls(self.pos, m) {
-            self.kt
-        } else {
-            0
-        };
-        self.fulls_done == self.kt
-            && self.injected == inj
-            && self.combined == comb
-            && self.fulls_sent == sent
+    /// Inject (root node) or forward (elsewhere) on every outbound tree
+    /// port, then publish net-done once nothing is owed.
+    fn pump(&mut self, op: u64, outs: &[&ChunkChannel], chunk: usize) {
+        if let Some(buf) = self.buf.as_ref() {
+            let limit = if self.is_root_node {
+                self.kt
+            } else {
+                self.recv_chunks
+            };
+            debug_assert_eq!(outs.len(), self.injected.len());
+            for (ch, sent) in outs.iter().zip(self.injected.iter_mut()) {
+                while *sent < limit {
+                    let off = *sent * chunk;
+                    let clen = (self.len - off).min(chunk);
+                    let tag = optag::pack(op, optag::KIND_DATA, *sent);
+                    // SAFETY: `[off, off+clen)` is valid: the whole source
+                    // at the root, received bytes in the stage elsewhere.
+                    if !ch.try_send_with(tag, clen, |d| unsafe { buf.read(off, d) }) {
+                        break;
+                    }
+                    *sent += 1;
+                }
+            }
+        }
+        if !self.netdone_published
+            && self.injected.iter().all(|&c| c == self.kt)
+            && (self.is_root_node || self.recv_chunks == self.kt)
+        {
+            self.netdone.publish(1);
+            self.netdone_published = true;
+        }
     }
 }
 
-/// The network side of one allgather on this node: a ring allgather of
-/// node "superblocks" (the `g` contiguous member blocks a node
-/// contributes, `g*len` bytes node-major in the accumulator). At step
-/// `s ∈ 1..m` a node sends the superblock it received at step `s-1` (its
-/// own at `s = 1`) and receives the superblock originating `s` hops
-/// upstream — `m-1` steps, each superblock traversing `m-1` links total.
-struct NetAg {
-    len: usize,
-    g: usize,
-    /// Superblock bytes (`g * len`) and chunks per superblock.
-    sb: usize,
-    kb: usize,
-    dir: RingDir,
-    acc: Arc<SharedRegion>,
+/// The node accumulator of one ring collective — the engine-owned region
+/// members contribute to and copy results out of — as the [`Local`] the
+/// op's stepper runs against.
+struct Acc {
+    region: Arc<SharedRegion>,
+    /// One contribution stream per member: bytes of its reduce share summed,
+    /// or of its block deposited.
     parts: Vec<Arc<MessageCounter>>,
+    /// Bytes of the accumulator holding final values, as a prefix: what
+    /// members chase. Only the engine publishes it.
     res: Arc<MessageCounter>,
-    done: Arc<MessageCounter>,
-    expected_done: u64,
-    /// Superblock (by origin node) fully valid in the accumulator.
-    have: Vec<bool>,
-    /// Completed send steps and chunks sent within the current step.
-    sent_steps: usize,
-    sent_chunks: usize,
-    /// Total chunks received (the per-link `k` sequence).
-    recv_chunks: usize,
-    /// Next superblock (node-major) awaiting prefix publication on `res`.
-    next_pub: usize,
+    total: usize,
+    layout: Layout,
 }
 
-impl NetAg {
-    /// Origin node of the superblock arriving `s` hops upstream of `node`.
-    fn upstream(&self, node: usize, m: usize, s: usize) -> usize {
-        match self.dir {
-            RingDir::Plus => (node + m - s % m) % m,
-            RingDir::Minus => (node + s) % m,
+enum Layout {
+    /// One f64 vector in `chunk`-byte ring chunks, member `i` summing
+    /// [`reduce_share`]`(i)`.
+    Sum { chunk: usize },
+    /// One `sb`-byte superblock (the node's member blocks) per node, in node
+    /// order. The plan addresses them by ring position: `node_of[w]` is the
+    /// node at position `w`.
+    Blocks {
+        block: usize,
+        sb: usize,
+        own: usize,
+        node_of: Vec<usize>,
+        /// Per node: bytes of its superblock valid, from its start.
+        landed: Vec<usize>,
+    },
+}
+
+impl Acc {
+    /// The accumulator offset of the stepper's offset `off`.
+    fn at(&self, off: usize) -> usize {
+        match &self.layout {
+            Layout::Sum { .. } => off,
+            Layout::Blocks { sb, node_of, .. } => node_of[off / sb] * sb + off % sb,
         }
     }
 
-    /// Have all local members deposited their blocks?
-    fn local_ready(&self) -> bool {
-        self.parts.iter().all(|c| c.read() >= self.len as u64)
+    /// Progress no arrival drives: publish what became final because
+    /// *members* moved. Called on every engine pass.
+    fn settle(&mut self, solo: bool) {
+        let published = self.res.read() as usize;
+        match &mut self.layout {
+            // A ring of one: every local sum is already the result.
+            Layout::Sum { chunk } if solo => {
+                let chunk = *chunk;
+                let mut off = published;
+                while off < self.total {
+                    let len = (self.total - off).min(chunk);
+                    if !self.ready(0, off, len) {
+                        break;
+                    }
+                    self.res.publish(len as u64);
+                    off += len;
+                }
+            }
+            // Fulls publish as they land.
+            Layout::Sum { .. } => {}
+            Layout::Blocks {
+                block,
+                sb,
+                own,
+                landed,
+                ..
+            } => {
+                if landed[*own] < *sb && self.parts.iter().all(|c| c.read() >= *block as u64) {
+                    landed[*own] = *sb;
+                }
+                // Members chase a node-major byte prefix.
+                let mut valid = 0;
+                for &bytes in landed.iter() {
+                    valid += bytes;
+                    if bytes < *sb {
+                        break;
+                    }
+                }
+                if valid > published {
+                    self.res.publish((valid - published) as u64);
+                }
+            }
+        }
     }
 
-    fn flow_finished(&self, m: usize) -> bool {
-        self.next_pub == m && self.sent_steps == m - 1 && self.recv_chunks == (m - 1) * self.kb
+    fn settled(&self) -> bool {
+        self.res.read() as usize >= self.total
     }
 }
 
-enum NetOp {
+impl Local for Acc {
+    fn ready(&self, _: usize, off: usize, len: usize) -> bool {
+        match &self.layout {
+            Layout::Sum { chunk } => {
+                // The chunk's owner in the local reduce, and how far its
+                // stream must have come for the chunk's local sum to stand.
+                let (g, kt) = (self.parts.len(), self.total.div_ceil(*chunk));
+                let i = ((off / chunk + 1) * g - 1) / kt;
+                let (lo, hi) = reduce_share(i, g, self.total, *chunk);
+                debug_assert!(lo <= off && off + len <= hi);
+                self.parts[i].read() >= (off + len - lo) as u64
+            }
+            // Only this node's own superblock is ever gated on readiness:
+            // have all local members deposited?
+            Layout::Blocks { block, .. } => self.parts.iter().all(|c| c.read() >= *block as u64),
+        }
+    }
+
+    fn read<R>(&self, _: usize, off: usize, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
+        // SAFETY: per the `Local` contract the range's contributors have
+        // published it (`ready`, an acquire) or the engine wrote it, and the
+        // engine is its only writer from then on.
+        unsafe { self.region.with_bytes(self.at(off), len, f) }
+    }
+
+    fn write<R>(&mut self, _: usize, off: usize, len: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
+        // SAFETY: as for `read`; members read the range only after `res`
+        // covers it.
+        unsafe { self.region.with_bytes_mut(self.at(off), len, f) }
+    }
+
+    fn landed(&mut self, _: usize, off: usize, len: usize) {
+        match &mut self.layout {
+            // Fulls land in order, so the prefix grows chunk by chunk.
+            Layout::Sum { .. } => {
+                self.res.publish(len as u64);
+            }
+            // Published, in node order, by `settle`.
+            Layout::Blocks {
+                sb,
+                node_of,
+                landed,
+                ..
+            } => landed[node_of[off / *sb]] += len,
+        }
+    }
+}
+
+/// Ring direction alternates with op parity: consecutive ops use both torus
+/// links (the multi-color idea of §V-C, per op instead of per color).
+fn ring_dir(op: u64) -> RingDir {
+    if op.is_multiple_of(2) {
+        RingDir::Plus
+    } else {
+        RingDir::Minus
+    }
+}
+
+/// The two ring steppers, behind the entry points they share.
+enum Step {
+    Flow(RingFlow),
+    Plan(PlanCursor<RingPlan>),
+}
+
+/// The network side of one ring collective on this node.
+struct NetRing {
+    dir: RingDir,
+    /// `None` on a one-node cluster: there is no ring to step.
+    step: Option<Step>,
+    acc: Acc,
+}
+
+impl NetRing {
+    fn finished(&self) -> bool {
+        self.acc.settled()
+            && self.step.as_ref().is_none_or(|s| match s {
+                Step::Flow(f) => f.finished(),
+                Step::Plan(c) => c.finished(),
+            })
+    }
+
+    fn pump(&mut self, op: u64, out: Option<&ChunkChannel>) {
+        let pack = |_, kind, k| optag::pack(op, optag::of_ring(kind), k);
+        match (self.step.as_mut(), out) {
+            (Some(Step::Flow(f)), Some(out)) => f.pump(out, &mut self.acc, &pack),
+            (Some(Step::Plan(c)), Some(out)) => c.pump(out, &mut self.acc, &pack),
+            _ => false,
+        };
+        self.acc.settle(self.step.is_none());
+    }
+
+    fn can_accept(&self, kind: Kind, out: &ChunkChannel) -> bool {
+        match self.step.as_ref().expect("chunks arrive over a ring") {
+            Step::Flow(f) => f.can_accept(kind, out, &self.acc),
+            Step::Plan(c) => c.can_accept(kind, out, &self.acc),
+        }
+    }
+
+    fn accept(&mut self, op: u64, kind: Kind, k: usize, bytes: &[u8], out: &ChunkChannel) {
+        let pack = |_, kind, k| optag::pack(op, optag::of_ring(kind), k);
+        match self.step.as_mut().expect("chunks arrive over a ring") {
+            Step::Flow(f) => f.accept(kind, k, bytes, out, &mut self.acc, &pack),
+            Step::Plan(c) => c.accept(kind, k, bytes, out, &mut self.acc, &pack),
+        }
+    }
+}
+
+enum Net {
     Bcast(NetBcast),
-    Ar(Box<NetAr>),
-    Ag(Box<NetAg>),
+    Ring(Box<NetRing>),
+}
+
+/// One operation as the engine sees it.
+struct NetOp {
+    net: Net,
+    /// Members of this node that finished, against how many there are to
+    /// wait for before the op's counters and windows can go.
+    done: Arc<MessageCounter>,
+    expected_done: u64,
+}
+
+impl NetOp {
+    /// The link this op's chunks arrive on (`m > 1`).
+    fn in_port<'f>(&self, fabric: &'f Fabric, node: usize) -> Option<&'f ChunkChannel> {
+        match &self.net {
+            Net::Bcast(b) if b.is_root_node => None,
+            Net::Bcast(b) => Some(fabric.bcast_in(node, b.root_node)),
+            Net::Ring(r) => Some(fabric.ring_recv(node, r.dir)),
+        }
+    }
+
+    /// Can the next chunk for this op, of tag kind `kind`, be consumed
+    /// right now? Consuming is only allowed after this returns true.
+    fn can_accept(&self, kind: u64, fabric: &Fabric, node: usize) -> bool {
+        match &self.net {
+            // Broadcast data lands in the preallocated stage: always.
+            Net::Bcast(_) => true,
+            Net::Ring(r) => r.can_accept(optag::ring_kind(kind), fabric.ring_send(node, r.dir)),
+        }
+    }
+
+    /// Consume one chunk. Must be guarded by [`Self::can_accept`].
+    fn accept(&mut self, tag: u64, bytes: &[u8], fabric: &Fabric, node: usize) {
+        let (op, kind, k) = optag::unpack(tag);
+        match &mut self.net {
+            Net::Bcast(b) => b.accept(k, bytes, fabric.chunk_bytes()),
+            Net::Ring(r) => {
+                let out = fabric.ring_send(node, r.dir);
+                r.accept(op, optag::ring_kind(kind), k, bytes, out)
+            }
+        }
+    }
+
+    /// Is the op's network flow on this node finished: all its receives
+    /// consumed, everything it will ever send in a link?
+    fn net_finished(&self) -> bool {
+        match &self.net {
+            Net::Bcast(b) => b.netdone_published,
+            Net::Ring(r) => r.finished(),
+        }
+    }
 }
 
 /// The per-node progress engine, run by rank 0 (the network core).
@@ -388,26 +673,13 @@ struct Engine {
 }
 
 impl Engine {
-    fn new(
-        node: usize,
-        m: usize,
-        chunk: usize,
-        shared: Arc<NodeShared>,
-        fabric: Arc<Fabric>,
-    ) -> Self {
-        Engine {
-            node,
-            m,
-            chunk,
-            shared,
-            fabric,
-            seen: HashSet::new(),
-            ops: BTreeMap::new(),
-        }
-    }
-
     fn is_idle(&self) -> bool {
         self.ops.is_empty()
+    }
+
+    /// See [`NetOp::net_finished`]; a retired op is finished.
+    fn net_finished(&self, op: u64) -> bool {
+        self.ops.get(&op).is_none_or(NetOp::net_finished)
     }
 
     fn register_bcast(
@@ -420,17 +692,10 @@ impl Engine {
     ) {
         let bank = self.shared.sched_bank();
         let is_root_node = self.node == root_node;
-        let kt = len.div_ceil(self.chunk);
-        let out_ports = self.fabric.bcast_out(self.node, root_node).len();
         let (buf, recv_ctr) = if is_root_node {
-            // Map the co-located root's exposed source; it may not have
-            // posted yet — `advance` retries.
-            let src = self.shared.registry().try_map_auto(
-                root_rank as u32,
-                reg_tag(op, ROLE_DATA),
-                &mut self.seen,
-            );
-            (src, None)
+            // The co-located root's exposed source; it may not have posted
+            // yet — `advance` maps it then.
+            (None, None)
         } else {
             let stage = Arc::new(SharedRegion::new(len));
             self.shared
@@ -438,254 +703,67 @@ impl Engine {
                 .expose(0, reg_tag(op, ROLE_STAGE), stage.clone());
             (Some(stage), Some(bank.counter(bank_key(op, SUB_RECV))))
         };
-        let expected_done = if is_root_node {
-            group_len as u64 - 1
-        } else {
-            group_len as u64
-        };
-        self.ops.insert(
-            op,
-            NetOp::Bcast(NetBcast {
-                root_node,
-                root_rank,
-                len,
-                kt,
-                is_root_node,
-                buf,
-                injected: vec![0; out_ports],
-                recv_chunks: 0,
-                recv_ctr,
-                netdone: bank.counter(bank_key(op, SUB_NETDONE)),
-                netdone_published: false,
-                done: bank.counter(bank_key(op, SUB_DONE)),
-                expected_done,
-            }),
-        );
+        let net = Net::Bcast(NetBcast {
+            root_node,
+            root_rank,
+            len,
+            kt: len.div_ceil(self.chunk),
+            is_root_node,
+            buf,
+            injected: vec![0; self.fabric.bcast_out(self.node, root_node).len()],
+            recv_chunks: 0,
+            recv_ctr,
+            netdone: bank.counter(bank_key(op, SUB_NETDONE)),
+            netdone_published: false,
+        });
+        // The root does not report on the done counter.
+        self.insert(op, net, group_len - is_root_node as usize);
     }
 
-    fn register_ar(&mut self, op: u64, group: &[usize], count: usize) {
-        let bank = self.shared.sched_bank();
-        let ce = self.chunk / 8;
-        let kt = count.div_ceil(ce);
-        let g = group.len();
-        let acc = Arc::new(SharedRegion::new(count * 8));
-        self.shared
-            .registry()
-            .expose(0, reg_tag(op, ROLE_STAGE), acc.clone());
-        // Alternate ring direction with op parity: consecutive ops use both
-        // torus links (the multi-color idea of §V-C, per op instead of per
-        // color).
-        let dir = if op.is_multiple_of(2) {
-            RingDir::Plus
-        } else {
-            RingDir::Minus
-        };
-        let pos = self.fabric.ring_pos(self.node, dir);
-        let mut owner = vec![0usize; kt];
-        let mut need = vec![0u64; kt];
-        for i in 0..g {
-            let lo = i * kt / g;
-            let hi = (i + 1) * kt / g;
-            let lo_e = (lo * ce).min(count);
-            for k in lo..hi {
-                owner[k] = i;
-                need[k] = ((((k + 1) * ce).min(count) - lo_e) * 8) as u64;
-            }
-        }
-        self.ops.insert(
-            op,
-            NetOp::Ar(Box::new(NetAr {
-                count,
-                ce,
-                kt,
-                g,
-                dir,
-                pos,
-                acc,
-                owner,
-                need,
-                parts: (0..g)
-                    .map(|i| bank.counter(bank_key(op, SUB_PART + i as u64)))
-                    .collect(),
-                res: bank.counter(bank_key(op, SUB_RES)),
-                done: bank.counter(bank_key(op, SUB_DONE)),
-                expected_done: g as u64,
-                injected: 0,
-                combined: 0,
-                fulls_done: 0,
-                fulls_sent: 0,
-            })),
-        );
-    }
-
-    fn register_ag(&mut self, op: u64, group_len: usize, len: usize) {
-        let bank = self.shared.sched_bank();
-        let g = group_len;
-        let sb = g * len;
-        let kb = sb.div_ceil(self.chunk);
-        let acc = Arc::new(SharedRegion::new(self.m * sb));
-        self.shared
-            .registry()
-            .expose(0, reg_tag(op, ROLE_STAGE), acc.clone());
-        let dir = if op.is_multiple_of(2) {
-            RingDir::Plus
-        } else {
-            RingDir::Minus
-        };
-        self.ops.insert(
-            op,
-            NetOp::Ag(Box::new(NetAg {
-                len,
-                g,
-                sb,
-                kb,
-                dir,
-                acc,
-                parts: (0..g)
-                    .map(|i| bank.counter(bank_key(op, SUB_PART + i as u64)))
-                    .collect(),
-                res: bank.counter(bank_key(op, SUB_RES)),
-                done: bank.counter(bank_key(op, SUB_DONE)),
-                expected_done: g as u64,
-                have: vec![false; self.m],
-                sent_steps: 0,
-                sent_chunks: 0,
-                recv_chunks: 0,
-                next_pub: 0,
-            })),
-        );
-    }
-
-    /// Can the next chunk `(kind, k)` for `netop` be consumed right now?
-    /// Pure check — consuming is only allowed after this returns true.
-    fn can_accept(netop: &NetOp, kind: u64, fabric: &Fabric, node: usize, m: usize) -> bool {
-        match netop {
-            // Broadcast data lands in the preallocated stage: always.
-            NetOp::Bcast(_) => true,
-            // Allgather superblocks land in the preallocated accumulator.
-            NetOp::Ag(_) => true,
-            NetOp::Ar(a) => match kind {
-                // A partial is combined and immediately forwarded (or, at
-                // the last position, written out): needs the local
-                // partition ready, and downstream link room unless last.
-                optag::KIND_PARTIAL => {
-                    a.ready(a.combined)
-                        && (a.pos == m - 1 || fabric.ring_send(node, a.dir).can_send())
-                }
-                // Fully-reduced chunks land in the accumulator: always
-                // (forwarding is deferred to the outbound pass).
-                optag::KIND_FULL => true,
-                _ => unreachable!("unknown chunk kind {kind}"),
-            },
-        }
-    }
-
-    /// Consume one chunk for `netop`. Must be guarded by [`Self::can_accept`].
-    #[allow(clippy::too_many_arguments)]
-    fn consume(
-        netop: &mut NetOp,
+    /// Register a ring collective over a fresh `total`-byte accumulator;
+    /// `step(pos)` builds its stepper for ring position `pos` (`m > 1`).
+    fn register_ring(
+        &mut self,
         op: u64,
-        kind: u64,
-        k: usize,
-        bytes: &[u8],
-        fabric: &Fabric,
-        node: usize,
-        m: usize,
-        chunk: usize,
+        g: usize,
+        total: usize,
+        layout: Layout,
+        step: impl FnOnce(usize) -> Step,
     ) {
-        match netop {
-            NetOp::Bcast(b) => {
-                debug_assert_eq!(kind, optag::KIND_DATA);
-                debug_assert_eq!(k, b.recv_chunks, "broadcast chunks arrive in order");
-                let (off, clen) = chunk_span(b.len, chunk, k);
-                debug_assert_eq!(clen, bytes.len());
-                let stage = b
-                    .buf
-                    .as_ref()
-                    .expect("non-root stage exists from registration");
-                // SAFETY: the engine is the only writer of the stage; member
-                // reads are gated on the reception counter published below.
-                unsafe { stage.write(off, bytes) };
-                b.recv_chunks += 1;
-                b.recv_ctr
-                    .as_ref()
-                    .expect("only non-root nodes receive")
-                    .publish(clen as u64);
-            }
-            NetOp::Ag(a) => {
-                debug_assert_eq!(kind, optag::KIND_DATA);
-                debug_assert_eq!(k, a.recv_chunks, "allgather chunks arrive in order");
-                let s = k / a.kb + 1;
-                let c = k % a.kb;
-                let u = a.upstream(node, m, s);
-                let (off, clen) = chunk_span(a.sb, chunk, c);
-                debug_assert_eq!(clen, bytes.len());
-                // SAFETY: the engine is the unique writer of remote
-                // superblocks; member reads are gated on the prefix
-                // publication of `res` in the outbound pass.
-                unsafe { a.acc.write(u * a.sb + off, bytes) };
-                a.recv_chunks += 1;
-                if c == a.kb - 1 {
-                    a.have[u] = true;
-                }
-            }
-            NetOp::Ar(a) => match kind {
-                optag::KIND_PARTIAL => {
-                    debug_assert!(a.pos > 0, "position 0 receives no partials");
-                    debug_assert_eq!(k, a.combined, "partials arrive in order");
-                    let (e0, ec) = elem_span(a.count, a.ce, k);
-                    debug_assert_eq!(ec * 8, bytes.len());
-                    a.combined += 1;
-                    if a.pos == m - 1 {
-                        // End of the partial chain: accumulate the incoming
-                        // chunk into the local partial in place — it *is*
-                        // the final value.
-                        // SAFETY: local partial ready (gated by `ready`);
-                        // member reads gated on the counter publish below.
-                        unsafe {
-                            a.acc.with_bytes_mut(e0 * 8, ec * 8, |local| {
-                                kernels::add_bytes_assign(local, bytes)
-                            })
-                        };
-                        a.res.publish((ec * 8) as u64);
-                        a.fulls_done += 1;
-                    } else {
-                        // can_accept checked can_send; the engine is the
-                        // sole producer of this link, so it still holds.
-                        // Fused combine: local partial + incoming chunk
-                        // lane-summed straight into the reserved outgoing
-                        // slot — zero staging copies.
-                        let out = fabric.ring_send(node, a.dir);
-                        let mut snd = out.reserve(ec * 8);
-                        snd.with_bytes_mut(|d| {
-                            // SAFETY: local partial ready (gated by `ready`).
-                            unsafe {
-                                a.acc.with_bytes(e0 * 8, ec * 8, |local| {
-                                    kernels::add_bytes_into(d, local, bytes)
-                                })
-                            }
-                        });
-                        snd.publish(optag::pack(op, optag::KIND_PARTIAL, k));
-                    }
-                }
-                optag::KIND_FULL => {
-                    debug_assert!(m > 1 && a.pos != m - 1, "the producer receives no fulls");
-                    debug_assert_eq!(k, a.fulls_done, "fulls arrive in order");
-                    let (e0, ec) = elem_span(a.count, a.ce, k);
-                    debug_assert_eq!(ec * 8, bytes.len());
-                    // SAFETY: final value of the chunk; members read it
-                    // gated on the result counter published below.
-                    unsafe { a.acc.write(e0 * 8, bytes) };
-                    a.res.publish((ec * 8) as u64);
-                    a.fulls_done += 1;
-                }
-                _ => unreachable!("unknown chunk kind {kind}"),
+        let bank = self.shared.sched_bank();
+        let region = Arc::new(SharedRegion::new(total));
+        self.shared
+            .registry()
+            .expose(0, reg_tag(op, ROLE_STAGE), region.clone());
+        let dir = ring_dir(op);
+        let net = Net::Ring(Box::new(NetRing {
+            dir,
+            step: (self.m > 1).then(|| step(self.fabric.ring_pos(self.node, dir))),
+            acc: Acc {
+                region,
+                parts: (0..g)
+                    .map(|i| bank.counter(bank_key(op, SUB_PART + i as u64)))
+                    .collect(),
+                res: bank.counter(bank_key(op, SUB_RES)),
+                total,
+                layout,
             },
-        }
+        }));
+        self.insert(op, net, g);
+    }
+
+    fn insert(&mut self, op: u64, net: Net, expected_done: usize) {
+        let done = self.shared.sched_bank().counter(bank_key(op, SUB_DONE));
+        let netop = NetOp {
+            net,
+            done,
+            expected_done: expected_done as u64,
+        };
+        self.ops.insert(op, netop);
     }
 
     /// One engine pass: replay parked chunks, drain in-ports, push
-    /// outbound progress, publish net-done, and retire finished ops.
+    /// outbound progress, and retire finished ops.
     fn advance(&mut self) {
         let fabric = self.fabric.clone();
         let shared = self.shared.clone();
@@ -694,8 +772,8 @@ impl Engine {
 
         // Resolve broadcast sources whose co-located root posted after us.
         for (op, netop) in self.ops.iter_mut() {
-            if let NetOp::Bcast(b) = netop {
-                if b.is_root_node && b.buf.is_none() {
+            if let Net::Bcast(b) = &mut netop.net {
+                if b.buf.is_none() {
                     b.buf = registry.try_map_auto(
                         b.root_rank as u32,
                         reg_tag(*op, ROLE_DATA),
@@ -713,13 +791,12 @@ impl Engine {
             let mut stash = shared.sched_stash().lock();
             for (op, netop) in self.ops.iter_mut() {
                 while let Some(tag) = stash.front_tag(*op) {
-                    let (o, kind, k) = optag::unpack(tag);
-                    debug_assert_eq!(o, *op);
-                    if !Self::can_accept(netop, kind, &fabric, node, m) {
+                    let kind = optag::unpack(tag).1;
+                    if !netop.can_accept(kind, &fabric, node) {
                         break;
                     }
                     let (_, bytes) = stash.pop_front(*op).expect("front_tag was Some");
-                    Self::consume(netop, o, kind, k, &bytes, &fabric, node, m, chunk);
+                    netop.accept(tag, &bytes, &fabric, node);
                 }
             }
             stashed_ops.extend(stash.parked_ops());
@@ -728,22 +805,13 @@ impl Engine {
         // Drain every distinct in-port of the active ops.
         let mut ports: Vec<&ChunkChannel> = Vec::new();
         if m > 1 {
-            for netop in self.ops.values() {
-                match netop {
-                    NetOp::Bcast(b) if !b.is_root_node => {
-                        ports.push(fabric.bcast_in(node, b.root_node));
-                    }
-                    NetOp::Ar(a) => ports.push(fabric.ring_recv(node, a.dir)),
-                    NetOp::Ag(a) => ports.push(fabric.ring_recv(node, a.dir)),
-                    _ => {}
-                }
-            }
+            ports.extend(self.ops.values().filter_map(|o| o.in_port(&fabric, node)));
             ports.sort_by_key(|c| *c as *const ChunkChannel as usize);
             ports.dedup_by_key(|c| *c as *const ChunkChannel as usize);
         }
         for port in ports {
             while let Some(tag) = port.peek_tag() {
-                let (op, kind, k) = optag::unpack(tag);
+                let (op, kind, _) = optag::unpack(tag);
                 if !self.ops.contains_key(&op) || stashed_ops.contains(&op) {
                     // Not posted here yet (or already queuing behind such
                     // chunks): park it and keep the link draining. Parking
@@ -761,180 +829,47 @@ impl Engine {
                     continue;
                 }
                 let netop = self.ops.get_mut(&op).expect("checked above");
-                if !Self::can_accept(netop, kind, &fabric, node, m) {
-                    // Transient head-of-line wait on node-local progress.
+                if !netop.can_accept(kind, &fabric, node) {
+                    // Transient head-of-line wait on node-local progress
+                    // or downstream room.
                     break;
                 }
-                port.recv_with(|_, bytes| {
-                    Self::consume(netop, op, kind, k, bytes, &fabric, node, m, chunk);
-                });
+                port.recv_with(|_, bytes| netop.accept(tag, bytes, &fabric, node));
             }
         }
 
-        // Outbound progress + net-done publication.
+        // Outbound progress.
         for (op, netop) in self.ops.iter_mut() {
-            match netop {
-                NetOp::Bcast(b) => {
-                    if let Some(buf) = b.buf.as_ref() {
-                        let limit = if b.is_root_node { b.kt } else { b.recv_chunks };
-                        let outs = fabric.bcast_out(node, b.root_node);
-                        debug_assert_eq!(outs.len(), b.injected.len());
-                        for (i, ch) in outs.iter().enumerate() {
-                            while b.injected[i] < limit {
-                                let k = b.injected[i];
-                                let (off, clen) = chunk_span(b.len, chunk, k);
-                                let sent = ch.try_send_with(
-                                    optag::pack(*op, optag::KIND_DATA, k),
-                                    clen,
-                                    // SAFETY: `[off, off+clen)` is valid: the
-                                    // whole source at the root, received
-                                    // bytes in the stage elsewhere.
-                                    |d| unsafe { buf.read(off, d) },
-                                );
-                                if !sent {
-                                    break;
-                                }
-                                b.injected[i] += 1;
-                            }
-                        }
-                    }
-                    if !b.netdone_published {
-                        let sent_all = b.injected.iter().all(|&c| c == b.kt);
-                        let recv_ok = b.is_root_node || b.recv_chunks == b.kt;
-                        if sent_all && recv_ok {
-                            b.netdone.publish(1);
-                            b.netdone_published = true;
-                        }
-                    }
-                }
-                NetOp::Ar(a) => {
-                    if m > 1 {
-                        let out = fabric.ring_send(node, a.dir);
-                        if a.pos == 0 {
-                            while a.injected < a.kt && a.ready(a.injected) && out.can_send() {
-                                let k = a.injected;
-                                let (e0, ec) = elem_span(a.count, a.ce, k);
-                                out.send_with(
-                                    optag::pack(*op, optag::KIND_PARTIAL, k),
-                                    ec * 8,
-                                    // SAFETY: gated on `ready(k)`.
-                                    |d| unsafe { a.acc.read(e0 * 8, d) },
-                                );
-                                a.injected += 1;
-                            }
-                        }
-                        let target = if sends_fulls(a.pos, m) {
-                            a.fulls_done
-                        } else {
-                            0
-                        };
-                        while a.fulls_sent < target && out.can_send() {
-                            let k = a.fulls_sent;
-                            let (e0, ec) = elem_span(a.count, a.ce, k);
-                            out.send_with(
-                                optag::pack(*op, optag::KIND_FULL, k),
-                                ec * 8,
-                                // SAFETY: final values, stable once published.
-                                |d| unsafe { a.acc.read(e0 * 8, d) },
-                            );
-                            a.fulls_sent += 1;
-                        }
-                    } else {
-                        // Single node: local sums are already final.
-                        while a.fulls_done < a.kt && a.ready(a.fulls_done) {
-                            let (_, ec) = elem_span(a.count, a.ce, a.fulls_done);
-                            a.res.publish((ec * 8) as u64);
-                            a.fulls_done += 1;
-                        }
-                    }
-                }
-                NetOp::Ag(a) => {
-                    if !a.have[node] && a.local_ready() {
-                        a.have[node] = true;
-                    }
-                    if m > 1 {
-                        let out = fabric.ring_send(node, a.dir);
-                        while a.sent_steps < m - 1 {
-                            let s = a.sent_steps + 1;
-                            // Step s forwards the superblock received at
-                            // step s-1 (the node's own at s == 1).
-                            let u = a.upstream(node, m, s - 1);
-                            if !a.have[u] {
-                                break;
-                            }
-                            while a.sent_chunks < a.kb && out.can_send() {
-                                let c = a.sent_chunks;
-                                let (off, clen) = chunk_span(a.sb, chunk, c);
-                                out.send_with(
-                                    optag::pack(*op, optag::KIND_DATA, (s - 1) * a.kb + c),
-                                    clen,
-                                    // SAFETY: the superblock is valid — own
-                                    // blocks by `local_ready`, remote ones
-                                    // received in full (`have`).
-                                    |d| unsafe { a.acc.read(u * a.sb + off, d) },
-                                );
-                                a.sent_chunks += 1;
-                            }
-                            if a.sent_chunks < a.kb {
-                                break;
-                            }
-                            a.sent_steps += 1;
-                            a.sent_chunks = 0;
-                        }
-                    }
-                    // Members chase a node-major byte prefix of the
-                    // accumulator; publish superblocks in that order.
-                    while a.next_pub < m && a.have[a.next_pub] {
-                        a.res.publish(a.sb as u64);
-                        a.next_pub += 1;
-                    }
-                }
+            match &mut netop.net {
+                Net::Bcast(b) => b.pump(*op, &fabric.bcast_out(node, b.root_node), chunk),
+                Net::Ring(r) => r.pump(*op, (m > 1).then(|| fabric.ring_send(node, r.dir))),
             }
         }
 
         // Retire ops whose network duties and local member copies are done:
-        // unexpose engine-owned windows and drop the per-op counters. Role
-        // handles keep their counter Arcs alive, so retirement is pure map
+        // unexpose engine-owned windows and drop the per-op counters.
+        // Members keep their counter Arcs alive, so retirement is pure map
         // cleanup.
         let bank = shared.sched_bank();
-        let finished: Vec<u64> = self
-            .ops
-            .iter()
-            .filter(|(_, netop)| match netop {
-                NetOp::Bcast(b) => b.netdone_published && b.done.read() >= b.expected_done,
-                NetOp::Ar(a) => a.flow_finished(m) && a.done.read() >= a.expected_done,
-                NetOp::Ag(a) => a.flow_finished(m) && a.done.read() >= a.expected_done,
-            })
-            .map(|(op, _)| *op)
-            .collect();
-        for op in finished {
-            match self.ops.remove(&op).expect("listed above") {
-                NetOp::Bcast(b) => {
-                    if !b.is_root_node {
-                        registry.unexpose(0, reg_tag(op, ROLE_STAGE));
-                        bank.retire(bank_key(op, SUB_RECV));
-                    }
-                    bank.retire(bank_key(op, SUB_NETDONE));
-                    bank.retire(bank_key(op, SUB_DONE));
-                }
-                NetOp::Ar(a) => {
-                    registry.unexpose(0, reg_tag(op, ROLE_STAGE));
-                    bank.retire(bank_key(op, SUB_RES));
-                    bank.retire(bank_key(op, SUB_DONE));
-                    for i in 0..a.g {
-                        bank.retire(bank_key(op, SUB_PART + i as u64));
-                    }
-                }
-                NetOp::Ag(a) => {
-                    registry.unexpose(0, reg_tag(op, ROLE_STAGE));
-                    bank.retire(bank_key(op, SUB_RES));
-                    bank.retire(bank_key(op, SUB_DONE));
-                    for i in 0..a.g {
-                        bank.retire(bank_key(op, SUB_PART + i as u64));
-                    }
-                }
+        self.ops.retain(|&op, o| {
+            if !(o.net_finished() && o.done.read() >= o.expected_done) {
+                return true;
             }
-        }
+            // Whether the op staged a window, and the streams it created.
+            let (staged, subs, parts): (bool, &[u64], usize) = match &o.net {
+                Net::Bcast(b) if b.is_root_node => (false, &[SUB_NETDONE, SUB_DONE], 0),
+                Net::Bcast(_) => (true, &[SUB_RECV, SUB_NETDONE, SUB_DONE], 0),
+                Net::Ring(r) => (true, &[SUB_RES, SUB_DONE], r.acc.parts.len()),
+            };
+            if staged {
+                registry.unexpose(0, reg_tag(op, ROLE_STAGE));
+            }
+            let parts = (0..parts as u64).map(|i| SUB_PART + i);
+            for sub in subs.iter().copied().chain(parts) {
+                bank.retire(bank_key(op, sub));
+            }
+            false
+        });
     }
 }
 
@@ -958,7 +893,12 @@ pub struct Sched {
     shared: Arc<NodeShared>,
     chunk: usize,
     seen: HashSet<usize>,
-    roles: BTreeMap<u64, Role>,
+    /// In-flight operations only. `None`: the member side is finished (or
+    /// this rank is no member) and the request waits for the node's network
+    /// flow — engine rank only.
+    roles: BTreeMap<u64, Option<Member>>,
+    /// Op ids this scheduler issued (they are consecutive).
+    issued: std::ops::Range<u64>,
     /// Region pointer -> op currently owning the buffer (overlap guard).
     active_bufs: HashMap<usize, u64>,
     engine: Option<Engine>,
@@ -971,14 +911,14 @@ impl Sched {
         let shared = cctx.node_shared();
         let fabric = cctx.fabric();
         let chunk = fabric.chunk_bytes();
-        let engine = (cctx.rank() == 0).then(|| {
-            Engine::new(
-                cctx.node(),
-                cctx.n_nodes(),
-                chunk,
-                shared.clone(),
-                fabric.clone(),
-            )
+        let engine = (cctx.rank() == 0).then(|| Engine {
+            node: cctx.node(),
+            m: cctx.n_nodes(),
+            chunk,
+            shared: shared.clone(),
+            fabric,
+            seen: HashSet::new(),
+            ops: BTreeMap::new(),
         });
         Sched {
             node: cctx.node(),
@@ -989,21 +929,82 @@ impl Sched {
             chunk,
             seen: HashSet::new(),
             roles: BTreeMap::new(),
+            issued: 0..0,
             active_bufs: HashMap::new(),
             engine,
         }
     }
 
-    fn validate_group(&self, group: &[usize]) -> Result<(), SchedError> {
-        validate_group_shape(group, self.n)
+    /// The skeleton every post shares, after its group checks. Membership
+    /// against the buffers supplied, their sizes (`bufs` pairs each with the
+    /// bytes it must hold), aliasing, the tag's chunk-sequence range and the
+    /// overlap guard are checked before any side effect; then the op gets
+    /// its id, a member its record from `member(self, op, index in group)`,
+    /// and the engine its half from `register`. An operation of zero
+    /// `chunks` is complete at post.
+    fn post(
+        &mut self,
+        group: &[usize],
+        bufs: &[(Option<&Arc<SharedRegion>>, usize)],
+        chunks: usize,
+        member: impl FnOnce(&Sched, u64, usize) -> Member,
+        register: impl FnOnce(&mut Engine, u64),
+    ) -> Result<Request, SchedError> {
+        let me = group.binary_search(&self.rank).ok();
+        if me.is_some() && bufs.iter().any(|(b, _)| b.is_none()) {
+            return Err(SchedError::BufferMissing);
+        }
+        if me.is_none() && bufs.iter().any(|(b, _)| b.is_some()) {
+            return Err(SchedError::UnexpectedBuffer);
+        }
+        let mut ptrs = Vec::with_capacity(bufs.len());
+        for (b, needed) in bufs.iter().filter_map(|&(b, needed)| Some((b?, needed))) {
+            if b.len() < needed {
+                return Err(SchedError::BufferTooShort {
+                    needed,
+                    got: b.len(),
+                });
+            }
+            ptrs.push(Arc::as_ptr(b) as usize);
+        }
+        if ptrs.len() == 2 && ptrs[0] == ptrs[1] {
+            return Err(SchedError::BufferAliased);
+        }
+        if chunks >= 1 << 24 {
+            return Err(SchedError::TooLarge);
+        }
+        if chunks > 0 {
+            if let Some(&op) = ptrs.iter().find_map(|p| self.active_bufs.get(p)) {
+                return Err(SchedError::BufferBusy { op });
+            }
+        }
+
+        // --- all checks passed: side effects may begin ---
+        let op = self.shared.next_sched_op(self.rank);
+        if self.issued.is_empty() {
+            self.issued.start = op;
+        }
+        self.issued.end = op + 1;
+        if chunks == 0 {
+            return Ok(Request { op });
+        }
+        self.active_bufs.extend(ptrs.into_iter().map(|p| (p, op)));
+        // Track a member's record, and on the engine rank even a
+        // non-member's wait for the node's network flow. A non-member
+        // elsewhere is complete at post.
+        let member = me.map(|i| member(self, op, i));
+        if let Some(engine) = self.engine.as_mut() {
+            register(engine, op);
+            self.roles.insert(op, member);
+        } else if member.is_some() {
+            self.roles.insert(op, member);
+        }
+        Ok(Request { op })
     }
 
-    fn claim_buf(&mut self, buf: &Arc<SharedRegion>) -> Result<usize, SchedError> {
-        let p = Arc::as_ptr(buf) as usize;
-        if let Some(&op) = self.active_bufs.get(&p) {
-            return Err(SchedError::BufferBusy { op });
-        }
-        Ok(p)
+    /// The op's counter for stream `sub`.
+    fn counter(&self, op: u64, sub: u64) -> Arc<MessageCounter> {
+        self.shared.sched_bank().counter(bank_key(op, sub))
     }
 
     /// Post a nonblocking broadcast of `len` bytes from `(root_node,
@@ -1021,89 +1022,46 @@ impl Sched {
         buf: Option<&Arc<SharedRegion>>,
         len: usize,
     ) -> Result<Request, SchedError> {
-        self.validate_group(group)?;
+        validate_group_shape(group, self.n)?;
         if root_node >= self.m {
             return Err(SchedError::BadGroup("root node out of range".into()));
         }
         if group.binary_search(&root_rank).is_err() {
             return Err(SchedError::BadGroup("root rank not in group".into()));
         }
-        let member = group.binary_search(&self.rank).is_ok();
-        match (member, buf.is_some()) {
-            (true, false) => return Err(SchedError::BufferMissing),
-            (false, true) => return Err(SchedError::UnexpectedBuffer),
-            _ => {}
-        }
-        if let Some(b) = buf {
-            if b.len() < len {
-                return Err(SchedError::BufferTooShort {
-                    needed: len,
-                    got: b.len(),
-                });
-            }
-        }
-        if len.div_ceil(self.chunk) >= 1 << 24 {
-            return Err(SchedError::TooLarge);
-        }
-        let buf_ptr = match (len > 0, buf) {
-            (true, Some(b)) => Some(self.claim_buf(b)?),
-            _ => None,
-        };
-
-        // --- all checks passed: side effects may begin ---
-        let op = self.shared.next_sched_op(self.rank);
-        if len == 0 {
-            self.roles.insert(op, Role::Done);
-            return Ok(Request { op });
-        }
-        let bank = self.shared.sched_bank();
-        let done = bank.counter(bank_key(op, SUB_DONE));
-        let is_root = self.node == root_node && self.rank == root_rank;
-        let role = if is_root {
-            let buf = buf.expect("root is a member");
-            self.shared
-                .registry()
-                .expose(self.rank as u32, reg_tag(op, ROLE_DATA), buf.clone());
-            let p = buf_ptr.expect("member with len > 0");
-            self.active_bufs.insert(p, op);
-            Role::BcastRoot(BcastRoot {
-                netdone: bank.counter(bank_key(op, SUB_NETDONE)),
-                done,
-                expected_done: group.len() as u64 - 1,
-                src_ptr: p,
-            })
-        } else if member {
-            let buf = buf.expect("member has a buffer");
-            let p = buf_ptr.expect("member with len > 0");
-            self.active_bufs.insert(p, op);
-            let (src_owner, src_tag, gate) = if self.node == root_node {
-                (root_rank as u32, reg_tag(op, ROLE_DATA), None)
-            } else {
-                (
-                    0u32,
-                    reg_tag(op, ROLE_STAGE),
-                    Some(bank.counter(bank_key(op, SUB_RECV))),
+        let member = |s: &Sched, op, _| {
+            let buf = buf.expect("a member has a buffer").clone();
+            let done = s.counter(op, SUB_DONE);
+            if s.node != root_node {
+                // Chase the engine's reception counter over its stage.
+                let recv = Some(s.counter(op, SUB_RECV));
+                Member::chasing(0, reg_tag(op, ROLE_STAGE), recv, 0..len, buf, done)
+            } else if s.rank != root_rank {
+                // On the root's node the source was complete at post time.
+                Member::chasing(
+                    root_rank as u32,
+                    reg_tag(op, ROLE_DATA),
+                    None,
+                    0..len,
+                    buf,
+                    done,
                 )
-            };
-            Role::BcastCopy(BcastCopy {
-                src_owner,
-                src_tag,
-                src: None,
-                dst: buf.clone(),
-                len,
-                copied: 0,
-                gate,
-                done,
-                dst_ptr: p,
-            })
-        } else {
-            Role::Done
+            } else {
+                // The root waits for injection and for the co-located
+                // members' copies, then withdraws its source.
+                let tag = reg_tag(op, ROLE_DATA);
+                s.shared.registry().expose(s.rank as u32, tag, buf);
+                let netdone = s.counter(op, SUB_NETDONE);
+                Member {
+                    release: Some(vec![(netdone, 1), (done, group.len() as u64 - 1)]),
+                    ..Member::default()
+                }
+            }
         };
-        self.roles.insert(op, role);
-        if let Some(engine) = self.engine.as_mut() {
-            engine.register_bcast(op, group.len(), root_node, root_rank, len);
-        }
-        Ok(Request { op })
+        let chunks = len.div_ceil(self.chunk);
+        self.post(group, &[(buf, len)], chunks, member, |engine, op| {
+            engine.register_bcast(op, group.len(), root_node, root_rank, len)
+        })
     }
 
     /// Post a nonblocking sum-allreduce of `count` `f64`s over every rank
@@ -1149,119 +1107,77 @@ impl Sched {
         count: usize,
         scatter: bool,
     ) -> Result<Request, SchedError> {
-        self.validate_group(group)?;
-        let member = group.binary_search(&self.rank).is_ok();
-        match (member, input.is_some(), output.is_some()) {
-            (true, true, true) | (false, false, false) => {}
-            (true, _, _) => return Err(SchedError::BufferMissing),
-            (false, _, _) => return Err(SchedError::UnexpectedBuffer),
-        }
+        validate_group_shape(group, self.n)?;
+        let (g, m, bytes) = (group.len(), self.m, count * 8);
         // The member's result span: the whole message for allreduce, its
         // global-member-index slice for reduce-scatter.
-        let (res_lo, res_hi) = if scatter {
-            match group.binary_search(&self.rank) {
-                Ok(i) => {
-                    let big = self.m * group.len();
-                    let gi = self.node * group.len() + i;
-                    (gi * count / big * 8, (gi + 1) * count / big * 8)
-                }
-                Err(_) => (0, 0),
+        let span = match group.binary_search(&self.rank) {
+            Ok(i) if scatter => {
+                let (gi, big) = (self.node * g + i, m * g);
+                gi * count / big * 8..(gi + 1) * count / big * 8
             }
-        } else {
-            (0, count * 8)
+            _ => 0..bytes,
         };
-        if let Some(b) = input {
-            if b.len() < count * 8 {
-                return Err(SchedError::BufferTooShort {
-                    needed: count * 8,
-                    got: b.len(),
-                });
+        // Ring chunks hold whole f64 lanes.
+        let chunk = (self.chunk / 8 * 8).max(8);
+        let out_len = span.len();
+        let member = |s: &Sched, op, i| {
+            let input = input.expect("a member has an input").clone();
+            let tag = reg_tag(op, ROLE_DATA);
+            s.shared.registry().expose(s.rank as u32, tag, input);
+            // The result counter publishes a whole-message byte prefix; the
+            // chase clamps it to this member's span.
+            let (res, output) = (
+                s.counter(op, SUB_RES),
+                output.expect("a member has an output"),
+            );
+            let chased = Member::chasing(
+                0,
+                reg_tag(op, ROLE_STAGE),
+                Some(res),
+                span,
+                output.clone(),
+                s.counter(op, SUB_DONE),
+            );
+            // Only chunk owners read co-member inputs. A member whose share
+            // is empty (`kt < g`) must not wait to map them: owners
+            // withdraw their inputs once every contribution *stream*
+            // completes, and an empty share's stream is trivially complete
+            // — so an owner can finish and unexpose before this member ever
+            // maps, and waiting would spin forever.
+            let (lo, hi) = reduce_share(i, g, bytes, chunk);
+            let contribute = (lo < hi).then(|| Contribute {
+                owners: group.to_vec(),
+                inputs: Vec::with_capacity(g),
+                lo,
+                hi,
+                at: lo,
+                chunk,
+                part: s.counter(op, SUB_PART + i as u64),
+            });
+            // The input may only be released once no co-member can still
+            // read it — i.e. every local stream ran to completion.
+            let release = (0..g).map(|j| {
+                let (lo, hi) = reduce_share(j, g, bytes, chunk);
+                (s.counter(op, SUB_PART + j as u64), (hi - lo) as u64)
+            });
+            Member {
+                contribute,
+                release: Some(release.collect()),
+                ..chased
             }
-        }
-        if let Some(b) = output {
-            if b.len() < res_hi - res_lo {
-                return Err(SchedError::BufferTooShort {
-                    needed: res_hi - res_lo,
-                    got: b.len(),
-                });
-            }
-        }
-        if let (Some(i), Some(o)) = (input, output) {
-            if Arc::ptr_eq(i, o) {
-                return Err(SchedError::BufferAliased);
-            }
-        }
-        let ce = self.chunk / 8;
-        if count.div_ceil(ce.max(1)) >= 1 << 24 {
-            return Err(SchedError::TooLarge);
-        }
-        let ptrs = if count > 0 && member {
-            let i = input.expect("member");
-            let o = output.expect("member");
-            let pi = self.claim_buf(i)?;
-            let po = self.claim_buf(o)?;
-            Some((pi, po))
-        } else {
-            None
         };
-
-        // --- all checks passed: side effects may begin ---
-        let op = self.shared.next_sched_op(self.rank);
-        if count == 0 {
-            self.roles.insert(op, Role::Done);
-            return Ok(Request { op });
-        }
-        let kt = count.div_ceil(ce);
-        let g = group.len();
-        let bank = self.shared.sched_bank();
-        let role = if member {
-            let input = input.expect("member");
-            let output = output.expect("member");
-            let (in_ptr, out_ptr) = ptrs.expect("member with count > 0");
-            self.active_bufs.insert(in_ptr, op);
-            self.active_bufs.insert(out_ptr, op);
-            self.shared
-                .registry()
-                .expose(self.rank as u32, reg_tag(op, ROLE_DATA), input.clone());
-            let my_index = group.binary_search(&self.rank).expect("member");
-            let part_total: Vec<u64> = (0..g)
-                .map(|i| {
-                    let lo_e = (i * kt / g * ce).min(count);
-                    let hi_e = ((i + 1) * kt / g * ce).min(count);
-                    ((hi_e - lo_e) * 8) as u64
+        self.post(
+            group,
+            &[(input, bytes), (output, out_len)],
+            bytes.div_ceil(chunk),
+            member,
+            |engine, op| {
+                engine.register_ring(op, g, bytes, Layout::Sum { chunk }, |pos| {
+                    Step::Flow(RingFlow::new(0, pos, m, bytes, chunk))
                 })
-                .collect();
-            Role::ArMember(Box::new(ArMember {
-                group: group.to_vec(),
-                my_index,
-                count,
-                ce,
-                lo: my_index * kt / g,
-                hi: (my_index + 1) * kt / g,
-                phase: ArPhase::Map,
-                inputs: vec![None; g],
-                acc: None,
-                output: output.clone(),
-                res_lo,
-                res_hi,
-                in_ptr,
-                out_ptr,
-                parts: (0..g)
-                    .map(|i| bank.counter(bank_key(op, SUB_PART + i as u64)))
-                    .collect(),
-                part_total,
-                res: bank.counter(bank_key(op, SUB_RES)),
-                done: bank.counter(bank_key(op, SUB_DONE)),
-                copied: 0,
-            }))
-        } else {
-            Role::Done
-        };
-        self.roles.insert(op, role);
-        if let Some(engine) = self.engine.as_mut() {
-            engine.register_ar(op, group, count);
-        }
-        Ok(Request { op })
+            },
+        )
     }
 
     /// Post a nonblocking allgather of `len`-byte blocks over every rank
@@ -1281,114 +1197,93 @@ impl Sched {
         output: Option<&Arc<SharedRegion>>,
         len: usize,
     ) -> Result<Request, SchedError> {
-        self.validate_group(group)?;
-        let member = group.binary_search(&self.rank).is_ok();
-        match (member, input.is_some(), output.is_some()) {
-            (true, true, true) | (false, false, false) => {}
-            (true, _, _) => return Err(SchedError::BufferMissing),
-            (false, _, _) => return Err(SchedError::UnexpectedBuffer),
-        }
-        let total = self.m * group.len() * len;
-        if let Some(b) = input {
-            if b.len() < len {
-                return Err(SchedError::BufferTooShort {
-                    needed: len,
-                    got: b.len(),
-                });
-            }
-        }
-        if let Some(b) = output {
-            if b.len() < total {
-                return Err(SchedError::BufferTooShort {
-                    needed: total,
-                    got: b.len(),
-                });
-            }
-        }
-        if let (Some(i), Some(o)) = (input, output) {
-            if Arc::ptr_eq(i, o) {
-                return Err(SchedError::BufferAliased);
-            }
-        }
-        let kb = (group.len() * len).div_ceil(self.chunk);
-        if (self.m.max(2) - 1) * kb >= 1 << 24 {
-            return Err(SchedError::TooLarge);
-        }
-        let ptrs = if len > 0 && member {
-            let i = input.expect("member");
-            let o = output.expect("member");
-            Some((self.claim_buf(i)?, self.claim_buf(o)?))
-        } else {
-            None
+        validate_group_shape(group, self.n)?;
+        let (g, m, chunk) = (group.len(), self.m, self.chunk);
+        // A node's superblock: its members' blocks, in group order.
+        let sb = g * len;
+        let total = m * sb;
+        let member = |s: &Sched, op, i| Member {
+            contribute: Some(Contribute {
+                owners: Vec::new(),
+                inputs: vec![input.expect("a member has an input").clone()],
+                lo: 0,
+                hi: len,
+                at: s.node * sb + i * len,
+                chunk,
+                part: s.counter(op, SUB_PART + i as u64),
+            }),
+            ..Member::chasing(
+                0,
+                reg_tag(op, ROLE_STAGE),
+                Some(s.counter(op, SUB_RES)),
+                0..total,
+                output.expect("a member has an output").clone(),
+                s.counter(op, SUB_DONE),
+            )
         };
-
-        // --- all checks passed: side effects may begin ---
-        let op = self.shared.next_sched_op(self.rank);
-        if len == 0 {
-            self.roles.insert(op, Role::Done);
-            return Ok(Request { op });
-        }
-        let bank = self.shared.sched_bank();
-        let role = if member {
-            let input = input.expect("member");
-            let output = output.expect("member");
-            let (in_ptr, out_ptr) = ptrs.expect("member with len > 0");
-            self.active_bufs.insert(in_ptr, op);
-            self.active_bufs.insert(out_ptr, op);
-            let my_index = group.binary_search(&self.rank).expect("member");
-            Role::AgMember(Box::new(AgMember {
-                my_global: self.node * group.len() + my_index,
-                len,
-                total,
-                deposited: false,
-                input: input.clone(),
-                output: output.clone(),
-                acc: None,
-                in_ptr,
-                out_ptr,
-                part: bank.counter(bank_key(op, SUB_PART + my_index as u64)),
-                res: bank.counter(bank_key(op, SUB_RES)),
-                done: bank.counter(bank_key(op, SUB_DONE)),
-                copied: 0,
-            }))
-        } else {
-            Role::Done
+        let register = |engine: &mut Engine, op| {
+            let layout = Layout::Blocks {
+                block: len,
+                sb,
+                own: engine.node,
+                node_of: (0..m)
+                    .map(|w| engine.fabric.ring_node(w, ring_dir(op)))
+                    .collect(),
+                landed: vec![0; m],
+            };
+            engine.register_ring(op, g, total, layout, |pos| {
+                Step::Plan(PlanCursor::new(plan_allgather(m, pos, sb, chunk)))
+            })
         };
-        self.roles.insert(op, role);
-        if let Some(engine) = self.engine.as_mut() {
-            engine.register_ag(op, group.len(), len);
-        }
-        Ok(Request { op })
+        let chunks = sb.div_ceil(chunk);
+        self.post(
+            group,
+            &[(input, len), (output, total)],
+            chunks,
+            member,
+            register,
+        )
     }
 
     /// Advance everything a little: the node's progress engine (rank 0)
-    /// and this rank's side of every posted operation. Never blocks.
+    /// and this rank's side of every in-flight operation. Never blocks.
     pub fn poll(&mut self) {
         if let Some(engine) = self.engine.as_mut() {
             engine.advance();
         }
-        let shared = self.shared.clone();
-        let rank = self.rank;
-        for (op, role) in self.roles.iter_mut() {
-            step_role(
-                *op,
-                role,
-                rank,
-                &shared,
-                &mut self.seen,
-                &mut self.active_bufs,
-            );
-        }
+        let Sched {
+            rank,
+            shared,
+            seen,
+            roles,
+            active_bufs,
+            engine,
+            ..
+        } = self;
+        roles.retain(|&op, slot| {
+            if let Some(member) = slot {
+                if !member.step(op, *rank, shared, seen) {
+                    return true;
+                }
+                active_bufs.retain(|_, owner| *owner != op);
+                *slot = None;
+            }
+            // On the engine rank the request stays open until the op's
+            // network flow on this node is finished: once `wait` returns
+            // the caller may stop polling, and a chunk still owed to the
+            // ring would strand the peer.
+            engine.as_ref().is_some_and(|e| !e.net_finished(op))
+        });
     }
 
-    /// Is the request locally complete (buffers reusable)? Does not poll.
+    /// Is the request locally complete (buffers reusable, nothing owed to
+    /// the network)? Does not poll.
     pub fn is_complete(&self, req: Request) -> bool {
-        matches!(
-            self.roles
-                .get(&req.op)
-                .expect("request was issued by this scheduler"),
-            Role::Done
-        )
+        assert!(
+            self.issued.contains(&req.op),
+            "request was issued by this scheduler"
+        );
+        !self.roles.contains_key(&req.op)
     }
 
     /// Poll once and report whether `req` is complete.
@@ -1428,10 +1323,7 @@ impl Sched {
 
     /// Number of operations this rank posted and not yet completed.
     pub fn in_flight(&self) -> usize {
-        self.roles
-            .values()
-            .filter(|r| !matches!(r, Role::Done))
-            .count()
+        self.roles.len()
     }
 }
 
@@ -1444,9 +1336,7 @@ impl Drop for Sched {
         // engine waits for) and retire every engine op. See type docs.
         loop {
             self.poll();
-            let roles_done = self.roles.values().all(|r| matches!(r, Role::Done));
-            let engine_idle = self.engine.as_ref().is_none_or(|e| e.is_idle());
-            if roles_done && engine_idle {
+            if self.roles.is_empty() && self.engine.as_ref().is_none_or(|e| e.is_idle()) {
                 return;
             }
             spin();
@@ -1454,202 +1344,53 @@ impl Drop for Sched {
     }
 }
 
-/// Advance one role one step (free function: field-disjoint borrows of
-/// [`Sched`]).
-fn step_role(
-    op: u64,
-    role: &mut Role,
-    rank: usize,
-    shared: &NodeShared,
-    seen: &mut HashSet<usize>,
-    active: &mut HashMap<usize, u64>,
-) {
-    match role {
-        Role::Done => {}
-        Role::BcastRoot(r) => {
-            if r.netdone.read() >= 1 && r.done.read() >= r.expected_done {
-                shared
-                    .registry()
-                    .unexpose(rank as u32, reg_tag(op, ROLE_DATA));
-                active.remove(&r.src_ptr);
-                *role = Role::Done;
-            }
-        }
-        Role::BcastCopy(c) => {
-            if c.src.is_none() {
-                c.src = shared.registry().try_map_auto(c.src_owner, c.src_tag, seen);
-            }
-            let Some(src) = c.src.as_ref() else { return };
-            let avail = match c.gate.as_ref() {
-                Some(g) => (g.read() as usize).min(c.len),
-                // Root's node: the source was complete at post time.
-                None => c.len,
-            };
-            if avail > c.copied {
-                // SAFETY: `[copied, avail)` of the source was published
-                // before the counter value we acquired (or before the
-                // exposure, on the root's node); dst is exclusively ours.
-                unsafe { c.dst.copy_from(c.copied, src, c.copied, avail - c.copied) };
-                c.copied = avail;
-            }
-            if c.copied == c.len {
-                c.done.publish(1);
-                active.remove(&c.dst_ptr);
-                *role = Role::Done;
-            }
-        }
-        Role::ArMember(a) => {
-            if step_ar_member(op, a, rank, shared, seen) {
-                active.remove(&a.in_ptr);
-                active.remove(&a.out_ptr);
-                *role = Role::Done;
-            }
-        }
-        Role::AgMember(a) => {
-            if step_ag_member(op, a, shared, seen) {
-                active.remove(&a.in_ptr);
-                active.remove(&a.out_ptr);
-                *role = Role::Done;
-            }
-        }
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bgp_smp::Cluster;
 
-/// Advance an allgather member; `true` when it completed this step.
-fn step_ag_member(
-    op: u64,
-    a: &mut AgMember,
-    shared: &NodeShared,
-    seen: &mut HashSet<usize>,
-) -> bool {
-    if a.acc.is_none() {
-        a.acc = shared
-            .registry()
-            .try_map_auto(0, reg_tag(op, ROLE_STAGE), seen);
-    }
-    let Some(acc) = a.acc.as_ref() else {
-        return false;
-    };
-    if !a.deposited {
-        // SAFETY: this member is the unique writer of its own block;
-        // readers (engine sends, co-member copy-outs) are gated on the
-        // deposit counter published below.
-        unsafe { acc.copy_from(a.my_global * a.len, &a.input, 0, a.len) };
-        a.part.publish(a.len as u64);
-        a.deposited = true;
-    }
-    let avail = (a.res.read() as usize).min(a.total);
-    if avail > a.copied {
-        // SAFETY: `[copied, avail)` of the accumulator holds final block
-        // bytes published through the result counter; output is ours.
-        unsafe {
-            a.output
-                .copy_from(a.copied, acc, a.copied, avail - a.copied)
-        };
-        a.copied = avail;
-    }
-    if a.copied == a.total {
-        a.done.publish(1);
-        return true;
-    }
-    false
-}
-
-/// Advance an allreduce member; `true` when it completed this step.
-fn step_ar_member(
-    op: u64,
-    a: &mut ArMember,
-    rank: usize,
-    shared: &NodeShared,
-    seen: &mut HashSet<usize>,
-) -> bool {
-    let registry = shared.registry();
-    if matches!(a.phase, ArPhase::Map) {
-        if a.acc.is_none() {
-            a.acc = registry.try_map_auto(0, reg_tag(op, ROLE_STAGE), seen);
-        }
-        // Only chunk owners read co-member inputs. A member whose reduce
-        // partition is empty (`kt < g`) must not wait to map them: owners
-        // unexpose their inputs once every partial *stream* completes, and
-        // an empty partition's stream is trivially complete — so an owner
-        // can finish and unexpose before this member ever maps, and
-        // waiting here would spin forever.
-        let needs_inputs = a.lo < a.hi;
-        if needs_inputs {
-            for (i, slot) in a.inputs.iter_mut().enumerate() {
-                if slot.is_none() {
-                    *slot = registry.try_map_auto(a.group[i] as u32, reg_tag(op, ROLE_DATA), seen);
+    /// `Sched` keeps only in-flight operations: ten thousand completed ones
+    /// leave nothing for `poll` to walk.
+    #[test]
+    fn completed_ops_leave_nothing_behind() {
+        let cluster = Cluster::new(2, 1);
+        let left = cluster.run(|cctx| {
+            let bufs: Vec<_> = (0..16).map(|_| Arc::new(SharedRegion::new(64))).collect();
+            let mut sched = Sched::new(cctx);
+            let mut reqs = Vec::new();
+            for i in 0..10_000 {
+                // Every eighth op is empty: complete at post, never tracked.
+                let len = if i % 8 == 7 { 0 } else { 64 };
+                reqs.push(
+                    sched
+                        .ibcast(&[0], i % 2, 0, Some(&bufs[i % 16]), len)
+                        .unwrap(),
+                );
+                if reqs.len() == 16 {
+                    sched.wait_all(&reqs);
+                    assert!(reqs.iter().all(|r| sched.is_complete(*r)));
+                    reqs.clear();
                 }
             }
-        }
-        if a.acc.is_some() && (!needs_inputs || a.inputs.iter().all(|s| s.is_some())) {
-            a.phase = ArPhase::Reduce;
-        } else {
-            return false;
-        }
+            (
+                sched.roles.len(),
+                sched.active_bufs.len(),
+                sched.in_flight(),
+            )
+        });
+        assert!(left.iter().flatten().all(|&l| l == (0, 0, 0)), "{left:?}");
     }
-    if matches!(a.phase, ArPhase::Reduce) {
-        let acc = a.acc.as_ref().expect("mapped in Map phase");
-        for k in a.lo..a.hi {
-            let (e0, ec) = elem_span(a.count, a.ce, k);
-            // Reduce straight into the stage: seed with the first input,
-            // lane-add the rest over it in place. Inputs are final from
-            // before their exposure; reading them ungated is ordered by the
-            // registry map.
-            // SAFETY: this member is the unique writer of its stage
-            // partition; readers are gated on the parts publish below.
-            unsafe {
-                acc.with_bytes_mut(e0 * 8, ec * 8, |dst| {
-                    a.inputs[0]
-                        .as_ref()
-                        .expect("mapped")
-                        .with_bytes(e0 * 8, dst.len(), |src| dst.copy_from_slice(src));
-                    for input in &a.inputs[1..] {
-                        input
-                            .as_ref()
-                            .expect("mapped")
-                            .with_bytes(e0 * 8, dst.len(), |src| {
-                                kernels::add_bytes_assign(dst, src)
-                            });
-                    }
-                })
-            };
-            a.parts[a.my_index].publish((ec * 8) as u64);
-        }
-        a.phase = ArPhase::CopyOut;
+
+    #[test]
+    #[should_panic(expected = "request was issued by this scheduler")]
+    fn a_request_this_scheduler_never_issued_panics() {
+        let cluster = Cluster::new(1, 1);
+        cluster.run(|cctx| {
+            let buf = Arc::new(SharedRegion::new(8));
+            let mut sched = Sched::new(cctx);
+            let req = sched.ibcast(&[0], 0, 0, Some(&buf), 8).unwrap();
+            sched.wait(req);
+            sched.is_complete(Request { op: req.op + 1 })
+        });
     }
-    if matches!(a.phase, ArPhase::CopyOut) {
-        let total = a.res_hi - a.res_lo;
-        // The result counter publishes a whole-message byte prefix; clamp
-        // it to this member's copy span.
-        let avail = (a.res.read() as usize).saturating_sub(a.res_lo).min(total);
-        if avail > a.copied {
-            let acc = a.acc.as_ref().expect("mapped");
-            // SAFETY: `[res_lo + copied, res_lo + avail)` holds final
-            // values published through the result counter; output is
-            // exclusively ours.
-            unsafe {
-                a.output
-                    .copy_from(a.copied, acc, a.res_lo + a.copied, avail - a.copied)
-            };
-            a.copied = avail;
-        }
-        if a.copied == total {
-            a.phase = ArPhase::AwaitParts;
-        }
-    }
-    if matches!(a.phase, ArPhase::AwaitParts) {
-        // The input may only be released once no co-member can still read
-        // it — i.e. every local partial stream ran to completion.
-        if a.parts
-            .iter()
-            .zip(&a.part_total)
-            .all(|(c, &t)| c.read() >= t)
-        {
-            a.done.publish(1);
-            registry.unexpose(rank as u32, reg_tag(op, ROLE_DATA));
-            return true;
-        }
-    }
-    false
 }

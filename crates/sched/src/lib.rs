@@ -15,16 +15,20 @@
 //!
 //! Three layers:
 //!
-//! * [`Sched`] — the rank-level API: [`Sched::ibcast`] and
-//!   [`Sched::iallreduce`] return [`Request`]s; [`Sched::test`],
+//! * [`Sched`] — the rank-level API: [`Sched::ibcast`],
+//!   [`Sched::iallreduce`], [`Sched::ireduce_scatter`] and
+//!   [`Sched::iallgather`] return [`Request`]s; [`Sched::test`],
 //!   [`Sched::wait`] and [`Sched::wait_all`] complete them. Completion has
-//!   MPI semantics: *local* completion (the caller's buffers are reusable),
-//!   not global arrival.
+//!   MPI semantics: *local* completion (the caller's buffers are reusable
+//!   and, on the engine rank, the node owes the network nothing more for
+//!   the op), not global arrival. Only in-flight operations are tracked.
 //! * the progress engine (internal to [`Sched`], on rank 0) — advances the
 //!   network side of every posted op a little per [`Sched::poll`]: injects
-//!   and forwards broadcast chunks, runs the ring partial/full flows of the
-//!   allreduce, and retires per-op counters and window exposures once an
-//!   operation is globally drained on its node.
+//!   and forwards broadcast chunks, steps the ring protocols of
+//!   [`bgp_smp::wire`] (the partial/full flow for the reductions, the
+//!   allgather plan) against a per-op node accumulator, and retires per-op
+//!   counters and window exposures once an operation is globally drained on
+//!   its node.
 //! * [`CollectiveServer`] — a node-external, multi-tenant service
 //!   front-end: per-tenant bounded submission queues drained by a
 //!   deficit-round-robin dispatcher (register tenants with

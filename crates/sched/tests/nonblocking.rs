@@ -492,3 +492,122 @@ fn zero_length_rs_ag_complete_at_post() {
     });
     assert!(oks.iter().flatten().all(|&ok| ok));
 }
+
+/// Regression: a request must not complete while its node still owes the
+/// ring a chunk. Node 1 is the last ring position of every even op: it
+/// consumes the partial, lands the result — its member is done — and then
+/// still has to send the full back. With a 2-slot window the link is often
+/// full at that moment; if `wait_all` returned anyway, node 1 would sit in
+/// the barrier below (which does not poll) while node 0 waits for that full
+/// forever. Before the fix this hung within the first few rounds.
+#[test]
+fn wait_all_then_unpolled_barrier_cannot_strand_the_peer() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let cluster = Cluster::with_geometry(2, 1, 4096, 2);
+        let bar = Arc::new(bgp_smp::SenseBarrier::new(2));
+        cluster.run(move |cctx| {
+            let mut tok = bar.token();
+            let slots: Vec<_> = (0..16)
+                .map(|_| {
+                    let input = Arc::new(SharedRegion::new(128 * 8));
+                    write_f64s(&input, 0, &[1.0; 128]);
+                    (input, Arc::new(SharedRegion::new(128 * 8)))
+                })
+                .collect();
+            let mut sched = Sched::new(cctx);
+            for _ in 0..2000 {
+                let reqs: Vec<_> = slots
+                    .iter()
+                    .map(|(i, o)| sched.iallreduce(&[0], Some(i), Some(o), 128).unwrap())
+                    .collect();
+                sched.wait_all(&reqs);
+                bar.wait(&mut tok);
+            }
+            assert_eq!(read_f64s(&slots[15].1, 0, 128), vec![2.0; 128]);
+        });
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(Duration::from_secs(20))
+        .expect("an engine stopped polling while its node still owed the ring a chunk");
+}
+
+/// Three nodes put a middle position on every ring — the fused
+/// combine-and-forward, the full relay and the multi-step superblock relay
+/// — and a 2-slot window keeps every link full while all four op types are
+/// in flight four deep.
+#[test]
+fn three_node_window_two_deep_pipeline() {
+    let cluster = Cluster::with_geometry(3, 2, 256, 2);
+    let (len, count, depth) = (700, 100, 4); // 3 chunks, 4 chunks; sb = 6 chunks
+    let results = cluster.run(move |cctx| {
+        let (gi, world) = (cctx.global_rank(), 6usize);
+        let grp = [0usize, 1];
+        let (lo, hi) = (gi * count / world, (gi + 1) * count / world);
+        let mut sched = Sched::new(cctx);
+        let mut reqs = Vec::new();
+        let mut outs = Vec::new();
+        for round in 0..depth {
+            let root = (round % 3, round % 2);
+            let bbuf = Arc::new(SharedRegion::new(len));
+            if (cctx.node(), cctx.rank()) == root {
+                // SAFETY: fresh region.
+                unsafe { bbuf.write(0, &pattern(round as u8, len)) };
+            }
+            let [ain, rin] = [(); 2].map(|_| {
+                let input = Arc::new(SharedRegion::new(count * 8));
+                write_f64s(&input, 0, &vec![(gi + round) as f64; count]);
+                input
+            });
+            let (aout, rout) = (
+                Arc::new(SharedRegion::new(count * 8)),
+                Arc::new(SharedRegion::new(((hi - lo) * 8).max(1))),
+            );
+            let gin = Arc::new(SharedRegion::new(len));
+            // SAFETY: fresh region.
+            unsafe { gin.write(0, &pattern((gi + round) as u8, len)) };
+            let gout = Arc::new(SharedRegion::new(world * len));
+            reqs.extend([
+                sched
+                    .ibcast(&grp, root.0, root.1, Some(&bbuf), len)
+                    .unwrap(),
+                sched
+                    .iallreduce(&grp, Some(&ain), Some(&aout), count)
+                    .unwrap(),
+                sched
+                    .ireduce_scatter(&grp, Some(&rin), Some(&rout), count)
+                    .unwrap(),
+                sched
+                    .iallgather(&grp, Some(&gin), Some(&gout), len)
+                    .unwrap(),
+            ]);
+            outs.push((bbuf, aout, rout, gout));
+        }
+        sched.wait_all(&reqs);
+        outs.iter()
+            .map(|(b, a, r, g)| {
+                (
+                    read_bytes(b, len),
+                    read_f64s(a, 0, count),
+                    read_f64s(r, 0, hi - lo),
+                    read_bytes(g, world * len),
+                )
+            })
+            .collect::<Vec<_>>()
+    });
+    for per_rank in results.iter().flatten() {
+        for (round, (b, a, r, g)) in per_rank.iter().enumerate() {
+            let sum = (0..6).map(|gi| (gi + round) as f64).sum::<f64>();
+            let gathered: Vec<u8> = (0..6)
+                .flat_map(|gi| pattern((gi + round) as u8, len))
+                .collect();
+            assert_eq!(*b, pattern(round as u8, len), "bcast, round {round}");
+            assert!(a.iter().all(|&v| v == sum), "allreduce, round {round}");
+            assert!(r.iter().all(|&v| v == sum), "reduce-scatter, round {round}");
+            assert_eq!(*g, gathered, "allgather, round {round}");
+        }
+    }
+}

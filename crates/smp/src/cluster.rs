@@ -590,6 +590,37 @@ pub(crate) fn chunks_of(len: usize, chunk: usize) -> impl Iterator<Item = (usize
     })
 }
 
+/// Sum bytes `[lo, hi)` of every region in `inputs` (f64 lanes) into `dst`
+/// at `dst_off`, `chunk` bytes at a time — seeded with the first input, the
+/// rest lane-added over it in place, no scratch vector — calling
+/// `done(len)` after each piece so the caller can publish it.
+///
+/// # Safety
+/// The caller is the only writer of the destination range and nobody reads
+/// a piece of it before `done` published it; `[lo, hi)` of every input is
+/// final.
+pub unsafe fn sum_regions(
+    dst: &SharedRegion,
+    dst_off: usize,
+    inputs: &[Arc<SharedRegion>],
+    lo: usize,
+    hi: usize,
+    chunk: usize,
+    mut done: impl FnMut(usize),
+) {
+    for (_, off, len) in chunks_of(hi - lo, chunk) {
+        dst.with_bytes_mut(dst_off + off, len, |dst| {
+            inputs[0].with_bytes(lo + off, len, |src| dst.copy_from_slice(src));
+            for inp in &inputs[1..] {
+                inp.with_bytes(lo + off, len, |src| {
+                    crate::kernels::add_bytes_assign(dst, src)
+                });
+            }
+        });
+        done(len);
+    }
+}
+
 /// The network core's [`wire::Local`]: flow `c` lives in shared region
 /// `bufs[c]`, which other ranks of the node fill concurrently.
 /// `ready(c, off, len)` says whether the node's own contribution to that
@@ -748,22 +779,15 @@ impl ClusterCtx {
         let (n, me) = (self.shared.n, self.ctx.rank());
         let inputs: Vec<Arc<SharedRegion>> =
             (0..n).map(|r| self.map_cached(r as u32, in_tag)).collect();
-        for (_, off, len) in chunks_of(hi - lo, self.shared.fabric.chunk_bytes()) {
-            // SAFETY: this rank is the unique writer of the destination
-            // range; readers are gated on the publish below; the inputs
-            // were written before the collective.
-            unsafe {
-                dst.with_bytes_mut(dst_off + off, len, |dst| {
-                    inputs[0].with_bytes(lo + off, len, |src| dst.copy_from_slice(src));
-                    for inp in &inputs[1..] {
-                        inp.with_bytes(lo + off, len, |src| {
-                            crate::kernels::add_bytes_assign(dst, src)
-                        });
-                    }
-                })
-            };
-            self.ctx.aux_counter(me).publish(len as u64);
-        }
+        let chunk = self.shared.fabric.chunk_bytes();
+        // SAFETY: this rank is the unique writer of the destination range;
+        // readers are gated on the publish; the inputs were written before
+        // the collective.
+        unsafe {
+            sum_regions(dst, dst_off, &inputs, lo, hi, chunk, |len| {
+                self.ctx.aux_counter(me).publish(len as u64);
+            })
+        };
     }
 
     /// Cluster-wide broadcast of `len` bytes from the application buffer of

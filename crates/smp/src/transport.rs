@@ -568,6 +568,8 @@ impl<S: SlotStore> Drop for RecvSlot<'_, S> {
 /// bit 23..0 : chunk seq  (24 bits → 16M chunks per op)
 /// ```
 pub mod optag {
+    use crate::wire::Kind;
+
     /// Broadcast payload chunk.
     pub const KIND_DATA: u64 = 0;
     /// Allreduce partial (accumulating hop by hop along the ring).
@@ -596,6 +598,26 @@ pub mod optag {
             (tag >> KIND_SHIFT) & 0x3,
             (tag & K_MASK) as usize,
         )
+    }
+
+    /// The tag kind of a [`crate::wire`] ring chunk.
+    #[inline]
+    pub fn of_ring(kind: Kind) -> u64 {
+        match kind {
+            Kind::Partial => KIND_PARTIAL,
+            Kind::Full => KIND_FULL,
+        }
+    }
+
+    /// The ring kind a tag kind stands for: whatever is not a partial is
+    /// final data.
+    #[inline]
+    pub fn ring_kind(kind: u64) -> Kind {
+        if kind == KIND_PARTIAL {
+            Kind::Partial
+        } else {
+            Kind::Full
+        }
     }
 }
 

@@ -3,27 +3,34 @@
 //! The paper has two of them: the §V-A/V-B **tree broadcast** and the §V-C
 //! **partial/full ring allreduce**; the node-aware family of Bienz & Olson
 //! adds ring **reduce-scatter / allgather stages** that its collectives
-//! compose. This module is the only place in `bgp-smp` where one of those
-//! protocols takes a slot loan or spins on a link — the thread cluster and
-//! the cross-process cluster both call in here (the one collective that
-//! keeps its own loop is `alltoall`, a store-and-forward ring that shares
-//! nothing with these):
+//! compose. This module is the only place in the workspace where one of the
+//! ring protocols decides what may move — the thread cluster, the
+//! cross-process cluster and the nonblocking engine of `bgp-sched` all call
+//! in here (the one collective that keeps its own loop is `alltoall`, a
+//! store-and-forward ring that shares nothing with these):
 //!
 //! * [`tree_send`] / [`tree_recv`] — the root's injection loop and the
-//!   receive-and-relay-from-loan loop of the tree broadcast;
-//! * [`flat_ring`] — the multi-colour partial/full ring engine;
-//! * [`RingPlan`] + [`run_plan`] — an ordered send plan and receive plan
-//!   over the `Plus` ring, built per algorithm by [`plan_allreduce`],
-//!   [`plan_reduce_scatter`] and [`plan_allgather`] from one stage builder,
-//!   and stepped by one driver.
+//!   receive-and-relay-from-loan loop of the blocking tree broadcast;
+//! * [`RingFlow`] — one colour of the partial/full ring allreduce;
+//! * [`RingPlan`] + [`PlanCursor`] — an ordered send plan and receive plan
+//!   over ring positions, built per algorithm by [`plan_allreduce`],
+//!   [`plan_reduce_scatter`] and [`plan_allgather`] from one stage builder.
+//!
+//! The two ring protocols are [`Stepper`]s: re-entrant state machines that
+//! never touch an incoming link and never spin. Whoever owns the links
+//! offers them chunks and pumps their sends: [`flat_ring`] and [`run_plan`]
+//! are one blocking drive loop over them, the engine interleaves the
+//! steppers of every in-flight operation, tagged per op.
 //!
 //! Everything is generic over the [`SlotStore`] (heap links for threads and
 //! the model checker, segment links for processes) and over a [`Local`]:
 //! how this node's own operand is reached, when a piece of it is ready, and
 //! what happens when a final value lands. `[u8]` is the trivial `Local` (a
-//! buffer the caller owns outright); the thread cluster supplies one over
-//! shared regions and message counters. All hooks are statically
-//! dispatched; the engines allocate nothing per chunk.
+//! buffer the caller owns outright); the thread cluster and the engine
+//! supply theirs over shared regions and message counters. All hooks are
+//! statically dispatched; the steppers allocate nothing per chunk.
+
+use std::borrow::Borrow;
 
 use bgp_shmem::spin;
 
@@ -115,173 +122,232 @@ pub fn tree_recv<S: SlotStore>(
     }
 }
 
-/// The flat ring engine (`m ≥ 2`): advances every colour concurrently
-/// without ever blocking on a single flow. Colour `c` is flow `c` of
-/// `local`, `spans`' `c`-th item in bytes; even colours ride the `Plus`
-/// ring, odd ones `Minus`. Partials travel position 0 → m-1 along the
-/// colour's direction, accumulating this node's partial at each hop; the
-/// last position writes the full result and circulates it back 0 → m-2.
-/// Every consume is gated on local readiness *and* downstream space, so
-/// head-of-line blocking cannot deadlock: the terminal consumers (last
-/// position for partials, position m-2 for fulls) consume unconditionally
-/// once their local partial is ready.
-pub fn flat_ring<S: SlotStore, L: Local + ?Sized>(
-    fabric: &Fabric<S>,
-    v: usize,
-    spans: impl IntoIterator<Item = usize>,
-    local: &mut L,
-) {
-    let m = fabric.n_nodes();
-    debug_assert!(m >= 2, "a ring needs two nodes");
-    let chunk = fabric.chunk_bytes();
+/// What a ring chunk carries.
+#[repr(u64)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Kind {
+    /// A partial sum, accumulating hop by hop.
+    Partial = KIND_PARTIAL,
+    /// A final value, circulating to the nodes that lack it.
+    Full = KIND_FULL,
+}
 
-    struct Flow {
-        di: usize, // ring direction: index into `links`
-        pos: usize,
-        span: usize, // bytes
-        kt: usize,   // chunks
-        /// Chunks originated: partials at position 0, fulls at m-1.
-        sent: usize,
-        combined: usize,
-        fulls_in: usize,
-    }
-    // Per ring direction: the link in and the link out.
-    let links = [RingDir::Plus, RingDir::Minus]
-        .map(|dir| (dir, fabric.ring_recv(v, dir), fabric.ring_send(v, dir)));
-    let originates = |pos: usize| pos == 0 || pos == m - 1;
-    let clen = |span: usize, k: usize| (span - k * chunk).min(chunk);
+/// One node's side of one ring protocol, re-entrant. The caller owns the
+/// links and the progress loop; the stepper owns every decision about what
+/// may move. `out` is the ring link this node sends on, `local` its
+/// operand, and `pack(flow, kind, k)` the caller's link-tag scheme (the
+/// cluster's colour tags for a collective that owns the links, an op-id tag
+/// where many share them). An incoming chunk is offered as plain bytes, so one
+/// held on a slot loan and one replayed from a stash look the same.
+pub trait Stepper {
+    /// Chunks this node has yet to receive. A caller must not offer — or
+    /// even peek at — more: a chunk of the *next* collective can already be
+    /// queued behind the last expected one.
+    fn recvs_left(&self) -> usize;
 
-    // `expect`: chunks this op still expects on each incoming direction —
-    // partials at positions 1..m-1, fulls at every position but their
-    // producer m-1. The drain loop below must never peek past this: there
-    // is no cluster-wide barrier between collectives, so a chunk of the
-    // *next* ring collective can already be queued behind our last expected
-    // one (cross-op pipelining), and its tag — a different color space
-    // entirely — must be left for that op's engine.
-    let mut expect = [0usize; 2];
-    let mut flows = Vec::new();
-    for (c, span) in spans.into_iter().enumerate() {
-        let di = c % 2;
-        let (pos, kt) = (fabric.ring_pos(v, links[di].0), span.div_ceil(chunk));
-        expect[di] += kt * ((pos > 0) as usize + (pos < m - 1) as usize);
-        flows.push(Flow {
-            di,
+    /// Nothing is left to receive and everything this node will ever send
+    /// is in a link.
+    fn finished(&self) -> bool;
+
+    /// Originate every chunk that can go now: its gate is open and `out`
+    /// has room. Returns whether any went.
+    fn pump<S: SlotStore, L: Local + ?Sized>(
+        &mut self,
+        out: &ChunkChannel<S>,
+        local: &mut L,
+        pack: &impl Fn(usize, Kind, usize) -> u64,
+    ) -> bool;
+
+    /// May the next incoming chunk, of `kind`, be consumed right now? Only
+    /// this thread sends on `out` and readiness only grows, so once true it
+    /// stays true until the [`accept`](Self::accept).
+    fn can_accept<S: SlotStore, L: Local + ?Sized>(
+        &self,
+        kind: Kind,
+        out: &ChunkChannel<S>,
+        local: &L,
+    ) -> bool;
+
+    /// Consume the next incoming chunk, `(kind, k)` in the sender's
+    /// numbering. Only after [`can_accept`](Self::can_accept) said yes.
+    fn accept<S: SlotStore, L: Local + ?Sized>(
+        &mut self,
+        kind: Kind,
+        k: usize,
+        bytes: &[u8],
+        out: &ChunkChannel<S>,
+        local: &mut L,
+        pack: &impl Fn(usize, Kind, usize) -> u64,
+    );
+}
+
+/// One colour of the partial/full ring allreduce on one node (`m ≥ 2`),
+/// over flow `flow` of the [`Local`]. Partials travel ring position
+/// 0 → m-1, accumulating this node's partial at each hop; the last position
+/// writes the full result and circulates it back 0 → m-2.
+///
+/// Every consume is gated on local readiness *and* downstream space — a
+/// forward happens in the same step as the consume that feeds it, out of
+/// the offered bytes, never re-read from the operand — and still
+/// head-of-line blocking cannot deadlock the ring cycle, however many flows
+/// share a link: the terminal consumers (last position for partials,
+/// position m-2 for fulls) need no link room, so link m-2 → m-1, which
+/// carries only partials, always drains once the local partial is ready;
+/// that frees position m-2 to consume, and so on back around the ring.
+pub struct RingFlow {
+    flow: usize,
+    pos: usize,
+    m: usize,
+    span: usize,
+    chunk: usize,
+    /// Chunks originated: partials at position 0, fulls at m-1.
+    sent: usize,
+    combined: usize,
+    fulls_in: usize,
+}
+
+impl RingFlow {
+    /// The flow of a `span`-byte operand in `chunk`-byte chunks at ring
+    /// position `pos` of `m`.
+    pub fn new(flow: usize, pos: usize, m: usize, span: usize, chunk: usize) -> Self {
+        debug_assert!(m >= 2 && pos < m, "a ring needs two nodes");
+        RingFlow {
+            flow,
             pos,
+            m,
             span,
-            kt,
+            chunk,
             sent: 0,
             combined: 0,
             fulls_in: 0,
-        });
+        }
     }
 
-    loop {
+    fn kt(&self) -> usize {
+        self.span.div_ceil(self.chunk)
+    }
+
+    /// `(byte offset, byte length)` of chunk `k`.
+    fn at(&self, k: usize) -> (usize, usize) {
+        (k * self.chunk, (self.span - k * self.chunk).min(self.chunk))
+    }
+
+    fn originates(&self) -> bool {
+        self.pos == 0 || self.pos == self.m - 1
+    }
+}
+
+impl Stepper for RingFlow {
+    fn recvs_left(&self) -> usize {
+        // Partials at positions 1..m-1, fulls everywhere but their producer.
+        let kinds = (self.pos > 0) as usize + (self.pos < self.m - 1) as usize;
+        kinds * self.kt() - self.combined - self.fulls_in
+    }
+
+    fn finished(&self) -> bool {
+        self.recvs_left() == 0 && (!self.originates() || self.sent == self.kt())
+    }
+
+    /// Position 0 injects partials as the local contribution becomes ready;
+    /// the last position sends the fulls it produced.
+    fn pump<S: SlotStore, L: Local + ?Sized>(
+        &mut self,
+        out: &ChunkChannel<S>,
+        local: &mut L,
+        pack: &impl Fn(usize, Kind, usize) -> u64,
+    ) -> bool {
+        if !self.originates() {
+            return false;
+        }
+        let (c, first) = (self.flow, self.pos == 0);
+        let kind = if first { Kind::Partial } else { Kind::Full };
         let mut progressed = false;
-
-        // Originate: position 0 injects partials as the local contribution
-        // becomes ready; the last position sends the fulls it produced when
-        // the wrap link has room.
-        for (c, f) in flows.iter_mut().enumerate() {
-            if !originates(f.pos) {
-                continue;
+        while self.sent < self.kt() {
+            let (k, (off, len)) = (self.sent, self.at(self.sent));
+            let avail = if first {
+                local.ready(c, off, len)
+            } else {
+                k < self.combined
+            };
+            if !avail || !out.can_send() {
+                break;
             }
-            let kind = if f.pos == 0 { KIND_PARTIAL } else { KIND_FULL };
-            let out = links[f.di].2;
-            while f.sent < f.kt {
-                let (k, off, len) = (f.sent, f.sent * chunk, clen(f.span, f.sent));
-                let avail = if f.pos == 0 {
-                    local.ready(c, off, len)
-                } else {
-                    k < f.combined
-                };
-                if !avail || !out.can_send() {
-                    break;
-                }
-                let ok = out.try_send_with(pack_tag(c, kind, k), len, |dst| {
-                    local.read(c, off, len, |src| dst.copy_from_slice(src))
-                });
-                debug_assert!(ok, "can_send held and we are the sole producer");
-                f.sent += 1;
-                progressed = true;
-            }
+            let ok = out.try_send_with(pack(c, kind, k), len, |dst| {
+                local.read(c, off, len, |src| dst.copy_from_slice(src))
+            });
+            debug_assert!(ok, "can_send held and we are the sole producer");
+            self.sent += 1;
+            progressed = true;
         }
+        progressed
+    }
 
-        for (di, &(_, in_ch, out)) in links.iter().enumerate() {
-            while expect[di] > 0 {
-                let Some(tag) = in_ch.peek_tag() else { break };
-                let (c, kind, k) = unpack_tag(tag);
-                let f = &mut flows[c];
-                debug_assert_eq!(f.di, di, "flow routed on the wrong ring direction");
-                let (off, len) = (k * chunk, clen(f.span, k));
-                let last = f.pos == m - 1;
-                if kind == KIND_PARTIAL {
-                    debug_assert!(f.pos > 0);
-                    debug_assert_eq!(k, f.combined, "partials must arrive in order");
-                    // Gate: our own partial must be ready to combine, and
-                    // (unless we are the last position) the combined chunk
-                    // must have somewhere to go.
-                    if !local.ready(c, off, len) || (!last && !out.can_send()) {
-                        break;
-                    }
-                    let rs = in_ch.peek();
-                    if last {
-                        // Last hop: accumulate the incoming chunk into the
-                        // local partial in place — it *is* the result.
-                        rs.with_bytes(|inb| {
-                            local.write(c, off, len, |acc| kernels::add_bytes_assign(acc, inb))
-                        });
-                        local.landed(c, off, len);
-                    } else {
-                        // Fused combine: local partial + incoming chunk
-                        // summed by the lane kernel straight into the
-                        // reserved outgoing slot. Zero staging copies.
-                        let mut snd = out.reserve(len);
-                        rs.with_bytes(|inb| {
-                            local.read(c, off, len, |mine| {
-                                snd.with_bytes_mut(|dst| kernels::add_bytes_into(dst, mine, inb))
-                            })
-                        });
-                        snd.publish(pack_tag(c, KIND_PARTIAL, k));
-                    }
-                    f.combined += 1;
-                } else {
-                    debug_assert!(!last, "the originator never receives fulls");
-                    debug_assert_eq!(k, f.fulls_in, "fulls must arrive in order");
-                    let forwards = f.pos != m - 2;
-                    if forwards && !out.can_send() {
-                        break;
-                    }
-                    // Hold the incoming slot on loan: it lands in the local
-                    // buffer *and* feeds the outgoing slot directly, never
-                    // re-read from the buffer. Our earlier consumption of
-                    // partial chunk k (or, at position 0, its injection)
-                    // ordered every other reader before this overwrite.
-                    let rs = in_ch.peek();
-                    rs.with_bytes(|bytes| {
-                        local.write(c, off, len, |dst| dst.copy_from_slice(bytes))
-                    });
+    fn can_accept<S: SlotStore, L: Local + ?Sized>(
+        &self,
+        kind: Kind,
+        out: &ChunkChannel<S>,
+        local: &L,
+    ) -> bool {
+        match kind {
+            // Our own partial must be ready to combine, and (unless we are
+            // the last position) the combined chunk must have somewhere to
+            // go.
+            Kind::Partial => {
+                let (off, len) = self.at(self.combined);
+                local.ready(self.flow, off, len) && (self.pos == self.m - 1 || out.can_send())
+            }
+            Kind::Full => self.pos == self.m - 2 || out.can_send(),
+        }
+    }
+
+    fn accept<S: SlotStore, L: Local + ?Sized>(
+        &mut self,
+        kind: Kind,
+        k: usize,
+        bytes: &[u8],
+        out: &ChunkChannel<S>,
+        local: &mut L,
+        pack: &impl Fn(usize, Kind, usize) -> u64,
+    ) {
+        let (c, (off, len)) = (self.flow, self.at(k));
+        debug_assert_eq!(len, bytes.len());
+        let last = self.pos == self.m - 1;
+        match kind {
+            Kind::Partial => {
+                debug_assert!(self.pos > 0, "position 0 receives no partials");
+                debug_assert_eq!(k, self.combined, "partials must arrive in order");
+                if last {
+                    // Last hop: accumulate the incoming chunk into the
+                    // local partial in place — it *is* the result.
+                    local.write(c, off, len, |acc| kernels::add_bytes_assign(acc, bytes));
                     local.landed(c, off, len);
-                    if forwards {
-                        let mut snd = out.reserve(len);
-                        rs.with_bytes(|bytes| snd.with_bytes_mut(|dst| dst.copy_from_slice(bytes)));
-                        snd.publish(pack_tag(c, KIND_FULL, k));
-                    }
-                    f.fulls_in += 1;
+                } else {
+                    // Fused combine: local partial + incoming chunk summed
+                    // by the lane kernel straight into the reserved
+                    // outgoing slot. Zero staging copies.
+                    let mut snd = out.reserve(len);
+                    local.read(c, off, len, |mine| {
+                        snd.with_bytes_mut(|dst| kernels::add_bytes_into(dst, mine, bytes))
+                    });
+                    snd.publish(pack(c, Kind::Partial, k));
                 }
-                expect[di] -= 1;
-                progressed = true;
+                self.combined += 1;
             }
-        }
-
-        // Forwards happen in the same step as the consume that feeds them,
-        // so nothing is owed once every expected chunk is in and every
-        // originated one is out.
-        let sent_all = |f: &Flow| !originates(f.pos) || f.sent == f.kt;
-        if expect == [0, 0] && flows.iter().all(sent_all) {
-            break;
-        }
-        if !progressed {
-            spin();
+            Kind::Full => {
+                debug_assert!(!last, "the originator never receives fulls");
+                debug_assert_eq!(k, self.fulls_in, "fulls must arrive in order");
+                // Our earlier consumption of partial chunk k (or, at
+                // position 0, its injection) ordered every other reader
+                // before this overwrite.
+                local.write(c, off, len, |dst| dst.copy_from_slice(bytes));
+                local.landed(c, off, len);
+                if self.pos != self.m - 2 {
+                    let mut snd = out.reserve(len);
+                    snd.with_bytes_mut(|dst| dst.copy_from_slice(bytes));
+                    snd.publish(pack(c, Kind::Full, k));
+                }
+                self.fulls_in += 1;
+            }
         }
     }
 }
@@ -294,9 +360,11 @@ enum Gate {
     After(usize),
 }
 
-/// One outbound chunk of a ring plan.
+/// One outbound chunk of a ring plan: chunk `k` of segment `seg`.
 struct SendItem {
-    tag: u64,
+    seg: usize,
+    kind: Kind,
+    k: usize,
     off: usize,
     len: usize,
     gate: Gate,
@@ -304,19 +372,21 @@ struct SendItem {
 
 /// One expected inbound chunk, in arrival order.
 struct RecvItem {
-    tag: u64,
+    k: usize,
     off: usize,
     len: usize,
-    /// Sum into the local range (after it is [`Local::ready`]) rather than
-    /// overwrite it.
+    /// A partial: sum it into the local range (after that is
+    /// [`Local::ready`]) rather than overwrite it.
     combine: bool,
     /// The range holds its final value afterwards.
     lands: bool,
 }
 
-/// One node's ordered schedule on the `Plus` ring: what it sends, in order,
-/// and what it receives, in order. Built without touching a link, so the
-/// chunk count of a collective is known before (and checked after) it runs.
+/// The ordered schedule of one ring position: what it sends, in order, and
+/// what it receives, in order. Built without touching a link, so the chunk
+/// count of a collective is known before (and checked after) it runs; built
+/// over positions, so either ring direction runs the same plan (on the
+/// `Plus` ring a node's position is its id).
 pub struct RingPlan {
     sends: Vec<SendItem>,
     recvs: Vec<RecvItem>,
@@ -333,33 +403,35 @@ impl RingPlan {
         }
     }
 
-    /// Chunks this node sends.
+    /// Chunks this position sends.
     pub fn n_sends(&self) -> usize {
         self.sends.len()
     }
 
-    /// Append one `m-1`-step ring stage, after which (`KIND_PARTIAL`,
-    /// reduce-scatter) or before which (`KIND_FULL`, allgather) this node
-    /// holds the finished segment `own`. `seg(w)` is segment `w` as `(byte
-    /// offset, byte length, first chunk index)`; its chunks are tagged
-    /// `(w, kind, first + j)`. A chunk is sent once the most recent receive
+    /// Append one `m-1`-step ring stage, after which ([`Kind::Partial`],
+    /// reduce-scatter) or before which ([`Kind::Full`], allgather) this
+    /// position holds the finished segment `own`. `seg(w)` is segment `w`
+    /// as `(byte offset, byte length, first chunk index)`; its chunks are
+    /// numbered `first + j`. A chunk is sent once the most recent receive
     /// of the same chunk — in this stage or an earlier one — has been
     /// consumed, or, if it was never received, once it is locally ready.
     fn stage(
         mut self,
         own: usize,
-        kind: u64,
+        kind: Kind,
         seg: impl Fn(usize) -> (usize, usize, usize),
         chunk: usize,
     ) -> Self {
         let m = self.fed.len();
-        let ag = (kind == KIND_FULL) as usize;
+        let ag = (kind == Kind::Full) as usize;
         for s in 1..m {
             let w = (own + ag + m - s) % m;
             let (lo, bytes, k0) = seg(w);
             for (j, off, len) in chunks_of(bytes, chunk) {
                 self.sends.push(SendItem {
-                    tag: pack_tag(w, kind, k0 + j),
+                    seg: w,
+                    kind,
+                    k: k0 + j,
                     off: lo + off,
                     len,
                     gate: self.fed[w].map_or(Gate::Local, |base| Gate::After(base + j)),
@@ -370,7 +442,7 @@ impl RingPlan {
             self.fed[w] = Some(self.recvs.len());
             for (j, off, len) in chunks_of(bytes, chunk) {
                 self.recvs.push(RecvItem {
-                    tag: pack_tag(w, kind, k0 + j),
+                    k: k0 + j,
                     off: lo + off,
                     len,
                     combine: ag == 0,
@@ -382,9 +454,9 @@ impl RingPlan {
     }
 }
 
-/// Node `v`'s plan for the node-aware allreduce of `bytes` bytes: a ring
-/// reduce-scatter then a ring allgather over the global chunk grid, node
-/// `w` owning chunk segment `[w*kt/m, (w+1)*kt/m)`.
+/// Position `v`'s plan for the node-aware allreduce of `bytes` bytes: a
+/// ring reduce-scatter then a ring allgather over the global chunk grid,
+/// position `w` owning chunk segment `[w*kt/m, (w+1)*kt/m)`.
 pub fn plan_allreduce(m: usize, v: usize, bytes: usize, chunk: usize) -> RingPlan {
     let kt = bytes.div_ceil(chunk);
     let seg = |w: usize| {
@@ -392,80 +464,203 @@ pub fn plan_allreduce(m: usize, v: usize, bytes: usize, chunk: usize) -> RingPla
         (klo * chunk, bytes.min(khi * chunk) - klo * chunk, klo)
     };
     RingPlan::new(m)
-        .stage((v + 1) % m, KIND_PARTIAL, seg, chunk)
-        .stage((v + 1) % m, KIND_FULL, seg, chunk)
+        .stage((v + 1) % m, Kind::Partial, seg, chunk)
+        .stage((v + 1) % m, Kind::Full, seg, chunk)
 }
 
-/// Node `v`'s plan for a ring reduce-scatter that leaves each node its
-/// *own* segment: `segs[w]` is node `w`'s `(byte offset, byte length)`.
+/// Position `v`'s plan for a ring reduce-scatter that leaves each position
+/// its *own* segment: `segs[w]` is position `w`'s `(byte offset, byte
+/// length)`.
 pub fn plan_reduce_scatter(v: usize, segs: &[(usize, usize)], chunk: usize) -> RingPlan {
     let seg = |w: usize| (segs[w].0, segs[w].1, 0);
-    RingPlan::new(segs.len()).stage(v, KIND_PARTIAL, seg, chunk)
+    RingPlan::new(segs.len()).stage(v, Kind::Partial, seg, chunk)
 }
 
-/// Node `v`'s plan for a ring allgather of one `block`-byte block per node,
-/// node `w`'s at byte offset `w * block`.
+/// Position `v`'s plan for a ring allgather of one `block`-byte block per
+/// position, position `w`'s at byte offset `w * block`.
 pub fn plan_allgather(m: usize, v: usize, block: usize, chunk: usize) -> RingPlan {
-    RingPlan::new(m).stage(v, KIND_FULL, |w| (w * block, block, 0), chunk)
+    RingPlan::new(m).stage(v, Kind::Full, |w| (w * block, block, 0), chunk)
+}
+
+/// Where one position stands in its [`RingPlan`], against flow 0 of the
+/// [`Local`]: sends go out in plan order as their gates open, receives are
+/// consumed in plan order. The packer's `flow` is the chunk's segment.
+pub struct PlanCursor<P: Borrow<RingPlan>> {
+    plan: P,
+    si: usize,
+    ri: usize,
+}
+
+impl<P: Borrow<RingPlan>> PlanCursor<P> {
+    /// A cursor at the start of `plan`.
+    pub fn new(plan: P) -> Self {
+        PlanCursor { plan, si: 0, ri: 0 }
+    }
+}
+
+impl<P: Borrow<RingPlan>> Stepper for PlanCursor<P> {
+    fn recvs_left(&self) -> usize {
+        self.plan.borrow().recvs.len() - self.ri
+    }
+
+    fn finished(&self) -> bool {
+        self.recvs_left() == 0 && self.si == self.plan.borrow().sends.len()
+    }
+
+    fn pump<S: SlotStore, L: Local + ?Sized>(
+        &mut self,
+        out: &ChunkChannel<S>,
+        local: &mut L,
+        pack: &impl Fn(usize, Kind, usize) -> u64,
+    ) -> bool {
+        let first = self.si;
+        while let Some(it) = self.plan.borrow().sends.get(self.si) {
+            let open = match it.gate {
+                Gate::Local => local.ready(0, it.off, it.len),
+                Gate::After(i) => self.ri > i,
+            };
+            if !open || !out.can_send() {
+                break;
+            }
+            let ok = out.try_send_with(pack(it.seg, it.kind, it.k), it.len, |dst| {
+                local.read(0, it.off, it.len, |src| dst.copy_from_slice(src))
+            });
+            debug_assert!(ok, "can_send held and we are the sole producer");
+            self.si += 1;
+        }
+        self.si > first
+    }
+
+    /// A planned receive needs no link room: it lands in the operand, and
+    /// what it feeds goes out through [`pump`](Self::pump).
+    fn can_accept<S: SlotStore, L: Local + ?Sized>(
+        &self,
+        _: Kind,
+        _: &ChunkChannel<S>,
+        local: &L,
+    ) -> bool {
+        let it = &self.plan.borrow().recvs[self.ri];
+        !it.combine || local.ready(0, it.off, it.len)
+    }
+
+    fn accept<S: SlotStore, L: Local + ?Sized>(
+        &mut self,
+        kind: Kind,
+        k: usize,
+        bytes: &[u8],
+        _: &ChunkChannel<S>,
+        local: &mut L,
+        _: &impl Fn(usize, Kind, usize) -> u64,
+    ) {
+        let it = &self.plan.borrow().recvs[self.ri];
+        let expected = if it.combine {
+            Kind::Partial
+        } else {
+            Kind::Full
+        };
+        debug_assert_eq!((kind, k), (expected, it.k), "chunks arrive in plan order");
+        local.write(0, it.off, it.len, |acc| {
+            if it.combine {
+                kernels::add_bytes_assign(acc, bytes)
+            } else {
+                acc.copy_from_slice(bytes)
+            }
+        });
+        if it.lands {
+            local.landed(0, it.off, it.len);
+        }
+        self.ri += 1;
+    }
+}
+
+const DIRS: [RingDir; 2] = [RingDir::Plus, RingDir::Minus];
+
+/// The blocking progress loop (`m ≥ 2`): spin node `v`'s `flows` — each
+/// with the index into [`DIRS`] of the ring it rides — to completion over
+/// links this collective owns, tagged with [`pack_tag`]. `route` maps an
+/// incoming tag's colour field to the flow it is for.
+fn drive<S: SlotStore, L: Local + ?Sized, F: Stepper>(
+    fabric: &Fabric<S>,
+    v: usize,
+    flows: &mut [(usize, F)],
+    local: &mut L,
+    route: impl Fn(usize) -> usize,
+) {
+    let links = DIRS.map(|dir| (fabric.ring_recv(v, dir), fabric.ring_send(v, dir)));
+    let pack = |c: usize, kind: Kind, k: usize| pack_tag(c, kind as u64, k);
+    // There is no cluster-wide barrier between collectives, so the drain
+    // below stops at what this one expects on each incoming direction (see
+    // `Stepper::recvs_left`): a later collective's tag is in a different
+    // colour space entirely and must be left for its own call.
+    let mut expect = [0usize; 2];
+    for (di, f) in flows.iter() {
+        expect[*di] += f.recvs_left();
+    }
+    loop {
+        let mut progressed = false;
+        for (di, f) in flows.iter_mut() {
+            progressed |= f.pump(links[*di].1, local, &pack);
+        }
+        for (di, &(in_ch, out)) in links.iter().enumerate() {
+            while expect[di] > 0 {
+                let Some(tag) = in_ch.peek_tag() else { break };
+                let (c, kind, k) = unpack_tag(tag);
+                let kind = if kind == KIND_PARTIAL {
+                    Kind::Partial
+                } else {
+                    Kind::Full
+                };
+                let (fdi, f) = &mut flows[route(c)];
+                debug_assert_eq!(*fdi, di, "flow routed on the wrong ring direction");
+                if !f.can_accept(kind, out, local) {
+                    break;
+                }
+                // The slot stays on loan while the stepper lands it and
+                // feeds what it forwards.
+                let rs = in_ch.peek();
+                rs.with_bytes(|bytes| f.accept(kind, k, bytes, out, local, &pack));
+                expect[di] -= 1;
+                progressed = true;
+            }
+        }
+        if flows.iter().all(|(_, f)| f.finished()) {
+            break;
+        }
+        if !progressed {
+            spin();
+        }
+    }
+}
+
+/// The flat ring allreduce (`m ≥ 2`): every colour's [`RingFlow`] advanced
+/// concurrently, never blocking on a single one. Colour `c` is flow `c` of
+/// `local`, `spans`' `c`-th item in bytes; even colours ride the `Plus`
+/// ring, odd ones `Minus`.
+pub fn flat_ring<S: SlotStore, L: Local + ?Sized>(
+    fabric: &Fabric<S>,
+    v: usize,
+    spans: impl IntoIterator<Item = usize>,
+    local: &mut L,
+) {
+    let (m, chunk) = (fabric.n_nodes(), fabric.chunk_bytes());
+    let mut flows: Vec<_> = spans
+        .into_iter()
+        .enumerate()
+        .map(|(c, span)| {
+            let pos = fabric.ring_pos(v, DIRS[c % 2]);
+            (c % 2, RingFlow::new(c, pos, m, span, chunk))
+        })
+        .collect();
+    drive(fabric, v, &mut flows, local, |c| c);
 }
 
 /// Step node `v`'s `plan` over the `Plus` ring (`m ≥ 2`) against flow 0 of
-/// `local`: sends go out in plan order as their gates open and the link has
-/// room, receives are consumed in plan order — never more than the plan
-/// lists, so a chunk of the next collective queued behind ours stays put.
+/// `local`, to completion.
 pub fn run_plan<S: SlotStore, L: Local + ?Sized>(
     fabric: &Fabric<S>,
     v: usize,
     plan: &RingPlan,
     local: &mut L,
 ) {
-    let out = fabric.ring_send(v, RingDir::Plus);
-    let in_ch = fabric.ring_recv(v, RingDir::Plus);
-    let (mut si, mut ri) = (0usize, 0usize);
-    while si < plan.sends.len() || ri < plan.recvs.len() {
-        let mut progressed = false;
-
-        while let Some(it) = plan.sends.get(si) {
-            let open = match it.gate {
-                Gate::Local => local.ready(0, it.off, it.len),
-                Gate::After(i) => ri > i,
-            };
-            if !open || !out.can_send() {
-                break;
-            }
-            let ok = out.try_send_with(it.tag, it.len, |dst| {
-                local.read(0, it.off, it.len, |src| dst.copy_from_slice(src))
-            });
-            debug_assert!(ok, "can_send held and we are the sole producer");
-            si += 1;
-            progressed = true;
-        }
-
-        while let Some(it) = plan.recvs.get(ri) {
-            let Some(tag) = in_ch.peek_tag() else { break };
-            debug_assert_eq!(tag, it.tag, "chunks arrive in plan order");
-            if it.combine && !local.ready(0, it.off, it.len) {
-                break;
-            }
-            let rs = in_ch.peek();
-            rs.with_bytes(|inb| {
-                local.write(0, it.off, it.len, |acc| {
-                    if it.combine {
-                        kernels::add_bytes_assign(acc, inb)
-                    } else {
-                        acc.copy_from_slice(inb)
-                    }
-                })
-            });
-            if it.lands {
-                local.landed(0, it.off, it.len);
-            }
-            ri += 1;
-            progressed = true;
-        }
-
-        if !progressed {
-            spin();
-        }
-    }
+    drive(fabric, v, &mut [(0, PlanCursor::new(plan))], local, |_| 0);
 }

@@ -498,3 +498,80 @@ fn mutation_chunk_publish_relaxed_breaks_both_ring_engines() {
         assert_eq!(failure.kind, FailureKind::Race, "{failure}");
     }
 }
+
+// ---------------------------------------------------------------------------
+// The steppers as the nonblocking engine of `bgp-sched` uses them: several
+// flows share one link pair, told apart by an op prefix in the tag, and the
+// caller's loop — not `wire::flat_ring`'s — peeks a tag, routes it, offers
+// the chunk and pumps every flow.
+
+use bgp_smp::transport::RingDir;
+use bgp_smp::wire::{Kind, RingFlow, Stepper};
+
+/// Two `RingFlow`s on the `Plus` ring, one over each half of the operand,
+/// tagged `op:32 | kind:8 | k:24` with ops 7 and 8.
+fn multiplexed_node(fabric: &Fabric, v: usize, data: &mut [u8]) {
+    const OPS: [u64; 2] = [7, 8];
+    let tagger =
+        |op: u64| move |_, kind: Kind, k: usize| (op << 32) | ((kind as u64) << 24) | k as u64;
+    let (in_ch, out) = (
+        fabric.ring_recv(v, RingDir::Plus),
+        fabric.ring_send(v, RingDir::Plus),
+    );
+    let half = data.len() / 2;
+    let (a, b) = data.split_at_mut(half);
+    let flow = || RingFlow::new(0, v, 2, half, fabric.chunk_bytes());
+    let mut ops = [(flow(), a), (flow(), b)];
+    while !ops.iter().all(|(f, _)| f.finished()) {
+        let mut progressed = false;
+        while let Some(tag) = in_ch.peek_tag() {
+            let i = OPS
+                .iter()
+                .position(|&op| op == tag >> 32)
+                .expect("a chunk of one of the two ops");
+            let kind = [Kind::Partial, Kind::Full][(tag >> 24) as usize & 1];
+            let (f, local) = &mut ops[i];
+            if !f.can_accept(kind, out, &**local) {
+                break;
+            }
+            let k = (tag & 0xFF_FFFF) as usize;
+            in_ch
+                .recv_with(|_, bytes| f.accept(kind, k, bytes, out, &mut **local, &tagger(OPS[i])));
+            progressed = true;
+        }
+        for (i, (f, local)) in ops.iter_mut().enumerate() {
+            progressed |= f.pump(out, &mut **local, &tagger(OPS[i]));
+        }
+        if !progressed {
+            bgp_shmem::spin();
+        }
+    }
+}
+
+/// Both multiplexed flows terminate with the sum on both nodes, one and two
+/// chunks each (two fill the shared two-slot link).
+#[test]
+fn multiplexed_ring_flows_terminate_with_the_sum_on_both_nodes() {
+    for chunks in 1..=2 {
+        model_with(Config::dfs(3_000), move || {
+            two_node_scenario(2 * chunks, multiplexed_node)
+        });
+        let seed = 0xB7_0000 + chunks as u64;
+        model_with(Config::random(seed, 2_000), move || {
+            two_node_scenario(2 * chunks, multiplexed_node)
+        });
+    }
+}
+
+/// The weakened slot publish is still caught when the steppers run under
+/// somebody else's loop.
+#[test]
+fn mutation_chunk_publish_relaxed_breaks_multiplexed_flows() {
+    let report = explore(Config::dfs(20_000).mutate("chunk_publish_relaxed"), || {
+        two_node_scenario(2, multiplexed_node)
+    });
+    let failure = report
+        .failure
+        .unwrap_or_else(|| panic!("seeded bug `chunk_publish_relaxed` was NOT caught"));
+    assert_eq!(failure.kind, FailureKind::Race, "{failure}");
+}

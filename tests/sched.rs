@@ -11,9 +11,13 @@ use bgp_collectives::smp::collectives::write_f64s;
 use bgp_collectives::smp::Cluster;
 
 /// The op mix both runs execute: three broadcasts (alternating root nodes,
-/// multi-chunk and sub-chunk sizes) and two allreduces.
+/// multi-chunk and sub-chunk sizes), two allreduces, two allgathers (block
+/// bytes) and two reduce-scatters (the second with fewer elements than some
+/// shapes have ranks, so spans go empty).
 const BCASTS: [(usize, usize); 3] = [(0, 40_000), (1, 9_000), (1, 33_000)];
 const REDUCES: [usize; 2] = [5_000, 700];
+const GATHERS: [usize; 2] = [9_000, 100];
+const SCATTERS: [usize; 2] = [6_000, 5];
 
 fn bcast_payload(op: usize, len: usize) -> Vec<u8> {
     (0..len)
@@ -27,6 +31,19 @@ fn reduce_input(op: usize, global_rank: usize, count: usize) -> Vec<f64> {
         .collect()
 }
 
+fn region(bytes: &[u8]) -> Arc<SharedRegion> {
+    let r = Arc::new(SharedRegion::new(bytes.len().max(1)));
+    // SAFETY: fresh region, not yet shared.
+    unsafe { r.write(0, bytes) };
+    r
+}
+
+fn f64_region(vals: &[f64]) -> Arc<SharedRegion> {
+    let r = Arc::new(SharedRegion::new(vals.len() * 8));
+    write_f64s(&r, 0, vals);
+    r
+}
+
 fn read_bytes(r: &Arc<SharedRegion>, len: usize) -> Vec<u8> {
     let mut v = vec![0u8; len];
     // SAFETY: read only after the op (blocking call or request) completed.
@@ -37,41 +54,91 @@ fn read_bytes(r: &Arc<SharedRegion>, len: usize) -> Vec<u8> {
 /// Per rank: the bytes every operation delivered, in op order.
 type RankResults = Vec<Vec<u8>>;
 
-fn run_nonblocking() -> Vec<Vec<RankResults>> {
-    let cluster = Cluster::new(2, 4);
-    cluster.run(|cctx| {
-        let group = [0, 1, 2, 3];
+/// One op of the mix, with this rank's operands.
+enum Op {
+    Bcast {
+        root_node: usize,
+        buf: Arc<SharedRegion>,
+        len: usize,
+    },
+    Allreduce(Arc<SharedRegion>, usize),
+    Allgather(Arc<SharedRegion>, usize),
+    ReduceScatter(Arc<SharedRegion>, usize),
+}
+
+/// The mix with the operands of rank `rank` on node `node` (`n` ranks per
+/// node); broadcast roots are rank 0 of their node.
+fn mix(node: usize, rank: usize, n: usize) -> Vec<Op> {
+    let gr = node * n + rank;
+    let mut ops = Vec::new();
+    for (op, &(root_node, len)) in BCASTS.iter().enumerate() {
+        let buf = if (node, rank) == (root_node, 0) {
+            region(&bcast_payload(op, len))
+        } else {
+            Arc::new(SharedRegion::new(len))
+        };
+        ops.push(Op::Bcast {
+            root_node,
+            buf,
+            len,
+        });
+    }
+    for &count in &REDUCES {
+        let input = f64_region(&reduce_input(ops.len(), gr, count));
+        ops.push(Op::Allreduce(input, count));
+    }
+    for &len in &GATHERS {
+        ops.push(Op::Allgather(
+            region(&bcast_payload(ops.len() + gr, len)),
+            len,
+        ));
+    }
+    for &count in &SCATTERS {
+        let input = f64_region(&reduce_input(ops.len(), gr, count));
+        ops.push(Op::ReduceScatter(input, count));
+    }
+    ops
+}
+
+fn run_nonblocking(m: usize, n: usize) -> Vec<Vec<RankResults>> {
+    let cluster = Cluster::new(m, n);
+    cluster.run(move |cctx| {
+        let group: Vec<usize> = (0..n).collect();
+        let world = m * n;
         let mut sched = Sched::new(cctx);
         let mut reqs = Vec::new();
         let mut bufs: Vec<(Arc<SharedRegion>, usize)> = Vec::new();
-        // Post everything up front: five operations in flight at once.
-        for (op, (root_node, len)) in BCASTS.iter().enumerate() {
-            let buf = Arc::new(SharedRegion::new(*len));
-            if cctx.node() == *root_node && cctx.rank() == 0 {
-                // SAFETY: fresh region, not yet shared.
-                unsafe { buf.write(0, &bcast_payload(op, *len)) };
-            }
-            reqs.push(
-                sched
-                    .ibcast(&group, *root_node, 0, Some(&buf), *len)
-                    .unwrap(),
-            );
-            bufs.push((buf, *len));
-        }
-        for (i, count) in REDUCES.iter().enumerate() {
-            let input = Arc::new(SharedRegion::new(count * 8));
-            write_f64s(
-                &input,
-                0,
-                &reduce_input(BCASTS.len() + i, cctx.global_rank(), *count),
-            );
-            let output = Arc::new(SharedRegion::new(count * 8));
-            reqs.push(
-                sched
-                    .iallreduce(&group, Some(&input), Some(&output), *count)
-                    .unwrap(),
-            );
-            bufs.push((output, count * 8));
+        // Post everything up front: nine operations in flight at once.
+        for op in mix(cctx.node(), cctx.rank(), n) {
+            let (req, out, bytes) = match op {
+                Op::Bcast {
+                    root_node,
+                    buf,
+                    len,
+                } => (
+                    sched.ibcast(&group, root_node, 0, Some(&buf), len),
+                    buf,
+                    len,
+                ),
+                Op::Allreduce(input, count) => {
+                    let out = Arc::new(SharedRegion::new(count * 8));
+                    let req = sched.iallreduce(&group, Some(&input), Some(&out), count);
+                    (req, out, count * 8)
+                }
+                Op::Allgather(input, len) => {
+                    let out = Arc::new(SharedRegion::new(world * len));
+                    let req = sched.iallgather(&group, Some(&input), Some(&out), len);
+                    (req, out, world * len)
+                }
+                Op::ReduceScatter(input, count) => {
+                    let (lo, hi) = cctx.scatter_span(count);
+                    let out = Arc::new(SharedRegion::new(((hi - lo) * 8).max(1)));
+                    let req = sched.ireduce_scatter(&group, Some(&input), Some(&out), count);
+                    (req, out, (hi - lo) * 8)
+                }
+            };
+            reqs.push(req.unwrap());
+            bufs.push((out, bytes));
         }
         assert!(reqs.len() >= 4, "acceptance requires >= 4 concurrent ops");
         sched.wait_all(&reqs);
@@ -79,49 +146,61 @@ fn run_nonblocking() -> Vec<Vec<RankResults>> {
     })
 }
 
-fn run_blocking() -> Vec<Vec<RankResults>> {
-    let cluster = Cluster::new(2, 4);
-    cluster.run(|cctx| {
+fn run_blocking(m: usize, n: usize) -> Vec<Vec<RankResults>> {
+    let cluster = Cluster::new(m, n);
+    cluster.run(move |cctx| {
+        let world = m * n;
         let mut out: RankResults = Vec::new();
-        for (op, (root_node, len)) in BCASTS.iter().enumerate() {
-            let buf = Arc::new(SharedRegion::new(*len));
-            if cctx.node() == *root_node && cctx.rank() == 0 {
-                // SAFETY: fresh region, not yet shared.
-                unsafe { buf.write(0, &bcast_payload(op, *len)) };
-            }
-            cctx.bcast(*root_node, &buf, *len);
-            out.push(read_bytes(&buf, *len));
-        }
-        for (i, count) in REDUCES.iter().enumerate() {
-            let input = Arc::new(SharedRegion::new(count * 8));
-            write_f64s(
-                &input,
-                0,
-                &reduce_input(BCASTS.len() + i, cctx.global_rank(), *count),
-            );
-            let output = Arc::new(SharedRegion::new(count * 8));
-            cctx.allreduce_f64(&input, &output, *count);
-            out.push(read_bytes(&output, count * 8));
+        for op in mix(cctx.node(), cctx.rank(), n) {
+            out.push(match op {
+                Op::Bcast {
+                    root_node,
+                    buf,
+                    len,
+                } => {
+                    cctx.bcast(root_node, &buf, len);
+                    read_bytes(&buf, len)
+                }
+                Op::Allreduce(input, count) => {
+                    let output = Arc::new(SharedRegion::new(count * 8));
+                    cctx.allreduce_f64(&input, &output, count);
+                    read_bytes(&output, count * 8)
+                }
+                Op::Allgather(input, len) => {
+                    let output = Arc::new(SharedRegion::new(world * len));
+                    cctx.allgather(&input, &output, len);
+                    read_bytes(&output, world * len)
+                }
+                Op::ReduceScatter(input, count) => {
+                    let (lo, hi) = cctx.scatter_span(count);
+                    let output = Arc::new(SharedRegion::new(((hi - lo) * 8).max(1)));
+                    cctx.reduce_scatter_f64(&input, &output, count);
+                    read_bytes(&output, (hi - lo) * 8)
+                }
+            });
         }
         out
     })
 }
 
-/// Five nonblocking operations in flight at once deliver exactly what the
-/// blocking collectives deliver one at a time.
+/// Nine nonblocking operations in flight at once deliver exactly what the
+/// blocking collectives deliver one at a time — on two nodes, and on three
+/// and four, where rings have middle positions and trees interior nodes.
 #[test]
 fn concurrent_nonblocking_matches_sequential_blocking() {
-    let nb = run_nonblocking();
-    let bl = run_blocking();
-    assert_eq!(nb.len(), bl.len());
-    for (node, (nb_node, bl_node)) in nb.iter().zip(&bl).enumerate() {
-        for (rank, (nb_rank, bl_rank)) in nb_node.iter().zip(bl_node).enumerate() {
-            assert_eq!(nb_rank.len(), bl_rank.len());
-            for (op, (a, b)) in nb_rank.iter().zip(bl_rank).enumerate() {
-                assert_eq!(
-                    a, b,
-                    "node {node} rank {rank} op {op}: nonblocking result diverged"
-                );
+    for (m, n) in [(2, 4), (3, 2), (4, 1)] {
+        let nb = run_nonblocking(m, n);
+        let bl = run_blocking(m, n);
+        assert_eq!(nb.len(), bl.len());
+        for (node, (nb_node, bl_node)) in nb.iter().zip(&bl).enumerate() {
+            for (rank, (nb_rank, bl_rank)) in nb_node.iter().zip(bl_node).enumerate() {
+                assert_eq!(nb_rank.len(), bl_rank.len());
+                for (op, (a, b)) in nb_rank.iter().zip(bl_rank).enumerate() {
+                    assert_eq!(
+                        a, b,
+                        "{m} x {n}, node {node} rank {rank} op {op}: nonblocking result diverged"
+                    );
+                }
             }
         }
     }
