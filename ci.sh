@@ -2,8 +2,9 @@
 # CI gate: formatting, lints, the tier-1 verify (release build + tests),
 # every crate's unit tests, the bgp-check model-checking suites, a smoke run
 # of a figure binary checking that its JSON report and its --trace probe
-# artifacts parse, and the performance-regression gate (bench_gate) against
-# the committed baseline.
+# artifacts parse, the performance-regression gate (bench_gate) against
+# the committed baseline, and the two committed simulator artifacts
+# (experiments_paper_scale.txt, tuning/default.json) reproducing exactly.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -126,6 +127,15 @@ python3 -m json.tool BENCH_ci.json >/dev/null
 
 echo "== perf gate self-test: injected 20% slowdown is flagged"
 cargo run --release -p bgp-bench --bin bench_gate -- --small --selftest
+
+# The committed simulator artifacts: the simulator is deterministic, so the
+# paper-scale transcript and the tuning table reproduce byte for byte. A
+# cost-model or executor change that moves a number must regenerate them
+# in the same change (and say so), not leave them stale.
+echo "== transcript: all_experiments reproduces experiments_paper_scale.txt"
+cargo run --release -p bgp-bench --bin all_experiments | diff - experiments_paper_scale.txt
+echo "== tuning table: tune_table --check vs tuning/default.json"
+cargo run --release -p bgp-tune --bin tune_table -- --check
 
 # The reporting subsystem: unit + golden-file tests (byte-stable SVG
 # writer, typed ingestion errors per schema), then a full report build

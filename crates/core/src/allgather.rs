@@ -19,13 +19,11 @@
 //! Representative-node simulation, like the allreduce (the collective is
 //! node-symmetric).
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use bgp_ccmi::chunking::{chunk_sizes, color_shares};
-use bgp_dcmf::{ops, Machine, Sim};
-use bgp_machine::geometry::{Axis, Direction, NodeId, Sign};
+use bgp_ccmi::ring::{ring_fill, run_ring_pipeline, Stage};
+use bgp_dcmf::{ops, Machine};
 use bgp_sim::SimTime;
+
+use crate::ring_stages::{transit_pass, Fanout, NODE};
 
 /// Allgather algorithm variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,134 +45,43 @@ impl AllgatherAlgorithm {
     }
 }
 
-const COLORS: usize = 3;
-
-fn color_dir(c: usize) -> Direction {
-    Direction {
-        axis: Axis::ALL[c],
-        sign: Sign::Plus,
-    }
-}
-
-/// Ring fill: one pass around the dimension-ordered rings.
-fn ring_fill(m: &Machine, stages: u64) -> SimTime {
-    let per_hop = m.cfg.torus.hop_latency(1) + SimTime::from_nanos(m.cfg.tree.core_packet_ns);
-    per_hop * stages
-}
-
 /// Simulate `MPI_Allgather` with `block_bytes` contributed per rank.
 /// Returns completion time; total moved data is `ranks × block_bytes` per
 /// rank's receive buffer.
 pub fn run_allgather(m: &mut Machine, alg: AllgatherAlgorithm, block_bytes: u64) -> SimTime {
     let t0 = m.cfg.sw.mpi_overhead();
-    let node = NodeId(0);
     let ranks = u64::from(m.cfg.ranks_per_node());
     let nodes = u64::from(m.cfg.node_count());
     // Bytes that stream *through* each node over the ring: every other
     // node's node-block (ranks × block each).
     let through = (nodes - 1).max(1) * ranks * block_bytes;
     let ws = 2 * through.min(64 << 20);
-    let pwidth = m.cfg.sw.pwidth as u64;
-    let st = Rc::new(RefCell::new(SimTime::ZERO));
 
     // Local gather of the node's own block (small, one-time): the three
     // peers' blocks reach the master.
     let gather_done = match alg {
         AllgatherAlgorithm::ShaddrSpecialized => {
             // Master core copies each peer block through windows.
-            let mut t = t0;
-            for _ in 1..ranks {
-                t = ops::core_copy(m, t, node, 0, block_bytes, ws, true);
-            }
-            t
+            (1..ranks).fold(t0, |t, _| {
+                ops::core_copy(m, t, NODE, 0, block_bytes, ws, true)
+            })
         }
         AllgatherAlgorithm::RingCurrent => {
-            let posted = ops::descriptor_post(m, t0, node, 0);
-            ops::dma_local_distribute(m, posted, node, block_bytes, (ranks - 1) as u32, ws)
+            let posted = ops::descriptor_post(m, t0, NODE, 0);
+            ops::dma_local_distribute(m, posted, NODE, block_bytes, (ranks - 1) as u32, ws)
         }
     };
 
-    let mut eng: Sim = Sim::new();
-    let shares = color_shares(through, COLORS);
-    for (c, &share) in shares.iter().enumerate() {
-        let chunks = chunk_sizes(share, pwidth);
-        if chunks.is_empty() {
-            continue;
-        }
-        let st2 = st.clone();
-        eng.schedule_at(gather_done, move |m, eng| {
-            step(m, eng, &st2, alg, c, chunks, 0, node, ranks, ws);
-        });
-    }
-    eng.run(m);
-    let done = (*st.borrow()).max(gather_done);
-    done + ring_fill(m, u64::from(m.cfg.dims.x + m.cfg.dims.y + m.cfg.dims.z))
-}
-
-/// One ring chunk through the representative node.
-#[allow(clippy::too_many_arguments)]
-fn step(
-    m: &mut Machine,
-    eng: &mut Sim,
-    st: &Rc<RefCell<SimTime>>,
-    alg: AllgatherAlgorithm,
-    c: usize,
-    chunks: Vec<u64>,
-    k: usize,
-    node: NodeId,
-    ranks: u64,
-    ws: u64,
-) {
-    let now = eng.now();
-    let bytes = chunks[k];
-    // Ring: single pass — receive the chunk, forward it on.
-    let link = m.link(node, color_dir(c));
-    let link_done = m.pool.reserve(link, now, m.link_time(bytes));
-    // DMA: reception + forwarding injection.
-    let (dma_units, distribute_by_dma) = match alg {
-        AllgatherAlgorithm::ShaddrSpecialized => (2 * bytes, false),
-        // Current: + three local copies per byte to reach the peers.
-        AllgatherAlgorithm::RingCurrent => (
-            2 * bytes + m.cfg.dma.local_copy_traffic((ranks - 1) * bytes),
-            true,
-        ),
+    // Every incoming chunk must reach all four ranks: three direct copies
+    // of the chunk (new) or three DMA local copies per byte (current).
+    let pass: Stage = &|m, now, c, b| {
+        let fanout = match alg {
+            AllgatherAlgorithm::ShaddrSpecialized => Fanout::Windows(b),
+            AllgatherAlgorithm::RingCurrent => Fanout::Dma((ranks - 1) * b),
+        };
+        transit_pass(m, now, c, b, fanout, ws)
     };
-    let dma_t = m.dma_time(dma_units);
-    let mem_units = match alg {
-        AllgatherAlgorithm::ShaddrSpecialized => 2 * bytes,
-        AllgatherAlgorithm::RingCurrent => 2 * bytes + m.cfg.mem.copy_traffic((ranks - 1) * bytes),
-    };
-    let mem_t = m.mem_time(mem_units, ws);
-    let dma = m.dma(node);
-    let mem = m.mem(node);
-    let dma_done = m.pool.reserve_coupled(dma, dma_t, &[(mem, mem_t)], now);
-    // Forwarding is pure DMA work (remote-put chains; no arithmetic, so no
-    // core in the data path) — one descriptor post per chunk on the
-    // protocol core is the only processor involvement.
-    let posted = ops::descriptor_post(m, now, node, 0);
-    let mut done = link_done.max(dma_done).max(posted);
-    if !distribute_by_dma {
-        // New scheme: the three worker cores copy the chunk out of the
-        // master's reception buffer directly.
-        let visible = done + m.cfg.sw.counter_publish() + m.cfg.sw.counter_poll();
-        let mut dist = visible;
-        for core in 1..ranks.min(4) as u32 {
-            dist = dist.max(ops::core_copy(m, visible, node, core, bytes, ws, true));
-        }
-        done = dist;
-    } else {
-        done += m.cfg.dma.counter_poll();
-    }
-    {
-        let mut s = st.borrow_mut();
-        *s = (*s).max(done);
-    }
-    if k + 1 < chunks.len() {
-        let st2 = st.clone();
-        eng.schedule_at(dma_done, move |m, eng| {
-            step(m, eng, &st2, alg, c, chunks, k + 1, node, ranks, ws);
-        });
-    }
+    run_ring_pipeline(m, gather_done, through, &[pass]) + ring_fill(m)
 }
 
 /// Aggregate throughput in MB/s (total gathered bytes per unit time).

@@ -25,14 +25,14 @@
 //! representative node's servers with full per-chunk pipelining and adds
 //! the analytic ring-fill latency (a constant, not a rate).
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use bgp_dcmf::{ops, Machine, Sim};
-use bgp_machine::geometry::{Axis, Direction, NodeId, Sign};
+use bgp_ccmi::ring::{ring_fill, ring_hops, run_ring_pipeline, Stage, StageOut};
+use bgp_dcmf::{ops, Machine};
 use bgp_sim::SimTime;
 
-use bgp_ccmi::chunking::{chunk_sizes, color_shares};
+use crate::ring_stages::{
+    counter_visible, forward_cost, rank_ring_fill, rank_ring_pass, shaddr_ring_pass,
+    worker_copy_out, NODE,
+};
 
 /// The allreduce algorithms of Table I.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,25 +68,6 @@ impl AllreduceAlgorithm {
     }
 }
 
-/// Number of ring colors on a 3D torus (three edge-disjoint route pairs).
-const COLORS: usize = 3;
-
-/// Per-packet protocol-processing cost for ring forwarding on a core
-/// (reuses the calibrated per-packet core cost; torus packets are 240 B).
-fn forward_cost(m: &Machine, bytes: u64) -> SimTime {
-    let packets = bytes.div_ceil(m.cfg.torus.packet_bytes as u64).max(1);
-    SimTime::from_nanos(packets * m.cfg.tree.core_packet_ns)
-}
-
-/// Ring fill latency: the time the first byte needs to circulate
-/// (dimension-ordered rings: reduce pass + broadcast pass). `stages` is the
-/// number of per-hop pipeline stages (nodes for the new scheme, ranks for
-/// the current one).
-fn ring_fill(m: &Machine, stages: u64) -> SimTime {
-    let per_hop = m.cfg.torus.hop_latency(1) + SimTime::from_nanos(m.cfg.tree.core_packet_ns);
-    per_hop * (2 * stages)
-}
-
 /// Simulate one allreduce of `bytes` (payload bytes, e.g. `8 × doubles`).
 /// Returns the completion time including MPI dispatch overhead.
 pub fn run_allreduce(m: &mut Machine, alg: AllreduceAlgorithm, bytes: u64) -> SimTime {
@@ -97,315 +78,76 @@ pub fn run_allreduce(m: &mut Machine, alg: AllreduceAlgorithm, bytes: u64) -> Si
     }
 }
 
-/// Per-color link direction (the three plus directions; the minus
-/// directions carry the return halves of the ring, which the per-node
-/// accounting folds into the 2× pass factor).
-fn color_dir(c: usize) -> Direction {
-    Direction {
-        axis: Axis::ALL[c],
-        sign: Sign::Plus,
-    }
-}
-
-struct ArState {
-    completion: SimTime,
-}
-
-/// The paper's core-specialized shared-address allreduce.
-fn run_new(m: &mut Machine, bytes: u64) -> SimTime {
-    let t0 = m.cfg.sw.mpi_overhead();
-    let node = NodeId(0);
+/// The shared-address stage chain around a caller-supplied network stage:
+/// worker core `1 + c` reduces the chunk across all ranks' buffers through
+/// mapped windows and notifies the protocol core through a software message
+/// counter; `net` runs the inter-node phase; the worker cores copy the
+/// result out of the master's reception buffer. The color's next chunk
+/// enters as soon as its worker core is free again (`reduced`), not when
+/// the counter becomes visible — the cores pipeline against the network.
+fn run_shaddr_chain(m: &mut Machine, bytes: u64, net: Stage) -> SimTime {
     let n_ranks = m.cfg.ranks_per_node() as usize;
     let ws = 2 * bytes;
-    let pwidth = m.cfg.sw.pwidth as u64;
-    let shares = color_shares(bytes, COLORS);
-    let st = Rc::new(RefCell::new(ArState { completion: t0 }));
-
-    let mut eng: Sim = Sim::new();
-    for (c, &share) in shares.iter().enumerate() {
-        let chunks = chunk_sizes(share, pwidth);
-        if chunks.is_empty() {
-            continue;
+    let reduce: Stage = &|m, now, c, b| {
+        let reduced = ops::core_reduce(m, now, NODE, 1 + c as u32, b, n_ranks, ws);
+        StageOut {
+            next_stage: counter_visible(m, reduced),
+            ..StageOut::at(reduced)
         }
-        let st2 = st.clone();
-        eng.schedule_at(t0, move |m, eng| {
-            new_reduce_step(m, eng, &st2, c, chunks, 0, node, n_ranks, ws);
-        });
-    }
-    eng.run(m);
-    let fill = ring_fill(m, u64::from(m.cfg.dims.x + m.cfg.dims.y + m.cfg.dims.z));
-    let done = st.borrow().completion;
-    done + fill
+    };
+    let copy_out: Stage = &|m, now, _, b| StageOut::at(worker_copy_out(m, now, b, ws));
+    let t0 = m.cfg.sw.mpi_overhead();
+    run_ring_pipeline(m, t0, bytes, &[reduce, net, copy_out])
 }
 
-/// Local reduce of chunk `k` of color `c` by core `1 + c`, reading all four
-/// ranks' buffers through mapped windows.
-#[allow(clippy::too_many_arguments)]
-fn new_reduce_step(
-    m: &mut Machine,
-    eng: &mut Sim,
-    st: &Rc<RefCell<ArState>>,
-    c: usize,
-    chunks: Vec<u64>,
-    k: usize,
-    node: NodeId,
-    n_ranks: usize,
-    ws: u64,
-) {
-    let now = eng.now();
-    let bytes = chunks[k];
-    let core = 1 + c as u32;
-    let reduced = ops::core_reduce(m, now, node, core, bytes, n_ranks, ws);
-    // Notify the protocol core through a software message counter.
-    let visible = reduced + m.cfg.sw.counter_publish() + m.cfg.sw.counter_poll();
-    {
-        let st2 = st.clone();
-        eng.schedule_at(visible, move |m, eng| {
-            new_net_step(m, eng, &st2, c, bytes, node, ws);
-        });
-    }
-    if k + 1 < chunks.len() {
-        let st2 = st.clone();
-        eng.schedule_at(reduced, move |m, eng| {
-            new_reduce_step(m, eng, &st2, c, chunks, k + 1, node, n_ranks, ws);
-        });
-    }
-}
-
-/// Network stage: the dedicated protocol core (local rank 0) runs the ring
-/// arithmetic and forwarding; the DMA and the color's links carry both the
-/// reduce and the pipelined broadcast pass.
-fn new_net_step(
-    m: &mut Machine,
-    eng: &mut Sim,
-    st: &Rc<RefCell<ArState>>,
-    c: usize,
-    bytes: u64,
-    node: NodeId,
-    ws: u64,
-) {
-    let now = eng.now();
-    // Links: both passes ride the color's ring.
-    let link = m.link(node, color_dir(c));
-    let link_done = m.pool.reserve(link, now, m.link_time(bytes) * 2);
-    // DMA: in + out for each pass (4 byte-units), coupled to memory.
-    let dma_t = m.dma_time(4 * bytes);
-    let mem_t = m.mem_time(4 * bytes, ws);
-    let dma = m.dma(node);
-    let mem = m.mem(node);
-    let dma_done = m.pool.reserve_coupled(dma, dma_t, &[(mem, mem_t)], now);
-    // Protocol core: ring combine (2-input sum) + per-packet forwarding for
-    // the broadcast pass.
-    let combined = ops::core_reduce(m, now, node, 0, bytes, 2, ws);
-    let core_done = ops::core_busy(m, combined, node, 0, forward_cost(m, bytes));
-    let net_done = link_done.max(dma_done).max(core_done);
-
-    let st2 = st.clone();
-    eng.schedule_at(net_done, move |m, eng| {
-        // Local broadcast: the three worker cores copy the result chunk out
-        // of the master's reception buffer (shared address, single copy).
-        let now = eng.now();
-        let visible = now + m.cfg.sw.counter_publish() + m.cfg.sw.counter_poll();
-        let mut done = visible;
-        for core in 1..=3u32.min(m.cfg.ranks_per_node() - 1) {
-            done = done.max(ops::core_copy(m, visible, node, core, bytes, ws, true));
-        }
-        let mut s = st2.borrow_mut();
-        s.completion = s.completion.max(done);
-    });
+/// The paper's core-specialized shared-address allreduce. Network stage:
+/// the dedicated protocol core (local rank 0) runs the ring arithmetic and
+/// the per-packet forwarding of the pipelined broadcast pass; the DMA and
+/// the color's links carry both passes.
+fn run_new(m: &mut Machine, bytes: u64) -> SimTime {
+    let ws = 2 * bytes;
+    let net: Stage = &|m, now, c, b| {
+        let (wire_done, combined) = shaddr_ring_pass(m, now, c, b, 2, ws);
+        let core_done = ops::core_busy(m, combined, NODE, 0, forward_cost(m, b));
+        StageOut::at(wire_done.max(core_done))
+    };
+    run_shaddr_chain(m, bytes, net) + ring_fill(m) * 2
 }
 
 /// Node-aware reduce-scatter + allgather: same intra-node stages as the
-/// shared-address scheme, RS+AG inter-node phase.
+/// shared-address scheme. Network stage: a reduce-scatter pass and an
+/// allgather pass, each moving `(n-1)/n` of the chunk per node (its ring
+/// carries every slice except the one it owns). The protocol core combines
+/// only the RS pass; the AG pass is remote-put descriptor chains, so the
+/// core posts descriptors instead of forwarding per packet.
 fn run_node_aware(m: &mut Machine, bytes: u64) -> SimTime {
-    let t0 = m.cfg.sw.mpi_overhead();
-    let node = NodeId(0);
-    let n_ranks = m.cfg.ranks_per_node() as usize;
     let ws = 2 * bytes;
-    let pwidth = m.cfg.sw.pwidth as u64;
-    let shares = color_shares(bytes, COLORS);
-    let st = Rc::new(RefCell::new(ArState { completion: t0 }));
-
-    let mut eng: Sim = Sim::new();
-    for (c, &share) in shares.iter().enumerate() {
-        let chunks = chunk_sizes(share, pwidth);
-        if chunks.is_empty() {
-            continue;
-        }
-        let st2 = st.clone();
-        eng.schedule_at(t0, move |m, eng| {
-            na_reduce_step(m, eng, &st2, c, chunks, 0, node, n_ranks, ws);
-        });
-    }
-    eng.run(m);
-    let stages = u64::from(m.cfg.dims.x + m.cfg.dims.y + m.cfg.dims.z);
+    let n = u64::from(m.cfg.node_count()).max(2);
+    let net: Stage = &|m, now, c, b| {
+        let (wire_done, combined) = shaddr_ring_pass(m, now, c, b - b / n, 2, ws);
+        let core_done = ops::descriptor_post(m, combined, NODE, 0);
+        StageOut::at(wire_done.max(core_done))
+    };
     // Every RS and AG stage boundary is a counter handshake between the
     // protocol core and its ring neighbor — the latency the pipelined ring
     // hides, and the reason the scheme loses at small sizes.
-    let sync = (m.cfg.sw.counter_publish() + m.cfg.sw.counter_poll()) * (2 * stages);
-    let done = st.borrow().completion;
-    done + ring_fill(m, stages) + sync
+    let sync = counter_visible(m, SimTime::ZERO) * (2 * ring_hops(m));
+    run_shaddr_chain(m, bytes, net) + ring_fill(m) * 2 + sync
 }
 
-/// Local reduce of chunk `k` of color `c` for the node-aware scheme —
-/// identical worker-core window reduce as the shared-address scheme, then
-/// hands the chunk to the RS+AG network stage.
-#[allow(clippy::too_many_arguments)]
-fn na_reduce_step(
-    m: &mut Machine,
-    eng: &mut Sim,
-    st: &Rc<RefCell<ArState>>,
-    c: usize,
-    chunks: Vec<u64>,
-    k: usize,
-    node: NodeId,
-    n_ranks: usize,
-    ws: u64,
-) {
-    let now = eng.now();
-    let bytes = chunks[k];
-    let core = 1 + c as u32;
-    let reduced = ops::core_reduce(m, now, node, core, bytes, n_ranks, ws);
-    let visible = reduced + m.cfg.sw.counter_publish() + m.cfg.sw.counter_poll();
-    {
-        let st2 = st.clone();
-        eng.schedule_at(visible, move |m, eng| {
-            na_net_step(m, eng, &st2, c, bytes, node, ws);
-        });
-    }
-    if k + 1 < chunks.len() {
-        let st2 = st.clone();
-        eng.schedule_at(reduced, move |m, eng| {
-            na_reduce_step(m, eng, &st2, c, chunks, k + 1, node, n_ranks, ws);
-        });
-    }
-}
-
-/// Network stage of the node-aware scheme: a reduce-scatter pass and an
-/// allgather pass, each moving `(n-1)/n` of the chunk per node. The
-/// protocol core combines only the RS pass; the AG pass is remote-put
-/// descriptor chains, so the core posts descriptors instead of forwarding
-/// per packet.
-fn na_net_step(
-    m: &mut Machine,
-    eng: &mut Sim,
-    st: &Rc<RefCell<ArState>>,
-    c: usize,
-    bytes: u64,
-    node: NodeId,
-    ws: u64,
-) {
-    let now = eng.now();
-    let n = u64::from(m.cfg.node_count()).max(2);
-    // Per-pass bytes each node moves: its ring carries every slice except
-    // the one it owns.
-    let eff = bytes - bytes / n;
-    let link = m.link(node, color_dir(c));
-    let link_done = m.pool.reserve(link, now, m.link_time(eff) * 2);
-    let dma_t = m.dma_time(4 * eff);
-    let mem_t = m.mem_time(4 * eff, ws);
-    let dma = m.dma(node);
-    let mem = m.mem(node);
-    let dma_done = m.pool.reserve_coupled(dma, dma_t, &[(mem, mem_t)], now);
-    // RS combine on the core; AG forwarding by descriptor post only.
-    let combined = ops::core_reduce(m, now, node, 0, eff, 2, ws);
-    let core_done = ops::descriptor_post(m, combined, node, 0);
-    let net_done = link_done.max(dma_done).max(core_done);
-
-    let st2 = st.clone();
-    eng.schedule_at(net_done, move |m, eng| {
-        // Same shared-address copy-out as the specialized scheme.
-        let now = eng.now();
-        let visible = now + m.cfg.sw.counter_publish() + m.cfg.sw.counter_poll();
-        let mut done = visible;
-        for core in 1..=3u32.min(m.cfg.ranks_per_node() - 1) {
-            done = done.max(ops::core_copy(m, visible, node, core, bytes, ws, true));
-        }
-        let mut s = st2.borrow_mut();
-        s.completion = s.completion.max(done);
-    });
-}
-
-/// The current (pre-paper) rank-level ring.
+/// The current (pre-paper) rank-level ring: one stage per chunk. The node
+/// can start its next chunk once the DMA accepted this one.
 fn run_current(m: &mut Machine, bytes: u64) -> SimTime {
-    let t0 = m.cfg.sw.mpi_overhead();
-    let node = NodeId(0);
-    let ranks = m.cfg.ranks_per_node() as u64;
     let ws = 2 * bytes;
-    let pwidth = m.cfg.sw.pwidth as u64;
-    let shares = color_shares(bytes, COLORS);
-    let st = Rc::new(RefCell::new(ArState { completion: t0 }));
-
-    let mut eng: Sim = Sim::new();
-    for (c, &share) in shares.iter().enumerate() {
-        let chunks = chunk_sizes(share, pwidth);
-        if chunks.is_empty() {
-            continue;
+    let pass: Stage = &|m, now, c, b| {
+        let (dma_done, done) = rank_ring_pass(m, now, c, b, 2, ws);
+        StageOut {
+            next_chunk: dma_done.min(done),
+            ..StageOut::at(done)
         }
-        let st2 = st.clone();
-        eng.schedule_at(t0, move |m, eng| {
-            current_step(m, eng, &st2, c, chunks, 0, node, ranks, ws);
-        });
-    }
-    eng.run(m);
-    // Rank-level ring: the inter-node hops plus (ranks-1) intra-node ring
-    // stages per node; the intra stages add core processing latency only
-    // (no torus hop).
-    let node_hops = u64::from(m.cfg.dims.x + m.cfg.dims.y + m.cfg.dims.z);
-    let intra_stage = SimTime::from_nanos(m.cfg.tree.core_packet_ns);
-    let fill = ring_fill(m, node_hops) + intra_stage * (2 * node_hops * (ranks - 1));
-    let done = st.borrow().completion;
-    done + fill
-}
-
-/// One chunk of one color through the representative node, current scheme.
-#[allow(clippy::too_many_arguments)]
-fn current_step(
-    m: &mut Machine,
-    eng: &mut Sim,
-    st: &Rc<RefCell<ArState>>,
-    c: usize,
-    chunks: Vec<u64>,
-    k: usize,
-    node: NodeId,
-    ranks: u64,
-    ws: u64,
-) {
-    let now = eng.now();
-    let bytes = chunks[k];
-    // Links: both passes.
-    let link = m.link(node, color_dir(c));
-    let link_done = m.pool.reserve(link, now, m.link_time(bytes) * 2);
-    // DMA: inter-node in+out for both passes (4 units) plus the intra-node
-    // ring hops as local copies — (ranks-1) hops per pass, 2 byte-units
-    // each ("redundant copies of data are transferred by the DMA").
-    let intra_units = 2 * (ranks - 1) * 2;
-    let dma_units = (4 + intra_units) * bytes;
-    let dma_t = m.dma_time(dma_units);
-    let mem_t = m.mem_time(dma_units, ws);
-    let dma = m.dma(node);
-    let mem = m.mem(node);
-    let dma_done = m.pool.reserve_coupled(dma, dma_t, &[(mem, mem_t)], now);
-    // Every rank's core does the 2-input combine plus forwarding for its
-    // ring stage (pipelined across cores).
-    let mut cores_done = now;
-    for core in 0..m.cfg.ranks_per_node() {
-        let combined = ops::core_reduce(m, now, node, core, bytes, 2, ws);
-        let fwd = ops::core_busy(m, combined, node, core, forward_cost(m, bytes));
-        cores_done = cores_done.max(fwd);
-    }
-    let done = link_done.max(dma_done).max(cores_done);
-    {
-        let mut s = st.borrow_mut();
-        s.completion = s.completion.max(done);
-    }
-    if k + 1 < chunks.len() {
-        let st2 = st.clone();
-        // The node can start its next chunk once the DMA accepted this one.
-        eng.schedule_at(dma_done.min(done), move |m, eng| {
-            current_step(m, eng, &st2, c, chunks, k + 1, node, ranks, ws);
-        });
-    }
+    };
+    let t0 = m.cfg.sw.mpi_overhead();
+    run_ring_pipeline(m, t0, bytes, &[pass]) + rank_ring_fill(m) * 2
 }
 
 /// Throughput in MB/s for a Table-I row of `doubles` doubles.

@@ -14,35 +14,17 @@
 //! * **shaddr** — destination cores copy their pieces straight out of the
 //!   master's reception buffer through mapped windows.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use bgp_ccmi::chunking::{chunk_sizes, color_shares};
-use bgp_dcmf::{ops, Machine, Sim};
-use bgp_machine::geometry::{Axis, Direction, NodeId, Sign};
+use bgp_ccmi::ring::{ring_fill, run_ring_pipeline, Stage};
+use bgp_dcmf::{ops, Machine};
 use bgp_sim::SimTime;
 
 use crate::allgather::AllgatherAlgorithm;
-
-const COLORS: usize = 3;
-
-fn color_dir(c: usize) -> Direction {
-    Direction {
-        axis: Axis::ALL[c],
-        sign: Sign::Plus,
-    }
-}
-
-fn ring_fill_once(m: &Machine, stages: u64) -> SimTime {
-    let per_hop = m.cfg.torus.hop_latency(1) + SimTime::from_nanos(m.cfg.tree.core_packet_ns);
-    per_hop * stages
-}
+use crate::ring_stages::{transit_pass, Fanout, NODE};
 
 /// Simulate `MPI_Alltoall` with `block_bytes` per rank pair. Returns the
 /// completion time; each rank sends and receives `P × block_bytes`.
 pub fn run_alltoall(m: &mut Machine, alg: AllgatherAlgorithm, block_bytes: u64) -> SimTime {
     let t0 = m.cfg.sw.mpi_overhead();
-    let node = NodeId(0);
     let ranks = u64::from(m.cfg.ranks_per_node());
     let nodes = u64::from(m.cfg.node_count());
     // Average ring transit per node: each of the other nodes' superblocks
@@ -51,8 +33,6 @@ pub fn run_alltoall(m: &mut Machine, alg: AllgatherAlgorithm, block_bytes: u64) 
     let pair_block = ranks * ranks * block_bytes;
     let through = ((nodes - 1).max(1) * pair_block).div_ceil(2);
     let ws = 2 * through.min(64 << 20);
-    let pwidth = m.cfg.sw.pwidth as u64;
-    let st = Rc::new(RefCell::new(SimTime::ZERO));
 
     // Source-side assembly of the outgoing superblocks: the master stages
     // its peers' send buffers (shaddr: window copies by the owning cores;
@@ -60,107 +40,30 @@ pub fn run_alltoall(m: &mut Machine, alg: AllgatherAlgorithm, block_bytes: u64) 
     let own = (ranks - 1) * ranks * block_bytes;
     let prep_done = match alg {
         AllgatherAlgorithm::ShaddrSpecialized => {
-            let mut t = t0;
-            for core in 1..ranks.min(4) as u32 {
-                t = t.max(ops::core_copy(
-                    m,
-                    t0,
-                    node,
-                    core,
-                    own / (ranks - 1).max(1),
-                    ws,
-                    true,
-                ));
-            }
-            t
+            let each = own / (ranks - 1).max(1);
+            (1..ranks.min(4) as u32).fold(t0, |t, core| {
+                t.max(ops::core_copy(m, t0, NODE, core, each, ws, true))
+            })
         }
         AllgatherAlgorithm::RingCurrent => {
-            let posted = ops::descriptor_post(m, t0, node, 0);
-            ops::dma_local_distribute(m, posted, node, block_bytes * ranks, (ranks - 1) as u32, ws)
+            let posted = ops::descriptor_post(m, t0, NODE, 0);
+            ops::dma_local_distribute(m, posted, NODE, block_bytes * ranks, (ranks - 1) as u32, ws)
         }
     };
 
-    let mut eng: Sim = Sim::new();
-    let shares = color_shares(through, COLORS);
-    for (c, &share) in shares.iter().enumerate() {
-        let chunks = chunk_sizes(share, pwidth);
-        if chunks.is_empty() {
-            continue;
-        }
-        let st2 = st.clone();
-        eng.schedule_at(prep_done, move |m, eng| {
-            step(m, eng, &st2, alg, c, chunks, 0, node, ranks, ws);
-        });
-    }
-    eng.run(m);
-    let done = (*st.borrow()).max(prep_done);
-    done + ring_fill_once(m, u64::from(m.cfg.dims.x + m.cfg.dims.y + m.cfg.dims.z))
-}
-
-/// One transit chunk: receive, keep the local cut, forward the rest.
-#[allow(clippy::too_many_arguments)]
-fn step(
-    m: &mut Machine,
-    eng: &mut Sim,
-    st: &Rc<RefCell<SimTime>>,
-    alg: AllgatherAlgorithm,
-    c: usize,
-    chunks: Vec<u64>,
-    k: usize,
-    node: NodeId,
-    ranks: u64,
-    ws: u64,
-) {
-    let now = eng.now();
-    let bytes = chunks[k];
-    let link = m.link(node, color_dir(c));
-    let link_done = m.pool.reserve(link, now, m.link_time(bytes));
-    // The kept cut must reach its destination ranks; the rest goes back
-    // out. Model the kept share as the chunk's ring-average cut.
-    let kept = bytes.div_ceil(2);
-    let (dma_units, mem_units, by_dma) = match alg {
-        AllgatherAlgorithm::ShaddrSpecialized => (2 * bytes, 2 * bytes, false),
-        AllgatherAlgorithm::RingCurrent => (
-            2 * bytes + m.cfg.dma.local_copy_traffic(kept),
-            2 * bytes + m.cfg.mem.copy_traffic(kept),
-            true,
-        ),
+    // One transit chunk: receive, keep the local cut, forward the rest. The
+    // kept cut (modelled as the chunk's ring-average share) must reach its
+    // destination ranks: DMA local copies (current) or one window copy of
+    // its piece per destination core (shaddr).
+    let pass: Stage = &|m, now, c, b| {
+        let kept = b.div_ceil(2);
+        let fanout = match alg {
+            AllgatherAlgorithm::ShaddrSpecialized => Fanout::Windows(kept / ranks.max(1)),
+            AllgatherAlgorithm::RingCurrent => Fanout::Dma(kept),
+        };
+        transit_pass(m, now, c, b, fanout, ws)
     };
-    let dma_t = m.dma_time(dma_units);
-    let mem_t = m.mem_time(mem_units, ws);
-    let dma = m.dma(node);
-    let mem = m.mem(node);
-    let dma_done = m.pool.reserve_coupled(dma, dma_t, &[(mem, mem_t)], now);
-    let posted = ops::descriptor_post(m, now, node, 0);
-    let mut done = link_done.max(dma_done).max(posted);
-    if !by_dma {
-        let visible = done + m.cfg.sw.counter_publish() + m.cfg.sw.counter_poll();
-        let mut dist = visible;
-        for core in 1..ranks.min(4) as u32 {
-            dist = dist.max(ops::core_copy(
-                m,
-                visible,
-                node,
-                core,
-                kept / ranks.max(1),
-                ws,
-                true,
-            ));
-        }
-        done = dist;
-    } else {
-        done += m.cfg.dma.counter_poll();
-    }
-    {
-        let mut s = st.borrow_mut();
-        *s = (*s).max(done);
-    }
-    if k + 1 < chunks.len() {
-        let st2 = st.clone();
-        eng.schedule_at(dma_done, move |m, eng| {
-            step(m, eng, &st2, alg, c, chunks, k + 1, node, ranks, ws);
-        });
-    }
+    run_ring_pipeline(m, prep_done, through, &[pass]) + ring_fill(m)
 }
 
 /// Aggregate throughput in MB/s (total exchanged bytes per unit time).

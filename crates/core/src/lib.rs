@@ -37,6 +37,7 @@ pub mod datatype;
 pub mod mpi;
 pub mod reduce;
 pub mod reduce_scatter;
+mod ring_stages;
 pub mod select;
 pub mod tune;
 

@@ -10,129 +10,40 @@
 //!   bottleneck; the schemes differ in how a node assembles its four local
 //!   blocks before sending (mapped windows vs DMA staging copies).
 
-use bgp_ccmi::chunking::{chunk_sizes, color_shares};
-use bgp_dcmf::{ops, Machine, Sim};
-use bgp_machine::geometry::{Axis, Direction, NodeId, Sign};
+use bgp_ccmi::chunking::chunk_sizes;
+use bgp_ccmi::ring::{ring_fill, run_ring_pipeline, Stage, StageOut};
+use bgp_dcmf::{ops, Machine};
+use bgp_machine::geometry::{Direction, NodeId};
 use bgp_sim::SimTime;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 use crate::allreduce::AllreduceAlgorithm;
-
-const COLORS: usize = 3;
-
-fn color_dir(c: usize) -> Direction {
-    Direction {
-        axis: Axis::ALL[c],
-        sign: Sign::Plus,
-    }
-}
-
-/// Single-pass ring fill (reduce flows to the root once).
-fn ring_fill_once(m: &Machine, stages: u64) -> SimTime {
-    let per_hop = m.cfg.torus.hop_latency(1) + SimTime::from_nanos(m.cfg.tree.core_packet_ns);
-    per_hop * stages
-}
+use crate::ring_stages::{rank_ring_fill, rank_ring_pass, shaddr_reduce_pass};
 
 /// Simulate `MPI_Reduce` (sum of doubles, result at the root) of `bytes`.
 pub fn run_reduce(m: &mut Machine, alg: AllreduceAlgorithm, bytes: u64) -> SimTime {
-    let t0 = m.cfg.sw.mpi_overhead();
-    let node = NodeId(0);
-    let ranks = u64::from(m.cfg.ranks_per_node());
-    let n_ranks = ranks as usize;
     let ws = 2 * bytes;
-    let pwidth = m.cfg.sw.pwidth as u64;
-    let shares = color_shares(bytes, COLORS);
-    let done = Rc::new(RefCell::new(t0));
-
-    let mut eng: Sim = Sim::new();
-    for (c, &share) in shares.iter().enumerate() {
-        let chunks = chunk_sizes(share, pwidth);
-        if chunks.is_empty() {
-            continue;
-        }
-        let done2 = done.clone();
-        eng.schedule_at(t0, move |m, eng| {
-            reduce_step(m, eng, &done2, alg, c, chunks, 0, node, n_ranks, ws);
-        });
-    }
-    eng.run(m);
-    let stages = u64::from(m.cfg.dims.x + m.cfg.dims.y + m.cfg.dims.z);
-    let fill = match alg {
-        // NodeAwareRsAg shares the shared-address intra-node machinery;
-        // reduce has a single directed pass, so RS+AG adds nothing here.
-        AllreduceAlgorithm::ShaddrSpecialized | AllreduceAlgorithm::NodeAwareRsAg => {
-            ring_fill_once(m, stages)
-        }
-        // Rank-level ring: extra per-node intra stages.
-        AllreduceAlgorithm::RingCurrent => {
-            ring_fill_once(m, stages)
-                + SimTime::from_nanos(m.cfg.tree.core_packet_ns) * (stages * (ranks - 1))
-        }
-    };
-    let t = *done.borrow();
-    t + fill
-}
-
-#[allow(clippy::too_many_arguments)]
-fn reduce_step(
-    m: &mut Machine,
-    eng: &mut Sim,
-    done: &Rc<RefCell<SimTime>>,
-    alg: AllreduceAlgorithm,
-    c: usize,
-    chunks: Vec<u64>,
-    k: usize,
-    node: NodeId,
-    n_ranks: usize,
-    ws: u64,
-) {
-    let now = eng.now();
-    let bytes = chunks[k];
-    let finish = match alg {
-        AllreduceAlgorithm::ShaddrSpecialized | AllreduceAlgorithm::NodeAwareRsAg => {
-            // Worker core for this color reduces the four local buffers
-            // through windows, then the protocol core runs one ring pass.
-            let reduced = ops::core_reduce(m, now, node, 1 + c as u32, bytes, n_ranks, ws);
-            let visible = reduced + m.cfg.sw.counter_publish() + m.cfg.sw.counter_poll();
-            let link = m.link(node, color_dir(c));
-            let link_done = m.pool.reserve(link, visible, m.link_time(bytes));
-            let dma_t = m.dma_time(2 * bytes);
-            let mem_t = m.mem_time(2 * bytes, ws);
-            let dma = m.dma(node);
-            let mem = m.mem(node);
-            let dma_done = m.pool.reserve_coupled(dma, dma_t, &[(mem, mem_t)], visible);
-            let combined = ops::core_reduce(m, visible, node, 0, bytes, 2, ws);
-            link_done.max(dma_done).max(combined)
-        }
-        AllreduceAlgorithm::RingCurrent => {
-            // Rank-level ring: DMA moves intra hops (one pass), every core
-            // does its combine.
-            let link = m.link(node, color_dir(c));
-            let link_done = m.pool.reserve(link, now, m.link_time(bytes));
-            let ranks = m.cfg.ranks_per_node() as u64;
-            let units = (2 + 2 * (ranks - 1)) * bytes;
-            let dma_t = m.dma_time(units);
-            let mem_t = m.mem_time(units, ws);
-            let dma = m.dma(node);
-            let mem = m.mem(node);
-            let dma_done = m.pool.reserve_coupled(dma, dma_t, &[(mem, mem_t)], now);
-            let mut cores_done = now;
-            for core in 0..m.cfg.ranks_per_node() {
-                cores_done = cores_done.max(ops::core_reduce(m, now, node, core, bytes, 2, ws));
+    // One ring chunk: a single directed pass to the root. `NodeAwareRsAg`
+    // shares the shared-address intra-node machinery, and with one pass
+    // RS+AG adds nothing. Nothing flows back, so the link rather than the
+    // combine paces admission: the color's next chunk enters when this one
+    // finishes, or two link times after it entered if that is sooner.
+    let pass: Stage = &|m, now, c, b| {
+        let finish = match alg {
+            AllreduceAlgorithm::RingCurrent => rank_ring_pass(m, now, c, b, 1, ws).1,
+            AllreduceAlgorithm::ShaddrSpecialized | AllreduceAlgorithm::NodeAwareRsAg => {
+                shaddr_reduce_pass(m, now, c, b, b, ws)
             }
-            link_done.max(dma_done).max(cores_done)
+        };
+        StageOut {
+            next_chunk: finish.min(now + m.link_time(b) * 2),
+            ..StageOut::at(finish)
         }
     };
-    {
-        let mut d = done.borrow_mut();
-        *d = (*d).max(finish);
-    }
-    if k + 1 < chunks.len() {
-        let d2 = done.clone();
-        eng.schedule_at(finish.min(now + m.link_time(bytes) * 2), move |m, eng| {
-            reduce_step(m, eng, &d2, alg, c, chunks, k + 1, node, n_ranks, ws);
-        });
+    let t0 = m.cfg.sw.mpi_overhead();
+    let done = run_ring_pipeline(m, t0, bytes, &[pass]);
+    done + match alg {
+        AllreduceAlgorithm::RingCurrent => rank_ring_fill(m),
+        AllreduceAlgorithm::ShaddrSpecialized | AllreduceAlgorithm::NodeAwareRsAg => ring_fill(m),
     }
 }
 

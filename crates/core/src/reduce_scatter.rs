@@ -16,141 +16,44 @@
 //!   out of the master's reception buffer (one small copy; the current
 //!   scheme pays DMA local copies instead).
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use bgp_ccmi::chunking::{chunk_sizes, color_shares};
-use bgp_dcmf::{ops, Machine, Sim};
-use bgp_machine::geometry::{Axis, Direction, NodeId, Sign};
+use bgp_ccmi::ring::{ring_fill, run_ring_pipeline, Stage, StageOut};
+use bgp_dcmf::Machine;
 use bgp_sim::SimTime;
 
 use crate::allreduce::AllreduceAlgorithm;
-
-const COLORS: usize = 3;
-
-fn color_dir(c: usize) -> Direction {
-    Direction {
-        axis: Axis::ALL[c],
-        sign: Sign::Plus,
-    }
-}
-
-/// Ring fill for the single reduce-scatter pass.
-fn ring_fill_once(m: &Machine, stages: u64) -> SimTime {
-    let per_hop = m.cfg.torus.hop_latency(1) + SimTime::from_nanos(m.cfg.tree.core_packet_ns);
-    per_hop * stages
-}
+use crate::ring_stages::{rank_ring_fill, rank_ring_pass, shaddr_reduce_pass};
 
 /// Simulate `MPI_Reduce_scatter` of a `bytes`-byte vector (every rank
 /// contributes `bytes`; every rank receives its `bytes / P` slice of the
 /// sum). Returns the completion time.
 pub fn run_reduce_scatter(m: &mut Machine, alg: AllreduceAlgorithm, bytes: u64) -> SimTime {
-    let t0 = m.cfg.sw.mpi_overhead();
-    let node = NodeId(0);
-    let n_ranks = m.cfg.ranks_per_node() as usize;
-    let ranks = n_ranks as u64;
+    let ranks = u64::from(m.cfg.ranks_per_node());
     let n = u64::from(m.cfg.node_count()).max(2);
     let ws = 2 * bytes;
-    let pwidth = m.cfg.sw.pwidth as u64;
-    let shares = color_shares(bytes, COLORS);
-    let st = Rc::new(RefCell::new(t0));
-
-    let mut eng: Sim = Sim::new();
-    for (c, &share) in shares.iter().enumerate() {
-        let chunks = chunk_sizes(share, pwidth);
-        if chunks.is_empty() {
-            continue;
-        }
-        let st2 = st.clone();
-        eng.schedule_at(t0, move |m, eng| {
-            step(m, eng, &st2, alg, c, chunks, 0, node, n_ranks, n, ws);
-        });
-    }
-    eng.run(m);
-    let stages = u64::from(m.cfg.dims.x + m.cfg.dims.y + m.cfg.dims.z);
-    let fill = match alg {
-        AllreduceAlgorithm::ShaddrSpecialized | AllreduceAlgorithm::NodeAwareRsAg => {
-            ring_fill_once(m, stages)
-        }
-        AllreduceAlgorithm::RingCurrent => {
-            ring_fill_once(m, stages)
-                + SimTime::from_nanos(m.cfg.tree.core_packet_ns) * (stages * (ranks - 1))
-        }
+    // One ring chunk through the representative node: a single pass, with
+    // arithmetic. The node forwards what it has combined, so the color's
+    // next chunk enters when this one has finished.
+    let pass: Stage = &|m, now, c, b| {
+        StageOut::at(match alg {
+            // The rank-level ring moves whole chunks; the node-level one
+            // only the node's transit share.
+            AllreduceAlgorithm::RingCurrent => rank_ring_pass(m, now, c, b, 1, ws).1,
+            AllreduceAlgorithm::ShaddrSpecialized | AllreduceAlgorithm::NodeAwareRsAg => {
+                shaddr_reduce_pass(m, now, c, b, b - b / n, ws)
+            }
+        })
     };
-    let done = *st.borrow();
+    let t0 = m.cfg.sw.mpi_overhead();
+    let done = run_ring_pipeline(m, t0, bytes, &[pass]);
+    let fill = match alg {
+        AllreduceAlgorithm::RingCurrent => rank_ring_fill(m),
+        AllreduceAlgorithm::ShaddrSpecialized | AllreduceAlgorithm::NodeAwareRsAg => ring_fill(m),
+    };
     // Local scatter: each rank's slice of the node's `1/n` share — one
     // small copy per worker core (pipelined with the ring in steady state;
     // the last chunk's copy is what lands on the completion path).
     let slice = (bytes / n / ranks).max(1);
-    let copy = m.mem_time(slice, ws);
-    done + fill + copy
-}
-
-/// One ring chunk through the representative node: single pass, with
-/// arithmetic.
-#[allow(clippy::too_many_arguments)]
-fn step(
-    m: &mut Machine,
-    eng: &mut Sim,
-    st: &Rc<RefCell<SimTime>>,
-    alg: AllreduceAlgorithm,
-    c: usize,
-    chunks: Vec<u64>,
-    k: usize,
-    node: NodeId,
-    n_ranks: usize,
-    n: u64,
-    ws: u64,
-) {
-    let now = eng.now();
-    let bytes = chunks[k];
-    let finish = match alg {
-        AllreduceAlgorithm::ShaddrSpecialized | AllreduceAlgorithm::NodeAwareRsAg => {
-            // Worker core reduces the local contributions through windows,
-            // then the protocol core runs the single combining ring pass
-            // on the node's transit share.
-            let reduced = ops::core_reduce(m, now, node, 1 + c as u32, bytes, n_ranks, ws);
-            let visible = reduced + m.cfg.sw.counter_publish() + m.cfg.sw.counter_poll();
-            let eff = bytes - bytes / n;
-            let link = m.link(node, color_dir(c));
-            let link_done = m.pool.reserve(link, visible, m.link_time(eff));
-            let dma_t = m.dma_time(2 * eff);
-            let mem_t = m.mem_time(2 * eff, ws);
-            let dma = m.dma(node);
-            let mem = m.mem(node);
-            let dma_done = m.pool.reserve_coupled(dma, dma_t, &[(mem, mem_t)], visible);
-            let combined = ops::core_reduce(m, visible, node, 0, eff, 2, ws);
-            link_done.max(dma_done).max(combined)
-        }
-        AllreduceAlgorithm::RingCurrent => {
-            // Rank-level ring: the DMA carries the intra hops as local
-            // copies on top of the inter-node pass.
-            let link = m.link(node, color_dir(c));
-            let link_done = m.pool.reserve(link, now, m.link_time(bytes));
-            let ranks = m.cfg.ranks_per_node() as u64;
-            let units = (2 + 2 * (ranks - 1)) * bytes;
-            let dma_t = m.dma_time(units);
-            let mem_t = m.mem_time(units, ws);
-            let dma = m.dma(node);
-            let mem = m.mem(node);
-            let dma_done = m.pool.reserve_coupled(dma, dma_t, &[(mem, mem_t)], now);
-            let mut cores_done = now;
-            for core in 0..m.cfg.ranks_per_node() {
-                cores_done = cores_done.max(ops::core_reduce(m, now, node, core, bytes, 2, ws));
-            }
-            link_done.max(dma_done).max(cores_done)
-        }
-    };
-    {
-        let mut s = st.borrow_mut();
-        *s = (*s).max(finish);
-    }
-    if k + 1 < chunks.len() {
-        let st2 = st.clone();
-        eng.schedule_at(finish, move |m, eng| {
-            step(m, eng, &st2, alg, c, chunks, k + 1, node, n_ranks, n, ws);
-        });
-    }
+    done + fill + m.mem_time(slice, ws)
 }
 
 /// Throughput in MB/s over the contributed vector size.

@@ -314,10 +314,6 @@ pub struct ServerConfig {
     pub drr_quantum: usize,
     /// Most children fused into one broadcast (1 disables coalescing).
     pub coalesce_max_ops: usize,
-    /// Only payloads at most this long are coalescing candidates.
-    pub coalesce_eligible: usize,
-    /// A fused payload never exceeds this many bytes.
-    pub coalesce_max_bytes: usize,
     /// Most submissions drained into one cluster job.
     pub batch_max_ops: usize,
     /// Cluster jobs the dispatcher keeps in flight at once.
@@ -331,8 +327,6 @@ impl Default for ServerConfig {
             tenant_max_pending: 16,
             drr_quantum: 64 * 1024,
             coalesce_max_ops: 8,
-            coalesce_eligible: 4096,
-            coalesce_max_bytes: 64 * 1024,
             batch_max_ops: 16,
             pipeline: 2,
         }
@@ -457,6 +451,10 @@ const MIN_DRR_COST: u64 = 64;
 /// accumulation loop stays short; beyond this size the per-op cost is
 /// dominated by the cluster job anyway.
 const DRR_COST_CAP: u64 = 4 << 20;
+/// Only broadcast payloads at most this long are coalescing candidates.
+const COALESCE_ELIGIBLE: usize = 4096;
+/// A fused broadcast payload never exceeds this many bytes.
+const COALESCE_MAX_BYTES: usize = 64 * 1024;
 
 /// DRR byte-cost of one queued command.
 fn cmd_cost(cmd: &Cmd) -> u64 {
@@ -1071,14 +1069,14 @@ fn build_plan(
                 let waited = now.saturating_duration_since(queued_at).as_nanos() as u64;
                 wait_ns += waited;
                 cells[tenant].wait_ns.fetch_add(waited, Ordering::Relaxed);
-                let eligible = cfg.coalesce_max_ops > 1 && payload.len() <= cfg.coalesce_eligible;
+                let eligible = cfg.coalesce_max_ops > 1 && payload.len() <= COALESCE_ELIGIBLE;
                 if eligible {
                     if let Some(f) = open.as_mut() {
                         if *f.group == *group
                             && f.root_node == root_node
                             && f.root_rank == root_rank
                             && f.children.len() < cfg.coalesce_max_ops
-                            && f.payload.len() + payload.len() <= cfg.coalesce_max_bytes
+                            && f.payload.len() + payload.len() <= COALESCE_MAX_BYTES
                         {
                             let off = f.payload.len();
                             f.payload.extend_from_slice(&payload);
