@@ -81,7 +81,8 @@ fi
 
 # The cross-process backend: fork 1 worker process (2 nodes total) over a
 # real mmap'd segment, checked payloads on every operation including the
-# bitwise thread-vs-process allreduce comparison.
+# bitwise thread-vs-process allreduce comparison, and a hand-set ceiling on
+# proc/bcast_tax_64K (process / thread time per 64 KiB broadcast).
 echo "== smoke: proc_cluster --small --check (2 nodes, forked workers)"
 cargo run --release -p bgp-bench --bin proc_cluster -- --small --check
 

@@ -4,21 +4,25 @@
 //! The interesting number is the *backend tax*: the broadcast and ring
 //! allreduce run byte-identically over threads-in-one-process (heap
 //! channels) and over N real OS processes (mmap'd segment channels), so
-//! the per-operation wall-time difference is what crossing a process
-//! boundary actually costs on this host. Complements the gated
-//! `proc/xproc_overhead_64K` ratio (two mappings, one process) with the
-//! true many-process measurement — host wall time, never gated, for the
-//! EXPERIMENTS record.
+//! the per-operation wall-time ratio is what crossing a process boundary
+//! costs on this host. Both sides are timed the same way — operations
+//! looped on a long-lived cluster, buffers set up once: a process op
+//! inside one `ProcCluster`, a thread op inside one `Cluster::run` (a
+//! `run` per op would be ~90 % dispatch, allocation and snapshot).
+//! Complements the gated `proc/xproc_overhead_64K` ratio (two mappings,
+//! one process) with the true many-process measurement.
 //!
 //! ```text
 //! proc_cluster [--small] [--check]
 //!   --small   2 nodes (the CI smoke shape); default 3
-//!   --check   byte-compare every operation against the expected payload
+//!   --check   byte-compare every operation against the expected payload,
+//!             and fail if proc/bcast_tax_64K exceeds TAX_CEILING
 //! ```
 
 use std::hint::black_box;
+use std::time::Instant;
 
-use bgp_bench::harness::bench_case_median;
+use bgp_bench::harness::report_median;
 use bgp_smp::collectives::write_f64s;
 use bgp_smp::proc::{allreduce_input, bcast_pattern, maybe_worker, ProcCluster};
 use bgp_smp::{Cluster, ClusterCtx};
@@ -27,6 +31,64 @@ const BCAST_LEN: usize = 64 * 1024;
 const ALLREDUCE_DOUBLES: usize = 8 * 1024;
 const CHUNK: usize = 4096;
 const WINDOW: usize = 4;
+const SAMPLES: usize = 50;
+const WARMUP: usize = SAMPLES / 4 + 1;
+/// Ops per clocked round: broadcast roots alternate, so a round holds one
+/// op of each shape (node 0 injecting, node 0 receiving).
+const ROUND: usize = 2;
+/// `--check` fails above this process ÷ thread broadcast time. Hand-set
+/// between what two nodes measure on a 2-core host now and what they
+/// measured while every result byte was checksummed and staged: the
+/// process op is 25–35 µs now, 123 µs then; the thread op is 7 or 14.5 µs,
+/// fixed per run by address-space layout (`setarch -R` pins it at 7). So
+/// the tax reads 2.3–5.1 now (40 runs: median 3.6, one above 5.0), 8–17
+/// then. What is left of it is the process side's payload generation and
+/// by-value results, which the thread side does not have.
+const TAX_CEILING: f64 = 6.0;
+
+/// Time `op(.., i)` on the thread backend: `setup` runs once per rank, then
+/// node 0 clocks `SAMPLES` rounds of [`ROUND`] ops, all inside one
+/// `Cluster::run`. Returns the median µs per op and `[node][rank]` =
+/// `result` after the loop.
+fn thread_case<B>(
+    name: &str,
+    threads: &Cluster,
+    setup: impl Fn(&mut ClusterCtx) -> B + Send + Sync + 'static,
+    op: impl Fn(&mut ClusterCtx, &B, usize) + Send + Sync + 'static,
+    result: impl Fn(&B) -> Vec<u8> + Send + Sync + 'static,
+) -> (f64, Vec<Vec<Vec<u8>>>) {
+    let mut out = threads.run(move |cctx: &mut ClusterCtx| {
+        let bufs = setup(cctx);
+        cctx.intra().barrier();
+        let times_us = time_rounds(|i| op(cctx, &bufs, i), |_, ()| {});
+        (times_us, result(&bufs))
+    });
+    let times_us = std::mem::take(&mut out[0][0].0);
+    let results = out
+        .into_iter()
+        .map(|ranks| ranks.into_iter().map(|(_, r)| r).collect())
+        .collect();
+    (report_median(name, times_us), results)
+}
+
+/// `WARMUP` rounds, then `SAMPLES` clocked ones: µs per op of each round.
+/// The clock is stopped while `after` looks at an op's result.
+fn time_rounds<R>(mut op: impl FnMut(usize) -> R, mut after: impl FnMut(usize, R)) -> Vec<f64> {
+    let mut times_us = Vec::with_capacity(SAMPLES);
+    for round in 0..WARMUP + SAMPLES {
+        let mut us = 0.0;
+        for i in round * ROUND..(round + 1) * ROUND {
+            let start = Instant::now();
+            let out = black_box(op(i));
+            us += start.elapsed().as_secs_f64() * 1e6;
+            after(i, out);
+        }
+        if round >= WARMUP {
+            times_us.push(us / ROUND as f64);
+        }
+    }
+    times_us
+}
 
 fn main() {
     // Worker re-execs of this binary land here and serve until shutdown.
@@ -42,49 +104,35 @@ fn main() {
     let m = if small { 2usize } else { 3 };
     println!("proc_cluster: {m} nodes, 1 OS process per node vs 1 thread per node");
 
-    let max_msg = BCAST_LEN.max(ALLREDUCE_DOUBLES * 8);
-    let mut procs = ProcCluster::new(m, CHUNK, WINDOW, max_msg).expect("spawn proc cluster");
+    // Thread backend first, while no worker process exists: an idle worker
+    // polls for jobs and would compete with the rank threads for a core.
+    // Broadcast roots alternate on both backends, so an op cannot start
+    // before the one before it has fully arrived.
     let threads = Cluster::with_geometry(m, 1, CHUNK, WINDOW);
-
-    // Broadcast, thread backend.
-    bench_case_median("proc/bcast_threads_64K", 10, || {
-        let expect = bcast_pattern(1, BCAST_LEN);
-        let out = threads.run(move |cctx: &mut ClusterCtx| {
+    let (bcast_threads_us, out) = thread_case(
+        "proc/bcast_threads_64K",
+        &threads,
+        |cctx| {
             let buf = cctx.intra().alloc_buffer(BCAST_LEN);
             if cctx.node() == 0 {
                 unsafe { buf.write(0, &bcast_pattern(1, BCAST_LEN)) };
             }
-            cctx.intra().barrier();
-            cctx.bcast(0, &buf, BCAST_LEN);
-            unsafe { buf.snapshot() }
-        });
-        if check {
-            for ranks in &out {
-                for snap in ranks {
-                    assert_eq!(snap[..], expect[..], "thread bcast mismatch");
-                }
-            }
+            buf
+        },
+        |cctx, buf, i| cctx.bcast(i % 2, buf, BCAST_LEN),
+        |buf| unsafe { buf.snapshot() },
+    );
+    if check {
+        let expect = bcast_pattern(1, BCAST_LEN);
+        for snap in out.iter().flatten() {
+            assert_eq!(snap[..], expect[..], "thread bcast mismatch");
         }
-        black_box(out);
-    });
-
-    // Broadcast, process backend (same wire protocol over the segment).
-    let mut seed = 0u64;
-    bench_case_median("proc/bcast_processes_64K", 10, || {
-        seed += 1;
-        let out = procs.bcast(0, seed, BCAST_LEN).expect("proc bcast");
-        if check {
-            let expect = bcast_pattern(seed, BCAST_LEN);
-            for (v, got) in out.iter().enumerate() {
-                assert_eq!(got[..], expect[..], "proc bcast mismatch at node {v}");
-            }
-        }
-        black_box(out);
-    });
-
-    // Allreduce, thread backend.
-    bench_case_median("proc/allreduce_threads_8Kdoubles", 10, || {
-        let out = threads.run(move |cctx: &mut ClusterCtx| {
+    }
+    // Its result is the reference of the process allreduce below.
+    let (_, reference) = thread_case(
+        "proc/allreduce_threads_8Kdoubles",
+        &threads,
+        |cctx| {
             let input = cctx.intra().alloc_buffer(ALLREDUCE_DOUBLES * 8);
             let output = cctx.intra().alloc_buffer(ALLREDUCE_DOUBLES * 8);
             let bytes = allreduce_input(3, cctx.node(), ALLREDUCE_DOUBLES);
@@ -93,43 +141,51 @@ fn main() {
                 .map(|b| f64::from_le_bytes(b.try_into().unwrap()))
                 .collect();
             write_f64s(&input, 0, &vals);
-            cctx.intra().barrier();
-            cctx.allreduce_f64(&input, &output, ALLREDUCE_DOUBLES);
-            unsafe { output.snapshot() }
-        });
-        black_box(out);
-    });
+            (input, output)
+        },
+        |cctx, (input, output), _| cctx.allreduce_f64(input, output, ALLREDUCE_DOUBLES),
+        |(_, output)| unsafe { output.snapshot() },
+    );
 
-    // Allreduce, process backend; --check asserts the acceptance property
-    // (bitwise-identical to the thread backend) on every sample.
-    let reference = threads.run(move |cctx: &mut ClusterCtx| {
-        let input = cctx.intra().alloc_buffer(ALLREDUCE_DOUBLES * 8);
-        let output = cctx.intra().alloc_buffer(ALLREDUCE_DOUBLES * 8);
-        let bytes = allreduce_input(3, cctx.node(), ALLREDUCE_DOUBLES);
-        let vals: Vec<f64> = bytes
-            .chunks_exact(8)
-            .map(|b| f64::from_le_bytes(b.try_into().unwrap()))
-            .collect();
-        write_f64s(&input, 0, &vals);
-        cctx.intra().barrier();
-        cctx.allreduce_f64(&input, &output, ALLREDUCE_DOUBLES);
-        unsafe { output.snapshot() }
-    });
-    bench_case_median("proc/allreduce_processes_8Kdoubles", 10, || {
-        let out = procs
-            .allreduce(3, ALLREDUCE_DOUBLES)
-            .expect("proc allreduce");
-        if check {
-            for (v, got) in out.iter().enumerate() {
-                assert_eq!(
-                    got[..],
-                    reference[v][0][..],
-                    "proc allreduce diverges from thread backend at node {v}"
-                );
+    // Process backend: the same wire protocol over the segment, timed the
+    // same way; the checks run off the clock, so --check does not move the
+    // times. It asserts the acceptance property (allreduce bitwise-identical
+    // to the thread backend) on every sample.
+    let max_msg = BCAST_LEN.max(ALLREDUCE_DOUBLES * 8);
+    let mut procs = ProcCluster::new(m, CHUNK, WINDOW, max_msg).expect("spawn proc cluster");
+    let times_us = time_rounds(
+        |i| procs.bcast(i % 2, i as u64, BCAST_LEN).expect("proc bcast"),
+        |i, out| {
+            if check {
+                let expect = bcast_pattern(i as u64, BCAST_LEN);
+                for (v, got) in out.iter().enumerate() {
+                    assert_eq!(got[..], expect[..], "proc bcast mismatch at node {v}");
+                }
             }
-        }
-        black_box(out);
-    });
+        },
+    );
+    let bcast_procs_us = report_median("proc/bcast_processes_64K", times_us);
+    let times_us = time_rounds(
+        |_| {
+            procs
+                .allreduce(3, ALLREDUCE_DOUBLES)
+                .expect("proc allreduce")
+        },
+        |_, out| {
+            if check {
+                for (v, got) in out.iter().enumerate() {
+                    assert_eq!(
+                        got[..],
+                        reference[v][0][..],
+                        "proc allreduce diverges from thread backend at node {v}"
+                    );
+                }
+            }
+        },
+    );
+    report_median("proc/allreduce_processes_8Kdoubles", times_us);
+    let tax = bcast_procs_us / bcast_threads_us;
+    println!("{:<45} {tax:>12.2} x", "proc/bcast_tax_64K");
 
     println!(
         "chunks moved through the segment: {}",
@@ -138,5 +194,9 @@ fn main() {
     procs.shutdown().expect("orderly worker shutdown");
     if check {
         println!("proc_cluster: all payload checks passed");
+        if tax > TAX_CEILING {
+            eprintln!("proc/bcast_tax_64K {tax:.2} exceeds the ceiling of {TAX_CEILING}");
+            std::process::exit(1);
+        }
     }
 }

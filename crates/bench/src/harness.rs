@@ -18,13 +18,19 @@ pub fn bench_case_median(name: &str, samples: usize, mut f: impl FnMut()) -> f64
     for _ in 0..samples / 4 + 1 {
         f();
     }
-    let mut times_us: Vec<f64> = (0..samples.max(1))
+    let times_us = (0..samples.max(1))
         .map(|_| {
             let start = Instant::now();
             f();
             start.elapsed().as_secs_f64() * 1e6
         })
         .collect();
+    report_median(name, times_us)
+}
+
+/// Print `name: median [min .. max]` for samples (µs) a caller timed
+/// itself — e.g. inside one long-lived job — and return the median.
+pub fn report_median(name: &str, mut times_us: Vec<f64>) -> f64 {
     times_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let median = times_us[times_us.len() / 2];
     println!(

@@ -17,19 +17,32 @@
 //! ## Segment layout (after the `bgp-shmem` header)
 //!
 //! ```text
-//! job record     1 seqlock   (job id, kind, root, len, seed)
-//! status[v]      m seqlocks  (job id done, status, checksum)
-//! result[v]      m regions   (max_msg bytes each; worker v's output)
+//! job record     1 seqlock     (job id, kind, root, len, seed)
+//! status[v]      m-1 seqlocks  (job id done, status), workers v = 1..m
+//! result[v]      m-1 regions   (max_msg bytes each; worker v's operand)
 //! links          the fabric: up[1..m], down[1..m], plus[0..m), minus[0..m)
 //! ```
 //!
 //! Control flow is seqlock-published ([`bgp_shmem::seqlock::SeqLock`] over
 //! segment words): the parent publishes a job record; workers poll it, run
-//! the collective, write their output into their result region, and
-//! publish their status record. The parent participates as node 0, then
-//! gathers statuses. A worker that dies mid-collective is detected by the
-//! parent's child-liveness poll; the segment is poisoned and the failure
-//! surfaces as a typed [`ProcError::WorkerCrashed`] — never a hang.
+//! the collective and publish their status record. The parent participates
+//! as node 0, then gathers statuses. A worker that dies mid-collective is
+//! detected by the parent's child-liveness poll; the segment is poisoned
+//! and the failure surfaces as a typed [`ProcError::WorkerCrashed`] — never
+//! a hang.
+//!
+//! ## Data path
+//!
+//! Every payload byte is written once, into the memory it is returned
+//! from. A worker's operand *is* its result region: broadcast chunks land
+//! in it straight off the slot loan, the ring reduces in it, allreduce
+//! inputs are generated into it. Node 0's operand *is* the `Vec` the
+//! parent returns as node 0's result. A broadcast root generates its
+//! payload chunk by chunk inside the injection loop, so generation
+//! overlaps the receivers. The parent copies worker `v`'s region out as
+//! soon as it sees status `v`, while later workers are still finishing.
+//! What remains per operation is the by-value result: `m` fresh
+//! allocations.
 
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -89,6 +102,22 @@ pub enum ProcError {
         /// The segment's poison code.
         code: u64,
     },
+    /// The message does not fit the result regions the cluster was built
+    /// with. Nothing was published; the cluster stays usable.
+    MessageTooLarge {
+        /// Bytes asked for.
+        len: usize,
+        /// The cluster's `max_msg`.
+        max: usize,
+    },
+    /// The broadcast root is not a node of this cluster. Nothing was
+    /// published; the cluster stays usable.
+    BadRoot {
+        /// Root asked for.
+        root: usize,
+        /// Nodes in the cluster.
+        nodes: usize,
+    },
 }
 
 impl std::fmt::Display for ProcError {
@@ -104,6 +133,12 @@ impl std::fmt::Display for ProcError {
             }
             ProcError::Poisoned { code } => {
                 write!(f, "cluster poisoned by an earlier failure (code {code})")
+            }
+            ProcError::MessageTooLarge { len, max } => {
+                write!(f, "{len}-byte message exceeds the {max}-byte regions")
+            }
+            ProcError::BadRoot { root, nodes } => {
+                write!(f, "root {root} is not one of the cluster's {nodes} nodes")
             }
         }
     }
@@ -288,7 +323,8 @@ unsafe impl SlotStore for ProcSlots {
 // Segment layout
 // ---------------------------------------------------------------------------
 
-/// Seqlock record width (data words) for jobs and statuses.
+/// Seqlock record width (data words): a job uses all five, a status the
+/// first two.
 const REC_WORDS: usize = 5;
 /// Bytes one seqlock record occupies (version + data, line-rounded).
 const REC_BYTES: usize = round_line(8 * (1 + REC_WORDS));
@@ -312,18 +348,21 @@ impl ProcLayout {
         0
     }
 
+    /// Worker `v`'s status record; record slot 0 is the job.
     fn status_off(&self, v: usize) -> usize {
-        debug_assert!(v < self.m);
-        REC_BYTES * (1 + v)
+        debug_assert!((1..self.m).contains(&v));
+        REC_BYTES * v
     }
 
+    /// Worker `v`'s result region. Node 0's result never enters the
+    /// segment, so it has none.
     fn result_off(&self, v: usize) -> usize {
-        debug_assert!(v < self.m);
-        REC_BYTES * (1 + self.m) + round_line(self.max_msg) * v
+        debug_assert!((1..self.m).contains(&v));
+        REC_BYTES * self.m + round_line(self.max_msg) * (v - 1)
     }
 
     fn links_off(&self) -> usize {
-        REC_BYTES * (1 + self.m) + round_line(self.max_msg) * self.m
+        REC_BYTES * self.m + round_line(self.max_msg) * (self.m - 1)
     }
 
     fn chan_bytes(&self) -> usize {
@@ -425,6 +464,26 @@ pub fn node_bcast<S: SlotStore>(fabric: &Fabric<S>, v: usize, root: usize, buf: 
     }
 }
 
+/// The root's part of a [`ProcCluster`] broadcast: `buf` becomes the
+/// [`bcast_pattern`] for `seed`, generated a chunk at a time inside the
+/// injection loop — once per chunk however many ports the root has — so
+/// the receivers work on one chunk while the next is being generated.
+fn root_bcast_generated<S: SlotStore>(fabric: &Fabric<S>, root: usize, seed: u64, buf: &mut [u8]) {
+    let (outs, len) = (fabric.bcast_out(root, root), buf.len());
+    let mut done = 0; // bytes of `buf` generated so far
+    let fill = |off: usize, dst: &mut [u8]| {
+        let end = off + dst.len();
+        if end > done {
+            bcast_pattern_into(seed, off, &mut buf[off..end]);
+            done = end;
+        }
+        dst.copy_from_slice(&buf[off..end]);
+    };
+    wire::tree_send(&outs, fabric.chunk_bytes(), len, fill, |_, _| {});
+    // A root without ports (m == 1) was never asked for a chunk.
+    bcast_pattern_into(seed, done, &mut buf[done..]);
+}
+
 /// One node's part of a cluster allreduce (sum of f64s), single rank per
 /// node: the flat ring engine of
 /// [`crate::cluster::ClusterCtx::allreduce_f64`] with one color (`n == 1`
@@ -442,40 +501,43 @@ pub fn node_allreduce_f64<S: SlotStore>(fabric: &Fabric<S>, v: usize, data: &mut
 // Deterministic test patterns (shared by parent and workers)
 // ---------------------------------------------------------------------------
 
+/// Byte `i` of the broadcast payload for `seed`.
+#[inline]
+fn pattern_byte(seed: u64, i: u64) -> u8 {
+    (seed.wrapping_add(i).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8
+}
+
 /// Broadcast payload for a given seed: a byte pattern any process can
 /// regenerate.
 pub fn bcast_pattern(seed: u64, len: usize) -> Vec<u8> {
-    (0..len)
-        .map(|i| {
-            (seed
-                .wrapping_add(i as u64)
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                >> 56) as u8
-        })
-        .collect()
+    (0..len as u64).map(|i| pattern_byte(seed, i)).collect()
+}
+
+/// Bytes `off..off + dst.len()` of [`bcast_pattern`]`(seed, ..)`, written
+/// in place: any piece of the payload, with no whole to slice it from.
+pub fn bcast_pattern_into(seed: u64, off: usize, dst: &mut [u8]) {
+    for (b, i) in dst.iter_mut().zip(off as u64..) {
+        *b = pattern_byte(seed, i);
+    }
 }
 
 /// Node `v`'s allreduce input for a given seed, as raw f64 bytes.
 pub fn allreduce_input(seed: u64, v: usize, count: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(count * 8);
-    for i in 0..count {
+    let mut out = vec![0u8; count * 8];
+    allreduce_input_into(seed, v, &mut out);
+    out
+}
+
+/// [`allreduce_input`]`(seed, v, dst.len() / 8)`, written in place.
+fn allreduce_input_into(seed: u64, v: usize, dst: &mut [u8]) {
+    for (i, out) in dst.chunks_exact_mut(8).enumerate() {
         let x = seed
             .wrapping_mul(31)
             .wrapping_add(v as u64 * 17)
             .wrapping_add(i as u64);
         let val = (x % 1000) as f64 * 0.25 - 100.0;
-        out.extend_from_slice(&val.to_le_bytes());
+        out.copy_from_slice(&val.to_le_bytes());
     }
-    out
-}
-
-fn checksum(bytes: &[u8]) -> u64 {
-    // FNV-1a.
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 // ---------------------------------------------------------------------------
@@ -524,45 +586,28 @@ impl SeqWords for RecWords {
 // The worker loop
 // ---------------------------------------------------------------------------
 
-/// Base pointer of node `v`'s result region (`l.max_msg` bytes). Written
-/// only by node `v` (before its status publish), read only by the parent
+/// Base pointer of worker `v`'s result region (`l.max_msg` bytes). Written
+/// only by worker `v` (before its status publish), read only by the parent
 /// (after observing that publish) — release/acquire on the status record
 /// orders the two; callers materialize the slice flavor they need.
 unsafe fn result_ptr(seg: &ShmSegment, l: &ProcLayout, v: usize) -> *mut u8 {
     seg.payload_ptr().add(l.result_off(v))
 }
 
-fn run_job(
-    fabric: &Fabric<ProcSlots>,
-    seg: &Arc<ShmSegment>,
-    l: &ProcLayout,
-    v: usize,
-    job: &[u64; REC_WORDS],
-) {
-    let (kind, root, len, seed) = (job[1], job[2] as usize, job[3] as usize, job[4]);
-    // SAFETY: node v writes only its own region; see `result_ptr`.
-    let region = unsafe { std::slice::from_raw_parts_mut(result_ptr(seg, l, v), l.max_msg) };
-    let out_len = match kind {
-        JOB_BCAST => {
-            let mut buf = if v == root {
-                bcast_pattern(seed, len)
-            } else {
-                vec![0u8; len]
-            };
-            node_bcast(fabric, v, root, &mut buf);
-            region[..len].copy_from_slice(&buf);
-            len
-        }
+/// Node `v`'s part of collective `job`, in place over `buf` — the node's
+/// operand, exactly the job's `len` bytes, and on return its result.
+fn run_job(fabric: &Fabric<ProcSlots>, v: usize, job: &[u64; REC_WORDS], buf: &mut [u8]) {
+    let (kind, root, seed) = (job[1], job[2] as usize, job[4]);
+    debug_assert_eq!(buf.len() as u64, job[3]);
+    match kind {
+        JOB_BCAST if v == root => root_bcast_generated(fabric, root, seed, buf),
+        JOB_BCAST => node_bcast(fabric, v, root, buf),
         JOB_ALLREDUCE => {
-            let mut buf = allreduce_input(seed, v, len / 8);
-            node_allreduce_f64(fabric, v, &mut buf);
-            region[..len].copy_from_slice(&buf);
-            len
+            allreduce_input_into(seed, v, buf);
+            node_allreduce_f64(fabric, v, buf);
         }
-        _ => 0,
-    };
-    let status = RecWords::at(seg, l.status_off(v));
-    status.publish(&[job[0], 0, checksum(&region[..out_len]), 0, 0]);
+        _ => {}
+    }
 }
 
 /// Worker-process entry hook. **Call this first in `main`** of any binary
@@ -590,8 +635,10 @@ pub fn maybe_worker() -> bool {
 fn worker_loop(path: &std::path::Path, v: usize) -> Result<(), ProcError> {
     let seg = Arc::new(ShmSegment::open(path)?);
     let l = ProcLayout::from_segment(&seg);
+    assert!((1..l.m).contains(&v), "worker node id out of range");
     let fabric = l.fabric(&seg, false);
     let job_rec = RecWords::at(&seg, l.job_off());
+    let status = RecWords::at(&seg, l.status_off(v));
     let ppid = bgp_shmem::proc::parent_pid();
     let mut done = 0u64;
     let mut job = [0u64; REC_WORDS];
@@ -618,13 +665,18 @@ fn worker_loop(path: &std::path::Path, v: usize) -> Result<(), ProcError> {
                 // Crash injection: die without a status, mid-"collective".
                 std::process::exit(42);
             }
-            JOB_CRASH => {
-                // Everyone else acknowledges and keeps serving.
-                let status = RecWords::at(&seg, l.status_off(v));
-                status.publish(&[job[0], 0, 0, 0, 0]);
+            JOB_CRASH => {} // everyone else acknowledges and keeps serving
+            _ => {
+                let len = job[3] as usize;
+                assert!(len <= l.max_msg, "job exceeds the result region");
+                // SAFETY: in-bounds per the asserts on `v` and `len`; worker
+                // v alone touches its region until the status publish below
+                // (`result_ptr`).
+                let buf = unsafe { std::slice::from_raw_parts_mut(result_ptr(&seg, &l, v), len) };
+                run_job(&fabric, v, &job, buf);
             }
-            _ => run_job(&fabric, &seg, &l, v, &job),
         }
+        status.publish(&[job[0], 0]);
     }
 }
 
@@ -640,9 +692,17 @@ pub struct ProcCluster {
     seg: Arc<ShmSegment>,
     layout: ProcLayout,
     fabric: Fabric<ProcSlots>,
-    workers: Vec<(usize, Child)>,
+    job_rec: SeqLock<RecWords>,
+    workers: Vec<Worker>,
     job_id: u64,
     dead: bool,
+}
+
+/// The parent's handle on one worker process.
+struct Worker {
+    node: usize,
+    child: Child,
+    status: SeqLock<RecWords>,
 }
 
 impl ProcCluster {
@@ -667,29 +727,34 @@ impl ProcCluster {
         )?);
         let fabric = layout.fabric(&seg, true);
         let exe = std::env::current_exe().map_err(ProcError::Spawn)?;
-        let mut workers = Vec::new();
-        for v in 1..m {
+        let mut workers: Vec<Worker> = Vec::new();
+        for node in 1..m {
             let child = Command::new(&exe)
                 .env(ENV_WORKER, "1")
                 .env(ENV_SEG, seg.path())
-                .env(ENV_NODE, v.to_string())
+                .env(ENV_NODE, node.to_string())
                 .stdin(Stdio::null())
                 .stdout(Stdio::null())
                 .spawn()
                 .map_err(ProcError::Spawn);
             match child {
-                Ok(c) => workers.push((v, c)),
+                Ok(child) => workers.push(Worker {
+                    node,
+                    child,
+                    status: RecWords::at(&seg, layout.status_off(node)),
+                }),
                 Err(e) => {
                     // Kill what we spawned; the Drop impl can't run yet.
-                    for (_, mut c) in workers {
-                        let _ = c.kill();
-                        let _ = c.wait();
+                    for mut w in workers {
+                        let _ = w.child.kill();
+                        let _ = w.child.wait();
                     }
                     return Err(e);
                 }
             }
         }
         Ok(ProcCluster {
+            job_rec: RecWords::at(&seg, layout.job_off()),
             seg,
             layout,
             fabric,
@@ -715,6 +780,8 @@ impl ProcCluster {
         self.seg.path()
     }
 
+    /// Refuse before anything is published: a poisoned cluster, or a
+    /// message the result regions cannot hold.
     fn check_usable(&self, len: usize) -> Result<(), ProcError> {
         if self.dead {
             return Err(ProcError::Poisoned {
@@ -722,23 +789,26 @@ impl ProcCluster {
             });
         }
         self.seg.check_healthy()?;
-        assert!(
-            len <= self.layout.max_msg,
-            "message exceeds segment regions"
-        );
+        if len > self.layout.max_msg {
+            return Err(ProcError::MessageTooLarge {
+                len,
+                max: self.layout.max_msg,
+            });
+        }
         Ok(())
     }
 
     fn publish_job(&mut self, kind: u64, root: u64, len: u64, seed: u64) -> [u64; REC_WORDS] {
         self.job_id += 1;
         let job = [self.job_id, kind, root, len, seed];
-        RecWords::at(&self.seg, self.layout.job_off()).publish(&job);
+        self.job_rec.publish(&job);
         job
     }
 
     /// Publish one collective job, take part in it as node 0 — through
-    /// [`run_job`], the very code the workers run — and gather every
-    /// node's `len` result bytes, in node order.
+    /// [`run_job`], the very code the workers run, over the `Vec` that is
+    /// returned as node 0's result — and gather every worker's `len`
+    /// result bytes behind it, in node order.
     fn collective(
         &mut self,
         kind: u64,
@@ -748,30 +818,27 @@ impl ProcCluster {
     ) -> Result<Vec<Vec<u8>>, ProcError> {
         self.check_usable(len)?;
         let job = self.publish_job(kind, root as u64, len as u64, seed);
-        run_job(&self.fabric, &self.seg, &self.layout, 0, &job);
-        self.gather(job[0])?;
-        Ok(self.collect_results(len))
+        let mut own = vec![0u8; len];
+        run_job(&self.fabric, 0, &job, &mut own);
+        let mut out = Vec::with_capacity(self.layout.m);
+        out.push(own);
+        self.gather(job[0], len, &mut out)?;
+        Ok(out)
     }
 
-    /// Wait until every worker has published a status for `job`, polling
-    /// worker liveness. On a worker death: poison the segment, mark the
-    /// cluster dead, and report which node died — a clean typed error, not
-    /// a hang.
-    fn gather(&mut self, job: u64) -> Result<(), ProcError> {
-        let mut rec = [0u64; REC_WORDS];
+    /// Wait, worker by worker, for the status of `job`, and push the first
+    /// `len` bytes of each worker's result region onto `out` as soon as
+    /// its status is seen — later workers are still finishing meanwhile.
+    /// Polls worker liveness: on a worker death, poison the segment, mark
+    /// the cluster dead, and report which node died — a clean typed error,
+    /// not a hang.
+    fn gather(&mut self, job: u64, len: usize, out: &mut Vec<Vec<u8>>) -> Result<(), ProcError> {
+        let mut rec = [0u64; 2];
         for i in 0..self.workers.len() {
-            let (v, _) = self.workers[i];
-            let status = RecWords::at(&self.seg, self.layout.status_off(v));
             let mut last_live_check = Instant::now();
             loop {
-                status.read_into(&mut rec);
+                self.workers[i].status.read_into(&mut rec);
                 if rec[0] == job {
-                    if rec[1] != 0 {
-                        return Err(ProcError::WorkerFailed {
-                            node: v,
-                            status: rec[1],
-                        });
-                    }
                     break;
                 }
                 if last_live_check.elapsed() > Duration::from_millis(20) {
@@ -785,33 +852,51 @@ impl ProcCluster {
                 }
                 std::thread::yield_now();
             }
+            let node = self.workers[i].node;
+            if rec[1] != 0 {
+                return Err(ProcError::WorkerFailed {
+                    node,
+                    status: rec[1],
+                });
+            }
+            // SAFETY: `len <= max_msg` (`check_usable`), and the acquire
+            // read of the status above ordered the worker's writes before
+            // this read-only view (`result_ptr`).
+            let region = unsafe {
+                std::slice::from_raw_parts(result_ptr(&self.seg, &self.layout, node), len)
+            };
+            out.push(region.to_vec());
         }
         Ok(())
     }
 
     fn any_dead_worker(&mut self) -> Option<usize> {
-        for (v, c) in &mut self.workers {
-            if let Ok(Some(_)) = c.try_wait() {
-                return Some(*v);
+        for w in &mut self.workers {
+            if let Ok(Some(_)) = w.child.try_wait() {
+                return Some(w.node);
             }
         }
         None
     }
 
     fn reap(&mut self) {
-        for (_, c) in &mut self.workers {
-            let _ = c.kill();
-            let _ = c.wait();
+        for w in &mut self.workers {
+            let _ = w.child.kill();
+            let _ = w.child.wait();
         }
         self.workers.clear();
     }
 
     /// Cluster broadcast: node `root`'s deterministic
     /// [`bcast_pattern`]`(seed, len)` payload lands on every node. Returns
-    /// each node's received bytes, in node order, read back from the
-    /// segment's result regions.
+    /// each node's received bytes, in node order.
     pub fn bcast(&mut self, root: usize, seed: u64, len: usize) -> Result<Vec<Vec<u8>>, ProcError> {
-        assert!(root < self.layout.m, "root out of range");
+        if root >= self.layout.m {
+            return Err(ProcError::BadRoot {
+                root,
+                nodes: self.layout.m,
+            });
+        }
         self.collective(JOB_BCAST, root, len, seed)
     }
 
@@ -819,7 +904,7 @@ impl ProcCluster {
     /// [`allreduce_input`]`(seed, v, count)`. Returns each node's result
     /// bytes (all identical on success), in node order.
     pub fn allreduce(&mut self, seed: u64, count: usize) -> Result<Vec<Vec<u8>>, ProcError> {
-        self.collective(JOB_ALLREDUCE, 0, count * 8, seed)
+        self.collective(JOB_ALLREDUCE, 0, count.saturating_mul(8), seed)
     }
 
     /// Crash injection (tests): direct the worker for `node` to exit
@@ -828,22 +913,7 @@ impl ProcCluster {
         assert!(node >= 1 && node < self.layout.m, "can only crash a worker");
         self.check_usable(0)?;
         let job = self.publish_job(JOB_CRASH, node as u64, 0, 0)[0];
-        let status = RecWords::at(&self.seg, self.layout.status_off(0));
-        status.publish(&[job, 0, 0, 0, 0]);
-        self.gather(job)
-    }
-
-    fn collect_results(&self, len: usize) -> Vec<Vec<u8>> {
-        (0..self.layout.m)
-            .map(|v| {
-                // SAFETY: read-only view after all statuses acked job
-                // completion (acquire on each status record).
-                let region = unsafe {
-                    std::slice::from_raw_parts(result_ptr(&self.seg, &self.layout, v), len)
-                };
-                region.to_vec()
-            })
-            .collect()
+        self.gather(job, 0, &mut Vec::new())
     }
 
     /// Orderly shutdown: direct workers to exit and wait for them.
@@ -854,17 +924,15 @@ impl ProcCluster {
 
     fn shutdown_inner(&mut self) {
         if !self.workers.is_empty() && !self.dead {
-            self.job_id += 1;
-            let job = RecWords::at(&self.seg, self.layout.job_off());
-            job.publish(&[self.job_id, JOB_EXIT, 0, 0, 0]);
+            self.publish_job(JOB_EXIT, 0, 0, 0);
             let deadline = Instant::now() + Duration::from_secs(5);
-            for (_, c) in &mut self.workers {
+            for w in &mut self.workers {
                 loop {
-                    match c.try_wait() {
+                    match w.child.try_wait() {
                         Ok(Some(_)) => break,
                         _ if Instant::now() > deadline => {
-                            let _ = c.kill();
-                            let _ = c.wait();
+                            let _ = w.child.kill();
+                            let _ = w.child.wait();
                             break;
                         }
                         _ => std::thread::yield_now(),
@@ -880,5 +948,20 @@ impl Drop for ProcCluster {
     fn drop(&mut self) {
         self.shutdown_inner();
         self.reap();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn pattern_into_at_any_offset_is_a_slice_of_the_whole_pattern() {
+        let whole = bcast_pattern(0xDEAD_BEEF, 10_000);
+        for (off, len) in [(0, 0), (0, 1), (1, 4095), (4097, 4096), (9_993, 7)] {
+            let mut part = vec![0xAAu8; len];
+            bcast_pattern_into(0xDEAD_BEEF, off, &mut part);
+            assert_eq!(part, whole[off..off + len], "off={off} len={len}");
+        }
     }
 }

@@ -57,6 +57,24 @@ fn bcast_matches_the_pattern_across_sizes_and_roots() {
     c.shutdown().expect("shutdown");
 }
 
+/// The thread cluster's allreduce of the same seeded inputs: per node, per
+/// rank, the output buffer's bytes (at least `count * 8` of them).
+fn thread_allreduce(threads: &Cluster, seed: u64, count: usize) -> Vec<Vec<Vec<u8>>> {
+    threads.run(move |cctx: &mut ClusterCtx| {
+        let input = cctx.intra().alloc_buffer((count * 8).max(1));
+        let output = cctx.intra().alloc_buffer((count * 8).max(1));
+        let bytes = allreduce_input(seed, cctx.node(), count);
+        let vals: Vec<f64> = bytes
+            .chunks_exact(8)
+            .map(|b| f64::from_le_bytes(b.try_into().unwrap()))
+            .collect();
+        write_f64s(&input, 0, &vals);
+        cctx.intra().barrier();
+        cctx.allreduce_f64(&input, &output, count);
+        unsafe { output.snapshot() }
+    })
+}
+
 /// The acceptance bar: the forked multi-process allreduce must be
 /// *bitwise* identical to the in-process thread cluster of the same
 /// geometry fed the same inputs — both run the same kernel calls in the
@@ -71,19 +89,7 @@ fn allreduce_is_bitwise_identical_to_the_thread_cluster() {
             let seed = (m * 100 + count) as u64;
             let got = c.allreduce(seed, count).expect("proc allreduce");
 
-            let reference = threads.run(move |cctx: &mut ClusterCtx| {
-                let input = cctx.intra().alloc_buffer((count * 8).max(1));
-                let output = cctx.intra().alloc_buffer((count * 8).max(1));
-                let bytes = allreduce_input(seed, cctx.node(), count);
-                let vals: Vec<f64> = bytes
-                    .chunks_exact(8)
-                    .map(|b| f64::from_le_bytes(b.try_into().unwrap()))
-                    .collect();
-                write_f64s(&input, 0, &vals);
-                cctx.intra().barrier();
-                cctx.allreduce_f64(&input, &output, count);
-                unsafe { output.snapshot() }
-            });
+            let reference = thread_allreduce(&threads, seed, count);
 
             for (v, got_v) in got.iter().enumerate() {
                 assert_eq!(
@@ -96,6 +102,76 @@ fn allreduce_is_bitwise_identical_to_the_thread_cluster() {
         }
         c.shutdown().expect("shutdown");
     }
+}
+
+/// Every node's operand is a fixed region (or, on node 0, a fresh `Vec`)
+/// that collectives run in place: after an op that fills the regions to
+/// `max_msg`, shorter ops of both kinds must return exactly `len` bytes
+/// of their own data. Three nodes give a multi-port root (0) and a relay
+/// (node 0 under roots 1 and 2).
+fn short_ops_after_a_full_region_never_leak_stale_bytes() {
+    let max = 3 * CHUNK + 8;
+    let mut c = ProcCluster::new(3, CHUNK, WINDOW, max).expect("cluster");
+    let threads = Cluster::with_geometry(3, 1, CHUNK, WINDOW);
+    let mut seed = 900u64;
+    for fill_root in [1usize, 2] {
+        let out = c.bcast(fill_root, seed, max).expect("full bcast");
+        assert_eq!(out, vec![bcast_pattern(seed, max); 3]);
+        for len in [1usize, CHUNK - 1, CHUNK + 1, 0] {
+            for root in [0usize, 1, 2] {
+                seed += 1;
+                let out = c.bcast(root, seed, len).expect("short bcast");
+                assert_eq!(
+                    out,
+                    vec![bcast_pattern(seed, len); 3],
+                    "bcast root={root} len={len}"
+                );
+            }
+        }
+        seed += 1;
+        let out = c.allreduce(seed, max / 8).expect("full allreduce");
+        assert!(out.iter().all(|r| r.len() == max));
+        for count in [1usize, CHUNK / 8 - 1, CHUNK / 8 + 1, 0] {
+            seed += 1;
+            let out = c.allreduce(seed, count).expect("short allreduce");
+            let reference = thread_allreduce(&threads, seed, count);
+            for (v, got) in out.iter().enumerate() {
+                assert_eq!(
+                    got[..],
+                    reference[v][0][..count * 8],
+                    "allreduce count={count} node={v}"
+                );
+            }
+        }
+    }
+    c.shutdown().expect("shutdown");
+}
+
+/// Misuse is refused before anything is published — no job, no chunk —
+/// and the cluster keeps working.
+fn misuse_is_a_typed_error_and_the_cluster_stays_usable() {
+    let max = 1 << 12;
+    let mut c = ProcCluster::new(2, CHUNK, WINDOW, max).expect("cluster");
+    match c.bcast(0, 1, max + 1) {
+        Err(ProcError::MessageTooLarge { len, max: m }) => assert_eq!((len, m), (max + 1, max)),
+        other => panic!("expected MessageTooLarge, got {other:?}"),
+    }
+    for count in [max / 8 + 1, usize::MAX] {
+        match c.allreduce(1, count) {
+            Err(ProcError::MessageTooLarge { max: m, .. }) => assert_eq!(m, max),
+            other => panic!("expected MessageTooLarge, got {other:?}"),
+        }
+    }
+    match c.bcast(2, 1, 8) {
+        Err(ProcError::BadRoot { root: 2, nodes: 2 }) => {}
+        other => panic!("expected BadRoot, got {other:?}"),
+    }
+    assert_eq!(c.fabric().total_chunks_sent(), 0, "a refused op moved data");
+    let out = c.bcast(1, 5, max).expect("bcast after misuse");
+    assert_eq!(out, vec![bcast_pattern(5, max); 2]);
+    let out = c.allreduce(5, 0).expect("allreduce after misuse");
+    assert!(out.iter().all(|r| r.is_empty()));
+    c.shutdown().expect("shutdown");
 }
 
 fn worker_crash_is_a_typed_error_not_a_hang() {
@@ -129,6 +205,14 @@ fn main() {
         (
             "allreduce_is_bitwise_identical_to_the_thread_cluster",
             allreduce_is_bitwise_identical_to_the_thread_cluster,
+        ),
+        (
+            "short_ops_after_a_full_region_never_leak_stale_bytes",
+            short_ops_after_a_full_region_never_leak_stale_bytes,
+        ),
+        (
+            "misuse_is_a_typed_error_and_the_cluster_stays_usable",
+            misuse_is_a_typed_error_and_the_cluster_stays_usable,
         ),
         (
             "worker_crash_is_a_typed_error_not_a_hang",
