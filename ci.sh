@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# CI gate: formatting, lints, the tier-1 verify (release build + tests),
-# every crate's unit tests, the bgp-check model-checking suites, a smoke run
-# of a figure binary checking that its JSON report and its --trace probe
-# artifacts parse, the performance-regression gate (bench_gate) against
-# the committed baseline, and the two committed simulator artifacts
-# (experiments_paper_scale.txt, tuning/default.json) reproducing exactly.
+# CI gate: the one-file rule for link sends, formatting, lints, the tier-1
+# verify (release build + tests), a bounded soak of the formerly livelocking
+# service test, every crate's unit tests, the bgp-check model-checking
+# suites, a smoke run of a figure binary checking that its JSON report and
+# its --trace probe artifacts parse, the performance-regression gate
+# (bench_gate) against the committed baseline, and the two committed
+# simulator artifacts (experiments_paper_scale.txt, tuning/default.json)
+# reproducing exactly.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -29,6 +31,16 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# Link sends live in one file. bgp_smp::wire is the only module of bgp-smp /
+# bgp-sched that may originate a chunk on a ChunkChannel (transport.rs
+# defines the calls); a send loop growing back anywhere else fails here.
+echo "== guard: no link send outside crates/smp/src/wire.rs"
+if grep -nE 'send_with\(|try_send_with\(|\.reserve\(|\.try_reserve\(' \
+  crates/smp/src/{cluster,node_aware,proc,runtime}.rs crates/sched/src/*.rs; then
+  echo "link send outside bgp_smp::wire (see DESIGN 5e)" >&2
+  exit 1
+fi
+
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -44,6 +56,24 @@ cargo clippy -p bgp-shmem -p bgp-smp -p bgp-sched --all-targets --features model
 echo "== tier-1: cargo build --release && cargo test -q (full stress volumes)"
 cargo build --release
 BGP_STRESS_FULL=1 cargo test -q
+
+# Bounded soak of the test that used to livelock in ~1 % of debug runs (the
+# engine retired a broadcast's counters before a late root had looked them
+# up): the built tests/svc.rs binary, 200 times, each under a timeout — a
+# reintroduced wait of that class costs CI a minute, not forever.
+echo "== soak: tests/svc.rs x 200 (timeout 60 s each)"
+svc_bin="$(cargo test --test svc --no-run --message-format=json 2>/dev/null |
+  python3 -c 'import json, sys
+for line in sys.stdin:
+    m = json.loads(line)
+    if m.get("reason") == "compiler-artifact" and m["target"]["name"] == "svc" and m.get("executable"):
+        print(m["executable"])')"
+for i in $(seq 1 200); do
+  timeout 60 "$svc_bin" -q >/dev/null || {
+    echo "tests/svc.rs failed or hung on soak run $i" >&2
+    exit 1
+  }
+done
 
 # `cargo test` at the root only runs the facade package. The in-crate unit
 # tests of every workspace member (the kernels' tail-shape suite, the flat

@@ -18,7 +18,8 @@
 //!
 //! ## Protocols
 //!
-//! The engine implements one protocol itself and steps the other two:
+//! The engine steps `bgp_smp::wire` for all three; no link send originates
+//! in this file:
 //!
 //! **ibcast** — the root exposes its buffer; the engine on the root node
 //! maps it and injects all chunks down the re-rooted tree ([`Fabric::bcast_out`]);
@@ -26,10 +27,14 @@
 //! at post time). On every other node the engine receives chunks into a
 //! staging region, publishes received bytes on the op's reception counter,
 //! and forwards on the remaining tree ports out of the stage; members chase
-//! the counter and copy out — §V-B's reception/copy overlap, per op. (The
-//! blocking [`wire::tree_recv`](bgp_smp::wire::tree_recv) relays from the
-//! slot loan and blocks on downstream room; a stage the members chase is
-//! what lets this one do neither, so the two share nothing.)
+//! the counter and copy out — §V-B's reception/copy overlap, per op. The
+//! outbound half, injection and forwarding alike, is a
+//! [`wire::TreeFeed`](TreeFeed) per op — the feeder the blocking broadcast
+//! drives to completion, pumped here once per pass with whatever is valid
+//! so far. Only the receive half differs from the blocking
+//! [`wire::tree_recv`](bgp_smp::wire::tree_recv), which relays from the
+//! slot loan and blocks on downstream room: chunks land in a stage the
+//! members chase, so a full downstream link never holds up a receive.
 //!
 //! **iallreduce / ireduce_scatter** — members expose inputs; the engine
 //! exposes a node accumulator. The local reduce is partitioned by member
@@ -42,21 +47,28 @@
 //!
 //! **iallgather** — members deposit their blocks into the node's superblock
 //! of the accumulator; the network side is [`wire::plan_allgather`] over
-//! ring positions under a [`wire::PlanCursor`](PlanCursor), and the
-//! accumulator publishes the node-major prefix members chase.
+//! ring positions under a [`wire::PlanCursor`](PlanCursor), and a
+//! [`wire::Prefix`](Prefix) turns superblocks landing in ring order into
+//! the node-major byte prefix members chase.
 //!
 //! What is the engine's own: demultiplexing arrivals by op tag, the stash,
-//! the tree-broadcast stage, and retirement.
+//! the broadcast stage's receive side, and retirement.
 //!
 //! ## Members
 //!
 //! A rank's side of any operation is one record ([`Member`]): an optional
 //! *contribution* (sum a share of the inputs, deposit a block), one *chase*
 //! (copy a span of a source region into the rank's buffer as a counter
-//! passes it), and an optional *release* condition under which the buffer
+//! passes it), an optional *release* condition under which the buffer
 //! the rank exposed may be withdrawn (a broadcast root: injection done and
 //! every co-located member copied; a reduce member: every local
-//! contribution stream complete, since co-members read its input).
+//! contribution stream complete, since co-members read its input), and a
+//! final report on the op's done counter. Every member reports, the
+//! broadcast root included, and only after it has looked up every counter
+//! it will ever use: the engine retires the op's counters when all members
+//! of the node have reported, and the bank's lookup is get-or-create — a
+//! member still to look one up after retirement (a root that posts late,
+//! say) would wait on a fresh zero forever.
 //!
 //! ## Progress, parking, completion
 //!
@@ -85,7 +97,9 @@ use std::sync::Arc;
 use bgp_shmem::{spin, MessageCounter, SharedRegion};
 use bgp_smp::cluster::sum_regions;
 use bgp_smp::transport::{optag, ChunkChannel, Fabric, RingDir};
-use bgp_smp::wire::{plan_allgather, Kind, Local, PlanCursor, RingFlow, RingPlan, Stepper};
+use bgp_smp::wire::{
+    plan_allgather, Kind, Local, PlanCursor, Prefix, RingFlow, RingPlan, Stepper, TreeFeed,
+};
 use bgp_smp::{ClusterCtx, NodeShared};
 
 use crate::SchedError;
@@ -178,16 +192,16 @@ fn reduce_share(i: usize, g: usize, bytes: usize, chunk: usize) -> (usize, usize
 }
 
 /// This rank's side of one in-flight operation (see the module docs).
-#[derive(Default)]
 struct Member {
     contribute: Option<Contribute>,
     chase: Option<Chase>,
     /// `(counter, value it must reach)`: once all hold, the buffer this rank
     /// exposed under [`ROLE_DATA`] is withdrawn.
     release: Option<Vec<(Arc<MessageCounter>, u64)>>,
-    /// Tells the engine this member is finished. `None` for a broadcast
-    /// root, whose release already waits for the engine.
-    done: Option<Arc<MessageCounter>>,
+    /// Tells the engine this member is finished — every member, last of
+    /// all: the engine retires the op's counters once all have reported,
+    /// so reporting is the promise never to look one up again.
+    done: Arc<MessageCounter>,
 }
 
 /// What a member puts into the node accumulator: the f64-lane sum of bytes
@@ -282,9 +296,10 @@ impl Member {
             copied: 0,
         };
         Member {
+            contribute: None,
             chase: Some(chase),
-            done: Some(done),
-            ..Member::default()
+            release: None,
+            done,
         }
     }
 
@@ -333,9 +348,7 @@ impl Member {
             }
             registry.unexpose(rank as u32, reg_tag(op, ROLE_DATA));
         }
-        if let Some(done) = self.done.as_ref() {
-            done.publish(1);
-        }
+        self.done.publish(1);
         true
     }
 }
@@ -345,14 +358,15 @@ struct NetBcast {
     root_node: usize,
     root_rank: usize,
     len: usize,
-    kt: usize,
     is_root_node: bool,
     /// Root node: the mapped source (may lag the post of a co-located
     /// root). Elsewhere: the engine-owned staging region.
     buf: Option<Arc<SharedRegion>>,
-    /// Chunks injected per outbound tree port (port order of `bcast_out`).
-    injected: Vec<usize>,
-    recv_chunks: usize,
+    /// What is out on the outbound tree ports (port order of `bcast_out`).
+    feed: TreeFeed,
+    /// Bytes of the message valid on this node, as a prefix: all of it at
+    /// the root, what has been received into the stage elsewhere.
+    valid: usize,
     recv_ctr: Option<Arc<MessageCounter>>,
     netdone: Arc<MessageCounter>,
     netdone_published: bool,
@@ -360,13 +374,13 @@ struct NetBcast {
 
 impl NetBcast {
     fn accept(&mut self, k: usize, bytes: &[u8], chunk: usize) {
-        debug_assert_eq!(k, self.recv_chunks, "broadcast chunks arrive in order");
+        debug_assert_eq!(k * chunk, self.valid, "broadcast chunks arrive in order");
         debug_assert_eq!(bytes.len(), (self.len - k * chunk).min(chunk));
         let stage = self.buf.as_ref().expect("a non-root node has its stage");
         // SAFETY: the engine is the only writer of the stage; member
         // reads are gated on the reception counter published below.
-        unsafe { stage.write(k * chunk, bytes) };
-        self.recv_chunks += 1;
+        unsafe { stage.write(self.valid, bytes) };
+        self.valid += bytes.len();
         self.recv_ctr
             .as_ref()
             .expect("only non-root nodes receive")
@@ -375,32 +389,14 @@ impl NetBcast {
 
     /// Inject (root node) or forward (elsewhere) on every outbound tree
     /// port, then publish net-done once nothing is owed.
-    fn pump(&mut self, op: u64, outs: &[&ChunkChannel], chunk: usize) {
+    fn pump(&mut self, op: u64, outs: &[&ChunkChannel]) {
         if let Some(buf) = self.buf.as_ref() {
-            let limit = if self.is_root_node {
-                self.kt
-            } else {
-                self.recv_chunks
-            };
-            debug_assert_eq!(outs.len(), self.injected.len());
-            for (ch, sent) in outs.iter().zip(self.injected.iter_mut()) {
-                while *sent < limit {
-                    let off = *sent * chunk;
-                    let clen = (self.len - off).min(chunk);
-                    let tag = optag::pack(op, optag::KIND_DATA, *sent);
-                    // SAFETY: `[off, off+clen)` is valid: the whole source
-                    // at the root, received bytes in the stage elsewhere.
-                    if !ch.try_send_with(tag, clen, |d| unsafe { buf.read(off, d) }) {
-                        break;
-                    }
-                    *sent += 1;
-                }
-            }
+            let tag = |k| optag::pack(op, optag::KIND_DATA, k);
+            // SAFETY: `feed` only asks for bytes below `valid`.
+            (self.feed).pump(outs, self.valid, tag, |off, d| unsafe { buf.read(off, d) });
         }
-        if !self.netdone_published
-            && self.injected.iter().all(|&c| c == self.kt)
-            && (self.is_root_node || self.recv_chunks == self.kt)
-        {
+        // Everything being out implies everything was received.
+        if !self.netdone_published && self.feed.flushed() == self.len {
             self.netdone.publish(1);
             self.netdone_published = true;
         }
@@ -432,10 +428,11 @@ enum Layout {
     Blocks {
         block: usize,
         sb: usize,
-        own: usize,
+        /// This node, until its own superblock is complete.
+        own: Option<usize>,
         node_of: Vec<usize>,
-        /// Per node: bytes of its superblock valid, from its start.
-        landed: Vec<usize>,
+        /// Which bytes are valid, superblock by superblock.
+        prefix: Prefix,
     },
 }
 
@@ -451,12 +448,11 @@ impl Acc {
     /// Progress no arrival drives: publish what became final because
     /// *members* moved. Called on every engine pass.
     fn settle(&mut self, solo: bool) {
-        let published = self.res.read() as usize;
         match &mut self.layout {
             // A ring of one: every local sum is already the result.
             Layout::Sum { chunk } if solo => {
                 let chunk = *chunk;
-                let mut off = published;
+                let mut off = self.res.read() as usize;
                 while off < self.total {
                     let len = (self.total - off).min(chunk);
                     if !self.ready(0, off, len) {
@@ -468,26 +464,19 @@ impl Acc {
             }
             // Fulls publish as they land.
             Layout::Sum { .. } => {}
+            // So do superblocks; this node's own is complete once every
+            // local member deposited.
             Layout::Blocks {
                 block,
                 sb,
                 own,
-                landed,
+                prefix,
                 ..
             } => {
-                if landed[*own] < *sb && self.parts.iter().all(|c| c.read() >= *block as u64) {
-                    landed[*own] = *sb;
-                }
-                // Members chase a node-major byte prefix.
-                let mut valid = 0;
-                for &bytes in landed.iter() {
-                    valid += bytes;
-                    if bytes < *sb {
-                        break;
-                    }
-                }
-                if valid > published {
-                    self.res.publish((valid - published) as u64);
+                let parts = &self.parts;
+                let deposited = |_: &mut usize| parts.iter().all(|c| c.read() >= *block as u64);
+                if let Some(node) = own.take_if(deposited) {
+                    self.res.publish(prefix.land(node, *sb) as u64);
                 }
             }
         }
@@ -535,13 +524,18 @@ impl Local for Acc {
             Layout::Sum { .. } => {
                 self.res.publish(len as u64);
             }
-            // Published, in node order, by `settle`.
+            // The node-major prefix members chase grows as they land.
             Layout::Blocks {
                 sb,
                 node_of,
-                landed,
+                prefix,
                 ..
-            } => landed[node_of[off / *sb]] += len,
+            } => {
+                let grew = prefix.land(node_of[off / *sb], len);
+                if grew > 0 {
+                    self.res.publish(grew as u64);
+                }
+            }
         }
     }
 }
@@ -707,17 +701,19 @@ impl Engine {
             root_node,
             root_rank,
             len,
-            kt: len.div_ceil(self.chunk),
             is_root_node,
             buf,
-            injected: vec![0; self.fabric.bcast_out(self.node, root_node).len()],
-            recv_chunks: 0,
+            feed: TreeFeed::new(
+                self.fabric.bcast_out(self.node, root_node).len(),
+                len,
+                self.chunk,
+            ),
+            valid: if is_root_node { len } else { 0 },
             recv_ctr,
             netdone: bank.counter(bank_key(op, SUB_NETDONE)),
             netdone_published: false,
         });
-        // The root does not report on the done counter.
-        self.insert(op, net, group_len - is_root_node as usize);
+        self.insert(op, net, group_len);
     }
 
     /// Register a ring collective over a fresh `total`-byte accumulator;
@@ -768,7 +764,7 @@ impl Engine {
         let fabric = self.fabric.clone();
         let shared = self.shared.clone();
         let registry = shared.registry();
-        let (node, m, chunk) = (self.node, self.m, self.chunk);
+        let (node, m) = (self.node, self.m);
 
         // Resolve broadcast sources whose co-located root posted after us.
         for (op, netop) in self.ops.iter_mut() {
@@ -841,7 +837,7 @@ impl Engine {
         // Outbound progress.
         for (op, netop) in self.ops.iter_mut() {
             match &mut netop.net {
-                Net::Bcast(b) => b.pump(*op, &fabric.bcast_out(node, b.root_node), chunk),
+                Net::Bcast(b) => b.pump(*op, &fabric.bcast_out(node, b.root_node)),
                 Net::Ring(r) => r.pump(*op, (m > 1).then(|| fabric.ring_send(node, r.dir))),
             }
         }
@@ -1048,13 +1044,17 @@ impl Sched {
                 )
             } else {
                 // The root waits for injection and for the co-located
-                // members' copies, then withdraws its source.
+                // members' copies, withdraws its source, then reports like
+                // every member (so the engine cannot retire the counters
+                // under a root that posts late and has yet to look them up).
                 let tag = reg_tag(op, ROLE_DATA);
                 s.shared.registry().expose(s.rank as u32, tag, buf);
                 let netdone = s.counter(op, SUB_NETDONE);
                 Member {
-                    release: Some(vec![(netdone, 1), (done, group.len() as u64 - 1)]),
-                    ..Member::default()
+                    contribute: None,
+                    chase: None,
+                    release: Some(vec![(netdone, 1), (done.clone(), group.len() as u64 - 1)]),
+                    done,
                 }
             }
         };
@@ -1225,11 +1225,11 @@ impl Sched {
             let layout = Layout::Blocks {
                 block: len,
                 sb,
-                own: engine.node,
+                own: Some(engine.node),
                 node_of: (0..m)
                     .map(|w| engine.fabric.ring_node(w, ring_dir(op)))
                     .collect(),
-                landed: vec![0; m],
+                prefix: Prefix::new(total, sb),
             };
             engine.register_ring(op, g, total, layout, |pos| {
                 Step::Plan(PlanCursor::new(plan_allgather(m, pos, sb, chunk)))

@@ -23,10 +23,11 @@
 //!   and, on the engine rank, the node owes the network nothing more for
 //!   the op), not global arrival. Only in-flight operations are tracked.
 //! * the progress engine (internal to [`Sched`], on rank 0) — advances the
-//!   network side of every posted op a little per [`Sched::poll`]: injects
-//!   and forwards broadcast chunks, steps the ring protocols of
-//!   [`bgp_smp::wire`] (the partial/full flow for the reductions, the
-//!   allgather plan) against a per-op node accumulator, and retires per-op
+//!   network side of every posted op a little per [`Sched::poll`]: steps
+//!   [`bgp_smp::wire`] — the tree feeder for broadcast injection and
+//!   forwarding, the ring protocols (the partial/full flow for the
+//!   reductions, the allgather plan) against a per-op node accumulator —
+//!   receives into per-op stages, and retires per-op
 //!   counters and window exposures once an operation is globally drained on
 //!   its node.
 //! * [`CollectiveServer`] — a node-external, multi-tenant service

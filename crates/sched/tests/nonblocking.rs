@@ -611,3 +611,79 @@ fn three_node_window_two_deep_pipeline() {
         }
     }
 }
+
+/// A broadcast from rank 1 of node 0 over `group` on an `m` x `n` cluster,
+/// the root posting only after its node's engine has registered the op and
+/// run over it — under a progress deadline, so a rank left waiting is a
+/// failed assertion, not a hung test run.
+fn late_off_engine_root(m: usize, n: usize, group: &'static [usize]) {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let cluster = Cluster::new(m, n);
+        let len = 20_000; // two chunks
+        let engine_ran = Arc::new(AtomicBool::new(false));
+        let got = cluster.run(move |cctx| {
+            let (on_root_node, rank) = (cctx.node() == 0, cctx.rank());
+            let is_root = on_root_node && rank == 1;
+            let buf = group.contains(&rank).then(|| {
+                let buf = Arc::new(SharedRegion::new(len));
+                if is_root {
+                    // SAFETY: freshly allocated, not yet shared.
+                    unsafe { buf.write(0, &pattern(5, len)) };
+                }
+                buf
+            });
+            let mut sched = Sched::new(cctx);
+            while is_root && !engine_ran.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            let req = sched.ibcast(group, 0, 1, buf.as_ref(), len).unwrap();
+            if on_root_node && rank == 0 {
+                for _ in 0..3 {
+                    sched.test(req);
+                }
+                engine_ran.store(true, Ordering::Release);
+            }
+            sched.wait(req);
+            buf.map(|b| read_bytes(&b, len))
+        });
+        for bytes in got.into_iter().flatten().flatten() {
+            assert_eq!(bytes, pattern(5, len));
+        }
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(Duration::from_secs(20)).expect(
+        "a rank never left the broadcast: the engine retired the op's \
+         counters before the late root looked them up",
+    );
+}
+
+/// Regression (the tier-1 livelock): on the root's node the engine used
+/// not to wait for the root before retiring a broadcast's counters. With
+/// no outbound port and no other member, net-done was published and the op
+/// retired before the root had posted; `CounterBank::counter` is
+/// get-or-create, so the root got a fresh zero net-done counter and waited
+/// on it forever. Hung every run.
+#[test]
+fn late_root_alone_in_its_group_on_one_node() {
+    late_off_engine_root(1, 2, &[1]);
+}
+
+/// The same with the engine rank a member: it can copy, report, and retire
+/// the op between the root's expose and the root's counter lookups.
+#[test]
+fn late_root_with_the_engine_rank_in_its_group() {
+    late_off_engine_root(1, 2, &[0, 1]);
+}
+
+/// The same across two nodes: the root node's engine maps the late root's
+/// source, injects it and retires while the root is still posting; the
+/// other node's member posts on time and waits for the data.
+#[test]
+fn late_root_alone_in_its_group_on_two_nodes() {
+    late_off_engine_root(2, 2, &[1]);
+}

@@ -16,12 +16,19 @@
 //! * **Fresh keys start at zero.** Operation ids are never reused (they come
 //!   from a monotone per-rank sequence), so a counter obtained for a new key
 //!   has no history and waiters can use absolute byte counts.
-//! * **Retirement is only map cleanup.** [`retire`](CounterBank::retire)
-//!   removes the entry; any participant still holding the `Arc` keeps the
-//!   counter alive and sees a frozen final value. Retiring early is a leak
-//!   of nothing and a correctness hazard for nobody — the engine retires a
-//!   key only after every local participant announced completion, but even
-//!   a stray late reader merely observes the final count.
+//! * **Retirement is map cleanup — after the last lookup.**
+//!   [`retire`](CounterBank::retire) removes the entry; any participant
+//!   still holding the `Arc` keeps the counter alive and sees a frozen final
+//!   value, so a stray late *reader* merely observes the final count. A
+//!   late *lookup* is a different matter: [`counter`](CounterBank::counter)
+//!   is get-or-create, so asking for a retired key silently yields a fresh
+//!   counter at zero, and a waiter on it waits forever. Monotone op ids do
+//!   not prevent that (they only keep a *new* op from inheriting an old
+//!   count); the rule that does is the retiring side's: retire a key only
+//!   after every participant that will ever look it up has reported in —
+//!   and participants look their counters up before they report. The
+//!   `bgp-sched` engine follows it: every member of an op, a broadcast's
+//!   root included, reports on the op's done counter last of all.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -65,8 +72,8 @@ impl CounterBank {
 
     /// Remove `key` from the bank. Returns whether it was present.
     /// Outstanding `Arc`s stay valid (see the module docs); the key must
-    /// simply never be *looked up* again, which the monotone-op-id scheme
-    /// guarantees.
+    /// never be *looked up* again — which only the caller can guarantee, by
+    /// retiring after every participant that looks it up has reported.
     pub fn retire(&self, key: u64) -> bool {
         self.inner.lock().remove(&key).is_some()
     }

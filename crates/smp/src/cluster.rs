@@ -79,7 +79,7 @@ pub struct ClusterCtx {
 }
 
 /// Aggregated cluster probe counters (summed over nodes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterStats {
     /// Broadcast receptions (one per non-root node per broadcast).
     pub bcast_recv_ops: u64,
@@ -209,13 +209,7 @@ impl Cluster {
 
     /// Aggregated probe counters, summed over nodes.
     pub fn stats(&self) -> ClusterStats {
-        let mut s = ClusterStats {
-            bcast_recv_ops: 0,
-            copyout_overlapped: 0,
-            stash_parked: 0,
-            stash_evicted_chunks: 0,
-            stash_evicted_ops: 0,
-        };
+        let mut s = ClusterStats::default();
         for node in &self.shared.nodes {
             let cs = node.cluster_stats();
             s.bcast_recv_ops += cs.bcast_recv_ops.load(Ordering::Relaxed);
@@ -338,31 +332,17 @@ impl Cluster {
     /// Pop the buffered front result of every worker (all present by now),
     /// re-panic if any rank panicked, downcast, and shape node-major.
     fn finish_front<R: Send + 'static>(&self) -> Vec<Vec<R>> {
-        let results: Vec<std::thread::Result<Box<dyn Any + Send>>> = self
+        let results = self
             .ready
             .borrow_mut()
             .iter_mut()
             .map(|b| b.pop_front().expect("every worker's result is buffered"))
             .collect();
         self.collect_seq.set(self.collect_seq.get() + 1);
-        if results.iter().any(|r| r.is_err()) {
-            self.poisoned.set(true);
-            let msg = results
-                .into_iter()
-                .filter_map(|r| r.err())
-                .map(|p| {
-                    p.downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| p.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "<non-string panic payload>".into())
-                })
-                .next()
-                .unwrap();
-            panic!("rank thread panicked: {msg}");
-        }
-        let flat: Vec<R> = results
+        let flat: Vec<R> = self
+            .unwrap_results(results)
             .into_iter()
-            .map(|r| *r.unwrap().downcast::<R>().expect("result type"))
+            .map(|r| *r.downcast::<R>().expect("result type"))
             .collect();
         self.shape(flat)
     }
@@ -443,27 +423,29 @@ impl Cluster {
 
     /// Receive one result from every worker — all of them, even if some
     /// panicked, so `run_borrowed`'s erased borrows are dead before this
-    /// returns or unwinds. Re-panics (after collecting everything) if any
-    /// rank panicked, preserving the historical message.
+    /// returns or unwinds.
     fn collect_acks(&self) -> Vec<Box<dyn Any + Send>> {
-        let results: Vec<std::thread::Result<Box<dyn Any + Send>>> = self
+        let results = self
             .workers
             .iter()
             .map(|w| w.res_rx.recv().expect("rank thread exited prematurely"))
             .collect();
-        if results.iter().any(|r| r.is_err()) {
+        self.unwrap_results(results)
+    }
+
+    /// One job's results, one per worker. If any rank panicked, poison the
+    /// cluster and re-panic with the first rank's message.
+    fn unwrap_results(
+        &self,
+        results: Vec<std::thread::Result<Box<dyn Any + Send>>>,
+    ) -> Vec<Box<dyn Any + Send>> {
+        if let Some(p) = results.iter().find_map(|r| r.as_ref().err()) {
             self.poisoned.set(true);
-            let msg = results
-                .into_iter()
-                .filter_map(|r| r.err())
-                .map(|p| {
-                    p.downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| p.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "<non-string panic payload>".into())
-                })
-                .next()
-                .unwrap();
+            let msg = p
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| p.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "<non-string panic payload>".into());
             panic!("rank thread panicked: {msg}");
         }
         results.into_iter().map(|r| r.unwrap()).collect()
@@ -842,10 +824,11 @@ impl ClusterCtx {
                     &shared.fabric.bcast_out(v, root_node),
                     chunk,
                     len,
+                    || len,
                     // SAFETY: root reads its own buffer.
                     |off, dst| unsafe { buf.read(off, dst) },
-                    |_, clen| {
-                        ctr.publish(clen as u64);
+                    |_, bytes| {
+                        ctr.publish(bytes as u64);
                     },
                 );
             } else {
@@ -880,25 +863,27 @@ impl ClusterCtx {
                 },
             );
         } else if me == 0 {
-            // The network core: chase the reception counter and forward
-            // chunks down the tree; with only two ranks it also back-fills
-            // its own buffer in the same pipeline.
+            // The network core: the same `wire::TreeFeed` loop as the
+            // root's, fed by the reception counter instead of a whole
+            // message; with only two ranks it also back-fills its own
+            // buffer with each range that is out.
             let src = self.map_cached(recv_rank as u32, op);
-            let outs = shared.fabric.bcast_out(v, root_node);
-            for (k, off, clen) in chunks_of(len, chunk) {
-                self.ctx
-                    .aux_counter(recv_rank)
-                    .wait_past(base, (off + clen) as u64);
-                for ch in &outs {
-                    // SAFETY: the counter acquire ordered us after the
-                    // receiver's write of this chunk.
-                    ch.send_with(k as u64, clen, |dst| unsafe { src.read(off, dst) });
-                }
-                if backfill == Some(0) {
-                    // SAFETY: as above; our buffer range is ours.
-                    unsafe { buf.copy_from(off, &src, off, clen) };
-                }
-            }
+            let ctr = self.ctx.aux_counter(recv_rank);
+            wire::tree_send(
+                &shared.fabric.bcast_out(v, root_node),
+                chunk,
+                len,
+                || ((ctr.read() - base) as usize).min(len),
+                // SAFETY: the counter acquire ordered us after the
+                // receiver's write of every byte `tree_send` asks for.
+                |off, dst| unsafe { src.read(off, dst) },
+                |off, bytes| {
+                    if backfill == Some(0) {
+                        // SAFETY: as above; our buffer range is ours.
+                        unsafe { buf.copy_from(off, &src, off, bytes) };
+                    }
+                },
+            );
         } else {
             // Copy-out cores: chase the counter into our own buffer; the
             // designated back-filler also writes rank 0's buffer.

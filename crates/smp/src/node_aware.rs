@@ -24,21 +24,23 @@
 //!    steps; every rank chases a single prefix-ordered result counter and
 //!    copies finished bytes out.
 //!
-//! This file holds what is node-local: the intra stage, the result-stream
-//! bookkeeping, the copy-out. The ring stages themselves are *plans* —
-//! ordered send and receive lists built by [`wire::plan_allreduce`],
-//! [`wire::plan_reduce_scatter`] and [`wire::plan_allgather`] and stepped
-//! by the one driver [`wire::run_plan`] against the node accumulator; no
-//! collective here except `alltoall` (a store-and-forward ring with an
-//! owned relay queue, which shares no logic with the stages) touches a
-//! link itself.
+//! This file holds what is node-local: the scaffold every collective here
+//! shares ([`ClusterCtx::node_op`]: expose, accumulator, barriers), the
+//! intra stage, the deposits, the copy-out. Everything that touches a link
+//! is a *plan* — ordered send and receive lists built by
+//! [`wire::plan_allreduce`], [`wire::plan_reduce_scatter`],
+//! [`wire::plan_allgather`] and [`wire::plan_alltoall`] and stepped by the
+//! one driver [`wire::run_plan`] against the node accumulator, whose valid
+//! prefix a [`wire::Prefix`] turns into the result stream. No collective
+//! here sends, receives, waits on a link or spins.
 //!
 //! Total inter-node traffic is `2(m-1)/m * kt` chunk-sends per node versus
 //! the flat ring's `~2(m-1)/m * kt_flat` with `kt_flat >= kt` (per-color
 //! chunk rounding) — strictly fewer chunks whenever color spans misalign
 //! with the chunk size. Because a plan is built without a fabric,
 //! `tests/node_aware.rs` asserts the `Fabric::total_chunks_sent` delta of
-//! every collective *equals* its planned send count.
+//! every collective — `alltoall` included — *equals* its planned send
+//! count.
 //!
 //! The **fused** variant opens the plan's step-1 send gates *per chunk* on
 //! the intra counters, so the inter-node stage starts while slower ranks
@@ -50,7 +52,26 @@
 //! validates its widest tag once per op with [`try_pack_tag`].
 
 use super::*;
-use crate::transport::RingDir;
+use std::slice::from_ref;
+
+/// What [`ClusterCtx::node_op`] set up for the body of one collective.
+struct NodeOp {
+    /// The window tag every rank's input is exposed under (if it has one).
+    in_tag: u64,
+    /// The node accumulator, rank 0's.
+    acc: Arc<SharedRegion>,
+    /// Producer stream `r`'s count at entry, one per rank.
+    pbase: Vec<u64>,
+    /// The result stream's (`n`) count at entry.
+    rbase: u64,
+}
+
+/// Extend the node's result stream by `grew` bytes.
+fn publish_result(ctx: &RankCtx, grew: usize) {
+    if grew > 0 {
+        ctx.aux_counter(ctx.n_ranks()).publish(grew as u64);
+    }
+}
 
 impl ClusterCtx {
     /// The output span (element range of the reduced vector) this rank
@@ -60,6 +81,47 @@ impl ClusterCtx {
         let world = self.shared.m * self.shared.n;
         let g = self.global_rank();
         (g * count / world, (g + 1) * count / world)
+    }
+
+    /// The scaffold of a node-aware collective: read the cumulative stream
+    /// bases, expose `input` (if the ranks read each other's), have rank 0
+    /// allocate and expose an `acc_bytes`-byte accumulator, barrier, map
+    /// it, run `body`, barrier, withdraw both.
+    fn node_op(
+        &mut self,
+        input: Option<&Arc<SharedRegion>>,
+        acc_bytes: usize,
+        body: impl FnOnce(&mut Self, &NodeOp),
+    ) {
+        let (n, me) = (self.shared.n, self.ctx.rank());
+        let op = self.ctx.next_op();
+        let (in_tag, acc_tag) = (2 * op, 2 * op + 1);
+        // Pre-barrier, so stable (see `bcast`).
+        let pbase = (0..n).map(|r| self.ctx.aux_counter(r).read()).collect();
+        let rbase = self.ctx.aux_counter(n).read();
+        if let Some(input) = input {
+            self.ctx.registry().expose(me as u32, in_tag, input.clone());
+        }
+        if me == 0 {
+            let acc = self.ctx.alloc_buffer(acc_bytes.max(1));
+            self.ctx.registry().expose(0, acc_tag, acc);
+        }
+        self.ctx.barrier();
+        let acc = self.map_cached(0, acc_tag);
+        let op = NodeOp {
+            in_tag,
+            acc,
+            pbase,
+            rbase,
+        };
+        body(self, &op);
+        self.ctx.barrier();
+        if input.is_some() {
+            self.ctx.registry().unexpose(me as u32, in_tag);
+        }
+        if me == 0 {
+            self.ctx.registry().unexpose(0, acc_tag);
+        }
     }
 
     /// Node-aware allreduce (sum) over `count` doubles: intra-node reduce,
@@ -114,6 +176,30 @@ impl ClusterCtx {
         }
     }
 
+    /// Rank 0 of a gather-shaped collective whose result is `m` segments of
+    /// `seg > 0` bytes, this node's own already in `acc`: step `plan`
+    /// (empty on one node) against `acc`, extending the result stream by
+    /// the valid prefix as segments land.
+    fn run_gather(
+        &self,
+        acc: &Arc<SharedRegion>,
+        seg: usize,
+        plan: wire::RingPlan,
+        ready: impl Fn(usize, usize, usize) -> bool,
+    ) {
+        let (ctx, m, v) = (&self.ctx, self.shared.m, self.node);
+        let mut prefix = wire::Prefix::new(m * seg, seg);
+        publish_result(ctx, prefix.land(v, seg));
+        if m > 1 {
+            let mut local = RegionLocal {
+                bufs: from_ref(acc),
+                ready,
+                landed: |_, off, len| publish_result(ctx, prefix.land(off / seg, len)),
+            };
+            wire::run_plan(&self.shared.fabric, v, &plan, &mut local);
+        }
+    }
+
     fn na_allreduce(
         &mut self,
         input: &Arc<SharedRegion>,
@@ -121,95 +207,59 @@ impl ClusterCtx {
         count: usize,
         fused: bool,
     ) {
-        let shared = self.shared.clone();
-        let (m, n) = (shared.m, shared.n);
+        let (m, n) = (self.shared.m, self.shared.n);
         assert!(input.len() >= count * 8, "input shorter than count");
         assert!(output.len() >= count * 8, "output shorter than count");
-        let op = self.ctx.next_op();
-        let (in_tag, acc_tag) = (2 * op, 2 * op + 1);
-        let me = self.ctx.rank();
-        let v = self.node;
-        let chunk = shared.fabric.chunk_bytes();
+        let (me, v) = (self.ctx.rank(), self.node);
+        let chunk = self.shared.fabric.chunk_bytes();
         let bytes = count * 8;
         let kt = bytes.div_ceil(chunk);
         if kt > 0 {
             // One checked pack covers the widest tag the op can emit.
             try_pack_tag(m - 1, KIND_FULL, kt - 1).expect("geometry exceeds the tag namespace");
         }
+        // The chunk at `[off, off + len)` is reduced by the rank `r` whose
+        // partition `[r*kt/n, (r+1)*kt/n)` holds it, and is in the
+        // accumulator once `r`'s stream has come this far.
+        let reducer = |off: usize, len: usize| {
+            let r = ((off / chunk + 1) * n - 1) / kt;
+            (r, (off + len - r * kt / n * chunk) as u64)
+        };
 
-        let clen = |k: usize| (bytes - k * chunk).min(chunk);
-        // Rank r reduces chunk range [r*kt/n, (r+1)*kt/n).
-        let rpart = |r: usize| (r * kt / n, (r + 1) * kt / n);
-        // Per-chunk readiness: which rank reduces chunk k, and the
-        // cumulative byte count on that rank's stream that covers it.
-        let mut chunk_need = vec![(0usize, 0u64); kt];
-        for r in 0..n {
-            let (klo, khi) = rpart(r);
-            let mut cum = 0u64;
-            for (need, k) in chunk_need[klo..khi].iter_mut().zip(klo..) {
-                cum += clen(k) as u64;
-                *need = (r, cum);
-            }
-        }
+        self.node_op(Some(input), bytes, |this, op| {
+            // Stage 1 — every rank reduces its chunk partition of all local
+            // inputs straight into the node accumulator, chunk by chunk.
+            this.intra_reduce(op.in_tag, &op.acc, bytes);
 
-        let pbase: Vec<u64> = (0..n).map(|r| self.ctx.aux_counter(r).read()).collect();
-        let rbase = self.ctx.aux_counter(n).read();
-
-        self.ctx.registry().expose(me as u32, in_tag, input.clone());
-        if me == 0 {
-            let acc = self.ctx.alloc_buffer(bytes.max(1));
-            self.ctx.registry().expose(0, acc_tag, acc);
-        }
-        self.ctx.barrier();
-        let acc = self.map_cached(0, acc_tag);
-
-        // Stage 1 — every rank reduces its chunk partition of all local
-        // inputs straight into the node accumulator, chunk by chunk.
-        self.intra_reduce(in_tag, &acc, bytes);
-
-        // Stages 2+3 — rank 0 drives the reduce-scatter and allgather
-        // rings and publishes results in prefix order on stream n.
-        if me == 0 {
-            if m == 1 {
-                for (k, &(r, need)) in chunk_need.iter().enumerate() {
-                    self.ctx.aux_counter(r).wait_past(pbase[r], need);
-                    self.ctx.aux_counter(n).publish(clen(k) as u64);
+            // Stages 2+3 — rank 0 drives the reduce-scatter and allgather
+            // rings and publishes results in prefix order on stream n.
+            let ctx = &this.ctx;
+            if me == 0 && m == 1 {
+                for (_, off, len) in chunks_of(bytes, chunk) {
+                    let (r, need) = reducer(off, len);
+                    ctx.aux_counter(r).wait_past(op.pbase[r], need);
+                    publish_result(ctx, len);
                 }
-            } else {
+            } else if me == 0 {
                 if !fused {
-                    self.wait_intra(&pbase, bytes);
+                    this.wait_intra(&op.pbase, bytes);
                 }
-                let ctx = &self.ctx;
-                let mut done = vec![false; kt];
-                let mut prefix = 0usize;
+                let mut prefix = wire::Prefix::new(bytes, chunk);
                 let mut local = RegionLocal {
-                    bufs: std::slice::from_ref(&acc),
-                    ready: |_, off, _| {
-                        let (r, need) = chunk_need[off / chunk];
-                        !fused || ctx.aux_counter(r).read() - pbase[r] >= need
+                    bufs: from_ref(&op.acc),
+                    ready: |_, off, len| {
+                        let (r, need) = reducer(off, len);
+                        !fused || ctx.aux_counter(r).read() - op.pbase[r] >= need
                     },
-                    landed: |_, off, _| {
-                        done[off / chunk] = true;
-                        while prefix < kt && done[prefix] {
-                            ctx.aux_counter(n).publish(clen(prefix) as u64);
-                            prefix += 1;
-                        }
-                    },
+                    landed: |_, off, len| publish_result(ctx, prefix.land(off / chunk, len)),
                 };
                 let plan = wire::plan_allreduce(m, v, bytes, chunk);
-                wire::run_plan(&shared.fabric, v, &plan, &mut local);
-                debug_assert_eq!(prefix, kt, "ring drained with unfinished chunks");
+                wire::run_plan(&this.shared.fabric, v, &plan, &mut local);
             }
-        }
 
-        // Copy-out — every rank chases the single result stream.
-        self.chase_copy(output, &acc, bytes, n, rbase, None);
-
-        self.ctx.barrier();
-        self.ctx.registry().unexpose(me as u32, in_tag);
-        if me == 0 {
-            self.ctx.registry().unexpose(0, acc_tag);
-        }
+            // Copy-out — every rank chases the single result stream.
+            this.chase_copy(output, &op.acc, bytes, n, op.rbase, None);
+        });
     }
 
     /// Reduce-scatter (sum) over `count` doubles: after the intra-node
@@ -224,8 +274,7 @@ impl ClusterCtx {
         output: &Arc<SharedRegion>,
         count: usize,
     ) {
-        let shared = self.shared.clone();
-        let (m, n) = (shared.m, shared.n);
+        let (m, n) = (self.shared.m, self.shared.n);
         let world = m * n;
         assert!(input.len() >= count * 8, "input shorter than count");
         let (my_lo, my_hi) = self.scatter_span(count);
@@ -233,76 +282,52 @@ impl ClusterCtx {
             output.len() >= (my_hi - my_lo) * 8,
             "output shorter than this rank's scatter span"
         );
-        let op = self.ctx.next_op();
-        let (in_tag, acc_tag) = (2 * op, 2 * op + 1);
-        let me = self.ctx.rank();
-        let v = self.node;
-        let chunk = shared.fabric.chunk_bytes();
+        let (me, v) = (self.ctx.rank(), self.node);
+        let chunk = self.shared.fabric.chunk_bytes();
         let bytes = count * 8;
         let kt = bytes.div_ceil(chunk);
-        // Node w's element segment: the union of its ranks' output spans.
-        let nseg = |w: usize| (w * n * count / world, (w + 1) * n * count / world);
-        let seg_bytes = |w: usize| {
-            let (lo, hi) = nseg(w);
-            (hi - lo) * 8
-        };
+        // Node w's segment: the union of its ranks' output spans, as
+        // `(byte offset, byte length)`.
+        let lo = |w: usize| w * n * count / world * 8;
+        let segs: Vec<_> = (0..m).map(|w| (lo(w), lo(w + 1) - lo(w))).collect();
         if kt > 0 {
             // Per-segment chunk indices are bounded by the global count.
             try_pack_tag(m - 1, KIND_PARTIAL, kt - 1).expect("geometry exceeds the tag namespace");
         }
 
-        let pbase: Vec<u64> = (0..n).map(|r| self.ctx.aux_counter(r).read()).collect();
-        let rbase = self.ctx.aux_counter(n).read();
+        self.node_op(Some(input), bytes, |this, op| {
+            this.intra_reduce(op.in_tag, &op.acc, bytes);
 
-        self.ctx.registry().expose(me as u32, in_tag, input.clone());
-        if me == 0 {
-            let acc = self.ctx.alloc_buffer(bytes.max(1));
-            self.ctx.registry().expose(0, acc_tag, acc);
-        }
-        self.ctx.barrier();
-        let acc = self.map_cached(0, acc_tag);
-
-        self.intra_reduce(in_tag, &acc, bytes);
-
-        if me == 0 {
-            // Non-fused: the ring stage starts once the intra stage is done.
-            self.wait_intra(&pbase, bytes);
-            if m == 1 {
-                self.ctx.aux_counter(n).publish(seg_bytes(v) as u64);
-            } else {
-                // Ring reduce-scatter over element segments, targeting each
-                // node's *own* segment; its chunks land in order, so each
-                // extends the result stream directly.
-                let ctx = &self.ctx;
-                let mut local = RegionLocal {
-                    bufs: std::slice::from_ref(&acc),
-                    ready: |_, _, _| true,
-                    landed: |_, _, len| {
-                        ctx.aux_counter(n).publish(len as u64);
-                    },
-                };
-                let segs: Vec<_> = (0..m).map(|w| (nseg(w).0 * 8, seg_bytes(w))).collect();
-                let plan = wire::plan_reduce_scatter(v, &segs, chunk);
-                wire::run_plan(&shared.fabric, v, &plan, &mut local);
+            if me == 0 {
+                // Non-fused: the ring stage starts once the intra stage is done.
+                this.wait_intra(&op.pbase, bytes);
+                let ctx = &this.ctx;
+                if m == 1 {
+                    publish_result(ctx, segs[v].1);
+                } else {
+                    // Ring reduce-scatter over element segments, targeting each
+                    // node's *own* segment; its chunks land in order, so each
+                    // extends the result stream directly.
+                    let mut local = RegionLocal {
+                        bufs: from_ref(&op.acc),
+                        ready: |_, _, _| true,
+                        landed: |_, _, len| publish_result(ctx, len),
+                    };
+                    let plan = wire::plan_reduce_scatter(v, &segs, chunk);
+                    wire::run_plan(&this.shared.fabric, v, &plan, &mut local);
+                }
             }
-        }
 
-        // Scatter — each rank waits for its sub-span of the node segment
-        // and copies it out of the accumulator.
-        if my_hi > my_lo {
-            let seg_lo = nseg(v).0;
-            let need = ((my_hi - seg_lo) * 8) as u64;
-            self.ctx.aux_counter(n).wait_past(rbase, need);
-            // SAFETY: the result counter acquire ordered us after the
-            // ring combines; our output is ours.
-            unsafe { output.copy_from(0, &acc, my_lo * 8, (my_hi - my_lo) * 8) };
-        }
-
-        self.ctx.barrier();
-        self.ctx.registry().unexpose(me as u32, in_tag);
-        if me == 0 {
-            self.ctx.registry().unexpose(0, acc_tag);
-        }
+            // Scatter — each rank waits for its sub-span of the node segment
+            // and copies it out of the accumulator.
+            if my_hi > my_lo {
+                let need = (my_hi * 8 - segs[v].0) as u64;
+                this.ctx.aux_counter(n).wait_past(op.rbase, need);
+                // SAFETY: the result counter acquire ordered us after the
+                // ring combines; our output is ours.
+                unsafe { output.copy_from(0, &op.acc, my_lo * 8, (my_hi - my_lo) * 8) };
+            }
+        });
     }
 
     /// Allgather: every global rank contributes `len` bytes from `input`;
@@ -311,328 +336,100 @@ impl ClusterCtx {
     /// blocks circulate the ring once, and every rank chases one
     /// prefix-ordered result stream. SPMD.
     pub fn allgather(&mut self, input: &Arc<SharedRegion>, output: &Arc<SharedRegion>, len: usize) {
-        let shared = self.shared.clone();
-        let (m, n) = (shared.m, shared.n);
+        let (m, n) = (self.shared.m, self.shared.n);
         assert!(input.len() >= len, "input shorter than block");
         assert!(output.len() >= m * n * len, "output shorter than G blocks");
-        let op = self.ctx.next_op();
-        let acc_tag = 2 * op + 1;
-        let me = self.ctx.rank();
-        let v = self.node;
-        let chunk = shared.fabric.chunk_bytes();
+        let (me, v) = (self.ctx.rank(), self.node);
+        let chunk = self.shared.fabric.chunk_bytes();
         let bl = n * len; // node block bytes
-        let total = m * bl;
-        let kb = bl.div_ceil(chunk); // chunks per node block
-        if kb > 0 {
+        if bl > 0 {
+            let kb = bl.div_ceil(chunk); // chunks per node block
             try_pack_tag(m - 1, KIND_FULL, kb - 1).expect("geometry exceeds the tag namespace");
         }
 
-        let pbase: Vec<u64> = (0..n).map(|r| self.ctx.aux_counter(r).read()).collect();
-        let rbase = self.ctx.aux_counter(n).read();
-
-        if me == 0 {
-            let acc = self.ctx.alloc_buffer(total.max(1));
-            self.ctx.registry().expose(0, acc_tag, acc);
-        }
-        self.ctx.barrier();
-        let acc = self.map_cached(0, acc_tag);
-
-        // Intra gather — each rank deposits its block into the node's
-        // region of the accumulator and publishes its producer stream.
-        if len > 0 {
+        self.node_op(None, m * bl, |this, op| {
+            // Intra gather — each rank deposits its block into the node's
+            // region of the accumulator and publishes its producer stream.
             // SAFETY: this rank's slice of the node block is uniquely ours;
             // readers gate on the publish.
-            unsafe { acc.copy_from(v * bl + me * len, input, 0, len) };
-        }
-        self.ctx.aux_counter(me).publish(len as u64);
+            unsafe { op.acc.copy_from(v * bl + me * len, input, 0, len) };
+            this.ctx.aux_counter(me).publish(len as u64);
 
-        if me == 0 {
-            for (r, &pb) in pbase.iter().enumerate() {
-                self.ctx.aux_counter(r).wait_past(pb, len as u64);
-            }
-            // Contiguous bytes finished per node block; results publish in
-            // buffer prefix order as blocks complete.
-            let ctx = &self.ctx;
-            let mut blk_done = vec![0usize; m];
-            blk_done[v] = bl;
-            let mut published = 0u64;
-            let mut advance = |blk_done: &[usize]| {
-                let mut avail = 0usize;
-                for &d in blk_done {
-                    avail += d;
-                    if d < bl {
-                        break;
-                    }
+            if me == 0 && bl > 0 {
+                for (r, &pb) in op.pbase.iter().enumerate() {
+                    this.ctx.aux_counter(r).wait_past(pb, len as u64);
                 }
-                if avail as u64 > published {
-                    ctx.aux_counter(n).publish(avail as u64 - published);
-                    published = avail as u64;
-                }
-            };
-            advance(&blk_done);
-            if m > 1 && kb > 0 {
                 // Ring allgather of the node blocks.
-                let mut local = RegionLocal {
-                    bufs: std::slice::from_ref(&acc),
-                    ready: |_, _, _| true,
-                    landed: |_, off, len| {
-                        blk_done[off / bl] += len;
-                        advance(&blk_done);
-                    },
-                };
                 let plan = wire::plan_allgather(m, v, bl, chunk);
-                wire::run_plan(&shared.fabric, v, &plan, &mut local);
+                this.run_gather(&op.acc, bl, plan, |_, _, _| true);
             }
-        }
 
-        self.chase_copy(output, &acc, total, n, rbase, None);
-
-        self.ctx.barrier();
-        if me == 0 {
-            self.ctx.registry().unexpose(0, acc_tag);
-        }
+            this.chase_copy(output, &op.acc, m * bl, n, op.rbase, None);
+        });
     }
 
     /// All-to-all personalized exchange: every global rank holds `G` blocks
     /// of `len` bytes in `input` (block `g` destined to global rank `g`)
     /// and receives `G` blocks in `output` (block `g` from global rank
-    /// `g`). Per-destination-node payloads are assembled by the network
-    /// core straight from the mapped input windows into outgoing slots and
-    /// travel the ring store-and-forward; chunks in transit to a farther
-    /// node are relayed from the incoming slot loan (or an owned queue when
-    /// the downstream link is full, so reception never deadlocks the ring
-    /// cycle). SPMD.
+    /// `g`). Every rank deposits, per destination node, its `n` blocks for
+    /// that node's ranks into the accumulator (they are contiguous in its
+    /// input; a node-pair payload is laid out `[source rank][destination
+    /// rank]`); the payloads travel the `Plus` ring store-and-forward under
+    /// [`wire::plan_alltoall`], up to `m-1` hops; every rank gathers its
+    /// column out of the result prefix. SPMD.
     pub fn alltoall(&mut self, input: &Arc<SharedRegion>, output: &Arc<SharedRegion>, len: usize) {
-        let shared = self.shared.clone();
-        let (m, n) = (shared.m, shared.n);
-        let world = m * n;
-        assert!(input.len() >= world * len, "input shorter than G blocks");
-        assert!(output.len() >= world * len, "output shorter than G blocks");
-        let op = self.ctx.next_op();
-        let (in_tag, acc_tag) = (2 * op, 2 * op + 1);
-        let me = self.ctx.rank();
-        let v = self.node;
-        let chunk = shared.fabric.chunk_bytes();
-        let pl = n * n * len; // payload bytes per (origin, dest) node pair
-        let kc = pl.div_ceil(chunk); // chunks per payload
-        let total = m * pl; // accumulator bytes (origin-major regions)
-        if kc > 0 && m > 1 {
-            // color = origin * m + dest.
-            try_pack_tag(m * m - 1, KIND_FULL, kc - 1).expect("geometry exceeds the tag namespace");
+        let (m, n) = (self.shared.m, self.shared.n);
+        assert!(input.len() >= m * n * len, "input shorter than G blocks");
+        assert!(output.len() >= m * n * len, "output shorter than G blocks");
+        let (me, v) = (self.ctx.rank(), self.node);
+        let chunk = self.shared.fabric.chunk_bytes();
+        let nl = n * len; // one rank's slice of a payload
+        let pl = n * nl; // payload bytes per (origin, destination) node pair
+        if pl > 0 && m > 1 {
+            // Segment id = origin * m + destination.
+            try_pack_tag(m * m - 1, KIND_FULL, pl.div_ceil(chunk) - 1)
+                .expect("geometry exceeds the tag namespace");
         }
 
-        let pbase: Vec<u64> = (0..n).map(|r| self.ctx.aux_counter(r).read()).collect();
-        let rbase = self.ctx.aux_counter(n).read();
-
-        self.ctx.registry().expose(me as u32, in_tag, input.clone());
-        if me == 0 {
-            let acc = self.ctx.alloc_buffer(total.max(1));
-            self.ctx.registry().expose(0, acc_tag, acc);
-        }
-        self.ctx.barrier();
-        let acc = self.map_cached(0, acc_tag);
-
-        // Intra exchange — rank r deposits its blocks destined to this
-        // node's ranks into the own-origin region: acc[v][r][q].
-        if len > 0 {
-            for q in 0..n {
-                // SAFETY: slice (v, me, q) is uniquely ours; readers gate
-                // on the publish below.
-                unsafe {
-                    acc.copy_from(
-                        v * pl + me * (n * len) + q * len,
-                        input,
-                        (v * n + q) * len,
-                        len,
-                    )
-                };
-            }
-        }
-        self.ctx.aux_counter(me).publish((n * len) as u64);
-
-        if me == 0 {
-            let inputs: Vec<Arc<SharedRegion>> =
-                (0..n).map(|r| self.map_cached(r as u32, in_tag)).collect();
-            // Assemble payload P(v -> w) chunk bytes [x, x+dst.len) by
-            // scatter-reads from the mapped inputs: payload layout is
-            // [src rank r][dst rank q], source block input_r[(w*n+q)*len].
-            let fill = |w: usize, mut x: usize, dst: &mut [u8]| {
-                let mut filled = 0usize;
-                while filled < dst.len() {
-                    let r = x / (n * len);
-                    let rem = x % (n * len);
-                    let q = rem / len;
-                    let off = rem % len;
-                    let run = (len - off).min(dst.len() - filled);
-                    // SAFETY: inputs were written before the collective;
-                    // the start barrier ordered us after them.
-                    unsafe {
-                        inputs[r].read((w * n + q) * len + off, &mut dst[filled..filled + run])
-                    };
-                    x += run;
-                    filled += run;
-                }
-            };
-
-            // Expected traffic through this node: payload (u -> w) reaches
-            // us iff our ring distance from u does not exceed w's, and is
-            // relayed onward iff it is strictly smaller.
-            let (mut exp_recv, mut exp_relay) = (0usize, 0usize);
-            for u in 0..m {
-                if u == v {
-                    continue;
-                }
-                let dv = (v + m - u) % m;
-                for w in 0..m {
-                    if w == u {
-                        continue;
-                    }
-                    let dw = (w + m - u) % m;
-                    if dv <= dw {
-                        exp_recv += kc;
-                        if dv < dw {
-                            exp_relay += kc;
-                        }
-                    }
-                }
+        self.node_op(None, wire::alltoall_slots(m) * pl, |this, op| {
+            let acc = &op.acc;
+            // Deposit — own node first, then the destinations in ring
+            // order (the order the plan sends them in), one stream publish
+            // per slice: the payload for distance `e` is complete once every
+            // rank's stream passed `(e + 1) * nl`.
+            for e in 0..m {
+                let slot = if e == 0 { v } else { m + e - 1 };
+                // SAFETY: slice `me` of every payload of this node's is
+                // uniquely ours; readers gate on the publish.
+                unsafe { acc.copy_from(slot * pl + me * nl, input, (v + e) % m * nl, nl) };
+                this.ctx.aux_counter(me).publish(nl as u64);
             }
 
-            // Region completion for prefix publishing: network regions
-            // fill contiguously chunk by chunk; the own region completes
-            // as the rank streams (polled in order) pass n*len bytes.
-            let mut reg_done = vec![0usize; m];
-            let mut own_ranks_done = 0usize;
-            let mut published = 0u64;
-            let mut injected = 0usize;
-            let inject_total = if m > 1 { (m - 1) * kc } else { 0 };
-            let (mut received, mut relayed) = (0usize, 0usize);
-            let mut relay_q: VecDeque<(u64, Vec<u8>)> = VecDeque::new();
-            loop {
-                let mut progressed = false;
-
-                // Own-region intra progress (rank-major, polled in order).
-                while own_ranks_done < n
-                    && self.ctx.aux_counter(own_ranks_done).read() - pbase[own_ranks_done]
-                        >= (n * len) as u64
-                {
-                    own_ranks_done += 1;
-                    reg_done[v] = own_ranks_done * n * len;
-                    progressed = true;
+            if me == 0 && pl > 0 {
+                let ctx = &this.ctx;
+                for (r, &pb) in op.pbase.iter().enumerate() {
+                    ctx.aux_counter(r).wait_past(pb, nl as u64);
                 }
-
-                // Prefix publish over the origin-major accumulator.
-                let mut avail = 0usize;
-                for &d in reg_done.iter().take(m) {
-                    avail += d;
-                    if d < pl {
-                        break;
-                    }
-                }
-                if avail as u64 > published {
-                    self.ctx.aux_counter(n).publish(avail as u64 - published);
-                    published = avail as u64;
-                    progressed = true;
-                }
-
-                if m > 1 {
-                    let out = shared.fabric.ring_send(v, RingDir::Plus);
-                    let in_ch = shared.fabric.ring_recv(v, RingDir::Plus);
-
-                    // Relays queued while the link was full go first so
-                    // per-payload chunk order is preserved.
-                    while let Some((tag, bytes)) = relay_q.front() {
-                        if !out.can_send() {
-                            break;
-                        }
-                        let ok =
-                            out.try_send_with(*tag, bytes.len(), |dst| dst.copy_from_slice(bytes));
-                        debug_assert!(ok);
-                        relay_q.pop_front();
-                        relayed += 1;
-                        progressed = true;
-                    }
-
-                    // Inject our own payloads, nearest destination first.
-                    while injected < inject_total && relay_q.is_empty() && out.can_send() {
-                        let d = 1 + injected / kc;
-                        let j = injected % kc;
-                        let w = (v + d) % m;
-                        let x = j * chunk;
-                        let cl = (pl - x).min(chunk);
-                        let ok = out.try_send_with(pack_tag(v * m + w, KIND_FULL, j), cl, |dst| {
-                            fill(w, x, dst)
-                        });
-                        debug_assert!(ok);
-                        injected += 1;
-                        progressed = true;
-                    }
-
-                    while received < exp_recv {
-                        let Some(tag) = in_ch.peek_tag() else { break };
-                        let (pair, _kind, j) = unpack_tag(tag);
-                        let (u, w) = (pair / m, pair % m);
-                        let x = j * chunk;
-                        let cl = (pl - x).min(chunk);
-                        let rs = in_ch.peek();
-                        if w == v {
-                            debug_assert_eq!(reg_done[u], x, "payload chunks arrive in order");
-                            // SAFETY: sole writer of remote origin regions;
-                            // readers gate on stream n.
-                            rs.with_bytes(|inb| {
-                                debug_assert_eq!(inb.len(), cl);
-                                unsafe { acc.write(u * pl + x, inb) }
-                            });
-                            reg_done[u] += cl;
-                        } else if relay_q.is_empty() && out.can_send() {
-                            // Forward straight from the slot loan.
-                            let mut snd = out.reserve(cl);
-                            rs.with_bytes(|inb| snd.with_bytes_mut(|dst| dst.copy_from_slice(inb)));
-                            snd.publish(tag);
-                            relayed += 1;
-                        } else {
-                            // Downstream is full: park an owned copy so the
-                            // ring cycle can keep draining.
-                            relay_q.push_back((tag, rs.with_bytes(|inb| inb.to_vec())));
-                        }
-                        received += 1;
-                        progressed = true;
-                    }
-                }
-
-                if injected == inject_total
-                    && received == exp_recv
-                    && relayed == exp_relay
-                    && relay_q.is_empty()
-                    && published == total as u64
-                {
-                    break;
-                }
-                if !progressed {
-                    bgp_shmem::spin();
-                }
+                let plan = wire::plan_alltoall(m, v, pl, chunk);
+                this.run_gather(acc, pl, plan, |_, off, clen| {
+                    // Only this node's own outgoing payloads are gated.
+                    let (need, x) = (((off / pl + 2 - m) * nl) as u64, off % pl);
+                    (x / nl..=(x + clen - 1) / nl)
+                        .all(|r| ctx.aux_counter(r).read() - op.pbase[r] >= need)
+                });
             }
-        }
 
-        // Copy-out — rank q gathers its column: block from global rank
-        // (u, r) lives at acc[u][r][q].
-        if len > 0 {
-            for u in 0..m {
-                for r in 0..n {
-                    let src = u * pl + r * (n * len) + me * len;
-                    let need = (src + len) as u64;
-                    self.ctx.aux_counter(n).wait_past(rbase, need);
-                    // SAFETY: the result counter acquire ordered us after
-                    // the region writes; our output is ours.
-                    unsafe { output.copy_from((u * n + r) * len, &acc, src, len) };
-                }
+            // Copy-out — rank q gathers its column: the block from global
+            // rank g = (u, r) lives at acc[u][r][q].
+            let result = this.ctx.aux_counter(n);
+            for g in 0..m * n {
+                let src = g / n * pl + g % n * nl + me * len;
+                result.wait_past(op.rbase, (src + len) as u64);
+                // SAFETY: the result counter acquire ordered us after the
+                // region writes; our output is ours.
+                unsafe { output.copy_from(g * len, acc, src, len) };
             }
-        }
-
-        self.ctx.barrier();
-        self.ctx.registry().unexpose(me as u32, in_tag);
-        if me == 0 {
-            self.ctx.registry().unexpose(0, acc_tag);
-        }
+        });
     }
 }
 

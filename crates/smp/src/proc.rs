@@ -456,7 +456,7 @@ pub fn node_bcast<S: SlotStore>(fabric: &Fabric<S>, v: usize, root: usize, buf: 
     let (outs, len) = (fabric.bcast_out(v, root), buf.len());
     if v == root {
         let fill = |off: usize, dst: &mut [u8]| dst.copy_from_slice(&buf[off..off + dst.len()]);
-        wire::tree_send(&outs, fabric.chunk_bytes(), len, fill, |_, _| {});
+        wire::tree_send(&outs, fabric.chunk_bytes(), len, || len, fill, |_, _| {});
     } else {
         wire::tree_recv(fabric.bcast_in(v, root), &outs, len, |off, bytes| {
             buf[off..off + bytes.len()].copy_from_slice(bytes)
@@ -479,7 +479,7 @@ fn root_bcast_generated<S: SlotStore>(fabric: &Fabric<S>, root: usize, seed: u64
         }
         dst.copy_from_slice(&buf[off..end]);
     };
-    wire::tree_send(&outs, fabric.chunk_bytes(), len, fill, |_, _| {});
+    wire::tree_send(&outs, fabric.chunk_bytes(), len, || len, fill, |_, _| {});
     // A root without ports (m == 1) was never asked for a chunk.
     bcast_pattern_into(seed, done, &mut buf[done..]);
 }

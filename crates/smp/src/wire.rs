@@ -3,18 +3,24 @@
 //! The paper has two of them: the §V-A/V-B **tree broadcast** and the §V-C
 //! **partial/full ring allreduce**; the node-aware family of Bienz & Olson
 //! adds ring **reduce-scatter / allgather stages** that its collectives
-//! compose. This module is the only place in the workspace where one of the
-//! ring protocols decides what may move — the thread cluster, the
-//! cross-process cluster and the nonblocking engine of `bgp-sched` all call
-//! in here (the one collective that keeps its own loop is `alltoall`, a
-//! store-and-forward ring that shares nothing with these):
+//! compose, and `alltoall` is one more plan over the same ring. This module
+//! is the only place in `bgp-smp` and `bgp-sched` that originates a chunk on
+//! a link (`ci.sh` greps for it) — the thread cluster, the cross-process
+//! cluster and the nonblocking engine all call in here:
 //!
-//! * [`tree_send`] / [`tree_recv`] — the root's injection loop and the
-//!   receive-and-relay-from-loan loop of the blocking tree broadcast;
+//! * [`TreeFeed`] — the outbound half of the tree broadcast, re-entrant:
+//!   [`tree_send`] drives it blocking at the root, the thread cluster's
+//!   forwarding core drives it from its reception counter, the engine holds
+//!   one per in-flight broadcast;
+//! * [`tree_recv`] — the receive-and-relay-from-loan loop of the blocking
+//!   tree broadcast;
 //! * [`RingFlow`] — one colour of the partial/full ring allreduce;
 //! * [`RingPlan`] + [`PlanCursor`] — an ordered send plan and receive plan
 //!   over ring positions, built per algorithm by [`plan_allreduce`],
-//!   [`plan_reduce_scatter`] and [`plan_allgather`] from one stage builder.
+//!   [`plan_reduce_scatter`] and [`plan_allgather`] from one stage builder,
+//!   and by [`plan_alltoall`];
+//! * [`Prefix`] — which bytes of a result that lands segment by segment
+//!   are valid as a prefix, i.e. what a node's copy-out ranks may chase.
 //!
 //! The two ring protocols are [`Stepper`]s: re-entrant state machines that
 //! never touch an incoming link and never spin. Whoever owns the links
@@ -76,22 +82,108 @@ impl Local for [u8] {
     }
 }
 
-/// The root's half of the tree broadcast: put a `len`-byte message on
-/// every port in `outs`, `chunk` bytes at a time. `fill(off, dst)`
-/// produces the chunk at byte `off`, once per port; `sent(off, chunk_len)`
-/// runs once the chunk is out on all of them.
+/// The outbound half of the tree broadcast on one node, re-entrant: every
+/// port carries every chunk of a `len`-byte message, in order, as the
+/// message becomes available and the links have room. A node has at most
+/// three tree ports, so the per-port cursors are a fixed array.
+pub struct TreeFeed {
+    len: usize,
+    chunk: usize,
+    ports: usize,
+    /// Bytes of the message the last [`pump`](Self::pump) was offered.
+    offered: usize,
+    /// Chunks out, per port.
+    sent: [usize; 3],
+}
+
+impl TreeFeed {
+    /// A feed of a `len`-byte message in `chunk`-byte chunks to `ports`
+    /// ports, nothing sent yet.
+    pub fn new(ports: usize, len: usize, chunk: usize) -> Self {
+        assert!(ports <= 3, "a tree node has at most three ports");
+        TreeFeed {
+            len,
+            chunk,
+            ports,
+            offered: 0,
+            sent: [0; 3],
+        }
+    }
+
+    /// Send what can go now: the first `avail` bytes of the message are
+    /// valid (`avail` only grows), `tag(k)` is chunk `k`'s link tag and
+    /// `fill(off, dst)` produces the chunk at byte `off` — once per port.
+    /// Ports advance a chunk at a time in turn, so ports in step read a
+    /// chunk back to back. Never blocks; returns whether anything went.
+    pub fn pump<S: SlotStore>(
+        &mut self,
+        outs: &[&ChunkChannel<S>],
+        avail: usize,
+        tag: impl Fn(usize) -> u64,
+        mut fill: impl FnMut(usize, &mut [u8]),
+    ) -> bool {
+        debug_assert!(outs.len() == self.ports && self.offered <= avail && avail <= self.len);
+        self.offered = avail;
+        let mut progressed = false;
+        loop {
+            let mut went = false;
+            for (ch, sent) in outs.iter().zip(&mut self.sent) {
+                let off = *sent * self.chunk;
+                let end = (off + self.chunk).min(self.len);
+                if off < end
+                    && end <= avail
+                    && ch.try_send_with(tag(*sent), end - off, |dst| fill(off, dst))
+                {
+                    *sent += 1;
+                    went = true;
+                }
+            }
+            if !went {
+                return progressed;
+            }
+            progressed = true;
+        }
+    }
+
+    /// Bytes of the message that are out on every port (with no ports:
+    /// that were offered).
+    pub fn flushed(&self) -> usize {
+        let sent = &self.sent[..self.ports];
+        sent.iter()
+            .fold(self.offered, |least, &k| least.min(k * self.chunk))
+    }
+}
+
+/// [`TreeFeed`] driven to completion, blocking: put a `len`-byte message
+/// on every port in `outs`, `chunk` bytes at a time. `avail()` says how
+/// many bytes of it are valid, as a prefix — all of them at the root, the
+/// reception counter on a node that forwards out of a buffer another core
+/// receives into. `fill(off, dst)` produces the chunk at byte `off`, once
+/// per port; `sent(off, bytes)` reports, in order, each further range that
+/// is out on all of them.
 pub fn tree_send<S: SlotStore>(
     outs: &[&ChunkChannel<S>],
     chunk: usize,
     len: usize,
+    mut avail: impl FnMut() -> usize,
     mut fill: impl FnMut(usize, &mut [u8]),
     mut sent: impl FnMut(usize, usize),
 ) {
-    for (k, off, clen) in chunks_of(len, chunk) {
-        for ch in outs {
-            ch.send_with(k as u64, clen, |dst| fill(off, dst));
+    let mut feed = TreeFeed::new(outs.len(), len, chunk);
+    let mut done = 0;
+    loop {
+        let mut progressed = feed.pump(outs, avail(), |k| k as u64, &mut fill);
+        let flushed = feed.flushed();
+        if flushed > done {
+            sent(done, flushed - done);
+            (done, progressed) = (flushed, true);
         }
-        sent(off, clen);
+        if done == len {
+            return;
+        }
+        if !progressed {
+            spin();
+        }
     }
 }
 
@@ -372,6 +464,7 @@ struct SendItem {
 
 /// One expected inbound chunk, in arrival order.
 struct RecvItem {
+    seg: usize,
     k: usize,
     off: usize,
     len: usize,
@@ -442,6 +535,7 @@ impl RingPlan {
             self.fed[w] = Some(self.recvs.len());
             for (j, off, len) in chunks_of(bytes, chunk) {
                 self.recvs.push(RecvItem {
+                    seg: w,
                     k: k0 + j,
                     off: lo + off,
                     len,
@@ -480,6 +574,111 @@ pub fn plan_reduce_scatter(v: usize, segs: &[(usize, usize)], chunk: usize) -> R
 /// position, position `w`'s at byte offset `w * block`.
 pub fn plan_allgather(m: usize, v: usize, block: usize, chunk: usize) -> RingPlan {
     RingPlan::new(m).stage(v, Kind::Full, |w| (w * block, block, 0), chunk)
+}
+
+/// Payload slots of the accumulator a [`plan_alltoall`] runs against.
+pub fn alltoall_slots(m: usize) -> usize {
+    m + m * (m - 1) / 2
+}
+
+/// Position `v`'s plan for an all-to-all of one `payload`-byte payload per
+/// ordered position pair, store-and-forward around the ring: in step `s`
+/// of `m-1` it sends the `m-s` payloads of origin `v-s+1` still in transit
+/// (step 1: its own, gated on [`Local::ready`]; later: each chunk once the
+/// receive that delivered it is consumed), nearest destination first, and
+/// receives origin `v-s`'s, of which the first is addressed here and lands.
+/// Segment ids are `origin * m + destination`; chunks are numbered per
+/// payload.
+///
+/// The accumulator is [`alltoall_slots`]`(m)` payload slots: slot `u < m`
+/// is the result from origin `u` (the caller fills slot `v` itself), slot
+/// `m + e - 1` holds this position's payload for destination `v + e`, and
+/// the rest take payloads in transit, one each — a planned receive needs
+/// no link room, so reception can never block the ring cycle.
+pub fn plan_alltoall(m: usize, v: usize, payload: usize, chunk: usize) -> RingPlan {
+    let mut plan = RingPlan::new(0);
+    // What goes out next step: (destination's distance from the origin,
+    // slot, first receive item of the payload if it came off the ring).
+    let mut held: Vec<_> = (1..m).map(|e| (e, m + e - 1, None)).collect();
+    let mut free = 2 * m - 1;
+    for s in 1..m {
+        let o = (v + m + 1 - s) % m;
+        for &(e, slot, fed) in &held {
+            for (j, off, len) in chunks_of(payload, chunk) {
+                plan.sends.push(SendItem {
+                    seg: o * m + (o + e) % m,
+                    kind: Kind::Full,
+                    k: j,
+                    off: slot * payload + off,
+                    len,
+                    gate: fed.map_or(Gate::Local, |base: usize| Gate::After(base + j)),
+                });
+            }
+        }
+        let o = (v + m - s) % m;
+        held.clear();
+        for e in s..m {
+            let lands = e == s;
+            let slot = if lands { o } else { free };
+            if !lands {
+                held.push((e, slot, Some(plan.recvs.len())));
+                free += 1;
+            }
+            for (j, off, len) in chunks_of(payload, chunk) {
+                plan.recvs.push(RecvItem {
+                    seg: o * m + (o + e) % m,
+                    k: j,
+                    off: slot * payload + off,
+                    len,
+                    combine: false,
+                    lands,
+                });
+            }
+        }
+    }
+    plan
+}
+
+/// Which bytes of a `total`-byte result in `seg`-byte segments are valid
+/// as a prefix, when bytes land in order within a segment but segments
+/// land in any order.
+pub struct Prefix {
+    landed: Vec<usize>,
+    seg: usize,
+    total: usize,
+    /// The first segment that is not complete.
+    first: usize,
+    valid: usize,
+}
+
+impl Prefix {
+    /// Nothing landed yet.
+    pub fn new(total: usize, seg: usize) -> Self {
+        let seg = seg.max(1);
+        Prefix {
+            landed: vec![0; total.div_ceil(seg)],
+            seg,
+            total,
+            first: 0,
+            valid: 0,
+        }
+    }
+
+    /// `bytes` more bytes of `segment` landed; returns how many bytes the
+    /// valid prefix grew by.
+    pub fn land(&mut self, segment: usize, bytes: usize) -> usize {
+        self.landed[segment] += bytes;
+        let (total, seg) = (self.total, self.seg);
+        let full = |i: usize| (total - i * seg).min(seg);
+        while (self.landed.get(self.first)).is_some_and(|&b| b == full(self.first)) {
+            self.first += 1;
+        }
+        let partial = self.landed.get(self.first).copied().unwrap_or(0);
+        let valid = (self.first * seg).min(total) + partial;
+        let grew = valid - self.valid;
+        self.valid = valid;
+        grew
+    }
 }
 
 /// Where one position stands in its [`RingPlan`], against flow 0 of the
@@ -558,7 +757,12 @@ impl<P: Borrow<RingPlan>> Stepper for PlanCursor<P> {
         } else {
             Kind::Full
         };
-        debug_assert_eq!((kind, k), (expected, it.k), "chunks arrive in plan order");
+        debug_assert_eq!(
+            (kind, k),
+            (expected, it.k),
+            "chunks arrive in plan order (segment {})",
+            it.seg
+        );
         local.write(0, it.off, it.len, |acc| {
             if it.combine {
                 kernels::add_bytes_assign(acc, bytes)
@@ -663,4 +867,155 @@ pub fn run_plan<S: SlotStore, L: Local + ?Sized>(
     local: &mut L,
 ) {
     drive(fabric, v, &mut [(0, PlanCursor::new(plan))], local, |_| 0);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const CHUNK: usize = 64;
+
+    /// The four planners as `(name, plan of position v, bytes that must
+    /// land at v)` for `m` positions and size parameter `size`.
+    #[allow(clippy::type_complexity)]
+    fn planners(m: usize, size: usize) -> Vec<(&'static str, Vec<RingPlan>, Vec<usize>)> {
+        // Uneven reduce-scatter segments, one of them empty when it can be.
+        let lens: Vec<usize> = (0..m).map(|w| size * w / m.max(2)).collect();
+        let segs: Vec<(usize, usize)> = lens
+            .iter()
+            .scan(0, |lo, &len| {
+                *lo += len;
+                Some((*lo - len, len))
+            })
+            .collect();
+        let each = |plan: &dyn Fn(usize) -> RingPlan| (0..m).map(plan).collect::<Vec<_>>();
+        vec![
+            (
+                "allreduce",
+                each(&|v| plan_allreduce(m, v, size, CHUNK)),
+                vec![if m > 1 { size } else { 0 }; m],
+            ),
+            (
+                "reduce_scatter",
+                each(&|v| plan_reduce_scatter(v, &segs, CHUNK)),
+                if m > 1 { lens.clone() } else { vec![0] },
+            ),
+            (
+                "allgather",
+                each(&|v| plan_allgather(m, v, size, CHUNK)),
+                vec![(m - 1) * size; m],
+            ),
+            (
+                "alltoall",
+                each(&|v| plan_alltoall(m, v, size, CHUNK)),
+                vec![(m - 1) * size; m],
+            ),
+        ]
+    }
+
+    /// A mismatched plan would hang the ring; here it fails an assertion.
+    /// For every planner, ring size and message size: what position `v`
+    /// sends, in order, is exactly what position `v + 1` expects, in order;
+    /// every byte that lands lands once; and a send is gated on a receive
+    /// of the same length.
+    #[test]
+    fn every_plan_sends_what_its_successor_expects_and_lands_each_byte_once() {
+        for m in 1..=5 {
+            for size in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 5 * CHUNK + 3] {
+                for (name, plans, lands) in planners(m, size) {
+                    let at = format!("{name} m={m} size={size}");
+                    for (v, plan) in plans.iter().enumerate() {
+                        let sent: Vec<_> = (plan.sends.iter())
+                            .map(|s| (s.seg, s.kind, s.k, s.len))
+                            .collect();
+                        let expected: Vec<_> = (plans[(v + 1) % m].recvs.iter())
+                            .map(|r| {
+                                let kind = [Kind::Full, Kind::Partial][r.combine as usize];
+                                (r.seg, kind, r.k, r.len)
+                            })
+                            .collect();
+                        assert_eq!(sent, expected, "{at}: link {v} -> {}", (v + 1) % m);
+
+                        let span = plan.recvs.iter().map(|r| r.off + r.len).max();
+                        let mut hits = vec![0u8; span.unwrap_or(0)];
+                        for r in plan.recvs.iter().filter(|r| r.lands) {
+                            hits[r.off..r.off + r.len].iter_mut().for_each(|h| *h += 1);
+                        }
+                        assert!(hits.iter().all(|&h| h <= 1), "{at}: a byte lands twice");
+                        let landed: usize = hits.iter().map(|&h| h as usize).sum();
+                        assert_eq!(landed, lands[v], "{at}: bytes landed at {v}");
+
+                        for s in &plan.sends {
+                            assert!(s.len > 0 && s.len <= CHUNK, "{at}");
+                            if let Gate::After(i) = s.gate {
+                                assert_eq!(plan.recvs[i].len, s.len, "{at}: gate of {}", s.seg);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `alltoall` moves `kc * m(m-1)/2` chunks per node and fits the
+    /// accumulator it documents.
+    #[test]
+    fn alltoall_plan_matches_its_traffic_formula_and_slot_count() {
+        for m in 1..=5 {
+            for payload in [1, CHUNK, 2 * CHUNK + 5] {
+                for v in 0..m {
+                    let plan = plan_alltoall(m, v, payload, CHUNK);
+                    let kc = payload.div_ceil(CHUNK);
+                    assert_eq!(plan.n_sends(), kc * m * (m - 1) / 2);
+                    let reach = (plan.sends.iter().map(|s| s.off + s.len))
+                        .chain(plan.recvs.iter().map(|r| r.off + r.len))
+                        .max();
+                    assert!(reach.unwrap_or(0) <= alltoall_slots(m) * payload);
+                }
+            }
+        }
+    }
+
+    /// Two ports with two-slot links: a port runs at most a window ahead,
+    /// `flushed` follows the slower one, and nothing beyond `avail` goes.
+    #[test]
+    fn tree_feed_follows_the_slower_port_and_the_available_prefix() {
+        let (a, b) = (ChunkChannel::new(2, 8), ChunkChannel::new(2, 8));
+        let outs = [&a, &b];
+        let msg: Vec<u8> = (0..20).collect();
+        let fill = |off: usize, dst: &mut [u8]| dst.copy_from_slice(&msg[off..off + dst.len()]);
+        let mut feed = TreeFeed::new(2, msg.len(), 8);
+        assert!(!feed.pump(&outs, 0, |k| k as u64, fill));
+        assert!(feed.pump(&outs, 8, |k| k as u64, fill));
+        assert_eq!((feed.flushed(), a.sent(), b.sent()), (8, 1, 1));
+        assert!(feed.pump(&outs, 20, |k| k as u64, fill));
+        assert_eq!((feed.flushed(), a.sent(), b.sent()), (16, 2, 2));
+        // Only port `a` drains: it gets the short last chunk, `b` stays full.
+        a.recv_with(|tag, bytes| assert_eq!((tag, bytes), (0, &msg[..8])));
+        assert!(feed.pump(&outs, 20, |k| k as u64, fill));
+        assert_eq!((feed.flushed(), a.sent(), b.sent()), (16, 3, 2));
+        assert!(!feed.pump(&outs, 20, |k| k as u64, fill));
+        b.recv_with(|tag, bytes| assert_eq!((tag, bytes), (0, &msg[..8])));
+        assert!(feed.pump(&outs, 20, |k| k as u64, fill));
+        assert_eq!(feed.flushed(), 20);
+        a.recv_with(|_, _| ());
+        a.recv_with(|tag, bytes| assert_eq!((tag, bytes), (2, &msg[16..])));
+        // Without ports, what was offered counts as out.
+        let mut leaf = TreeFeed::new(0, 20, 8);
+        assert!(!leaf.pump::<crate::transport::HeapSlots>(&[], 12, |k| k as u64, fill));
+        assert_eq!(leaf.flushed(), 12);
+    }
+
+    /// Segments land in any order, bytes within one in order; only the
+    /// contiguous prefix counts, and every byte is reported exactly once.
+    #[test]
+    fn prefix_reports_each_newly_contiguous_byte_once() {
+        let mut p = Prefix::new(20, 8); // segments of 8, 8 and 4 bytes
+        assert_eq!(p.land(1, 8), 0);
+        assert_eq!(p.land(0, 3), 3);
+        assert_eq!(p.land(2, 2), 0);
+        assert_eq!(p.land(0, 5), 5 + 8 + 2);
+        assert_eq!(p.land(2, 2), 2);
+        assert_eq!(Prefix::new(0, 0).landed.len(), 0);
+    }
 }

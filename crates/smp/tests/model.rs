@@ -575,3 +575,136 @@ fn mutation_chunk_publish_relaxed_breaks_multiplexed_flows() {
         .unwrap_or_else(|| panic!("seeded bug `chunk_publish_relaxed` was NOT caught"));
     assert_eq!(failure.kind, FailureKind::Race, "{failure}");
 }
+
+// ---------------------------------------------------------------------------
+// `alltoall` as a plan, on the smallest ring with a middle position: three
+// nodes, so every node relays one payload for each neighbour while its own
+// are still going out — the receive-with-a-full-downstream-link shape the
+// old hand-rolled loop kept an owned relay queue for. A planned receive
+// needs no link room, so there is nothing to park.
+
+/// Byte `i` of the payload node `o` addresses to node `w`.
+fn a2a_byte(o: usize, w: usize, i: usize) -> u8 {
+    (16 * o + 4 * w + i % 4 + 1) as u8
+}
+
+/// Node `v`'s part of a three-node all-to-all of `payload`-byte payloads:
+/// fill the accumulator's own slots, run the plan, check the transpose.
+fn alltoall_node(fabric: &Fabric, v: usize, payload: usize) {
+    const M: usize = 3;
+    let mut acc = vec![0u8; wire::alltoall_slots(M) * payload];
+    for e in 0..M {
+        let slot = if e == 0 { v } else { M + e - 1 };
+        for (i, b) in acc[slot * payload..][..payload].iter_mut().enumerate() {
+            *b = a2a_byte(v, (v + e) % M, i);
+        }
+    }
+    let plan = wire::plan_alltoall(M, v, payload, fabric.chunk_bytes());
+    wire::run_plan(fabric, v, &plan, &mut acc[..]);
+    for u in 0..M {
+        let want: Vec<u8> = (0..payload).map(|i| a2a_byte(u, v, i)).collect();
+        assert_eq!(
+            &acc[u * payload..][..payload],
+            &want[..],
+            "node {v} does not hold node {u}'s payload for it"
+        );
+    }
+}
+
+/// Nodes 1 and 2 on model threads, node 0 on the root thread, over 8-byte
+/// chunks and two-slot links.
+fn three_node_alltoall_scenario(chunks: usize) {
+    let fabric = Arc::new(Fabric::new(3, 8, 2));
+    let peers: Vec<_> = (1..3)
+        .map(|v| {
+            let fabric = fabric.clone();
+            thread::spawn(move || alltoall_node(&fabric, v, 8 * chunks))
+        })
+        .collect();
+    alltoall_node(&fabric, 0, 8 * chunks);
+    for p in peers {
+        p.join();
+    }
+}
+
+/// One chunk per payload, a full window, and past it: every explored
+/// schedule terminates (a stuck ring is a reported deadlock) with the
+/// transpose on all three nodes.
+#[test]
+fn alltoall_plan_terminates_with_the_transpose_on_three_nodes() {
+    for chunks in 1..=3 {
+        model_with(Config::dfs(2_000), move || {
+            three_node_alltoall_scenario(chunks)
+        });
+        let seed = 0xB8_0000 + chunks as u64;
+        model_with(Config::random(seed, 1_000), move || {
+            three_node_alltoall_scenario(chunks)
+        });
+    }
+}
+
+/// The scenario can fail: a relaxed slot publish lets a node land — or
+/// relay — a payload chunk it was never ordered after.
+#[test]
+fn mutation_chunk_publish_relaxed_breaks_the_alltoall_plan() {
+    let report = explore(Config::dfs(20_000).mutate("chunk_publish_relaxed"), || {
+        three_node_alltoall_scenario(2)
+    });
+    let failure = report
+        .failure
+        .unwrap_or_else(|| panic!("seeded bug `chunk_publish_relaxed` was NOT caught"));
+    assert_eq!(failure.kind, FailureKind::Race, "{failure}");
+}
+
+// ---------------------------------------------------------------------------
+// The outbound half of the tree broadcast: one `TreeFeed` under its
+// blocking driver, two ports, two independent consumers.
+
+/// Three chunks (the third reuses each link's first slot) to two ports.
+/// Each consumer must see every chunk, in order, whole; and whatever the
+/// feed reports as out must be out on the slower port too.
+fn tree_feed_scenario() {
+    let msg: Vec<u8> = (1..=20).collect();
+    let ports: Vec<_> = (0..2).map(|_| Arc::new(ChunkChannel::new(2, 8))).collect();
+    let consumers: Vec<_> = ports
+        .iter()
+        .map(|ch| {
+            let (ch, msg) = (ch.clone(), msg.clone());
+            thread::spawn(move || {
+                for (k, want) in msg.chunks(8).enumerate() {
+                    ch.recv_with(|tag, bytes| {
+                        assert_eq!(tag, k as u64, "chunks must arrive in order");
+                        assert_eq!(bytes, want, "payload of chunk {k} not fully visible");
+                    });
+                }
+            })
+        })
+        .collect();
+    let outs = [&*ports[0], &*ports[1]];
+    let mut reported = 0;
+    wire::tree_send(
+        &outs,
+        8,
+        msg.len(),
+        || msg.len(),
+        |off, dst| dst.copy_from_slice(&msg[off..off + dst.len()]),
+        |off, bytes| {
+            assert_eq!(off, reported, "ranges are reported in order, once");
+            reported += bytes;
+            let slower = outs.iter().map(|ch| ch.sent()).min().unwrap();
+            assert!(reported <= slower * 8, "flushed overtook the slower port");
+        },
+    );
+    assert_eq!(reported, msg.len());
+    for c in consumers {
+        c.join();
+    }
+}
+
+/// Under every explored schedule both ports get the whole message in order
+/// and `flushed` never runs ahead of the slower one.
+#[test]
+fn tree_feed_reaches_both_ports_in_order() {
+    model_with(Config::dfs(5_000), tree_feed_scenario);
+    model_with(Config::random(0xB9_0001, 3_000), tree_feed_scenario);
+}

@@ -18,7 +18,9 @@
 
 use bgp_collectives::shmem::testing::stress_iters;
 use bgp_collectives::smp::collectives::{read_f64s, write_f64s};
-use bgp_collectives::smp::wire::{plan_allgather, plan_allreduce, plan_reduce_scatter, RingPlan};
+use bgp_collectives::smp::wire::{
+    plan_allgather, plan_allreduce, plan_alltoall, plan_reduce_scatter, RingPlan,
+};
 use bgp_collectives::smp::{Cluster, ClusterCtx};
 
 /// Integer-valued per-global-rank inputs: f64 summation over them is
@@ -218,43 +220,73 @@ fn reduce_scatter_then_allgather_equals_allreduce() {
     }
 }
 
+/// `alltoall` of `len`-byte blocks, block `h` of rank `g`'s input being
+/// bytes `[h*len, (h+1)*len)` of the stream `(g*131 + j) % 251`; asserts
+/// every rank ends up with the block transpose.
+fn alltoall_transposes(cluster: &Cluster, len: usize) {
+    let (m, n) = (cluster.n_nodes(), cluster.n_ranks());
+    let world = m * n;
+    let out = cluster.run(move |cctx: &mut ClusterCtx| {
+        let g = cctx.global_rank();
+        let input = cctx.intra().alloc_buffer((world * len).max(1));
+        let output = cctx.intra().alloc_buffer((world * len).max(1));
+        // Block h of rank g's input is addressed to rank h.
+        let bytes: Vec<u8> = (0..world * len)
+            .map(|j| ((g * 131 + j) % 251) as u8)
+            .collect();
+        // SAFETY: our buffer, before the collective.
+        unsafe { input.write(0, &bytes) };
+        cctx.intra().barrier();
+        cctx.alltoall(&input, &output, len);
+        // SAFETY: the collective completed.
+        let mut all = unsafe { output.snapshot() };
+        all.truncate(world * len);
+        all
+    });
+    for (node, ranks) in out.iter().enumerate() {
+        for (rank, got) in ranks.iter().enumerate() {
+            let g = node * n + rank;
+            for h in 0..world {
+                let want: Vec<u8> = (0..len)
+                    .map(|j| ((h * 131 + (g * len + j)) % 251) as u8)
+                    .collect();
+                assert_eq!(
+                    &got[h * len..(h + 1) * len],
+                    &want[..],
+                    "({m},{n}) len={len}: rank {g} block from {h}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn alltoall_is_the_block_transpose() {
     for (m, n) in [(2usize, 2usize), (3, 2)] {
-        let world = m * n;
         let cluster = Cluster::with_geometry(m, n, 256, 2);
         for len in [1usize, 33, 300] {
-            let out = cluster.run(move |cctx: &mut ClusterCtx| {
-                let g = cctx.global_rank();
-                let input = cctx.intra().alloc_buffer(world * len);
-                let output = cctx.intra().alloc_buffer(world * len);
-                // Block h of rank g's input is addressed to rank h.
-                let bytes: Vec<u8> = (0..world * len)
-                    .map(|j| ((g * 131 + j) % 251) as u8)
-                    .collect();
-                // SAFETY: our buffer, before the collective.
-                unsafe { input.write(0, &bytes) };
-                cctx.intra().barrier();
-                cctx.alltoall(&input, &output, len);
-                // SAFETY: the collective completed.
-                let mut all = unsafe { output.snapshot() };
-                all.truncate(world * len);
-                all
-            });
-            for (node, ranks) in out.iter().enumerate() {
-                for (rank, got) in ranks.iter().enumerate() {
-                    let g = node * n + rank;
-                    for h in 0..world {
-                        let want: Vec<u8> = (0..len)
-                            .map(|j| ((h * 131 + (g * len + j)) % 251) as u8)
-                            .collect();
-                        assert_eq!(
-                            &got[h * len..(h + 1) * len],
-                            &want[..],
-                            "({m},{n}) len={len}: rank {g} block from {h}"
-                        );
-                    }
-                }
+            alltoall_transposes(&cluster, len);
+        }
+    }
+}
+
+#[test]
+fn alltoall_sends_exactly_the_chunks_it_plans() {
+    // `alltoall` is a `RingPlan` like the rest of the family, so its
+    // traffic is an identity too. 64-byte chunks on the smallest links the
+    // fabric allows (a window of 1 is refused: the cycle-tag protocol needs
+    // two slots) keep every link full while payloads are still in transit
+    // at 3 and 4 nodes — the shape the old relay queue existed for.
+    for (m, n) in [(2usize, 2usize), (3, 2), (4, 1), (2, 4)] {
+        for window in [2usize, 3] {
+            let cluster = Cluster::with_geometry(m, n, 64, window);
+            for len in [0usize, 1, 33, 300] {
+                let ((), sent) = counting(&cluster, || alltoall_transposes(&cluster, len));
+                assert_eq!(
+                    sent,
+                    planned(m, |v| plan_alltoall(m, v, n * n * len, 64)),
+                    "({m},{n}) window={window} len={len}"
+                );
             }
         }
     }
