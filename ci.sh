@@ -1,28 +1,29 @@
 #!/usr/bin/env bash
-# CI gate: the one-file rule for link sends, formatting, lints, the tier-1
-# verify (release build + tests), a bounded soak of the formerly livelocking
-# service test, every crate's unit tests, the bgp-check model-checking
-# suites, a smoke run of a figure binary checking that its JSON report and
-# its --trace probe artifacts parse, the performance-regression gate
-# (bench_gate) against the committed baseline, and the two committed
-# simulator artifacts (experiments_paper_scale.txt, tuning/default.json)
-# reproducing exactly.
+# CI gate: the one-file rule for link sends, every bin/bench target the
+# docs name resolving to a source file, formatting, lints, the tier-1
+# verify (release build + tests), an offline build of benchmark/ against
+# the workspace, a bounded soak of the formerly livelocking service test,
+# every crate's unit tests, the bgp-check model-checking suites, a smoke run
+# of a figure binary checking that its JSON report and its --trace probe
+# artifacts parse, the performance-regression gate (bench_gate) against the
+# committed baseline, and the two committed simulator artifacts
+# (experiments_paper_scale.txt, tuning/default.json) reproducing exactly.
 set -euo pipefail
 cd "$(dirname "$0")"
 
-# Provenance for bench artifacts: bench_gate / bench_hot_path stamp this
-# SHA (plus a monotonic sequence number) into their BENCH_*.json metadata
+# Provenance for bench artifacts: bench_gate stamps this SHA (plus a
+# monotonic sequence number) into its BENCH_*.json metadata
 # so the report subsystem can order history without file mtimes.
 BGP_GIT_SHA="$(git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)"
 export BGP_GIT_SHA
 
 # Every smoke artifact is removed on exit — success, failure, or ^C — so a
 # failing step can no longer leak ci_*.json/BENCH_*.json into the tree
-# (the committed BENCH_baseline.json is not a smoke artifact and stays).
+# (the committed BENCH_baseline.json / BENCH_pr<N>.json are history points,
+# not smoke artifacts, and stay).
 cleanup() {
   rm -f ci_fig6.json BENCH_fig6_phases.json BENCH_fig6_trace.json \
-    BENCH_fig6_folded.txt BENCH_ci.json ci_sched_trace.json \
-    ci_sched_trace.json.folded BENCH_hotpath.json ci_svc_soak.json
+    BENCH_fig6_folded.txt BENCH_ci.json ci_svc_soak.json
   rm -rf ci_report
   # Stray cross-process segments from an interrupted proc_cluster run.
   # (Worker processes need no kill here: they watch getppid and exit on
@@ -41,6 +42,21 @@ if grep -nE 'send_with\(|try_send_with\(|\.reserve\(|\.try_reserve\(' \
   exit 1
 fi
 
+# Docs name runnable targets; a deletion must not leave one dangling. Every
+# `--bin X` / `--bench X` in the docs, this script and the verify skill must
+# resolve to a source file of that name.
+echo "== guard: every bin/bench target named in the docs exists"
+grep -ohE -e '--(bin|bench) [a-z0-9_]+' README.md DESIGN.md EXPERIMENTS.md ci.sh \
+  .claude/skills/verify/SKILL.md | sort -u | while read -r kind name; do
+  case "$kind" in
+  --bin) ls crates/*/src/bin/"$name".rs >/dev/null 2>&1 ;;
+  --bench) ls crates/*/benches/"$name".rs >/dev/null 2>&1 ;;
+  esac || {
+    echo "docs name a missing target: $kind $name" >&2
+    exit 1
+  }
+done
+
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -56,6 +72,12 @@ cargo clippy -p bgp-shmem -p bgp-smp -p bgp-sched --all-targets --features model
 echo "== tier-1: cargo build --release && cargo test -q (full stress volumes)"
 cargo build --release
 BGP_STRESS_FULL=1 cargo test -q
+
+# benchmark/ is a package of its own (outside the workspace, so clippy and
+# tier-1 never compile it) and the only source of real-runtime wall-clock
+# numbers: a public item it compiles against must not disappear unnoticed.
+echo "== benchmark/ builds offline against the workspace crates"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 # Bounded soak of the test that used to livelock in ~1 % of debug runs (the
 # engine retired a broadcast's counters before a late root had looked them
@@ -97,31 +119,12 @@ cargo test -q -p bgp-sched --features model --test model
 echo "== seeded exploration smoke (10,000 random schedules)"
 cargo test -q -p bgp-shmem --features model --test model bcast_ten_thousand_random_schedules
 
-# The real-thread cluster runtime: 2 nodes x 2 ranks on every run (checked
-# payloads + persistent-beats-spawn assertion + the node-aware allreduce
-# family with its inter-node chunk probe); the full 2 x 4 acceptance shape
-# (where node-aware must send strictly fewer chunks than the flat ring)
-# when the stress budget is on.
-echo "== smoke: cluster_real --small --check (2 nodes x 2 ranks, node-aware smoke)"
-cargo run --release -p bgp-bench --bin cluster_real -- --small --check
-if [ "${BGP_STRESS_FULL:-}" = "1" ]; then
-  echo "== cluster_real --check (full 2 x 4 shape)"
-  cargo run --release -p bgp-bench --bin cluster_real -- --check
-fi
-
 # The cross-process backend: fork 1 worker process (2 nodes total) over a
 # real mmap'd segment, checked payloads on every operation including the
 # bitwise thread-vs-process allreduce comparison, and a hand-set ceiling on
 # proc/bcast_tax_64K (process / thread time per 64 KiB broadcast).
 echo "== smoke: proc_cluster --small --check (2 nodes, forked workers)"
 cargo run --release -p bgp-bench --bin proc_cluster -- --small --check
-
-# The nonblocking scheduler + service layer: checked payloads, the
-# depth>1-beats-depth-1 assertion, and a Chrome trace carrying the
-# sched.* service counters that must parse.
-echo "== smoke: sched_real --small --check --trace (2 nodes x 2 ranks)"
-cargo run --release -p bgp-bench --bin sched_real -- --small --check --trace ci_sched_trace.json
-python3 -m json.tool ci_sched_trace.json >/dev/null
 
 # The multi-tenant service layer: checked payloads on every op, Jain
 # fairness >= 0.9 across equal-weight tenants, and flood-isolation (victim
@@ -139,14 +142,6 @@ echo "== smoke: fig6 --small --trace artifacts parse"
 cargo run --release -p bgp-bench --bin fig6 -- --small --trace >/dev/null
 python3 -m json.tool BENCH_fig6_phases.json >/dev/null
 python3 -m json.tool BENCH_fig6_trace.json >/dev/null
-
-# The hot-path microbenchmark: per-stage latency decomposition of the
-# slot-loan transport plus the two gated speedup ratios. --check verifies
-# the staged and loaned paths compute identical results and (in release)
-# that both ratios beat 1x; the JSON report must parse.
-echo "== hot-path bench: bench_hot_path --small --check"
-cargo run --release -p bgp-bench --bin bench_hot_path -- --small --check
-python3 -m json.tool BENCH_hotpath.json >/dev/null
 
 # The perf gate: the pinned suite at the small deterministic shape must
 # match the committed BENCH_baseline.json within tolerance, its report

@@ -1,124 +1,59 @@
-//! Plain-harness benches of the REAL intra-node collectives: four
-//! rank-threads moving actual bytes through the `bgp-shmem` primitives (no
-//! simulation).
-//!
-//! The interesting comparison mirrors the paper's intra-node argument:
-//! staged shared memory (two copies) vs the Bcast FIFO (two copies + slot
-//! protocol) vs shared-address message counters (one copy). On a host with
-//! few cores the absolute numbers are host-specific; the *ordering* is the
-//! paper's.
+//! §IV-A's claim, measured on real threads: the fetch-and-increment Bcast
+//! FIFO against the mutex-per-operation strawman the paper argues against,
+//! 1 producer / 3 consumers. Every other real-thread number comes from
+//! `benchmark/`; no metric there measures the strawman, so this ablation
+//! stays. On a host with few cores the absolute numbers are host-specific;
+//! the *ordering* is the paper's.
 
 use std::hint::black_box;
 
 use bgp_bench::harness::bench_case;
-use bgp_smp::collectives::{read_f64s, write_f64s};
-use bgp_smp::NodeRuntime;
+use bgp_shmem::BcastFifo;
 
-const LEN: usize = 256 * 1024;
-const RANKS: usize = 4;
+const MSGS: u64 = 2_000;
 
 fn main() {
-    println!("intranode_real: wall-time of the threaded intra-node collectives");
+    println!("intranode_real: atomic fetch-and-add Bcast FIFO vs mutex FIFO (wall time)");
 
-    // One persistent rank-team for the whole bench: iterations measure the
-    // collectives, not thread spawn + node construction.
-    let rt = NodeRuntime::new(RANKS);
-
-    // The three broadcast data paths.
-    bench_case("bcast/shmem_staged_256K", 10, || {
-        rt.run(|ctx| {
-            let buf = ctx.alloc_buffer(LEN);
-            if ctx.rank() == 0 {
-                unsafe { buf.write(0, &[7u8; LEN]) };
-            }
-            ctx.barrier();
-            ctx.bcast_shmem(0, &buf, LEN);
-            black_box(())
-        });
-    });
-    bench_case("bcast/bcast_fifo_256K", 10, || {
-        rt.run(|ctx| {
-            let buf = ctx.alloc_buffer(LEN);
-            if ctx.rank() == 0 {
-                unsafe { buf.write(0, &[7u8; LEN]) };
-            }
-            ctx.barrier();
-            ctx.bcast_fifo(0, &buf, LEN, 0);
-            black_box(())
-        });
-    });
-    bench_case("bcast/shaddr_counters_256K", 10, || {
-        rt.run(|ctx| {
-            let buf = ctx.alloc_buffer(LEN);
-            if ctx.rank() == 0 {
-                unsafe { buf.write(0, &[7u8; LEN]) };
-            }
-            ctx.barrier();
-            ctx.bcast_shaddr(0, &buf, LEN, 16 * 1024);
-            black_box(())
-        });
-    });
-
-    // §IV-A's claim, measured: the fetch-and-increment Bcast FIFO vs the
-    // mutex-per-operation strawman, 1 producer / 3 consumers.
-    {
-        use bgp_shmem::BcastFifo;
-        const MSGS: u64 = 2_000;
-        bench_case("fifo_vs_mutex/atomic_faa_fifo", 10, || {
-            let (fifo, mut consumers) = BcastFifo::with_consumers(64, 3);
-            std::thread::scope(|s| {
-                s.spawn(move || {
-                    for i in 0..MSGS {
-                        fifo.enqueue(i);
-                    }
-                });
-                for c in consumers.iter_mut() {
-                    s.spawn(move || {
-                        let mut sum = 0u64;
-                        for _ in 0..MSGS {
-                            sum += c.recv();
-                        }
-                        black_box(sum)
-                    });
+    bench_case("fifo_vs_mutex/atomic_faa_fifo", 10, || {
+        let (fifo, mut consumers) = BcastFifo::with_consumers(64, 3);
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                for i in 0..MSGS {
+                    fifo.enqueue(i);
                 }
             });
-        });
-        bench_case("fifo_vs_mutex/mutex_fifo", 10, || {
-            let (fifo, mut consumers) = MutexBcastFifo::with_consumers(64, 3);
-            std::thread::scope(|s| {
+            for c in consumers.iter_mut() {
                 s.spawn(move || {
-                    for i in 0..MSGS {
-                        fifo.enqueue(i);
+                    let mut sum = 0u64;
+                    for _ in 0..MSGS {
+                        sum += c.recv();
                     }
+                    black_box(sum)
                 });
-                for c in consumers.iter_mut() {
-                    s.spawn(move || {
-                        let mut sum = 0u64;
-                        for _ in 0..MSGS {
-                            sum += c.recv();
-                        }
-                        assert_eq!(sum, MSGS * (MSGS - 1) / 2, "strawman lost a message");
-                        black_box(sum)
-                    });
+            }
+        });
+    });
+    bench_case("fifo_vs_mutex/mutex_fifo", 10, || {
+        let (fifo, mut consumers) = MutexBcastFifo::with_consumers(64, 3);
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                for i in 0..MSGS {
+                    fifo.enqueue(i);
                 }
             });
+            for c in consumers.iter_mut() {
+                s.spawn(move || {
+                    let mut sum = 0u64;
+                    for _ in 0..MSGS {
+                        sum += c.recv();
+                    }
+                    assert_eq!(sum, MSGS * (MSGS - 1) / 2, "strawman lost a message");
+                    black_box(sum)
+                });
+            }
         });
-    }
-
-    {
-        const COUNT: usize = 16 * 1024;
-        bench_case("allreduce/allreduce_f64_16K", 10, || {
-            let out = rt.run(|ctx| {
-                let input = ctx.alloc_buffer(COUNT * 8);
-                let output = ctx.alloc_buffer(COUNT * 8);
-                write_f64s(&input, 0, &vec![ctx.rank() as f64; COUNT]);
-                ctx.barrier();
-                ctx.allreduce_f64(&input, &output, COUNT);
-                read_f64s(&output, 0, 1)[0]
-            });
-            black_box(out);
-        });
-    }
+    });
 }
 
 // ---------------------------------------------------------------------------

@@ -4,17 +4,17 @@
 //! bench_gate --small --label baseline        # refresh BENCH_baseline.json
 //! bench_gate --small --check                 # compare vs BENCH_baseline.json, exit 1 on regression
 //! bench_gate --selftest                      # prove the gate fires on an injected 20% slowdown
-//! bench_gate --small --check --with-real     # also record (ungated) real-thread wall times
 //! ```
 //!
 //! Flags: `--small` (64 nodes, the deterministic CI shape; default is the
 //! paper's 2048), `--label <name>` (output `BENCH_<name>.json`, default
-//! `current`), `--baseline <path>`, `--tol <pct>` (default 10),
-//! `--with-real`, `--check`, `--selftest`, `--no-write`.
+//! `current`), `--baseline <path>`, `--tol <pct>` (default 10), `--check`,
+//! `--selftest`, `--no-write`.
 //!
 //! Simulated entries are bit-deterministic, so any delta against the
-//! committed baseline is a real behavior change, not noise; real-thread
-//! entries are host wall time and are reported but never gated.
+//! committed baseline is a real behavior change, not noise; the three host
+//! ratios (`transport/`, `reduce/`, `proc/`) are gated against hand-set
+//! floors. Wall-clock numbers of the real runtimes come from `benchmark/`.
 
 use std::process::ExitCode;
 
@@ -25,7 +25,6 @@ fn main() -> ExitCode {
     let mut label = "current".to_string();
     let mut baseline_path = "BENCH_baseline.json".to_string();
     let mut tol = gate::DEFAULT_TOLERANCE_PCT;
-    let mut with_real = false;
     let mut check = false;
     let mut selftest = false;
     let mut write = true;
@@ -34,7 +33,6 @@ fn main() -> ExitCode {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--small" => scale = GateScale::Small,
-            "--with-real" => with_real = true,
             "--check" => check = true,
             "--selftest" => selftest = true,
             "--no-write" => write = false,
@@ -66,7 +64,7 @@ fn main() -> ExitCode {
         return run_selftest(scale);
     }
 
-    let mut report = gate::run_suite(scale, with_real);
+    let mut report = gate::run_suite(scale);
     report.label = label.clone();
     // Provenance stamp (label, BGP_GIT_SHA, monotonic seq over the files
     // already in cwd) so the report subsystem can order history without
@@ -128,7 +126,7 @@ fn main() -> ExitCode {
 /// Prove the gate can fail: an injected 20% slowdown across the suite must
 /// be flagged, and the unmodified suite must pass against itself.
 fn run_selftest(scale: GateScale) -> ExitCode {
-    let base = gate::run_suite(scale, false);
+    let base = gate::run_suite(scale);
     let clean = gate::compare(&base, &base, gate::DEFAULT_TOLERANCE_PCT);
     if !clean.passed() {
         eprintln!(

@@ -25,9 +25,9 @@
 //!   --json    write the per-tenant latency/fairness report to FILE
 //! ```
 //!
-//! All numbers are host wall time — never gated; `bench_gate --with-real`
-//! records the condensed `svc/soak_ops_per_s` and `svc/fairness_jain`
-//! series for trend-reading.
+//! All numbers are host wall time — never gated; `benchmark/`'s
+//! `svc_saturated` workload carries the service's throughput and per-tenant
+//! wait metrics (`svc.*`). This binary is the fairness/isolation *check*.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -1,20 +1,14 @@
-//! Minimal shared timing harness for the plain (`harness = false`) benches.
+//! Minimal shared timing harness: the `fifo_vs_mutex` ablation's timer and
+//! the median printer `proc_cluster` feeds with samples it times itself.
 //!
 //! Deliberately simple: fixed warmup, fixed sample count, median + min/max.
-//! Medians are robust enough for trend tracking in EXPERIMENTS.md without
-//! pulling a statistics framework into the hermetic build.
+//! Every other wall-clock number of a real runtime comes from `benchmark/`.
 
 use std::time::Instant;
 
 /// Run `f` `samples` times (after `samples/4 + 1` warmup runs) and print
 /// `name: median [min .. max]` in microseconds.
-pub fn bench_case(name: &str, samples: usize, f: impl FnMut()) {
-    bench_case_median(name, samples, f);
-}
-
-/// Like [`bench_case`], but also returns the median (µs) for callers that
-/// compare cases (e.g. `cluster_real --check`).
-pub fn bench_case_median(name: &str, samples: usize, mut f: impl FnMut()) -> f64 {
+pub fn bench_case(name: &str, samples: usize, mut f: impl FnMut()) {
     for _ in 0..samples / 4 + 1 {
         f();
     }
@@ -25,7 +19,7 @@ pub fn bench_case_median(name: &str, samples: usize, mut f: impl FnMut()) -> f64
             start.elapsed().as_secs_f64() * 1e6
         })
         .collect();
-    report_median(name, times_us)
+    report_median(name, times_us);
 }
 
 /// Print `name: median [min .. max]` for samples (µs) a caller timed

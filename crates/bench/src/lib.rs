@@ -3,7 +3,10 @@
 //! One function per experiment ([`figures`]), a common result format
 //! ([`report`]), and runnable binaries (`src/bin/fig6.rs` … `table1.rs`,
 //! plus the ablations) that print the measured series next to the paper's
-//! anchor numbers. Plain-harness wall-time benches live in `benches/`.
+//! anchor numbers. Everything here is the deterministic simulator except
+//! `proc_cluster`, `svc_soak` and the §IV-A `fifo_vs_mutex` ablation in
+//! `benches/`; wall-clock numbers of the real runtimes come from
+//! `benchmark/`.
 //!
 //! Everything runs at two scales:
 //!

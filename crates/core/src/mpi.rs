@@ -265,12 +265,6 @@ impl Mpi {
         }
         total / u64::from(iters)
     }
-
-    /// Bandwidth in MB/s as the figures report it.
-    pub fn bcast_bandwidth_mb(&mut self, alg: BcastAlgorithm, bytes: u64) -> f64 {
-        let t = self.measure_bcast(alg, bytes, 3);
-        bytes as f64 / t.as_secs_f64() / 1e6
-    }
 }
 
 #[cfg(test)]

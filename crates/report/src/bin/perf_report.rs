@@ -1,8 +1,7 @@
 //! perf_report — render the bench history into `report/`.
 //!
-//! Reads every `BENCH_*.json` in `--dir` (gate suites and hot-path
-//! reports; files in other schemas are listed as skipped, never fatal)
-//! and emits:
+//! Reads every `BENCH_*.json` in `--dir` (gate suites; files in other
+//! schemas are listed as skipped, never fatal) and emits:
 //!
 //! * `index.md` — the report: history table, gate violations, figure and
 //!   artifact links;
@@ -88,13 +87,9 @@ fn fname(id: &str) -> String {
     id.replace('/', "_")
 }
 
-/// The trend label of a point: `label#seq` when stamped, bare label on
-/// legacy reports.
+/// The trend label of a point: `label#seq`.
 fn point_label(p: &HistoryPoint) -> String {
-    match p.seq {
-        Some(s) => format!("{}#{s}", p.label),
-        None => p.label.clone(),
-    }
+    format!("{}#{}", p.label, p.seq)
 }
 
 fn run(opts: &Opts) -> Result<(), String> {
@@ -196,8 +191,8 @@ fn run(opts: &Opts) -> Result<(), String> {
             "| {} | {} | {} | {} | {} | {} | {} |\n",
             p.file,
             p.label,
-            p.git_sha.as_deref().unwrap_or("-"),
-            p.seq.map(|s| s.to_string()).unwrap_or_else(|| "-".into()),
+            p.git_sha,
+            p.seq,
             p.scale,
             p.report.entries.iter().filter(|e| e.gated).count(),
             p.report.violations.len(),

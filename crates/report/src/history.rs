@@ -1,10 +1,9 @@
 //! The bench-history model: every perf artifact the repo emits, parsed
 //! into one schema-tagged store.
 //!
-//! Four input schemas exist today:
+//! Three input schemas exist today:
 //!
-//! * `bgp-bench-gate-v1` — gate suites (`bench_gate`) *and* hot-path
-//!   reports (`bench_hot_path`, distinguished by label `hotpath`);
+//! * `bgp-bench-gate-v1` — gate suites (`bench_gate`);
 //! * `bgp-svc-soak-v1` — multi-tenant soak summaries (`svc_soak --json`);
 //! * `bgp-sweep-v1` — serialized latency sweeps (`Sweep::to_json`).
 //!
@@ -12,10 +11,10 @@
 //! happened in — malformed inputs must never panic the reporter (tested
 //! per schema in the unit tests below).
 //!
-//! History ordering: reports stamped with `bgp-bench-meta-v1` order by
-//! their monotonic `seq`; legacy reports without metadata sort first, in
-//! filename order. Ordering never falls back to file mtimes, which a
-//! `git checkout` scrambles.
+//! History ordering: every gate report carries a `bgp-bench-meta-v1`
+//! block (one without is a malformed gate report) and points order by its
+//! monotonic `seq`, ties in filename order. Ordering never falls back to
+//! file mtimes, which a `git checkout` scrambles.
 
 use std::fmt;
 use std::fs;
@@ -38,8 +37,6 @@ pub enum IngestError {
     UnknownSchema(String),
     /// A malformed `bgp-bench-gate-v1` suite report.
     Gate(String),
-    /// A malformed `bgp-bench-gate-v1` report labeled `hotpath`.
-    HotPath(String),
     /// A malformed `bgp-svc-soak-v1` summary.
     Soak(String),
     /// A malformed `bgp-sweep-v1` document.
@@ -52,7 +49,6 @@ impl fmt::Display for IngestError {
             IngestError::NotJson(e) => write!(f, "not JSON: {e}"),
             IngestError::UnknownSchema(s) => write!(f, "unknown schema {s:?}"),
             IngestError::Gate(e) => write!(f, "malformed gate report: {e}"),
-            IngestError::HotPath(e) => write!(f, "malformed hot-path report: {e}"),
             IngestError::Soak(e) => write!(f, "malformed soak summary: {e}"),
             IngestError::Sweep(e) => write!(f, "malformed sweep: {e}"),
         }
@@ -84,7 +80,6 @@ pub struct SweepDoc {
 #[derive(Debug, Clone)]
 pub enum Ingested {
     Gate(Box<GateReport>),
-    HotPath(Box<GateReport>),
     Soak(SoakDoc),
     Sweep(SweepDoc),
 }
@@ -178,38 +173,24 @@ pub fn ingest(text: &str) -> Result<Ingested, IngestError> {
     let doc = json::parse(text).map_err(IngestError::NotJson)?;
     let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
     match schema {
-        gate::GATE_SCHEMA => {
-            let label = doc.get("label").and_then(Json::as_str).unwrap_or("");
-            let hotpath = label == "hotpath";
-            let report = GateReport::parse(text).map_err(|e| {
-                if hotpath {
-                    IngestError::HotPath(e)
-                } else {
-                    IngestError::Gate(e)
-                }
-            })?;
-            Ok(if hotpath {
-                Ingested::HotPath(Box::new(report))
-            } else {
-                Ingested::Gate(Box::new(report))
-            })
-        }
+        gate::GATE_SCHEMA => GateReport::parse(text)
+            .map(|r| Ingested::Gate(Box::new(r)))
+            .map_err(IngestError::Gate),
         SOAK_SCHEMA => parse_soak(&doc).map(Ingested::Soak),
         SWEEP_SCHEMA => parse_sweep(&doc).map(Ingested::Sweep),
         other => Err(IngestError::UnknownSchema(other.to_string())),
     }
 }
 
-/// One gate/hot-path report in the history, with its provenance unpacked.
+/// One gate report in the history, with its provenance unpacked.
 #[derive(Debug, Clone)]
 pub struct HistoryPoint {
     /// File name the point was loaded from (e.g. `BENCH_ci.json`).
     pub file: String,
     pub label: String,
-    /// `None` on legacy (un-stamped) reports.
-    pub git_sha: Option<String>,
-    /// `None` on legacy reports; stamped points order by this.
-    pub seq: Option<u64>,
+    pub git_sha: String,
+    /// Points order by this.
+    pub seq: u64,
     pub scale: String,
     pub report: GateReport,
 }
@@ -225,15 +206,14 @@ impl HistoryPoint {
     }
 }
 
-/// The loaded bench history: every parseable `BENCH_*.json` gate/hot-path
-/// report in one directory, in trajectory order.
+/// The loaded bench history: every parseable `BENCH_*.json` gate report in
+/// one directory, in trajectory order.
 #[derive(Debug, Default)]
 pub struct History {
-    /// Points in trajectory order: legacy (no meta) first by filename,
-    /// then stamped points by `(seq, filename)`.
+    /// Points in trajectory order: by `(seq, filename)`.
     pub points: Vec<HistoryPoint>,
-    /// Files that looked like bench artifacts but did not ingest as
-    /// gate/hot-path reports: `(file, reason)`.
+    /// Files that looked like bench artifacts but did not ingest as gate
+    /// reports: `(file, reason)`.
     pub skipped: Vec<(String, String)>,
 }
 
@@ -256,23 +236,23 @@ impl History {
                 }
             };
             match ingest(&text) {
-                Ok(Ingested::Gate(r)) | Ok(Ingested::HotPath(r)) => {
+                Ok(Ingested::Gate(r)) => {
+                    let meta = r.meta.clone().expect("parsed gate reports carry meta");
                     h.points.push(HistoryPoint {
                         file: name,
                         label: r.label.clone(),
-                        git_sha: r.meta.as_ref().map(|m| m.git_sha.clone()),
-                        seq: r.meta.as_ref().map(|m| m.seq),
+                        git_sha: meta.git_sha,
+                        seq: meta.seq,
                         scale: r.scale.clone(),
                         report: *r,
                     });
                 }
-                Ok(_) => h.skipped.push((name, "not a gate/hot-path report".into())),
+                Ok(_) => h.skipped.push((name, "not a gate report".into())),
                 Err(e) => h.skipped.push((name, e.to_string())),
             }
         }
-        // Legacy first (filename order), then stamped by (seq, filename).
-        // The sort is stable, and `names` was sorted above.
-        h.points.sort_by_key(|p| p.seq.map(|s| s + 1).unwrap_or(0));
+        // By (seq, filename): the sort is stable, and `names` was sorted.
+        h.points.sort_by_key(|p| p.seq);
         Ok(h)
     }
 
@@ -306,21 +286,15 @@ impl History {
 mod tests {
     use super::*;
 
-    fn gate_doc(label: &str, seq: Option<u64>) -> String {
-        let meta = match seq {
-            Some(s) => format!(
-                "  \"meta\": {{\"schema\": \"{}\", \"label\": \"{label}\", \
-                 \"git_sha\": \"abc\", \"seq\": {s}}},\n",
-                gate::META_SCHEMA
-            ),
-            None => String::new(),
-        };
+    fn gate_doc(label: &str, seq: u64) -> String {
         format!(
-            "{{\n  \"schema\": \"{}\",\n  \"label\": \"{label}\",\n  \"scale\": \"small\",\n\
-             {meta}  \"entries\": [\n    {{\"id\": \"fig6/x\", \"unit\": \"us\", \
+            "{{\n  \"schema\": \"{}\",\n  \"label\": \"{label}\",\n  \"scale\": \"small\",\n  \
+             \"meta\": {{\"schema\": \"{}\", \"label\": \"{label}\", \"git_sha\": \"abc\", \
+             \"seq\": {seq}}},\n  \"entries\": [\n    {{\"id\": \"fig6/x\", \"unit\": \"us\", \
              \"better\": \"lower\", \"gated\": true, \"value\": {}}}\n  ]\n}}\n",
             gate::GATE_SCHEMA,
-            10.0 + seq.unwrap_or(0) as f64
+            gate::META_SCHEMA,
+            10.0 + seq as f64
         )
     }
 
@@ -336,17 +310,6 @@ mod tests {
             ingest("{\"schema\": \"who-knows-v9\"}"),
             Err(IngestError::UnknownSchema(_))
         ));
-    }
-
-    #[test]
-    fn malformed_hotpath_report_is_typed_separately() {
-        let bad = format!(
-            "{{\"schema\": \"{}\", \"label\": \"hotpath\", \"scale\": \"host\"}}",
-            gate::GATE_SCHEMA
-        );
-        assert!(matches!(ingest(&bad), Err(IngestError::HotPath(_))));
-        let ok = gate_doc("hotpath", None);
-        assert!(matches!(ingest(&ok), Ok(Ingested::HotPath(_))));
     }
 
     #[test]
@@ -394,32 +357,25 @@ mod tests {
     }
 
     #[test]
-    fn history_orders_legacy_first_then_by_seq() {
+    fn history_orders_by_seq_not_filename() {
         let dir = std::env::temp_dir().join("bgp_report_history_test");
         fs::create_dir_all(&dir).unwrap();
         // Written "out of order" on purpose; filenames pick a different
         // order than seqs to prove seq wins for stamped points.
-        fs::write(dir.join("BENCH_zz.json"), gate_doc("zz", Some(1))).unwrap();
-        fs::write(dir.join("BENCH_aa.json"), gate_doc("aa", Some(3))).unwrap();
-        fs::write(dir.join("BENCH_legacy.json"), gate_doc("legacy", None)).unwrap();
+        fs::write(dir.join("BENCH_zz.json"), gate_doc("zz", 1)).unwrap();
+        fs::write(dir.join("BENCH_aa.json"), gate_doc("aa", 3)).unwrap();
         fs::write(dir.join("BENCH_junk.json"), "{]").unwrap();
         fs::write(dir.join("BENCH_other.json"), "{\"schema\": \"x\"}").unwrap();
         let h = History::load_dir(&dir).unwrap();
         let labels: Vec<&str> = h.points.iter().map(|p| p.label.as_str()).collect();
-        assert_eq!(labels, vec!["legacy", "zz", "aa"]);
+        assert_eq!(labels, vec!["zz", "aa"]);
         assert_eq!(h.skipped.len(), 2);
         let series = h.series("fig6/x", "small");
-        assert_eq!(series.len(), 3);
-        assert_eq!(series[2].1, 13.0); // seq 3 point is last
+        assert_eq!(series.len(), 2);
+        assert_eq!(series[1].1, 13.0); // seq 3 point is last
         assert!(h.series("fig6/x", "paper").is_empty());
         assert_eq!(h.gated_ids("small"), vec!["fig6/x".to_string()]);
-        for f in [
-            "BENCH_zz",
-            "BENCH_aa",
-            "BENCH_legacy",
-            "BENCH_junk",
-            "BENCH_other",
-        ] {
+        for f in ["BENCH_zz", "BENCH_aa", "BENCH_junk", "BENCH_other"] {
             fs::remove_file(dir.join(format!("{f}.json"))).ok();
         }
     }

@@ -10,7 +10,7 @@
 //!   ([`CollectiveServer::add_tenant`]) owns a bounded submission queue
 //!   ([`ServerConfig::tenant_max_pending`]); `submit_*` blocks when the
 //!   tenant's bound (or the server-wide [`ServerConfig::max_pending`]
-//!   backstop) is hit, `try_submit_*` fails fast with
+//!   backstop) is hit, `try_submit_bcast*` fails fast with
 //!   [`SchedError::Backpressure`]. One flooding tenant fills *its own*
 //!   queue; everybody else keeps submitting.
 //! * **Deficit-round-robin dispatch** — queued submissions are drained
@@ -304,7 +304,7 @@ pub const DEFAULT_TENANT: TenantId = TenantId(0);
 pub struct ServerConfig {
     /// Server-wide admission backstop: total queued (undispatched)
     /// submissions across *all* tenants beyond this block `submit_*` /
-    /// fail `try_submit_*`.
+    /// fail `try_submit_bcast*`.
     pub max_pending: usize,
     /// Per-tenant admission bound: one tenant's queued submissions beyond
     /// this block / fail the same way, leaving other tenants unaffected.
@@ -355,7 +355,7 @@ pub struct ServerStats {
     pub batches: u64,
     /// Submissions that ran fused with at least one sibling.
     pub coalesced: u64,
-    /// `try_submit_*` refusals (admission bound hit), summed over tenants.
+    /// `try_submit_bcast*` refusals (admission bound hit), summed over tenants.
     pub rejected: u64,
     /// Deepest the total (all-tenant) submission backlog has been.
     pub peak_queue_depth: u64,
@@ -382,7 +382,7 @@ pub struct TenantStats {
     pub completed: u64,
     /// This tenant's submissions that ran fused with at least one sibling.
     pub coalesced: u64,
-    /// `try_submit_*` refusals charged to this tenant.
+    /// `try_submit_bcast*` refusals charged to this tenant.
     pub rejected: u64,
     /// Currently queued (undispatched) submissions — a gauge, not a
     /// monotone counter.
@@ -745,17 +745,7 @@ impl CollectiveServer {
         group: &[usize],
         inputs: Vec<Vec<f64>>,
     ) -> Result<AllreduceTicket, SchedError> {
-        self.submit_allreduce_inner(DEFAULT_TENANT, group, inputs, true)
-    }
-
-    /// Like [`Self::submit_allreduce`] but failing with
-    /// [`SchedError::Backpressure`] instead of blocking.
-    pub fn try_submit_allreduce(
-        &self,
-        group: &[usize],
-        inputs: Vec<Vec<f64>>,
-    ) -> Result<AllreduceTicket, SchedError> {
-        self.submit_allreduce_inner(DEFAULT_TENANT, group, inputs, false)
+        self.submit_allreduce_as(DEFAULT_TENANT, group, inputs)
     }
 
     /// [`Self::submit_allreduce`] on behalf of a registered tenant.
@@ -764,26 +754,6 @@ impl CollectiveServer {
         tenant: TenantId,
         group: &[usize],
         inputs: Vec<Vec<f64>>,
-    ) -> Result<AllreduceTicket, SchedError> {
-        self.submit_allreduce_inner(tenant, group, inputs, true)
-    }
-
-    /// [`Self::try_submit_allreduce`] on behalf of a registered tenant.
-    pub fn try_submit_allreduce_as(
-        &self,
-        tenant: TenantId,
-        group: &[usize],
-        inputs: Vec<Vec<f64>>,
-    ) -> Result<AllreduceTicket, SchedError> {
-        self.submit_allreduce_inner(tenant, group, inputs, false)
-    }
-
-    fn submit_allreduce_inner(
-        &self,
-        tenant: TenantId,
-        group: &[usize],
-        inputs: Vec<Vec<f64>>,
-        block: bool,
     ) -> Result<AllreduceTicket, SchedError> {
         let cell = self.tenant_cell(tenant)?;
         self.check_group(group)?;
@@ -820,7 +790,7 @@ impl CollectiveServer {
                 state: state.clone(),
                 queued_at: Instant::now(),
             },
-            block,
+            true,
         )?;
         Ok(AllreduceTicket { state })
     }

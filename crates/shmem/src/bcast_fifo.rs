@@ -123,12 +123,6 @@ impl<T: Clone> BcastFifo<T> {
         self.cap
     }
 
-    /// Consumer count every message is delivered to.
-    #[inline]
-    pub fn consumer_count(&self) -> usize {
-        self.n_consumers
-    }
-
     /// Messages enqueued and not yet fully retired.
     ///
     /// Diagnostic only: `head` and `tail` are read as two independent

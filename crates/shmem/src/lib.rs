@@ -3,7 +3,7 @@
 //! Unlike the network (which must be simulated — see `bgp-sim`/`bgp-dcmf`),
 //! the intra-node mechanisms of the paper are ordinary cache-coherent
 //! shared-memory algorithms and run natively. This crate implements them
-//! exactly as §IV describes, with real atomics, and `bgp-smp` runs them
+//! exactly as §IV describes, on real atomics, and `bgp-smp` runs them
 //! across real threads:
 //!
 //! * [`ptp_fifo::PtpFifo`] — the Point-to-Point FIFO (§IV-A): slots reserved

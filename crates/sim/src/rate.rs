@@ -37,12 +37,6 @@ impl Rate {
         Rate::bytes_per_sec(gb * 1e9)
     }
 
-    /// The rate in bytes per second.
-    #[inline]
-    pub fn as_bytes_per_sec(self) -> f64 {
-        self.bytes_per_sec
-    }
-
     /// The rate in MB/s (decimal).
     #[inline]
     pub fn as_mb_per_sec(self) -> f64 {

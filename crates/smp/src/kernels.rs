@@ -13,9 +13,10 @@
 //! transport slots or shared regions, and no `unsafe`.
 //!
 //! Each kernel keeps a `_scalar` reference twin: the element-at-a-time loop
-//! the workspace used before. `bench_hot_path` measures both and the
-//! `reduce/f64x4_1M` gate entry pins the ratio so a regression back to the
-//! scalar shape fails CI.
+//! the workspace used before. The `reduce/f64x4_1M` gate entry pins the
+//! lane kernel's speedup over the staged scalar shape, so a regression back
+//! to it fails CI; `benchmark/`'s `smp.kernels.*` metrics carry the
+//! absolute throughputs.
 
 /// Lane width in `f64`s. Four doubles = 32 bytes = one AVX2 register (two
 /// NEON / SSE2 registers); wide enough to vectorize, narrow enough that the

@@ -23,9 +23,9 @@
 //!
 //! * correctness/stress testing of the §IV data structures under genuine
 //!   concurrency;
-//! * the `intranode_real` criterion bench (staged-shmem vs Bcast-FIFO vs
-//!   shared-address-counter broadcast on the host machine) and the
-//!   `cluster_real` sustained-traffic bench;
+//! * the `benchmark/` package, the one place a wall-clock number of these
+//!   runtimes comes from (per-layer `smp.*` metrics), and the
+//!   `intranode_real` bench of §IV-A's FIFO-vs-mutex ablation;
 //! * the quickstart example.
 
 pub mod barrier;

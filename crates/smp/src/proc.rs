@@ -775,11 +775,6 @@ impl ProcCluster {
         &self.fabric
     }
 
-    /// The segment path (diagnostics).
-    pub fn segment_path(&self) -> &std::path::Path {
-        self.seg.path()
-    }
-
     /// Refuse before anything is published: a poisoned cluster, or a
     /// message the result regions cannot hold.
     fn check_usable(&self, len: usize) -> Result<(), ProcError> {

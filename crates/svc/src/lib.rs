@@ -470,21 +470,6 @@ impl Comm {
             _guard: guard,
         })
     }
-
-    /// Like [`Self::allreduce`] but failing instead of blocking at the
-    /// admission bound.
-    pub fn try_allreduce(&self, inputs: Vec<Vec<f64>>) -> Result<AllreduceTicket, SvcError> {
-        let guard = self.begin_op()?;
-        let inner = self.inner.svc.server.try_submit_allreduce_as(
-            self.inner.tenant,
-            &self.inner.ranks,
-            inputs,
-        )?;
-        Ok(AllreduceTicket {
-            inner,
-            _guard: guard,
-        })
-    }
 }
 
 /// Holds one unit of a communicator's in-flight refcount; released when

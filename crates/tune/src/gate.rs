@@ -2,31 +2,28 @@
 //!
 //! [`run_suite`] replays a fixed set of the paper's key measurement points
 //! — fig6 short-message latency, fig7 tree bandwidth, fig10 torus
-//! bandwidth, Table I allreduce throughput, the tuned-selection path, and
-//! (optionally) the real-thread intra-node collectives — and returns a
-//! [`GateReport`] that serializes to `BENCH_<label>.json`.
+//! bandwidth, Table I allreduce throughput, the tuned-selection path — and
+//! returns a [`GateReport`] that serializes to `BENCH_<label>.json`.
 //!
 //! The simulated entries are **bit-deterministic**: the same source tree
 //! produces the same sim-time values on every host, debug or release, so
 //! the checked-in `BENCH_baseline.json` gates exactly and any drift is a
-//! real behavior change. The real-thread entries are host wall time; they
-//! are recorded for trend-reading but never gated (`"gated": false`).
-//! In between sit the two hot-path **speedup ratios** from
-//! [`crate::hotpath`] (`transport/loan_64K`, `reduce/f64x4_1M`): wall
-//! derived but dimensionless — both sides of each ratio run on the same
-//! host in the same process — so they are gated, against deliberately
-//! conservative floors in the committed baseline. When refreshing the
-//! baseline, keep (or re-floor) those two values by hand rather than
-//! committing a lucky high measurement; the gate's job is "the win is
-//! still there", not "the win is exactly 2.7x".
+//! real behavior change. Beside them sit the three host **ratios** from
+//! [`crate::hotpath`] (`transport/loan_64K`, `reduce/f64x4_1M`,
+//! `proc/xproc_overhead_64K`): wall derived but dimensionless — both sides
+//! of each ratio run on the same host in the same process — so they are
+//! gated, against deliberately conservative floors (ceiling, for the
+//! overhead) in the committed baseline. When refreshing the baseline, keep
+//! (or re-floor) those values by hand rather than committing a lucky
+//! measurement; the gate's job is "the win is still there", not "the win
+//! is exactly 2.7x". Raw wall-clock numbers of the real runtimes are not
+//! this suite's business: `benchmark/` is the one place they come from.
 //!
 //! [`compare`] diffs a current report against a baseline with a slowdown
 //! tolerance; a gated entry that got worse by more than the tolerance — or
 //! a gated baseline entry that vanished — fails the gate. `bench_gate
 //! --selftest` (and a unit test here) proves the gate actually fires by
 //! injecting an artificial 20% slowdown and requiring a failure.
-
-use std::time::Instant;
 
 use bgp_dcmf::Machine;
 use bgp_machine::{MachineConfig, OpMode};
@@ -78,8 +75,7 @@ pub struct GateEntry {
     pub unit: String,
     /// Good direction.
     pub better: Better,
-    /// Whether the entry participates in pass/fail (sim entries do; wall
-    /// time entries do not).
+    /// Whether the entry participates in pass/fail.
     pub gated: bool,
     /// The measured value.
     pub value: f64,
@@ -87,8 +83,6 @@ pub struct GateEntry {
 
 /// Schema-versioned provenance stamped into each `BENCH_*.json` so the
 /// report subsystem can order history points without relying on mtimes.
-/// Old reports without the block still parse ([`GateReport::parse`] leaves
-/// `meta` as `None` — the legacy fallback).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GateMeta {
     /// Report label (duplicated from the report for self-containment).
@@ -154,8 +148,8 @@ pub struct GateReport {
     pub label: String,
     /// Suite scale (`small` / `paper`).
     pub scale: String,
-    /// Provenance block (`None` on legacy reports and fresh suites that
-    /// were never stamped).
+    /// Provenance block: `None` only on an in-memory suite that
+    /// [`stamp_meta`] has not stamped yet — every parsed report carries it.
     pub meta: Option<GateMeta>,
     /// Gate violations recorded by `bench_gate --check` (empty on passing
     /// runs and on reports that never went through a comparison). The
@@ -243,7 +237,10 @@ impl GateReport {
                     Some("higher") => Better::Higher,
                     other => return Err(format!("bad better {other:?} in {id}")),
                 };
-                let gated = matches!(e.get("gated"), Some(Json::Bool(true)));
+                let gated = match e.get("gated") {
+                    Some(Json::Bool(g)) => *g,
+                    other => return Err(format!("bad gated {other:?} in {id}")),
+                };
                 let value = e
                     .get("value")
                     .and_then(Json::as_f64)
@@ -261,36 +258,30 @@ impl GateReport {
         if entries.is_empty() {
             return Err("report has no entries".into());
         }
-        // Provenance is optional (legacy fallback: pre-metadata reports
-        // parse with `meta: None`), but a present block must be valid.
-        let meta = match doc.get("meta") {
-            None => None,
-            Some(m) => {
-                let schema = m.get("schema").and_then(Json::as_str).unwrap_or("");
-                if schema != META_SCHEMA {
-                    return Err(format!(
-                        "stale meta schema {schema:?} (expected {META_SCHEMA:?})"
-                    ));
-                }
-                let seq = m
-                    .get("seq")
-                    .and_then(Json::as_f64)
-                    .filter(|s| s.is_finite() && *s >= 0.0 && s.fract() == 0.0)
-                    .ok_or("meta missing seq")?;
-                Some(GateMeta {
-                    label: m
-                        .get("label")
-                        .and_then(Json::as_str)
-                        .ok_or("meta missing label")?
-                        .to_string(),
-                    git_sha: m
-                        .get("git_sha")
-                        .and_then(Json::as_str)
-                        .ok_or("meta missing git_sha")?
-                        .to_string(),
-                    seq: seq as u64,
-                })
-            }
+        let m = doc.get("meta").ok_or("missing meta")?;
+        let meta_schema = m.get("schema").and_then(Json::as_str).unwrap_or("");
+        if meta_schema != META_SCHEMA {
+            return Err(format!(
+                "stale meta schema {meta_schema:?} (expected {META_SCHEMA:?})"
+            ));
+        }
+        let seq = m
+            .get("seq")
+            .and_then(Json::as_f64)
+            .filter(|s| s.is_finite() && *s >= 0.0 && s.fract() == 0.0)
+            .ok_or("meta missing seq")?;
+        let meta = GateMeta {
+            label: m
+                .get("label")
+                .and_then(Json::as_str)
+                .ok_or("meta missing label")?
+                .to_string(),
+            git_sha: m
+                .get("git_sha")
+                .and_then(Json::as_str)
+                .ok_or("meta missing git_sha")?
+                .to_string(),
+            seq: seq as u64,
         };
         let mut violations = Vec::new();
         if let Some(raw) = doc.get("violations").and_then(Json::as_arr) {
@@ -330,7 +321,7 @@ impl GateReport {
                 .and_then(Json::as_str)
                 .unwrap_or("")
                 .to_string(),
-            meta,
+            meta: Some(meta),
             violations,
             entries,
         })
@@ -340,8 +331,7 @@ impl GateReport {
 /// The next monotonic sequence number for a report written into `dir`:
 /// one more than the largest stamped `seq` among the parseable
 /// `BENCH_*.json` files already there (0 for a pristine directory).
-/// Unparseable or legacy (meta-less) files are skipped. [`SEQ_ENV`]
-/// overrides the scan.
+/// Unparseable files are skipped. [`SEQ_ENV`] overrides the scan.
 pub fn next_seq(dir: &std::path::Path) -> u64 {
     if let Ok(v) = std::env::var(SEQ_ENV) {
         if let Ok(n) = v.parse::<u64>() {
@@ -359,10 +349,8 @@ pub fn next_seq(dir: &std::path::Path) -> u64 {
             let Ok(text) = std::fs::read_to_string(entry.path()) else {
                 continue;
             };
-            if let Ok(report) = GateReport::parse(&text) {
-                if let Some(m) = report.meta {
-                    max_seq = Some(max_seq.map_or(m.seq, |s| s.max(m.seq)));
-                }
+            if let Some(m) = GateReport::parse(&text).ok().and_then(|r| r.meta) {
+                max_seq = Some(max_seq.map_or(m.seq, |s| s.max(m.seq)));
             }
         }
     }
@@ -409,10 +397,8 @@ fn mbps(bytes: u64, t: bgp_sim::SimTime) -> f64 {
 }
 
 /// Run the pinned suite: the bit-deterministic simulated entries plus
-/// the two gated hot-path speedup ratios. `with_real` adds the (ungated)
-/// real-thread intra-node entries; leave it off to keep the run cheap —
-/// only the `transport/`/`reduce/` ratio series vary between runs.
-pub fn run_suite(scale: GateScale, with_real: bool) -> GateReport {
+/// the three gated host ratios (the only series that vary between runs).
+pub fn run_suite(scale: GateScale) -> GateReport {
     let mut entries = Vec::new();
     let mut sim_us = |id: &str, t: bgp_sim::SimTime| {
         entries.push(GateEntry {
@@ -566,10 +552,6 @@ pub fn run_suite(scale: GateScale, with_real: bool) -> GateReport {
     // heap channel): gated against a conservative ceiling.
     entries.push(crate::hotpath::xproc_entry());
 
-    if with_real {
-        entries.extend(real_entries());
-    }
-
     GateReport {
         label: String::new(),
         scale: scale.id().into(),
@@ -577,193 +559,6 @@ pub fn run_suite(scale: GateScale, with_real: bool) -> GateReport {
         violations: Vec::new(),
         entries,
     }
-}
-
-/// Median wall time of `f` over `samples` runs (after one warmup), µs.
-fn median_wall_us(samples: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    let mut times: Vec<f64> = (0..samples.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    times[times.len() / 2]
-}
-
-/// The real-thread entries: the intra-node broadcast paths (4 rank-threads
-/// moving real bytes through `bgp-shmem`) plus the 2-node × 2-rank cluster
-/// collectives, all on persistent runtimes (threads parked between
-/// iterations, so the numbers measure the collectives, not thread spawn).
-/// Host wall time — recorded, never gated.
-pub fn real_entries() -> Vec<GateEntry> {
-    use bgp_smp::collectives::write_f64s;
-    use bgp_smp::{Cluster, NodeRuntime};
-    use std::sync::Arc;
-    const LEN: usize = 256 * 1024;
-    const RANKS: usize = 4;
-    let mut out = Vec::new();
-    let mut case = |id: &str, us: f64| {
-        out.push(GateEntry {
-            id: id.into(),
-            unit: "us".into(),
-            better: Better::Lower,
-            gated: false,
-            value: us,
-        });
-    };
-    let rt = NodeRuntime::new(RANKS);
-    case(
-        "intranode/bcast_shmem/256K",
-        median_wall_us(5, || {
-            rt.run(|ctx| {
-                let buf = ctx.alloc_buffer(LEN);
-                if ctx.rank() == 0 {
-                    unsafe { buf.write(0, &[7u8; LEN]) };
-                }
-                ctx.barrier();
-                ctx.bcast_shmem(0, &buf, LEN);
-            });
-        }),
-    );
-    case(
-        "intranode/bcast_fifo/256K",
-        median_wall_us(5, || {
-            rt.run(|ctx| {
-                let buf = ctx.alloc_buffer(LEN);
-                if ctx.rank() == 0 {
-                    unsafe { buf.write(0, &[7u8; LEN]) };
-                }
-                ctx.barrier();
-                ctx.bcast_fifo(0, &buf, LEN, 0);
-            });
-        }),
-    );
-    case(
-        "intranode/bcast_shaddr/256K",
-        median_wall_us(5, || {
-            rt.run(|ctx| {
-                let buf = ctx.alloc_buffer(LEN);
-                if ctx.rank() == 0 {
-                    unsafe { buf.write(0, &[7u8; LEN]) };
-                }
-                ctx.barrier();
-                ctx.bcast_shaddr(0, &buf, LEN, 16 * 1024);
-            });
-        }),
-    );
-    let cluster = Cluster::new(2, 2);
-    case(
-        "cluster/bcast/256K",
-        median_wall_us(5, || {
-            cluster.run(|cctx| {
-                let buf = cctx.intra().alloc_buffer(LEN);
-                if cctx.node() == 0 && cctx.rank() == 0 {
-                    unsafe { buf.write(0, &[7u8; LEN]) };
-                }
-                cctx.intra().barrier();
-                cctx.bcast(0, &buf, LEN);
-            });
-        }),
-    );
-    case(
-        "cluster/allreduce_f64/16K",
-        median_wall_us(5, || {
-            const COUNT: usize = 16 * 1024;
-            cluster.run(|cctx| {
-                let input = cctx.intra().alloc_buffer(COUNT * 8);
-                let output = cctx.intra().alloc_buffer(COUNT * 8);
-                write_f64s(&input, 0, &vec![cctx.global_rank() as f64; COUNT]);
-                cctx.intra().barrier();
-                cctx.allreduce_f64(&input, &output, COUNT);
-            });
-        }),
-    );
-    // Nonblocking scheduler throughput: the same 1 KiB broadcast posted
-    // through bgp-sched at two in-flight depths. Ops/sec, higher is
-    // better; recorded ungated like the rest of the host-time series.
-    let sched_ops = |cluster: &Cluster, depth: usize| -> f64 {
-        let us = median_wall_us(5, || {
-            cluster.run(move |cctx| {
-                let group: Vec<usize> = (0..cctx.n_ranks()).collect();
-                let mut sched = bgp_sched::Sched::new(cctx);
-                let mut reqs = Vec::with_capacity(depth);
-                let mut bufs = Vec::with_capacity(depth);
-                for i in 0..depth {
-                    let buf = Arc::new(bgp_shmem::SharedRegion::new(1024));
-                    let (rn, rr) = (i % cctx.n_nodes(), i % cctx.n_ranks());
-                    if cctx.node() == rn && cctx.rank() == rr {
-                        unsafe { buf.write(0, &[i as u8; 1024]) };
-                    }
-                    reqs.push(
-                        sched
-                            .ibcast(&group, rn, rr, Some(&buf), 1024)
-                            .expect("valid post"),
-                    );
-                    bufs.push(buf);
-                }
-                sched.wait_all(&reqs);
-            });
-        });
-        depth as f64 / (us / 1e6)
-    };
-    for depth in [1usize, 8] {
-        out.push(GateEntry {
-            id: format!("sched/ibcast_1K_depth{depth}"),
-            unit: "ops/s".into(),
-            better: Better::Higher,
-            gated: false,
-            value: sched_ops(&cluster, depth),
-        });
-    }
-    // Condensed multi-tenant soak through the bgp-svc facade: three
-    // equal-weight tenants on real threads, each running a closed-loop
-    // 1 KiB bcast train against one shared service. Records aggregate
-    // throughput plus the Jain fairness index over per-tenant rates
-    // (1.0 = perfectly even split); `svc_soak` is the full harness.
-    {
-        use bgp_svc::metrics::jain_index;
-        use bgp_svc::Service;
-        const TENANTS: usize = 3;
-        const OPS: usize = 32;
-        let svc = Arc::new(Service::new(2, 2));
-        let t0 = std::time::Instant::now();
-        let rates: Vec<f64> = (0..TENANTS)
-            .map(|t| {
-                let svc = Arc::clone(&svc);
-                std::thread::spawn(move || {
-                    let session = svc.open_session(&format!("gate-{t}"), 1).unwrap();
-                    let comm = session.comm_world();
-                    let t0 = std::time::Instant::now();
-                    for i in 0..OPS {
-                        comm.bcast(0, 0, vec![i as u8; 1024]).unwrap().wait();
-                    }
-                    OPS as f64 / t0.elapsed().as_secs_f64().max(1e-9)
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|h| h.join().expect("gate tenant thread"))
-            .collect();
-        let wall = t0.elapsed().as_secs_f64().max(1e-9);
-        out.push(GateEntry {
-            id: "svc/soak_ops_per_s".into(),
-            unit: "ops/s".into(),
-            better: Better::Higher,
-            gated: false,
-            value: (TENANTS * OPS) as f64 / wall,
-        });
-        out.push(GateEntry {
-            id: "svc/fairness_jain".into(),
-            unit: "index".into(),
-            better: Better::Higher,
-            gated: false,
-            value: jain_index(&rates),
-        });
-    }
-    out
 }
 
 /// Status of one compared entry.
@@ -996,7 +791,11 @@ mod tests {
         GateReport {
             label: "t".into(),
             scale: "small".into(),
-            meta: None,
+            meta: Some(GateMeta {
+                label: "t".into(),
+                git_sha: "abc123def".into(),
+                seq: 7,
+            }),
             violations: Vec::new(),
             entries: vec![
                 GateEntry {
@@ -1038,11 +837,6 @@ mod tests {
     #[test]
     fn meta_and_violations_round_trip() {
         let mut r = synthetic();
-        r.meta = Some(GateMeta {
-            label: "t".into(),
-            git_sha: "abc123def".into(),
-            seq: 7,
-        });
         r.violations = vec![Violation {
             id: "a/latency".into(),
             unit: "us".into(),
@@ -1061,34 +855,29 @@ mod tests {
     }
 
     #[test]
-    fn legacy_reports_without_meta_still_parse() {
-        // A verbatim pre-metadata document (the PR-3-era layout).
-        let legacy = r#"{
-  "schema": "bgp-bench-gate-v1",
-  "label": "old",
-  "scale": "small",
-  "entries": [
-    {"id": "fig6/tree_shmem/1K", "unit": "us", "better": "lower", "gated": true, "value": 7.586}
-  ]
-}"#;
-        let parsed = GateReport::parse(legacy).unwrap();
-        assert!(parsed.meta.is_none());
-        assert!(parsed.violations.is_empty());
-        assert_eq!(parsed.label, "old");
-        // A present meta block with a stale schema is a typed error, not a
-        // silent legacy fallback.
-        let stale_meta = r#"{
-  "schema": "bgp-bench-gate-v1",
-  "label": "old",
-  "scale": "small",
-  "meta": {"schema": "bgp-bench-meta-v0", "label": "old", "git_sha": "x", "seq": 1},
-  "entries": [
-    {"id": "a", "unit": "us", "better": "lower", "gated": true, "value": 1}
-  ]
-}"#;
-        assert!(GateReport::parse(stale_meta)
+    fn reports_without_a_valid_meta_block_are_rejected() {
+        let mut unstamped = synthetic();
+        unstamped.meta = None;
+        assert!(GateReport::parse(&unstamped.to_json())
+            .unwrap_err()
+            .contains("missing meta"));
+        let stale = synthetic()
+            .to_json()
+            .replace(META_SCHEMA, "bgp-bench-meta-v0");
+        assert!(GateReport::parse(&stale)
             .unwrap_err()
             .contains("stale meta schema"));
+    }
+
+    #[test]
+    fn missing_or_non_boolean_gated_names_the_entry() {
+        let doc = synthetic().to_json();
+        let absent = doc.replacen(", \"gated\": true", "", 1);
+        let err = GateReport::parse(&absent).unwrap_err();
+        assert!(err.contains("gated") && err.contains("a/latency"), "{err}");
+        let quoted = doc.replace("\"gated\": false", "\"gated\": \"true\"");
+        let err = GateReport::parse(&quoted).unwrap_err();
+        assert!(err.contains("gated") && err.contains("c/wall"), "{err}");
     }
 
     #[test]
@@ -1125,17 +914,10 @@ mod tests {
             std::fs::remove_file(f.path()).ok();
         }
         assert_eq!(next_seq(&dir), 0, "pristine dir starts at 0");
-        let mut r = synthetic();
-        r.meta = Some(GateMeta {
-            label: "t".into(),
-            git_sha: "x".into(),
-            seq: 4,
-        });
-        std::fs::write(dir.join("BENCH_t.json"), r.to_json()).unwrap();
-        // Legacy (meta-less) and unparseable files never affect ordering.
-        std::fs::write(dir.join("BENCH_legacy.json"), synthetic().to_json()).unwrap();
+        std::fs::write(dir.join("BENCH_t.json"), synthetic().to_json()).unwrap();
+        // Unparseable files never affect ordering.
         std::fs::write(dir.join("BENCH_junk.json"), "not json").unwrap();
-        assert_eq!(next_seq(&dir), 5);
+        assert_eq!(next_seq(&dir), 8);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1210,10 +992,35 @@ mod tests {
             .any(|l| l.id == "d/fresh" && l.status == LineStatus::New));
     }
 
+    /// One small-suite run shared by the tests below: they never measure
+    /// the host ratios concurrently, and the suite runs twice, not three
+    /// times.
+    fn small_suite() -> &'static GateReport {
+        static SUITE: std::sync::OnceLock<GateReport> = std::sync::OnceLock::new();
+        SUITE.get_or_init(|| run_suite(GateScale::Small))
+    }
+
+    #[test]
+    fn small_suite_gated_ids_match_the_committed_baseline() {
+        // A gated series the baseline does not pin reads `new` and passes;
+        // a dropped one only fails `bench_gate --check`. Catch both here.
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline.json");
+        let text = std::fs::read_to_string(path).expect("committed baseline");
+        let baseline = GateReport::parse(&text).expect("baseline parses");
+        let gated_ids = |r: &GateReport| -> std::collections::BTreeSet<String> {
+            r.entries
+                .iter()
+                .filter(|e| e.gated)
+                .map(|e| e.id.clone())
+                .collect()
+        };
+        assert_eq!(gated_ids(small_suite()), gated_ids(&baseline));
+    }
+
     #[test]
     fn small_suite_runs_and_is_deterministic() {
-        let a = run_suite(GateScale::Small, false);
-        let b = run_suite(GateScale::Small, false);
+        let a = small_suite();
+        let b = run_suite(GateScale::Small);
         // The hot-path ratio series are measured wall time; everything
         // else must be bit-identical between two runs of the same tree.
         let is_ratio = |id: &str| {
@@ -1231,7 +1038,7 @@ mod tests {
                 .cloned()
                 .collect(),
         };
-        assert_eq!(sim_only(&a).to_json(), sim_only(&b).to_json());
+        assert_eq!(sim_only(a).to_json(), sim_only(&b).to_json());
         assert!(a.entries.iter().all(|e| e.value > 0.0 && e.gated));
         assert!(a.entries.iter().any(|e| e.id.starts_with("fig6/")));
         assert!(a.entries.iter().any(|e| e.id.starts_with("table1/")));

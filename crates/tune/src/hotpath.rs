@@ -1,25 +1,18 @@
-//! Hot-path microbenchmarks: the slot-loan transport vs the staged
-//! copy-in/copy-out shape it replaced, and the `[f64; 4]`-lane reduce
-//! kernel vs the staged scalar loop it replaced.
+//! Hot-path ratios: the slot-loan transport vs the staged
+//! copy-in/copy-out shape it replaced, the `[f64; 4]`-lane reduce kernel
+//! vs the staged scalar loop it replaced, and segment-backed vs heap slot
+//! storage.
 //!
-//! Two kinds of output:
-//!
-//! * **Gated speedup ratios** ([`ratio_entries`]): `transport/loan_64K`
-//!   (one 64 KiB produce→consume through a [`ChunkChannel`], old staged
-//!   shape over new loaned shape) and `reduce/f64x4_1M` (one reduce pass
-//!   over 1 Mi doubles, old 1 KiB-staging scalar shape over the in-place
-//!   lane kernel). A ratio is dimensionless — both numerators run on the
-//!   same host in the same process — so unlike raw wall times it *can* be
-//!   gated: the committed baseline pins a conservative floor and the gate
-//!   fails if the win mostly evaporates.
-//! * **Per-stage wall timings** ([`measure_stages`]): reserve/publish
-//!   protocol cost, the 64 KiB in-place slot write, the 64 KiB copy-out,
-//!   and one lane-kernel reduce pass, each isolated by timing nested
-//!   loops and subtracting (the write stage is the filled-cycle time
-//!   minus the empty-cycle time, and so on). The cross-thread end-to-end
-//!   per-chunk time is measured last; whatever it exceeds the summed
-//!   stages by is reported as *transit* — cross-core handoff, spinning,
-//!   and scheduler noise that no stage owns. Host wall time, never gated.
+//! [`ratio_entries`] yields `transport/loan_64K` (one 64 KiB
+//! produce→consume through a [`ChunkChannel`], old staged shape over new
+//! loaned shape) and `reduce/f64x4_1M` (one reduce pass over 1 Mi doubles,
+//! old 1 KiB-staging scalar shape over the in-place lane kernel);
+//! [`xproc_entry`] yields `proc/xproc_overhead_64K`. A ratio is
+//! dimensionless — both sides run on the same host in the same process —
+//! so unlike raw wall times it *can* be gated: the committed baseline pins
+//! a conservative floor (ceiling, for the overhead) and the gate fails if
+//! the win mostly evaporates. The absolute per-stage times behind these
+//! ratios are `benchmark/`'s `smp.transport.*` / `smp.kernels.*` metrics.
 //!
 //! The old shapes are reproduced here verbatim-in-miniature
 //! ([`staged_scalar_reduce`], the scratch-buffer transfer in
@@ -33,7 +26,7 @@ use std::time::Instant;
 use bgp_smp::kernels;
 use bgp_smp::transport::ChunkChannel;
 
-use crate::gate::{Better, GateEntry, GateReport};
+use crate::gate::{Better, GateEntry};
 
 /// Gated series id: staged-over-loaned 64 KiB transfer speedup.
 pub const TRANSPORT_ID: &str = "transport/loan_64K";
@@ -47,10 +40,6 @@ pub const CHUNK_BYTES: usize = 64 * 1024;
 
 /// Element count of the reduce measurements.
 pub const REDUCE_DOUBLES: usize = 1 << 20;
-
-/// Stage deltas can go sub-noise; report this floor instead of a zero or
-/// negative value (the gate JSON schema requires strictly positive).
-const EPS_NS: f64 = 0.001;
 
 /// Median wall time of `f` over `samples` runs (after one warmup), secs.
 fn median_secs(samples: usize, mut f: impl FnMut()) -> f64 {
@@ -221,184 +210,9 @@ pub fn xproc_entry() -> GateEntry {
     }
 }
 
-/// Per-stage wall timings of the loaned hot path (see module docs for
-/// how each stage is isolated).
-#[derive(Debug, Clone, Copy)]
-pub struct StageTimings {
-    /// One empty reserve→publish→peek→retire cycle, ns.
-    pub reserve_publish_ns: f64,
-    /// Filling 64 KiB in place through the send loan, ns.
-    pub write_ns: f64,
-    /// Copying 64 KiB out of the receive loan (the edge-delivery copy
-    /// that in-fabric hops no longer pay), ns.
-    pub copy_out_ns: f64,
-    /// One lane-kernel reduce pass over 1 Mi doubles, µs.
-    pub reduce_us: f64,
-    /// Cross-thread end-to-end per 64 KiB chunk (produce in place, real
-    /// consumer thread copies out), µs.
-    pub e2e_us: f64,
-    /// `e2e` minus the summed single-thread stages: transit overhead
-    /// (handoff, spinning, scheduler), µs.
-    pub transit_us: f64,
-}
-
-/// Measure every stage. `small` shrinks iteration counts for CI.
-pub fn measure_stages(small: bool) -> StageTimings {
-    let iters = if small { 64 } else { 256 };
-    let samples = if small { 3 } else { 7 };
-    let ch = ChunkChannel::new(4, CHUNK_BYTES);
-
-    let per = |total: f64| total / iters as f64 * 1e9;
-    let empty_cycle = per(median_secs(samples, || {
-        for i in 0..iters {
-            let s = ch.reserve(0);
-            s.publish(i as u64);
-            let r = ch.peek();
-            black_box(r.len());
-        }
-    }));
-    let fill_cycle = per(median_secs(samples, || {
-        for i in 0..iters {
-            let mut s = ch.reserve(CHUNK_BYTES);
-            s.with_bytes_mut(|b| b.fill(i as u8));
-            s.publish(i as u64);
-            let r = ch.peek();
-            r.with_bytes(|b| black_box(b[0]));
-        }
-    }));
-    let mut dest = vec![0u8; CHUNK_BYTES];
-    let copy_cycle = per(median_secs(samples, || {
-        for i in 0..iters {
-            let mut s = ch.reserve(CHUNK_BYTES);
-            s.with_bytes_mut(|b| b.fill(i as u8));
-            s.publish(i as u64);
-            let r = ch.peek();
-            r.with_bytes(|b| dest.copy_from_slice(b));
-            black_box(dest[0]);
-        }
-    }));
-
-    let mut src = vec![0u8; REDUCE_DOUBLES * 8];
-    for (i, b) in src.chunks_exact_mut(8).enumerate() {
-        b.copy_from_slice(&((i % 97) as f64).to_ne_bytes());
-    }
-    let mut acc = vec![0f64; REDUCE_DOUBLES];
-    let reduce_us = median_secs(samples, || {
-        kernels::add_bytes_f64(&mut acc, &src);
-        black_box(acc[REDUCE_DOUBLES - 1]);
-    }) * 1e6;
-
-    let k = if small { 64 } else { 512 };
-    let e2e_us = median_secs(samples, || {
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let mut sink = vec![0u8; CHUNK_BYTES];
-                for _ in 0..k {
-                    let r = ch.peek();
-                    r.with_bytes(|b| sink.copy_from_slice(b));
-                    black_box(sink[0]);
-                }
-            });
-            for i in 0..k {
-                let mut s = ch.reserve(CHUNK_BYTES);
-                s.with_bytes_mut(|b| b.fill(i as u8));
-                s.publish(i as u64);
-            }
-        });
-    }) / k as f64
-        * 1e6;
-
-    let reserve_publish_ns = empty_cycle.max(EPS_NS);
-    let write_ns = (fill_cycle - empty_cycle).max(EPS_NS);
-    let copy_out_ns = (copy_cycle - fill_cycle).max(EPS_NS);
-    let transit_us = (e2e_us - (empty_cycle + write_ns + copy_out_ns) / 1e3).max(EPS_NS / 1e3);
-    StageTimings {
-        reserve_publish_ns,
-        write_ns,
-        copy_out_ns,
-        reduce_us,
-        e2e_us,
-        transit_us,
-    }
-}
-
-impl StageTimings {
-    /// The per-stage series as (ungated) gate entries.
-    pub fn entries(&self) -> Vec<GateEntry> {
-        let wall = |id: &str, unit: &str, value: f64| GateEntry {
-            id: id.into(),
-            unit: unit.into(),
-            better: Better::Lower,
-            gated: false,
-            value,
-        };
-        vec![
-            wall("hotpath/reserve_publish", "ns", self.reserve_publish_ns),
-            wall("hotpath/write_64K", "ns", self.write_ns),
-            wall("hotpath/copy_out_64K", "ns", self.copy_out_ns),
-            wall("hotpath/reduce_f64x4_1M", "us", self.reduce_us),
-            wall("hotpath/e2e_64K", "us", self.e2e_us),
-            wall("hotpath/transit_64K", "us", self.transit_us),
-        ]
-    }
-}
-
-/// The full hot-path report: the two gated ratios plus the per-stage
-/// decomposition, in the standard gate JSON layout.
-pub fn report(small: bool) -> GateReport {
-    let mut entries = ratio_entries();
-    entries.extend(measure_stages(small).entries());
-    GateReport {
-        label: "hotpath".into(),
-        scale: if small { "small" } else { "full" }.into(),
-        meta: None,
-        violations: Vec::new(),
-        entries,
-    }
-}
-
-/// Verify both measured paths still compute the same thing: the staged
-/// and loaned transfers deliver identical bytes, and the staged scalar
-/// reduce matches the lane kernel bit for bit (including a ragged tail).
-pub fn check() -> Result<(), String> {
-    let ch = ChunkChannel::new(2, 4096);
-    let pattern: Vec<u8> = (0..4096u32).map(|i| (i * 7 + 3) as u8).collect();
-    ch.send_with(1, pattern.len(), |b| b.copy_from_slice(&pattern));
-    let staged = ch.recv_with(|_, b| b.to_vec());
-    let mut s = ch.reserve(pattern.len());
-    s.with_bytes_mut(|b| b.copy_from_slice(&pattern));
-    s.publish(2);
-    let loaned = {
-        let r = ch.peek();
-        r.with_bytes(|b| b.to_vec())
-    };
-    if staged != pattern || loaned != pattern {
-        return Err("staged and loaned transfers disagree on the payload".into());
-    }
-
-    let n = 1003;
-    let mut bytes = vec![0u8; n * 8];
-    for (i, b) in bytes.chunks_exact_mut(8).enumerate() {
-        b.copy_from_slice(&(i as f64 * 0.5 - 17.0).to_ne_bytes());
-    }
-    let mut a = vec![1.25f64; n];
-    let mut b = a.clone();
-    staged_scalar_reduce(&mut a, &bytes);
-    kernels::add_bytes_f64(&mut b, &bytes);
-    if a != b {
-        return Err("staged scalar reduce and lane kernel disagree".into());
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn both_paths_agree() {
-        check().expect("hot-path correctness check");
-    }
 
     #[test]
     fn staged_reduce_matches_kernel_on_ragged_sizes() {
@@ -422,16 +236,5 @@ mod tests {
         // perf assertion — that lives in the committed gate baseline.
         let r = xproc_overhead_ratio(4, 3);
         assert!(r.is_finite() && r > 0.0, "xproc ratio {r}");
-    }
-
-    #[test]
-    fn stage_report_is_well_formed() {
-        let r = report(true);
-        let parsed = GateReport::parse(&r.to_json()).expect("hotpath report parses");
-        assert_eq!(parsed.entries.len(), 8);
-        let gated: Vec<_> = parsed.entries.iter().filter(|e| e.gated).collect();
-        assert_eq!(gated.len(), 2);
-        assert!(gated.iter().all(|e| e.unit == "x" && e.value > 0.0));
-        assert!(parsed.entries.iter().any(|e| e.id == "hotpath/transit_64K"));
     }
 }

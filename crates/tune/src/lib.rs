@@ -11,12 +11,12 @@
 //!   `bgp_mpi::tune::SelectionPolicy` serves at `Mpi` construction.
 //! * **Regression gate** ([`gate`]): replay a pinned suite of the paper's
 //!   key measurement points (fig6/fig7/fig10/table1 + the tuned-selection
-//!   path + the real-thread intra-node collectives), emit
+//!   path + three dimensionless host ratios from [`hotpath`]), emit
 //!   `BENCH_<label>.json`, and compare against the checked-in
 //!   `BENCH_baseline.json`, failing on slowdowns beyond a tolerance. The
 //!   simulated entries are bit-deterministic, so the committed baseline
-//!   gates exactly; the real-thread entries are host wall time and are
-//!   reported but never gated.
+//!   gates exactly; wall-clock numbers of the real runtimes come from
+//!   `benchmark/`, not from here.
 //!
 //! Binaries: `tune_table` (here) regenerates the table; `bench_gate`
 //! (in `bgp-bench`) runs the gate.

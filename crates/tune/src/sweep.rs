@@ -106,18 +106,6 @@ impl Sweep {
         )
     }
 
-    /// Column index of the measured-fastest algorithm at size row `i`.
-    pub fn winner_at(&self, i: usize) -> usize {
-        let row = &self.micros[i];
-        let mut best = 0;
-        for (j, &v) in row.iter().enumerate() {
-            if v < row[best] {
-                best = j;
-            }
-        }
-        best
-    }
-
     /// Serialize as a [`SWEEP_SCHEMA`] document (`bgp-report` renders
     /// these as the paper-layout latency-vs-size figures).
     pub fn to_json(&self) -> String {
