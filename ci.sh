@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # CI gate: the one-file rule for link sends, every bin/bench target the
 # docs name resolving to a source file, formatting, lints, the tier-1
-# verify (release build + tests), an offline build of benchmark/ against
-# the workspace, a bounded soak of the formerly livelocking service test,
-# every crate's unit tests, the bgp-check model-checking suites, a smoke run
+# verify (release build + every member's unit, integration and doc tests),
+# an offline build of benchmark/ against the workspace, a bounded soak of
+# the formerly livelocking service test, the bgp-check model-checking
+# suites, a smoke run
 # of a figure binary checking that its JSON report and its --trace probe
 # artifacts parse, the performance-regression gate (bench_gate) against the
 # committed baseline, and the two committed simulator artifacts
@@ -68,7 +69,8 @@ cargo clippy -p bgp-shmem -p bgp-smp -p bgp-sched --all-targets --features model
 
 # BGP_STRESS_FULL=1 restores the full stress-test iteration counts that
 # bgp_shmem::testing::stress_iters would otherwise scale down on small
-# (1-2 core) hosts. CI always runs the full volumes.
+# (1-2 core) hosts. CI always runs the full volumes. The root Cargo.toml's
+# default-members make these cover every workspace member.
 echo "== tier-1: cargo build --release && cargo test -q (full stress volumes)"
 cargo build --release
 BGP_STRESS_FULL=1 cargo test -q
@@ -96,14 +98,6 @@ for i in $(seq 1 200); do
     exit 1
   }
 done
-
-# `cargo test` at the root only runs the facade package. The in-crate unit
-# tests of every workspace member (the kernels' tail-shape suite, the flat
-# ring's cross-op regression, ...) and the crate-level integration suites
-# (crates/sched/tests/{nonblocking,server}.rs, the machine and sim property
-# tests, ...) are otherwise compiled by clippy but executed by nothing.
-echo "== unit + crate-level integration tests: cargo test --workspace --lib --tests"
-cargo test -q --workspace --lib --tests
 
 echo "== model checker self-tests (bgp-check)"
 cargo test -q -p bgp-check

@@ -196,24 +196,30 @@ impl CostModel {
 /// One selection region: `alg` is the pick for sizes in
 /// `(previous upto, upto]` (the last region has `upto == None`, unbounded).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Region {
+pub struct Region<A = BcastAlgorithm> {
     /// Inclusive upper size bound; `None` = no bound (must be last).
     pub upto: Option<u64>,
     /// The measured-optimal algorithm for this region.
-    pub alg: BcastAlgorithm,
+    pub alg: A,
     /// Fraction of seeded resamples that kept this pick, in `[0, 1]`.
     pub confidence: f64,
 }
 
-/// One allreduce selection region, same bound semantics as [`Region`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ArRegion {
-    /// Inclusive upper size bound; `None` = no bound (must be last).
-    pub upto: Option<u64>,
-    /// The measured-optimal allreduce algorithm for this region.
-    pub alg: AllreduceAlgorithm,
-    /// Fraction of seeded resamples that kept this pick, in `[0, 1]`.
-    pub confidence: f64,
+/// One allreduce selection region.
+pub type ArRegion = Region<AllreduceAlgorithm>;
+
+/// The pick of an ordered region list for a message of `bytes`.
+///
+/// # Panics
+///
+/// On an empty list (a parsed table never has one).
+pub fn pick<A: Copy>(regions: &[Region<A>], bytes: u64) -> A {
+    regions
+        .iter()
+        .find(|r| r.upto.is_none_or(|b| bytes <= b))
+        .or(regions.last())
+        .expect("a region list is never empty")
+        .alg
 }
 
 /// The table for one `(mode, machine shape)` point of the sweep grid.
@@ -226,10 +232,7 @@ pub struct ShapeEntry {
     pub nodes: u32,
     /// Ordered selection regions.
     pub regions: Vec<Region>,
-    /// Ordered allreduce selection regions. Optional in the document
-    /// (tables predating the allreduce sweep parse with an empty list and
-    /// the static thresholds answer), so the schema stays
-    /// [`TABLE_SCHEMA`].
+    /// Ordered allreduce selection regions.
     pub ar_regions: Vec<ArRegion>,
     /// Fitted per-algorithm cost models (metadata: used by reports and the
     /// crossover exhibit, not by selection).
@@ -239,28 +242,12 @@ pub struct ShapeEntry {
 impl ShapeEntry {
     /// The region pick for a message of `bytes`.
     pub fn select(&self, bytes: u64) -> BcastAlgorithm {
-        for r in &self.regions {
-            match r.upto {
-                Some(b) if bytes <= b => return r.alg,
-                None => return r.alg,
-                _ => {}
-            }
-        }
-        // Unreachable on validated tables (last upto is None); defensive.
-        self.regions.last().expect("validated: non-empty").alg
+        pick(&self.regions, bytes)
     }
 
-    /// The allreduce region pick for a message of `bytes`, `None` when the
-    /// entry carries no allreduce regions (pre-sweep table).
-    pub fn select_allreduce(&self, bytes: u64) -> Option<AllreduceAlgorithm> {
-        for r in &self.ar_regions {
-            match r.upto {
-                Some(b) if bytes <= b => return Some(r.alg),
-                None => return Some(r.alg),
-                _ => {}
-            }
-        }
-        self.ar_regions.last().map(|r| r.alg)
+    /// The allreduce region pick for a message of `bytes`.
+    pub fn select_allreduce(&self, bytes: u64) -> AllreduceAlgorithm {
+        pick(&self.ar_regions, bytes)
     }
 
     /// The fitted model for `alg`, if the table carries one.
@@ -320,107 +307,20 @@ impl TuningTable {
                     .and_then(Json::as_f64)
                     .filter(|&n| n >= 1.0 && n == n.trunc())
                     .ok_or_else(|| corrupt("entry missing/invalid nodes"))? as u32;
-            let raw_regions = e
-                .get("regions")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| corrupt("entry missing regions"))?;
-            if raw_regions.is_empty() {
-                return Err(corrupt("entry has no regions"));
-            }
-            let mut regions = Vec::with_capacity(raw_regions.len());
-            let mut prev_upto: Option<u64> = None;
-            for (i, r) in raw_regions.iter().enumerate() {
-                let last = i + 1 == raw_regions.len();
-                let upto = match r.get("upto") {
-                    Some(Json::Null) => None,
-                    Some(Json::Num(n)) if *n >= 1.0 && *n == n.trunc() => Some(*n as u64),
-                    _ => return Err(corrupt("region upto must be a positive integer or null")),
-                };
-                match (last, upto) {
-                    (false, None) => return Err(corrupt("only the last region may be unbounded")),
-                    (true, Some(_)) => return Err(corrupt("the last region must be unbounded")),
-                    (_, Some(b)) => {
-                        if let Some(p) = prev_upto {
-                            if b <= p {
-                                return Err(corrupt("region bounds must be strictly increasing"));
-                            }
-                        }
-                        prev_upto = Some(b);
-                    }
-                    _ => {}
-                }
-                let alg_s = r
-                    .get("alg")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| corrupt("region missing alg"))?;
-                let alg = alg_from_id(alg_s)
-                    .ok_or_else(|| corrupt(&format!("unknown algorithm {alg_s:?}")))?;
+            let regions = parse_regions(e, "regions", "region", |id| {
+                let alg =
+                    alg_from_id(id).ok_or_else(|| corrupt(&format!("unknown algorithm {id:?}")))?;
                 if alg.requires_smp() && mode != OpMode::Smp {
                     return Err(corrupt(&format!(
-                        "{alg_s} requires SMP mode but the entry is {mode_s}"
+                        "{id} requires SMP mode but the entry is {mode_s}"
                     )));
                 }
-                let confidence = r.get("confidence").and_then(Json::as_f64).unwrap_or(1.0);
-                if !(0.0..=1.0).contains(&confidence) {
-                    return Err(corrupt("confidence must be in [0, 1]"));
-                }
-                regions.push(Region {
-                    upto,
-                    alg,
-                    confidence,
-                });
-            }
-            let mut ar_regions = Vec::new();
-            if let Some(raw_ar) = e.get("ar_regions").and_then(Json::as_arr) {
-                let mut prev_upto: Option<u64> = None;
-                for (i, r) in raw_ar.iter().enumerate() {
-                    let last = i + 1 == raw_ar.len();
-                    let upto = match r.get("upto") {
-                        Some(Json::Null) => None,
-                        Some(Json::Num(n)) if *n >= 1.0 && *n == n.trunc() => Some(*n as u64),
-                        _ => {
-                            return Err(corrupt(
-                                "ar region upto must be a positive integer or null",
-                            ))
-                        }
-                    };
-                    match (last, upto) {
-                        (false, None) => {
-                            return Err(corrupt("only the last ar region may be unbounded"))
-                        }
-                        (true, Some(_)) => {
-                            return Err(corrupt("the last ar region must be unbounded"))
-                        }
-                        (_, Some(b)) => {
-                            if let Some(p) = prev_upto {
-                                if b <= p {
-                                    return Err(corrupt(
-                                        "ar region bounds must be strictly increasing",
-                                    ));
-                                }
-                            }
-                            prev_upto = Some(b);
-                        }
-                        _ => {}
-                    }
-                    let alg_s = r
-                        .get("alg")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| corrupt("ar region missing alg"))?;
-                    let alg = ar_alg_from_id(alg_s).ok_or_else(|| {
-                        corrupt(&format!("unknown allreduce algorithm {alg_s:?}"))
-                    })?;
-                    let confidence = r.get("confidence").and_then(Json::as_f64).unwrap_or(1.0);
-                    if !(0.0..=1.0).contains(&confidence) {
-                        return Err(corrupt("confidence must be in [0, 1]"));
-                    }
-                    ar_regions.push(ArRegion {
-                        upto,
-                        alg,
-                        confidence,
-                    });
-                }
-            }
+                Ok(alg)
+            })?;
+            let ar_regions = parse_regions(e, "ar_regions", "ar region", |id| {
+                ar_alg_from_id(id)
+                    .ok_or_else(|| corrupt(&format!("unknown allreduce algorithm {id:?}")))
+            })?;
             let mut models = Vec::new();
             if let Some(raw_models) = e.get("models").and_then(Json::as_arr) {
                 for m in raw_models {
@@ -488,35 +388,9 @@ impl TuningTable {
                 json::escape(mode_id(e.mode)),
                 e.nodes
             ));
-            for (ri, r) in e.regions.iter().enumerate() {
-                let upto = match r.upto {
-                    Some(b) => b.to_string(),
-                    None => "null".to_string(),
-                };
-                out.push_str(&format!(
-                    "       {{\"upto\": {upto}, \"alg\": {}, \"confidence\": {}}}{}\n",
-                    json::escape(alg_id(r.alg)),
-                    json::fmt_f64(r.confidence),
-                    if ri + 1 < e.regions.len() { "," } else { "" }
-                ));
-            }
-            out.push_str("     ],\n");
-            if !e.ar_regions.is_empty() {
-                out.push_str("     \"ar_regions\": [\n");
-                for (ri, r) in e.ar_regions.iter().enumerate() {
-                    let upto = match r.upto {
-                        Some(b) => b.to_string(),
-                        None => "null".to_string(),
-                    };
-                    out.push_str(&format!(
-                        "       {{\"upto\": {upto}, \"alg\": {}, \"confidence\": {}}}{}\n",
-                        json::escape(ar_alg_id(r.alg)),
-                        json::fmt_f64(r.confidence),
-                        if ri + 1 < e.ar_regions.len() { "," } else { "" }
-                    ));
-                }
-                out.push_str("     ],\n");
-            }
+            write_regions(&mut out, &e.regions, alg_id);
+            out.push_str("     \"ar_regions\": [\n");
+            write_regions(&mut out, &e.ar_regions, ar_alg_id);
             out.push_str("     \"models\": [\n");
             for (mi, (alg, m)) in e.models.iter().enumerate() {
                 let piece = |p: &CostPiece| {
@@ -566,6 +440,72 @@ impl TuningTable {
             OpMode::Dual => pick(OpMode::Dual).or_else(|| pick(OpMode::Quad)),
         }
     }
+}
+
+/// Parse and validate the region list under `key` of a table entry: a
+/// non-empty list of `{upto, alg, confidence}` with strictly increasing
+/// bounds, only the last unbounded. `what` names a region in error
+/// messages; `alg_of` maps an algorithm id (and rejects what the entry may
+/// not pick).
+fn parse_regions<A>(
+    entry: &Json,
+    key: &str,
+    what: &str,
+    alg_of: impl Fn(&str) -> Result<A, TuneError>,
+) -> Result<Vec<Region<A>>, TuneError> {
+    let bad = |m: &str| TuneError::Corrupt(format!("{what} {m}"));
+    let raw = entry
+        .get(key)
+        .and_then(Json::as_arr)
+        .ok_or_else(|| TuneError::Corrupt(format!("entry missing {key}")))?;
+    if raw.is_empty() {
+        return Err(TuneError::Corrupt(format!("entry has no {key}")));
+    }
+    let mut regions: Vec<Region<A>> = Vec::with_capacity(raw.len());
+    for (i, r) in raw.iter().enumerate() {
+        let upto = match r.get("upto") {
+            Some(Json::Null) => None,
+            Some(Json::Num(n)) if *n >= 1.0 && *n == n.trunc() => Some(*n as u64),
+            _ => return Err(bad("upto must be a positive integer or null")),
+        };
+        let prev = regions.last().and_then(|p| p.upto);
+        match (i + 1 == raw.len(), upto) {
+            (false, None) => return Err(bad("is unbounded but not last")),
+            (true, Some(_)) => return Err(bad("is last but bounded")),
+            (_, Some(b)) if prev.is_some_and(|p| b <= p) => {
+                return Err(bad("bounds must increase"))
+            }
+            _ => {}
+        }
+        let id = r
+            .get("alg")
+            .and_then(Json::as_str)
+            .ok_or_else(|| bad("missing alg"))?;
+        let confidence = r.get("confidence").and_then(Json::as_f64).unwrap_or(1.0);
+        if !(0.0..=1.0).contains(&confidence) {
+            return Err(bad("confidence must be in [0, 1]"));
+        }
+        regions.push(Region {
+            upto,
+            alg: alg_of(id)?,
+            confidence,
+        });
+    }
+    Ok(regions)
+}
+
+/// Append `regions` to a table document, one per line, and close the list.
+fn write_regions<A: Copy>(out: &mut String, regions: &[Region<A>], id: fn(A) -> &'static str) {
+    for (ri, r) in regions.iter().enumerate() {
+        let upto = r.upto.map_or("null".to_string(), |b| b.to_string());
+        out.push_str(&format!(
+            "       {{\"upto\": {upto}, \"alg\": {}, \"confidence\": {}}}{}\n",
+            json::escape(id(r.alg)),
+            json::fmt_f64(r.confidence),
+            if ri + 1 < regions.len() { "," } else { "" }
+        ));
+    }
+    out.push_str("     ],\n");
 }
 
 /// Where a policy's picks come from.
@@ -678,22 +618,17 @@ impl SelectionPolicy {
     }
 
     /// Select an allreduce algorithm, and report whether a table entry
-    /// drove the pick (`false` = static thresholds answered — no table,
-    /// no matching entry, or an entry predating the allreduce sweep).
+    /// drove the pick (`false` = static thresholds answered — no table or
+    /// no matching entry).
     pub fn select_allreduce_info(
         &self,
         cfg: &MachineConfig,
         bytes: u64,
     ) -> (AllreduceAlgorithm, bool) {
-        if let Some(alg) = self
-            .table
-            .as_ref()
-            .and_then(|t| t.entry_for(cfg))
-            .and_then(|e| e.select_allreduce(bytes))
-        {
-            return (alg, true);
+        match self.table.as_ref().and_then(|t| t.entry_for(cfg)) {
+            Some(e) => (e.select_allreduce(bytes), true),
+            None => (select_allreduce(cfg, bytes), false),
         }
-        (select_allreduce(cfg, bytes), false)
     }
 
     /// The policy's pick for an allreduce of `bytes`.
@@ -728,7 +663,8 @@ mod tests {
     fn table_json(regions: &str) -> String {
         format!(
             r#"{{"schema": "{TABLE_SCHEMA}", "generator": "test", "seed": 7, "resamples": 4,
-                "entries": [{{"mode": "quad", "nodes": 2048, "regions": [{regions}]}}]}}"#
+                "entries": [{{"mode": "quad", "nodes": 2048, "regions": [{regions}],
+                  "ar_regions": [{{"upto": null, "alg": "ring_current"}}]}}]}}"#
         )
     }
 
@@ -939,12 +875,12 @@ mod tests {
         // once the per-stage syncs amortize.
         assert_eq!(
             e.select_allreduce(4096),
-            Some(AllreduceAlgorithm::ShaddrSpecialized),
+            AllreduceAlgorithm::ShaddrSpecialized,
             "small allreduce"
         );
         assert_eq!(
             e.select_allreduce(1 << 20),
-            Some(AllreduceAlgorithm::NodeAwareRsAg),
+            AllreduceAlgorithm::NodeAwareRsAg,
             "large allreduce"
         );
     }
@@ -966,10 +902,12 @@ mod tests {
         .unwrap();
         assert_eq!(
             ok.entries[0].select_allreduce(2048),
-            Some(AllreduceAlgorithm::NodeAwareRsAg)
+            AllreduceAlgorithm::NodeAwareRsAg
         );
         assert_eq!(TuningTable::parse(&ok.to_json()).unwrap(), ok);
         for bad in [
+            // No regions.
+            "",
             // Unbounded region not last.
             r#"{"upto": null, "alg": "shaddr_specialized"}, {"upto": 4096, "alg": "node_aware_rsag"}"#,
             // Bounded last region.
@@ -990,14 +928,17 @@ mod tests {
                 "accepted: {bad}"
             );
         }
-        // A table with no ar_regions still parses; selection returns None.
-        let legacy = TuningTable::parse(&format!(
+        // An entry without ar_regions (a pre-allreduce-sweep table) is
+        // refused like any other incomplete entry.
+        let pre_sweep = format!(
             r#"{{"schema": "{TABLE_SCHEMA}", "generator": "t", "seed": 1, "resamples": 1,
                     "entries": [{{"mode": "quad", "nodes": 64,
                       "regions": [{{"upto": null, "alg": "tree_shmem"}}]}}]}}"#
-        ))
-        .unwrap();
-        assert_eq!(legacy.entries[0].select_allreduce(1024), None);
+        );
+        assert_eq!(
+            TuningTable::parse(&pre_sweep),
+            Err(TuneError::Corrupt("entry missing ar_regions".into()))
+        );
     }
 
     #[test]

@@ -22,44 +22,26 @@ use crate::spin;
 /// the producer's buffer. `publish` uses `Release` so a consumer that
 /// `Acquire`-reads the new value also observes the buffer bytes it covers.
 ///
-/// # Reset protocol
+/// # Reuse across operations
 ///
-/// The counter is reusable across operations via [`reset`](Self::reset),
-/// but `reset` itself carries **no** synchronization for consumers: a
-/// consumer still inside [`wait_for`](Self::wait_for) when the count drops
-/// to zero would wait for a target the *previous* operation already
-/// satisfied, and a consumer that read a pre-reset value could copy bytes
-/// the producer is already overwriting. The documented protocol is
-/// therefore:
+/// The counter is **cumulative**: it never goes back to zero. Each
+/// participant of an operation knows the counter's value before the
+/// operation's first publish — its *base* — and waits for `base + k`
+/// instead of `k`; [`wait_past`](Self::wait_past) packages that wait. Two
+/// ways of knowing the base are sound:
 ///
-/// 1. every consumer finishes its copies, then announces via a
-///    [`CompletionCounter`] ([`CompletionCounter::arrive`], release);
-/// 2. the producer waits for completion ([`CompletionCounter::wait`],
-///    acquire) — this is the happens-before edge that orders every
-///    consumer's last read before the reset;
-/// 3. only then does the producer call `reset` and start the next
-///    operation.
+/// * read it with [`read`](Self::read) while it is stable — after the
+///   previous operation's closing barrier (which follows its last publish)
+///   and before a barrier that precedes this operation's first publish;
+/// * keep it rank-locally and advance it by the bytes each operation
+///   published, when those amounts are known to every participant (SPMD
+///   arguments make them deterministic) — no start barrier needed.
 ///
-/// In debug builds, `reset` additionally checks that no consumer is
-/// currently inside `wait_for` and panics if one is — the misuse the
-/// protocol exists to prevent. The model tests in `tests/model.rs` check
-/// the full protocol (and that the guard fires on the broken variant)
-/// schedule-exhaustively.
-///
-/// # Cumulative reuse (no reset)
-///
-/// The reset protocol costs a completion round per operation. A persistent
-/// runtime that performs back-to-back operations can skip it entirely by
-/// treating the counter as **cumulative**: nobody ever resets, each
-/// participant records the counter value at the start of the operation (its
-/// *base*) and waits for `base + k` instead of `k`. The base read is safe
-/// whenever it is separated from the producer's next publish by any
-/// happens-before edge — in practice a barrier at operation start: every
-/// participant reads the base (stable, because the previous operation ended
-/// with a barrier after the last publish), then the barrier, then the
-/// producer publishes. [`wait_past`](Self::wait_past) packages the
-/// base-relative wait. The multi-node cluster runtime in `bgp-smp` uses
-/// this scheme exclusively.
+/// Either way the operation must end with a barrier (or another
+/// happens-before edge) after its last wait, so the producer cannot run
+/// ahead into the next operation's bytes while a consumer still copies this
+/// one's. `bgp-smp`'s node collectives use both forms; `tests/model.rs` of
+/// `bgp-smp` model-checks the second.
 #[derive(Debug)]
 pub struct MessageCounter {
     bytes: CachePadded<AtomicU64>,
@@ -67,11 +49,6 @@ pub struct MessageCounter {
     /// spins). On its own line, and updated once per `wait_for` call rather
     /// than per spin, so accounting never perturbs the hot path.
     polls: CachePadded<AtomicU64>,
-    /// Consumers currently inside [`wait_for`](Self::wait_for); feeds the
-    /// debug-mode reset guard.
-    waiters: CachePadded<AtomicU64>,
-    /// Operations completed, i.e. times [`reset`](Self::reset) ran.
-    resets: CachePadded<AtomicU64>,
 }
 
 impl Default for MessageCounter {
@@ -86,8 +63,6 @@ impl MessageCounter {
         MessageCounter {
             bytes: CachePadded::new(AtomicU64::new(0)),
             polls: CachePadded::new(AtomicU64::new(0)),
-            waiters: CachePadded::new(AtomicU64::new(0)),
-            resets: CachePadded::new(AtomicU64::new(0)),
         }
     }
 
@@ -112,7 +87,6 @@ impl MessageCounter {
     /// Consumer: spin until at least `target` bytes are valid; returns the
     /// observed count (which may exceed `target`).
     pub fn wait_for(&self, target: u64) -> u64 {
-        self.waiters.fetch_add(1, Ordering::AcqRel);
         let mut local_polls = 0u64;
         let got = loop {
             local_polls += 1;
@@ -123,15 +97,13 @@ impl MessageCounter {
             spin();
         };
         self.polls.fetch_add(local_polls, Ordering::Relaxed);
-        self.waiters.fetch_sub(1, Ordering::AcqRel);
         got
     }
 
-    /// Consumer, cumulative-reuse scheme: spin until at least `delta` bytes
-    /// past `base` are valid; returns the observed count *relative to
-    /// `base`* (≥ `delta`). `base` is the value [`read`](Self::read)
-    /// returned at operation start — see *Cumulative reuse* in the type
-    /// docs for when that read is safe.
+    /// Consumer: spin until at least `delta` bytes past `base` are valid;
+    /// returns the observed count *relative to `base`* (≥ `delta`). `base`
+    /// is the counter's value before the operation's first publish — see
+    /// *Reuse across operations* in the type docs.
     #[inline]
     pub fn wait_past(&self, base: u64, delta: u64) -> u64 {
         self.wait_for(base + delta) - base
@@ -139,38 +111,9 @@ impl MessageCounter {
 
     /// Lifetime number of consumer polls spent in
     /// [`wait_for`](Self::wait_for) (each loop iteration is one poll).
-    /// Relaxed snapshot; survives [`reset`](Self::reset).
+    /// Relaxed snapshot.
     pub fn poll_count(&self) -> u64 {
         self.polls.load(Ordering::Relaxed)
-    }
-
-    /// Consumers currently inside [`wait_for`](Self::wait_for). Diagnostic
-    /// snapshot; exact only when externally quiesced.
-    pub fn active_waiters(&self) -> u64 {
-        self.waiters.load(Ordering::Acquire)
-    }
-
-    /// Times this counter has been [`reset`](Self::reset) — i.e. completed
-    /// operations. Relaxed snapshot.
-    pub fn reset_count(&self) -> u64 {
-        self.resets.load(Ordering::Relaxed)
-    }
-
-    /// Producer only: rearm for the next operation.
-    ///
-    /// Must happen-after all consumers finished with the previous operation
-    /// — see the reset protocol in the type docs. Debug builds panic if a
-    /// consumer is still inside [`wait_for`](Self::wait_for).
-    pub fn reset(&self) {
-        debug_assert_eq!(
-            self.waiters.load(Ordering::Acquire),
-            0,
-            "MessageCounter::reset while a consumer is inside wait_for: \
-             the producer must wait for all consumers (e.g. via a \
-             CompletionCounter) before rearming"
-        );
-        self.resets.fetch_add(1, Ordering::Relaxed);
-        self.bytes.store(0, Ordering::Release);
     }
 }
 
@@ -293,15 +236,12 @@ mod tests {
         assert_eq!(c.publish(100), 100);
         assert_eq!(c.publish(28), 128);
         assert_eq!(c.read(), 128);
-        c.reset();
-        assert_eq!(c.read(), 0);
-        assert_eq!(c.reset_count(), 1);
     }
 
     #[test]
     fn wait_past_is_base_relative() {
-        // Two "operations" with no reset in between: the second op's
-        // consumers wait relative to the base they read at its start.
+        // Two "operations" on one counter: the second op's consumers wait
+        // relative to the base they read at its start.
         let c = MessageCounter::new();
         c.publish(300); // op 1
         assert_eq!(c.wait_past(0, 300), 300);
@@ -311,7 +251,6 @@ mod tests {
         c.publish(72); // op 2, chunk 2
         assert_eq!(c.wait_past(base, 128), 200);
         assert_eq!(c.wait_past(base, 200), 200);
-        assert_eq!(c.reset_count(), 0, "cumulative reuse never resets");
     }
 
     #[test]
@@ -320,7 +259,6 @@ mod tests {
         c.publish(512);
         assert_eq!(c.wait_for(512), 512);
         assert_eq!(c.wait_for(100), 512);
-        assert_eq!(c.active_waiters(), 0);
     }
 
     #[test]
@@ -332,29 +270,6 @@ mod tests {
         assert_eq!(c.poll_count(), 1);
         c.wait_for(512);
         assert_eq!(c.poll_count(), 2);
-        c.reset();
-        assert_eq!(c.poll_count(), 2, "polls survive reset");
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    fn reset_with_active_waiter_is_caught() {
-        // The misuse the reset protocol forbids: rearming while a consumer
-        // is still blocked in wait_for. The debug guard must fire. (The
-        // schedule-exhaustive version of this check is in tests/model.rs.)
-        let c = Arc::new(MessageCounter::new());
-        let waiter = {
-            let c = c.clone();
-            thread::spawn(move || c.wait_for(1))
-        };
-        while c.active_waiters() == 0 {
-            std::thread::yield_now();
-        }
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.reset()));
-        assert!(outcome.is_err(), "reset with an active waiter must panic");
-        // Release the waiter so the thread can be joined.
-        c.publish(1);
-        assert_eq!(waiter.join().unwrap(), 1);
     }
 
     #[test]

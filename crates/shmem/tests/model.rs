@@ -20,8 +20,10 @@
 //!   failure. A checker that cannot fail proves nothing.
 //! * **Regression tests** — the concrete bugs this checker found when it
 //!   was first pointed at the crate (stats counting reserved tickets as
-//!   enqueues; `MessageCounter::reset` racing active waiters; completion
-//!   counter overflow being debug-only), pinned as model scenarios.
+//!   enqueues; completion counter overflow being debug-only), pinned as
+//!   model scenarios. (The third, `MessageCounter::reset` racing active
+//!   waiters, went with `reset`: counters are cumulative now, and the
+//!   protocol that replaced it is model-checked in `bgp-smp`.)
 
 #![cfg(feature = "model")]
 
@@ -450,95 +452,6 @@ fn mutation_counter_publish_relaxed_is_caught() {
         producer.join();
     });
     assert_eq!(f.kind, FailureKind::Race, "{f}");
-}
-
-/// The documented reset protocol, in miniature, over two operations: the
-/// consumer announces completion on a `CompletionCounter`; the producer
-/// waits for it, resets, signals go, and runs the next operation. Every
-/// schedule must deliver both operations' payloads intact (and the
-/// debug-mode waiter guard must never fire on the correct protocol).
-#[test]
-fn message_counter_reset_protocol_two_operations() {
-    model_with(Config::dfs(5_000), || {
-        let buf = Arc::new(UnsafeCell::new(0u64));
-        let ctr = Arc::new(MessageCounter::new());
-        let done = Arc::new(CompletionCounter::new(1));
-        let go = Arc::new(MessageCounter::new());
-        let consumer = {
-            let (buf, ctr, done, go) = (buf.clone(), ctr.clone(), done.clone(), go.clone());
-            thread::spawn(move || {
-                // Operation 1.
-                ctr.wait_for(1);
-                unsafe { buf.with(|p| assert_eq!(*p, 1, "op 1 payload")) };
-                done.arrive();
-                // Wait for the producer's reset before re-arming on the
-                // same counter — this is the step the protocol requires.
-                go.wait_for(1);
-                // Operation 2.
-                ctr.wait_for(1);
-                unsafe { buf.with(|p| assert_eq!(*p, 2, "op 2 payload")) };
-            })
-        };
-        // Producer, operation 1.
-        unsafe { buf.with_mut(|p| *p = 1) };
-        ctr.publish(1);
-        // Wait for the consumer, then rearm (the guard must not fire) and
-        // release it into operation 2.
-        done.wait();
-        ctr.reset();
-        go.publish(1);
-        // Producer, operation 2.
-        unsafe { buf.with_mut(|p| *p = 2) };
-        ctr.publish(1);
-        consumer.join();
-        assert_eq!(ctr.reset_count(), 1);
-    });
-}
-
-/// The misuse the protocol forbids: resetting without waiting for the
-/// consumer. Some schedule must fail — as the debug-mode waiter guard
-/// firing, as a deadlock (the consumer waits for a count the reset wiped),
-/// or as the consumer reading the producer's next-op bytes.
-#[test]
-#[cfg(debug_assertions)]
-fn message_counter_reset_misuse_is_caught() {
-    let report = explore(Config::dfs(5_000), || {
-        let ctr = Arc::new(MessageCounter::new());
-        let consumer = {
-            let ctr = ctr.clone();
-            thread::spawn(move || {
-                ctr.wait_for(1);
-            })
-        };
-        ctr.publish(1);
-        // BUG (deliberate): no completion handshake before the reset.
-        ctr.reset();
-        consumer.join();
-    });
-    let failure = report
-        .failure
-        .expect("resetting under an active waiter must fail on some schedule");
-    assert!(
-        matches!(failure.kind, FailureKind::Panic | FailureKind::Deadlock),
-        "{failure}"
-    );
-    // The failing schedule replays.
-    let replay = explore(Config::replay(&failure.trace), || {
-        let ctr = Arc::new(MessageCounter::new());
-        let consumer = {
-            let ctr = ctr.clone();
-            thread::spawn(move || {
-                ctr.wait_for(1);
-            })
-        };
-        ctr.publish(1);
-        ctr.reset();
-        consumer.join();
-    });
-    assert_eq!(
-        replay.failure.expect("replay reproduces").kind,
-        failure.kind
-    );
 }
 
 // ---------------------------------------------------------------------------

@@ -31,11 +31,12 @@
 //!   direction, odd colors the `-` direction, standing in for the paper's
 //!   torus-link parallelism.
 //!
-//! Synchronization discipline: the cluster protocols never reset counters —
-//! they use the cumulative-reuse scheme (base read at operation start,
-//! separated from the first publish by the node barrier; see
-//! `MessageCounter`'s docs) on a dedicated counter bank, so they compose
-//! with the reset-style intra-node collectives on the same node.
+//! Synchronization discipline: the cluster protocols follow the node's one
+//! op protocol (see [`crate::runtime`]) — window tags from
+//! `RankCtx::next_op`, windows withdrawn after the closing barrier, counters
+//! cumulative. Their counters are a bank of their own whose bases each op
+//! reads just before its start barrier, and no collective on a node resets
+//! a counter, so any sequence of intra-node and cluster collectives composes.
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
@@ -46,7 +47,6 @@ use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
-use bgp_shmem::sync::Mutex;
 use bgp_shmem::SharedRegion;
 
 use crate::runtime::{NodeShared, RankCtx};
@@ -347,90 +347,11 @@ impl Cluster {
         self.shape(flat)
     }
 
-    /// `run` for non-`'static` bodies and results — the engine behind
-    /// [`crate::run_node`]. The borrows are erased to ship through the
-    /// `'static` job queue; this is sound because the call does not return
-    /// (normally or by unwind) before **every** worker has acknowledged its
-    /// job, so no erased reference outlives the frame.
-    pub(crate) fn run_borrowed<R, F>(&self, body: &F) -> Vec<Vec<R>>
-    where
-        R: Send,
-        F: Fn(&mut ClusterCtx) -> R + Sync,
-    {
-        self.check_usable();
-        assert_eq!(
-            self.submit_seq.get(),
-            self.collect_seq.get(),
-            "run_borrowed() cannot interleave with uncollected pipelined jobs"
-        );
-
-        struct SendPtr(*const ());
-        // SAFETY: the pointees (`body`, `slots`) are Sync/owned by this
-        // frame, which outlives every job (see above).
-        unsafe impl Send for SendPtr {}
-
-        /// Monomorphized un-eraser: `body_p` is `&F`, `slot_p` is
-        /// `&Mutex<Option<R>>`.
-        ///
-        /// # Safety
-        /// Both pointers must be live and correctly typed for `F`/`R`.
-        unsafe fn trampoline<R, F: Fn(&mut ClusterCtx) -> R>(
-            body_p: *const (),
-            slot_p: *const (),
-            cctx: &mut ClusterCtx,
-        ) {
-            let body = unsafe { &*(body_p as *const F) };
-            let slot = unsafe { &*(slot_p as *const Mutex<Option<R>>) };
-            let r = body(cctx);
-            *slot.lock() = Some(r);
-        }
-
-        let slots: Vec<Mutex<Option<R>>> =
-            (0..self.workers.len()).map(|_| Mutex::new(None)).collect();
-        let tramp: unsafe fn(*const (), *const (), &mut ClusterCtx) = trampoline::<R, F>;
-        for (i, w) in self.workers.iter().enumerate() {
-            let body_p = SendPtr(body as *const F as *const ());
-            let slot_p = SendPtr(&slots[i] as *const Mutex<Option<R>> as *const ());
-            let job: Job = Box::new(move |cctx| {
-                // Move the whole wrappers in (field-precise capture would
-                // capture the bare non-Send pointers instead).
-                let (SendPtr(body_p), SendPtr(slot_p)) = (body_p, slot_p);
-                // SAFETY: pointees outlive the job — run_borrowed collects
-                // every ack before returning or unwinding.
-                unsafe { tramp(body_p, slot_p, cctx) };
-                Box::new(()) as Box<dyn Any + Send>
-            });
-            w.job_tx
-                .as_ref()
-                .expect("cluster is live")
-                .send(job)
-                .expect("rank thread exited prematurely");
-        }
-        let _acks = self.collect_acks();
-        let flat: Vec<R> = slots
-            .into_iter()
-            .map(|s| s.lock().take().expect("worker stored its result"))
-            .collect();
-        self.shape(flat)
-    }
-
     fn check_usable(&self) {
         assert!(
             !self.poisoned.get(),
             "cluster unusable: a rank thread panicked in an earlier operation"
         );
-    }
-
-    /// Receive one result from every worker — all of them, even if some
-    /// panicked, so `run_borrowed`'s erased borrows are dead before this
-    /// returns or unwinds.
-    fn collect_acks(&self) -> Vec<Box<dyn Any + Send>> {
-        let results = self
-            .workers
-            .iter()
-            .map(|w| w.res_rx.recv().expect("rank thread exited prematurely"))
-            .collect();
-        self.unwrap_results(results)
     }
 
     /// One job's results, one per worker. If any rank panicked, poison the
@@ -697,13 +618,6 @@ impl ClusterCtx {
         self.shared.nodes[self.node].clone()
     }
 
-    fn map_cached(&mut self, owner: u32, tag: u64) -> Arc<SharedRegion> {
-        let mut seen = std::mem::take(&mut self.ctx.mapped_before);
-        let r = self.ctx.registry().map_auto_blocking(owner, tag, &mut seen);
-        self.ctx.mapped_before = seen;
-        r
-    }
-
     /// Chase cumulative counter `ctr_idx` from `base` and copy the stream
     /// `[0, len)` from `src` into `dst` (and `also`, if given) as it
     /// becomes valid. Records the overlap probe on the first wait.
@@ -760,7 +674,7 @@ impl ClusterCtx {
     ) {
         let (n, me) = (self.shared.n, self.ctx.rank());
         let inputs: Vec<Arc<SharedRegion>> =
-            (0..n).map(|r| self.map_cached(r as u32, in_tag)).collect();
+            (0..n).map(|r| self.ctx.map_cached(r, in_tag)).collect();
         let chunk = self.shared.fabric.chunk_bytes();
         // SAFETY: this rank is the unique writer of the destination range;
         // readers are gated on the publish; the inputs were written before
@@ -781,7 +695,7 @@ impl ClusterCtx {
         let (m, n) = (shared.m, shared.n);
         assert!(root_node < m, "root node out of range");
         assert!(buf.len() >= len, "buffer shorter than message");
-        let op = self.ctx.next_op();
+        let [tag, _] = self.ctx.next_op();
         let me = self.ctx.rank();
         let v = self.node;
         let chunk = shared.fabric.chunk_bytes();
@@ -805,13 +719,8 @@ impl ClusterCtx {
         // previous operation ended with a barrier after its last publish).
         let base = self.ctx.aux_counter(recv_rank).read();
 
-        if me == recv_rank {
-            self.ctx
-                .registry()
-                .expose(recv_rank as u32, op, buf.clone());
-        }
-        if backfill == Some(2) && me == 0 {
-            self.ctx.registry().expose(0, op, buf.clone());
+        if me == recv_rank || (backfill == Some(2) && me == 0) {
+            self.ctx.expose(tag, buf.clone());
         }
         self.ctx.barrier();
 
@@ -832,7 +741,7 @@ impl ClusterCtx {
                     },
                 );
             } else {
-                let src = self.map_cached(0, op);
+                let src = self.ctx.map_cached(0, tag);
                 self.chase_copy(buf, &src, len, 0, base, None);
             }
         } else if me == recv_rank {
@@ -867,7 +776,7 @@ impl ClusterCtx {
             // root's, fed by the reception counter instead of a whole
             // message; with only two ranks it also back-fills its own
             // buffer with each range that is out.
-            let src = self.map_cached(recv_rank as u32, op);
+            let src = self.ctx.map_cached(recv_rank, tag);
             let ctr = self.ctx.aux_counter(recv_rank);
             wire::tree_send(
                 &shared.fabric.bcast_out(v, root_node),
@@ -887,22 +796,16 @@ impl ClusterCtx {
         } else {
             // Copy-out cores: chase the counter into our own buffer; the
             // designated back-filler also writes rank 0's buffer.
-            let src = self.map_cached(recv_rank as u32, op);
+            let src = self.ctx.map_cached(recv_rank, tag);
             let fill_zero = if backfill == Some(me) {
-                Some(self.map_cached(0, op))
+                Some(self.ctx.map_cached(0, tag))
             } else {
                 None
             };
             self.chase_copy(buf, &src, len, recv_rank, base, fill_zero.as_deref());
         }
 
-        self.ctx.barrier();
-        if me == recv_rank {
-            self.ctx.registry().unexpose(recv_rank as u32, op);
-        }
-        if backfill == Some(2) && me == 0 {
-            self.ctx.registry().unexpose(0, op);
-        }
+        self.ctx.close_op(|_| 0);
     }
 
     /// Cluster-wide allreduce (sum) over `count` doubles — the §V-C
@@ -918,9 +821,7 @@ impl ClusterCtx {
         let (m, n) = (shared.m, shared.n);
         assert!(input.len() >= count * 8, "input shorter than count");
         assert!(output.len() >= count * 8, "output shorter than count");
-        let op = self.ctx.next_op();
-        let in_tag = 2 * op;
-        let cb_tag = 2 * op + 1;
+        let [in_tag, cb_tag] = self.ctx.next_op();
         let me = self.ctx.rank();
 
         let colors = if n == 1 { 1 } else { n - 1 };
@@ -941,7 +842,7 @@ impl ClusterCtx {
             .map(|c| self.ctx.aux_counter(rstream(c)).read())
             .collect();
 
-        self.ctx.registry().expose(me as u32, in_tag, input.clone());
+        self.ctx.expose(in_tag, input.clone());
         let my_color = if n == 1 {
             Some(0)
         } else if me >= 1 {
@@ -952,12 +853,12 @@ impl ClusterCtx {
         if let Some(c) = my_color {
             let (lo, hi) = span(c);
             let cbuf = self.ctx.alloc_buffer(((hi - lo) * 8).max(1));
-            self.ctx.registry().expose(me as u32, cb_tag, cbuf);
+            self.ctx.expose(cb_tag, cbuf);
         }
         self.ctx.barrier();
 
         let cbufs: Vec<Arc<SharedRegion>> = (0..colors)
-            .map(|c| self.map_cached(owner(c) as u32, cb_tag))
+            .map(|c| self.ctx.map_cached(owner(c), cb_tag))
             .collect();
 
         // Phase A — color owners: local reduce of the partition across the
@@ -1004,11 +905,7 @@ impl ClusterCtx {
             }
         }
 
-        self.ctx.barrier();
-        self.ctx.registry().unexpose(me as u32, in_tag);
-        if my_color.is_some() {
-            self.ctx.registry().unexpose(me as u32, cb_tag);
-        }
+        self.ctx.close_op(|_| 0);
     }
 }
 
@@ -1016,6 +913,7 @@ impl ClusterCtx {
 mod tests {
     use super::*;
     use crate::collectives::write_f64s;
+    use crate::runtime::window_tags;
 
     #[test]
     fn run_returns_node_major_results() {
@@ -1035,8 +933,8 @@ mod tests {
         let cluster = Cluster::new(2, 2);
         let a = cluster.run(|cctx| cctx.intra().next_op());
         let b = cluster.run(|cctx| cctx.intra().next_op());
-        assert!(a.iter().flatten().all(|&v| v == 1));
-        assert!(b.iter().flatten().all(|&v| v == 2));
+        assert!(a.iter().flatten().all(|&v| v == window_tags(1)));
+        assert!(b.iter().flatten().all(|&v| v == window_tags(2)));
     }
 
     #[test]
@@ -1046,11 +944,11 @@ mod tests {
         let b = cluster.submit(|cctx| cctx.intra().next_op());
         let ra = cluster.collect(a);
         let rb = cluster.collect(b);
-        assert!(ra.iter().flatten().all(|&v| v == 1));
-        assert!(rb.iter().flatten().all(|&v| v == 2));
+        assert!(ra.iter().flatten().all(|&v| v == window_tags(1)));
+        assert!(rb.iter().flatten().all(|&v| v == window_tags(2)));
         // The cluster is reusable afterwards.
         let rc = cluster.run(|cctx| cctx.intra().next_op());
-        assert!(rc.iter().flatten().all(|&v| v == 3));
+        assert!(rc.iter().flatten().all(|&v| v == window_tags(3)));
     }
 
     #[test]

@@ -20,13 +20,20 @@
 //! ranks copy the assembled result.
 //!
 //! All operations are SPMD: every rank of the node must call them in the
-//! same order with consistent arguments. Every operation ends with a node
-//! barrier, so buffers may be reused immediately after return.
+//! same order with consistent arguments. They follow the node's one op
+//! protocol (see [`crate::runtime`]): a windowed op takes both window tags
+//! from `RankCtx::next_op`, every rank exposes only its own windows, message
+//! counters are cumulative and waited on past rank-local bases, and every op
+//! ends in `RankCtx::close_op` — the node barrier, then its windows are
+//! withdrawn and the bases advanced — so buffers may be reused immediately
+//! after return. A `root` that is not a rank of the node panics on every
+//! rank before any effect.
 
 use std::sync::Arc;
 
 use bgp_shmem::SharedRegion;
 
+use crate::cluster::sum_regions;
 use crate::runtime::{RankCtx, FIFO_SLOT_BYTES, STAGING_HALF_BYTES};
 
 /// One Bcast-FIFO slot: payload plus the metadata the paper stores alongside
@@ -74,24 +81,6 @@ pub fn read_f64s(region: &SharedRegion, offset: usize, count: usize) -> Vec<f64>
     out
 }
 
-/// Add the `acc.len()` `f64`s at byte `offset` of `region` into `acc`,
-/// element-wise — the vectorized kernel runs directly over the region
-/// bytes, no staging buffer.
-pub fn accumulate_f64s(region: &SharedRegion, offset: usize, acc: &mut [f64]) {
-    // SAFETY: caller ordered this read after the producing writes.
-    unsafe {
-        region.with_bytes(offset, acc.len() * 8, |bytes| {
-            crate::kernels::add_bytes_f64(acc, bytes)
-        })
-    };
-}
-
-/// Element-wise add `bytes` (native-endian `f64`s) into `acc` (the 4-lane
-/// kernel from [`crate::kernels`]).
-pub fn add_bytes_f64(acc: &mut [f64], bytes: &[u8]) {
-    crate::kernels::add_bytes_f64(acc, bytes);
-}
-
 /// Serialize `vals` into `dst` (native-endian); `dst` must be exactly 8×
 /// as long as `vals`.
 pub fn f64s_to_bytes(vals: &[f64], dst: &mut [u8]) {
@@ -102,15 +91,22 @@ pub fn f64s_to_bytes(vals: &[f64], dst: &mut [u8]) {
 }
 
 impl RankCtx {
+    /// Refuse a `root` that is not a rank of the node — on every rank alike,
+    /// before any effect, instead of waiting for a producer that does not
+    /// exist.
+    fn check_root(&self, root: usize) {
+        let n = self.n_ranks();
+        assert!(root < n, "root {root} out of range for a node of {n} ranks");
+    }
+
     /// Staged shared-memory broadcast of `len` bytes from `root`'s `buf`
     /// into every other rank's `buf`.
     pub fn bcast_shmem(&mut self, root: usize, buf: &Arc<SharedRegion>, len: usize) {
+        self.check_root(root);
         assert!(buf.len() >= len, "buffer shorter than message");
-        let _op = self.next_op();
         let n_chunks = len.div_ceil(STAGING_HALF_BYTES);
-        let me = self.rank();
 
-        if me == root {
+        if self.rank() == root {
             for k in 0..n_chunks {
                 let off = k * STAGING_HALF_BYTES;
                 let clen = (len - off).min(STAGING_HALF_BYTES);
@@ -129,29 +125,26 @@ impl RankCtx {
                     self.staging()
                         .copy_from(half * STAGING_HALF_BYTES, buf, off, clen)
                 };
-                self.msg_counter(root).publish(clen as u64);
+                self.publish(clen);
             }
             // Drain the last (up to two) outstanding half-uses and rearm.
             for k in n_chunks.saturating_sub(2)..n_chunks {
                 self.stage_done(k % 2).wait();
                 self.stage_done(k % 2).reset();
             }
-            self.msg_counter(root).reset();
         } else {
-            let mut seen = 0usize;
             for k in 0..n_chunks {
                 let off = k * STAGING_HALF_BYTES;
                 let clen = (len - off).min(STAGING_HALF_BYTES);
                 let half = k % 2;
-                self.msg_counter(root).wait_for((seen + clen) as u64);
+                self.wait_msg(root, off + clen);
                 // SAFETY: the counter acquire ordered us after the root's
                 // staging write; we write a disjoint range of our own buf.
                 unsafe { buf.copy_from(off, self.staging(), half * STAGING_HALF_BYTES, clen) };
                 self.stage_done(half).arrive();
-                seen += clen;
             }
         }
-        self.barrier();
+        self.close_op(|r| if r == root { len } else { 0 });
     }
 
     /// Bcast-FIFO broadcast of `len` bytes from `root`'s `buf`.
@@ -161,12 +154,11 @@ impl RankCtx {
     /// rank), so it drains — and discards — its own messages as it
     /// produces, which keeps slot retirement uniform for any root.
     pub fn bcast_fifo(&mut self, root: usize, buf: &Arc<SharedRegion>, len: usize, conn: u32) {
+        self.check_root(root);
         assert!(buf.len() >= len, "buffer shorter than message");
-        let _op = self.next_op();
         let n_msgs = len.div_ceil(FIFO_SLOT_BYTES);
-        let me = self.rank();
 
-        if me == root {
+        if self.rank() == root {
             let mut drained = 0usize;
             for k in 0..n_msgs {
                 // Drain our own consumer opportunistically so our lag never
@@ -206,7 +198,7 @@ impl RankCtx {
             }
             debug_assert_eq!(off, len);
         }
-        self.barrier();
+        self.close_op(|_| 0);
     }
 
     /// Shared-address broadcast with software message counters: peers copy
@@ -219,14 +211,14 @@ impl RankCtx {
         len: usize,
         pwidth: usize,
     ) {
+        self.check_root(root);
         assert!(buf.len() >= len, "buffer shorter than message");
         assert!(pwidth > 0, "pipeline width must be positive");
-        let op = self.next_op();
-        let me = self.rank();
+        let [tag, _] = self.next_op();
 
-        if me == root {
+        if self.rank() == root {
             // Expose the application buffer (the process-window step).
-            self.registry().expose(root as u32, op, buf.clone());
+            self.expose(tag, buf.clone());
             // Publish availability chunk by chunk. In the integrated
             // (networked) algorithm each publish follows a network chunk
             // reception; intra-node the data is already present, so this
@@ -235,33 +227,20 @@ impl RankCtx {
             while published < len {
                 let c = (len - published).min(pwidth);
                 published += c;
-                self.msg_counter(root).publish(c as u64);
+                self.publish(c);
             }
-            if len == 0 {
-                // Zero-byte broadcast: nothing to publish, peers skip copy.
-            }
-            self.done_counter(root).wait();
-            self.done_counter(root).reset();
-            self.msg_counter(root).reset();
-            self.registry().unexpose(root as u32, op);
         } else {
-            let mut seen_cache = std::mem::take(&mut self.mapped_before);
-            let src = self
-                .registry()
-                .map_auto_blocking(root as u32, op, &mut seen_cache);
-            self.mapped_before = seen_cache;
+            let src = self.map_cached(root, tag);
             let mut seen = 0usize;
             while seen < len {
-                let avail = self.msg_counter(root).wait_for(seen as u64 + 1) as usize;
-                let avail = avail.min(len);
+                let avail = self.wait_msg(root, seen + 1).min(len);
                 // SAFETY: counter acquire orders us after the root's writes
                 // of [seen, avail); our own range is exclusively ours.
                 unsafe { buf.copy_from(seen, &src, seen, avail - seen) };
                 seen = avail;
             }
-            self.done_counter(root).arrive();
         }
-        self.barrier();
+        self.close_op(|r| if r == root { len } else { 0 });
     }
 
     /// Intra-node allreduce (sum) over `count` doubles: the §V-C local
@@ -276,80 +255,42 @@ impl RankCtx {
     ) {
         assert!(input.len() >= count * 8, "input shorter than count");
         assert!(output.len() >= count * 8, "output shorter than count");
-        let op = self.next_op();
-        let me = self.rank();
-        let n = self.n_ranks();
+        let [in_tag, res_tag] = self.next_op();
+        let (me, n) = (self.rank(), self.n_ranks());
+        // Rank r's partition: bytes [part(r), part(r + 1)).
+        let part = |r: usize| r * count / n * 8;
+        let part_len = |r: usize| part(r + 1) - part(r);
 
-        // Tag space: input of rank r under tag 2*op, result under 2*op+1.
-        let in_tag = 2 * op;
-        let res_tag = 2 * op + 1;
-
-        self.registry().expose(me as u32, in_tag, input.clone());
+        self.expose(in_tag, input.clone());
         if me == 0 {
             let result = self.alloc_buffer(count * 8);
-            self.registry().expose(0, res_tag, result);
+            self.expose(res_tag, result);
         }
-        let mut seen_cache = std::mem::take(&mut self.mapped_before);
-        let inputs: Vec<Arc<SharedRegion>> = (0..n)
-            .map(|r| {
-                self.registry()
-                    .map_auto_blocking(r as u32, in_tag, &mut seen_cache)
-            })
-            .collect();
-        let result = self
-            .registry()
-            .map_auto_blocking(0, res_tag, &mut seen_cache);
-        self.mapped_before = seen_cache;
+        let inputs: Vec<Arc<SharedRegion>> = (0..n).map(|r| self.map_cached(r, in_tag)).collect();
+        let result = self.map_cached(0, res_tag);
 
-        // My partition: [lo, hi) in element index.
-        let lo = me * count / n;
-        let hi = (me + 1) * count / n;
-        if hi > lo {
-            // Reduce straight into the exposed result partition: seed it
-            // with rank 0's input, then lane-add each remaining input over
-            // it in place. No scratch vector, no f64↔byte round trips.
-            // SAFETY: this rank is the unique writer of its partition of
-            // `result`; all inputs were written before the collective and
-            // are distinct regions from `result`.
-            unsafe {
-                result.with_bytes_mut(lo * 8, (hi - lo) * 8, |dst| {
-                    inputs[0].with_bytes(lo * 8, dst.len(), |src| dst.copy_from_slice(src));
-                    for inp in &inputs[1..] {
-                        inp.with_bytes(lo * 8, dst.len(), |src| {
-                            crate::kernels::add_bytes_assign(dst, src)
-                        });
-                    }
-                })
-            };
-        }
-        self.msg_counter(me).publish(((hi - lo) * 8).max(1) as u64);
+        // Reduce my partition straight into the exposed result, in one
+        // piece, and publish it.
+        let (lo, hi) = (part(me), part(me + 1));
+        // SAFETY: this rank is the unique writer of its partition of
+        // `result`, which peers read only after the publish; all inputs
+        // were written before the collective and are distinct regions from
+        // `result`.
+        unsafe {
+            sum_regions(&result, lo, &inputs, lo, hi, part_len(me).max(1), |len| {
+                self.publish(len)
+            })
+        };
 
         // Wait for every partition, then copy the full result out.
         for r in 0..n {
-            let rlo = r * count / n;
-            let rhi = (r + 1) * count / n;
-            self.msg_counter(r)
-                .wait_for(((rhi - rlo) * 8).max(1) as u64);
+            self.wait_msg(r, part_len(r));
         }
         // SAFETY: all partition writers published before our acquires above.
         unsafe { output.copy_from(0, &result, 0, count * 8) };
-
-        if me == 0 {
-            self.done_counter(0).wait();
-            for r in 0..n {
-                self.msg_counter(r).reset();
-            }
-            self.done_counter(0).reset();
-            self.registry().unexpose(0, res_tag);
-        } else {
-            self.done_counter(0).arrive();
-        }
-        self.registry().unexpose(me as u32, in_tag);
-        self.barrier();
+        self.close_op(part_len);
     }
-}
 
-impl RankCtx {
     /// Intra-node gather: every rank's `len`-byte block lands in `root`'s
     /// `recv` buffer at offset `rank * len` — through the shared address
     /// space (each rank writes its own slice of the exposed buffer
@@ -361,82 +302,57 @@ impl RankCtx {
         recv: &Arc<SharedRegion>,
         len: usize,
     ) {
+        self.check_root(root);
         let n = self.n_ranks();
         assert!(send.len() >= len, "send buffer shorter than block");
-        let op = self.next_op();
+        let [tag, _] = self.next_op();
         let me = self.rank();
         if me == root {
             assert!(recv.len() >= n * len, "recv buffer shorter than n blocks");
-            self.registry().expose(root as u32, op, recv.clone());
+            self.expose(tag, recv.clone());
             // Root contributes its own block locally.
             // SAFETY: each rank writes a disjoint slice of the exposed
-            // buffer; the completion counter orders the root's reads.
+            // buffer; the closing barrier orders the root's reads.
             unsafe { recv.copy_from(me * len, send, 0, len) };
-            self.done_counter(root).wait();
-            self.done_counter(root).reset();
-            self.registry().unexpose(root as u32, op);
         } else {
-            let mut seen = std::mem::take(&mut self.mapped_before);
-            let dst = self
-                .registry()
-                .map_auto_blocking(root as u32, op, &mut seen);
-            self.mapped_before = seen;
-            // SAFETY: disjoint slice per rank.
+            let dst = self.map_cached(root, tag);
+            // SAFETY: as above — our slice only, read after the barrier.
             unsafe { dst.copy_from(me * len, send, 0, len) };
-            self.done_counter(root).arrive();
         }
-        self.barrier();
+        self.close_op(|_| 0);
     }
 
     /// Intra-node allgather: every rank ends with all `n` blocks in its
-    /// `recv` buffer (block `r` at offset `r * len`). Gather into rank 0's
-    /// exposed buffer, then every rank copies the assembled result — the
-    /// shared-address single-copy pattern in both directions.
+    /// `recv` buffer (block `r` at offset `r * len`). Every rank exposes its
+    /// send block and copies every block straight out of its owner's — the
+    /// shared-address single-copy pattern.
     pub fn allgather(&mut self, send: &Arc<SharedRegion>, recv: &Arc<SharedRegion>, len: usize) {
         let n = self.n_ranks();
         assert!(send.len() >= len, "send buffer shorter than block");
         assert!(recv.len() >= n * len, "recv buffer shorter than n blocks");
-        let op = self.next_op();
-        let me = self.rank();
-        // Every rank exposes its send block; every rank assembles from all.
-        self.registry().expose(me as u32, 2 * op, send.clone());
-        self.msg_counter(me).publish(len.max(1) as u64);
-        let mut seen = std::mem::take(&mut self.mapped_before);
+        let [tag, _] = self.next_op();
+        self.expose(tag, send.clone());
+        self.publish(len);
         for r in 0..n {
-            let src = self
-                .registry()
-                .map_auto_blocking(r as u32, 2 * op, &mut seen);
-            self.msg_counter(r).wait_for(len.max(1) as u64);
+            let src = self.map_cached(r, tag);
+            self.wait_msg(r, len);
             // SAFETY: counter acquire orders us after r's block write (done
             // before the collective per contract); our recv slice is ours.
             unsafe { recv.copy_from(r * len, &src, 0, len) };
         }
-        self.mapped_before = seen;
-        // Rearm the counters: last arriver resets via rank 0.
-        if me == 0 {
-            self.done_counter(0).wait();
-            for r in 0..n {
-                self.msg_counter(r).reset();
-            }
-            self.done_counter(0).reset();
-        } else {
-            self.done_counter(0).arrive();
-        }
-        // Unexpose only after the barrier: a rank that finishes early must
-        // not retract its buffer while a slower peer is still inside
-        // `map_auto_blocking` for it (each rank publishes its counter
-        // *before* its own mapping loop, so completion-counter arrival does
-        // not imply everyone has mapped everyone).
-        self.barrier();
-        self.registry().unexpose(me as u32, 2 * op);
+        self.close_op(|_| len);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::run_node;
+    use crate::cluster::Cluster;
+    use crate::runtime::on_node;
     use bgp_shmem::testing::stress_iters;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     fn pattern(len: usize, salt: u8) -> Vec<u8> {
         (0..len).map(|i| (i as u8) ^ salt).collect()
@@ -446,9 +362,9 @@ mod tests {
         n_ranks: usize,
         root: usize,
         len: usize,
-        run: impl Fn(&mut RankCtx, usize, &Arc<SharedRegion>, usize) + Sync,
+        run: impl Fn(&mut RankCtx, usize, &Arc<SharedRegion>, usize) + Send + Sync + 'static,
     ) {
-        let results = run_node(n_ranks, |ctx| {
+        let results = on_node(n_ranks, move |ctx| {
             let buf = ctx.alloc_buffer(len.max(1));
             if ctx.rank() == root {
                 unsafe { buf.write(0, &pattern(len, 0x5a)) };
@@ -509,7 +425,7 @@ mod tests {
     fn fifo_bcast_rotating_roots_back_to_back() {
         // Exercises slot retirement when the producer role moves around.
         let len = 10 * FIFO_SLOT_BYTES;
-        let results = run_node(4, |ctx| {
+        let results = on_node(4, move |ctx| {
             let buf = ctx.alloc_buffer(len);
             let mut sums = Vec::new();
             for root in 0..4usize {
@@ -553,7 +469,7 @@ mod tests {
     #[test]
     fn shaddr_repeated_ops_reuse_window_cache() {
         let len = 64 * 1024;
-        let results = run_node(4, |ctx| {
+        let results = on_node(4, move |ctx| {
             let buf = ctx.alloc_buffer(len);
             if ctx.rank() == 0 {
                 unsafe { buf.write(0, &pattern(len, 1)) };
@@ -575,7 +491,7 @@ mod tests {
     #[test]
     fn allreduce_matches_sequential_sum() {
         for count in [0usize, 1, 7, 1024, stress_iters(10_000)] {
-            let results = run_node(4, move |ctx| {
+            let results = on_node(4, move |ctx| {
                 let me = ctx.rank();
                 let input = ctx.alloc_buffer((count * 8).max(1));
                 let output = ctx.alloc_buffer((count * 8).max(1));
@@ -605,7 +521,7 @@ mod tests {
     #[test]
     fn allreduce_repeats_are_stable() {
         let count = 4096;
-        let results = run_node(4, move |ctx| {
+        let results = on_node(4, move |ctx| {
             let me = ctx.rank();
             let input = ctx.alloc_buffer(count * 8);
             let output = ctx.alloc_buffer(count * 8);
@@ -632,7 +548,7 @@ mod tests {
             (2, 1, 1),
             (3, 0, 0),
         ] {
-            let results = run_node(n, move |ctx| {
+            let results = on_node(n, move |ctx| {
                 let me = ctx.rank();
                 let send = ctx.alloc_buffer(len.max(1));
                 let recv = ctx.alloc_buffer((n * len).max(1));
@@ -657,7 +573,7 @@ mod tests {
     #[test]
     fn allgather_gives_everyone_everything() {
         let len = 5000usize;
-        let results = run_node(4, move |ctx| {
+        let results = on_node(4, move |ctx| {
             let me = ctx.rank();
             let send = ctx.alloc_buffer(len);
             let recv = ctx.alloc_buffer(4 * len);
@@ -681,7 +597,7 @@ mod tests {
     #[test]
     fn allgather_repeats_rearm_cleanly() {
         let len = 2048usize;
-        let results = run_node(4, move |ctx| {
+        let results = on_node(4, move |ctx| {
             let me = ctx.rank();
             let send = ctx.alloc_buffer(len);
             let recv = ctx.alloc_buffer(4 * len);
@@ -703,7 +619,7 @@ mod tests {
         // Interleave all three broadcast paths and the allreduce in one
         // program, ensuring shared structures rearm correctly between ops.
         let len = stress_iters(150_000);
-        let results = run_node(4, move |ctx| {
+        let results = on_node(4, move |ctx| {
             let buf = ctx.alloc_buffer(len);
             if ctx.rank() == 3 {
                 unsafe { buf.write(0, &pattern(len, 9)) };
@@ -733,16 +649,13 @@ mod tests {
         let vals: Vec<f64> = (0..300).map(|i| i as f64 * 0.5 - 7.0).collect();
         write_f64s(&region, 16, &vals);
         assert_eq!(read_f64s(&region, 16, 300), vals);
-        let mut acc = vec![1.0f64; 300];
-        accumulate_f64s(&region, 16, &mut acc);
-        for (i, a) in acc.iter().enumerate() {
-            assert_eq!(*a, 1.0 + vals[i]);
-        }
         let mut bytes = vec![0u8; 300 * 8];
         f64s_to_bytes(&vals, &mut bytes);
-        let mut sum = vec![0.0f64; 300];
-        add_bytes_f64(&mut sum, &bytes);
-        assert_eq!(sum, vals);
+        let decoded: Vec<f64> = bytes
+            .chunks_exact(8)
+            .map(|b| f64::from_ne_bytes(b.try_into().unwrap()))
+            .collect();
+        assert_eq!(decoded, vals);
     }
 
     #[test]
@@ -772,7 +685,7 @@ mod tests {
         // evenly across ranks, including zero and one element.
         for n in [1usize, 2, 3] {
             for count in [0usize, 1, 1023] {
-                let results = run_node(n, move |ctx| {
+                let results = on_node(n, move |ctx| {
                     let me = ctx.rank();
                     let input = ctx.alloc_buffer((count * 8).max(1));
                     let output = ctx.alloc_buffer((count * 8).max(1));
@@ -790,5 +703,121 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Regression (stale window): op 1 withdraws its windows only after its
+    /// closing barrier, and op 2 has no start barrier, so op 2's peers can
+    /// look a window up while op 1's are still exposed. When `bcast_shaddr`
+    /// and `gather` used tag `op` and the op before used `2·op` (op 1 → 2,
+    /// op 2 → 2), rank 1 could map rank 0's op-1 buffer and copy — or write
+    /// — the wrong bytes. Fresh clusters, so op ids start at 1 every time;
+    /// every rank checks op 2's bytes.
+    #[test]
+    fn an_op_never_maps_a_window_of_the_op_before() {
+        const LEN: usize = 64;
+        const ITERS: usize = 500;
+        for op1_is_allgather in [true, false] {
+            for op2_is_bcast in [true, false] {
+                for i in 0..ITERS {
+                    let ok = Cluster::new(1, 2).run(move |c| {
+                        let me = c.rank();
+                        let a = c.intra().alloc_buffer(2 * LEN);
+                        let b = c.intra().alloc_buffer(2 * LEN);
+                        // SAFETY: our own buffer, before the collective.
+                        unsafe { a.write(0, &[0xEE; 2 * LEN]) };
+                        if op1_is_allgather {
+                            c.intra().allgather(&a, &b, LEN);
+                        } else {
+                            c.allreduce_f64(&a, &b, LEN / 8);
+                        }
+                        let ctx = c.intra();
+                        if op2_is_bcast {
+                            let buf = ctx.alloc_buffer(LEN);
+                            if me == 0 {
+                                // SAFETY: our buffer, before the collective.
+                                unsafe { buf.write(0, &[0x5A; LEN]) };
+                            }
+                            ctx.bcast_shaddr(0, &buf, LEN, 16);
+                            // SAFETY: the collective completed.
+                            let got = unsafe { buf.snapshot() };
+                            got == [0x5A; LEN]
+                        } else {
+                            let send = ctx.alloc_buffer(LEN);
+                            let recv = ctx.alloc_buffer(2 * LEN);
+                            // SAFETY: our buffer, before the collective.
+                            unsafe { send.write(0, &[me as u8 + 1; LEN]) };
+                            ctx.gather(0, &send, &recv, LEN);
+                            // SAFETY: the collective completed.
+                            me != 0 || unsafe { recv.snapshot() } == [[1; LEN], [2; LEN]].concat()
+                        }
+                    });
+                    assert_eq!(
+                        ok,
+                        vec![vec![true, true]],
+                        "iteration {i}: op 2 ({}) after op 1 ({}) delivered stale bytes",
+                        if op2_is_bcast {
+                            "bcast_shaddr"
+                        } else {
+                            "gather"
+                        },
+                        if op1_is_allgather {
+                            "allgather"
+                        } else {
+                            "cluster allreduce"
+                        },
+                    );
+                }
+            }
+        }
+    }
+
+    /// Run `op` with root 2 on a 1 x 2 cluster under a 5 s deadline: every
+    /// rank must panic on the root before any effect, so `Cluster::run`
+    /// reports it; nothing may wait for a producer that does not exist.
+    fn out_of_range_root_panics(op: fn(&mut RankCtx, usize, &Arc<SharedRegion>)) {
+        let (tx, rx) = mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let cluster = Cluster::new(1, 2);
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                cluster.run(move |c| {
+                    let buf = c.intra().alloc_buffer(4 * 64);
+                    op(c.intra(), 2, &buf)
+                })
+            }));
+            let panic = run.expect_err("an out-of-range root must panic");
+            let _ = tx.send(panic.downcast_ref::<String>().cloned().unwrap_or_default());
+        });
+        let msg = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("a rank hung waiting for a root that does not exist");
+        helper.join().expect("the helper thread finished cleanly");
+        assert!(msg.starts_with("rank thread panicked"), "{msg}");
+        assert!(
+            msg.contains("root 2 out of range for a node of 2 ranks"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn bcast_shmem_refuses_an_out_of_range_root() {
+        out_of_range_root_panics(|ctx, root, buf| ctx.bcast_shmem(root, buf, 64));
+    }
+
+    #[test]
+    fn bcast_fifo_refuses_an_out_of_range_root() {
+        out_of_range_root_panics(|ctx, root, buf| ctx.bcast_fifo(root, buf, 64, 0));
+    }
+
+    #[test]
+    fn bcast_shaddr_refuses_an_out_of_range_root() {
+        out_of_range_root_panics(|ctx, root, buf| ctx.bcast_shaddr(root, buf, 64, 16));
+    }
+
+    #[test]
+    fn gather_refuses_an_out_of_range_root() {
+        out_of_range_root_panics(|ctx, root, buf| {
+            let send = ctx.alloc_buffer(64);
+            ctx.gather(root, &send, buf, 64)
+        });
     }
 }

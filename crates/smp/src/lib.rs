@@ -1,15 +1,16 @@
 //! # bgp-smp — a real four-rank SMP node, as threads
 //!
 //! The paper's intra-node techniques are ordinary cache-coherent algorithms,
-//! so this crate runs them for real: a [`NodeRuntime`] spawns one OS thread
-//! per MPI rank of a node (four in quad mode), gives each a [`RankCtx`], and
-//! the intra-node collectives in [`collectives`] move actual bytes between
+//! so this crate runs them for real: a [`Cluster`] spawns one OS thread per
+//! MPI rank (four per node in quad mode) and gives each a [`ClusterCtx`],
+//! whose [`RankCtx`] (`ClusterCtx::intra`) is the rank's view of its node.
+//! The intra-node collectives in [`collectives`] move actual bytes between
 //! actual threads using the `bgp-shmem` primitives — the Bcast FIFO, message
 //! counters, completion counters, and the window registry standing in for
-//! CNK process windows.
+//! CNK process windows. `Cluster::new(1, n)` is a single node of `n` ranks.
 //!
-//! Scaling out, a [`Cluster`] runs M such nodes at once — still all real
-//! threads — connected by a [`transport`] fabric of paced byte-chunk
+//! Scaling out, the same [`Cluster`] runs M such nodes at once — still all
+//! real threads — connected by a [`transport`] fabric of paced byte-chunk
 //! channels (tree + ring links, mirroring the simulator's topology), and
 //! [`cluster`] implements the paper's two *integrated* protocols end to
 //! end: the §V-A/V-B core-specialized broadcast and the §V-C multi-color
@@ -17,7 +18,8 @@
 //! written once, in [`wire`], generic over where the link slots live — so
 //! the cross-process cluster in `proc` runs the very same code. Both
 //! runtimes are persistent: rank threads park on job queues between
-//! operations instead of being respawned per call.
+//! operations instead of being respawned per call. Every blocking
+//! collective on a node follows one op protocol, described in [`runtime`].
 //!
 //! This is the half of the reproduction that needs no simulation. It backs:
 //!
@@ -44,6 +46,5 @@ pub use cluster::{
     Cluster, ClusterCtx, ClusterStats, PendingJob, TagError, TAG_CHUNK_LIMIT, TAG_COLOR_LIMIT,
 };
 pub use runtime::{
-    run_node, NodeRuntime, NodeShared, RankCtx, SchedStash, StashEviction, StashStats,
-    STASH_PER_OP_CAP, STASH_TOTAL_CAP,
+    NodeShared, RankCtx, SchedStash, StashEviction, StashStats, STASH_PER_OP_CAP, STASH_TOTAL_CAP,
 };

@@ -83,31 +83,31 @@ impl ClusterCtx {
         (g * count / world, (g + 1) * count / world)
     }
 
-    /// The scaffold of a node-aware collective: read the cumulative stream
-    /// bases, expose `input` (if the ranks read each other's), have rank 0
-    /// allocate and expose an `acc_bytes`-byte accumulator, barrier, map
-    /// it, run `body`, barrier, withdraw both.
+    /// The scaffold of a node-aware collective: take the op's tags, read
+    /// the cumulative stream bases, expose `input` (if the ranks read each
+    /// other's), have rank 0 allocate and expose an `acc_bytes`-byte
+    /// accumulator, barrier, map it, run `body`, close the op (barrier,
+    /// withdraw both).
     fn node_op(
         &mut self,
         input: Option<&Arc<SharedRegion>>,
         acc_bytes: usize,
         body: impl FnOnce(&mut Self, &NodeOp),
     ) {
-        let (n, me) = (self.shared.n, self.ctx.rank());
-        let op = self.ctx.next_op();
-        let (in_tag, acc_tag) = (2 * op, 2 * op + 1);
+        let n = self.shared.n;
+        let [in_tag, acc_tag] = self.ctx.next_op();
         // Pre-barrier, so stable (see `bcast`).
         let pbase = (0..n).map(|r| self.ctx.aux_counter(r).read()).collect();
         let rbase = self.ctx.aux_counter(n).read();
         if let Some(input) = input {
-            self.ctx.registry().expose(me as u32, in_tag, input.clone());
+            self.ctx.expose(in_tag, input.clone());
         }
-        if me == 0 {
+        if self.ctx.rank() == 0 {
             let acc = self.ctx.alloc_buffer(acc_bytes.max(1));
-            self.ctx.registry().expose(0, acc_tag, acc);
+            self.ctx.expose(acc_tag, acc);
         }
         self.ctx.barrier();
-        let acc = self.map_cached(0, acc_tag);
+        let acc = self.ctx.map_cached(0, acc_tag);
         let op = NodeOp {
             in_tag,
             acc,
@@ -115,13 +115,7 @@ impl ClusterCtx {
             rbase,
         };
         body(self, &op);
-        self.ctx.barrier();
-        if input.is_some() {
-            self.ctx.registry().unexpose(me as u32, in_tag);
-        }
-        if me == 0 {
-            self.ctx.registry().unexpose(0, acc_tag);
-        }
+        self.ctx.close_op(|_| 0);
     }
 
     /// Node-aware allreduce (sum) over `count` doubles: intra-node reduce,

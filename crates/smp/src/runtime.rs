@@ -1,19 +1,36 @@
-//! The node runtime: one persistent thread per MPI rank of one node.
+//! One node's shared state and one rank's view of it.
 //!
-//! [`run_node`] executes a body SPMD-style on `n` rank-threads over a shared
-//! [`NodeShared`] state — the barrier, the window registry, the per-rank
-//! message/completion counters, one node-wide Bcast FIFO — handing each
-//! thread a [`RankCtx`]. The intra-node collectives in
-//! [`crate::collectives`] are methods on `RankCtx`, called SPMD-style by all
-//! ranks like MPI collectives.
+//! [`NodeShared`] is what the ranks of a node share — the barrier, the
+//! window registry, the message and completion counters, one node-wide
+//! Bcast FIFO, the nonblocking scheduler's counter bank and stash.
+//! [`RankCtx`] is one rank's handle on it: the intra-node collectives of
+//! [`crate::collectives`] are its methods, and the cluster collectives reach
+//! it through [`ClusterCtx::intra`](crate::ClusterCtx::intra). The rank
+//! threads themselves come from [`Cluster`](crate::Cluster), the one
+//! rank-thread runtime: `Cluster::new(1, n)` is one node of `n` ranks.
 //!
-//! Since the cluster runtime landed, `run_node` is a convenience shim over
-//! [`NodeRuntime`] (itself a single-node [`crate::cluster::Cluster`]): the
-//! rank threads are *persistent* — parked on a job queue between operations
-//! — so callers that issue many operations should hold a `NodeRuntime` (or
-//! `Cluster`) and pay thread spawn + `NodeShared` construction once, not
-//! per call. `run_node` builds and drops a one-shot runtime, preserving the
-//! old semantics for tests and examples.
+//! ## The op protocol
+//!
+//! Every blocking collective on a node, `RankCtx`'s and `ClusterCtx`'s
+//! alike, follows one protocol:
+//!
+//! * **Tags.** An op that exposes windows takes both of its window tags
+//!   from one [`RankCtx::next_op`] call ([`window_tags`]: `2·op` and
+//!   `2·op+1`). Op ids advance identically on every rank (SPMD) and no two
+//!   ops share a tag, so a window an earlier op has not withdrawn yet is
+//!   never mapped by a later one.
+//! * **Window lifetime.** A rank exposes only its own windows
+//!   ([`RankCtx::expose`]); [`RankCtx::close_op`] withdraws them after the
+//!   op's closing barrier, when no peer can still be reading them.
+//! * **Cumulative counters.** No counter is ever reset. The `RankCtx`
+//!   collectives wait past rank-local bases, which `close_op` advances by
+//!   the bytes each producer published in the op — the same amounts on
+//!   every rank under SPMD, so no start barrier is needed. The cluster
+//!   collectives, which have a start barrier, read their bases just before
+//!   it.
+//! * **Closing barrier.** Every op ends in `close_op`'s barrier, so no
+//!   producer publishes the next op's bytes, or reuses a buffer, while a
+//!   consumer still copies this op's.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -27,7 +44,6 @@ use bgp_shmem::{
 };
 
 use crate::barrier::{BarrierToken, SenseBarrier};
-use crate::cluster::Cluster;
 use crate::collectives::FifoMsg;
 
 /// Per-op chunk cap of the [`SchedStash`]. One op can never park more than
@@ -242,12 +258,11 @@ pub struct NodeShared {
     n: usize,
     barrier: SenseBarrier,
     registry: WindowRegistry,
-    /// Per-rank message counter: counter `r` is published by rank `r` when
-    /// it acts as a producer (master / partition owner). Reset per
-    /// operation by the intra-node collectives (reset protocol).
+    /// Per-rank message counter of the intra-node collectives: counter `r`
+    /// is published by rank `r` when it acts as a producer (root /
+    /// partition owner). Cumulative; every rank keeps its own base of each
+    /// (`RankCtx::msg_base`).
     msg_counters: Vec<MessageCounter>,
-    /// Per-rank completion counter, expecting `n-1` arrivals.
-    done_counters: Vec<CompletionCounter>,
     /// Ping-pong completion counters for the staged shmem broadcast.
     stage_done: [CompletionCounter; 2],
     /// The staged shared-memory segment (two halves).
@@ -257,8 +272,8 @@ pub struct NodeShared {
     fifo: Arc<BcastFifo<FifoMsg>>,
     /// Each rank claims its consumer handle at startup.
     consumer_slots: Vec<Mutex<Option<BcastConsumer<FifoMsg>>>>,
-    /// Counters for the cluster protocols, used *cumulatively* (never
-    /// reset — see `MessageCounter`'s cumulative-reuse docs). Index `r` in
+    /// Counters for the cluster protocols, cumulative; each op reads its
+    /// bases just before its start barrier. Index `r` in
     /// `0..n` is rank `r`'s producer stream (broadcast reception, allreduce
     /// partials); index `n + c` is the allreduce result stream of color `c`.
     aux_counters: Vec<MessageCounter>,
@@ -291,9 +306,6 @@ impl NodeShared {
             barrier: SenseBarrier::new(n),
             registry: WindowRegistry::new(),
             msg_counters: (0..n).map(|_| MessageCounter::new()).collect(),
-            done_counters: (0..n)
-                .map(|_| CompletionCounter::new(n as u64 - 1))
-                .collect(),
             stage_done: [
                 CompletionCounter::new(n as u64 - 1),
                 CompletionCounter::new(n as u64 - 1),
@@ -344,23 +356,43 @@ impl NodeShared {
     }
 }
 
-/// One rank's view of the node. Created by the runtime; the collectives of
+/// The window tags of collective `op`: two per op, shared with no other op.
+pub(crate) fn window_tags(op: u64) -> [u64; 2] {
+    [2 * op, 2 * op + 1]
+}
+
+/// One rank's view of the node, owned by its rank thread; the collectives of
 /// [`crate::collectives`] are implemented as methods on this.
+///
+/// ```
+/// let sums = bgp_smp::Cluster::new(1, 4).run(|c| {
+///     let ctx = c.intra();
+///     let me = ctx.rank();
+///     ctx.barrier();
+///     me * 10
+/// });
+/// assert_eq!(sums, vec![vec![0, 10, 20, 30]]);
+/// ```
 pub struct RankCtx {
     rank: usize,
     shared: Arc<NodeShared>,
     token: BarrierToken,
     consumer: BcastConsumer<FifoMsg>,
-    /// Collective-call sequence number; identical across ranks because
-    /// collectives are called SPMD in the same order. Used as window tags.
-    pub(crate) op_seq: u64,
+    /// Windowed-collective sequence number; identical across ranks because
+    /// collectives are called SPMD in the same order.
+    op_seq: u64,
+    /// Tags of the windows this rank exposed in the current op.
+    exposed: Vec<u64>,
+    /// Entry `r`: the bytes producer `r` published on its message counter
+    /// in every op closed so far — the base of the current op's waits.
+    msg_base: Vec<u64>,
     /// Region pointers this rank has mapped before (its window cache, the
     /// subject of Figure 8).
-    pub(crate) mapped_before: HashSet<usize>,
+    mapped_before: HashSet<usize>,
     /// Recycled Bcast-FIFO payload buffers (root side of `bcast_fifo`):
     /// buffers come back once every consumer retired the slot holding them,
     /// so the steady state allocates nothing per chunk.
-    pub(crate) fifo_pool: VecDeque<Arc<[u8; FIFO_SLOT_BYTES]>>,
+    fifo_pool: VecDeque<Arc<[u8; FIFO_SLOT_BYTES]>>,
 }
 
 impl RankCtx {
@@ -372,12 +404,14 @@ impl RankCtx {
         let token = shared.barrier.token();
         RankCtx {
             rank,
-            shared,
             token,
             consumer,
             op_seq: 0,
+            exposed: Vec::new(),
+            msg_base: vec![0; shared.n],
             mapped_before: HashSet::new(),
             fifo_pool: VecDeque::new(),
+            shared,
         }
     }
 
@@ -408,14 +442,50 @@ impl RankCtx {
         &self.shared.registry
     }
 
-    /// Message counter published by `rank`.
-    pub(crate) fn msg_counter(&self, rank: usize) -> &MessageCounter {
-        &self.shared.msg_counters[rank]
+    /// Start a collective that exposes windows: advance the op sequence and
+    /// return the op's two window tags.
+    pub(crate) fn next_op(&mut self) -> [u64; 2] {
+        self.op_seq += 1;
+        window_tags(self.op_seq)
     }
 
-    /// Completion counter owned by `rank`.
-    pub(crate) fn done_counter(&self, rank: usize) -> &CompletionCounter {
-        &self.shared.done_counters[rank]
+    /// Expose `region` as this rank's window under `tag` until the op's
+    /// [`close_op`](Self::close_op).
+    pub(crate) fn expose(&mut self, tag: u64, region: Arc<SharedRegion>) {
+        self.shared.registry.expose(self.rank as u32, tag, region);
+        self.exposed.push(tag);
+    }
+
+    /// Map `owner`'s window under `tag` through this rank's window cache,
+    /// waiting until it is exposed.
+    pub(crate) fn map_cached(&mut self, owner: usize, tag: u64) -> Arc<SharedRegion> {
+        let registry = &self.shared.registry;
+        registry.map_auto_blocking(owner as u32, tag, &mut self.mapped_before)
+    }
+
+    /// Close the current collective: the closing barrier, then withdraw this
+    /// rank's windows and advance each producer's base by `published(r)`,
+    /// the bytes producer `r` published on its message counter in the op
+    /// (the same on every rank; `|_| 0` for an op that used none).
+    pub(crate) fn close_op(&mut self, published: impl Fn(usize) -> usize) {
+        self.barrier();
+        for tag in self.exposed.drain(..) {
+            self.shared.registry.unexpose(self.rank as u32, tag);
+        }
+        for (r, base) in self.msg_base.iter_mut().enumerate() {
+            *base += published(r) as u64;
+        }
+    }
+
+    /// Producer: `bytes` more of this rank's message stream are valid.
+    pub(crate) fn publish(&self, bytes: usize) {
+        self.shared.msg_counters[self.rank].publish(bytes as u64);
+    }
+
+    /// Consumer: wait until producer `r` has published at least `bytes` in
+    /// the current op; returns how many it has.
+    pub(crate) fn wait_msg(&self, r: usize, bytes: usize) -> usize {
+        self.shared.msg_counters[r].wait_past(self.msg_base[r], bytes as u64) as usize
     }
 
     /// Staged-broadcast shared segment.
@@ -471,89 +541,33 @@ impl RankCtx {
             self.fifo_pool.push_back(buf);
         }
     }
-
-    /// Advance and return the collective sequence number.
-    pub(crate) fn next_op(&mut self) -> u64 {
-        self.op_seq += 1;
-        self.op_seq
-    }
 }
 
-/// A persistent single-node runtime: `n` rank-threads parked on job queues,
-/// executing one SPMD body per [`run`](Self::run) call.
-///
-/// This is [`Cluster`] with one node — see [`crate::cluster`] for the
-/// multi-node form. Use it instead of [`run_node`] whenever more than one
-/// operation runs: thread spawn and `NodeShared` construction happen once,
-/// and per-rank state that feeds the hot paths (the window cache, the
-/// allreduce accumulator, the FIFO buffer pool) survives across calls.
-pub struct NodeRuntime {
-    cluster: Cluster,
-}
-
-impl NodeRuntime {
-    /// Spawn a persistent runtime of `n_ranks` rank-threads.
-    pub fn new(n_ranks: usize) -> Self {
-        NodeRuntime {
-            cluster: Cluster::new(1, n_ranks),
-        }
-    }
-
-    /// Ranks on the node.
-    pub fn n_ranks(&self) -> usize {
-        self.cluster.n_ranks()
-    }
-
-    /// Run `body` SPMD-style on every rank; returns each rank's result,
-    /// indexed by rank.
-    pub fn run<R, F>(&self, body: F) -> Vec<R>
-    where
-        R: Send + 'static,
-        F: Fn(&mut RankCtx) -> R + Send + Sync + 'static,
-    {
-        let mut per_node = self.cluster.run(move |cctx| body(cctx.intra()));
-        per_node.pop().expect("one node")
-    }
-}
-
-/// Run `n_ranks` rank-threads, each executing `body(&mut ctx)` SPMD-style.
-/// Returns each rank's result, indexed by rank.
-///
-/// One-shot: spawns a [`NodeRuntime`], runs the body once, and tears the
-/// runtime down. Hold a `NodeRuntime` instead when iterating.
-///
-/// ```
-/// let sums = bgp_smp::run_node(4, |ctx| {
-///     let me = ctx.rank();
-///     ctx.barrier();
-///     me * 10
-/// });
-/// assert_eq!(sums, vec![0, 10, 20, 30]);
-/// ```
-pub fn run_node<R, F>(n_ranks: usize, body: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&mut RankCtx) -> R + Sync,
-{
-    let cluster = Cluster::new(1, n_ranks);
-    let wrap = |cctx: &mut crate::cluster::ClusterCtx| body(cctx.intra());
-    let mut per_node = cluster.run_borrowed(&wrap);
-    per_node.pop().expect("one node")
+/// One node of `n` rank threads running `body` once; results by rank.
+#[cfg(test)]
+pub(crate) fn on_node<R: Send + 'static>(
+    n: usize,
+    body: impl Fn(&mut RankCtx) -> R + Send + Sync + 'static,
+) -> Vec<R> {
+    crate::Cluster::new(1, n)
+        .run(move |c| body(c.intra()))
+        .remove(0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::Cluster;
 
     #[test]
     fn ranks_are_distinct_and_complete() {
-        let out = run_node(4, |ctx| ctx.rank());
+        let out = on_node(4, |ctx| ctx.rank());
         assert_eq!(out, vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn barrier_is_usable_from_ctx() {
-        let out = run_node(3, |ctx| {
+        let out = on_node(3, |ctx| {
             let mut releases = 0;
             for _ in 0..10 {
                 if ctx.barrier() {
@@ -567,7 +581,7 @@ mod tests {
 
     #[test]
     fn single_rank_node() {
-        let out = run_node(1, |ctx| {
+        let out = on_node(1, |ctx| {
             ctx.barrier();
             ctx.n_ranks()
         });
@@ -576,7 +590,7 @@ mod tests {
 
     #[test]
     fn registry_is_node_wide() {
-        let out = run_node(2, |ctx| {
+        let out = on_node(2, |ctx| {
             if ctx.rank() == 0 {
                 let buf = ctx.alloc_buffer(16);
                 unsafe { buf.write(0, &[42; 16]) };
@@ -593,25 +607,37 @@ mod tests {
     }
 
     #[test]
-    fn node_runtime_persists_rank_state_across_runs() {
-        let rt = NodeRuntime::new(2);
+    fn one_node_cluster_persists_rank_state_across_runs() {
+        let rt = Cluster::new(1, 2);
         assert_eq!(rt.n_ranks(), 2);
         // op_seq advances across run() calls: the same RankCtx is reused.
-        let first = rt.run(|ctx| ctx.next_op());
-        let second = rt.run(|ctx| ctx.next_op());
-        assert_eq!(first, vec![1, 1]);
-        assert_eq!(second, vec![2, 2]);
+        let first = rt.run(|c| c.intra().next_op());
+        let second = rt.run(|c| c.intra().next_op());
+        assert_eq!(first, vec![vec![window_tags(1); 2]]);
+        assert_eq!(second, vec![vec![window_tags(2); 2]]);
     }
 
     #[test]
-    fn node_runtime_runs_many_ops_without_respawn() {
-        let rt = NodeRuntime::new(4);
+    fn one_node_cluster_runs_many_ops_without_respawn() {
+        let rt = Cluster::new(1, 4);
         for round in 0..20u64 {
-            let out = rt.run(move |ctx| {
-                ctx.barrier();
-                round + ctx.rank() as u64
+            let out = rt.run(move |c| {
+                c.intra().barrier();
+                round + c.rank() as u64
             });
-            assert_eq!(out, (0..4).map(|r| round + r).collect::<Vec<_>>());
+            assert_eq!(out, vec![(0..4).map(|r| round + r).collect::<Vec<_>>()]);
+        }
+    }
+
+    /// The tag half of the stale-window fix: no tag of op `k` is a tag of
+    /// any other op, the next one in particular.
+    #[test]
+    fn consecutive_op_ids_never_share_a_tag() {
+        let mut seen = HashSet::new();
+        for op in 1..=1000u64 {
+            let [a, b] = window_tags(op);
+            assert!(!window_tags(op + 1).contains(&a) && !window_tags(op + 1).contains(&b));
+            assert!(seen.insert(a) && seen.insert(b), "op {op} reuses a tag");
         }
     }
 

@@ -708,3 +708,70 @@ fn tree_feed_reaches_both_ports_in_order() {
     model_with(Config::dfs(5_000), tree_feed_scenario);
     model_with(Config::random(0xB9_0001, 3_000), tree_feed_scenario);
 }
+
+// ---------------------------------------------------------------------------
+// The node collectives' counter protocol: no counter is ever reset. Each
+// rank keeps its own base of every producer's cumulative counter, waits
+// past it, and advances it by the bytes the op published (the same amount
+// on every rank under SPMD); the barrier that closes each op is the only
+// synchronization between ops — there is no start barrier.
+
+/// Rank 0 produces two back-to-back ops on one counter (writes op `k` into
+/// the payload cell, publishes 8 bytes); rank 1 waits 8 bytes past its base
+/// and reads the cell. A `SenseBarrier` closes each op, after which rank 1
+/// advances its base — unless `advance` is false.
+fn cumulative_counter_scenario(advance: bool) {
+    let cell = Arc::new(UnsafeCell::new(0u64));
+    let ctr = Arc::new(MessageCounter::new());
+    let barrier = Arc::new(SenseBarrier::new(2));
+    let producer = {
+        let (cell, ctr, barrier) = (cell.clone(), ctr.clone(), barrier.clone());
+        thread::spawn(move || {
+            let mut token = barrier.token();
+            for op in 1..=2u64 {
+                unsafe { cell.with_mut(|p| *p = op) };
+                ctr.publish(8);
+                barrier.wait(&mut token);
+            }
+        })
+    };
+    let mut token = barrier.token();
+    let mut base = 0u64;
+    for op in 1..=2u64 {
+        ctr.wait_past(base, 8);
+        unsafe { cell.with(|p| assert_eq!(*p, op, "op {op} read another op's payload")) };
+        barrier.wait(&mut token);
+        if advance {
+            base += 8;
+        }
+    }
+    producer.join();
+}
+
+/// Every explored schedule delivers each op's payload and never the
+/// previous op's.
+#[test]
+fn cumulative_counter_delivers_each_ops_bytes() {
+    model_with(Config::dfs(5_000), || cumulative_counter_scenario(true));
+}
+
+/// Skipping the base advance lets op 2's wait be satisfied by op 1's
+/// publish: rank 1 reads the cell while rank 0 writes op 2 into it. Some
+/// schedule must fail (a race on the cell, or op 1's payload read in op
+/// 2), and its trace must replay to the same failure.
+#[test]
+fn skipping_the_base_advance_is_caught() {
+    let scenario = || cumulative_counter_scenario(false);
+    let report = explore(Config::dfs(5_000), scenario);
+    let failure = report
+        .failure
+        .expect("a wait past a stale base must fail on some schedule");
+    assert!(
+        matches!(failure.kind, FailureKind::Race | FailureKind::Panic),
+        "{failure}"
+    );
+    let replay = explore(Config::replay(&failure.trace), scenario);
+    let replayed = replay.failure.expect("replay reproduces the failure");
+    assert_eq!(replayed.kind, failure.kind);
+    assert_eq!(replayed.trace, failure.trace);
+}

@@ -26,7 +26,7 @@
 //! the fraction of (resample, grid size) pairs that kept the same pick.
 
 use bgp_machine::{MachineConfig, OpMode};
-use bgp_mpi::tune::{ArRegion, Region, ShapeEntry, TuningTable};
+use bgp_mpi::tune::{pick, ArRegion, Region, ShapeEntry, TuningTable};
 use bgp_mpi::{AllreduceAlgorithm, BcastAlgorithm};
 use bgp_sim::Rng;
 
@@ -146,18 +146,6 @@ fn ar_regions_from(sweep: &ArSweep, cands: &[AllreduceAlgorithm]) -> Vec<ArRegio
     regions
 }
 
-/// The pick of an allreduce region list at `bytes`.
-fn ar_pick(regions: &[ArRegion], bytes: u64) -> AllreduceAlgorithm {
-    for r in regions {
-        match r.upto {
-            Some(b) if bytes <= b => return r.alg,
-            None => return r.alg,
-            _ => {}
-        }
-    }
-    regions.last().unwrap().alg
-}
-
 /// Derive monotone selection regions from measured pairwise crossovers
 /// (confidences are filled in by the resampling pass; this returns 1.0).
 fn regions_from(sweep: &Sweep, cands: &[BcastAlgorithm]) -> Vec<Region> {
@@ -181,18 +169,6 @@ fn regions_from(sweep: &Sweep, cands: &[BcastAlgorithm]) -> Vec<Region> {
         confidence: 1.0,
     });
     regions
-}
-
-/// The pick of a region list at `bytes`.
-fn pick(regions: &[Region], bytes: u64) -> BcastAlgorithm {
-    for r in regions {
-        match r.upto {
-            Some(b) if bytes <= b => return r.alg,
-            None => return r.alg,
-            _ => {}
-        }
-    }
-    regions.last().unwrap().alg
 }
 
 /// Tune one `(shape, mode)` point: sweep, derive regions, resample for
@@ -270,13 +246,13 @@ pub fn tune_entry(cfg: &MachineConfig, opts: &AutotuneOpts) -> ShapeEntry {
         }
         let resampled = ar_regions_from(&perturbed, &ar_cands);
         for &bytes in &ar_sweep.sizes {
-            let base = ar_pick(&ar_regions, bytes);
+            let base = pick(&ar_regions, bytes);
             let idx = ar_regions
                 .iter()
                 .position(|r| r.upto.is_none_or(|b| bytes <= b))
                 .unwrap();
             ar_total[idx] += 1;
-            if ar_pick(&resampled, bytes) == base {
+            if pick(&resampled, bytes) == base {
                 ar_agree[idx] += 1;
             }
         }

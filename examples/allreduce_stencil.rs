@@ -17,12 +17,14 @@ use bgp_collectives::machine::{MachineConfig, OpMode};
 use bgp_collectives::mpi::allreduce::AllreduceAlgorithm;
 use bgp_collectives::mpi::Mpi;
 use bgp_collectives::smp::collectives::{read_f64s, write_f64s};
-use bgp_collectives::smp::run_node;
+use bgp_collectives::smp::Cluster;
 
 fn main() {
     // --- Part 1: verify the intra-node decomposition numerically --------
     const COUNT: usize = 8192;
-    let results = run_node(4, |ctx| {
+    // One node of four rank threads; `c.intra()` is a rank's node context.
+    let results = Cluster::new(1, 4).run(|c| {
+        let ctx = c.intra();
         let me = ctx.rank();
         let input = ctx.alloc_buffer(COUNT * 8);
         let output = ctx.alloc_buffer(COUNT * 8);
@@ -35,7 +37,7 @@ fn main() {
         ctx.allreduce_f64(&input, &output, COUNT);
         read_f64s(&output, 0, COUNT)
     });
-    for (rank, got) in results.iter().enumerate() {
+    for (rank, got) in results[0].iter().enumerate() {
         for (i, g) in got.iter().enumerate() {
             let expect = 6.0 + 4.0 * (i as f64) / COUNT as f64; // sum over ranks 0..4
             assert!((g - expect).abs() < 1e-9, "rank {rank} elem {i}");

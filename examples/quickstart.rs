@@ -10,13 +10,15 @@
 
 use bgp_collectives::machine::MachineConfig;
 use bgp_collectives::mpi::Mpi;
-use bgp_collectives::smp::run_node;
+use bgp_collectives::smp::Cluster;
 
 fn main() {
     // --- Part 1: real threads, real bytes -------------------------------
     println!("== intra-node, for real (4 rank-threads on this host) ==");
     const LEN: usize = 64 * 1024;
-    let results = run_node(4, |ctx| {
+    // One node of four rank threads; `c.intra()` is a rank's node context.
+    let results = Cluster::new(1, 4).run(|c| {
+        let ctx = c.intra();
         let buf = ctx.alloc_buffer(LEN);
         if ctx.rank() == 0 {
             let payload: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
@@ -33,6 +35,7 @@ fn main() {
         let snap = unsafe { buf.snapshot() };
         snap.iter().map(|&b| b as u64).sum::<u64>()
     });
+    let results = &results[0];
     assert!(results.windows(2).all(|w| w[0] == w[1]));
     println!(
         "   4 ranks agree on {} broadcast bytes (checksum {})\n",

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use bgp_collectives::shmem::testing::stress_iters;
 use bgp_collectives::shmem::SharedRegion;
 use bgp_collectives::smp::collectives::{read_f64s, write_f64s};
-use bgp_collectives::smp::{run_node, Cluster, ClusterCtx};
+use bgp_collectives::smp::{Cluster, ClusterCtx};
 
 fn pattern(len: usize, salt: u8) -> Vec<u8> {
     (0..len)
@@ -83,14 +83,17 @@ fn allreduce_matches_single_node_reference_2x4() {
             .collect()
     };
     for count in [0usize, 1, 5, 2047, 2048, 2049, stress_iters(150_000)] {
-        let reference: Vec<Vec<u8>> = run_node(8, move |ctx| {
-            let input = ctx.alloc_buffer((count * 8).max(1));
-            let output = ctx.alloc_buffer((count * 8).max(1));
-            write_f64s(&input, 0, &vals_for(ctx.rank(), count));
-            ctx.barrier();
-            ctx.allreduce_f64(&input, &output, count);
-            unsafe { output.snapshot() }
-        });
+        let reference: Vec<Vec<u8>> = Cluster::new(1, 8)
+            .run(move |c| {
+                let ctx = c.intra();
+                let input = ctx.alloc_buffer((count * 8).max(1));
+                let output = ctx.alloc_buffer((count * 8).max(1));
+                write_f64s(&input, 0, &vals_for(ctx.rank(), count));
+                ctx.barrier();
+                ctx.allreduce_f64(&input, &output, count);
+                unsafe { output.snapshot() }
+            })
+            .remove(0);
 
         let cluster = Cluster::new(2, 4);
         let out = cluster.run(move |cctx: &mut ClusterCtx| {

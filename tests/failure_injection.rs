@@ -10,7 +10,7 @@ use bgp_collectives::machine::{MachineConfig, OpMode};
 use bgp_collectives::mpi::bcast_torus::torus_shaddr;
 use bgp_collectives::mpi::{BcastAlgorithm, Mpi};
 use bgp_collectives::shmem::{BcastFifo, PtpFifo, SharedRegion, WindowRegistry};
-use bgp_collectives::smp::run_node;
+use bgp_collectives::smp::Cluster;
 
 #[test]
 fn minimum_capacity_bcast_fifo_under_three_consumers() {
@@ -123,7 +123,8 @@ fn zero_byte_collectives_are_latency_only() {
 #[test]
 fn threaded_bcast_with_two_ranks_only() {
     // Quad is the paper's mode, but the code must not bake in "3 peers".
-    let results = run_node(2, |ctx| {
+    let results = Cluster::new(1, 2).run(|c| {
+        let ctx = c.intra();
         let buf = ctx.alloc_buffer(10_000);
         if ctx.rank() == 0 {
             unsafe { buf.write(0, &[0xAB; 10_000]) };
@@ -132,7 +133,7 @@ fn threaded_bcast_with_two_ranks_only() {
         ctx.bcast_shaddr(0, &buf, 10_000, 4096);
         unsafe { buf.snapshot() }
     });
-    assert!(results.iter().all(|r| r.iter().all(|&b| b == 0xAB)));
+    assert!(results[0].iter().all(|r| r.iter().all(|&b| b == 0xAB)));
 }
 
 #[test]
@@ -140,7 +141,8 @@ fn threaded_bcast_with_two_ranks_only() {
 fn oversized_broadcast_is_rejected() {
     // The undersized-buffer assertion fires inside a rank thread; the
     // runtime surfaces it as a panic on join.
-    run_node(2, |ctx| {
+    Cluster::new(1, 2).run(|c| {
+        let ctx = c.intra();
         let buf = ctx.alloc_buffer(16);
         ctx.bcast_shmem(0, &buf, 1024);
     });

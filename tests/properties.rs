@@ -13,7 +13,7 @@ use bgp_collectives::mpi::bcast_torus::torus_shaddr;
 use bgp_collectives::mpi::select::{select_bcast, BcastAlgorithm};
 use bgp_collectives::sim::Rng;
 use bgp_collectives::smp::collectives::{read_f64s, write_f64s};
-use bgp_collectives::smp::run_node;
+use bgp_collectives::smp::Cluster;
 
 /// Message splitting never loses or duplicates a byte, whatever the total,
 /// color count, or pipeline width.
@@ -197,7 +197,8 @@ fn threaded_bcast_payload_integrity() {
         let len = rng.range_usize(1, max_len);
         let seed = rng.range_u64(0, 255) as u8;
         let path = case % 3;
-        let results = run_node(4, move |ctx| {
+        let results = Cluster::new(1, 4).run(move |c| {
+            let ctx = c.intra();
             let buf = ctx.alloc_buffer(len);
             if ctx.rank() == 2 {
                 let payload: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_add(seed)).collect();
@@ -212,7 +213,7 @@ fn threaded_bcast_payload_integrity() {
             unsafe { buf.snapshot() }
         });
         let expect: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_add(seed)).collect();
-        for (rank, got) in results.iter().enumerate() {
+        for (rank, got) in results[0].iter().enumerate() {
             assert_eq!(got, &expect, "rank {rank} path {path} len {len}");
         }
     }
@@ -227,7 +228,8 @@ fn threaded_allreduce_matches_sequential() {
     for _ in 0..8 {
         let count = rng.range_usize(1, max_count);
         let scale = rng.range_f64(-100.0, 100.0);
-        let results = run_node(4, move |ctx| {
+        let results = Cluster::new(1, 4).run(move |c| {
+            let ctx = c.intra();
             let me = ctx.rank();
             let input = ctx.alloc_buffer(count * 8);
             let output = ctx.alloc_buffer(count * 8);
@@ -239,7 +241,7 @@ fn threaded_allreduce_matches_sequential() {
             ctx.allreduce_f64(&input, &output, count);
             read_f64s(&output, 0, count)
         });
-        for got in &results {
+        for got in &results[0] {
             for (i, g) in got.iter().enumerate() {
                 let expect: f64 = (0..4)
                     .map(|r| scale * (r as f64 + 1.0) / (i as f64 + 1.0))

@@ -6,9 +6,11 @@
 use std::sync::Mutex;
 
 use bgp_collectives::machine::{MachineConfig, OpMode};
+use bgp_collectives::mpi::allreduce::AllreduceAlgorithm;
 use bgp_collectives::mpi::select::select_bcast;
 use bgp_collectives::mpi::tune::{
-    PolicySource, Region, SelectionPolicy, ShapeEntry, TuningTable, BUILTIN_TABLE_JSON, TABLE_ENV,
+    ArRegion, PolicySource, Region, SelectionPolicy, ShapeEntry, TuningTable, BUILTIN_TABLE_JSON,
+    TABLE_ENV,
 };
 use bgp_collectives::mpi::{BcastAlgorithm, Datatype, Mpi};
 
@@ -148,7 +150,11 @@ fn table_cannot_override_noncontiguous_demotion() {
                 alg: BcastAlgorithm::TorusShaddr,
                 confidence: 1.0,
             }],
-            ar_regions: vec![],
+            ar_regions: vec![ArRegion {
+                upto: None,
+                alg: AllreduceAlgorithm::RingCurrent,
+                confidence: 1.0,
+            }],
             models: vec![],
         }],
     };
