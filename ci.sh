@@ -43,6 +43,19 @@ if grep -nE 'send_with\(|try_send_with\(|\.reserve\(|\.try_reserve\(' \
   exit 1
 fi
 
+# The blocking node allreduces write their results straight into the
+# callers' outputs: no region is allocated on their per-op path. Only the
+# non-test part of each file (up to its first #[cfg(test)]) is searched.
+# node_aware.rs is out of scope: node_op still allocates its accumulator.
+echo "== guard: no alloc_buffer( on the per-op path of collectives.rs / cluster.rs"
+for f in crates/smp/src/{collectives,cluster}.rs; do
+  if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
+    grep -F 'alloc_buffer('; then
+    echo "per-op region allocation in $f (results belong in the callers' outputs)" >&2
+    exit 1
+  fi
+done
+
 # Docs name runnable targets; a deletion must not leave one dangling. Every
 # `--bin X` / `--bench X` in the docs, this script and the verify skill must
 # resolve to a source file of that name.

@@ -16,9 +16,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::sync::RwLock;
-
+use crate::pad::CachePadded;
 use crate::region::SharedRegion;
+use crate::sync::RwLock;
 
 /// Statistics mirroring what the CNK window path would have cost.
 #[derive(Debug, Default)]
@@ -42,6 +42,16 @@ impl WindowStats {
     }
 }
 
+/// Shards of a registry: owner `o`'s windows live in shard `o % SHARDS`,
+/// each behind its own lock on its own cache line, so ranks exposing,
+/// mapping and withdrawing different owners' windows never write the same
+/// lock word. Nodes have a handful of ranks, so every rank gets a shard of
+/// its own.
+const SHARDS: usize = 16;
+
+/// One shard: the exposed windows of the owners that map to it.
+type Shard = RwLock<HashMap<(u32, u64), Arc<SharedRegion>>>;
+
 /// A node-wide registry of exposed buffers, keyed by `(owner rank, tag)`.
 ///
 /// Cloneable handle (`Arc` inside); one registry per node.
@@ -51,7 +61,7 @@ pub struct WindowRegistry {
 }
 
 struct Inner {
-    exposed: RwLock<HashMap<(u32, u64), Arc<SharedRegion>>>,
+    shards: [CachePadded<Shard>; SHARDS],
     stats: WindowStats,
 }
 
@@ -66,10 +76,29 @@ impl WindowRegistry {
     pub fn new() -> Self {
         WindowRegistry {
             inner: Arc::new(Inner {
-                exposed: RwLock::new(HashMap::new()),
+                shards: std::array::from_fn(|_| CachePadded::new(RwLock::new(HashMap::new()))),
                 stats: WindowStats::default(),
             }),
         }
+    }
+
+    fn shard(&self, owner: u32) -> &Shard {
+        &self.inner.shards[owner as usize % SHARDS]
+    }
+
+    fn lookup(&self, owner: u32, tag: u64) -> Option<Arc<SharedRegion>> {
+        self.shard(owner).read().get(&(owner, tag)).cloned()
+    }
+
+    /// Charge one map to the ledger: a hit if `cached`, else a miss.
+    fn charge(&self, cached: bool) {
+        let stats = &self.inner.stats;
+        let word = if cached {
+            &stats.map_hits
+        } else {
+            &stats.map_misses
+        };
+        word.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Owner side: expose `region` under `(owner, tag)`, replacing any
@@ -77,12 +106,12 @@ impl WindowRegistry {
     /// translation step on BG/P.
     pub fn expose(&self, owner: u32, tag: u64, region: Arc<SharedRegion>) {
         self.inner.stats.exposes.fetch_add(1, Ordering::Relaxed);
-        self.inner.exposed.write().insert((owner, tag), region);
+        self.shard(owner).write().insert((owner, tag), region);
     }
 
     /// Remove an exposure (e.g. when the application frees the buffer).
     pub fn unexpose(&self, owner: u32, tag: u64) {
-        self.inner.exposed.write().remove(&(owner, tag));
+        self.shard(owner).write().remove(&(owner, tag));
     }
 
     /// Peer side: map `(owner, tag)`. `cached` reports whether the *caller's*
@@ -90,12 +119,8 @@ impl WindowRegistry {
     /// so the stats ledger matches what a CNK stack would really pay.
     /// Returns `None` if the owner has not exposed the tag yet.
     pub fn map(&self, owner: u32, tag: u64, cached: bool) -> Option<Arc<SharedRegion>> {
-        let region = self.inner.exposed.read().get(&(owner, tag)).cloned()?;
-        if cached {
-            self.inner.stats.map_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.inner.stats.map_misses.fetch_add(1, Ordering::Relaxed);
-        }
+        let region = self.lookup(owner, tag)?;
+        self.charge(cached);
         Some(region)
     }
 
@@ -121,19 +146,12 @@ impl WindowRegistry {
         tag: u64,
         seen: &mut std::collections::HashSet<usize>,
     ) -> Arc<SharedRegion> {
-        let region = loop {
-            if let Some(r) = self.inner.exposed.read().get(&(owner, tag)).cloned() {
-                break r;
+        loop {
+            if let Some(r) = self.try_map_auto(owner, tag, seen) {
+                return r;
             }
             std::thread::yield_now();
-        };
-        let ptr = Arc::as_ptr(&region) as usize;
-        if seen.insert(ptr) {
-            self.inner.stats.map_misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.inner.stats.map_hits.fetch_add(1, Ordering::Relaxed);
         }
-        region
     }
 
     /// Non-blocking form of [`map_auto_blocking`](Self::map_auto_blocking):
@@ -146,13 +164,8 @@ impl WindowRegistry {
         tag: u64,
         seen: &mut std::collections::HashSet<usize>,
     ) -> Option<Arc<SharedRegion>> {
-        let region = self.inner.exposed.read().get(&(owner, tag)).cloned()?;
-        let ptr = Arc::as_ptr(&region) as usize;
-        if seen.insert(ptr) {
-            self.inner.stats.map_misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.inner.stats.map_hits.fetch_add(1, Ordering::Relaxed);
-        }
+        let region = self.lookup(owner, tag)?;
+        self.charge(!seen.insert(Arc::as_ptr(&region) as usize));
         Some(region)
     }
 
@@ -163,7 +176,7 @@ impl WindowRegistry {
 
     /// Number of currently exposed buffers.
     pub fn exposed_count(&self) -> usize {
-        self.inner.exposed.read().len()
+        self.inner.shards.iter().map(|s| s.read().len()).sum()
     }
 }
 
@@ -213,6 +226,19 @@ mod tests {
         assert_eq!(reg.exposed_count(), 1);
         reg.unexpose(0, 5);
         assert_eq!(reg.exposed_count(), 0);
+    }
+
+    #[test]
+    fn owners_sharing_a_shard_stay_distinct() {
+        let reg = WindowRegistry::new();
+        let (a, b) = (3u32, 3 + SHARDS as u32);
+        reg.expose(a, 1, Arc::new(SharedRegion::new(4)));
+        reg.expose(b, 1, Arc::new(SharedRegion::new(8)));
+        assert_eq!(reg.map(a, 1, false).unwrap().len(), 4);
+        assert_eq!(reg.map(b, 1, false).unwrap().len(), 8);
+        reg.unexpose(a, 1);
+        assert!(reg.map(a, 1, true).is_none());
+        assert_eq!(reg.exposed_count(), 1);
     }
 
     #[test]

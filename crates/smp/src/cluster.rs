@@ -22,12 +22,13 @@
 //!   copies all overlap.
 //! * [`ClusterCtx::allreduce_f64`] — the §V-C multi-color ring allreduce.
 //!   Every non-network rank owns a color: it locally reduces its partition
-//!   across the node's inputs into a color buffer, publishing chunk by
-//!   chunk. Rank 0 — the network core — drives *all* colors through the
-//!   ring concurrently (partials accumulate hop by hop in one direction,
+//!   across the node's inputs straight into its own output, which is the
+//!   color's buffer, publishing chunk by chunk. Rank 0 — the network core —
+//!   drives *all* colors through the ring concurrently in the owners'
+//!   outputs (partials accumulate hop by hop in one direction,
 //!   fully-reduced chunks circulate back; the engine is
-//!   [`wire::flat_ring`]), and every rank copies finished chunks out as
-//!   result counters advance. Even colors ride the `+` ring
+//!   [`wire::flat_ring`]), and every other rank copies finished chunks out
+//!   as result counters advance. Even colors ride the `+` ring
 //!   direction, odd colors the `-` direction, standing in for the paper's
 //!   torus-link parallelism.
 //!
@@ -49,6 +50,7 @@ use std::thread::JoinHandle;
 
 use bgp_shmem::SharedRegion;
 
+use crate::collectives::IN_PLACE;
 use crate::runtime::{NodeShared, RankCtx};
 use crate::transport::Fabric;
 use crate::wire;
@@ -525,12 +527,13 @@ pub unsafe fn sum_regions(
 }
 
 /// The network core's [`wire::Local`]: flow `c` lives in shared region
-/// `bufs[c]`, which other ranks of the node fill concurrently.
-/// `ready(c, off, len)` says whether the node's own contribution to that
-/// range has been published; `landed(c, off, len)` hands a finished range
-/// to the copy-out ranks.
+/// `bufs[c]` from byte `offs[c]` on, which other ranks of the node fill
+/// concurrently. `ready(c, off, len)` says whether the node's own
+/// contribution to that range has been published; `landed(c, off, len)`
+/// hands a finished range to the copy-out ranks (both flow-relative).
 struct RegionLocal<'a, R, F> {
     bufs: &'a [Arc<SharedRegion>],
+    offs: &'a [usize],
     ready: R,
     landed: F,
 }
@@ -546,13 +549,13 @@ impl<R: Fn(usize, usize, usize) -> bool, F: FnMut(usize, usize, usize)> wire::Lo
         // SAFETY: per the `Local` contract the producer of this range has
         // published it (`ready`, an acquire) or this thread wrote it, and
         // this thread is its only writer from then on.
-        unsafe { self.bufs[c].with_bytes(off, len, f) }
+        unsafe { self.bufs[c].with_bytes(self.offs[c] + off, len, f) }
     }
 
     fn write<T>(&mut self, c: usize, off: usize, len: usize, f: impl FnOnce(&mut [u8]) -> T) -> T {
         // SAFETY: as for `read`; other ranks read the range only after
         // `landed` publishes it.
-        unsafe { self.bufs[c].with_bytes_mut(off, len, f) }
+        unsafe { self.bufs[c].with_bytes_mut(self.offs[c] + off, len, f) }
     }
 
     fn landed(&mut self, c: usize, off: usize, len: usize) {
@@ -810,7 +813,10 @@ impl ClusterCtx {
 
     /// Cluster-wide allreduce (sum) over `count` doubles — the §V-C
     /// multi-color ring decomposition. Every rank of every node calls with
-    /// its own `input`; every `output` receives the global sum. SPMD.
+    /// its own `input`; every `output` receives the global sum, each byte
+    /// written once: a color's span is reduced, ringed and landed in its
+    /// owner's `output`, and only the other ranks copy it out. `input` and
+    /// `output` must be distinct regions. SPMD.
     pub fn allreduce_f64(
         &mut self,
         input: &Arc<SharedRegion>,
@@ -821,7 +827,8 @@ impl ClusterCtx {
         let (m, n) = (shared.m, shared.n);
         assert!(input.len() >= count * 8, "input shorter than count");
         assert!(output.len() >= count * 8, "output shorter than count");
-        let [in_tag, cb_tag] = self.ctx.next_op();
+        assert!(!Arc::ptr_eq(input, output), "{IN_PLACE}");
+        let [in_tag, out_tag] = self.ctx.next_op();
         let me = self.ctx.rank();
 
         let colors = if n == 1 { 1 } else { n - 1 };
@@ -850,32 +857,34 @@ impl ClusterCtx {
         } else {
             None
         };
-        if let Some(c) = my_color {
-            let (lo, hi) = span(c);
-            let cbuf = self.ctx.alloc_buffer(((hi - lo) * 8).max(1));
-            self.ctx.expose(cb_tag, cbuf);
+        if my_color.is_some() {
+            // The owner's output is its color's buffer.
+            self.ctx.expose(out_tag, output.clone());
         }
         self.ctx.barrier();
 
+        // Color c lives in its owner's output at its own element offset.
         let cbufs: Vec<Arc<SharedRegion>> = (0..colors)
-            .map(|c| self.ctx.map_cached(owner(c), cb_tag))
+            .map(|c| self.ctx.map_cached(owner(c), out_tag))
             .collect();
+        let offs: Vec<usize> = (0..colors).map(|c| span(c).0 * 8).collect();
 
         // Phase A — color owners: local reduce of the partition across the
-        // node's inputs, pipelined chunk by chunk into the color buffer.
+        // node's inputs, pipelined chunk by chunk into their own output.
         if let Some(c) = my_color {
             let (lo, hi) = span(c);
-            self.reduce_span(in_tag, &cbufs[c], 0, lo * 8, hi * 8);
+            self.reduce_span(in_tag, output, lo * 8, lo * 8, hi * 8);
         }
 
-        // Phase B — the network core drives the ring for all colors:
-        // partials of color c are ready as its owner's stream passes them,
-        // landed fulls go out on its result stream.
+        // Phase B — the network core drives the ring for all colors in the
+        // owners' outputs: partials of color c are ready as its owner's
+        // stream passes them, landed fulls go out on its result stream.
         if me == 0 && m > 1 {
             let ctx = &self.ctx;
             let spans = (0..colors).map(|c| (span(c).1 - span(c).0) * 8);
             let mut local = RegionLocal {
                 bufs: &cbufs,
+                offs: &offs,
                 ready: |c, off, len| {
                     ctx.aux_counter(owner(c)).read() - pbase[c] >= (off + len) as u64
                 },
@@ -886,9 +895,12 @@ impl ClusterCtx {
             wire::flat_ring(&shared.fabric, self.node, spans, &mut local);
         }
 
-        // Phase C — every rank copies every color's finished chunks out,
-        // chasing the result counters.
-        for c in 0..colors {
+        // Phase C — every rank copies the other colors' finished chunks out
+        // of their owners' outputs, chasing the result counters. An owner
+        // skips its own span: it is final by the closing barrier, which rank
+        // 0 reaches only after the ring landed every full. A one-rank node
+        // owns everything and copies nothing.
+        for c in (0..colors).filter(|&c| owner(c) != me) {
             let (lo, hi) = span(c);
             let total = (hi - lo) * 8;
             let mut seen = 0usize;
@@ -898,9 +910,10 @@ impl ClusterCtx {
                     .aux_counter(rstream(c))
                     .wait_past(rbase[c], seen as u64 + 1) as usize;
                 let avail = avail.min(total);
+                let at = offs[c] + seen;
                 // SAFETY: result counter acquire ordered us after the full
-                // chunks were written; our output is ours.
-                unsafe { output.copy_from(lo * 8 + seen, &cbufs[c], seen, avail - seen) };
+                // chunks were written; our span of our output is ours.
+                unsafe { output.copy_from(at, &cbufs[c], at, avail - seen) };
                 seen = avail;
             }
         }
@@ -1155,5 +1168,43 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every rank's output is bit-identical to every other rank's, on one
+    /// node and across nodes, with inputs whose sums round.
+    #[test]
+    fn allreduce_outputs_are_bit_identical_on_every_rank() {
+        for (m, n) in [(1usize, 3usize), (2, 1), (2, 4), (3, 2)] {
+            let cluster = Cluster::with_geometry(m, n, 256, 4);
+            for count in [0usize, 1, 31, 1000] {
+                let out = cluster.run(move |cctx| {
+                    let g = cctx.global_rank() as f64;
+                    let input = cctx.intra().alloc_buffer((count * 8).max(1));
+                    let output = cctx.intra().alloc_buffer((count * 8).max(1));
+                    let vals: Vec<f64> = (0..count).map(|i| (i as f64 + 0.1) / (g + 3.0)).collect();
+                    write_f64s(&input, 0, &vals);
+                    cctx.allreduce_f64(&input, &output, count);
+                    crate::collectives::read_f64s(&output, 0, count)
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect::<Vec<_>>()
+                });
+                let first = &out[0][0];
+                for (node, ranks) in out.iter().enumerate() {
+                    for (rank, got) in ranks.iter().enumerate() {
+                        assert_eq!(got, first, "{m}x{n} count={count} node {node} rank {rank}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn allreduce_refuses_to_run_in_place() {
+        let msg = crate::runtime::refusal(2, 2, |c| {
+            let buf = c.intra().alloc_buffer(64);
+            c.allreduce_f64(&buf, &buf, 8)
+        });
+        assert!(msg.contains(IN_PLACE), "{msg}");
     }
 }

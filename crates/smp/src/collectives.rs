@@ -16,8 +16,9 @@
 //!
 //! Plus [`RankCtx::allreduce_f64`] — the §V-C decomposition (local reduce by
 //! partition, then local broadcast), here in its intra-node form: every rank
-//! owns a partition, reduces it across all exposed input buffers, and all
-//! ranks copy the assembled result.
+//! owns a partition, reduces it once across all exposed inputs straight into
+//! its own output, and pushes each finished piece into every peer's exposed
+//! output — nothing staged, nothing copied out, only the closing barrier.
 //!
 //! All operations are SPMD: every rank of the node must call them in the
 //! same order with consistent arguments. They follow the node's one op
@@ -35,6 +36,14 @@ use bgp_shmem::SharedRegion;
 
 use crate::cluster::sum_regions;
 use crate::runtime::{RankCtx, FIFO_SLOT_BYTES, STAGING_HALF_BYTES};
+
+/// Pipeline piece of [`RankCtx::allreduce_f64`]: an owner reduces this many
+/// bytes of its partition, then pushes them into every peer's output.
+pub const PUSH_PIECE_BYTES: usize = 16 * 1024;
+
+/// Why both node allreduces refuse `input == output`: the result lands in
+/// the outputs, so an owner would overwrite its own input before adding it.
+pub(crate) const IN_PLACE: &str = "allreduce_f64 cannot run in place: input == output";
 
 /// One Bcast-FIFO slot: payload plus the metadata the paper stores alongside
 /// it ("the number of data bytes copied into the slot and the connection id
@@ -244,9 +253,14 @@ impl RankCtx {
     }
 
     /// Intra-node allreduce (sum) over `count` doubles: the §V-C local
-    /// decomposition. Every rank exposes `input`, owns one contiguous
-    /// partition, reduces it across all ranks' inputs, publishes, and then
-    /// assembles the full result into its own `output`.
+    /// decomposition, each result byte written once. Every rank exposes
+    /// `input` and `output` and owns one contiguous partition: it reduces
+    /// the partition across all ranks' inputs straight into its own
+    /// `output` (seeded with rank 0's input, the others added in rank
+    /// order) and pushes every finished [`PUSH_PIECE_BYTES`] piece into each
+    /// peer's `output` at the same offset while the piece is still in
+    /// cache. Nothing is allocated or copied out, and the closing barrier
+    /// is the only wait. `input` and `output` must be distinct regions.
     pub fn allreduce_f64(
         &mut self,
         input: &Arc<SharedRegion>,
@@ -255,40 +269,32 @@ impl RankCtx {
     ) {
         assert!(input.len() >= count * 8, "input shorter than count");
         assert!(output.len() >= count * 8, "output shorter than count");
-        let [in_tag, res_tag] = self.next_op();
+        assert!(!Arc::ptr_eq(input, output), "{IN_PLACE}");
+        let [in_tag, out_tag] = self.next_op();
         let (me, n) = (self.rank(), self.n_ranks());
-        // Rank r's partition: bytes [part(r), part(r + 1)).
-        let part = |r: usize| r * count / n * 8;
-        let part_len = |r: usize| part(r + 1) - part(r);
+        let (lo, hi) = (me * count / n * 8, (me + 1) * count / n * 8);
 
         self.expose(in_tag, input.clone());
-        if me == 0 {
-            let result = self.alloc_buffer(count * 8);
-            self.expose(res_tag, result);
-        }
+        self.expose(out_tag, output.clone());
         let inputs: Vec<Arc<SharedRegion>> = (0..n).map(|r| self.map_cached(r, in_tag)).collect();
-        let result = self.map_cached(0, res_tag);
+        // The rendezvous: a peer exposes its output under this op's tag
+        // only once it has entered the op, i.e. is done with the last one.
+        let peers: Vec<Arc<SharedRegion>> = (0..n)
+            .filter(|&r| r != me)
+            .map(|r| self.map_cached(r, out_tag))
+            .collect();
 
-        // Reduce my partition straight into the exposed result, in one
-        // piece, and publish it.
-        let (lo, hi) = (part(me), part(me + 1));
-        // SAFETY: this rank is the unique writer of its partition of
-        // `result`, which peers read only after the publish; all inputs
-        // were written before the collective and are distinct regions from
-        // `result`.
+        let mut at = lo;
+        // SAFETY: this rank is the only writer of its partition of every
+        // output, its own included, and reads back only what it wrote; the
+        // inputs were written before the collective and none is an output.
         unsafe {
-            sum_regions(&result, lo, &inputs, lo, hi, part_len(me).max(1), |len| {
-                self.publish(len)
+            sum_regions(output, lo, &inputs, lo, hi, PUSH_PIECE_BYTES, |len| {
+                peers.iter().for_each(|p| p.copy_from(at, output, at, len));
+                at += len;
             })
         };
-
-        // Wait for every partition, then copy the full result out.
-        for r in 0..n {
-            self.wait_msg(r, part_len(r));
-        }
-        // SAFETY: all partition writers published before our acquires above.
-        unsafe { output.copy_from(0, &result, 0, count * 8) };
-        self.close_op(part_len);
+        self.close_op(|_| 0);
     }
 
     /// Intra-node gather: every rank's `len`-byte block lands in `root`'s
@@ -348,11 +354,8 @@ impl RankCtx {
 mod tests {
     use super::*;
     use crate::cluster::Cluster;
-    use crate::runtime::on_node;
+    use crate::runtime::{on_node, refusal};
     use bgp_shmem::testing::stress_iters;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::mpsc;
-    use std::time::Duration;
 
     fn pattern(len: usize, salt: u8) -> Vec<u8> {
         (0..len).map(|i| (i as u8) ^ salt).collect()
@@ -705,6 +708,77 @@ mod tests {
         }
     }
 
+    /// A value whose sums round, so a changed summation order shows.
+    fn inexact(rank: usize, i: usize) -> f64 {
+        (i as f64 + 0.1) / (rank as f64 + 3.0) + (rank * 7919 % 13) as f64 * 1e-3
+    }
+
+    /// Every rank's output equals, bit for bit, the serial fold in rank
+    /// order (seed rank 0, add 1..n) — including partitions of several
+    /// pipeline pieces and a ragged tail.
+    #[test]
+    fn allreduce_equals_a_serial_fold_in_rank_order_bit_for_bit() {
+        let pieces = PUSH_PIECE_BYTES / 8;
+        for n in [1usize, 2, 3, 4] {
+            for count in [0, 1, n - 1, 1023, n * (3 * pieces + 5) + n - 1] {
+                let results = on_node(n, move |ctx| {
+                    let me = ctx.rank();
+                    let input = ctx.alloc_buffer((count * 8).max(1));
+                    let output = ctx.alloc_buffer((count * 8).max(1));
+                    let vals: Vec<f64> = (0..count).map(|i| inexact(me, i)).collect();
+                    write_f64s(&input, 0, &vals);
+                    ctx.allreduce_f64(&input, &output, count);
+                    read_f64s(&output, 0, count)
+                });
+                for (rank, got) in results.iter().enumerate() {
+                    for (i, g) in got.iter().enumerate() {
+                        let e = (1..n).fold(inexact(0, i), |s, r| s + inexact(r, i));
+                        assert_eq!(
+                            g.to_bits(),
+                            e.to_bits(),
+                            "n={n} rank={rank} count={count} elem {i}: {g} vs {e}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The rendezvous: after op k returns, each rank re-reads its output
+    /// and must find op k's sums while its peer races into op k + 1 with
+    /// other inputs. A peer reads an input and writes an output only once
+    /// it mapped them under op k + 1's tags, i.e. once their owner entered
+    /// op k + 1.
+    #[test]
+    fn a_returned_result_is_never_overwritten_by_the_next_op() {
+        const ITERS: usize = 1000;
+        let count = 2 * PUSH_PIECE_BYTES / 8 + 3;
+        let wrong = on_node(2, move |ctx| {
+            let me = ctx.rank();
+            let input = ctx.alloc_buffer(count * 8);
+            let output = ctx.alloc_buffer(count * 8);
+            let mut got = vec![0.0; count];
+            let mut wrong = 0;
+            for k in 0..ITERS {
+                write_f64s(&input, 0, &vec![(2 * k + me) as f64; count]);
+                ctx.allreduce_f64(&input, &output, count);
+                read_f64s_into(&output, 0, &mut got);
+                wrong += got.iter().filter(|&&v| v != (4 * k + 1) as f64).count();
+            }
+            wrong
+        });
+        assert_eq!(wrong, vec![0, 0], "elements overwritten after return");
+    }
+
+    #[test]
+    fn allreduce_refuses_to_run_in_place() {
+        let msg = refusal(1, 2, |c| {
+            let buf = c.intra().alloc_buffer(64);
+            c.intra().allreduce_f64(&buf, &buf, 8)
+        });
+        assert!(msg.contains(IN_PLACE), "{msg}");
+    }
+
     /// Regression (stale window): op 1 withdraws its windows only after its
     /// closing barrier, and op 2 has no start barrier, so op 2's peers can
     /// look a window up while op 1's are still exposed. When `bcast_shaddr`
@@ -771,27 +845,14 @@ mod tests {
         }
     }
 
-    /// Run `op` with root 2 on a 1 x 2 cluster under a 5 s deadline: every
-    /// rank must panic on the root before any effect, so `Cluster::run`
-    /// reports it; nothing may wait for a producer that does not exist.
+    /// Run `op` with root 2 on a 1 x 2 cluster: every rank must panic on
+    /// the root before any effect, so `Cluster::run` reports it; nothing may
+    /// wait for a producer that does not exist.
     fn out_of_range_root_panics(op: fn(&mut RankCtx, usize, &Arc<SharedRegion>)) {
-        let (tx, rx) = mpsc::channel();
-        let helper = std::thread::spawn(move || {
-            let cluster = Cluster::new(1, 2);
-            let run = catch_unwind(AssertUnwindSafe(|| {
-                cluster.run(move |c| {
-                    let buf = c.intra().alloc_buffer(4 * 64);
-                    op(c.intra(), 2, &buf)
-                })
-            }));
-            let panic = run.expect_err("an out-of-range root must panic");
-            let _ = tx.send(panic.downcast_ref::<String>().cloned().unwrap_or_default());
+        let msg = refusal(1, 2, move |c| {
+            let buf = c.intra().alloc_buffer(4 * 64);
+            op(c.intra(), 2, &buf)
         });
-        let msg = rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("a rank hung waiting for a root that does not exist");
-        helper.join().expect("the helper thread finished cleanly");
-        assert!(msg.starts_with("rank thread panicked"), "{msg}");
         assert!(
             msg.contains("root 2 out of range for a node of 2 ranks"),
             "{msg}"

@@ -187,6 +187,7 @@ impl ClusterCtx {
         if m > 1 {
             let mut local = RegionLocal {
                 bufs: from_ref(acc),
+                offs: &[0],
                 ready,
                 landed: |_, off, len| publish_result(ctx, prefix.land(off / seg, len)),
             };
@@ -241,6 +242,7 @@ impl ClusterCtx {
                 let mut prefix = wire::Prefix::new(bytes, chunk);
                 let mut local = RegionLocal {
                     bufs: from_ref(&op.acc),
+                    offs: &[0],
                     ready: |_, off, len| {
                         let (r, need) = reducer(off, len);
                         !fused || ctx.aux_counter(r).read() - op.pbase[r] >= need
@@ -304,6 +306,7 @@ impl ClusterCtx {
                     // extends the result stream directly.
                     let mut local = RegionLocal {
                         bufs: from_ref(&op.acc),
+                        offs: &[0],
                         ready: |_, _, _| true,
                         landed: |_, _, len| publish_result(ctx, len),
                     };

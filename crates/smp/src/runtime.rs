@@ -554,6 +554,31 @@ pub(crate) fn on_node<R: Send + 'static>(
         .remove(0)
 }
 
+/// Run `body` once on an `m` x `n` cluster under a 5 s deadline and return
+/// the panic `Cluster::run` reported: every rank must refuse before any
+/// effect, so nothing waits for a peer that never comes.
+#[cfg(test)]
+pub(crate) fn refusal(
+    m: usize,
+    n: usize,
+    body: impl Fn(&mut crate::ClusterCtx) + Send + Sync + 'static,
+) -> String {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let (tx, rx) = std::sync::mpsc::channel();
+    let helper = std::thread::spawn(move || {
+        let cluster = crate::Cluster::new(m, n);
+        let run = catch_unwind(AssertUnwindSafe(|| cluster.run(body)));
+        let panic = run.expect_err("the op must be refused");
+        let _ = tx.send(panic.downcast_ref::<String>().cloned().unwrap_or_default());
+    });
+    let msg = rx
+        .recv_timeout(std::time::Duration::from_secs(5))
+        .expect("a rank hung instead of refusing the op");
+    helper.join().expect("the helper thread finished cleanly");
+    assert!(msg.starts_with("rank thread panicked"), "{msg}");
+    msg
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,0 +1,114 @@
+//! Allocation budget of the blocking node allreduces at steady state.
+//!
+//! A counting global allocator (std only) sums the bytes every thread
+//! allocates while the ranks loop 4 MiB allreduces after a warm-up. Each
+//! result byte is written straight into the callers' outputs, so an op may
+//! allocate its small bookkeeping (the `Vec`s of mapped windows) but never a
+//! result-sized region.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+
+use bgp_collectives::shmem::SharedRegion;
+use bgp_collectives::smp::{Cluster, ClusterCtx, SenseBarrier};
+
+/// Bytes handed out by the allocator since the process started.
+static ALLOCATED: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to the system allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATED.fetch_add(new_size as u64, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// 4 MiB of doubles.
+const COUNT: usize = 512 << 10;
+/// Ops before the count starts (window caches and registry tables grown).
+const WARM: usize = 2;
+/// Ops counted.
+const OPS: u64 = 8;
+/// The per-op budget: bookkeeping only.
+const BUDGET: u64 = 4 << 10;
+
+/// The allocator is process-wide, so the tests of this binary take turns.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+type Allreduce = fn(&mut ClusterCtx, &Arc<SharedRegion>, &Arc<SharedRegion>, usize);
+
+/// Bytes allocated by all threads per steady-state `op` on an `m` x `n`
+/// cluster.
+fn bytes_per_op(m: usize, n: usize, op: Allreduce) -> u64 {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let cluster = Cluster::new(m, n);
+    let bar = Arc::new(SenseBarrier::new(m * n));
+    let counted = cluster.run(move |c| {
+        let mut tok = bar.token();
+        let input = c.intra().alloc_buffer(COUNT * 8);
+        let output = c.intra().alloc_buffer(COUNT * 8);
+        for _ in 0..WARM {
+            op(c, &input, &output, COUNT);
+        }
+        let first = c.global_rank() == 0;
+        bar.wait(&mut tok);
+        let before = ALLOCATED.load(Ordering::Relaxed);
+        bar.wait(&mut tok);
+        for _ in 0..OPS {
+            op(c, &input, &output, COUNT);
+        }
+        bar.wait(&mut tok);
+        let after = ALLOCATED.load(Ordering::Relaxed);
+        first.then_some(after - before)
+    });
+    counted.into_iter().flatten().flatten().sum::<u64>() / OPS
+}
+
+fn assert_within_budget(what: &str, m: usize, n: usize, op: Allreduce) {
+    let per_op = bytes_per_op(m, n, op);
+    assert!(
+        per_op < BUDGET,
+        "{what} on {m}x{n} allocates {per_op} B per 4 MiB op (budget {BUDGET} B)"
+    );
+}
+
+#[test]
+fn rank_allreduce_allocates_no_result_region() {
+    assert_within_budget("RankCtx::allreduce_f64", 1, 2, |c, i, o, n| {
+        c.intra().allreduce_f64(i, o, n)
+    });
+}
+
+#[test]
+fn cluster_allreduce_allocates_no_colour_buffer_across_one_rank_nodes() {
+    assert_within_budget("ClusterCtx::allreduce_f64", 2, 1, |c, i, o, n| {
+        c.allreduce_f64(i, o, n)
+    });
+}
+
+#[test]
+fn cluster_allreduce_allocates_no_colour_buffer_across_two_rank_nodes() {
+    assert_within_budget("ClusterCtx::allreduce_f64", 2, 2, |c, i, o, n| {
+        c.allreduce_f64(i, o, n)
+    });
+}
