@@ -2,8 +2,9 @@
 # CI gate: the one-file rule for link sends, every bin/bench target the
 # docs name resolving to a source file, formatting, lints, the tier-1
 # verify (release build + every member's unit, integration and doc tests),
-# an offline build of benchmark/ against the workspace, a bounded soak of
-# the formerly livelocking service test, the bgp-check model-checking
+# an offline build of benchmark/ against the workspace, bounded soaks of
+# the formerly livelocking service test and of the scheduler-stash
+# regression, the bgp-check model-checking
 # suites, a smoke run
 # of a figure binary checking that its JSON report and its --trace probe
 # artifacts parse, the performance-regression gate (bench_gate) against the
@@ -94,20 +95,42 @@ BGP_STRESS_FULL=1 cargo test -q
 echo "== benchmark/ builds offline against the workspace crates"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
+# The path of built integration-test binary $1 (cargo test args follow).
+built_test() {
+  local name="$1"
+  shift
+  cargo test "$@" --test "$name" --no-run --message-format=json 2>/dev/null |
+    python3 -c 'import json, sys
+for line in sys.stdin:
+    m = json.loads(line)
+    if m.get("reason") == "compiler-artifact" and m["target"]["name"] == sys.argv[1] and m.get("executable"):
+        print(m["executable"])' "$name"
+}
+
 # Bounded soak of the test that used to livelock in ~1 % of debug runs (the
 # engine retired a broadcast's counters before a late root had looked them
 # up): the built tests/svc.rs binary, 200 times, each under a timeout — a
 # reintroduced wait of that class costs CI a minute, not forever.
 echo "== soak: tests/svc.rs x 200 (timeout 60 s each)"
-svc_bin="$(cargo test --test svc --no-run --message-format=json 2>/dev/null |
-  python3 -c 'import json, sys
-for line in sys.stdin:
-    m = json.loads(line)
-    if m.get("reason") == "compiler-artifact" and m["target"]["name"] == "svc" and m.get("executable"):
-        print(m["executable"])')"
+svc_bin="$(built_test svc)"
 for i in $(seq 1 200); do
   timeout 60 "$svc_bin" -q >/dev/null || {
     echo "tests/svc.rs failed or hung on soak run $i" >&2
+    exit 1
+  }
+done
+
+# Bounded soak of the scheduler-stash regression: its two wait-then-post
+# cases wedged 8 of 10 and 10 of 10 runs under the old eviction cap, and
+# how often a run parks anything at all depends on thread timing, so one
+# green run proves little. 50 runs of the built binary (~30-40 s in all on
+# 2 cores), each under a timeout; the cases' own 20 s deadline reports a
+# wedge first.
+echo "== soak: crates/sched/tests/stash.rs wait-then-post cases x 50 (timeout 30 s each)"
+stash_bin="$(built_test stash -p bgp-sched)"
+for i in $(seq 1 50); do
+  timeout 30 "$stash_bin" -q posted_after_a_wait >/dev/null || {
+    echo "crates/sched/tests/stash.rs failed or hung on soak run $i" >&2
     exit 1
   }
 done

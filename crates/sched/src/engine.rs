@@ -14,7 +14,8 @@
 //!   The high bit keeps sched tags disjoint from the blocking collectives'.
 //! * counter-bank keys: `(op << 8) | stream` — reception bytes, net-done,
 //!   member-done, result bytes, and one contribution stream per member.
-//! * link tags: [`optag::pack`]`(op, kind, chunk)`.
+//! * link tags: [`tag::pack`]`(op, kind, chunk)` — the one layout every
+//!   link uses, with the op id in its stream field.
 //!
 //! ## Protocols
 //!
@@ -81,7 +82,10 @@
 //! possibly across a job boundary) are parked in the node's stash
 //! ([`NodeShared::sched_stash`]) and replayed, in arrival order, once the
 //! post happens — a replayed chunk and one on a slot loan enter a stepper
-//! the same way.
+//! the same way. The stash keeps every chunk it parks, and the engine keeps
+//! draining the link into it: a node that stopped draining would strand the
+//! chunks of an op it has posted behind those of one it has not, and a
+//! dropped chunk would wedge its op ([`SchedStash`](bgp_smp::SchedStash)).
 //!
 //! A request completes when the rank's member record is finished **and**,
 //! on the engine rank, the op's network flow on this node is too: all its
@@ -96,9 +100,9 @@ use std::sync::Arc;
 
 use bgp_shmem::{spin, MessageCounter, SharedRegion};
 use bgp_smp::cluster::sum_regions;
-use bgp_smp::transport::{optag, ChunkChannel, Fabric, RingDir};
+use bgp_smp::transport::{ChunkChannel, Fabric, RingDir};
 use bgp_smp::wire::{
-    plan_allgather, Kind, Local, PlanCursor, Prefix, RingFlow, RingPlan, Stepper, TreeFeed,
+    plan_allgather, tag, Kind, Local, PlanCursor, Prefix, RingFlow, RingPlan, Stepper, TreeFeed,
 };
 use bgp_smp::{ClusterCtx, NodeShared};
 
@@ -135,6 +139,15 @@ pub const MAX_GROUP_RANKS: usize = COUNTER_KEY_BUDGET - RESERVED_COUNTER_KEYS;
 
 fn bank_key(op: u64, sub: u64) -> u64 {
     (op << 8) | sub
+}
+
+/// The one op-size limit, shared by the engine posts and the server
+/// submissions: [`SchedError::TooLarge`] unless a `bytes`-byte stream of
+/// `chunk`-byte chunks numbers its chunks within a link [`tag`].
+pub(crate) fn check_size(bytes: usize, chunk: usize) -> Result<(), SchedError> {
+    tag::fits(bytes, chunk)
+        .then_some(())
+        .ok_or(SchedError::TooLarge)
 }
 
 /// Validate a group's *shape* — the checks that depend only on the group
@@ -391,9 +404,9 @@ impl NetBcast {
     /// port, then publish net-done once nothing is owed.
     fn pump(&mut self, op: u64, outs: &[&ChunkChannel]) {
         if let Some(buf) = self.buf.as_ref() {
-            let tag = |k| optag::pack(op, optag::KIND_DATA, k);
+            let data = |k| tag::pack(op, Kind::Data, k);
             // SAFETY: `feed` only asks for bytes below `valid`.
-            (self.feed).pump(outs, self.valid, tag, |off, d| unsafe { buf.read(off, d) });
+            (self.feed).pump(outs, self.valid, data, |off, d| unsafe { buf.read(off, d) });
         }
         // Everything being out implies everything was received.
         if !self.netdone_published && self.feed.flushed() == self.len {
@@ -574,7 +587,7 @@ impl NetRing {
     }
 
     fn pump(&mut self, op: u64, out: Option<&ChunkChannel>) {
-        let pack = |_, kind, k| optag::pack(op, optag::of_ring(kind), k);
+        let pack = |_, kind, k| tag::pack(op, kind, k);
         match (self.step.as_mut(), out) {
             (Some(Step::Flow(f)), Some(out)) => f.pump(out, &mut self.acc, &pack),
             (Some(Step::Plan(c)), Some(out)) => c.pump(out, &mut self.acc, &pack),
@@ -591,7 +604,7 @@ impl NetRing {
     }
 
     fn accept(&mut self, op: u64, kind: Kind, k: usize, bytes: &[u8], out: &ChunkChannel) {
-        let pack = |_, kind, k| optag::pack(op, optag::of_ring(kind), k);
+        let pack = |_, kind, k| tag::pack(op, kind, k);
         match self.step.as_mut().expect("chunks arrive over a ring") {
             Step::Flow(f) => f.accept(kind, k, bytes, out, &mut self.acc, &pack),
             Step::Plan(c) => c.accept(kind, k, bytes, out, &mut self.acc, &pack),
@@ -623,25 +636,22 @@ impl NetOp {
         }
     }
 
-    /// Can the next chunk for this op, of tag kind `kind`, be consumed
-    /// right now? Consuming is only allowed after this returns true.
-    fn can_accept(&self, kind: u64, fabric: &Fabric, node: usize) -> bool {
+    /// Can the next chunk for this op, of `kind`, be consumed right now?
+    /// Consuming is only allowed after this returns true.
+    fn can_accept(&self, kind: Kind, fabric: &Fabric, node: usize) -> bool {
         match &self.net {
             // Broadcast data lands in the preallocated stage: always.
             Net::Bcast(_) => true,
-            Net::Ring(r) => r.can_accept(optag::ring_kind(kind), fabric.ring_send(node, r.dir)),
+            Net::Ring(r) => r.can_accept(kind, fabric.ring_send(node, r.dir)),
         }
     }
 
-    /// Consume one chunk. Must be guarded by [`Self::can_accept`].
-    fn accept(&mut self, tag: u64, bytes: &[u8], fabric: &Fabric, node: usize) {
-        let (op, kind, k) = optag::unpack(tag);
+    /// Consume the chunk tagged `t`. Must be guarded by [`Self::can_accept`].
+    fn accept(&mut self, t: u64, bytes: &[u8], fabric: &Fabric, node: usize) {
+        let (op, kind, k) = tag::unpack(t);
         match &mut self.net {
             Net::Bcast(b) => b.accept(k, bytes, fabric.chunk_bytes()),
-            Net::Ring(r) => {
-                let out = fabric.ring_send(node, r.dir);
-                r.accept(op, optag::ring_kind(kind), k, bytes, out)
-            }
+            Net::Ring(r) => r.accept(op, kind, k, bytes, fabric.ring_send(node, r.dir)),
         }
     }
 
@@ -786,13 +796,12 @@ impl Engine {
         {
             let mut stash = shared.sched_stash().lock();
             for (op, netop) in self.ops.iter_mut() {
-                while let Some(tag) = stash.front_tag(*op) {
-                    let kind = optag::unpack(tag).1;
-                    if !netop.can_accept(kind, &fabric, node) {
+                while let Some(t) = stash.front_tag(*op) {
+                    if !netop.can_accept(tag::unpack(t).1, &fabric, node) {
                         break;
                     }
                     let (_, bytes) = stash.pop_front(*op).expect("front_tag was Some");
-                    netop.accept(tag, &bytes, &fabric, node);
+                    netop.accept(t, &bytes, &fabric, node);
                 }
             }
             stashed_ops.extend(stash.parked_ops());
@@ -806,21 +815,16 @@ impl Engine {
             ports.dedup_by_key(|c| *c as *const ChunkChannel as usize);
         }
         for port in ports {
-            while let Some(tag) = port.peek_tag() {
-                let (op, kind, _) = optag::unpack(tag);
+            while let Some(t) = port.peek_tag() {
+                let (op, kind, _) = tag::unpack(t);
                 if !self.ops.contains_key(&op) || stashed_ops.contains(&op) {
                     // Not posted here yet (or already queuing behind such
                     // chunks): park it and keep the link draining. Parking
                     // outlives the slot loan, so `park` copies the bytes —
                     // the one owned copy left on the engine's receive path;
-                    // every in-order arrival is consumed in place. The
-                    // stash is bounded: a flooding or bogus op id gets its
-                    // queue evicted (counted in `StashStats`) and the slot
-                    // is retired either way so the link cannot wedge.
+                    // every in-order arrival is consumed in place.
                     let mut stash = shared.sched_stash().lock();
-                    port.recv_with(|t, b| {
-                        let _ = stash.park(op, t, b);
-                    });
+                    port.recv_with(|t, b| stash.park(op, t, b));
                     stashed_ops.insert(op);
                     continue;
                 }
@@ -830,7 +834,7 @@ impl Engine {
                     // or downstream room.
                     break;
                 }
-                port.recv_with(|_, bytes| netop.accept(tag, bytes, &fabric, node));
+                port.recv_with(|_, bytes| netop.accept(t, bytes, &fabric, node));
             }
         }
 
@@ -931,21 +935,22 @@ impl Sched {
         }
     }
 
-    /// The skeleton every post shares, after its group checks. Membership
-    /// against the buffers supplied, their sizes (`bufs` pairs each with the
-    /// bytes it must hold), aliasing, the tag's chunk-sequence range and the
-    /// overlap guard are checked before any side effect; then the op gets
-    /// its id, a member its record from `member(self, op, index in group)`,
-    /// and the engine its half from `register`. An operation of zero
-    /// `chunks` is complete at post.
+    /// The skeleton every post shares, after its group checks. The op-size
+    /// limit on its widest tagged `stream` of bytes, membership against the
+    /// buffers supplied, their sizes (`bufs` pairs each with the bytes it
+    /// must hold), aliasing and the overlap guard are checked before any
+    /// side effect; then the op gets its id, a member its record from
+    /// `member(self, op, index in group)`, and the engine its half from
+    /// `register`. An operation of an empty stream is complete at post.
     fn post(
         &mut self,
         group: &[usize],
         bufs: &[(Option<&Arc<SharedRegion>>, usize)],
-        chunks: usize,
+        stream: usize,
         member: impl FnOnce(&Sched, u64, usize) -> Member,
         register: impl FnOnce(&mut Engine, u64),
     ) -> Result<Request, SchedError> {
+        check_size(stream, self.chunk)?;
         let me = group.binary_search(&self.rank).ok();
         if me.is_some() && bufs.iter().any(|(b, _)| b.is_none()) {
             return Err(SchedError::BufferMissing);
@@ -966,10 +971,7 @@ impl Sched {
         if ptrs.len() == 2 && ptrs[0] == ptrs[1] {
             return Err(SchedError::BufferAliased);
         }
-        if chunks >= 1 << 24 {
-            return Err(SchedError::TooLarge);
-        }
-        if chunks > 0 {
+        if stream > 0 {
             if let Some(&op) = ptrs.iter().find_map(|p| self.active_bufs.get(p)) {
                 return Err(SchedError::BufferBusy { op });
             }
@@ -981,7 +983,7 @@ impl Sched {
             self.issued.start = op;
         }
         self.issued.end = op + 1;
-        if chunks == 0 {
+        if stream == 0 {
             return Ok(Request { op });
         }
         self.active_bufs.extend(ptrs.into_iter().map(|p| (p, op)));
@@ -1058,8 +1060,7 @@ impl Sched {
                 }
             }
         };
-        let chunks = len.div_ceil(self.chunk);
-        self.post(group, &[(buf, len)], chunks, member, |engine, op| {
+        self.post(group, &[(buf, len)], len, member, |engine, op| {
             engine.register_bcast(op, group.len(), root_node, root_rank, len)
         })
     }
@@ -1108,7 +1109,7 @@ impl Sched {
         scatter: bool,
     ) -> Result<Request, SchedError> {
         validate_group_shape(group, self.n)?;
-        let (g, m, bytes) = (group.len(), self.m, count * 8);
+        let (g, m, bytes, chunk) = (group.len(), self.m, count * 8, self.chunk);
         // The member's result span: the whole message for allreduce, its
         // global-member-index slice for reduce-scatter.
         let span = match group.binary_search(&self.rank) {
@@ -1118,8 +1119,6 @@ impl Sched {
             }
             _ => 0..bytes,
         };
-        // Ring chunks hold whole f64 lanes.
-        let chunk = (self.chunk / 8 * 8).max(8);
         let out_len = span.len();
         let member = |s: &Sched, op, i| {
             let input = input.expect("a member has an input").clone();
@@ -1170,7 +1169,7 @@ impl Sched {
         self.post(
             group,
             &[(input, bytes), (output, out_len)],
-            bytes.div_ceil(chunk),
+            bytes,
             member,
             |engine, op| {
                 engine.register_ring(op, g, bytes, Layout::Sum { chunk }, |pos| {
@@ -1235,11 +1234,10 @@ impl Sched {
                 Step::Plan(PlanCursor::new(plan_allgather(m, pos, sb, chunk)))
             })
         };
-        let chunks = sb.div_ceil(chunk);
         self.post(
             group,
             &[(input, len), (output, total)],
-            chunks,
+            sb,
             member,
             register,
         )
@@ -1379,6 +1377,46 @@ mod tests {
             )
         });
         assert!(left.iter().flatten().all(|&l| l == (0, 0, 0)), "{left:?}");
+    }
+
+    /// The one op-size limit at its boundary: a stream of one chunk less
+    /// than a link tag can number is accepted, the limit is not.
+    #[test]
+    fn check_size_accepts_one_chunk_under_the_limit_and_refuses_the_limit() {
+        for chunk in [8, 16 * 1024] {
+            assert_eq!(check_size((tag::CHUNK_LIMIT - 1) * chunk, chunk), Ok(()));
+            let at = check_size(tag::CHUNK_LIMIT * chunk, chunk);
+            assert_eq!(at, Err(SchedError::TooLarge));
+        }
+    }
+
+    /// Every post at the limit is `TooLarge` on every rank, before the
+    /// buffer lengths are looked at (the buffers here are 8 bytes) and
+    /// without consuming an op id.
+    #[test]
+    fn posts_at_the_limit_are_too_large_and_consume_no_op_id() {
+        let cluster = Cluster::with_geometry(2, 2, 8, 2);
+        let out = cluster.run(|cctx| {
+            let (a, b) = (
+                Arc::new(SharedRegion::new(8)),
+                Arc::new(SharedRegion::new(8)),
+            );
+            let limit = tag::CHUNK_LIMIT * 8;
+            let mut sched = Sched::new(cctx);
+            let refused = [
+                sched.ibcast(&[0, 1], 0, 0, Some(&a), limit),
+                sched.iallreduce(&[0, 1], Some(&a), Some(&b), limit / 8),
+                sched.ireduce_scatter(&[0, 1], Some(&a), Some(&b), limit / 8),
+                sched.iallgather(&[0, 1], Some(&a), Some(&b), limit / 2),
+            ];
+            let next = sched.ibcast(&[0, 1], 0, 0, Some(&a), 8).unwrap();
+            sched.wait(next);
+            (refused.map(|r| r.unwrap_err()), next.op_id())
+        });
+        for (refused, next) in out.into_iter().flatten() {
+            assert_eq!(refused, [(); 4].map(|_| SchedError::TooLarge));
+            assert_eq!(next, 0, "a refused post consumed an op id");
+        }
     }
 
     #[test]

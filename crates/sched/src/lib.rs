@@ -8,10 +8,14 @@
 //! handle, and a per-node **progress engine** (run by rank 0 of each node,
 //! the network core of the paper's core-specialization scheme) multiplexes
 //! every in-flight operation over the shared [`bgp_smp::transport`] fabric.
-//! Chunks carry [`bgp_smp::transport::optag`] tags — op id, kind, sequence —
-//! so a consumer can dispatch any arriving chunk to the right operation
-//! without consuming it, and chunks of operations a slower node has not
-//! posted yet are parked in a node-level stash until the post arrives.
+//! Chunks carry the one [`bgp_smp::wire::tag`] layout with the op id in its
+//! stream field, so a consumer can dispatch any arriving chunk to the right
+//! operation without consuming it, and chunks of operations a slower node
+//! has not posted yet are parked in a node-level stash until the post
+//! arrives. The stash keeps every chunk it parks: dropping one wedges its
+//! op, and refusing to drain the link strands chunks of a posted op behind
+//! those of an unposted one, while what is parked is bounded anyway by the
+//! buffers the node allocates when it posts those ops.
 //!
 //! Three layers:
 //!
@@ -63,6 +67,8 @@
 mod engine;
 mod server;
 
+use bgp_smp::wire::tag::CHUNK_LIMIT;
+
 pub use engine::{
     validate_group_shape, Request, Sched, COUNTER_KEY_BUDGET, MAX_GROUP_RANKS,
     RESERVED_COUNTER_KEYS,
@@ -105,7 +111,8 @@ pub enum SchedError {
     /// oversized group, the actual [`MAX_GROUP_RANKS`] limit and where it
     /// comes from.
     BadGroup(String),
-    /// The message needs more chunks than an op tag can sequence.
+    /// The op's widest stream needs more chunks than a link tag can number
+    /// (`bgp_smp::wire::tag::CHUNK_LIMIT`).
     TooLarge,
     /// `try_submit` found the tenant's queue (or the server's total
     /// admission backstop) at its bound.
@@ -137,7 +144,7 @@ impl std::fmt::Display for SchedError {
                 )
             }
             SchedError::BadGroup(why) => write!(f, "bad group: {why}"),
-            SchedError::TooLarge => write!(f, "message exceeds the op tag chunk-sequence range"),
+            SchedError::TooLarge => write!(f, "op exceeds the {CHUNK_LIMIT}-chunk link tag limit"),
             SchedError::Backpressure => write!(f, "server queue is at its admission bound"),
             SchedError::UnknownTenant => write!(f, "tenant was never registered with the server"),
             SchedError::ShuttingDown => write!(f, "server is shutting down"),

@@ -46,7 +46,7 @@ use bgp_smp::cluster::DEFAULT_CHUNK_BYTES;
 use bgp_smp::collectives::write_f64s;
 use bgp_smp::{Cluster, ClusterCtx, PendingJob};
 
-use crate::engine::validate_group_shape;
+use crate::engine::{check_size, validate_group_shape};
 use crate::{Request, Sched, SchedError};
 
 /// Monotonic-max update of `cell` via a compare-and-swap loop.
@@ -361,10 +361,9 @@ pub struct ServerStats {
     pub peak_queue_depth: u64,
     /// Total nanoseconds submissions spent queued before dispatch.
     pub wait_ns: u64,
-    /// Engine chunks dropped by the bounded scheduler stash (summed over
-    /// the cluster's nodes). Non-zero means some op flooded a node — a
-    /// bogus op id or a protocol violation — and was contained; that op
-    /// can no longer complete on the affected node.
+    /// Always 0: the engine's stash keeps every chunk it parks (see
+    /// `bgp_smp::SchedStash` for why no cap is safe). Kept only until the
+    /// `benchmark/` package stops reading it.
     pub stash_evicted: u64,
 }
 
@@ -402,7 +401,6 @@ struct StatsInner {
     rejected: AtomicU64,
     peak_queue_depth: AtomicU64,
     wait_ns: AtomicU64,
-    stash_evicted: AtomicU64,
 }
 
 #[derive(Default)]
@@ -606,7 +604,7 @@ impl CollectiveServer {
             rejected: s.rejected.load(Ordering::Relaxed),
             peak_queue_depth: s.peak_queue_depth.load(Ordering::Relaxed),
             wait_ns: s.wait_ns.load(Ordering::Relaxed),
-            stash_evicted: s.stash_evicted.load(Ordering::Relaxed),
+            stash_evicted: 0,
         }
     }
 
@@ -707,9 +705,7 @@ impl CollectiveServer {
         if group.binary_search(&root_rank).is_err() {
             return Err(SchedError::BadGroup("root rank not in group".into()));
         }
-        if payload.len().div_ceil(DEFAULT_CHUNK_BYTES) >= 1 << 24 {
-            return Err(SchedError::TooLarge);
-        }
+        check_size(payload.len(), DEFAULT_CHUNK_BYTES)?;
         let members = self.m * group.len();
         if payload.is_empty() {
             let state = Arc::new(OpState::completed(vec![Vec::new(); members]));
@@ -764,13 +760,11 @@ impl CollectiveServer {
             ));
         }
         let count = inputs[0].len();
+        check_size(count * 8, DEFAULT_CHUNK_BYTES)?;
         if inputs.iter().any(|v| v.len() != count) {
             return Err(SchedError::BadGroup(
                 "input vectors must all be the same length".into(),
             ));
-        }
-        if (count * 8).div_ceil(DEFAULT_CHUNK_BYTES) >= 1 << 24 {
-            return Err(SchedError::TooLarge);
         }
         if count == 0 {
             let state = Arc::new(OpState::completed(vec![Vec::new(); members]));
@@ -917,12 +911,6 @@ fn dispatch(m: usize, n: usize, cfg: ServerConfig, shared: Arc<ServerShared>) {
     let mut in_flight: VecDeque<PendingJob<()>> = VecDeque::new();
     let stats = &shared.stats;
     loop {
-        // Mirror the cluster's cumulative stash-eviction count into the
-        // service counters so callers see containment events without
-        // holding the cluster.
-        stats
-            .stash_evicted
-            .store(cluster.stats().stash_evicted_chunks, Ordering::Relaxed);
         // Opportunistically collect finished jobs (submission order) to
         // free pipeline slots; completion stats were already credited by
         // each op's last slot filler.
@@ -975,9 +963,6 @@ fn dispatch(m: usize, n: usize, cfg: ServerConfig, shared: Arc<ServerShared>) {
     for job in in_flight {
         cluster.collect(job);
     }
-    stats
-        .stash_evicted
-        .store(cluster.stats().stash_evicted_chunks, Ordering::Relaxed);
 }
 
 /// An in-progress fusion of consecutive same-(group, root) broadcasts.

@@ -20,7 +20,7 @@ fn server_bcast_delivers_to_every_member() {
     let stats = server.stats();
     assert_eq!(stats.submitted, 1);
     assert!(stats.batches >= 1);
-    // Well-formed traffic never trips the bounded engine stash.
+    // The engine stash drops nothing.
     assert_eq!(stats.stash_evicted, 0);
 }
 

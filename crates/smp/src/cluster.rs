@@ -53,12 +53,23 @@ use bgp_shmem::SharedRegion;
 use crate::collectives::IN_PLACE;
 use crate::runtime::{NodeShared, RankCtx};
 use crate::transport::Fabric;
-use crate::wire;
+use crate::wire::{self, tag};
 
 /// Default link chunk size (the packetization granularity).
 pub const DEFAULT_CHUNK_BYTES: usize = 16 * 1024;
 /// Default link window (chunks in flight per link before the sender blocks).
 pub const DEFAULT_WINDOW: usize = 8;
+
+/// The link geometry every cluster runtime accepts: chunks a positive
+/// multiple of 8 bytes, so f64 reductions packetize into whole lanes, and
+/// a window of at least two chunks (the cycle-tag protocol).
+pub(crate) fn check_geometry(chunk_bytes: usize, window: usize) {
+    assert!(
+        chunk_bytes >= 8 && chunk_bytes.is_multiple_of(8),
+        "chunk size must be a positive multiple of 8"
+    );
+    assert!(window >= 2, "the link window needs at least two chunks");
+}
 
 /// State shared by every rank of every node.
 struct ClusterShared {
@@ -88,13 +99,11 @@ pub struct ClusterStats {
     /// Copy-out ranks whose first copy began while the producer stream was
     /// still in flight — the §V-B overlap evidence.
     pub copyout_overlapped: u64,
-    /// Scheduler chunks parked in the bounded stash (summed over nodes).
+    /// Scheduler chunks parked in the stash (summed over nodes).
     pub stash_parked: u64,
-    /// Scheduler chunks dropped by stash eviction — non-zero means an op
-    /// flooded a node (bogus op id or protocol violation) and was contained.
+    /// Always 0: the stash keeps every chunk it parks. Kept only until the
+    /// `benchmark/` package stops reading it.
     pub stash_evicted_chunks: u64,
-    /// Distinct stash queue evictions (summed over nodes).
-    pub stash_evicted_ops: u64,
 }
 
 type Job = Box<dyn FnOnce(&mut ClusterCtx) -> Box<dyn Any + Send> + Send>;
@@ -148,11 +157,7 @@ impl Cluster {
     pub fn with_geometry(m: usize, n: usize, chunk_bytes: usize, window: usize) -> Self {
         assert!(m >= 1, "a cluster has at least one node");
         assert!(n >= 1, "a node has at least one rank");
-        assert!(
-            chunk_bytes >= 8 && chunk_bytes.is_multiple_of(8),
-            "chunk size must be a positive multiple of 8"
-        );
-        assert!(window >= 2, "the link window needs at least two chunks");
+        check_geometry(chunk_bytes, window);
         let shared = Arc::new(ClusterShared {
             m,
             n,
@@ -216,10 +221,7 @@ impl Cluster {
             let cs = node.cluster_stats();
             s.bcast_recv_ops += cs.bcast_recv_ops.load(Ordering::Relaxed);
             s.copyout_overlapped += cs.copyout_overlapped.load(Ordering::Relaxed);
-            let ss = node.sched_stash().lock().stats();
-            s.stash_parked += ss.parked;
-            s.stash_evicted_chunks += ss.evicted_chunks;
-            s.stash_evicted_ops += ss.evicted_ops;
+            s.stash_parked += node.sched_stash().lock().parked();
         }
         s
     }
@@ -398,94 +400,6 @@ impl Drop for Cluster {
     }
 }
 
-/// Chunk-tag kinds for the ring protocols (bit 63 of the tag).
-/// `pub(crate)`: [`crate::wire`] packs them for every backend.
-pub(crate) const KIND_PARTIAL: u64 = 0;
-pub(crate) const KIND_FULL: u64 = 1;
-
-/// Exclusive upper bound of the `color` field of a packed chunk tag
-/// (23 bits: tag bits 40..63).
-pub const TAG_COLOR_LIMIT: usize = 1 << 23;
-/// Exclusive upper bound of the `k` (chunk-sequence) field of a packed
-/// chunk tag (40 bits: tag bits 0..40).
-pub const TAG_CHUNK_LIMIT: usize = 1 << 40;
-
-/// Why a chunk tag could not be packed: a field would overflow its bit
-/// range and silently corrupt neighboring fields (the `kind` bit, or an
-/// adjacent color). Surfaced by [`try_pack_tag`]; the unchecked
-/// [`pack_tag`] debug-asserts the same bounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TagError {
-    /// `color` does not fit the 23-bit field ([`TAG_COLOR_LIMIT`]).
-    ColorTooLarge {
-        /// The offending color / segment id.
-        color: usize,
-    },
-    /// `k` does not fit the 40-bit field ([`TAG_CHUNK_LIMIT`]).
-    ChunkTooLarge {
-        /// The offending chunk index.
-        k: usize,
-    },
-    /// `kind` is not a single bit.
-    KindTooLarge {
-        /// The offending kind value.
-        kind: u64,
-    },
-}
-
-impl std::fmt::Display for TagError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TagError::ColorTooLarge { color } => write!(
-                f,
-                "tag color {color} exceeds the 23-bit field (limit {TAG_COLOR_LIMIT})"
-            ),
-            TagError::ChunkTooLarge { k } => write!(
-                f,
-                "tag chunk index {k} exceeds the 40-bit field (limit {TAG_CHUNK_LIMIT})"
-            ),
-            TagError::KindTooLarge { kind } => {
-                write!(f, "tag kind {kind} exceeds the single kind bit")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TagError {}
-
-/// Checked tag constructor: packs `(color, kind, k)` into the
-/// `kind:1 | color:23 | k:40` wire layout, refusing any field that would
-/// overflow into a neighbor. Collectives validate their *largest* tag with
-/// this once per operation, so the per-chunk hot path can keep using the
-/// unchecked (debug-asserted) [`pack_tag`].
-pub(crate) fn try_pack_tag(color: usize, kind: u64, k: usize) -> Result<u64, TagError> {
-    if color >= TAG_COLOR_LIMIT {
-        return Err(TagError::ColorTooLarge { color });
-    }
-    if k >= TAG_CHUNK_LIMIT {
-        return Err(TagError::ChunkTooLarge { k });
-    }
-    if kind > 1 {
-        return Err(TagError::KindTooLarge { kind });
-    }
-    Ok((kind << 63) | ((color as u64) << 40) | k as u64)
-}
-
-pub(crate) fn pack_tag(color: usize, kind: u64, k: usize) -> u64 {
-    debug_assert!(color < TAG_COLOR_LIMIT, "tag color {color} overflows");
-    debug_assert!(k < TAG_CHUNK_LIMIT, "tag chunk index {k} overflows");
-    debug_assert!(kind <= 1, "tag kind {kind} overflows");
-    (kind << 63) | ((color as u64) << 40) | k as u64
-}
-
-pub(crate) fn unpack_tag(tag: u64) -> (usize, u64, usize) {
-    (
-        ((tag >> 40) & 0x7F_FFFF) as usize,
-        tag >> 63,
-        (tag & 0xFF_FFFF_FFFF) as usize,
-    )
-}
-
 /// Iterate `(k, byte_off, chunk_len)` over a `len`-byte message in
 /// `chunk`-byte chunks.
 pub(crate) fn chunks_of(len: usize, chunk: usize) -> impl Iterator<Item = (usize, usize, usize)> {
@@ -621,6 +535,18 @@ impl ClusterCtx {
         self.shared.nodes[self.node].clone()
     }
 
+    /// The one op-size limit, checked on every rank before any effect and
+    /// before the buffer lengths: the widest stream of `bytes` bytes an op
+    /// tags must number its chunks within a link [`tag`].
+    fn check_size(&self, bytes: usize) {
+        let chunk = self.shared.fabric.chunk_bytes();
+        assert!(
+            tag::fits(bytes, chunk),
+            "a {bytes}-byte stream exceeds the link tag's limit of {} chunks of {chunk} bytes",
+            tag::CHUNK_LIMIT
+        );
+    }
+
     /// Chase cumulative counter `ctr_idx` from `base` and copy the stream
     /// `[0, len)` from `src` into `dst` (and `also`, if given) as it
     /// becomes valid. Records the overlap probe on the first wait.
@@ -694,6 +620,7 @@ impl ClusterCtx {
     /// integrated core-specialized broadcast (§V-A/V-B). SPMD: every rank
     /// of every node calls with consistent arguments.
     pub fn bcast(&mut self, root_node: usize, buf: &Arc<SharedRegion>, len: usize) {
+        self.check_size(len);
         let shared = self.shared.clone();
         let (m, n) = (shared.m, shared.n);
         assert!(root_node < m, "root node out of range");
@@ -823,6 +750,7 @@ impl ClusterCtx {
         output: &Arc<SharedRegion>,
         count: usize,
     ) {
+        self.check_size(count * 8);
         let shared = self.shared.clone();
         let (m, n) = (shared.m, shared.n);
         assert!(input.len() >= count * 8, "input shorter than count");
@@ -1061,59 +989,6 @@ mod tests {
     }
 
     #[test]
-    fn tag_fields_round_trip_at_their_boundaries() {
-        // The widest legal values in every field survive a round trip with
-        // no cross-field bleed.
-        for (color, kind, k) in [
-            (TAG_COLOR_LIMIT - 1, KIND_PARTIAL, TAG_CHUNK_LIMIT - 1),
-            (TAG_COLOR_LIMIT - 1, KIND_FULL, 0),
-            (0, KIND_FULL, TAG_CHUNK_LIMIT - 1),
-            (0, KIND_PARTIAL, 0),
-        ] {
-            let tag = try_pack_tag(color, kind, k).expect("boundary values are legal");
-            assert_eq!(unpack_tag(tag), (color, kind, k), "fields bled");
-            assert_eq!(tag, pack_tag(color, kind, k));
-        }
-    }
-
-    #[test]
-    fn overflowing_tag_fields_are_refused_not_aliased() {
-        // Pre-fix, pack_tag(1 << 23, KIND_PARTIAL, k) silently set bit 63:
-        // a partial tag aliased a *full* tag of color 0 — the satellite bug.
-        assert_eq!(
-            try_pack_tag(TAG_COLOR_LIMIT, KIND_PARTIAL, 5),
-            Err(TagError::ColorTooLarge {
-                color: TAG_COLOR_LIMIT
-            })
-        );
-        // The alias the unchecked shift would have produced:
-        let aliased = ((TAG_COLOR_LIMIT as u64) << 40) | 5;
-        assert_eq!(aliased, pack_tag(0, KIND_FULL, 5), "the alias is real");
-        // A chunk index past 40 bits would corrupt the color field.
-        assert_eq!(
-            try_pack_tag(0, KIND_PARTIAL, TAG_CHUNK_LIMIT),
-            Err(TagError::ChunkTooLarge { k: TAG_CHUNK_LIMIT })
-        );
-        assert_eq!(
-            try_pack_tag(0, 2, 0),
-            Err(TagError::KindTooLarge { kind: 2 })
-        );
-        let msg = TagError::ColorTooLarge {
-            color: TAG_COLOR_LIMIT,
-        }
-        .to_string();
-        assert!(msg.contains("23-bit"), "error names the field: {msg}");
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "tag color")]
-    fn unchecked_pack_tag_guards_color_in_debug() {
-        // Regression: the pre-fix pack_tag had no color guard at all.
-        let _ = pack_tag(TAG_COLOR_LIMIT, KIND_PARTIAL, 0);
-    }
-
-    #[test]
     fn chunks_of_zero_len_yields_nothing() {
         assert_eq!(chunks_of(0, 64).count(), 0);
         assert_eq!(chunks_of(1, 64).count(), 1);
@@ -1196,6 +1071,34 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Every blocking collective, the flat ring and the tree included,
+    /// refuses an op at the link tag's limit on every rank — before the
+    /// buffer lengths, which are 8 bytes here.
+    #[test]
+    fn collectives_at_the_op_size_limit_are_refused_on_every_rank() {
+        type Op = fn(&mut ClusterCtx, &Arc<SharedRegion>, &Arc<SharedRegion>, usize);
+        let ops: [Op; 6] = [
+            |c, a, _, limit| c.bcast(0, a, limit),
+            |c, a, b, limit| c.allreduce_f64(a, b, limit / 8),
+            |c, a, b, limit| c.allreduce_f64_node_aware(a, b, limit / 8),
+            |c, a, b, limit| c.reduce_scatter_f64(a, b, limit / 8),
+            // Two ranks' blocks make one node's segment.
+            |c, a, b, limit| c.allgather(a, b, limit / 2),
+            // Two by two ranks' blocks make one node pair's payload.
+            |c, a, b, limit| c.alltoall(a, b, limit / 4),
+        ];
+        for op in ops {
+            let msg = crate::runtime::refusal(2, 2, move |c| {
+                let (a, b) = (c.intra().alloc_buffer(8), c.intra().alloc_buffer(8));
+                op(c, &a, &b, tag::CHUNK_LIMIT * DEFAULT_CHUNK_BYTES)
+            });
+            assert!(
+                msg.contains(&format!("limit of {} chunks", tag::CHUNK_LIMIT)),
+                "{msg}"
+            );
         }
     }
 

@@ -42,9 +42,5 @@ pub mod wire;
 pub mod proc;
 
 pub use barrier::SenseBarrier;
-pub use cluster::{
-    Cluster, ClusterCtx, ClusterStats, PendingJob, TagError, TAG_CHUNK_LIMIT, TAG_COLOR_LIMIT,
-};
-pub use runtime::{
-    NodeShared, RankCtx, SchedStash, StashEviction, StashStats, STASH_PER_OP_CAP, STASH_TOTAL_CAP,
-};
+pub use cluster::{Cluster, ClusterCtx, ClusterStats, PendingJob};
+pub use runtime::{NodeShared, RankCtx, SchedStash};

@@ -47,9 +47,9 @@
 //! are still reducing; the non-fused variant waits for the whole intra
 //! stage first.
 //!
-//! Tags ride the same `kind:1 | color:23 | k:40` namespace as the flat
-//! ring (`color` carries the segment / origin id); each collective
-//! validates its widest tag once per op with [`try_pack_tag`].
+//! Chunks carry the one [`wire::tag`] layout with the plan's segment in
+//! the stream field (origin·m + destination for `alltoall`); each
+//! collective checks its widest segment against the op-size limit at entry.
 
 use super::*;
 use std::slice::from_ref;
@@ -202,6 +202,7 @@ impl ClusterCtx {
         count: usize,
         fused: bool,
     ) {
+        self.check_size(count * 8);
         let (m, n) = (self.shared.m, self.shared.n);
         assert!(input.len() >= count * 8, "input shorter than count");
         assert!(output.len() >= count * 8, "output shorter than count");
@@ -209,10 +210,6 @@ impl ClusterCtx {
         let chunk = self.shared.fabric.chunk_bytes();
         let bytes = count * 8;
         let kt = bytes.div_ceil(chunk);
-        if kt > 0 {
-            // One checked pack covers the widest tag the op can emit.
-            try_pack_tag(m - 1, KIND_FULL, kt - 1).expect("geometry exceeds the tag namespace");
-        }
         // The chunk at `[off, off + len)` is reduced by the rank `r` whose
         // partition `[r*kt/n, (r+1)*kt/n)` holds it, and is in the
         // accumulator once `r`'s stream has come this far.
@@ -270,6 +267,7 @@ impl ClusterCtx {
         output: &Arc<SharedRegion>,
         count: usize,
     ) {
+        self.check_size(count * 8);
         let (m, n) = (self.shared.m, self.shared.n);
         let world = m * n;
         assert!(input.len() >= count * 8, "input shorter than count");
@@ -281,15 +279,10 @@ impl ClusterCtx {
         let (me, v) = (self.ctx.rank(), self.node);
         let chunk = self.shared.fabric.chunk_bytes();
         let bytes = count * 8;
-        let kt = bytes.div_ceil(chunk);
         // Node w's segment: the union of its ranks' output spans, as
         // `(byte offset, byte length)`.
         let lo = |w: usize| w * n * count / world * 8;
         let segs: Vec<_> = (0..m).map(|w| (lo(w), lo(w + 1) - lo(w))).collect();
-        if kt > 0 {
-            // Per-segment chunk indices are bounded by the global count.
-            try_pack_tag(m - 1, KIND_PARTIAL, kt - 1).expect("geometry exceeds the tag namespace");
-        }
 
         self.node_op(Some(input), bytes, |this, op| {
             this.intra_reduce(op.in_tag, &op.acc, bytes);
@@ -334,15 +327,12 @@ impl ClusterCtx {
     /// prefix-ordered result stream. SPMD.
     pub fn allgather(&mut self, input: &Arc<SharedRegion>, output: &Arc<SharedRegion>, len: usize) {
         let (m, n) = (self.shared.m, self.shared.n);
+        let bl = n * len; // node block bytes, one segment
+        self.check_size(bl);
         assert!(input.len() >= len, "input shorter than block");
         assert!(output.len() >= m * n * len, "output shorter than G blocks");
         let (me, v) = (self.ctx.rank(), self.node);
         let chunk = self.shared.fabric.chunk_bytes();
-        let bl = n * len; // node block bytes
-        if bl > 0 {
-            let kb = bl.div_ceil(chunk); // chunks per node block
-            try_pack_tag(m - 1, KIND_FULL, kb - 1).expect("geometry exceeds the tag namespace");
-        }
 
         self.node_op(None, m * bl, |this, op| {
             // Intra gather — each rank deposits its block into the node's
@@ -376,17 +366,13 @@ impl ClusterCtx {
     /// column out of the result prefix. SPMD.
     pub fn alltoall(&mut self, input: &Arc<SharedRegion>, output: &Arc<SharedRegion>, len: usize) {
         let (m, n) = (self.shared.m, self.shared.n);
+        let nl = n * len; // one rank's slice of a payload
+        let pl = n * nl; // payload bytes per (origin, destination) node pair
+        self.check_size(pl);
         assert!(input.len() >= m * n * len, "input shorter than G blocks");
         assert!(output.len() >= m * n * len, "output shorter than G blocks");
         let (me, v) = (self.ctx.rank(), self.node);
         let chunk = self.shared.fabric.chunk_bytes();
-        let nl = n * len; // one rank's slice of a payload
-        let pl = n * nl; // payload bytes per (origin, destination) node pair
-        if pl > 0 && m > 1 {
-            // Segment id = origin * m + destination.
-            try_pack_tag(m * m - 1, KIND_FULL, pl.div_ceil(chunk) - 1)
-                .expect("geometry exceeds the tag namespace");
-        }
 
         self.node_op(None, wire::alltoall_slots(m) * pl, |this, op| {
             let acc = &op.acc;

@@ -708,6 +708,12 @@ struct Worker {
 impl ProcCluster {
     /// Spawn an `m`-node cross-process cluster with `window`-chunk links of
     /// `chunk_bytes`, supporting messages up to `max_msg` bytes.
+    ///
+    /// # Panics
+    ///
+    /// Before the segment exists or a worker is forked: on a geometry
+    /// [`Cluster::with_geometry`](crate::Cluster::with_geometry) refuses,
+    /// or a `max_msg` past the op-size limit of a link [`wire::tag`].
     pub fn new(
         m: usize,
         chunk_bytes: usize,
@@ -715,6 +721,12 @@ impl ProcCluster {
         max_msg: usize,
     ) -> Result<Self, ProcError> {
         assert!(m >= 1, "a cluster needs at least one node");
+        crate::cluster::check_geometry(chunk_bytes, window);
+        assert!(
+            wire::tag::fits(max_msg, chunk_bytes),
+            "a {max_msg}-byte message exceeds the link tag's limit of {} chunks",
+            wire::tag::CHUNK_LIMIT
+        );
         let layout = ProcLayout {
             m,
             chunk_bytes,

@@ -2,7 +2,8 @@
 //!
 //! [`NodeShared`] is what the ranks of a node share — the barrier, the
 //! window registry, the message and completion counters, one node-wide
-//! Bcast FIFO, the nonblocking scheduler's counter bank and stash.
+//! Bcast FIFO, the nonblocking scheduler's counter bank and stash (which
+//! keeps every early chunk it parks; [`SchedStash`] says why no cap is safe).
 //! [`RankCtx`] is one rank's handle on it: the intra-node collectives of
 //! [`crate::collectives`] are its methods, and the cluster collectives reach
 //! it through [`ClusterCtx::intra`](crate::ClusterCtx::intra). The rank
@@ -46,136 +47,28 @@ use bgp_shmem::{
 use crate::barrier::{BarrierToken, SenseBarrier};
 use crate::collectives::FifoMsg;
 
-/// Per-op chunk cap of the [`SchedStash`]. One op can never park more than
-/// a link window or two of chunks under SPMD posting discipline; far beyond
-/// that means its chunks are garbage (a bogus op id) or the peers violated
-/// the protocol, and retention would leak forever.
-pub const STASH_PER_OP_CAP: usize = 64;
-/// Total parked-chunk cap of the [`SchedStash`] across all ops.
-pub const STASH_TOTAL_CAP: usize = 256;
-/// How many evicted op ids the stash remembers (so a flooding op cannot
-/// immediately regrow a queue it just had evicted).
-const STASH_BANNED_CAP: usize = 64;
-
-/// Why [`SchedStash::park`] refused a chunk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StashEviction {
-    /// The op's queue hit [`STASH_PER_OP_CAP`]; the whole queue was evicted
-    /// and the op banned from re-parking.
-    PerOpCap {
-        /// The offending op id.
-        op: u64,
-        /// The cap it hit.
-        cap: usize,
-    },
-    /// The stash hit [`STASH_TOTAL_CAP`] and evicting other queues could
-    /// not make room (the incoming op itself was the largest hoarder).
-    TotalCap {
-        /// The cap it hit.
-        cap: usize,
-    },
-    /// The op was evicted earlier and is still banned; the chunk is
-    /// dropped without re-growing a queue.
-    Banned {
-        /// The banned op id.
-        op: u64,
-    },
-}
-
-impl std::fmt::Display for StashEviction {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StashEviction::PerOpCap { op, cap } => {
-                write!(f, "op {op} exceeded the per-op stash cap of {cap} chunks")
-            }
-            StashEviction::TotalCap { cap } => {
-                write!(f, "stash exceeded its total cap of {cap} chunks")
-            }
-            StashEviction::Banned { op } => write!(f, "op {op} was evicted and is banned"),
-        }
-    }
-}
-
-impl std::error::Error for StashEviction {}
-
-/// Cumulative [`SchedStash`] accounting (never reset).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct StashStats {
-    /// Chunks successfully parked over the stash's lifetime.
-    pub parked: u64,
-    /// Chunks dropped by eviction (incoming rejects plus evicted queue
-    /// contents).
-    pub evicted_chunks: u64,
-    /// Distinct queue evictions (per-op cap or total-cap victim).
-    pub evicted_ops: u64,
-}
-
-/// Parked nonblocking-scheduler chunks, keyed by op id: `(link tag,
-/// payload)` pairs in arrival order — **bounded**.
-///
-/// Chunks land here when they arrive for an op this node has not posted
-/// yet. Under SPMD posting discipline peers run at most a few ops ahead, so
-/// legitimate queues stay tiny; a queue that grows without bound means the
-/// op id is garbage (it will never be posted) and unbounded retention is a
-/// leak. The stash therefore enforces [`STASH_PER_OP_CAP`] per op and
-/// [`STASH_TOTAL_CAP`] overall: a queue that trips either cap is evicted
-/// *whole* (partial queues are useless — replay asserts in-order chunk
-/// sequences) and its op id is banned from re-parking, so a sustained flood
-/// costs O(1) memory. Evictions are counted in [`StashStats`] and surfaced
-/// through `ClusterStats`/`ServerStats`; an op whose chunks were evicted
-/// can no longer complete on this node — eviction is overload *containment*
-/// for protocol violations, not a normal mode.
 /// Parked chunks for one op, in arrival order: `(tag, bytes)`.
 type OpQueue = VecDeque<(u64, Box<[u8]>)>;
 
+/// Chunks that arrived for nonblocking ops this node has not posted yet,
+/// keyed by op id: `(link tag, payload)` in arrival order. It keeps every
+/// chunk it parks, because no cap is safe. Dropping a chunk wedges its op;
+/// refusing to drain the link instead strands chunks of an op this node has
+/// posted behind chunks of one it has not. And the memory is bounded
+/// anyway: every parked chunk belongs to an op the peers posted ahead of
+/// this node, which it will post too, allocating a buffer that size.
 #[derive(Default)]
 pub struct SchedStash {
     queues: HashMap<u64, OpQueue>,
-    total: usize,
-    banned: HashSet<u64>,
-    banned_order: VecDeque<u64>,
-    stats: StashStats,
+    parked: u64,
 }
 
 impl SchedStash {
-    /// Park one chunk for `op`, copying `bytes`. On eviction the chunk is
-    /// dropped (and possibly the op's whole queue with it) and the typed
-    /// reason returned.
-    pub fn park(&mut self, op: u64, tag: u64, bytes: &[u8]) -> Result<(), StashEviction> {
-        if self.banned.contains(&op) {
-            self.stats.evicted_chunks += 1;
-            return Err(StashEviction::Banned { op });
-        }
-        if self.queues.get(&op).map_or(0, |q| q.len()) >= STASH_PER_OP_CAP {
-            self.evict(op);
-            self.stats.evicted_chunks += 1; // the incoming chunk itself
-            return Err(StashEviction::PerOpCap {
-                op,
-                cap: STASH_PER_OP_CAP,
-            });
-        }
-        while self.total >= STASH_TOTAL_CAP {
-            let victim = self
-                .queues
-                .iter()
-                .max_by_key(|(_, q)| q.len())
-                .map(|(&o, _)| o)
-                .expect("total > 0 implies a non-empty queue");
-            self.evict(victim);
-            if victim == op {
-                self.stats.evicted_chunks += 1;
-                return Err(StashEviction::TotalCap {
-                    cap: STASH_TOTAL_CAP,
-                });
-            }
-        }
-        self.queues
-            .entry(op)
-            .or_default()
-            .push_back((tag, bytes.to_vec().into_boxed_slice()));
-        self.total += 1;
-        self.stats.parked += 1;
-        Ok(())
+    /// Park one chunk for `op`, copying `bytes`.
+    pub fn park(&mut self, op: u64, tag: u64, bytes: &[u8]) {
+        let q = self.queues.entry(op).or_default();
+        q.push_back((tag, bytes.into()));
+        self.parked += 1;
     }
 
     /// The link tag at the head of `op`'s queue, if any.
@@ -186,12 +79,11 @@ impl SchedStash {
     /// Pop the head of `op`'s queue (removing the queue when it empties).
     pub fn pop_front(&mut self, op: u64) -> Option<(u64, Box<[u8]>)> {
         let q = self.queues.get_mut(&op)?;
-        let e = q.pop_front()?;
-        self.total -= 1;
+        let e = q.pop_front();
         if q.is_empty() {
             self.queues.remove(&op);
         }
-        Some(e)
+        e
     }
 
     /// Op ids with parked chunks, in no particular order.
@@ -199,35 +91,9 @@ impl SchedStash {
         self.queues.keys().copied()
     }
 
-    /// Chunks currently parked for `op`.
-    pub fn parked_chunks(&self, op: u64) -> usize {
-        self.queues.get(&op).map_or(0, |q| q.len())
-    }
-
-    /// Chunks currently parked across all ops.
-    pub fn total_parked(&self) -> usize {
-        self.total
-    }
-
-    /// Cumulative accounting snapshot.
-    pub fn stats(&self) -> StashStats {
-        self.stats
-    }
-
-    /// Drop `op`'s whole queue and ban the id from re-parking.
-    fn evict(&mut self, op: u64) {
-        if let Some(q) = self.queues.remove(&op) {
-            self.total -= q.len();
-            self.stats.evicted_chunks += q.len() as u64;
-        }
-        self.stats.evicted_ops += 1;
-        if self.banned.insert(op) {
-            self.banned_order.push_back(op);
-            if self.banned_order.len() > STASH_BANNED_CAP {
-                let old = self.banned_order.pop_front().expect("len > cap > 0");
-                self.banned.remove(&old);
-            }
-        }
+    /// Chunks parked over the stash's lifetime.
+    pub fn parked(&self) -> u64 {
+        self.parked
     }
 }
 
@@ -666,57 +532,21 @@ mod tests {
         }
     }
 
-    /// The S2 regression: flooding the stash with chunks for a bogus op id
-    /// must stay bounded. On the old unbounded `HashMap<u64, VecDeque<..>>`
-    /// stash every parked chunk was retained forever, so `total_parked`
-    /// would reach 10_000 here.
+    /// The stash keeps everything: ten thousand chunks of one op, far past
+    /// what a link window holds, all replay in arrival order.
     #[test]
-    fn stash_flood_with_bogus_op_is_bounded() {
+    fn stash_keeps_every_chunk_it_parks() {
         let mut stash = SchedStash::default();
-        let bogus_op = 0xdead_beef;
-        let payload = [7u8; 64];
-        let mut rejected = 0u64;
-        for i in 0..10_000u64 {
-            if stash.park(bogus_op, i, &payload).is_err() {
-                rejected += 1;
-            }
+        for t in 0..10_000u64 {
+            stash.park(7, t, &t.to_ne_bytes());
         }
-        assert!(stash.total_parked() <= STASH_TOTAL_CAP);
-        // The flooding op tripped its per-op cap, was evicted whole, and is
-        // now banned: nothing of it may remain parked.
-        assert_eq!(stash.parked_chunks(bogus_op), 0);
-        let s = stash.stats();
-        assert_eq!(
-            stash.park(bogus_op, 0, &payload),
-            Err(StashEviction::Banned { op: bogus_op })
-        );
-        assert_eq!(s.parked, STASH_PER_OP_CAP as u64);
-        assert!(s.evicted_ops >= 1);
-        // Every chunk is accounted for: parked once then evicted, or
-        // rejected at the door.
-        assert_eq!(s.parked + rejected, 10_000);
-        assert_eq!(s.evicted_chunks, s.parked + rejected);
-    }
-
-    /// The total cap evicts the largest hoarder so well-behaved ops can
-    /// still park.
-    #[test]
-    fn stash_total_cap_evicts_largest_queue() {
-        let mut stash = SchedStash::default();
-        let payload = [1u8; 8];
-        // Many distinct ops, each under the per-op cap, together exceeding
-        // the total cap.
-        let per_op = STASH_PER_OP_CAP / 2;
-        let n_ops = STASH_TOTAL_CAP / per_op + 3;
-        for op in 0..n_ops as u64 {
-            for t in 0..per_op as u64 {
-                let _ = stash.park(op, t, &payload);
-            }
+        stash.park(8, 0, &[]);
+        for t in 0..10_000u64 {
+            let (tag, bytes) = stash.pop_front(7).unwrap();
+            assert_eq!((tag, &bytes[..]), (t, &t.to_ne_bytes()[..]));
         }
-        assert!(stash.total_parked() <= STASH_TOTAL_CAP);
-        assert!(stash.stats().evicted_ops >= 1);
-        // A fresh op can still park after the evictions made room.
-        assert_eq!(stash.park(u64::MAX, 0, &payload), Ok(()));
+        assert_eq!(stash.parked_ops().collect::<Vec<_>>(), vec![8]);
+        assert_eq!(stash.parked(), 10_001);
     }
 
     /// Replay order survives park/pop round-trips and the queue is removed
@@ -725,7 +555,7 @@ mod tests {
     fn stash_pops_in_arrival_order() {
         let mut stash = SchedStash::default();
         for t in 0..5u64 {
-            stash.park(9, t, &[t as u8]).unwrap();
+            stash.park(9, t, &[t as u8]);
         }
         for t in 0..5u64 {
             assert_eq!(stash.front_tag(9), Some(t));
@@ -733,7 +563,6 @@ mod tests {
             assert_eq!((tag, bytes[0] as u64), (t, t));
         }
         assert_eq!(stash.front_tag(9), None);
-        assert_eq!(stash.total_parked(), 0);
         assert_eq!(stash.parked_ops().count(), 0);
     }
 }

@@ -231,9 +231,9 @@ unsafe impl SlotStore for HeapSlots {
 ///   and consumed by one neighbor rank.
 /// * **Paced**: capacity is the link window; `send_*` blocks (spin-yield)
 ///   when the consumer lags by `capacity` chunks.
-/// * **Tagged**: each chunk carries a `u64` tag (flow id / kind / sequence,
-///   packed by the caller) so multiple flows can share a link and the
-///   consumer can dispatch without consuming ([`peek_tag`](Self::peek_tag)).
+/// * **Tagged**: each chunk carries a `u64` tag (stream / kind / sequence,
+///   packed by [`crate::wire::tag`]) so multiple flows can share a link and
+///   the consumer can dispatch without consuming ([`peek_tag`](Self::peek_tag)).
 /// * **Backend-generic**: the default store is the in-process [`HeapSlots`];
 ///   `crate::proc` instantiates the same protocol over an mmap'd segment
 ///   shared by separate worker processes.
@@ -549,75 +549,6 @@ impl<S: SlotStore> Drop for RecvSlot<'_, S> {
         let order = model_support::relaxed_if("chunk_retire_relaxed", Ordering::Release);
         ch.store.seq(i).store(self.h + ch.store.cap(), order);
         ch.store.recv_cursor().store(self.h + 1, Ordering::Relaxed);
-    }
-}
-
-/// Per-operation chunk tags for links multiplexing many in-flight
-/// operations (the nonblocking scheduler in `bgp-sched`).
-///
-/// The blocking collectives own every link for the duration of one call, so
-/// a bare chunk index (or a small color/kind pack) suffices as a tag. Once
-/// operations overlap, a consumer must be able to dispatch any arriving
-/// chunk to the right operation *without consuming it* — so the tag carries
-/// the operation id, a kind (broadcast data / allreduce partial / allreduce
-/// full), and the chunk sequence number:
-///
-/// ```text
-/// bit 63..26: op id      (38 bits, monotone, never reused)
-/// bit 25..24: kind       (2 bits)
-/// bit 23..0 : chunk seq  (24 bits → 16M chunks per op)
-/// ```
-pub mod optag {
-    use crate::wire::Kind;
-
-    /// Broadcast payload chunk.
-    pub const KIND_DATA: u64 = 0;
-    /// Allreduce partial (accumulating hop by hop along the ring).
-    pub const KIND_PARTIAL: u64 = 1;
-    /// Allreduce fully-reduced chunk circulating back.
-    pub const KIND_FULL: u64 = 2;
-
-    const KIND_SHIFT: u32 = 24;
-    const OP_SHIFT: u32 = 26;
-    const K_MASK: u64 = (1 << KIND_SHIFT) - 1;
-
-    /// Pack an operation id, kind, and chunk sequence into a link tag.
-    #[inline]
-    pub fn pack(op: u64, kind: u64, k: usize) -> u64 {
-        debug_assert!(op < (1 << (64 - OP_SHIFT)), "op id overflows the tag");
-        debug_assert!(kind < 4);
-        debug_assert!((k as u64) < (1 << KIND_SHIFT), "chunk seq overflows");
-        (op << OP_SHIFT) | (kind << KIND_SHIFT) | k as u64
-    }
-
-    /// Unpack a link tag into `(op, kind, chunk seq)`.
-    #[inline]
-    pub fn unpack(tag: u64) -> (u64, u64, usize) {
-        (
-            tag >> OP_SHIFT,
-            (tag >> KIND_SHIFT) & 0x3,
-            (tag & K_MASK) as usize,
-        )
-    }
-
-    /// The tag kind of a [`crate::wire`] ring chunk.
-    #[inline]
-    pub fn of_ring(kind: Kind) -> u64 {
-        match kind {
-            Kind::Partial => KIND_PARTIAL,
-            Kind::Full => KIND_FULL,
-        }
-    }
-
-    /// The ring kind a tag kind stands for: whatever is not a partial is
-    /// final data.
-    #[inline]
-    pub fn ring_kind(kind: u64) -> Kind {
-        if kind == KIND_PARTIAL {
-            Kind::Partial
-        } else {
-            Kind::Full
-        }
     }
 }
 
@@ -1098,20 +1029,6 @@ mod tests {
                 assert_eq!(seen, (0..m).collect::<Vec<_>>());
             }
         }
-    }
-
-    #[test]
-    fn optag_round_trips() {
-        for (op, kind, k) in [
-            (0u64, optag::KIND_DATA, 0usize),
-            (1, optag::KIND_PARTIAL, 7),
-            (123_456_789, optag::KIND_FULL, (1 << 24) - 1),
-        ] {
-            let tag = optag::pack(op, kind, k);
-            assert_eq!(optag::unpack(tag), (op, kind, k));
-        }
-        // Distinct ops never collide even at equal kind/seq.
-        assert_ne!(optag::pack(5, 0, 3), optag::pack(6, 0, 3));
     }
 
     #[test]

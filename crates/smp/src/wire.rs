@@ -20,7 +20,9 @@
 //!   [`plan_reduce_scatter`] and [`plan_allgather`] from one stage builder,
 //!   and by [`plan_alltoall`];
 //! * [`Prefix`] — which bytes of a result that lands segment by segment
-//!   are valid as a prefix, i.e. what a node's copy-out ranks may chase.
+//!   are valid as a prefix, i.e. what a node's copy-out ranks may chase;
+//! * [`tag`] — the one link-tag layout every chunk carries, and with it the
+//!   one op-size limit.
 //!
 //! The two ring protocols are [`Stepper`]s: re-entrant state machines that
 //! never touch an incoming link and never spin. Whoever owns the links
@@ -40,7 +42,7 @@ use std::borrow::Borrow;
 
 use bgp_shmem::spin;
 
-use crate::cluster::{chunks_of, pack_tag, unpack_tag, KIND_FULL, KIND_PARTIAL};
+use crate::cluster::chunks_of;
 use crate::kernels;
 use crate::transport::{ChunkChannel, Fabric, RingDir, SlotStore};
 
@@ -170,9 +172,9 @@ pub fn tree_send<S: SlotStore>(
     mut sent: impl FnMut(usize, usize),
 ) {
     let mut feed = TreeFeed::new(outs.len(), len, chunk);
-    let mut done = 0;
+    let (mut done, data) = (0, |k| tag::pack(0, Kind::Data, k));
     loop {
-        let mut progressed = feed.pump(outs, avail(), |k| k as u64, &mut fill);
+        let mut progressed = feed.pump(outs, avail(), data, &mut fill);
         let flushed = feed.flushed();
         if flushed > done {
             sent(done, flushed - done);
@@ -200,8 +202,8 @@ pub fn tree_recv<S: SlotStore>(
     mut land: impl FnMut(usize, &[u8]),
 ) {
     for (k, off, clen) in chunks_of(len, in_ch.chunk_bytes()) {
-        let rs = in_ch.peek();
-        debug_assert_eq!((rs.tag(), rs.len()), (k as u64, clen));
+        let (rs, t) = (in_ch.peek(), tag::pack(0, Kind::Data, k));
+        debug_assert_eq!((rs.tag(), rs.len()), (t, clen));
         rs.with_bytes(|bytes| land(off, bytes));
         for ch in outs {
             // Blocking on downstream space while holding the loan is
@@ -209,27 +211,78 @@ pub fn tree_recv<S: SlotStore>(
             // downstream never waits on our retire.
             let mut snd = ch.reserve(clen);
             rs.with_bytes(|bytes| snd.with_bytes_mut(|dst| dst.copy_from_slice(bytes)));
-            snd.publish(k as u64);
+            snd.publish(t);
         }
     }
 }
 
-/// What a ring chunk carries.
-#[repr(u64)]
+/// What a chunk carries.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Kind {
+    /// Broadcast payload.
+    Data,
     /// A partial sum, accumulating hop by hop.
-    Partial = KIND_PARTIAL,
+    Partial,
     /// A final value, circulating to the nodes that lack it.
-    Full = KIND_FULL,
+    Full,
+}
+
+/// The one link-tag layout: every chunk on every link, blocking or
+/// multiplexed, thread or process, is tagged
+///
+/// ```text
+/// bit 63..26: stream (38 bits)  the colour or segment of a collective that
+///                               owns its links; the op id where the engine
+///                               multiplexes them
+/// bit 25..24: kind   (2 bits)   Data / Partial / Full
+/// bit 23..0 : k      (24 bits)  the chunk index within the stream
+/// ```
+///
+/// so a consumer can route any chunk by peeking its tag. The `k` field is
+/// the one op-size limit: an op whose widest stream needs [`CHUNK_LIMIT`]
+/// chunks or more is refused at its entry point, before any effect.
+/// Chunk `k` of a broadcast on stream 0 is tagged `k`.
+///
+/// [`CHUNK_LIMIT`]: tag::CHUNK_LIMIT
+pub mod tag {
+    use super::Kind;
+
+    const K_BITS: u32 = 24;
+    const STREAM_SHIFT: u32 = K_BITS + 2;
+    /// Exclusive bound of the stream field.
+    pub const STREAM_LIMIT: u64 = 1 << (64 - STREAM_SHIFT);
+    /// Exclusive bound of the chunk index: chunks one stream may number.
+    pub const CHUNK_LIMIT: usize = 1 << K_BITS;
+
+    /// The tag of chunk `k` of `stream`. Panics on a field out of range —
+    /// it would alias its neighbour's bits.
+    pub fn pack(stream: u64, kind: Kind, k: usize) -> u64 {
+        assert!(
+            stream < STREAM_LIMIT && k < CHUNK_LIMIT,
+            "tag field out of range: stream {stream}, chunk {k}"
+        );
+        (stream << STREAM_SHIFT) | (kind as u64) << K_BITS | k as u64
+    }
+
+    /// `(stream, kind, k)` of a tag [`pack`] made.
+    pub fn unpack(tag: u64) -> (u64, Kind, usize) {
+        let kind = [Kind::Data, Kind::Partial, Kind::Full][(tag >> K_BITS) as usize & 3];
+        (tag >> STREAM_SHIFT, kind, tag as usize % CHUNK_LIMIT)
+    }
+
+    /// Does a `bytes`-byte stream of `chunk`-byte chunks number its chunks
+    /// below [`CHUNK_LIMIT`]?
+    pub fn fits(bytes: usize, chunk: usize) -> bool {
+        bytes.div_ceil(chunk) < CHUNK_LIMIT
+    }
 }
 
 /// One node's side of one ring protocol, re-entrant. The caller owns the
 /// links and the progress loop; the stepper owns every decision about what
 /// may move. `out` is the ring link this node sends on, `local` its
-/// operand, and `pack(flow, kind, k)` the caller's link-tag scheme (the
-/// cluster's colour tags for a collective that owns the links, an op-id tag
-/// where many share them). An incoming chunk is offered as plain bytes, so one
+/// operand, and `pack(flow, kind, k)` the caller's choice of [`tag`] stream
+/// (the flow's colour or segment for a collective that owns the links, the
+/// op id where many share them). An incoming chunk is offered as plain bytes, so one
 /// held on a slot loan and one replayed from a stash look the same.
 pub trait Stepper {
     /// Chunks this node has yet to receive. A caller must not offer — or
@@ -388,7 +441,8 @@ impl Stepper for RingFlow {
                 let (off, len) = self.at(self.combined);
                 local.ready(self.flow, off, len) && (self.pos == self.m - 1 || out.can_send())
             }
-            Kind::Full => self.pos == self.m - 2 || out.can_send(),
+            // A full: a ring carries nothing else.
+            _ => self.pos == self.m - 2 || out.can_send(),
         }
     }
 
@@ -425,7 +479,7 @@ impl Stepper for RingFlow {
                 }
                 self.combined += 1;
             }
-            Kind::Full => {
+            _ => {
                 debug_assert!(!last, "the originator never receives fulls");
                 debug_assert_eq!(k, self.fulls_in, "fulls must arrive in order");
                 // Our earlier consumption of partial chunk k (or, at
@@ -781,8 +835,8 @@ const DIRS: [RingDir; 2] = [RingDir::Plus, RingDir::Minus];
 
 /// The blocking progress loop (`m ≥ 2`): spin node `v`'s `flows` — each
 /// with the index into [`DIRS`] of the ring it rides — to completion over
-/// links this collective owns, tagged with [`pack_tag`]. `route` maps an
-/// incoming tag's colour field to the flow it is for.
+/// links this collective owns, a flow's colour or a plan's segment in the
+/// [`tag`]'s stream field. `route` maps an incoming stream to its flow.
 fn drive<S: SlotStore, L: Local + ?Sized, F: Stepper>(
     fabric: &Fabric<S>,
     v: usize,
@@ -791,11 +845,11 @@ fn drive<S: SlotStore, L: Local + ?Sized, F: Stepper>(
     route: impl Fn(usize) -> usize,
 ) {
     let links = DIRS.map(|dir| (fabric.ring_recv(v, dir), fabric.ring_send(v, dir)));
-    let pack = |c: usize, kind: Kind, k: usize| pack_tag(c, kind as u64, k);
+    let pack = |c: usize, kind: Kind, k: usize| tag::pack(c as u64, kind, k);
     // There is no cluster-wide barrier between collectives, so the drain
     // below stops at what this one expects on each incoming direction (see
-    // `Stepper::recvs_left`): a later collective's tag is in a different
-    // colour space entirely and must be left for its own call.
+    // `Stepper::recvs_left`): a later collective's chunk may carry a stream
+    // this one does not have and must be left for its own call.
     let mut expect = [0usize; 2];
     for (di, f) in flows.iter() {
         expect[*di] += f.recvs_left();
@@ -807,14 +861,9 @@ fn drive<S: SlotStore, L: Local + ?Sized, F: Stepper>(
         }
         for (di, &(in_ch, out)) in links.iter().enumerate() {
             while expect[di] > 0 {
-                let Some(tag) = in_ch.peek_tag() else { break };
-                let (c, kind, k) = unpack_tag(tag);
-                let kind = if kind == KIND_PARTIAL {
-                    Kind::Partial
-                } else {
-                    Kind::Full
-                };
-                let (fdi, f) = &mut flows[route(c)];
+                let Some(t) = in_ch.peek_tag() else { break };
+                let (c, kind, k) = tag::unpack(t);
+                let (fdi, f) = &mut flows[route(c as usize)];
                 debug_assert_eq!(*fdi, di, "flow routed on the wrong ring direction");
                 if !f.can_accept(kind, out, local) {
                     break;
@@ -1017,5 +1066,47 @@ mod tests {
         assert_eq!(p.land(0, 5), 5 + 8 + 2);
         assert_eq!(p.land(2, 2), 2);
         assert_eq!(Prefix::new(0, 0).landed.len(), 0);
+    }
+
+    /// Every field round-trips at its maximum, with no bleed into its
+    /// neighbours, and chunk `k` of a broadcast on stream 0 is tagged `k`.
+    #[test]
+    fn tag_fields_round_trip_at_their_maxima() {
+        let (s, k) = (tag::STREAM_LIMIT - 1, tag::CHUNK_LIMIT - 1);
+        for kind in [Kind::Data, Kind::Partial, Kind::Full] {
+            for (stream, k) in [(s, k), (s, 0), (0, k), (0, 0)] {
+                let t = tag::pack(stream, kind, k);
+                assert_eq!(tag::unpack(t), (stream, kind, k), "{t:#x}");
+            }
+        }
+        assert_eq!(tag::pack(0, Kind::Data, k), k as u64);
+        assert_ne!(tag::pack(5, Kind::Full, 3), tag::pack(6, Kind::Full, 3));
+    }
+
+    /// One past a field's maximum is refused, not aliased: chunk index
+    /// `CHUNK_LIMIT` would set a kind bit, stream `STREAM_LIMIT` would
+    /// shift out to stream 0.
+    #[test]
+    #[should_panic(expected = "tag field out of range")]
+    fn a_chunk_index_one_past_its_field_is_refused() {
+        tag::pack(0, Kind::Data, tag::CHUNK_LIMIT);
+    }
+
+    #[test]
+    #[should_panic(expected = "tag field out of range")]
+    fn a_stream_one_past_its_field_is_refused() {
+        tag::pack(tag::STREAM_LIMIT, Kind::Partial, 0);
+    }
+
+    /// The op-size limit at its boundary: a stream of `CHUNK_LIMIT - 1`
+    /// chunks fits, one byte more does not.
+    #[test]
+    fn the_op_size_limit_is_the_chunk_index_range() {
+        for chunk in [8, 16 * 1024] {
+            assert!(tag::fits((tag::CHUNK_LIMIT - 1) * chunk, chunk));
+            assert!(!tag::fits((tag::CHUNK_LIMIT - 1) * chunk + 1, chunk));
+            assert!(!tag::fits(tag::CHUNK_LIMIT * chunk, chunk));
+        }
+        assert!(tag::fits(0, 8));
     }
 }

@@ -506,14 +506,14 @@ fn mutation_chunk_publish_relaxed_breaks_both_ring_engines() {
 // the chunk and pumps every flow.
 
 use bgp_smp::transport::RingDir;
-use bgp_smp::wire::{Kind, RingFlow, Stepper};
+use bgp_smp::wire::{tag, Kind, RingFlow, Stepper};
 
 /// Two `RingFlow`s on the `Plus` ring, one over each half of the operand,
-/// tagged `op:32 | kind:8 | k:24` with ops 7 and 8.
+/// tagged as the engine tags them: ops 7 and 8 in the stream field of the
+/// one link-tag layout.
 fn multiplexed_node(fabric: &Fabric, v: usize, data: &mut [u8]) {
     const OPS: [u64; 2] = [7, 8];
-    let tagger =
-        |op: u64| move |_, kind: Kind, k: usize| (op << 32) | ((kind as u64) << 24) | k as u64;
+    let tagger = |op: u64| move |_, kind: Kind, k: usize| tag::pack(op, kind, k);
     let (in_ch, out) = (
         fabric.ring_recv(v, RingDir::Plus),
         fabric.ring_send(v, RingDir::Plus),
@@ -524,17 +524,16 @@ fn multiplexed_node(fabric: &Fabric, v: usize, data: &mut [u8]) {
     let mut ops = [(flow(), a), (flow(), b)];
     while !ops.iter().all(|(f, _)| f.finished()) {
         let mut progressed = false;
-        while let Some(tag) = in_ch.peek_tag() {
+        while let Some(t) = in_ch.peek_tag() {
+            let (op, kind, k) = tag::unpack(t);
             let i = OPS
                 .iter()
-                .position(|&op| op == tag >> 32)
+                .position(|&o| o == op)
                 .expect("a chunk of one of the two ops");
-            let kind = [Kind::Partial, Kind::Full][(tag >> 24) as usize & 1];
             let (f, local) = &mut ops[i];
             if !f.can_accept(kind, out, &**local) {
                 break;
             }
-            let k = (tag & 0xFF_FFFF) as usize;
             in_ch
                 .recv_with(|_, bytes| f.accept(kind, k, bytes, out, &mut **local, &tagger(OPS[i])));
             progressed = true;

@@ -632,4 +632,28 @@ mod tests {
         let trace = probe.chrome_trace();
         assert!(trace.contains("svc/alpha/submitted"));
     }
+
+    /// A 4 MiB communicator broadcast — 256 chunks at the default geometry
+    /// — arrives byte-identical on every member, under a deadline instead of
+    /// a possible hang.
+    #[test]
+    fn a_4_mib_comm_bcast_is_byte_identical_on_every_member() {
+        let sent: Vec<u8> = (0..4usize << 20).map(|i| (i % 251) as u8).collect();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let payload = sent.clone();
+        let helper = std::thread::spawn(move || {
+            let svc = Service::new(2, 2);
+            let session = svc.open_session("t", 1).unwrap();
+            let _ = tx.send(session.comm_world().bcast(1, 0, payload).unwrap().wait());
+        });
+        let got = rx
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .unwrap_or_else(|e| panic!("no result within 120 s: {e:?}"));
+        helper.join().expect("the service shut down cleanly");
+        assert_eq!(got.len(), 4);
+        assert!(
+            got.iter().all(|member| *member == sent),
+            "a member got a wrong payload"
+        );
+    }
 }

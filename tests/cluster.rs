@@ -162,11 +162,9 @@ fn bcast_overlaps_reception_with_copyout() {
         "no copy-out ever started before reception finished \
          (10 ops x 128 chunks); the pipeline is not overlapping"
     );
-    // Blocking collectives never touch the scheduler stash, and
-    // well-formed traffic never trips its caps.
+    // Blocking collectives never touch the scheduler stash.
     assert_eq!(stats.stash_parked, 0);
     assert_eq!(stats.stash_evicted_chunks, 0);
-    assert_eq!(stats.stash_evicted_ops, 0);
 }
 
 #[test]

@@ -174,6 +174,31 @@ fn misuse_is_a_typed_error_and_the_cluster_stays_usable() {
     c.shutdown().expect("shutdown");
 }
 
+/// A geometry `Cluster::with_geometry` refuses, or a `max_msg` past the
+/// link tag's chunk limit, is refused before the segment exists or a worker
+/// is forked, so this test forks nothing. `ProcCluster::new(2, 100, 4,
+/// 4096)` used to succeed, and its first allreduce hung: the worker
+/// panicked on a chunk that is not whole f64s while node 0 spun in the ring.
+fn a_bad_geometry_is_refused_before_anything_is_forked() {
+    let limit = bgp_collectives::smp::wire::tag::CHUNK_LIMIT;
+    let report = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {})); // the refusals are expected
+    for (chunk, window, max, why) in [
+        (100, WINDOW, 1 << 12, "multiple of 8"),
+        (4, WINDOW, 1 << 12, "multiple of 8"),
+        (CHUNK, 1, 1 << 12, "at least two chunks"),
+        (8, WINDOW, 8 * limit, "link tag's limit"),
+    ] {
+        let refused = std::panic::catch_unwind(|| ProcCluster::new(2, chunk, window, max).is_ok());
+        let panic = refused.expect_err("the geometry must be refused");
+        let msg = (panic.downcast_ref::<String>().cloned())
+            .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default();
+        assert!(msg.contains(why), "chunk={chunk} window={window}: {msg}");
+    }
+    std::panic::set_hook(report);
+}
+
 fn worker_crash_is_a_typed_error_not_a_hang() {
     let mut c = ProcCluster::new(2, CHUNK, WINDOW, 1 << 12).expect("cluster");
     match c.inject_crash(1) {
@@ -213,6 +238,10 @@ fn main() {
         (
             "misuse_is_a_typed_error_and_the_cluster_stays_usable",
             misuse_is_a_typed_error_and_the_cluster_stays_usable,
+        ),
+        (
+            "a_bad_geometry_is_refused_before_anything_is_forked",
+            a_bad_geometry_is_refused_before_anything_is_forked,
         ),
         (
             "worker_crash_is_a_typed_error_not_a_hang",
