@@ -3,8 +3,9 @@
 # docs name resolving to a source file, formatting, lints, the tier-1
 # verify (release build + every member's unit, integration and doc tests),
 # an offline build of benchmark/ against the workspace, bounded soaks of
-# the formerly livelocking service test and of the scheduler-stash
-# regression, the bgp-check model-checking
+# the formerly livelocking service test, of the scheduler-stash
+# regression and of the service's park/wake and shutdown cases, the
+# bgp-check model-checking
 # suites, a smoke run
 # of a figure binary checking that its JSON report and its --trace probe
 # artifacts parse, the performance-regression gate (bench_gate) against the
@@ -133,6 +134,22 @@ for i in $(seq 1 50); do
     echo "crates/sched/tests/stash.rs failed or hung on soak run $i" >&2
     exit 1
   }
+done
+
+# Bounded soak of the service's resident engine: a parked ticket waiter
+# that misses its wake-up, a rank thread that never parks, or a drop that
+# strands a plan in flight shows up only under some thread timings. 50 runs
+# of each built binary, each under a timeout; the cases' own deadlines
+# report a hang first.
+echo "== soak: crates/sched/tests/{park,shutdown}.rs x 50 each (timeout 30 s each)"
+for t in park shutdown; do
+  bin="$(built_test "$t" -p bgp-sched)"
+  for i in $(seq 1 50); do
+    timeout 30 "$bin" -q >/dev/null || {
+      echo "crates/sched/tests/$t.rs failed or hung on soak run $i" >&2
+      exit 1
+    }
+  done
 done
 
 echo "== model checker self-tests (bgp-check)"

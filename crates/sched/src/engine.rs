@@ -402,7 +402,7 @@ impl NetBcast {
 
     /// Inject (root node) or forward (elsewhere) on every outbound tree
     /// port, then publish net-done once nothing is owed.
-    fn pump(&mut self, op: u64, outs: &[&ChunkChannel]) {
+    fn pump<'c>(&mut self, op: u64, outs: impl IntoIterator<Item = &'c ChunkChannel> + Clone) {
         if let Some(buf) = self.buf.as_ref() {
             let data = |k| tag::pack(op, Kind::Data, k);
             // SAFETY: `feed` only asks for bytes below `valid`.
@@ -714,7 +714,7 @@ impl Engine {
             is_root_node,
             buf,
             feed: TreeFeed::new(
-                self.fabric.bcast_out(self.node, root_node).len(),
+                self.fabric.bcast_out(self.node, root_node).count(),
                 len,
                 self.chunk,
             ),
@@ -807,14 +807,14 @@ impl Engine {
             stashed_ops.extend(stash.parked_ops());
         }
 
-        // Drain every distinct in-port of the active ops.
-        let mut ports: Vec<&ChunkChannel> = Vec::new();
-        if m > 1 {
-            ports.extend(self.ops.values().filter_map(|o| o.in_port(&fabric, node)));
-            ports.sort_by_key(|c| *c as *const ChunkChannel as usize);
-            ports.dedup_by_key(|c| *c as *const ChunkChannel as usize);
-        }
-        for port in ports {
+        // Drain the in-port of every active op, with nothing allocated per
+        // pass: a port several ops share is emptied on its first visit.
+        let mut next = self.ops.keys().next().copied().filter(|_| m > 1);
+        while let Some(at) = next {
+            next = self.ops.range(at + 1..).next().map(|(&op, _)| op);
+            let Some(port) = self.ops[&at].in_port(&fabric, node) else {
+                continue;
+            };
             while let Some(t) = port.peek_tag() {
                 let (op, kind, _) = tag::unpack(t);
                 if !self.ops.contains_key(&op) || stashed_ops.contains(&op) {
@@ -841,7 +841,7 @@ impl Engine {
         // Outbound progress.
         for (op, netop) in self.ops.iter_mut() {
             match &mut netop.net {
-                Net::Bcast(b) => b.pump(*op, &fabric.bcast_out(node, b.root_node)),
+                Net::Bcast(b) => b.pump(*op, fabric.bcast_out(node, b.root_node)),
                 Net::Ring(r) => r.pump(*op, (m > 1).then(|| fabric.ring_send(node, r.dir))),
             }
         }

@@ -42,9 +42,12 @@
 //!   globally (blocking [`CollectiveServer::submit_bcast`] or failing
 //!   [`CollectiveServer::try_submit_bcast`]), coalescing of small
 //!   same-root broadcasts into one fused payload, batching of queued ops
-//!   into pipelined cluster jobs, communicator subgroups, and per-tenant
-//!   counters ([`CollectiveServer::tenant_stats`]). The `bgp-svc` crate
-//!   wraps this in named sessions and communicator lifecycle.
+//!   into plans that stream to a resident engine (every rank thread keeps
+//!   one [`Sched`] for the server's life and posts each plan while earlier
+//!   ones are in flight), tickets that park, communicator subgroups, and
+//!   per-tenant counters ([`CollectiveServer::tenant_stats`]). The
+//!   `bgp-svc` crate wraps this in named sessions and communicator
+//!   lifecycle.
 //!
 //! ## Posting discipline (SPMD)
 //!

@@ -25,26 +25,38 @@
 //!   members slice their copies apart on completion. One tree traversal
 //!   amortizes per-op overhead across every fused child, the same economics
 //!   that make the paper's 64-byte collectives latency-bound.
-//! * **Batching + pipelining** — batches become cluster jobs, and up to
-//!   [`ServerConfig::pipeline`] jobs overlap: while the rank threads run
-//!   batch *k*, the dispatcher is already queueing batch *k+1* behind it.
+//! * **A resident engine, fed plans as they come** — the rank threads run
+//!   one long-lived body for the server's whole life, each holding one
+//!   [`Sched`]. The dispatcher turns every drained batch into a *plan* and
+//!   sends it down one channel per rank, all in the same order, so every
+//!   rank posts the same ops in the same order while earlier plans are
+//!   still in flight — reception of batch *k+1* overlaps the copies of
+//!   batch *k*, as the paper's network core keeps the protocol running
+//!   while its peers copy. Up to [`ServerConfig::pipeline`] plans with an
+//!   unfinished ticket are in flight; at that bound the dispatcher waits
+//!   on the oldest one. An idle rank spins for a moment, then parks in
+//!   its channel.
 //!
 //! Completion is published through [`OpState`] — a slot-per-member result
 //! board whose done flag is release-published by the last finisher and
 //! acquire-read by [`BcastTicket::wait`] / [`AllreduceTicket::wait`]. That
 //! handshake is the protocol the bgp-check model tests verify (and mutate,
-//! via the `sched_done_relaxed` hook).
+//! via the `sched_done_relaxed` hook). A waiter spins for a moment, then
+//! parks on the board until the last finisher wakes it. Each member's
+//! result is copied once, from the op's completed region into its slot,
+//! and `wait` moves the slots out.
 
 use std::collections::VecDeque;
+use std::sync::mpsc::{self, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use bgp_shmem::sync::atomic::{AtomicU64, Ordering};
 use bgp_shmem::sync::cell::UnsafeCell;
 use bgp_shmem::{model_support, spin, SharedRegion};
 use bgp_smp::cluster::DEFAULT_CHUNK_BYTES;
 use bgp_smp::collectives::write_f64s;
-use bgp_smp::{Cluster, ClusterCtx, PendingJob};
+use bgp_smp::{Cluster, ClusterCtx};
 
 use crate::engine::{check_size, validate_group_shape};
 use crate::{Request, Sched, SchedError};
@@ -86,6 +98,11 @@ pub fn store_max(cell: &AtomicU64, value: u64) {
 /// final store. Weakening that store to Relaxed (the `sched_done_relaxed`
 /// seeded bug) severs exactly that edge; the model checker catches it as a
 /// data race on the slot cells.
+///
+/// Waiters that outlast [`WAIT_SPIN`] park: the last filler stores the done
+/// flag, then notifies under `park`; a waiter re-checks the flag under
+/// `park` before it sleeps, so the notify cannot fall between its check and
+/// its sleep.
 pub struct OpState {
     status: AtomicU64,
     pending: AtomicU64,
@@ -94,10 +111,20 @@ pub struct OpState {
     /// hand-built boards): bumped by the last slot filler *before* the
     /// Release store of the done flag, so a waiter that observes
     /// [`Self::is_done`] also observes the `completed` counters. Crediting
-    /// anywhere later (e.g. when the dispatcher collects the cluster job)
-    /// lets `wait()` return while the stats still read stale.
+    /// anywhere later (e.g. when the dispatcher retires the plan) lets
+    /// `wait()` return while the stats still read stale.
     credit: Option<OpCredit>,
+    park: Mutex<()>,
+    woken: Condvar,
 }
+
+/// How long a waiter on an [`OpState`] spins before it parks: long enough
+/// for a small service op to finish without a sleep and a wake-up on its
+/// path, short enough that waiting clients leave the cores to the ranks.
+const WAIT_SPIN: Duration = Duration::from_micros(200);
+/// How long an idle rank thread keeps polling for the next plan before it
+/// parks in its channel.
+const RANK_SPIN: Duration = Duration::from_micros(50);
 
 /// The stat cells an [`OpState`] credits at its done transition: the
 /// owning tenant's cell and the server-wide counters.
@@ -109,11 +136,18 @@ struct OpCredit {
 impl OpState {
     /// A board of `n_slots` empty slots (already done when `n_slots == 0`).
     pub fn new(n_slots: usize) -> Self {
+        Self::with_slots(n_slots, (0..n_slots).map(|_| None))
+    }
+
+    /// A board with `pending` slots still to fill (done when it is 0).
+    fn with_slots(pending: usize, slots: impl Iterator<Item = Option<Vec<u8>>>) -> Self {
         OpState {
-            status: AtomicU64::new(u64::from(n_slots == 0)),
-            pending: AtomicU64::new(n_slots as u64),
-            slots: (0..n_slots).map(|_| UnsafeCell::new(None)).collect(),
+            status: AtomicU64::new(u64::from(pending == 0)),
+            pending: AtomicU64::new(pending as u64),
+            slots: slots.map(UnsafeCell::new).collect(),
             credit: None,
+            park: Mutex::new(()),
+            woken: Condvar::new(),
         }
     }
 
@@ -128,20 +162,7 @@ impl OpState {
     /// A board born complete with the given slot contents (zero-length
     /// operations finish at submission).
     fn completed(slots: Vec<Vec<u8>>) -> Self {
-        OpState {
-            status: AtomicU64::new(1),
-            pending: AtomicU64::new(0),
-            slots: slots
-                .into_iter()
-                .map(|s| UnsafeCell::new(Some(s)))
-                .collect(),
-            credit: None,
-        }
-    }
-
-    /// Number of result slots.
-    pub fn n_slots(&self) -> usize {
-        self.slots.len()
+        Self::with_slots(0, slots.into_iter().map(Some))
     }
 
     /// Fill slot `i` (exactly once) and count down; the last filler
@@ -161,7 +182,7 @@ impl OpState {
             // the waiter's Acquire load in `is_done`, so a waiter that sees
             // done also sees these (relaxed) increments. This is what makes
             // `ticket.wait(); stats().completed` read consistently even
-            // while the dispatcher has not yet collected the cluster job.
+            // while the dispatcher has not yet retired the plan.
             if let Some(c) = &self.credit {
                 c.tenant.completed.fetch_add(1, Ordering::Relaxed);
                 c.server.stats.completed.fetch_add(1, Ordering::Relaxed);
@@ -170,6 +191,8 @@ impl OpState {
                 1,
                 model_support::relaxed_if("sched_done_relaxed", Ordering::Release),
             );
+            let _parked = self.park.lock().expect("park lock");
+            self.woken.notify_all();
         }
     }
 
@@ -179,12 +202,47 @@ impl OpState {
         self.status.load(Ordering::Acquire) == 1
     }
 
-    /// Read slot `i`. Panics unless [`Self::is_done`].
-    pub fn slot(&self, i: usize) -> Vec<u8> {
-        assert!(self.is_done(), "slot() before the operation completed");
+    /// Block until [`Self::is_done`]: spin for [`WAIT_SPIN`], then park
+    /// until the last slot filler wakes us.
+    fn wait(&self) {
+        let start = Instant::now();
+        while !self.is_done() {
+            if start.elapsed() >= WAIT_SPIN {
+                let mut parked = self.park.lock().expect("park lock");
+                while !self.is_done() {
+                    parked = self.woken.wait(parked).expect("park lock");
+                }
+                return;
+            }
+            spin();
+        }
+    }
+
+    /// Move slot `i`'s bytes out. Panics unless [`Self::is_done`].
+    ///
+    /// # Safety
+    ///
+    /// Nothing else reads or takes slot `i`, now or later: a ticket takes
+    /// each slot once, as its `wait` consumes it.
+    pub unsafe fn take(&self, i: usize) -> Vec<u8> {
+        assert!(self.is_done(), "take() before the operation completed");
         // SAFETY: done was acquire-loaded, ordering us after every slot
-        // write; no writer exists after the done publication.
-        unsafe { self.slots[i].with(|p| (*p).clone().expect("done implies every slot filled")) }
+        // write; no writer exists after the done publication, and the
+        // caller is the slot's one reader.
+        unsafe { self.slots[i].with_mut(|p| (*p).take().expect("done implies every slot filled")) }
+    }
+
+    /// Wait, then move every slot out in member order.
+    ///
+    /// # Safety
+    ///
+    /// As for [`Self::take`], for every slot.
+    unsafe fn take_all(&self) -> Vec<Vec<u8>> {
+        self.wait();
+        // SAFETY: forwarded to the caller.
+        (0..self.slots.len())
+            .map(|i| unsafe { self.take(i) })
+            .collect()
     }
 }
 
@@ -207,15 +265,12 @@ impl BcastTicket {
         self.state.is_done()
     }
 
-    /// Spin until done; returns every member's received payload in global
-    /// member order (`node * group_len + index_in_group`).
+    /// Block until done — a short spin, then a park — and return every
+    /// member's received payload, moved out of the ticket, in global member
+    /// order (`node * group_len + index_in_group`).
     pub fn wait(self) -> Vec<Vec<u8>> {
-        while !self.state.is_done() {
-            spin();
-        }
-        (0..self.state.n_slots())
-            .map(|i| self.state.slot(i))
-            .collect()
+        // SAFETY: this ticket is the slots' one reader, consumed here.
+        unsafe { self.state.take_all() }
     }
 }
 
@@ -238,9 +293,9 @@ impl AllreduceTicket {
         self.state.is_done()
     }
 
-    /// Spin until done; returns every member's result vector in global
-    /// member order. All vectors are equal (the reduced sums) — returned
-    /// per member so tests can assert exactly that.
+    /// Block until done (as [`BcastTicket::wait`]); returns every member's
+    /// result vector in global member order. All vectors are equal (the
+    /// reduced sums) — returned per member so tests can assert exactly that.
     ///
     /// Panics (with the [`SchedError::MalformedPayload`] message) if a slot
     /// was completed with a byte length that is not a multiple of 8; use
@@ -249,8 +304,8 @@ impl AllreduceTicket {
         self.try_wait().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Spin until done; like [`Self::wait`] but surfacing a malformed slot
-    /// length as [`SchedError::MalformedPayload`] instead of panicking.
+    /// Like [`Self::wait`] but surfacing a malformed slot length as
+    /// [`SchedError::MalformedPayload`] instead of panicking.
     ///
     /// Every internal completion path posts `count * 8`-byte payloads, so
     /// this only trips when an [`OpState`] was completed by hand with a
@@ -258,12 +313,10 @@ impl AllreduceTicket {
     /// decode used `chunks_exact(8)`, which silently *dropped* such a tail
     /// — a truncated result, not even a panic.
     pub fn try_wait(self) -> Result<Vec<Vec<f64>>, SchedError> {
-        while !self.state.is_done() {
-            spin();
-        }
-        (0..self.state.n_slots())
-            .map(|i| {
-                let bytes = self.state.slot(i);
+        // SAFETY: this ticket is the slots' one reader, consumed here.
+        unsafe { self.state.take_all() }
+            .into_iter()
+            .map(|bytes| {
                 if !bytes.len().is_multiple_of(8) {
                     return Err(SchedError::MalformedPayload { len: bytes.len() });
                 }
@@ -314,9 +367,10 @@ pub struct ServerConfig {
     pub drr_quantum: usize,
     /// Most children fused into one broadcast (1 disables coalescing).
     pub coalesce_max_ops: usize,
-    /// Most submissions drained into one cluster job.
+    /// Most submissions drained into one plan.
     pub batch_max_ops: usize,
-    /// Cluster jobs the dispatcher keeps in flight at once.
+    /// Plans with an unfinished ticket the dispatcher keeps in flight at
+    /// once; at the bound it waits on the oldest before it drains more.
     pub pipeline: usize,
 }
 
@@ -349,9 +403,10 @@ impl Default for ServerConfig {
 pub struct ServerStats {
     /// Operations accepted (including immediately-completed zero-length ones).
     pub submitted: u64,
-    /// Operations whose cluster job has been fully collected.
+    /// Operations whose every member result is in (credited by the last
+    /// slot filler, before the ticket can see it done).
     pub completed: u64,
-    /// Cluster jobs dispatched.
+    /// Plans (drained batches) sent to the rank threads.
     pub batches: u64,
     /// Submissions that ran fused with at least one sibling.
     pub coalesced: u64,
@@ -377,7 +432,7 @@ pub struct TenantStats {
     pub weight: u32,
     /// Operations accepted from this tenant.
     pub submitted: u64,
-    /// This tenant's operations whose cluster job has been collected.
+    /// This tenant's operations whose every member result is in.
     pub completed: u64,
     /// This tenant's submissions that ran fused with at least one sibling.
     pub coalesced: u64,
@@ -440,6 +495,12 @@ impl Cmd {
             Cmd::Bcast { tenant, .. } | Cmd::Allreduce { tenant, .. } => *tenant,
         }
     }
+
+    fn state(&self) -> &Arc<OpState> {
+        match self {
+            Cmd::Bcast { state, .. } | Cmd::Allreduce { state, .. } => state,
+        }
+    }
 }
 
 /// Smallest DRR charge: even a 1-byte broadcast spends this much deficit,
@@ -447,7 +508,7 @@ impl Cmd {
 const MIN_DRR_COST: u64 = 64;
 /// Largest DRR charge: a multi-megabyte op is capped here so the deficit
 /// accumulation loop stays short; beyond this size the per-op cost is
-/// dominated by the cluster job anyway.
+/// dominated by moving the bytes anyway.
 const DRR_COST_CAP: u64 = 4 << 20;
 /// Only broadcast payloads at most this long are coalescing candidates.
 const COALESCE_ELIGIBLE: usize = 4096;
@@ -463,14 +524,15 @@ fn cmd_cost(cmd: &Cmd) -> u64 {
     bytes.clamp(MIN_DRR_COST, DRR_COST_CAP)
 }
 
-/// One engine op of a dispatched batch. A coalesced broadcast carries the
-/// fused payload plus each child's `(state, offset, length)` slice.
+/// One engine op of a plan. A broadcast's payload is adopted, uncopied, as
+/// the root's buffer; a coalesced one carries the fused payload plus each
+/// child's `(state, offset, length)` slice.
 enum PlanOp {
     Bcast {
         group: Arc<Vec<usize>>,
         root_node: usize,
         root_rank: usize,
-        payload: Vec<u8>,
+        source: Arc<SharedRegion>,
         children: Vec<(Arc<OpState>, usize, usize)>,
     },
     Ar {
@@ -903,26 +965,32 @@ fn drain_drr(q: &mut Queue, cfg: &ServerConfig) -> Batch {
     Batch { cmds, cells }
 }
 
-/// The dispatcher thread: owns the cluster, drains the tenant queues by
-/// DRR into batches, coalesces, and keeps up to `cfg.pipeline` jobs in
-/// flight.
+/// The dispatcher thread: owns the cluster and its one resident job, drains
+/// the tenant queues by DRR into plans, coalesces, and keeps up to
+/// `cfg.pipeline` plans with an unfinished ticket in flight.
 fn dispatch(m: usize, n: usize, cfg: ServerConfig, shared: Arc<ServerShared>) {
     let cluster = Cluster::new(m, n);
-    let mut in_flight: VecDeque<PendingJob<()>> = VecDeque::new();
+    let (plan_txs, plan_rxs): (Vec<_>, Vec<_>) = (0..m * n)
+        .map(|_| {
+            let (tx, rx) = mpsc::channel::<Arc<Vec<PlanOp>>>();
+            (tx, Mutex::new(Some(rx)))
+        })
+        .unzip();
+    let resident_job = cluster.submit(move |cctx| {
+        let plans = plan_rxs[cctx.global_rank()]
+            .lock()
+            .expect("plan queue")
+            .take();
+        resident(cctx, plans.expect("one resident body per rank"))
+    });
+    // The tickets of each plan in flight, oldest first.
+    let mut in_flight: VecDeque<Vec<Arc<OpState>>> = VecDeque::new();
     let stats = &shared.stats;
     loop {
-        // Opportunistically collect finished jobs (submission order) to
-        // free pipeline slots; completion stats were already credited by
-        // each op's last slot filler.
-        while let Some(job) = in_flight.pop_front() {
-            if cluster.try_collect(&job).is_none() {
-                in_flight.push_front(job);
-                break;
-            }
-        }
-        // Enforce the pipeline depth.
-        while in_flight.len() >= cfg.pipeline.max(1) {
-            cluster.collect(in_flight.pop_front().expect("nonempty"));
+        in_flight.retain(|states| !states.iter().all(|s| s.is_done()));
+        if in_flight.len() >= cfg.pipeline.max(1) {
+            in_flight[0].iter().for_each(|s| s.wait());
+            continue;
         }
         // Take a batch, or learn there is nothing left to do.
         let batch: Option<Batch> = {
@@ -936,33 +1004,22 @@ fn dispatch(m: usize, n: usize, cfg: ServerConfig, shared: Arc<ServerShared>) {
                 if q.closed {
                     break None;
                 }
-                if !in_flight.is_empty() {
-                    // Nothing queued but jobs running: go collect one
-                    // (frees the pipeline slot) instead of sleeping.
-                    break Some(Batch {
-                        cmds: Vec::new(),
-                        cells: Vec::new(),
-                    });
-                }
                 q = shared.not_empty.wait(q).expect("queue lock");
             }
         };
-        match batch {
-            None => break,
-            Some(b) if b.cmds.is_empty() => {
-                cluster.collect(in_flight.pop_front().expect("nonempty"));
-            }
-            Some(b) => {
-                let plan = Arc::new(build_plan(b.cmds, &cfg, stats, &b.cells));
-                let job = cluster.submit(move |cctx| run_plan(cctx, &plan));
-                in_flight.push_back(job);
-                stats.batches.fetch_add(1, Ordering::Relaxed);
-            }
+        let Some(b) = batch else { break };
+        in_flight.push_back(b.cmds.iter().map(|c| c.state().clone()).collect());
+        let plan = Arc::new(build_plan(b.cmds, &cfg, stats, &b.cells));
+        for tx in &plan_txs {
+            tx.send(plan.clone())
+                .expect("rank thread exited prematurely");
         }
+        stats.batches.fetch_add(1, Ordering::Relaxed);
     }
-    for job in in_flight {
-        cluster.collect(job);
-    }
+    // Closing the plan channels lets every rank finish what it posted and
+    // leave its resident body.
+    drop(plan_txs);
+    cluster.finish(resident_job);
 }
 
 /// An in-progress fusion of consecutive same-(group, root) broadcasts.
@@ -1004,7 +1061,7 @@ fn build_plan(
                 group: f.group,
                 root_node: f.root_node,
                 root_rank: f.root_rank,
-                payload: f.payload,
+                source: Arc::new(SharedRegion::from_vec(f.payload)),
                 children: f.children,
             });
         }
@@ -1057,7 +1114,7 @@ fn build_plan(
                         group,
                         root_node,
                         root_rank,
-                        payload,
+                        source: Arc::new(SharedRegion::from_vec(payload)),
                         children: vec![(state, 0, len)],
                     });
                 }
@@ -1088,54 +1145,66 @@ fn build_plan(
     plan
 }
 
-/// One posted engine op awaiting completion inside the cluster job.
-struct Posted<'a> {
+/// One posted engine op of a plan, until its member results are published.
+struct Posted {
     req: Request,
-    /// This rank's global member slot (`None` for non-members).
-    slot: Option<usize>,
-    /// The region completion reads from: the member's broadcast receive
-    /// buffer, or its allreduce output.
-    buf: Option<Arc<SharedRegion>>,
-    len: usize,
-    op: &'a PlanOp,
-    published: bool,
+    plan: Arc<Vec<PlanOp>>,
+    op: usize,
+    /// This rank's global member slot and the region its result lands in
+    /// (`None` for non-members).
+    member: Option<(usize, Arc<SharedRegion>)>,
 }
 
-/// The cluster-job body: post every plan op through a [`Sched`], then poll
-/// until each completes, publishing member results into the op states as
-/// they do. Runs identically (SPMD) on every rank of every node.
-fn run_plan(cctx: &mut ClusterCtx, plan: &[PlanOp]) {
-    let node = cctx.node();
-    let rank = cctx.rank();
-    let mut sched = Sched::new(cctx);
-    let mut posted: Vec<Posted> = Vec::with_capacity(plan.len());
-    for op in plan {
-        match op {
+impl Posted {
+    /// Fill this rank's slot of every ticket the completed op carries: one
+    /// copy of each child's span out of the result region.
+    fn publish(&self) {
+        let Some((slot, buf)) = &self.member else {
+            return;
+        };
+        // SAFETY: the request is complete, so the region holds the op's
+        // final contents and nothing writes it anymore.
+        let span = |off, len| unsafe { buf.with_bytes(off, len, <[u8]>::to_vec) };
+        match &self.plan[self.op] {
+            PlanOp::Bcast { children, .. } => {
+                for (state, off, len) in children {
+                    state.complete_slot(*slot, span(*off, *len));
+                }
+            }
+            PlanOp::Ar { state, count, .. } => state.complete_slot(*slot, span(0, count * 8)),
+        }
+    }
+}
+
+/// Post every op of `plan` on this rank, SPMD: each rank of each node posts
+/// the same ops in the same order.
+fn post_plan(
+    sched: &mut Sched,
+    at: (usize, usize),
+    plan: &Arc<Vec<PlanOp>>,
+    posted: &mut Vec<Posted>,
+) {
+    let (node, rank) = at;
+    for (op, p) in plan.iter().enumerate() {
+        let (req, member) = match p {
             PlanOp::Bcast {
                 group,
                 root_node,
                 root_rank,
-                payload,
+                source,
                 ..
             } => {
-                let member_idx = group.binary_search(&rank).ok();
-                let buf = member_idx.map(|_| Arc::new(SharedRegion::new(payload.len())));
-                if node == *root_node && rank == *root_rank {
-                    let b = buf.as_ref().expect("root is a member");
-                    // SAFETY: freshly allocated, not yet shared.
-                    unsafe { b.write(0, payload) };
-                }
-                let req = sched
-                    .ibcast(group, *root_node, *root_rank, buf.as_ref(), payload.len())
-                    .expect("validated at submission");
-                posted.push(Posted {
-                    req,
-                    slot: member_idx.map(|i| node * group.len() + i),
-                    buf,
-                    len: payload.len(),
-                    op,
-                    published: false,
+                let member = group.binary_search(&rank).ok().map(|i| {
+                    let buf = if at == (*root_node, *root_rank) {
+                        source.clone()
+                    } else {
+                        Arc::new(SharedRegion::new(source.len()))
+                    };
+                    (node * group.len() + i, buf)
                 });
+                let buf = member.as_ref().map(|(_, b)| b);
+                let req = sched.ibcast(group, *root_node, *root_rank, buf, source.len());
+                (req, member)
             }
             PlanOp::Ar {
                 group,
@@ -1143,66 +1212,69 @@ fn run_plan(cctx: &mut ClusterCtx, plan: &[PlanOp]) {
                 count,
                 ..
             } => {
-                let member_idx = group.binary_search(&rank).ok();
-                let (inb, outb) = match member_idx {
-                    Some(i) => {
-                        let gi = node * group.len() + i;
-                        let inb = Arc::new(SharedRegion::new(count * 8));
-                        write_f64s(&inb, 0, &inputs[gi]);
-                        (Some(inb), Some(Arc::new(SharedRegion::new(count * 8))))
-                    }
-                    None => (None, None),
-                };
-                let req = sched
-                    .iallreduce(group, inb.as_ref(), outb.as_ref(), *count)
-                    .expect("validated at submission");
-                posted.push(Posted {
-                    req,
-                    slot: member_idx.map(|i| node * group.len() + i),
-                    buf: outb,
-                    len: count * 8,
-                    op,
-                    published: false,
+                let bufs = group.binary_search(&rank).ok().map(|i| {
+                    let slot = node * group.len() + i;
+                    let inb = Arc::new(SharedRegion::new(count * 8));
+                    write_f64s(&inb, 0, &inputs[slot]);
+                    (slot, inb, Arc::new(SharedRegion::new(count * 8)))
                 });
+                let (inb, outb) = (bufs.as_ref().map(|b| &b.1), bufs.as_ref().map(|b| &b.2));
+                let req = sched.iallreduce(group, inb, outb, *count);
+                (req, bufs.map(|(slot, _, out)| (slot, out)))
             }
-        }
+        };
+        posted.push(Posted {
+            req: req.expect("validated at submission"),
+            plan: plan.clone(),
+            op,
+            member,
+        });
     }
-    // Complete in any order, publishing each op's results the moment its
-    // request finishes — earlier tickets unblock while later ops still run.
-    let mut remaining = posted.len();
-    while remaining > 0 {
-        sched.poll();
-        for p in posted.iter_mut() {
-            if p.published || !sched.is_complete(p.req) {
-                continue;
-            }
-            if let (Some(slot), Some(buf)) = (p.slot, p.buf.as_ref()) {
-                let mut bytes = vec![0u8; p.len];
-                // SAFETY: the request is complete, so the buffer holds the
-                // operation's final contents and nothing writes it anymore.
-                unsafe { buf.read(0, &mut bytes) };
-                match p.op {
-                    PlanOp::Bcast { children, .. } => {
-                        for (state, off, clen) in children {
-                            state.complete_slot(slot, bytes[*off..*off + *clen].to_vec());
-                        }
-                    }
-                    PlanOp::Ar { state, .. } => {
-                        // The submit path sized this to `count * 8` bytes;
-                        // anything else would make `wait` decode garbage.
-                        debug_assert_eq!(bytes.len() % 8, 0, "allreduce slot not whole f64 lanes");
-                        state.complete_slot(slot, bytes);
-                    }
+}
+
+/// The resident body every rank runs for the server's whole life: one
+/// [`Sched`], plans posted as they arrive — while earlier ones are still in
+/// flight — and member results published the moment each op completes. A
+/// rank with nothing posted polls for [`RANK_SPIN`], then leaves its
+/// engine idle and parks in its channel. Returns once the channel is
+/// closed and everything posted has completed; dropping the `Sched`
+/// quiesces the engine.
+fn resident(cctx: &mut ClusterCtx, plans: mpsc::Receiver<Arc<Vec<PlanOp>>>) {
+    let at = (cctx.node(), cctx.rank());
+    let mut sched = Sched::new(cctx);
+    let mut posted: Vec<Posted> = Vec::new();
+    let mut idle_since = Instant::now();
+    loop {
+        let plan = match plans.try_recv() {
+            Ok(plan) => Some(plan),
+            Err(TryRecvError::Disconnected) if posted.is_empty() => return,
+            Err(TryRecvError::Empty) if posted.is_empty() && idle_since.elapsed() >= RANK_SPIN => {
+                sched.drain();
+                match plans.recv() {
+                    Ok(plan) => Some(plan),
+                    Err(_) => return,
                 }
             }
-            p.published = true;
-            remaining -= 1;
+            Err(_) => None,
+        };
+        if let Some(plan) = plan {
+            post_plan(&mut sched, at, &plan, &mut posted);
+            continue;
         }
-        if remaining > 0 {
-            spin();
+        sched.poll();
+        let busy = !posted.is_empty();
+        posted.retain(|p| {
+            let done = sched.is_complete(p.req);
+            if done {
+                p.publish();
+            }
+            !done
+        });
+        if busy && posted.is_empty() {
+            idle_since = Instant::now();
         }
+        spin();
     }
-    // `sched` drops here: quiesces the engine so the next job starts clean.
 }
 
 #[cfg(test)]

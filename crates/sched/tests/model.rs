@@ -10,7 +10,7 @@
 //!
 //! The protocol under test is the ticket handshake: each member fills its
 //! result slot and counts down; the last one release-publishes the done
-//! flag; a waiter acquire-reads the flag and only then touches the slots.
+//! flag; a waiter acquire-reads the flag and only then takes the slots.
 //! The tests check the full flag/slot protocol schedule-exhaustively, the
 //! request-handle lifecycle (a waiter polling `is_done` never misses the
 //! wakeup), and — the self-test — that weakening the final store to
@@ -68,8 +68,9 @@ fn completion_flag_publishes_every_slot() {
         while !st.is_done() {
             bgp_shmem::spin();
         }
-        assert_eq!(st.slot(0), vec![1u8; 3], "slot 0 lost or torn");
-        assert_eq!(st.slot(1), vec![2u8; 3], "slot 1 lost or torn");
+        // SAFETY: this thread is the slots' one reader.
+        assert_eq!(unsafe { st.take(0) }, vec![1u8; 3], "slot 0 lost or torn");
+        assert_eq!(unsafe { st.take(1) }, vec![2u8; 3], "slot 1 lost or torn");
         for w in writers {
             w.join();
         }
@@ -99,7 +100,8 @@ fn request_lifecycle_has_no_lost_wakeup() {
             bgp_shmem::spin();
         }
         assert!(st.is_done(), "done flag regressed");
-        assert_eq!(st.slot(0), vec![7]);
+        // SAFETY: this thread is the slot's one reader.
+        assert_eq!(unsafe { st.take(0) }, vec![7]);
         writer.join();
     });
 }
@@ -117,7 +119,8 @@ fn relaxed_done_scenario() {
     }
     // With the release edge severed this read races the writer's slot
     // store — the checker must flag it.
-    assert_eq!(st.slot(0), vec![42]);
+    // SAFETY: this thread is the slot's one reader.
+    assert_eq!(unsafe { st.take(0) }, vec![42]);
     writer.join();
 }
 

@@ -12,39 +12,15 @@
 //! server, byte-identical; they are what the cap used to rule out, not
 //! regressions (four 2 MiB service broadcasts in flight completed under it).
 
-use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
-use std::thread;
-use std::time::Duration;
 
 use bgp_sched::{CollectiveServer, Sched};
 use bgp_shmem::SharedRegion;
 use bgp_smp::cluster::{DEFAULT_CHUNK_BYTES, DEFAULT_WINDOW};
 use bgp_smp::Cluster;
 
-/// Run `body` on a helper thread and return what it returns, or fail after
-/// `secs` seconds instead of hanging — leaking whatever the helper holds,
-/// the rank threads of a wedged cluster included.
-fn within<R: Send + 'static>(secs: u64, body: impl FnOnce() -> R + Send + 'static) -> R {
-    let (tx, rx) = mpsc::channel();
-    let helper = thread::spawn(move || {
-        let _ = tx.send(body());
-    });
-    match rx.recv_timeout(Duration::from_secs(secs)) {
-        Err(RecvTimeoutError::Timeout) => panic!("wedged: not done within {secs} s"),
-        sent => match helper.join() {
-            Ok(()) => sent.expect("the helper sent its result"),
-            Err(panic) => std::panic::resume_unwind(panic),
-        },
-    }
-}
-
-/// Payload `seed`: `len` bytes no other seed shares.
-fn payload(seed: usize, len: usize) -> Vec<u8> {
-    (0..len)
-        .map(|i| ((i * 31 + seed * 7) % 251) as u8)
-        .collect()
-}
+mod common;
+use common::{payload, within};
 
 /// On a 2 x 1 cluster of `chunk`-byte chunks, node 0 posts broadcasts `W`
 /// (`w` bytes) and `X` (`x` bytes) back to back, both rooted at node 0;

@@ -39,6 +39,17 @@ impl SharedRegion {
         SharedRegion { data }
     }
 
+    /// Adopt `bytes` as a region without copying them (a spare capacity is
+    /// given back first, which may reallocate).
+    pub fn from_vec(bytes: Vec<u8>) -> Self {
+        let raw = Box::into_raw(bytes.into_boxed_slice()) as *mut [UnsafeCell<u8>];
+        // SAFETY: `UnsafeCell<u8>` is `repr(transparent)` over `u8`, so the
+        // slice keeps its layout and its allocation.
+        SharedRegion {
+            data: unsafe { Box::from_raw(raw) },
+        }
+    }
+
     /// Region length in bytes.
     #[inline]
     pub fn len(&self) -> usize {
@@ -194,6 +205,18 @@ mod tests {
             let mut buf = [0u8; 5];
             r.read(10, &mut buf);
             assert_eq!(&buf, b"hello");
+        }
+    }
+
+    #[test]
+    fn an_adopted_vec_keeps_its_bytes_and_its_buffer() {
+        let bytes: Vec<u8> = (0..100).collect();
+        let ptr = bytes.as_ptr();
+        let r = SharedRegion::from_vec(bytes);
+        assert_eq!(r.len(), 100);
+        unsafe {
+            r.with_bytes(0, 100, |b| assert_eq!(b.as_ptr(), ptr));
+            assert_eq!(r.snapshot(), (0..100).collect::<Vec<u8>>());
         }
     }
 

@@ -40,8 +40,7 @@
 //! a counter, so any sequence of intra-node and cluster collectives composes.
 
 use std::any::Any;
-use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
+use std::cell::Cell;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -78,10 +77,6 @@ struct ClusterShared {
     nodes: Vec<Arc<NodeShared>>,
     fabric: Arc<Fabric>,
 }
-
-/// One worker's buffered, not-yet-collected job results (panics carried
-/// as `Err`).
-type ReadyResults = VecDeque<std::thread::Result<Box<dyn Any + Send>>>;
 
 /// One rank's view of the cluster: its node-local [`RankCtx`] plus the
 /// node id and the fabric.
@@ -131,15 +126,11 @@ pub struct Cluster {
     /// Jobs collected. Pipelined jobs complete per worker in FIFO order, so
     /// collection must follow submission order.
     collect_seq: Cell<u64>,
-    /// Per-worker buffer of received-but-uncollected results, so
-    /// [`try_collect`](Self::try_collect) can poll without losing partial
-    /// progress across calls.
-    ready: RefCell<Vec<ReadyResults>>,
 }
 
-/// A handle to one in-flight SPMD job dispatched with
-/// [`Cluster::submit`]: the cluster-level poll/advance path. Redeem it with
-/// [`Cluster::try_collect`] (non-blocking) or [`Cluster::collect`].
+/// A handle to one in-flight SPMD job dispatched with [`Cluster::submit`];
+/// redeem it with [`Cluster::collect`] (or, for the last one,
+/// [`Cluster::finish`]).
 pub struct PendingJob<R> {
     seq: u64,
     _result: PhantomData<fn() -> R>,
@@ -193,14 +184,12 @@ impl Cluster {
                 }
             })
             .collect();
-        let n_workers = m * n;
         Cluster {
             shared,
             workers,
             poisoned: Cell::new(false),
             submit_seq: Cell::new(0),
             collect_seq: Cell::new(0),
-            ready: RefCell::new((0..n_workers).map(|_| VecDeque::new()).collect()),
         }
     }
 
@@ -250,10 +239,10 @@ impl Cluster {
 
     /// Dispatch `body` to every worker **without waiting**: the job queues
     /// behind any earlier submissions (each worker runs its jobs in FIFO
-    /// order) and the caller keeps the thread. This is the cluster-level
-    /// advance/poll path: a driver — e.g. the `bgp-sched` dispatcher — can
-    /// keep a next batch in flight while it assembles the one after,
-    /// polling completion with [`try_collect`](Self::try_collect).
+    /// order) and the caller keeps the thread. A body may run for as long
+    /// as its caller likes — the `bgp-sched` server submits one resident
+    /// body at start-up, feeds it work over channels of its own, and
+    /// collects it with [`finish`](Self::finish) when it shuts down.
     ///
     /// Jobs must be collected in submission order.
     pub fn submit<R, F>(&self, body: F) -> PendingJob<R>
@@ -280,75 +269,47 @@ impl Cluster {
         }
     }
 
-    /// Poll one submitted job: `Some(results)` once **every** worker has
-    /// finished it, `None` otherwise (partial completions are buffered, so
-    /// polling is cheap and loses nothing).
+    /// Block until `job` completes on every worker and return its results
+    /// node-major (the waiting half of [`submit`](Self::submit)).
     ///
     /// # Panics
     ///
     /// Panics if `job` is not the oldest uncollected submission, or —
     /// poisoning the cluster — if any rank's body panicked.
-    pub fn try_collect<R: Send + 'static>(&self, job: &PendingJob<R>) -> Option<Vec<Vec<R>>> {
-        self.check_usable();
-        self.check_order(job.seq);
-        {
-            let mut ready = self.ready.borrow_mut();
-            for (w, buf) in self.workers.iter().zip(ready.iter_mut()) {
-                if buf.is_empty() {
-                    if let Ok(r) = w.res_rx.try_recv() {
-                        buf.push_back(r);
-                    }
-                }
-            }
-            if ready.iter().any(|b| b.is_empty()) {
-                return None;
-            }
-        }
-        Some(self.finish_front::<R>())
-    }
-
-    /// Block until `job` completes on every worker and return its results
-    /// node-major (the waiting half of [`submit`](Self::submit); panics
-    /// exactly like [`try_collect`](Self::try_collect)).
     pub fn collect<R: Send + 'static>(&self, job: PendingJob<R>) -> Vec<Vec<R>> {
         self.check_usable();
-        self.check_order(job.seq);
-        {
-            let mut ready = self.ready.borrow_mut();
-            for (w, buf) in self.workers.iter().zip(ready.iter_mut()) {
-                if buf.is_empty() {
-                    let r = w.res_rx.recv().expect("rank thread exited prematurely");
-                    buf.push_back(r);
-                }
-            }
-        }
-        self.finish_front::<R>()
-    }
-
-    fn check_order(&self, seq: u64) {
         assert_eq!(
-            seq,
+            job.seq,
             self.collect_seq.get(),
             "pipelined jobs must be collected in submission order"
         );
-    }
-
-    /// Pop the buffered front result of every worker (all present by now),
-    /// re-panic if any rank panicked, downcast, and shape node-major.
-    fn finish_front<R: Send + 'static>(&self) -> Vec<Vec<R>> {
         let results = self
-            .ready
-            .borrow_mut()
-            .iter_mut()
-            .map(|b| b.pop_front().expect("every worker's result is buffered"))
+            .workers
+            .iter()
+            .map(|w| w.res_rx.recv().expect("rank thread exited prematurely"))
             .collect();
-        self.collect_seq.set(self.collect_seq.get() + 1);
+        self.collect_seq.set(job.seq + 1);
         let flat: Vec<R> = self
             .unwrap_results(results)
             .into_iter()
             .map(|r| *r.downcast::<R>().expect("result type"))
             .collect();
         self.shape(flat)
+    }
+
+    /// Collect `last`, the final job, and shut the cluster down: every job
+    /// queue closes first, so each rank thread exits the moment it is done
+    /// with `last` rather than after the collect wakes it once more.
+    pub fn finish<R: Send + 'static>(mut self, last: PendingJob<R>) -> Vec<Vec<R>> {
+        self.close();
+        self.collect(last)
+    }
+
+    /// Close every job queue; a worker exits once it has run what it got.
+    fn close(&mut self) {
+        for w in &mut self.workers {
+            w.job_tx.take();
+        }
     }
 
     fn check_usable(&self) {
@@ -389,9 +350,7 @@ impl Cluster {
 
 impl Drop for Cluster {
     fn drop(&mut self) {
-        for w in &mut self.workers {
-            w.job_tx.take(); // closes the queue; the worker loop exits
-        }
+        self.close();
         for w in &mut self.workers {
             if let Some(h) = w.handle.take() {
                 let _ = h.join();
@@ -660,7 +619,7 @@ impl ClusterCtx {
                 // outbound tree port, then publish it for the local peers.
                 let ctr = self.ctx.aux_counter(0);
                 wire::tree_send(
-                    &shared.fabric.bcast_out(v, root_node),
+                    shared.fabric.bcast_out(v, root_node),
                     chunk,
                     len,
                     || len,
@@ -679,11 +638,7 @@ impl ClusterCtx {
             // application buffer and each landing is published to the
             // node's other ranks. A single-rank node has none; it forwards
             // each chunk itself while the incoming slot is still on loan.
-            let outs = if n == 1 {
-                shared.fabric.bcast_out(v, root_node)
-            } else {
-                Vec::new()
-            };
+            let outs = shared.fabric.bcast_out(v, root_node).filter(|_| n == 1);
             self.ctx
                 .cluster_stats()
                 .bcast_recv_ops
@@ -691,7 +646,7 @@ impl ClusterCtx {
             let ctr = self.ctx.aux_counter(recv_rank);
             wire::tree_recv(
                 shared.fabric.bcast_in(v, root_node),
-                &outs,
+                outs,
                 len,
                 |off, bytes| {
                     // SAFETY: sole writer; readers gated on the publish.
@@ -709,7 +664,7 @@ impl ClusterCtx {
             let src = self.ctx.map_cached(recv_rank, tag);
             let ctr = self.ctx.aux_counter(recv_rank);
             wire::tree_send(
-                &shared.fabric.bcast_out(v, root_node),
+                shared.fabric.bcast_out(v, root_node),
                 chunk,
                 len,
                 || ((ctr.read() - base) as usize).min(len),
@@ -887,22 +842,12 @@ mod tests {
         let rb = cluster.collect(b);
         assert!(ra.iter().flatten().all(|&v| v == window_tags(1)));
         assert!(rb.iter().flatten().all(|&v| v == window_tags(2)));
-        // The cluster is reusable afterwards.
+        // The cluster is reusable afterwards, up to the job it finishes on.
         let rc = cluster.run(|cctx| cctx.intra().next_op());
         assert!(rc.iter().flatten().all(|&v| v == window_tags(3)));
-    }
-
-    #[test]
-    fn try_collect_buffers_partial_completions() {
-        let cluster = Cluster::new(1, 2);
-        let job = cluster.submit(|cctx| cctx.rank());
-        let out = loop {
-            if let Some(r) = cluster.try_collect(&job) {
-                break r;
-            }
-            std::thread::yield_now();
-        };
-        assert_eq!(out, vec![vec![0, 1]]);
+        let last = cluster.submit(|cctx| cctx.intra().next_op());
+        let rd = cluster.finish(last);
+        assert!(rd.iter().flatten().all(|&v| v == window_tags(4)));
     }
 
     #[test]

@@ -692,7 +692,7 @@ impl<S: SlotStore> Fabric<S> {
     }
 
     /// Tree children of `v` that exist in an `m`-node fabric.
-    pub fn children(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
+    pub fn children(&self, v: usize) -> impl Iterator<Item = usize> + Clone + '_ {
         [2 * v + 1, 2 * v + 2].into_iter().filter(|&c| c < self.m)
     }
 
@@ -728,23 +728,19 @@ impl<S: SlotStore> Fabric<S> {
     }
 
     /// The channels node `v` forwards (or, at the root, injects) broadcast
-    /// chunks on: every incident tree port except the inbound one.
-    pub fn bcast_out(&self, v: usize, root: usize) -> Vec<&ChunkChannel<S>> {
-        let toward = if v == root {
-            None
-        } else {
-            Some(Self::toward(v, root))
-        };
-        let mut out = Vec::new();
-        for c in self.children(v) {
-            if Some(c) != toward {
-                out.push(self.down[c].as_ref().expect("children have down links"));
-            }
-        }
-        if v > 0 && Some(Self::parent(v)) != toward {
-            out.push(self.up[v].as_ref().expect("v > 0 has an up link"));
-        }
-        out
+    /// chunks on: every incident tree port except the inbound one — at most
+    /// three, listed without a heap allocation, since a progress engine
+    /// asks on every pass.
+    pub fn bcast_out(
+        &self,
+        v: usize,
+        root: usize,
+    ) -> impl Iterator<Item = &ChunkChannel<S>> + Clone {
+        let toward = (v != root).then(|| Self::toward(v, root));
+        let down = self.children(v).filter(move |&c| Some(c) != toward);
+        let up = (v > 0 && Some(Self::parent(v)) != toward).then_some(v);
+        down.map(|c| self.down[c].as_ref().expect("children have down links"))
+            .chain(up.map(|v| self.up[v].as_ref().expect("v > 0 has an up link")))
     }
 
     /// The ring channel node `v` sends on in direction `dir` (m > 1).

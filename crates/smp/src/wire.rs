@@ -117,19 +117,20 @@ impl TreeFeed {
     /// `fill(off, dst)` produces the chunk at byte `off` — once per port.
     /// Ports advance a chunk at a time in turn, so ports in step read a
     /// chunk back to back. Never blocks; returns whether anything went.
-    pub fn pump<S: SlotStore>(
+    pub fn pump<'c, S: SlotStore + 'c>(
         &mut self,
-        outs: &[&ChunkChannel<S>],
+        outs: impl IntoIterator<Item = &'c ChunkChannel<S>> + Clone,
         avail: usize,
         tag: impl Fn(usize) -> u64,
         mut fill: impl FnMut(usize, &mut [u8]),
     ) -> bool {
-        debug_assert!(outs.len() == self.ports && self.offered <= avail && avail <= self.len);
+        debug_assert!(outs.clone().into_iter().count() == self.ports);
+        debug_assert!(self.offered <= avail && avail <= self.len);
         self.offered = avail;
         let mut progressed = false;
         loop {
             let mut went = false;
-            for (ch, sent) in outs.iter().zip(&mut self.sent) {
+            for (ch, sent) in outs.clone().into_iter().zip(&mut self.sent) {
                 let off = *sent * self.chunk;
                 let end = (off + self.chunk).min(self.len);
                 if off < end
@@ -163,18 +164,18 @@ impl TreeFeed {
 /// receives into. `fill(off, dst)` produces the chunk at byte `off`, once
 /// per port; `sent(off, bytes)` reports, in order, each further range that
 /// is out on all of them.
-pub fn tree_send<S: SlotStore>(
-    outs: &[&ChunkChannel<S>],
+pub fn tree_send<'c, S: SlotStore + 'c>(
+    outs: impl IntoIterator<Item = &'c ChunkChannel<S>> + Clone,
     chunk: usize,
     len: usize,
     mut avail: impl FnMut() -> usize,
     mut fill: impl FnMut(usize, &mut [u8]),
     mut sent: impl FnMut(usize, usize),
 ) {
-    let mut feed = TreeFeed::new(outs.len(), len, chunk);
+    let mut feed = TreeFeed::new(outs.clone().into_iter().count(), len, chunk);
     let (mut done, data) = (0, |k| tag::pack(0, Kind::Data, k));
     loop {
-        let mut progressed = feed.pump(outs, avail(), data, &mut fill);
+        let mut progressed = feed.pump(outs.clone(), avail(), data, &mut fill);
         let flushed = feed.flushed();
         if flushed > done {
             sent(done, flushed - done);
@@ -195,9 +196,9 @@ pub fn tree_send<S: SlotStore>(
 /// port in `outs` directly — forwarding never re-reads the application
 /// buffer. (`outs` is empty on a leaf, and on a multi-rank node, whose
 /// network core forwards out of the receiver's buffer instead.)
-pub fn tree_recv<S: SlotStore>(
+pub fn tree_recv<'c, S: SlotStore + 'c>(
     in_ch: &ChunkChannel<S>,
-    outs: &[&ChunkChannel<S>],
+    outs: impl IntoIterator<Item = &'c ChunkChannel<S>> + Clone,
     len: usize,
     mut land: impl FnMut(usize, &[u8]),
 ) {
@@ -205,7 +206,7 @@ pub fn tree_recv<S: SlotStore>(
         let (rs, t) = (in_ch.peek(), tag::pack(0, Kind::Data, k));
         debug_assert_eq!((rs.tag(), rs.len()), (t, clen));
         rs.with_bytes(|bytes| land(off, bytes));
-        for ch in outs {
+        for ch in outs.clone() {
             // Blocking on downstream space while holding the loan is
             // deadlock-free: tree links form no cycle, so the consumer
             // downstream never waits on our retire.
@@ -1034,18 +1035,18 @@ mod tests {
         let msg: Vec<u8> = (0..20).collect();
         let fill = |off: usize, dst: &mut [u8]| dst.copy_from_slice(&msg[off..off + dst.len()]);
         let mut feed = TreeFeed::new(2, msg.len(), 8);
-        assert!(!feed.pump(&outs, 0, |k| k as u64, fill));
-        assert!(feed.pump(&outs, 8, |k| k as u64, fill));
+        assert!(!feed.pump(outs, 0, |k| k as u64, fill));
+        assert!(feed.pump(outs, 8, |k| k as u64, fill));
         assert_eq!((feed.flushed(), a.sent(), b.sent()), (8, 1, 1));
-        assert!(feed.pump(&outs, 20, |k| k as u64, fill));
+        assert!(feed.pump(outs, 20, |k| k as u64, fill));
         assert_eq!((feed.flushed(), a.sent(), b.sent()), (16, 2, 2));
         // Only port `a` drains: it gets the short last chunk, `b` stays full.
         a.recv_with(|tag, bytes| assert_eq!((tag, bytes), (0, &msg[..8])));
-        assert!(feed.pump(&outs, 20, |k| k as u64, fill));
+        assert!(feed.pump(outs, 20, |k| k as u64, fill));
         assert_eq!((feed.flushed(), a.sent(), b.sent()), (16, 3, 2));
-        assert!(!feed.pump(&outs, 20, |k| k as u64, fill));
+        assert!(!feed.pump(outs, 20, |k| k as u64, fill));
         b.recv_with(|tag, bytes| assert_eq!((tag, bytes), (0, &msg[..8])));
-        assert!(feed.pump(&outs, 20, |k| k as u64, fill));
+        assert!(feed.pump(outs, 20, |k| k as u64, fill));
         assert_eq!(feed.flushed(), 20);
         a.recv_with(|_, _| ());
         a.recv_with(|tag, bytes| assert_eq!((tag, bytes), (2, &msg[16..])));

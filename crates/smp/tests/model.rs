@@ -682,7 +682,7 @@ fn tree_feed_scenario() {
     let outs = [&*ports[0], &*ports[1]];
     let mut reported = 0;
     wire::tree_send(
-        &outs,
+        outs,
         8,
         msg.len(),
         || msg.len(),

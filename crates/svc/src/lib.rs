@@ -498,8 +498,10 @@ impl BcastTicket {
         self.inner.is_done()
     }
 
-    /// Spin until done; returns every member's received payload in global
-    /// member order. Consuming the ticket releases the comm refcount.
+    /// Block until done — a short spin, then a park until the op's last
+    /// result lands — and return every member's received payload in global
+    /// member order, moved out of the ticket. Consuming the ticket releases
+    /// the comm refcount.
     pub fn wait(self) -> Vec<Vec<u8>> {
         self.inner.wait()
     }
@@ -518,15 +520,14 @@ impl AllreduceTicket {
         self.inner.is_done()
     }
 
-    /// Spin until done; returns every member's result vector in global
-    /// member order.
+    /// Block until done (as [`BcastTicket::wait`]); returns every member's
+    /// result vector in global member order.
     pub fn wait(self) -> Vec<Vec<f64>> {
         self.inner.wait()
     }
 
-    /// Spin until done; surfaces a slot whose byte length is not a whole
-    /// number of f64 lanes as [`SchedError::MalformedPayload`] instead of
-    /// panicking.
+    /// [`Self::wait`], but a slot whose byte length is not a whole number
+    /// of f64 lanes is [`SchedError::MalformedPayload`] instead of a panic.
     pub fn try_wait(self) -> Result<Vec<Vec<f64>>, SvcError> {
         self.inner.try_wait().map_err(SvcError::Sched)
     }

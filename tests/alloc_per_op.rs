@@ -1,10 +1,11 @@
-//! Allocation budget of the blocking node allreduces at steady state.
+//! Allocation budgets at steady state.
 //!
 //! A counting global allocator (std only) sums the bytes every thread
-//! allocates while the ranks loop 4 MiB allreduces after a warm-up. Each
-//! result byte is written straight into the callers' outputs, so an op may
-//! allocate its small bookkeeping (the `Vec`s of mapped windows) but never a
-//! result-sized region.
+//! allocates. The blocking node allreduces loop 4 MiB ops after a warm-up:
+//! each result byte is written straight into the callers' outputs, so an op
+//! may allocate its small bookkeeping (the `Vec`s of mapped windows) but
+//! never a result-sized region. A service broadcast copies each member's
+//! result once, from the op's completed region into its ticket.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -12,6 +13,7 @@ use std::sync::{Arc, Mutex};
 
 use bgp_collectives::shmem::SharedRegion;
 use bgp_collectives::smp::{Cluster, ClusterCtx, SenseBarrier};
+use bgp_collectives::svc::Service;
 
 /// Bytes handed out by the allocator since the process started.
 static ALLOCATED: AtomicU64 = AtomicU64::new(0);
@@ -111,4 +113,37 @@ fn cluster_allreduce_allocates_no_colour_buffer_across_two_rank_nodes() {
     assert_within_budget("ClusterCtx::allreduce_f64", 2, 2, |c, i, o, n| {
         c.allreduce_f64(i, o, n)
     });
+}
+
+/// A 512 KiB broadcast on a 2 x 1 service, rooted at node 0, counted from
+/// its submit to the return of its `wait`. The root's payload becomes its
+/// buffer as it is; node 1 receives into the engine's stage and copies out
+/// into its member region; each of the two member results is copied once
+/// into its ticket slot, which `wait` moves out: four payloads' worth,
+/// plus bookkeeping.
+#[test]
+fn service_bcast_copies_each_member_result_once() {
+    const LEN: usize = 512 << 10;
+    const BUDGET: u64 = 4 * LEN as u64 + (64 << 10);
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let svc = Service::new(2, 1);
+    let session = svc.open_session("alloc", 1).unwrap();
+    let comm = session.comm_world();
+    let mut counted = 0;
+    for i in 0..WARM + OPS as usize {
+        let sent = vec![i as u8; LEN];
+        let payload = sent.clone();
+        let before = ALLOCATED.load(Ordering::Relaxed);
+        let got = comm.bcast(0, 0, payload).unwrap().wait();
+        let after = ALLOCATED.load(Ordering::Relaxed);
+        assert_eq!(got, vec![sent; 2], "op {i}");
+        if i >= WARM {
+            counted += after - before;
+        }
+    }
+    let per_op = counted / OPS;
+    assert!(
+        per_op <= BUDGET,
+        "a 512 KiB service bcast allocates {per_op} B per op (budget {BUDGET} B)"
+    );
 }

@@ -195,6 +195,11 @@ fn weight_one_tenant_completes_under_weight_eight_flood() {
             sent
         })
     };
+    // The train starts once the flood has: 24 depth-1 ops can finish before
+    // a freshly spawned flooder first runs.
+    while svc.tenant_stats("flooder").map_or(0, |s| s.submitted) == 0 && !flooder.is_finished() {
+        std::thread::yield_now();
+    }
     let session = svc.open_session("victim", 1).unwrap();
     let comm = session.comm_world();
     for i in 0..VICTIM_OPS {
