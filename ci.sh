@@ -4,7 +4,7 @@
 # verify (release build + every member's unit, integration and doc tests),
 # an offline build of benchmark/ against the workspace, bounded soaks of
 # the formerly livelocking service test, of the scheduler-stash
-# regression and of the service's park/wake and shutdown cases, the
+# regression and of the service's park/wake, shutdown and admission cases, the
 # bgp-check model-checking
 # suites, a smoke run
 # of a figure binary checking that its JSON report and its --trace probe
@@ -136,13 +136,14 @@ for i in $(seq 1 50); do
   }
 done
 
-# Bounded soak of the service's resident engine: a parked ticket waiter
-# that misses its wake-up, a rank thread that never parks, or a drop that
-# strands a plan in flight shows up only under some thread timings. 50 runs
-# of each built binary, each under a timeout; the cases' own deadlines
-# report a hang first.
-echo "== soak: crates/sched/tests/{park,shutdown}.rs x 50 each (timeout 30 s each)"
-for t in park shutdown; do
+# Bounded soak of the service's resident engine and admission: a parked
+# ticket waiter that misses its wake-up, a rank thread that never parks, a
+# drop that strands a plan in flight, or an admission test whose held
+# dispatcher lets go too early shows up only under some thread timings. 50
+# runs of each built binary, each under a timeout; the cases' own
+# deadlines report a hang first.
+echo "== soak: crates/sched/tests/{park,shutdown,server}.rs x 50 each (timeout 30 s each)"
+for t in park shutdown server; do
   bin="$(built_test "$t" -p bgp-sched)"
   for i in $(seq 1 50); do
     timeout 30 "$bin" -q >/dev/null || {

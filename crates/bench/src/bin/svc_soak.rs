@@ -77,7 +77,6 @@ fn soak_config() -> ServerConfig {
     ServerConfig {
         batch_max_ops: 1,
         pipeline: 1,
-        ..ServerConfig::default()
     }
 }
 

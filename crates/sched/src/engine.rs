@@ -151,9 +151,10 @@ pub(crate) fn check_size(bytes: usize, chunk: usize) -> Result<(), SchedError> {
 }
 
 /// Validate a group's *shape* — the checks that depend only on the group
-/// and the node geometry, shared by the engine posts, the server
-/// submissions, and `bgp-svc` communicator creation (which validates once
-/// at `Comm` creation and reuses the group across ops).
+/// and the node geometry, shared by the engine posts, every server
+/// submission, and `bgp-svc` communicator creation (so a bad group fails
+/// when its `Comm` is made; the server still checks each submission on
+/// it, which costs O(group)).
 ///
 /// The size check runs before the range check so the
 /// [`MAX_GROUP_RANKS`] boundary is observable regardless of how many

@@ -38,8 +38,9 @@
 //!   front-end: per-tenant bounded submission queues drained by a
 //!   deficit-round-robin dispatcher (register tenants with
 //!   [`CollectiveServer::add_tenant`], weights scale each tenant's byte
-//!   credit per scan), bounded-depth admission control per tenant and
-//!   globally (blocking [`CollectiveServer::submit_bcast`] or failing
+//!   credit per scan), bounded-depth admission control per tenant
+//!   ([`TENANT_MAX_PENDING`]) and globally ([`MAX_PENDING`]) (blocking
+//!   [`CollectiveServer::submit_bcast`] or failing
 //!   [`CollectiveServer::try_submit_bcast`]), coalescing of small
 //!   same-root broadcasts into one fused payload, batching of queued ops
 //!   into plans that stream to a resident engine (every rank thread keeps
@@ -77,8 +78,8 @@ pub use engine::{
     RESERVED_COUNTER_KEYS,
 };
 pub use server::{
-    store_max, AllreduceTicket, BcastTicket, CollectiveServer, OpState, ServerConfig, ServerStats,
-    TenantId, TenantStats, DEFAULT_TENANT,
+    AllreduceTicket, BcastTicket, CollectiveServer, OpState, ServerConfig, ServerStats, TenantId,
+    TenantStats, DEFAULT_TENANT, MAX_PENDING, TENANT_MAX_PENDING,
 };
 
 /// Why a post or submission was refused. All checks happen before any side

@@ -7,24 +7,26 @@
 //! stack gets from its software layers but the raw engine does not provide:
 //!
 //! * **Per-tenant admission control** — every registered tenant
-//!   ([`CollectiveServer::add_tenant`]) owns a bounded submission queue
-//!   ([`ServerConfig::tenant_max_pending`]); `submit_*` blocks when the
-//!   tenant's bound (or the server-wide [`ServerConfig::max_pending`]
-//!   backstop) is hit, `try_submit_bcast*` fails fast with
-//!   [`SchedError::Backpressure`]. One flooding tenant fills *its own*
-//!   queue; everybody else keeps submitting.
+//!   ([`CollectiveServer::add_tenant`]) owns a submission queue bounded at
+//!   [`TENANT_MAX_PENDING`]; `submit_*` blocks when the tenant's bound (or
+//!   the server-wide [`MAX_PENDING`] backstop) is hit, `try_submit_bcast*`
+//!   fails fast with [`SchedError::Backpressure`]. One flooding tenant
+//!   fills *its own* queue; everybody else keeps submitting. Every
+//!   submission takes one admission path: validation, tenant lookup, then —
+//!   under the queue lock — either completion on the spot (zero bytes) or
+//!   the enqueue.
 //! * **Deficit-round-robin dispatch** — queued submissions are drained
 //!   into batches by a byte-cost DRR scan over the tenant queues: each
-//!   visit credits a tenant [`ServerConfig::drr_quantum`] × weight bytes
-//!   of deficit and pops commands while the deficit covers their cost.
-//!   Service is proportional to weight over time regardless of who
-//!   floods, which is what keeps a well-behaved tenant's latency flat
-//!   (the `svc_soak` isolation check).
+//!   visit credits a tenant 64 KiB × weight of deficit and pops commands
+//!   while the deficit covers their cost. Service is proportional to
+//!   weight over time regardless of who floods, which is what keeps a
+//!   well-behaved tenant's latency flat (the `svc_soak` isolation check).
 //! * **Coalescing** — consecutive small broadcasts with the same group and
-//!   root are fused into one payload and run as a *single* engine op;
-//!   members slice their copies apart on completion. One tree traversal
-//!   amortizes per-op overhead across every fused child, the same economics
-//!   that make the paper's 64-byte collectives latency-bound.
+//!   root are fused, up to 8 at a time, into one payload and run as a
+//!   *single* engine op; members slice their copies apart on completion.
+//!   One tree traversal amortizes per-op overhead across every fused child,
+//!   the same economics that make the paper's 64-byte collectives
+//!   latency-bound.
 //! * **A resident engine, fed plans as they come** — the rank threads run
 //!   one long-lived body for the server's whole life, each holding one
 //!   [`Sched`]. The dispatcher turns every drained batch into a *plan* and
@@ -36,6 +38,18 @@
 //!   unfinished ticket are in flight; at that bound the dispatcher waits
 //!   on the oldest one. An idle rank spins for a moment, then parks in
 //!   its channel.
+//!
+//! The admission bounds, the DRR quantum and the coalescing limits are
+//! constants; [`ServerConfig`] holds only the plan width
+//! (`batch_max_ops`) and the pipeline depth (`pipeline`).
+//!
+//! Each fact is counted once. What submitters and the dispatcher count
+//! under the queue lock — submissions, refusals, queue peaks, plans, queue
+//! wait — is a plain field of the tenant or the queue; a queue's depth is
+//! its length. Only `completed` (credited by the rank thread that finishes
+//! an op) and `coalesced` (credited by the dispatcher) are written outside
+//! the lock, into one atomic cell per tenant that each op's [`OpState`]
+//! carries. Server totals are sums over the tenants.
 //!
 //! Completion is published through [`OpState`] — a slot-per-member result
 //! board whose done flag is release-published by the last finisher and
@@ -61,32 +75,6 @@ use bgp_smp::{Cluster, ClusterCtx};
 use crate::engine::{check_size, validate_group_shape};
 use crate::{Request, Sched, SchedError};
 
-/// Monotonic-max update of `cell` via a compare-and-swap loop.
-///
-/// A plain read-then-store max (the `stats_peak_plain_store` seeded bug)
-/// can lose the larger value when two updaters interleave: both read the
-/// old value, the larger store lands first, and the smaller store then
-/// overwrites it. The CAS loop re-reads on interference, so the cell is
-/// monotone under any concurrency. Model-checked in `tests/model.rs`
-/// (`store_max_keeps_the_largest_value` plus the mutation self-test that
-/// proves the plain-store variant is caught).
-pub fn store_max(cell: &AtomicU64, value: u64) {
-    if model_support::seeded("stats_peak_plain_store") {
-        // Seeded bug: racy two-step max.
-        if value > cell.load(Ordering::Relaxed) {
-            cell.store(value, Ordering::Relaxed);
-        }
-        return;
-    }
-    let mut cur = cell.load(Ordering::Relaxed);
-    while value > cur {
-        match cell.compare_exchange_weak(cur, value, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(now) => cur = now,
-        }
-    }
-}
-
 /// Shared completion state of one submitted operation: one result slot per
 /// group member (global member order, `node * group_len + index_in_group`),
 /// a countdown of unfilled slots, and a done flag.
@@ -107,13 +95,13 @@ pub struct OpState {
     status: AtomicU64,
     pending: AtomicU64,
     slots: Box<[UnsafeCell<Option<Vec<u8>>>]>,
-    /// Completion credit attached to server-submitted ops (`None` for
-    /// hand-built boards): bumped by the last slot filler *before* the
-    /// Release store of the done flag, so a waiter that observes
-    /// [`Self::is_done`] also observes the `completed` counters. Crediting
+    /// The owning tenant's cell, on server-submitted ops (`None` for
+    /// hand-built boards). The last slot filler credits `completed`
+    /// *before* the Release store of the done flag, so a waiter that
+    /// observes [`Self::is_done`] also observes the count. Crediting
     /// anywhere later (e.g. when the dispatcher retires the plan) lets
     /// `wait()` return while the stats still read stale.
-    credit: Option<OpCredit>,
+    credit: Option<Arc<TenantCell>>,
     park: Mutex<()>,
     woken: Condvar,
 }
@@ -125,13 +113,6 @@ const WAIT_SPIN: Duration = Duration::from_micros(200);
 /// How long an idle rank thread keeps polling for the next plan before it
 /// parks in its channel.
 const RANK_SPIN: Duration = Duration::from_micros(50);
-
-/// The stat cells an [`OpState`] credits at its done transition: the
-/// owning tenant's cell and the server-wide counters.
-struct OpCredit {
-    tenant: Arc<TenantStatsInner>,
-    server: Arc<ServerShared>,
-}
 
 impl OpState {
     /// A board of `n_slots` empty slots (already done when `n_slots == 0`).
@@ -151,11 +132,11 @@ impl OpState {
         }
     }
 
-    /// [`Self::new`] plus a completion credit for the owning tenant,
-    /// applied exactly once when the last slot fills.
-    fn credited(n_slots: usize, tenant: Arc<TenantStatsInner>, server: Arc<ServerShared>) -> Self {
+    /// [`Self::new`] plus the owning tenant's cell, credited exactly once
+    /// when the last slot fills.
+    fn credited(n_slots: usize, cell: Arc<TenantCell>) -> Self {
         let mut state = Self::new(n_slots);
-        state.credit = Some(OpCredit { tenant, server });
+        state.credit = Some(cell);
         state
     }
 
@@ -180,12 +161,11 @@ impl OpState {
         if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
             // Credit before the Release store: the store synchronizes with
             // the waiter's Acquire load in `is_done`, so a waiter that sees
-            // done also sees these (relaxed) increments. This is what makes
+            // done also sees this (relaxed) increment. This is what makes
             // `ticket.wait(); stats().completed` read consistently even
             // while the dispatcher has not yet retired the plan.
-            if let Some(c) = &self.credit {
-                c.tenant.completed.fetch_add(1, Ordering::Relaxed);
-                c.server.stats.completed.fetch_add(1, Ordering::Relaxed);
+            if let Some(cell) = &self.credit {
+                cell.completed.fetch_add(1, Ordering::Relaxed);
             }
             self.status.store(
                 1,
@@ -352,21 +332,20 @@ impl TenantId {
 /// convenience calls route here (weight 1).
 pub const DEFAULT_TENANT: TenantId = TenantId(0);
 
-/// Tuning knobs of the service layer.
+/// Per-tenant admission bound: one tenant's queued (undispatched)
+/// submissions beyond this block `submit_*` / fail `try_submit_bcast*`,
+/// leaving other tenants unaffected.
+pub const TENANT_MAX_PENDING: usize = 16;
+/// Server-wide admission backstop: total queued submissions across *all*
+/// tenants beyond this block / fail the same way.
+pub const MAX_PENDING: usize = 64;
+
+/// The service's two settings: how much the dispatcher drains into one plan
+/// and how many plans it keeps in flight. Their product bounds how many
+/// foreign ops a latency-sensitive op can wait behind (`svc_soak` runs
+/// 1 × 1); the default 16 × 2 favors throughput.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Server-wide admission backstop: total queued (undispatched)
-    /// submissions across *all* tenants beyond this block `submit_*` /
-    /// fail `try_submit_bcast*`.
-    pub max_pending: usize,
-    /// Per-tenant admission bound: one tenant's queued submissions beyond
-    /// this block / fail the same way, leaving other tenants unaffected.
-    pub tenant_max_pending: usize,
-    /// DRR credit (bytes) granted per weight unit each time the
-    /// dispatcher's round-robin scan visits a backlogged tenant.
-    pub drr_quantum: usize,
-    /// Most children fused into one broadcast (1 disables coalescing).
-    pub coalesce_max_ops: usize,
     /// Most submissions drained into one plan.
     pub batch_max_ops: usize,
     /// Plans with an unfinished ticket the dispatcher keeps in flight at
@@ -377,28 +356,25 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            max_pending: 64,
-            tenant_max_pending: 16,
-            drr_quantum: 64 * 1024,
-            coalesce_max_ops: 8,
             batch_max_ops: 16,
             pipeline: 2,
         }
     }
 }
 
-/// Point-in-time server counters (all monotonic except the gauges named
-/// below).
+/// Point-in-time server counters (all monotonic), each the sum of the
+/// tenants' counters or, for `batches` and `peak_queue_depth`, the queue's.
 ///
-/// **Torn-snapshot semantics:** [`CollectiveServer::stats`] reads each
-/// field with an independent relaxed load while the dispatcher and
-/// submitters keep mutating them, so a snapshot is *per-field* accurate
-/// but not a consistent cut: `completed` may momentarily exceed the
-/// `submitted` read a few nanoseconds earlier, and sums across fields can
-/// be off by in-flight increments. Every individual counter is still
-/// exact and monotone (peaks via the CAS loop in [`store_max`]); consumers
-/// that need cross-field invariants must quiesce the server first (e.g.
-/// wait on every outstanding ticket, as the tests do).
+/// **Snapshot semantics:** [`CollectiveServer::stats`] reads under the
+/// queue lock, so every field written under that lock (`submitted`,
+/// `batches`, `rejected`, `peak_queue_depth`, `wait_ns`) belongs to one
+/// consistent cut. `completed` and `coalesced` are relaxed reads of
+/// counters the rank threads and the dispatcher bump outside the lock:
+/// each is exact, monotone and never ahead of `submitted`, but an op that
+/// finishes while the snapshot is taken may or may not be in it. Consumers
+/// that need the counts to agree (`completed == submitted`) must quiesce
+/// the server first (e.g. wait on every outstanding ticket, as the tests
+/// do).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Operations accepted (including immediately-completed zero-length ones).
@@ -406,7 +382,7 @@ pub struct ServerStats {
     /// Operations whose every member result is in (credited by the last
     /// slot filler, before the ticket can see it done).
     pub completed: u64,
-    /// Plans (drained batches) sent to the rank threads.
+    /// Plans (drained batches) handed to the rank threads.
     pub batches: u64,
     /// Submissions that ran fused with at least one sibling.
     pub coalesced: u64,
@@ -422,8 +398,8 @@ pub struct ServerStats {
     pub stash_evicted: u64,
 }
 
-/// Point-in-time counters of one tenant (same torn-snapshot semantics as
-/// [`ServerStats`]: per-field accurate, not a consistent cut).
+/// Point-in-time counters of one tenant (same snapshot semantics as
+/// [`ServerStats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TenantStats {
     /// The tenant's slot index ([`TenantId::index`]).
@@ -447,60 +423,45 @@ pub struct TenantStats {
     pub wait_ns: u64,
 }
 
+/// The two counters of a tenant written outside the queue lock. Every op
+/// the tenant submits carries the cell in its [`OpState`]: the rank thread
+/// that finishes the op credits `completed`, the dispatcher credits
+/// `coalesced` when it fuses the op with a sibling.
 #[derive(Default)]
-struct StatsInner {
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    batches: AtomicU64,
-    coalesced: AtomicU64,
-    rejected: AtomicU64,
-    peak_queue_depth: AtomicU64,
-    wait_ns: AtomicU64,
-}
-
-#[derive(Default)]
-struct TenantStatsInner {
-    submitted: AtomicU64,
+struct TenantCell {
     completed: AtomicU64,
     coalesced: AtomicU64,
-    rejected: AtomicU64,
-    queue_depth: AtomicU64,
-    peak_queue_depth: AtomicU64,
-    wait_ns: AtomicU64,
 }
 
-enum Cmd {
+/// What a submission asks the cluster to do.
+enum Op {
     Bcast {
-        tenant: usize,
-        group: Arc<Vec<usize>>,
         root_node: usize,
         root_rank: usize,
         payload: Vec<u8>,
-        state: Arc<OpState>,
-        queued_at: Instant,
     },
     Allreduce {
-        tenant: usize,
-        group: Arc<Vec<usize>>,
         inputs: Vec<Vec<f64>>,
         count: usize,
-        state: Arc<OpState>,
-        queued_at: Instant,
     },
 }
 
-impl Cmd {
-    fn tenant(&self) -> usize {
+impl Op {
+    /// Bytes the op moves to each member.
+    fn bytes(&self) -> usize {
         match self {
-            Cmd::Bcast { tenant, .. } | Cmd::Allreduce { tenant, .. } => *tenant,
+            Op::Bcast { payload, .. } => payload.len(),
+            Op::Allreduce { count, .. } => count * 8,
         }
     }
+}
 
-    fn state(&self) -> &Arc<OpState> {
-        match self {
-            Cmd::Bcast { state, .. } | Cmd::Allreduce { state, .. } => state,
-        }
-    }
+/// An admitted submission, queued until the dispatcher drains it.
+struct Cmd {
+    group: Arc<Vec<usize>>,
+    op: Op,
+    state: Arc<OpState>,
+    queued_at: Instant,
 }
 
 /// Smallest DRR charge: even a 1-byte broadcast spends this much deficit,
@@ -510,19 +471,15 @@ const MIN_DRR_COST: u64 = 64;
 /// accumulation loop stays short; beyond this size the per-op cost is
 /// dominated by moving the bytes anyway.
 const DRR_COST_CAP: u64 = 4 << 20;
+/// DRR credit (bytes) granted per weight unit each time the dispatcher's
+/// round-robin scan visits a backlogged tenant.
+const DRR_QUANTUM: u64 = 64 * 1024;
 /// Only broadcast payloads at most this long are coalescing candidates.
 const COALESCE_ELIGIBLE: usize = 4096;
 /// A fused broadcast payload never exceeds this many bytes.
 const COALESCE_MAX_BYTES: usize = 64 * 1024;
-
-/// DRR byte-cost of one queued command.
-fn cmd_cost(cmd: &Cmd) -> u64 {
-    let bytes = match cmd {
-        Cmd::Bcast { payload, .. } => payload.len() as u64,
-        Cmd::Allreduce { count, .. } => (count * 8) as u64,
-    };
-    bytes.clamp(MIN_DRR_COST, DRR_COST_CAP)
-}
+/// Most children fused into one broadcast.
+const COALESCE_MAX_OPS: usize = 8;
 
 /// One engine op of a plan. A broadcast's payload is adopted, uncopied, as
 /// the root's buffer; a coalesced one carries the fused payload plus each
@@ -544,29 +501,56 @@ enum PlanOp {
 }
 
 /// One tenant's slot in the queue table: its bounded command queue, DRR
-/// scheduling state, and stats cell.
+/// scheduling state, and counters — plain fields for everything written
+/// under the queue lock, the shared [`TenantCell`] for the rest.
+#[derive(Default)]
 struct Tenant {
     weight: u32,
     deficit: u64,
     cmds: VecDeque<Cmd>,
-    stats: Arc<TenantStatsInner>,
+    submitted: u64,
+    rejected: u64,
+    peak_queue_depth: u64,
+    wait_ns: u64,
+    cell: Arc<TenantCell>,
 }
 
+impl Tenant {
+    fn snapshot(&self, tenant: usize) -> TenantStats {
+        TenantStats {
+            tenant,
+            weight: self.weight,
+            submitted: self.submitted,
+            completed: self.cell.completed.load(Ordering::Relaxed),
+            coalesced: self.cell.coalesced.load(Ordering::Relaxed),
+            rejected: self.rejected,
+            queue_depth: self.cmds.len() as u64,
+            peak_queue_depth: self.peak_queue_depth,
+            wait_ns: self.wait_ns,
+        }
+    }
+}
+
+#[derive(Default)]
 struct Queue {
     tenants: Vec<Tenant>,
-    /// Total queued commands across tenants (the `max_pending` backstop).
+    /// Total queued commands across tenants (the [`MAX_PENDING`] backstop).
     total: usize,
+    /// Deepest `total` has been.
+    peak_queue_depth: u64,
+    /// Plans drained so far.
+    batches: u64,
     /// Round-robin cursor of the DRR scan (persists across batches so
     /// service resumes where it left off).
     rr: usize,
     closed: bool,
 }
 
+#[derive(Default)]
 struct ServerShared {
     queue: Mutex<Queue>,
     not_empty: Condvar,
     not_full: Condvar,
-    stats: StatsInner,
 }
 
 /// A collectives-as-a-service front-end over an owned cluster. See the
@@ -595,34 +579,21 @@ impl CollectiveServer {
     /// [`Self::add_tenant`].
     pub fn with_config(m: usize, n: usize, cfg: ServerConfig) -> Self {
         assert!(m >= 1 && n >= 1, "cluster geometry must be at least 1x1");
-        let shared = Arc::new(ServerShared {
-            queue: Mutex::new(Queue {
-                tenants: vec![Tenant {
-                    weight: 1,
-                    deficit: 0,
-                    cmds: VecDeque::new(),
-                    stats: Arc::new(TenantStatsInner::default()),
-                }],
-                total: 0,
-                rr: 0,
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            stats: StatsInner::default(),
-        });
-        let shared2 = shared.clone();
-        let handle = std::thread::Builder::new()
-            .name("bgp-sched-dispatch".into())
-            .spawn(move || dispatch(m, n, cfg, shared2))
-            .expect("spawn dispatcher");
-        CollectiveServer {
-            shared,
-            handle: Some(handle),
+        let shared = Arc::new(ServerShared::default());
+        let mut server = CollectiveServer {
+            shared: shared.clone(),
+            handle: None,
             m,
             n,
             cfg,
-        }
+        };
+        server.add_tenant(1); // DEFAULT_TENANT
+        let handle = std::thread::Builder::new()
+            .name("bgp-sched-dispatch".into())
+            .spawn(move || dispatch(m, n, cfg, shared))
+            .expect("spawn dispatcher");
+        server.handle = Some(handle);
+        server
     }
 
     /// Nodes in the server's cluster.
@@ -647,34 +618,35 @@ impl CollectiveServer {
         let mut q = self.shared.queue.lock().expect("queue lock");
         q.tenants.push(Tenant {
             weight: weight.max(1),
-            deficit: 0,
-            cmds: VecDeque::new(),
-            stats: Arc::new(TenantStatsInner::default()),
+            ..Tenant::default()
         });
         TenantId(q.tenants.len() - 1)
     }
 
-    /// Snapshot the service counters (torn-snapshot semantics — see
-    /// [`ServerStats`]).
+    /// Snapshot the service counters: the tenants' sums, taken under the
+    /// queue lock (see [`ServerStats`]).
     pub fn stats(&self) -> ServerStats {
-        let s = &self.shared.stats;
-        ServerStats {
-            submitted: s.submitted.load(Ordering::Relaxed),
-            completed: s.completed.load(Ordering::Relaxed),
-            batches: s.batches.load(Ordering::Relaxed),
-            coalesced: s.coalesced.load(Ordering::Relaxed),
-            rejected: s.rejected.load(Ordering::Relaxed),
-            peak_queue_depth: s.peak_queue_depth.load(Ordering::Relaxed),
-            wait_ns: s.wait_ns.load(Ordering::Relaxed),
-            stash_evicted: 0,
+        let q = self.shared.queue.lock().expect("queue lock");
+        let mut s = ServerStats {
+            batches: q.batches,
+            peak_queue_depth: q.peak_queue_depth,
+            ..ServerStats::default()
+        };
+        for t in q.tenants.iter().map(|t| t.snapshot(0)) {
+            s.submitted += t.submitted;
+            s.completed += t.completed;
+            s.coalesced += t.coalesced;
+            s.rejected += t.rejected;
+            s.wait_ns += t.wait_ns;
         }
+        s
     }
 
     /// Snapshot one tenant's counters, or [`SchedError::UnknownTenant`].
     pub fn tenant_stats(&self, tenant: TenantId) -> Result<TenantStats, SchedError> {
         let q = self.shared.queue.lock().expect("queue lock");
         let t = q.tenants.get(tenant.0).ok_or(SchedError::UnknownTenant)?;
-        Ok(snapshot_tenant(tenant.0, t))
+        Ok(t.snapshot(tenant.0))
     }
 
     /// Snapshot every tenant's counters, in registration order.
@@ -683,21 +655,8 @@ impl CollectiveServer {
         q.tenants
             .iter()
             .enumerate()
-            .map(|(i, t)| snapshot_tenant(i, t))
+            .map(|(i, t)| t.snapshot(i))
             .collect()
-    }
-
-    fn check_group(&self, group: &[usize]) -> Result<(), SchedError> {
-        validate_group_shape(group, self.n)
-    }
-
-    /// Look up a tenant's stats cell (validating the id).
-    fn tenant_cell(&self, tenant: TenantId) -> Result<Arc<TenantStatsInner>, SchedError> {
-        let q = self.shared.queue.lock().expect("queue lock");
-        q.tenants
-            .get(tenant.0)
-            .map(|t| t.stats.clone())
-            .ok_or(SchedError::UnknownTenant)
     }
 
     /// Submit a broadcast of `payload` from `(root_node, root_rank)` to
@@ -759,37 +718,12 @@ impl CollectiveServer {
         payload: Vec<u8>,
         block: bool,
     ) -> Result<BcastTicket, SchedError> {
-        let cell = self.tenant_cell(tenant)?;
-        self.check_group(group)?;
-        if root_node >= self.m {
-            return Err(SchedError::BadGroup("root node out of range".into()));
-        }
-        if group.binary_search(&root_rank).is_err() {
-            return Err(SchedError::BadGroup("root rank not in group".into()));
-        }
-        check_size(payload.len(), DEFAULT_CHUNK_BYTES)?;
-        let members = self.m * group.len();
-        if payload.is_empty() {
-            let state = Arc::new(OpState::completed(vec![Vec::new(); members]));
-            self.shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-            self.shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-            cell.submitted.fetch_add(1, Ordering::Relaxed);
-            cell.completed.fetch_add(1, Ordering::Relaxed);
-            return Ok(BcastTicket { state });
-        }
-        let state = Arc::new(OpState::credited(members, cell, self.shared.clone()));
-        self.enqueue(
-            Cmd::Bcast {
-                tenant: tenant.0,
-                group: Arc::new(group.to_vec()),
-                root_node,
-                root_rank,
-                payload,
-                state: state.clone(),
-                queued_at: Instant::now(),
-            },
-            block,
-        )?;
+        let op = Op::Bcast {
+            root_node,
+            root_rank,
+            payload,
+        };
+        let state = self.admit(tenant, group, op, block)?;
         Ok(BcastTicket { state })
     }
 
@@ -813,76 +747,84 @@ impl CollectiveServer {
         group: &[usize],
         inputs: Vec<Vec<f64>>,
     ) -> Result<AllreduceTicket, SchedError> {
-        let cell = self.tenant_cell(tenant)?;
-        self.check_group(group)?;
-        let members = self.m * group.len();
-        if inputs.len() != members {
-            return Err(SchedError::BadGroup(
-                "need one input vector per member".into(),
-            ));
-        }
-        let count = inputs[0].len();
-        check_size(count * 8, DEFAULT_CHUNK_BYTES)?;
-        if inputs.iter().any(|v| v.len() != count) {
-            return Err(SchedError::BadGroup(
-                "input vectors must all be the same length".into(),
-            ));
-        }
-        if count == 0 {
-            let state = Arc::new(OpState::completed(vec![Vec::new(); members]));
-            self.shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-            self.shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-            cell.submitted.fetch_add(1, Ordering::Relaxed);
-            cell.completed.fetch_add(1, Ordering::Relaxed);
-            return Ok(AllreduceTicket { state });
-        }
-        let state = Arc::new(OpState::credited(members, cell, self.shared.clone()));
-        self.enqueue(
-            Cmd::Allreduce {
-                tenant: tenant.0,
-                group: Arc::new(group.to_vec()),
-                inputs,
-                count,
-                state: state.clone(),
-                queued_at: Instant::now(),
-            },
-            true,
-        )?;
+        let count = inputs.first().map_or(0, Vec::len);
+        let state = self.admit(tenant, group, Op::Allreduce { inputs, count }, true)?;
         Ok(AllreduceTicket { state })
     }
 
-    fn enqueue(&self, cmd: Cmd, block: bool) -> Result<(), SchedError> {
-        let t = cmd.tenant();
-        let mut q = self.shared.queue.lock().expect("queue lock");
-        loop {
-            if q.closed {
-                return Err(SchedError::ShuttingDown);
+    /// The one admission path. Validates the group (every submission: the
+    /// check is O(group) and keeps direct callers safe), the op's root or
+    /// inputs and its size; then, under the queue lock, looks the tenant
+    /// up and either completes a zero-byte op on the spot or queues the op
+    /// — waiting for room, or refusing with [`SchedError::Backpressure`]
+    /// unless `block`. Either way the op counts as submitted.
+    fn admit(
+        &self,
+        tenant: TenantId,
+        group: &[usize],
+        op: Op,
+        block: bool,
+    ) -> Result<Arc<OpState>, SchedError> {
+        validate_group_shape(group, self.n)?;
+        let members = self.m * group.len();
+        let refusal = match &op {
+            Op::Bcast { root_node, .. } if *root_node >= self.m => Some("root node out of range"),
+            Op::Bcast { root_rank, .. } if group.binary_search(root_rank).is_err() => {
+                Some("root rank not in group")
             }
-            if q.tenants[t].cmds.len() < self.cfg.tenant_max_pending.max(1)
-                && q.total < self.cfg.max_pending.max(1)
-            {
-                break;
+            Op::Allreduce { inputs, .. } if inputs.len() != members => {
+                Some("need one input vector per member")
             }
-            if !block {
-                q.tenants[t].stats.rejected.fetch_add(1, Ordering::Relaxed);
-                self.shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                return Err(SchedError::Backpressure);
+            Op::Allreduce { inputs, count } if inputs.iter().any(|v| v.len() != *count) => {
+                Some("input vectors must all be the same length")
             }
-            q = self.shared.not_full.wait(q).expect("queue lock");
+            _ => None,
+        };
+        if let Some(why) = refusal {
+            return Err(SchedError::BadGroup(why.into()));
         }
-        q.tenants[t].cmds.push_back(cmd);
-        q.total += 1;
-        let depth = q.tenants[t].cmds.len() as u64;
-        let ts = &q.tenants[t].stats;
-        ts.submitted.fetch_add(1, Ordering::Relaxed);
-        ts.queue_depth.store(depth, Ordering::Relaxed);
-        store_max(&ts.peak_queue_depth, depth);
-        let total = q.total as u64;
-        let s = &self.shared.stats;
-        s.submitted.fetch_add(1, Ordering::Relaxed);
-        store_max(&s.peak_queue_depth, total);
-        self.shared.not_empty.notify_one();
-        Ok(())
+        check_size(op.bytes(), DEFAULT_CHUNK_BYTES)?;
+        let mut q = self.shared.queue.lock().expect("queue lock");
+        let t = tenant.0;
+        let cell = q
+            .tenants
+            .get(t)
+            .ok_or(SchedError::UnknownTenant)?
+            .cell
+            .clone();
+        let state = if op.bytes() == 0 {
+            cell.completed.fetch_add(1, Ordering::Relaxed);
+            Arc::new(OpState::completed(vec![Vec::new(); members]))
+        } else {
+            while q.closed
+                || q.tenants[t].cmds.len() >= TENANT_MAX_PENDING
+                || q.total >= MAX_PENDING
+            {
+                if q.closed {
+                    return Err(SchedError::ShuttingDown);
+                }
+                if !block {
+                    q.tenants[t].rejected += 1;
+                    return Err(SchedError::Backpressure);
+                }
+                q = self.shared.not_full.wait(q).expect("queue lock");
+            }
+            let state = Arc::new(OpState::credited(members, cell));
+            q.tenants[t].cmds.push_back(Cmd {
+                group: Arc::new(group.to_vec()),
+                op,
+                state: state.clone(),
+                queued_at: Instant::now(),
+            });
+            q.total += 1;
+            q.peak_queue_depth = q.peak_queue_depth.max(q.total as u64);
+            self.shared.not_empty.notify_one();
+            state
+        };
+        let tq = &mut q.tenants[t];
+        tq.submitted += 1;
+        tq.peak_queue_depth = tq.peak_queue_depth.max(tq.cmds.len() as u64);
+        Ok(state)
     }
 }
 
@@ -900,69 +842,43 @@ impl Drop for CollectiveServer {
     }
 }
 
-fn snapshot_tenant(i: usize, t: &Tenant) -> TenantStats {
-    TenantStats {
-        tenant: i,
-        weight: t.weight,
-        submitted: t.stats.submitted.load(Ordering::Relaxed),
-        completed: t.stats.completed.load(Ordering::Relaxed),
-        coalesced: t.stats.coalesced.load(Ordering::Relaxed),
-        rejected: t.stats.rejected.load(Ordering::Relaxed),
-        queue_depth: t.stats.queue_depth.load(Ordering::Relaxed),
-        peak_queue_depth: t.stats.peak_queue_depth.load(Ordering::Relaxed),
-        wait_ns: t.stats.wait_ns.load(Ordering::Relaxed),
-    }
-}
-
-/// One drained batch: the commands (DRR order) plus the stats cells for
-/// `build_plan` accounting. Completion is *not* tracked here — each op's
-/// [`OpState`] credits its tenant at the done transition, so the counters
-/// are already right by the time a waiter returns.
-struct Batch {
-    cmds: Vec<Cmd>,
-    /// Stats cells indexed by tenant id, for `build_plan` accounting.
-    cells: Vec<Arc<TenantStatsInner>>,
-}
-
-/// Drain up to `batch_max_ops` commands by deficit round robin: the scan
-/// visits tenants in slot order from the persistent cursor, credits each
-/// backlogged tenant `drr_quantum * weight` bytes, and pops commands while
-/// the deficit covers their byte cost. A tenant that empties its queue
+/// Drain up to `max_ops` commands by deficit round robin: the scan visits
+/// tenants in slot order from the persistent cursor, credits each
+/// backlogged tenant [`DRR_QUANTUM`] × weight bytes, and pops commands
+/// while the deficit covers their byte cost (clamped to
+/// [`MIN_DRR_COST`]..=[`DRR_COST_CAP`]). A tenant that empties its queue
 /// forfeits its remaining deficit (standard DRR — credit never accrues to
-/// idle tenants).
-fn drain_drr(q: &mut Queue, cfg: &ServerConfig) -> Batch {
-    let max_ops = cfg.batch_max_ops.max(1);
-    let quantum = (cfg.drr_quantum.max(1)) as u64;
+/// idle tenants). Charges each popped command's queue wait to its tenant
+/// and counts the batch.
+fn drain_drr(q: &mut Queue, max_ops: usize) -> Vec<Cmd> {
+    let (now, max_ops) = (Instant::now(), max_ops.max(1));
     let mut cmds = Vec::new();
     let nt = q.tenants.len();
     while cmds.len() < max_ops && q.total > 0 {
-        let i = q.rr % nt;
+        let t = &mut q.tenants[q.rr % nt];
         q.rr = q.rr.wrapping_add(1);
-        let t = &mut q.tenants[i];
         if t.cmds.is_empty() {
-            t.deficit = 0;
             continue;
         }
-        t.deficit = t.deficit.saturating_add(quantum * u64::from(t.weight));
+        t.deficit = t.deficit.saturating_add(DRR_QUANTUM * u64::from(t.weight));
         while cmds.len() < max_ops {
             let Some(front) = t.cmds.front() else { break };
-            let cost = cmd_cost(front);
+            let cost = (front.op.bytes() as u64).clamp(MIN_DRR_COST, DRR_COST_CAP);
             if cost > t.deficit {
                 break;
             }
             t.deficit -= cost;
-            cmds.push(t.cmds.pop_front().expect("front exists"));
+            let cmd = t.cmds.pop_front().expect("front exists");
+            t.wait_ns += now.saturating_duration_since(cmd.queued_at).as_nanos() as u64;
+            cmds.push(cmd);
             q.total -= 1;
         }
         if t.cmds.is_empty() {
             t.deficit = 0;
         }
-        t.stats
-            .queue_depth
-            .store(t.cmds.len() as u64, Ordering::Relaxed);
     }
-    let cells: Vec<Arc<TenantStatsInner>> = q.tenants.iter().map(|t| t.stats.clone()).collect();
-    Batch { cmds, cells }
+    q.batches += 1;
+    cmds
 }
 
 /// The dispatcher thread: owns the cluster and its one resident job, drains
@@ -985,7 +901,6 @@ fn dispatch(m: usize, n: usize, cfg: ServerConfig, shared: Arc<ServerShared>) {
     });
     // The tickets of each plan in flight, oldest first.
     let mut in_flight: VecDeque<Vec<Arc<OpState>>> = VecDeque::new();
-    let stats = &shared.stats;
     loop {
         in_flight.retain(|states| !states.iter().all(|s| s.is_done()));
         if in_flight.len() >= cfg.pipeline.max(1) {
@@ -993,13 +908,12 @@ fn dispatch(m: usize, n: usize, cfg: ServerConfig, shared: Arc<ServerShared>) {
             continue;
         }
         // Take a batch, or learn there is nothing left to do.
-        let batch: Option<Batch> = {
+        let batch = {
             let mut q = shared.queue.lock().expect("queue lock");
             loop {
                 if q.total > 0 {
-                    let b = drain_drr(&mut q, &cfg);
                     shared.not_full.notify_all();
-                    break Some(b);
+                    break Some(drain_drr(&mut q, cfg.batch_max_ops));
                 }
                 if q.closed {
                     break None;
@@ -1007,14 +921,13 @@ fn dispatch(m: usize, n: usize, cfg: ServerConfig, shared: Arc<ServerShared>) {
                 q = shared.not_empty.wait(q).expect("queue lock");
             }
         };
-        let Some(b) = batch else { break };
-        in_flight.push_back(b.cmds.iter().map(|c| c.state().clone()).collect());
-        let plan = Arc::new(build_plan(b.cmds, &cfg, stats, &b.cells));
+        let Some(cmds) = batch else { break };
+        in_flight.push_back(cmds.iter().map(|c| c.state.clone()).collect());
+        let plan = Arc::new(build_plan(cmds));
         for tx in &plan_txs {
             tx.send(plan.clone())
                 .expect("rank thread exited prematurely");
         }
-        stats.batches.fetch_add(1, Ordering::Relaxed);
     }
     // Closing the plan channels lets every rank finish what it posted and
     // leave its resident body.
@@ -1029,108 +942,73 @@ struct FusedBcast {
     root_rank: usize,
     payload: Vec<u8>,
     children: Vec<(Arc<OpState>, usize, usize)>,
-    /// Tenant of each child, parallel to `children` (coalesced-stat
-    /// attribution).
-    child_tenants: Vec<usize>,
 }
 
-/// Turn a drained batch into engine ops, fusing coalescable broadcasts and
-/// charging queue-wait time (globally and per tenant).
-fn build_plan(
-    batch: Vec<Cmd>,
-    cfg: &ServerConfig,
-    stats: &StatsInner,
-    cells: &[Arc<TenantStatsInner>],
-) -> Vec<PlanOp> {
-    let now = Instant::now();
-    let mut wait_ns = 0u64;
+impl FusedBcast {
+    /// The finished fusion as one plan op, crediting each child's tenant
+    /// `coalesced` if it ran with a sibling.
+    fn into_op(self) -> PlanOp {
+        if self.children.len() > 1 {
+            for cell in self.children.iter().filter_map(|c| c.0.credit.as_ref()) {
+                cell.coalesced.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        PlanOp::Bcast {
+            group: self.group,
+            root_node: self.root_node,
+            root_rank: self.root_rank,
+            source: Arc::new(SharedRegion::from_vec(self.payload)),
+            children: self.children,
+        }
+    }
+}
+
+/// Turn a drained batch into engine ops. Every broadcast opens or joins a
+/// fusion: it joins the open one if it is small, has the same group and
+/// root, and fits the fusion's op and byte bounds; a broadcast too large
+/// to coalesce runs as a one-child fusion.
+fn build_plan(batch: Vec<Cmd>) -> Vec<PlanOp> {
     let mut plan: Vec<PlanOp> = Vec::new();
     let mut open: Option<FusedBcast> = None;
-
-    let flush = |open: &mut Option<FusedBcast>, plan: &mut Vec<PlanOp>| {
-        if let Some(f) = open.take() {
-            if f.children.len() > 1 {
-                stats
-                    .coalesced
-                    .fetch_add(f.children.len() as u64, Ordering::Relaxed);
-                for t in &f.child_tenants {
-                    cells[*t].coalesced.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            plan.push(PlanOp::Bcast {
-                group: f.group,
-                root_node: f.root_node,
-                root_rank: f.root_rank,
-                source: Arc::new(SharedRegion::from_vec(f.payload)),
-                children: f.children,
-            });
-        }
-    };
-
-    for cmd in batch {
-        match cmd {
-            Cmd::Bcast {
-                tenant,
-                group,
+    for Cmd {
+        group, op, state, ..
+    } in batch
+    {
+        match op {
+            Op::Bcast {
                 root_node,
                 root_rank,
                 payload,
-                state,
-                queued_at,
             } => {
-                let waited = now.saturating_duration_since(queued_at).as_nanos() as u64;
-                wait_ns += waited;
-                cells[tenant].wait_ns.fetch_add(waited, Ordering::Relaxed);
-                let eligible = cfg.coalesce_max_ops > 1 && payload.len() <= COALESCE_ELIGIBLE;
+                let len = payload.len();
+                let eligible = len <= COALESCE_ELIGIBLE;
+                if let Some(f) = open.as_mut().filter(|f| {
+                    eligible
+                        && *f.group == *group
+                        && (f.root_node, f.root_rank) == (root_node, root_rank)
+                        && f.children.len() < COALESCE_MAX_OPS
+                        && f.payload.len() + len <= COALESCE_MAX_BYTES
+                }) {
+                    f.children.push((state, f.payload.len(), len));
+                    f.payload.extend_from_slice(&payload);
+                    continue;
+                }
+                plan.extend(open.take().map(FusedBcast::into_op));
+                let f = FusedBcast {
+                    group,
+                    root_node,
+                    root_rank,
+                    payload,
+                    children: vec![(state, 0, len)],
+                };
                 if eligible {
-                    if let Some(f) = open.as_mut() {
-                        if *f.group == *group
-                            && f.root_node == root_node
-                            && f.root_rank == root_rank
-                            && f.children.len() < cfg.coalesce_max_ops
-                            && f.payload.len() + payload.len() <= COALESCE_MAX_BYTES
-                        {
-                            let off = f.payload.len();
-                            f.payload.extend_from_slice(&payload);
-                            f.children.push((state, off, payload.len()));
-                            f.child_tenants.push(tenant);
-                            continue;
-                        }
-                    }
-                    flush(&mut open, &mut plan);
-                    let len = payload.len();
-                    open = Some(FusedBcast {
-                        group,
-                        root_node,
-                        root_rank,
-                        payload,
-                        children: vec![(state, 0, len)],
-                        child_tenants: vec![tenant],
-                    });
+                    open = Some(f);
                 } else {
-                    flush(&mut open, &mut plan);
-                    let len = payload.len();
-                    plan.push(PlanOp::Bcast {
-                        group,
-                        root_node,
-                        root_rank,
-                        source: Arc::new(SharedRegion::from_vec(payload)),
-                        children: vec![(state, 0, len)],
-                    });
+                    plan.push(f.into_op());
                 }
             }
-            Cmd::Allreduce {
-                tenant,
-                group,
-                inputs,
-                count,
-                state,
-                queued_at,
-            } => {
-                let waited = now.saturating_duration_since(queued_at).as_nanos() as u64;
-                wait_ns += waited;
-                cells[tenant].wait_ns.fetch_add(waited, Ordering::Relaxed);
-                flush(&mut open, &mut plan);
+            Op::Allreduce { inputs, count } => {
+                plan.extend(open.take().map(FusedBcast::into_op));
                 plan.push(PlanOp::Ar {
                     group,
                     inputs,
@@ -1140,8 +1018,7 @@ fn build_plan(
             }
         }
     }
-    flush(&mut open, &mut plan);
-    stats.wait_ns.fetch_add(wait_ns, Ordering::Relaxed);
+    plan.extend(open.map(FusedBcast::into_op));
     plan
 }
 

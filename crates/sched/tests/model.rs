@@ -23,8 +23,7 @@ use std::sync::Arc;
 
 use bgp_check::thread;
 use bgp_check::{explore, model_with, Config, Failure, FailureKind};
-use bgp_sched::{store_max, OpState};
-use bgp_shmem::sync::atomic::{AtomicU64, Ordering};
+use bgp_sched::OpState;
 
 /// Explore a mutated scenario, require a failure within the budget, then
 /// require that replaying the reported trace (with the same mutation)
@@ -139,47 +138,5 @@ fn mutation_sched_done_relaxed_is_caught() {
         failure.kind,
         FailureKind::Race,
         "expected a data race on the slot cell, got: {failure:?}"
-    );
-}
-
-fn store_max_scenario() {
-    let cell = Arc::new(AtomicU64::new(0));
-    let writers: Vec<_> = [3u64, 5]
-        .into_iter()
-        .map(|v| {
-            let cell = cell.clone();
-            thread::spawn(move || store_max(&cell, v))
-        })
-        .collect();
-    for w in writers {
-        w.join();
-    }
-    // The max must survive every interleaving; a racy read-then-store max
-    // lets the smaller writer overwrite the larger one.
-    assert_eq!(cell.load(Ordering::Relaxed), 5, "peak counter regressed");
-}
-
-/// The stats-peak maximum ([`store_max`]) keeps the largest value under
-/// every interleaving of two concurrent updaters.
-#[test]
-fn store_max_keeps_the_largest_value() {
-    model_with(Config::dfs(10_000), store_max_scenario);
-}
-
-/// Mutation self-test: `stats_peak_plain_store` degrades [`store_max`] to
-/// a racy two-step `load`/`store` max. The checker must find the schedule
-/// where the smaller value lands last (the assertion fires as a panic),
-/// and the trace must replay.
-#[test]
-fn mutation_stats_peak_plain_store_is_caught() {
-    let failure = assert_mutation_caught(
-        "stats_peak_plain_store",
-        Config::dfs(10_000),
-        store_max_scenario,
-    );
-    assert_eq!(
-        failure.kind,
-        FailureKind::Panic,
-        "expected the lost-max assertion to fire, got: {failure:?}"
     );
 }

@@ -1,9 +1,36 @@
 //! The service layer end to end: delivery through tickets, coalescing,
 //! admission control, subgroups, and submit-time validation.
 
+use std::sync::Arc;
+use std::thread;
+
 use bgp_sched::{
-    CollectiveServer, SchedError, ServerConfig, TenantId, DEFAULT_TENANT, MAX_GROUP_RANKS,
+    BcastTicket, CollectiveServer, SchedError, ServerConfig, TenantId, TenantStats, DEFAULT_TENANT,
+    MAX_GROUP_RANKS, MAX_PENDING, TENANT_MAX_PENDING,
 };
+
+/// One-op plans, one plan in flight: the dispatcher drains nothing while
+/// the op it sent last is unfinished.
+const HELD: ServerConfig = ServerConfig {
+    batch_max_ops: 1,
+    pipeline: 1,
+};
+
+/// Hold the dispatcher: a 4 MiB broadcast over every rank that it takes as
+/// a plan of its own and then waits on, so what is submitted next stays
+/// queued meanwhile. Returns once the dispatcher has taken it: queued
+/// beside other tenants' small ops, the big op would need many DRR visits'
+/// credit and could go last.
+fn held_dispatcher(server: &CollectiveServer) -> BcastTicket {
+    let group: Vec<usize> = (0..server.n_ranks()).collect();
+    let held = server
+        .submit_bcast(&group, 0, 0, vec![9u8; 4 << 20])
+        .unwrap();
+    while server.tenant_stats(DEFAULT_TENANT).unwrap().queue_depth > 0 {
+        thread::yield_now();
+    }
+    held
+}
 
 #[test]
 fn server_bcast_delivers_to_every_member() {
@@ -67,9 +94,7 @@ fn small_same_root_bcasts_coalesce() {
         ..ServerConfig::default()
     };
     let server = CollectiveServer::with_config(2, 4, cfg);
-    let heavy = server
-        .submit_bcast(&[0, 1, 2, 3], 0, 0, vec![9u8; 4 << 20])
-        .unwrap();
+    let heavy = held_dispatcher(&server);
     let payloads: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i + 1; 64]).collect();
     let tickets: Vec<_> = payloads
         .iter()
@@ -92,48 +117,72 @@ fn small_same_root_bcasts_coalesce() {
     assert_eq!(stats.submitted, 7);
 }
 
+/// The root condition of coalescing: small broadcasts that alternate
+/// between two roots share a plan but never fuse, and each delivers its
+/// own payload.
 #[test]
-fn coalescing_disabled_still_delivers() {
+fn bcasts_alternating_roots_never_fuse() {
     let cfg = ServerConfig {
-        coalesce_max_ops: 1,
-        ..ServerConfig::default()
-    };
-    let server = CollectiveServer::with_config(1, 2, cfg);
-    let tickets: Vec<_> = (0..4u8)
-        .map(|i| server.submit_bcast(&[0, 1], 0, 0, vec![i; 32]).unwrap())
-        .collect();
-    for (i, t) in tickets.into_iter().enumerate() {
-        assert_eq!(t.wait(), vec![vec![i as u8; 32]; 2]);
-    }
-    assert_eq!(server.stats().coalesced, 0);
-}
-
-#[test]
-fn try_submit_backpressures_at_the_admission_bound() {
-    let cfg = ServerConfig {
-        max_pending: 1,
-        batch_max_ops: 1,
         pipeline: 1,
         ..ServerConfig::default()
     };
     let server = CollectiveServer::with_config(2, 4, cfg);
-    // Heavy op: the dispatcher takes it (singleton batch) and then blocks
-    // collecting it before it can drain anything else.
-    let heavy = server
-        .submit_bcast(&[0, 1, 2, 3], 0, 0, vec![1u8; 4 << 20])
-        .unwrap();
-    // Fills the queue to its bound of 1...
-    let queued = server
-        .submit_bcast(&[0, 1, 2, 3], 0, 0, vec![2u8; 64])
-        .unwrap();
-    // ...so a non-blocking submit must be refused.
-    let err = server
-        .try_submit_bcast(&[0, 1, 2, 3], 0, 0, vec![3u8; 64])
-        .unwrap_err();
-    assert_eq!(err, SchedError::Backpressure);
+    let heavy = held_dispatcher(&server);
+    let tickets: Vec<_> = (0..8u8)
+        .map(|i| {
+            let root_node = usize::from(i % 2);
+            let t = server.submit_bcast(&[0, 1, 2, 3], root_node, 0, vec![i; 64]);
+            (i, t.unwrap())
+        })
+        .collect();
     heavy.wait();
-    queued.wait();
-    assert_eq!(server.stats().submitted, 2);
+    for (i, t) in tickets {
+        assert_eq!(t.wait(), vec![vec![i; 64]; 8]);
+    }
+    let stats = server.stats();
+    assert!(
+        stats.batches < 9,
+        "no two small ops shared a plan: {stats:?}"
+    );
+    assert_eq!(stats.coalesced, 0, "different roots fused: {stats:?}");
+    assert_eq!(stats.submitted, 9);
+}
+
+/// The server-wide backstop at its real value: with the dispatcher held,
+/// four tenants queue [`TENANT_MAX_PENDING`] each, which fills
+/// [`MAX_PENDING`]; a fifth tenant with an empty queue of its own is
+/// refused by the global bound alone.
+#[test]
+fn try_submit_backpressures_at_the_admission_bound() {
+    assert_eq!(4 * TENANT_MAX_PENDING, MAX_PENDING);
+    let server = CollectiveServer::with_config(2, 4, HELD);
+    let fillers: Vec<TenantId> = (0..4).map(|_| server.add_tenant(1)).collect();
+    let late = server.add_tenant(1);
+    let heavy = held_dispatcher(&server);
+    let mut tickets = Vec::new();
+    for &t in &fillers {
+        for i in 0..TENANT_MAX_PENDING {
+            tickets.push(server.submit_bcast_as(t, &[0, 1, 2, 3], 0, 0, vec![i as u8; 64]));
+        }
+    }
+    let refused = server.try_submit_bcast_as(late, &[0, 1, 2, 3], 0, 0, vec![1u8; 64]);
+    assert!(
+        !heavy.is_done(),
+        "the held op finished early: the test proved nothing"
+    );
+    assert_eq!(refused.unwrap_err(), SchedError::Backpressure);
+    let ls = server.tenant_stats(late).unwrap();
+    assert_eq!((ls.submitted, ls.rejected, ls.queue_depth), (0, 1, 0));
+    heavy.wait();
+    for t in tickets {
+        t.unwrap().wait();
+    }
+    let stats = server.stats();
+    assert_eq!(
+        (stats.submitted, stats.completed, stats.rejected),
+        (65, 65, 1)
+    );
+    assert_eq!(stats.peak_queue_depth, MAX_PENDING as u64);
 }
 
 #[test]
@@ -233,24 +282,18 @@ fn unknown_tenant_is_a_typed_error() {
 
 #[test]
 fn per_tenant_backpressure_leaves_other_tenants_admitting() {
-    let cfg = ServerConfig {
-        tenant_max_pending: 1,
-        max_pending: 64,
-        batch_max_ops: 1,
-        pipeline: 1,
-        ..ServerConfig::default()
-    };
-    let server = CollectiveServer::with_config(2, 4, cfg);
+    let server = CollectiveServer::with_config(2, 4, HELD);
     let flooder = server.add_tenant(1);
     let victim = server.add_tenant(1);
-    // Heavy op occupies the dispatcher (singleton batch, pipeline 1).
-    let heavy = server
-        .submit_bcast(&[0, 1, 2, 3], 0, 0, vec![1u8; 4 << 20])
-        .unwrap();
-    // The flooder fills its own per-tenant bound of 1...
-    let queued = server
-        .submit_bcast_as(flooder, &[0, 1, 2, 3], 0, 0, vec![2u8; 64])
-        .unwrap();
+    let heavy = held_dispatcher(&server);
+    // The flooder fills its own per-tenant bound...
+    let queued: Vec<_> = (0..TENANT_MAX_PENDING)
+        .map(|i| {
+            server
+                .submit_bcast_as(flooder, &[0, 1, 2, 3], 0, 0, vec![i as u8; 64])
+                .unwrap()
+        })
+        .collect();
     // ...and is refused, while the other tenant still gets in.
     let err = server
         .try_submit_bcast_as(flooder, &[0, 1, 2, 3], 0, 0, vec![3u8; 64])
@@ -260,10 +303,12 @@ fn per_tenant_backpressure_leaves_other_tenants_admitting() {
         .try_submit_bcast_as(victim, &[0, 1, 2, 3], 0, 0, vec![4u8; 64])
         .unwrap();
     heavy.wait();
-    queued.wait();
+    queued.into_iter().for_each(|t| drop(t.wait()));
     admitted.wait();
+    let n = TENANT_MAX_PENDING as u64;
     let fs = server.tenant_stats(flooder).unwrap();
-    assert_eq!((fs.submitted, fs.completed, fs.rejected), (1, 1, 1));
+    assert_eq!((fs.submitted, fs.completed, fs.rejected), (n, n, 1));
+    assert_eq!(fs.peak_queue_depth, n);
     let vs = server.tenant_stats(victim).unwrap();
     assert_eq!((vs.submitted, vs.completed, vs.rejected), (1, 1, 0));
     assert_eq!(server.stats().rejected, 1);
@@ -311,29 +356,81 @@ fn drr_drains_every_tenant_with_mixed_weights() {
     // Interleave submissions from three tenants with very different
     // weights; every op must still complete (DRR is work-conserving and
     // starvation-free), and completion counts land on the right tenant.
-    let cfg = ServerConfig {
-        drr_quantum: 256, // tiny quantum: forces multi-round deficits
-        ..ServerConfig::default()
-    };
-    let server = CollectiveServer::with_config(1, 2, cfg);
+    // Each light payload costs more than one 64 KiB quantum, so the light
+    // tenant needs two visits per op: multi-round deficits.
+    const LIGHT: usize = 96 << 10;
+    let server = CollectiveServer::with_config(1, 2, HELD);
     let heavy = server.add_tenant(8);
     let light = server.add_tenant(1);
+    let held = held_dispatcher(&server);
     let mut tickets = Vec::new();
     for i in 0..8u8 {
-        tickets.push(
-            server
-                .submit_bcast_as(heavy, &[0, 1], 0, 0, vec![i; 2048])
-                .unwrap(),
-        );
-        tickets.push(
-            server
-                .submit_bcast_as(light, &[0, 1], 0, 0, vec![i ^ 0xff; 2048])
-                .unwrap(),
-        );
+        let t = server.submit_bcast_as(heavy, &[0, 1], 0, 0, vec![i; 2048]);
+        tickets.push((t.unwrap(), vec![i; 2048]));
+        let t = server.submit_bcast_as(light, &[0, 1], 0, 0, vec![i ^ 0xff; LIGHT]);
+        tickets.push((t.unwrap(), vec![i ^ 0xff; LIGHT]));
     }
-    for t in tickets {
-        t.wait();
+    held.wait();
+    for (t, sent) in tickets {
+        assert_eq!(t.wait(), vec![sent; 2]);
     }
     assert_eq!(server.tenant_stats(heavy).unwrap().completed, 8);
     assert_eq!(server.tenant_stats(light).unwrap().completed, 8);
+}
+
+/// Four submitters on four tenants race a held dispatcher while this
+/// thread snapshots the tenants: every snapshot has each queue within its
+/// peak, and once everything is done the server's counters are exactly the
+/// tenants' sums and its peak covers every backlog a snapshot saw.
+#[test]
+fn server_stats_are_tenant_sums_under_concurrent_submitters() {
+    const OPS: usize = 24;
+    let server = Arc::new(CollectiveServer::with_config(2, 4, HELD));
+    let tenants: Vec<TenantId> = (0..4).map(|_| server.add_tenant(1)).collect();
+    let heavy = held_dispatcher(&server);
+    let submitters: Vec<_> = tenants
+        .iter()
+        .map(|&t| {
+            let server = server.clone();
+            thread::spawn(move || {
+                (0..OPS)
+                    .map(|i| {
+                        let payload = vec![i as u8; 64];
+                        match server.try_submit_bcast_as(t, &[0, 1, 2, 3], 0, 0, payload.clone()) {
+                            Err(SchedError::Backpressure) => {
+                                server.submit_bcast_as(t, &[0, 1, 2, 3], 0, 0, payload)
+                            }
+                            other => other,
+                        }
+                        .unwrap()
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let mut deepest = 0;
+    while !submitters.iter().all(|s| s.is_finished()) {
+        let snap = server.all_tenant_stats();
+        for t in &snap {
+            assert!(t.queue_depth <= t.peak_queue_depth, "{t:?}");
+            assert!(t.queue_depth <= TENANT_MAX_PENDING as u64, "{t:?}");
+        }
+        deepest = deepest.max(snap.iter().map(|t| t.queue_depth).sum::<u64>());
+    }
+    heavy.wait();
+    for s in submitters {
+        s.join().unwrap().into_iter().for_each(|t| drop(t.wait()));
+    }
+    let stats = server.stats();
+    let all = server.all_tenant_stats();
+    let sum = |f: fn(&TenantStats) -> u64| all.iter().map(f).sum::<u64>();
+    assert!(deepest <= MAX_PENDING as u64);
+    assert!(stats.peak_queue_depth >= deepest, "{stats:?} vs {deepest}");
+    assert_eq!(stats.submitted, (4 * OPS + 1) as u64);
+    assert_eq!(stats.submitted, sum(|t| t.submitted));
+    assert_eq!(stats.completed, sum(|t| t.completed));
+    assert_eq!(stats.coalesced, sum(|t| t.coalesced));
+    assert_eq!(stats.rejected, sum(|t| t.rejected));
+    assert_eq!(stats.wait_ns, sum(|t| t.wait_ns));
+    assert_eq!(stats.completed, stats.submitted);
 }

@@ -17,12 +17,14 @@
 //! * **Sessions** ([`Service::open_session`]) are a client's handle onto a
 //!   tenant. Many sessions (threads) may share one tenant; they all draw
 //!   from — and are accounted to — that tenant's queue and stats.
-//! * **Communicators** ([`Comm`]) are validated *once* at creation
-//!   ([`Session::comm_create`], [`Comm::split`]) and then reused: submit
-//!   calls skip group validation entirely. A comm is refcounted by its
-//!   outstanding tickets, so [`Comm::destroy`] with ops in flight fails
-//!   with [`SvcError::CommBusy`] instead of pulling the group out from
-//!   under them, and submitting on a destroyed comm fails with
+//! * **Communicators** ([`Comm`]) are validated at creation
+//!   ([`Session::comm_create`], [`Comm::split`]), so a bad group fails
+//!   there, and then reused. Every submit still re-runs the server's
+//!   O(group) shape check, which keeps direct [`CollectiveServer`] callers
+//!   safe. A comm is refcounted by its outstanding tickets, so
+//!   [`Comm::destroy`] with ops in flight fails with
+//!   [`SvcError::CommBusy`] instead of pulling the group out from under
+//!   them, and submitting on a destroyed comm fails with
 //!   [`SvcError::CommDestroyed`]. Every misuse is a typed error — never a
 //!   hang, never a panic.
 //! * **Observability** — [`Service::tenant_stats`] by name,
@@ -307,7 +309,8 @@ impl Session {
     }
 
     /// A communicator over `ranks` (sorted, duplicate-free, in range —
-    /// validated *here*, once; submissions on the comm skip validation).
+    /// validated *here*, so a bad group fails at creation; each submission
+    /// on the comm is checked again by the server).
     pub fn comm_create(&self, ranks: &[usize]) -> Result<Comm, SvcError> {
         validate_group_shape(ranks, self.svc.server.n_ranks())?;
         Ok(Comm {
@@ -357,7 +360,7 @@ impl Comm {
     }
 
     /// A child communicator over a subset of this one's ranks. Validated
-    /// once, like [`Session::comm_create`]; the child has its own
+    /// here, like [`Session::comm_create`]; the child has its own
     /// lifecycle (destroying the parent does not destroy it, but a
     /// destroyed parent refuses to split).
     pub fn split(&self, ranks: &[usize]) -> Result<Comm, SvcError> {

@@ -8,7 +8,6 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use bgp_collectives::sched::ServerConfig;
 use bgp_collectives::sim::rng::Rng;
 use bgp_collectives::svc::{Comm, Service, Session, SvcError};
 
@@ -162,11 +161,7 @@ fn concurrent_sessions_match_sequential_reference() {
 #[test]
 fn weight_one_tenant_completes_under_weight_eight_flood() {
     const VICTIM_OPS: usize = 24;
-    let cfg = ServerConfig {
-        tenant_max_pending: 8,
-        ..ServerConfig::default()
-    };
-    let svc = Arc::new(Service::with_config(1, RANKS, cfg));
+    let svc = Arc::new(Service::new(1, RANKS));
     let stop = Arc::new(AtomicBool::new(false));
     let flooder = {
         let svc = svc.clone();
