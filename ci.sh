@@ -121,17 +121,21 @@ for i in $(seq 1 200); do
   }
 done
 
-# Bounded soak of the scheduler-stash regression: its two wait-then-post
-# cases wedged 8 of 10 and 10 of 10 runs under the old eviction cap, and
-# how often a run parks anything at all depends on thread timing, so one
-# green run proves little. 50 runs of the built binary (~30-40 s in all on
-# 2 cores), each under a timeout; the cases' own 20 s deadline reports a
+# Bounded soak of the scheduler-stash regressions: the two wait-then-post
+# cases of stash.rs wedged 8 of 10 and 10 of 10 runs under the old eviction
+# cap, and the park-rule cases of nonblocking.rs wedge whenever the engine
+# waits at the head of a port for a chunk whose landing buffer is not mapped
+# yet; how often a run parks anything at all depends on thread timing, so
+# one green run proves little. 50 runs of each built binary (~70-80 s in all
+# on 2 cores), each under a timeout; the cases' own deadlines report a
 # wedge first.
-echo "== soak: crates/sched/tests/stash.rs wait-then-post cases x 50 (timeout 30 s each)"
+echo "== soak: crates/sched/tests/{stash,nonblocking}.rs parking cases x 50 (timeout 30 s each)"
 stash_bin="$(built_test stash -p bgp-sched)"
+park_bin="$(built_test nonblocking -p bgp-sched)"
 for i in $(seq 1 50); do
-  timeout 30 "$stash_bin" -q posted_after_a_wait >/dev/null || {
-    echo "crates/sched/tests/stash.rs failed or hung on soak run $i" >&2
+  { timeout 30 "$stash_bin" -q posted_after_a_wait >/dev/null &&
+    timeout 30 "$park_bin" -q park_rule >/dev/null; } || {
+    echo "a stash.rs or nonblocking.rs parking case failed or hung on soak run $i" >&2
     exit 1
   }
 done

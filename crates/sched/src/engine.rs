@@ -8,84 +8,112 @@
 //! every rank at post time, so ids agree across the whole cluster and are
 //! never reused:
 //!
-//! * window tags: `(1 << 62) | (op << 1) | role` with role 0 = a member's
-//!   application buffer (broadcast source, allreduce input) and role 1 = an
-//!   engine-owned staging region (broadcast stage, node accumulator).
-//!   The high bit keeps sched tags disjoint from the blocking collectives'.
-//! * counter-bank keys: `(op << 8) | stream` — reception bytes, net-done,
-//!   member-done, result bytes, and one contribution stream per member.
+//! * window tags: `(1 << 62) | (op << 2) | role` with role 0 = a member's
+//!   application buffer (a broadcast root's source, a broadcast's landing
+//!   buffer, an allreduce input), role 1 = the landing member's output
+//!   (allreduce, allgather) and role 2 = an engine-owned region, which only
+//!   `ireduce_scatter` has. The high bit keeps sched tags disjoint from the
+//!   blocking collectives'.
+//! * counter-bank keys: `(op << 8) | stream` — result bytes, member-done,
+//!   and one contribution stream per member.
 //! * link tags: [`tag::pack`]`(op, kind, chunk)` — the one layout every
 //!   link uses, with the op id in its stream field.
+//!
+//! ## Landing regions
+//!
+//! Each result lands once per node, in a member's own buffer — §V-B's
+//! master that receives network data straight into its application buffer.
+//! On a broadcast root's node that is the root's buffer; on every other
+//! node it is the buffer of the group's first member, `group[0]` — for an
+//! allreduce or an allgather its output, which holds the whole result. This
+//! *landing member* exposes the buffer at post, the engine maps it lazily
+//! by `(owner, tag)` — whenever the member gets to its post — and the other
+//! members contribute into it and chase their copies out of it. Only
+//! `ireduce_scatter`, whose members' outputs cannot hold the whole vector,
+//! lands in a region of the engine's, reached through the same `(owner,
+//! tag)` path.
 //!
 //! ## Protocols
 //!
 //! The engine steps `bgp_smp::wire` for all three; no link send originates
 //! in this file:
 //!
-//! **ibcast** — the root exposes its buffer; the engine on the root node
-//! maps it and injects all chunks down the re-rooted tree ([`Fabric::bcast_out`]);
+//! **ibcast** — the engine on the root node maps the root's buffer and
+//! injects all chunks down the re-rooted tree ([`Fabric::bcast_out`]);
 //! root-node members copy straight out of the root's buffer (valid in full
-//! at post time). On every other node the engine receives chunks into a
-//! staging region, publishes received bytes on the op's reception counter,
-//! and forwards on the remaining tree ports out of the stage; members chase
-//! the counter and copy out — §V-B's reception/copy overlap, per op. The
-//! outbound half, injection and forwarding alike, is a
-//! [`wire::TreeFeed`](TreeFeed) per op — the feeder the blocking broadcast
-//! drives to completion, pumped here once per pass with whatever is valid
-//! so far. Only the receive half differs from the blocking
-//! [`wire::tree_recv`](bgp_smp::wire::tree_recv), which relays from the
-//! slot loan and blocks on downstream room: chunks land in a stage the
-//! members chase, so a full downstream link never holds up a receive.
+//! at post time). On every other node the engine receives chunks straight
+//! into the landing member's buffer, publishes received bytes on the op's
+//! result counter, and forwards on the remaining tree ports out of that
+//! buffer; the other members chase the counter and copy out — §V-B's
+//! reception/copy overlap, per op. The outbound half, injection and
+//! forwarding alike, is a [`wire::TreeFeed`](TreeFeed) per op — the feeder
+//! the blocking broadcast drives to completion, pumped here once per pass
+//! with whatever is valid so far. Only the receive half differs from the
+//! blocking [`wire::tree_recv`](bgp_smp::wire::tree_recv), which relays
+//! from the slot loan and blocks on downstream room: chunks land in a
+//! buffer the members chase, so a full downstream link never holds up a
+//! receive.
 //!
-//! **iallreduce / ireduce_scatter** — members expose inputs; the engine
-//! exposes a node accumulator. The local reduce is partitioned by member
-//! index (member i sums *all* local inputs over its chunk share, publishing
-//! its contribution stream), and the network side is a
+//! **iallreduce / ireduce_scatter** — members expose inputs. The local
+//! reduce is partitioned by member index (member i sums *all* local inputs
+//! over its chunk share into the landing region, publishing its
+//! contribution stream), and the network side is a
 //! [`wire::RingFlow`](RingFlow) — the very partial/full flow of the
-//! blocking `allreduce_f64`, gating and all — over the accumulator, tagged
-//! per op and interleaved with every other in-flight op's. Ring direction
+//! blocking `allreduce_f64`, gating and all — over that region, tagged per
+//! op and interleaved with every other in-flight op's. Ring direction
 //! alternates with op parity so consecutive ops use both links.
 //!
 //! **iallgather** — members deposit their blocks into the node's superblock
-//! of the accumulator; the network side is [`wire::plan_allgather`] over
-//! ring positions under a [`wire::PlanCursor`](PlanCursor), and a
-//! [`wire::Prefix`](Prefix) turns superblocks landing in ring order into
-//! the node-major byte prefix members chase.
+//! of the landing member's output; the network side is
+//! [`wire::plan_allgather`] over ring positions under a
+//! [`wire::PlanCursor`](PlanCursor), and a [`wire::Prefix`](Prefix) turns
+//! superblocks landing in ring order into the node-major byte prefix
+//! members chase.
 //!
 //! What is the engine's own: demultiplexing arrivals by op tag, the stash,
-//! the broadcast stage's receive side, and retirement.
+//! receiving broadcast chunks into the landing buffer, and retirement.
 //!
 //! ## Members
 //!
 //! A rank's side of any operation is one record ([`Member`]): an optional
 //! *contribution* (sum a share of the inputs, deposit a block), one *chase*
-//! (copy a span of a source region into the rank's buffer as a counter
-//! passes it), an optional *release* condition under which the buffer
-//! the rank exposed may be withdrawn (a broadcast root: injection done and
-//! every co-located member copied; a reduce member: every local
-//! contribution stream complete, since co-members read its input), and a
-//! final report on the op's done counter. Every member reports, the
-//! broadcast root included, and only after it has looked up every counter
-//! it will ever use: the engine retires the op's counters when all members
-//! of the node have reported, and the bank's lookup is get-or-create — a
-//! member still to look one up after retirement (a root that posts late,
-//! say) would wait on a fresh zero forever.
+//! (copy a span of the landing region into the rank's buffer as a counter
+//! passes it), an optional *release* condition under which the windows the
+//! rank exposed may be withdrawn, and a final report on the op's done
+//! counter. A landing member — a broadcast root included — releases once
+//! the node's network flow on its buffer is finished and the other `g - 1`
+//! members have reported; a reduce member once every local contribution
+//! stream is complete, since co-members read its input. "Finished" is one
+//! more count the engine publishes on the result counter after the last
+//! result byte: a ring's result is complete before the engine stops reading
+//! it, because the last position sends fulls out of the region after
+//! landing them. Every member reports, and only after it has looked up every
+//! counter it will ever use: the engine retires the op's counters when all
+//! members of the node have reported, and the bank's lookup is
+//! get-or-create — a member still to look one up after retirement (a root
+//! that posts late, say) would wait on a fresh zero forever.
 //!
 //! ## Progress, parking, completion
 //!
 //! Everything the engine sends uses non-blocking sends, and every gate is
-//! the stepper's: broadcast data and planned receives land in preallocated
-//! regions unconditionally; a `RingFlow` consume waits for the local
+//! the stepper's: broadcast data and planned receives land in a mapped
+//! landing region unconditionally; a `RingFlow` consume waits for the local
 //! partial and for downstream room, which `bgp_smp::wire` shows cannot
 //! deadlock the ring cycle however many flows share a link. Chunks that
 //! arrive for an op this node has not posted yet (a faster peer ran ahead,
-//! possibly across a job boundary) are parked in the node's stash
-//! ([`NodeShared::sched_stash`]) and replayed, in arrival order, once the
-//! post happens — a replayed chunk and one on a slot loan enter a stepper
-//! the same way. The stash keeps every chunk it parks, and the engine keeps
-//! draining the link into it: a node that stopped draining would strand the
-//! chunks of an op it has posted behind those of one it has not, and a
-//! dropped chunk would wedge its op ([`SchedStash`](bgp_smp::SchedStash)).
+//! possibly across a job boundary), or whose landing region is not mapped
+//! yet, are parked in the node's stash ([`NodeShared::sched_stash`]) and
+//! replayed, in arrival order, once the region is mapped — a replayed chunk
+//! and one on a slot loan enter a stepper the same way. They are never
+//! waited on at the head of the port: the landing member may be waiting on
+//! an earlier op whose chunks sit behind them. The stash keeps every chunk
+//! it parks, and the engine keeps draining the link into it: a node that
+//! stopped draining would strand the chunks of an op it can land behind
+//! those of one it cannot, and a dropped chunk would wedge its op
+//! ([`SchedStash`](bgp_smp::SchedStash)). One visit to a port parks at most
+//! one window of chunks, though, then yields to member progress: a peer
+//! refilling the link as fast as the engine parks would otherwise keep it
+//! parking a whole op its own rank was about to post.
 //!
 //! A request completes when the rank's member record is finished **and**,
 //! on the engine rank, the op's network flow on this node is too: all its
@@ -98,7 +126,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
-use bgp_shmem::{spin, MessageCounter, SharedRegion};
+use bgp_shmem::{spin, MessageCounter, SharedRegion, WindowRegistry};
 use bgp_smp::cluster::sum_regions;
 use bgp_smp::transport::{ChunkChannel, Fabric, RingDir};
 use bgp_smp::wire::{
@@ -110,27 +138,30 @@ use crate::SchedError;
 
 /// Window-tag role: a member's exposed application buffer.
 const ROLE_DATA: u64 = 0;
-/// Window-tag role: an engine-owned staging region.
-const ROLE_STAGE: u64 = 1;
+/// Window-tag role: the landing member's output.
+const ROLE_OUT: u64 = 1;
+/// Window-tag role: an engine-owned region (`ireduce_scatter` only).
+const ROLE_STAGE: u64 = 2;
 /// Keeps sched window tags disjoint from the blocking collectives' tags.
 const SCHED_TAG_BIT: u64 = 1 << 62;
 
 fn reg_tag(op: u64, role: u64) -> u64 {
-    SCHED_TAG_BIT | (op << 1) | role
+    SCHED_TAG_BIT | (op << 2) | role
 }
 
 /// Counter-bank streams within one op (key = `(op << 8) | stream`).
-const SUB_RECV: u64 = 0;
-const SUB_NETDONE: u64 = 1;
-const SUB_DONE: u64 = 2;
-const SUB_RES: u64 = 3;
+/// Result bytes valid on this node, as a prefix — received broadcast
+/// bytes, final ring values — and one more once the node's network flow is
+/// finished.
+const SUB_RES: u64 = 0;
+const SUB_DONE: u64 = 1;
 /// Per-member partial streams start here: `SUB_PART + member_index`.
 const SUB_PART: u64 = 8;
 
 /// Counter-bank sub-keys available to one op: [`bank_key`] packs the
 /// stream id into the low 8 bits, so an op owns exactly 256 keys.
 pub const COUNTER_KEY_BUDGET: usize = 256;
-/// Sub-keys reserved for the op's fixed streams (`SUB_RECV`..`SUB_RES`
+/// Sub-keys reserved for the op's fixed streams (`SUB_RES`, `SUB_DONE`
 /// plus headroom up to `SUB_PART`, where per-member streams begin).
 pub const RESERVED_COUNTER_KEYS: usize = SUB_PART as usize;
 /// Largest group one op can address: every member needs a partial stream
@@ -205,20 +236,64 @@ fn reduce_share(i: usize, g: usize, bytes: usize, chunk: usize) -> (usize, usize
     )
 }
 
+/// A region exposed under `(owner, tag)`, mapped on first use.
+struct Mapped {
+    owner: u32,
+    tag: u64,
+    region: Option<Arc<SharedRegion>>,
+}
+
+impl Mapped {
+    fn new(owner: usize, tag: u64) -> Self {
+        Mapped {
+            owner: owner as u32,
+            tag,
+            region: None,
+        }
+    }
+
+    /// The region, once its owner has exposed it.
+    fn get(
+        &mut self,
+        registry: &WindowRegistry,
+        seen: &mut HashSet<usize>,
+    ) -> Option<&Arc<SharedRegion>> {
+        if self.region.is_none() {
+            self.region = registry.try_map_auto(self.owner, self.tag, seen);
+        }
+        self.region.as_ref()
+    }
+
+    fn is_mapped(&self) -> bool {
+        self.region.is_some()
+    }
+
+    /// The region; nothing lands in or leaves it before it is mapped.
+    fn mapped(&self) -> &SharedRegion {
+        self.region
+            .as_deref()
+            .expect("the landing region is mapped")
+    }
+}
+
 /// This rank's side of one in-flight operation (see the module docs).
 struct Member {
+    /// The op's landing region on this node: what a contribution goes into
+    /// and a chase copies out of. A landing member holds its own buffer.
+    land: Mapped,
     contribute: Option<Contribute>,
     chase: Option<Chase>,
-    /// `(counter, value it must reach)`: once all hold, the buffer this rank
-    /// exposed under [`ROLE_DATA`] is withdrawn.
-    release: Option<Vec<(Arc<MessageCounter>, u64)>>,
+    /// `(counter, value it must reach)`: once all hold, the windows this
+    /// rank exposed under the `withdraw` roles are withdrawn.
+    release: Vec<(Arc<MessageCounter>, u64)>,
+    withdraw: &'static [u64],
     /// Tells the engine this member is finished — every member, last of
     /// all: the engine retires the op's counters once all have reported,
     /// so reporting is the promise never to look one up again.
     done: Arc<MessageCounter>,
 }
 
-/// What a member puts into the node accumulator: the f64-lane sum of bytes
+/// What a member puts into the landing region: the f64-lane sum of bytes
 /// `[lo, hi)` of every input, at offset `at`, publishing `part` as it goes.
 /// A reduce member sums every group member's exposed input over its share;
 /// an allgather member "sums" its one block — a copy.
@@ -252,9 +327,9 @@ impl Contribute {
             self.inputs.push(input);
         }
         // SAFETY: this member is the unique writer of its share of the
-        // accumulator and readers (engine sends, co-member copy-outs) are
-        // gated on the publish; inputs are final from before the post, and
-        // reading a co-member's ungated is ordered by the registry map.
+        // landing region and readers (engine sends, co-member copy-outs)
+        // are gated on the publish; inputs are final from before the post,
+        // and reading a co-member's ungated is ordered by the registry map.
         unsafe {
             sum_regions(
                 acc,
@@ -272,14 +347,11 @@ impl Contribute {
     }
 }
 
-/// Copy bytes `[lo, hi)` of a source region — exposed by `owner` under
-/// `tag` — to the start of `dst`, as the gate counter passes them.
+/// Copy bytes `[lo, hi)` of the landing region to the start of `dst`, as
+/// the gate counter passes them.
 struct Chase {
-    owner: u32,
-    tag: u64,
-    src: Option<Arc<SharedRegion>>,
-    /// Bytes of the source that are valid, as a prefix from offset 0;
-    /// `None` when the source was valid in full at post time.
+    /// Bytes of the landing region that are valid, as a prefix from offset
+    /// 0; `None` when it was valid in full at post time.
     gate: Option<Arc<MessageCounter>>,
     lo: usize,
     hi: usize,
@@ -287,22 +359,37 @@ struct Chase {
     copied: usize,
 }
 
+impl Chase {
+    /// Copy what became valid; `true` once the whole span is copied.
+    fn run(&mut self, src: &SharedRegion) -> bool {
+        let valid = self.gate.as_ref().map_or(self.hi, |g| g.read() as usize);
+        let avail = valid.min(self.hi).saturating_sub(self.lo);
+        if avail > self.copied {
+            // SAFETY: `[lo + copied, lo + avail)` of the source was
+            // published before the counter value we acquired (or before
+            // the exposure, when ungated); dst is exclusively ours.
+            unsafe {
+                self.dst
+                    .copy_from(self.copied, src, self.lo + self.copied, avail - self.copied)
+            };
+            self.copied = avail;
+        }
+        self.copied == self.hi - self.lo
+    }
+}
+
 impl Member {
-    /// A member that copies `span` of the region `owner` exposed under
-    /// `tag` to the start of `dst` as `gate` passes it (see [`Chase`]), then
-    /// reports on `done`.
+    /// A member that copies `span` of the landing region `land` to the
+    /// start of `dst` as `gate` passes it (see [`Chase`]), then reports on
+    /// `done`.
     fn chasing(
-        owner: u32,
-        tag: u64,
+        land: Mapped,
         gate: Option<Arc<MessageCounter>>,
         span: std::ops::Range<usize>,
         dst: Arc<SharedRegion>,
         done: Arc<MessageCounter>,
     ) -> Member {
         let chase = Chase {
-            owner,
-            tag,
-            src: None,
             gate,
             lo: span.start,
             hi: span.end,
@@ -310,9 +397,11 @@ impl Member {
             copied: 0,
         };
         Member {
+            land,
             contribute: None,
             chase: Some(chase),
-            release: None,
+            release: Vec::new(),
+            withdraw: &[],
             done,
         }
     }
@@ -326,41 +415,25 @@ impl Member {
         seen: &mut HashSet<usize>,
     ) -> bool {
         let registry = shared.registry();
-        if let Some(ch) = self.chase.as_mut() {
-            if ch.src.is_none() {
-                ch.src = registry.try_map_auto(ch.owner, ch.tag, seen);
-            }
-            let Some(src) = ch.src.as_ref() else {
+        if self.contribute.is_some() || self.chase.is_some() {
+            let Some(land) = self.land.get(registry, seen) else {
                 return false;
             };
-            // A contribution goes into the region the chase reads from.
             if let Some(c) = self.contribute.as_mut() {
-                if !c.run(op, src, shared, seen) {
+                if !c.run(op, land, shared, seen) {
                     return false;
                 }
                 self.contribute = None;
             }
-            let valid = ch.gate.as_ref().map_or(ch.hi, |g| g.read() as usize);
-            let avail = valid.min(ch.hi).saturating_sub(ch.lo);
-            if avail > ch.copied {
-                // SAFETY: `[lo + copied, lo + avail)` of the source was
-                // published before the counter value we acquired (or before
-                // the exposure, when ungated); dst is exclusively ours.
-                unsafe {
-                    ch.dst
-                        .copy_from(ch.copied, src, ch.lo + ch.copied, avail - ch.copied)
-                };
-                ch.copied = avail;
-            }
-            if ch.copied < ch.hi - ch.lo {
+            if self.chase.as_mut().is_some_and(|ch| !ch.run(land)) {
                 return false;
             }
         }
-        if let Some(release) = self.release.as_ref() {
-            if !release.iter().all(|(c, v)| c.read() >= *v) {
-                return false;
-            }
-            registry.unexpose(rank as u32, reg_tag(op, ROLE_DATA));
+        if !self.release.iter().all(|(c, v)| c.read() >= *v) {
+            return false;
+        }
+        for &role in self.withdraw {
+            registry.unexpose(rank as u32, reg_tag(op, role));
         }
         self.done.publish(1);
         true
@@ -370,63 +443,56 @@ impl Member {
 /// The network side of one broadcast on this node.
 struct NetBcast {
     root_node: usize,
-    root_rank: usize,
     len: usize,
     is_root_node: bool,
-    /// Root node: the mapped source (may lag the post of a co-located
-    /// root). Elsewhere: the engine-owned staging region.
-    buf: Option<Arc<SharedRegion>>,
+    /// The landing buffer: the root's source on its node (it may lag the
+    /// post of a co-located root), the landing member's buffer elsewhere.
+    land: Mapped,
     /// What is out on the outbound tree ports (port order of `bcast_out`).
     feed: TreeFeed,
     /// Bytes of the message valid on this node, as a prefix: all of it at
-    /// the root, what has been received into the stage elsewhere.
+    /// the root, what has been received elsewhere.
     valid: usize,
-    recv_ctr: Option<Arc<MessageCounter>>,
-    netdone: Arc<MessageCounter>,
-    netdone_published: bool,
+    res: Arc<MessageCounter>,
 }
 
 impl NetBcast {
     fn accept(&mut self, k: usize, bytes: &[u8], chunk: usize) {
         debug_assert_eq!(k * chunk, self.valid, "broadcast chunks arrive in order");
         debug_assert_eq!(bytes.len(), (self.len - k * chunk).min(chunk));
-        let stage = self.buf.as_ref().expect("a non-root node has its stage");
-        // SAFETY: the engine is the only writer of the stage; member
-        // reads are gated on the reception counter published below.
-        unsafe { stage.write(self.valid, bytes) };
+        // SAFETY: the engine is the only writer of the landing buffer; the
+        // members' reads are gated on the result counter published below.
+        unsafe { self.land.mapped().write(self.valid, bytes) };
         self.valid += bytes.len();
-        self.recv_ctr
-            .as_ref()
-            .expect("only non-root nodes receive")
-            .publish(bytes.len() as u64);
+        self.res.publish(bytes.len() as u64);
     }
 
     /// Inject (root node) or forward (elsewhere) on every outbound tree
-    /// port, then publish net-done once nothing is owed.
+    /// port.
     fn pump<'c>(&mut self, op: u64, outs: impl IntoIterator<Item = &'c ChunkChannel> + Clone) {
-        if let Some(buf) = self.buf.as_ref() {
+        if let Some(buf) = self.land.region.as_ref() {
             let data = |k| tag::pack(op, Kind::Data, k);
             // SAFETY: `feed` only asks for bytes below `valid`.
             (self.feed).pump(outs, self.valid, data, |off, d| unsafe { buf.read(off, d) });
         }
-        // Everything being out implies everything was received.
-        if !self.netdone_published && self.feed.flushed() == self.len {
-            self.netdone.publish(1);
-            self.netdone_published = true;
-        }
+    }
+
+    /// Everything being out implies everything was received.
+    fn finished(&self) -> bool {
+        self.feed.flushed() == self.len
     }
 }
 
-/// The node accumulator of one ring collective — the engine-owned region
-/// members contribute to and copy results out of — as the [`Local`] the
-/// op's stepper runs against.
+/// The landing region of one ring collective — the one members contribute
+/// to and copy results out of — as the [`Local`] the op's stepper runs
+/// against.
 struct Acc {
-    region: Arc<SharedRegion>,
+    land: Mapped,
     /// One contribution stream per member: bytes of its reduce share summed,
     /// or of its block deposited.
     parts: Vec<Arc<MessageCounter>>,
-    /// Bytes of the accumulator holding final values, as a prefix: what
-    /// members chase. Only the engine publishes it.
+    /// Bytes of the region holding final values, as a prefix: what members
+    /// chase. Only the engine publishes it.
     res: Arc<MessageCounter>,
     total: usize,
     layout: Layout,
@@ -451,7 +517,7 @@ enum Layout {
 }
 
 impl Acc {
-    /// The accumulator offset of the stepper's offset `off`.
+    /// The region offset of the stepper's offset `off`.
     fn at(&self, off: usize) -> usize {
         match &self.layout {
             Layout::Sum { .. } => off,
@@ -503,33 +569,39 @@ impl Acc {
 
 impl Local for Acc {
     fn ready(&self, _: usize, off: usize, len: usize) -> bool {
-        match &self.layout {
-            Layout::Sum { chunk } => {
-                // The chunk's owner in the local reduce, and how far its
-                // stream must have come for the chunk's local sum to stand.
-                let (g, kt) = (self.parts.len(), self.total.div_ceil(*chunk));
-                let i = ((off / chunk + 1) * g - 1) / kt;
-                let (lo, hi) = reduce_share(i, g, self.total, *chunk);
-                debug_assert!(lo <= off && off + len <= hi);
-                self.parts[i].read() >= (off + len - lo) as u64
+        // Members contributed into the region, so it is exposed; until the
+        // engine has mapped it too, nothing is ready.
+        self.land.is_mapped()
+            && match &self.layout {
+                Layout::Sum { chunk } => {
+                    // The chunk's owner in the local reduce, and how far its
+                    // stream must have come for the chunk's local sum to
+                    // stand.
+                    let (g, kt) = (self.parts.len(), self.total.div_ceil(*chunk));
+                    let i = ((off / chunk + 1) * g - 1) / kt;
+                    let (lo, hi) = reduce_share(i, g, self.total, *chunk);
+                    debug_assert!(lo <= off && off + len <= hi);
+                    self.parts[i].read() >= (off + len - lo) as u64
+                }
+                // Only this node's own superblock is ever gated on
+                // readiness: have all local members deposited?
+                Layout::Blocks { block, .. } => {
+                    self.parts.iter().all(|c| c.read() >= *block as u64)
+                }
             }
-            // Only this node's own superblock is ever gated on readiness:
-            // have all local members deposited?
-            Layout::Blocks { block, .. } => self.parts.iter().all(|c| c.read() >= *block as u64),
-        }
     }
 
     fn read<R>(&self, _: usize, off: usize, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
         // SAFETY: per the `Local` contract the range's contributors have
         // published it (`ready`, an acquire) or the engine wrote it, and the
         // engine is its only writer from then on.
-        unsafe { self.region.with_bytes(self.at(off), len, f) }
+        unsafe { self.land.mapped().with_bytes(self.at(off), len, f) }
     }
 
     fn write<R>(&mut self, _: usize, off: usize, len: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
         // SAFETY: as for `read`; members read the range only after `res`
         // covers it.
-        unsafe { self.region.with_bytes_mut(self.at(off), len, f) }
+        unsafe { self.land.mapped().with_bytes_mut(self.at(off), len, f) }
     }
 
     fn landed(&mut self, _: usize, off: usize, len: usize) {
@@ -621,6 +693,9 @@ enum Net {
 /// One operation as the engine sees it.
 struct NetOp {
     net: Net,
+    /// The op's network flow on this node is finished, and the result
+    /// counter said so.
+    finished: bool,
     /// Members of this node that finished, against how many there are to
     /// wait for before the op's counters and windows can go.
     done: Arc<MessageCounter>,
@@ -628,6 +703,22 @@ struct NetOp {
 }
 
 impl NetOp {
+    fn land(&mut self) -> &mut Mapped {
+        match &mut self.net {
+            Net::Bcast(b) => &mut b.land,
+            Net::Ring(r) => &mut r.acc.land,
+        }
+    }
+
+    /// Can this op's chunks land? Until its landing region is mapped they
+    /// are parked.
+    fn can_land(&self) -> bool {
+        match &self.net {
+            Net::Bcast(b) => b.land.is_mapped(),
+            Net::Ring(r) => r.acc.land.is_mapped(),
+        }
+    }
+
     /// The link this op's chunks arrive on (`m > 1`).
     fn in_port<'f>(&self, fabric: &'f Fabric, node: usize) -> Option<&'f ChunkChannel> {
         match &self.net {
@@ -638,10 +729,11 @@ impl NetOp {
     }
 
     /// Can the next chunk for this op, of `kind`, be consumed right now?
-    /// Consuming is only allowed after this returns true.
+    /// Consuming is only allowed after this and [`Self::can_land`] said
+    /// yes.
     fn can_accept(&self, kind: Kind, fabric: &Fabric, node: usize) -> bool {
         match &self.net {
-            // Broadcast data lands in the preallocated stage: always.
+            // Broadcast data lands in the mapped buffer: always.
             Net::Bcast(_) => true,
             Net::Ring(r) => r.can_accept(kind, fabric.ring_send(node, r.dir)),
         }
@@ -656,12 +748,23 @@ impl NetOp {
         }
     }
 
-    /// Is the op's network flow on this node finished: all its receives
-    /// consumed, everything it will ever send in a link?
-    fn net_finished(&self) -> bool {
-        match &self.net {
-            Net::Bcast(b) => b.netdone_published,
-            Net::Ring(r) => r.finished(),
+    /// Push outbound progress. Once the flow is finished — all its receives
+    /// consumed, everything it will ever send in a link — say so with one
+    /// more count on the result counter: that releases the landing member.
+    fn pump(&mut self, op: u64, fabric: &Fabric, node: usize, m: usize) {
+        let (finished, res) = match &mut self.net {
+            Net::Bcast(b) => {
+                b.pump(op, fabric.bcast_out(node, b.root_node));
+                (b.finished(), &b.res)
+            }
+            Net::Ring(r) => {
+                r.pump(op, (m > 1).then(|| fabric.ring_send(node, r.dir)));
+                (r.finished(), &r.acc.res)
+            }
+        };
+        if finished && !self.finished {
+            res.publish(1);
+            self.finished = true;
         }
     }
 }
@@ -682,72 +785,49 @@ impl Engine {
         self.ops.is_empty()
     }
 
-    /// See [`NetOp::net_finished`]; a retired op is finished.
+    /// Has the op's network flow on this node finished? A retired op has.
     fn net_finished(&self, op: u64) -> bool {
-        self.ops.get(&op).is_none_or(NetOp::net_finished)
+        self.ops.get(&op).is_none_or(|o| o.finished)
     }
 
-    fn register_bcast(
-        &mut self,
-        op: u64,
-        group_len: usize,
-        root_node: usize,
-        root_rank: usize,
-        len: usize,
-    ) {
-        let bank = self.shared.sched_bank();
+    /// Register a broadcast that lands in `lead`'s buffer on this node.
+    fn register_bcast(&mut self, op: u64, g: usize, root_node: usize, lead: usize, len: usize) {
         let is_root_node = self.node == root_node;
-        let (buf, recv_ctr) = if is_root_node {
-            // The co-located root's exposed source; it may not have posted
-            // yet — `advance` maps it then.
-            (None, None)
-        } else {
-            let stage = Arc::new(SharedRegion::new(len));
-            self.shared
-                .registry()
-                .expose(0, reg_tag(op, ROLE_STAGE), stage.clone());
-            (Some(stage), Some(bank.counter(bank_key(op, SUB_RECV))))
-        };
         let net = Net::Bcast(NetBcast {
             root_node,
-            root_rank,
             len,
             is_root_node,
-            buf,
+            land: Mapped::new(lead, reg_tag(op, ROLE_DATA)),
             feed: TreeFeed::new(
                 self.fabric.bcast_out(self.node, root_node).count(),
                 len,
                 self.chunk,
             ),
             valid: if is_root_node { len } else { 0 },
-            recv_ctr,
-            netdone: bank.counter(bank_key(op, SUB_NETDONE)),
-            netdone_published: false,
+            res: self.shared.sched_bank().counter(bank_key(op, SUB_RES)),
         });
-        self.insert(op, net, group_len);
+        self.insert(op, net, g);
     }
 
-    /// Register a ring collective over a fresh `total`-byte accumulator;
-    /// `step(pos)` builds its stepper for ring position `pos` (`m > 1`).
+    /// Register a ring collective over the `total`-byte landing region
+    /// `land`; `step(pos)` builds its stepper for ring position `pos`
+    /// (`m > 1`).
     fn register_ring(
         &mut self,
         op: u64,
         g: usize,
         total: usize,
         layout: Layout,
+        land: Mapped,
         step: impl FnOnce(usize) -> Step,
     ) {
         let bank = self.shared.sched_bank();
-        let region = Arc::new(SharedRegion::new(total));
-        self.shared
-            .registry()
-            .expose(0, reg_tag(op, ROLE_STAGE), region.clone());
         let dir = ring_dir(op);
         let net = Net::Ring(Box::new(NetRing {
             dir,
             step: (self.m > 1).then(|| step(self.fabric.ring_pos(self.node, dir))),
             acc: Acc {
-                region,
+                land,
                 parts: (0..g)
                     .map(|i| bank.counter(bank_key(op, SUB_PART + i as u64)))
                     .collect(),
@@ -763,40 +843,34 @@ impl Engine {
         let done = self.shared.sched_bank().counter(bank_key(op, SUB_DONE));
         let netop = NetOp {
             net,
+            finished: false,
             done,
             expected_done: expected_done as u64,
         };
         self.ops.insert(op, netop);
     }
 
-    /// One engine pass: replay parked chunks, drain in-ports, push
-    /// outbound progress, and retire finished ops.
+    /// One engine pass: map landing regions, replay parked chunks, drain
+    /// in-ports, push outbound progress, and retire finished ops.
     fn advance(&mut self) {
         let fabric = self.fabric.clone();
         let shared = self.shared.clone();
         let registry = shared.registry();
         let (node, m) = (self.node, self.m);
 
-        // Resolve broadcast sources whose co-located root posted after us.
-        for (op, netop) in self.ops.iter_mut() {
-            if let Net::Bcast(b) = &mut netop.net {
-                if b.buf.is_none() {
-                    b.buf = registry.try_map_auto(
-                        b.root_rank as u32,
-                        reg_tag(*op, ROLE_DATA),
-                        &mut self.seen,
-                    );
-                }
-            }
+        // Map the landing regions whose members posted after the op
+        // registered here.
+        for netop in self.ops.values_mut() {
+            netop.land().get(registry, &mut self.seen);
         }
 
-        // Replay parked chunks of now-posted ops, oldest first. Ops whose
-        // stash stays non-empty must keep stashing port arrivals to
+        // Replay parked chunks of ops that can land now, oldest first. Ops
+        // whose stash stays non-empty must keep stashing port arrivals to
         // preserve per-link order.
         let mut stashed_ops: HashSet<u64> = HashSet::new();
         {
             let mut stash = shared.sched_stash().lock();
-            for (op, netop) in self.ops.iter_mut() {
+            for (op, netop) in self.ops.iter_mut().filter(|(_, o)| o.can_land()) {
                 while let Some(t) = stash.front_tag(*op) {
                     if !netop.can_accept(tag::unpack(t).1, &fabric, node) {
                         break;
@@ -816,20 +890,29 @@ impl Engine {
             let Some(port) = self.ops[&at].in_port(&fabric, node) else {
                 continue;
             };
+            let mut parked = 0;
             while let Some(t) = port.peek_tag() {
                 let (op, kind, _) = tag::unpack(t);
-                if !self.ops.contains_key(&op) || stashed_ops.contains(&op) {
-                    // Not posted here yet (or already queuing behind such
-                    // chunks): park it and keep the link draining. Parking
-                    // outlives the slot loan, so `park` copies the bytes —
-                    // the one owned copy left on the engine's receive path;
-                    // every in-order arrival is consumed in place.
+                let target = self.ops.get_mut(&op);
+                let Some(netop) = target.filter(|o| o.can_land() && !stashed_ops.contains(&op))
+                else {
+                    // Not posted here yet, its landing region not mapped
+                    // yet, or queuing behind such chunks: park it rather
+                    // than wait for it — the member still to post may be
+                    // waiting on a chunk behind this one. Parking outlives
+                    // the slot loan, so `park` copies the bytes — the one
+                    // owned copy left on the engine's receive path; every
+                    // in-order arrival is consumed in place. A window's
+                    // worth per visit, then the members get a turn.
+                    if parked == port.capacity() {
+                        break;
+                    }
                     let mut stash = shared.sched_stash().lock();
                     port.recv_with(|t, b| stash.park(op, t, b));
                     stashed_ops.insert(op);
+                    parked += 1;
                     continue;
-                }
-                let netop = self.ops.get_mut(&op).expect("checked above");
+                };
                 if !netop.can_accept(kind, &fabric, node) {
                     // Transient head-of-line wait on node-local progress
                     // or downstream room.
@@ -840,33 +923,31 @@ impl Engine {
         }
 
         // Outbound progress.
-        for (op, netop) in self.ops.iter_mut() {
-            match &mut netop.net {
-                Net::Bcast(b) => b.pump(*op, fabric.bcast_out(node, b.root_node)),
-                Net::Ring(r) => r.pump(*op, (m > 1).then(|| fabric.ring_send(node, r.dir))),
-            }
+        for (&op, netop) in self.ops.iter_mut() {
+            netop.pump(op, &fabric, node, m);
         }
 
         // Retire ops whose network duties and local member copies are done:
-        // unexpose engine-owned windows and drop the per-op counters.
+        // withdraw an engine-owned region and drop the per-op counters.
         // Members keep their counter Arcs alive, so retirement is pure map
         // cleanup.
         let bank = shared.sched_bank();
         self.ops.retain(|&op, o| {
-            if !(o.net_finished() && o.done.read() >= o.expected_done) {
+            if !(o.finished && o.done.read() >= o.expected_done) {
                 return true;
             }
-            // Whether the op staged a window, and the streams it created.
-            let (staged, subs, parts): (bool, &[u64], usize) = match &o.net {
-                Net::Bcast(b) if b.is_root_node => (false, &[SUB_NETDONE, SUB_DONE], 0),
-                Net::Bcast(_) => (true, &[SUB_RECV, SUB_NETDONE, SUB_DONE], 0),
-                Net::Ring(r) => (true, &[SUB_RES, SUB_DONE], r.acc.parts.len()),
-            };
-            if staged {
-                registry.unexpose(0, reg_tag(op, ROLE_STAGE));
+            let stage = reg_tag(op, ROLE_STAGE);
+            if o.land().tag == stage {
+                registry.unexpose(0, stage);
             }
-            let parts = (0..parts as u64).map(|i| SUB_PART + i);
-            for sub in subs.iter().copied().chain(parts) {
+            let parts = match &o.net {
+                Net::Bcast(_) => 0,
+                Net::Ring(r) => r.acc.parts.len() as u64,
+            };
+            for sub in [SUB_RES, SUB_DONE]
+                .into_iter()
+                .chain(SUB_PART..SUB_PART + parts)
+            {
                 bank.retire(bank_key(op, sub));
             }
             false
@@ -1006,6 +1087,42 @@ impl Sched {
         self.shared.sched_bank().counter(bank_key(op, sub))
     }
 
+    /// The landing member's record: `buf`, exposed under `role`, is where
+    /// the op's result lands on this node. It waits until the engine is
+    /// done with the buffer — the result counter one past the `valid`
+    /// bytes the engine publishes on this node — and the other `g - 1`
+    /// members have reported, then withdraws the buffer and reports.
+    fn landing(
+        &self,
+        op: u64,
+        g: usize,
+        role: u64,
+        buf: Arc<SharedRegion>,
+        valid: usize,
+    ) -> Member {
+        let tag = reg_tag(op, role);
+        self.shared
+            .registry()
+            .expose(self.rank as u32, tag, buf.clone());
+        let done = self.counter(op, SUB_DONE);
+        let res = self.counter(op, SUB_RES);
+        Member {
+            land: Mapped {
+                region: Some(buf),
+                ..Mapped::new(self.rank, tag)
+            },
+            contribute: None,
+            chase: None,
+            release: vec![(res, valid as u64 + 1), (done.clone(), g as u64 - 1)],
+            withdraw: if role == ROLE_DATA {
+                &[ROLE_DATA]
+            } else {
+                &[ROLE_OUT]
+            },
+            done,
+        }
+    }
+
     /// Post a nonblocking broadcast of `len` bytes from `(root_node,
     /// root_rank)`'s buffer to every rank in `group` (local rank ids,
     /// replicated on every node) on every node.
@@ -1028,41 +1145,26 @@ impl Sched {
         if group.binary_search(&root_rank).is_err() {
             return Err(SchedError::BadGroup("root rank not in group".into()));
         }
+        let g = group.len();
+        // The landing member: the root on its node, `group[0]` elsewhere.
+        let on_root_node = self.node == root_node;
+        let lead = if on_root_node { root_rank } else { group[0] };
         let member = |s: &Sched, op, _| {
             let buf = buf.expect("a member has a buffer").clone();
-            let done = s.counter(op, SUB_DONE);
-            if s.node != root_node {
-                // Chase the engine's reception counter over its stage.
-                let recv = Some(s.counter(op, SUB_RECV));
-                Member::chasing(0, reg_tag(op, ROLE_STAGE), recv, 0..len, buf, done)
-            } else if s.rank != root_rank {
-                // On the root's node the source was complete at post time.
-                Member::chasing(
-                    root_rank as u32,
-                    reg_tag(op, ROLE_DATA),
-                    None,
-                    0..len,
-                    buf,
-                    done,
-                )
-            } else {
-                // The root waits for injection and for the co-located
-                // members' copies, withdraws its source, then reports like
-                // every member (so the engine cannot retire the counters
-                // under a root that posts late and has yet to look them up).
-                let tag = reg_tag(op, ROLE_DATA);
-                s.shared.registry().expose(s.rank as u32, tag, buf);
-                let netdone = s.counter(op, SUB_NETDONE);
-                Member {
-                    contribute: None,
-                    chase: None,
-                    release: Some(vec![(netdone, 1), (done.clone(), group.len() as u64 - 1)]),
-                    done,
-                }
+            if s.rank == lead {
+                // The engine injects from the buffer on the root's node and
+                // receives `len` bytes into it elsewhere.
+                let valid = if on_root_node { 0 } else { len };
+                return s.landing(op, g, ROLE_DATA, buf, valid);
             }
+            // Copy out of the landing buffer: valid in full at post on the
+            // root's node, as the result counter passes it elsewhere.
+            let gate = (!on_root_node).then(|| s.counter(op, SUB_RES));
+            let land = Mapped::new(lead, reg_tag(op, ROLE_DATA));
+            Member::chasing(land, gate, 0..len, buf, s.counter(op, SUB_DONE))
         };
         self.post(group, &[(buf, len)], len, member, |engine, op| {
-            engine.register_bcast(op, group.len(), root_node, root_rank, len)
+            engine.register_bcast(op, g, root_node, lead, len)
         })
     }
 
@@ -1100,7 +1202,9 @@ impl Sched {
     }
 
     /// Shared body of [`Self::iallreduce`] / [`Self::ireduce_scatter`]:
-    /// identical network flow, differing only in each member's result span.
+    /// identical network flow, differing in each member's result span and
+    /// so in where the result lands — `group[0]`'s output, or, when no
+    /// output holds the whole vector, a region of the engine's.
     fn post_reduce(
         &mut self,
         group: &[usize],
@@ -1121,24 +1225,18 @@ impl Sched {
             _ => 0..bytes,
         };
         let out_len = span.len();
+        let land = |op| {
+            if scatter {
+                Mapped::new(0, reg_tag(op, ROLE_STAGE))
+            } else {
+                Mapped::new(group[0], reg_tag(op, ROLE_OUT))
+            }
+        };
         let member = |s: &Sched, op, i| {
             let input = input.expect("a member has an input").clone();
             let tag = reg_tag(op, ROLE_DATA);
             s.shared.registry().expose(s.rank as u32, tag, input);
-            // The result counter publishes a whole-message byte prefix; the
-            // chase clamps it to this member's span.
-            let (res, output) = (
-                s.counter(op, SUB_RES),
-                output.expect("a member has an output"),
-            );
-            let chased = Member::chasing(
-                0,
-                reg_tag(op, ROLE_STAGE),
-                Some(res),
-                span,
-                output.clone(),
-                s.counter(op, SUB_DONE),
-            );
+            let output = output.expect("a member has an output").clone();
             // Only chunk owners read co-member inputs. A member whose share
             // is empty (`kt < g`) must not wait to map them: owners
             // withdraw their inputs once every contribution *stream*
@@ -1157,26 +1255,45 @@ impl Sched {
             });
             // The input may only be released once no co-member can still
             // read it — i.e. every local stream ran to completion.
-            let release = (0..g).map(|j| {
+            let inputs_read = (0..g).map(|j| {
                 let (lo, hi) = reduce_share(j, g, bytes, chunk);
                 (s.counter(op, SUB_PART + j as u64), (hi - lo) as u64)
             });
+            if !scatter && i == 0 {
+                let mut lead = s.landing(op, g, ROLE_OUT, output, bytes);
+                lead.release.extend(inputs_read);
+                return Member {
+                    contribute,
+                    withdraw: &[ROLE_DATA, ROLE_OUT],
+                    ..lead
+                };
+            }
+            // The result counter publishes a whole-message byte prefix; the
+            // chase clamps it to this member's span.
+            let (res, done) = (s.counter(op, SUB_RES), s.counter(op, SUB_DONE));
             Member {
                 contribute,
-                release: Some(release.collect()),
-                ..chased
+                release: inputs_read.collect(),
+                withdraw: &[ROLE_DATA],
+                ..Member::chasing(land(op), Some(res), span, output, done)
             }
+        };
+        let register = |engine: &mut Engine, op| {
+            let region = land(op);
+            if scatter {
+                let stage = Arc::new(SharedRegion::new(bytes));
+                engine.shared.registry().expose(0, region.tag, stage);
+            }
+            engine.register_ring(op, g, bytes, Layout::Sum { chunk }, region, |pos| {
+                Step::Flow(RingFlow::new(0, pos, m, bytes, chunk))
+            })
         };
         self.post(
             group,
             &[(input, bytes), (output, out_len)],
             bytes,
             member,
-            |engine, op| {
-                engine.register_ring(op, g, bytes, Layout::Sum { chunk }, |pos| {
-                    Step::Flow(RingFlow::new(0, pos, m, bytes, chunk))
-                })
-            },
+            register,
         )
     }
 
@@ -1185,7 +1302,8 @@ impl Sched {
     /// and every member's output receives all `m * group_len` blocks
     /// concatenated in global member order (`node * group_len +
     /// index_in_group`). Runs a ring allgather of node superblocks on the
-    /// progress engine, interleaved with every other in-flight op.
+    /// progress engine, interleaved with every other in-flight op, landing
+    /// in `group[0]`'s output.
     /// Members pass input (`len` bytes) and output (`m * group_len * len`
     /// bytes) regions; non-members pass `None`. Inputs must be final
     /// before the post; neither buffer may be touched until the request
@@ -1202,8 +1320,9 @@ impl Sched {
         // A node's superblock: its members' blocks, in group order.
         let sb = g * len;
         let total = m * sb;
-        let member = |s: &Sched, op, i| Member {
-            contribute: Some(Contribute {
+        let land = |op| Mapped::new(group[0], reg_tag(op, ROLE_OUT));
+        let member = |s: &Sched, op, i| {
+            let contribute = Some(Contribute {
                 owners: Vec::new(),
                 inputs: vec![input.expect("a member has an input").clone()],
                 lo: 0,
@@ -1211,15 +1330,17 @@ impl Sched {
                 at: s.node * sb + i * len,
                 chunk,
                 part: s.counter(op, SUB_PART + i as u64),
-            }),
-            ..Member::chasing(
-                0,
-                reg_tag(op, ROLE_STAGE),
-                Some(s.counter(op, SUB_RES)),
-                0..total,
-                output.expect("a member has an output").clone(),
-                s.counter(op, SUB_DONE),
-            )
+            });
+            let output = output.expect("a member has an output").clone();
+            if i == 0 {
+                let lead = s.landing(op, g, ROLE_OUT, output, total);
+                return Member { contribute, ..lead };
+            }
+            let (res, done) = (s.counter(op, SUB_RES), s.counter(op, SUB_DONE));
+            Member {
+                contribute,
+                ..Member::chasing(land(op), Some(res), 0..total, output, done)
+            }
         };
         let register = |engine: &mut Engine, op| {
             let layout = Layout::Blocks {
@@ -1231,7 +1352,7 @@ impl Sched {
                     .collect(),
                 prefix: Prefix::new(total, sb),
             };
-            engine.register_ring(op, g, total, layout, |pos| {
+            engine.register_ring(op, g, total, layout, land(op), |pos| {
                 Step::Plan(PlanCursor::new(plan_allgather(m, pos, sb, chunk)))
             })
         };

@@ -10,12 +10,14 @@
 //! every in-flight operation over the shared [`bgp_smp::transport`] fabric.
 //! Chunks carry the one [`bgp_smp::wire::tag`] layout with the op id in its
 //! stream field, so a consumer can dispatch any arriving chunk to the right
-//! operation without consuming it, and chunks of operations a slower node
-//! has not posted yet are parked in a node-level stash until the post
-//! arrives. The stash keeps every chunk it parks: dropping one wedges its
-//! op, and refusing to drain the link strands chunks of a posted op behind
-//! those of an unposted one, while what is parked is bounded anyway by the
-//! buffers the node allocates when it posts those ops.
+//! operation without consuming it. Every result lands once per node, in a
+//! member's own buffer, and chunks of operations a slower node cannot land
+//! yet — not posted, or its landing member still to post — are parked in a
+//! node-level stash until it can. The stash keeps every chunk it parks:
+//! dropping one wedges its op, and refusing to drain the link strands
+//! chunks of a posted op behind those of an unposted one, while what is
+//! parked is bounded anyway by the buffers the node's members post those
+//! ops with.
 //!
 //! Three layers:
 //!
@@ -30,10 +32,11 @@
 //!   network side of every posted op a little per [`Sched::poll`]: steps
 //!   [`bgp_smp::wire`] — the tree feeder for broadcast injection and
 //!   forwarding, the ring protocols (the partial/full flow for the
-//!   reductions, the allgather plan) against a per-op node accumulator —
-//!   receives into per-op stages, and retires per-op
-//!   counters and window exposures once an operation is globally drained on
-//!   its node.
+//!   reductions, the allgather plan) — against the op's landing buffer
+//!   (a member's own; an engine region only for reduce-scatter, whose
+//!   member outputs cannot hold the whole vector), receives broadcast
+//!   chunks straight into it, and retires per-op counters once an
+//!   operation is globally drained on its node.
 //! * [`CollectiveServer`] — a node-external, multi-tenant service
 //!   front-end: per-tenant bounded submission queues drained by a
 //!   deficit-round-robin dispatcher (register tenants with

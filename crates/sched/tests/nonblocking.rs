@@ -1,13 +1,18 @@
 //! Correctness of the nonblocking engine: delivery, reduction values,
-//! concurrency across ops and subgroups, the overlap guard, and the
-//! pre-effect validation contract.
+//! concurrency across ops and subgroups, the overlap guard, the
+//! pre-effect validation contract, and the park rule for chunks whose
+//! landing buffer is not mapped yet.
 
 use std::sync::Arc;
 
 use bgp_sched::{Sched, SchedError};
 use bgp_shmem::SharedRegion;
+use bgp_smp::cluster::DEFAULT_WINDOW;
 use bgp_smp::collectives::{read_f64s, write_f64s};
 use bgp_smp::Cluster;
+
+mod common;
+use common::{payload, within};
 
 fn read_bytes(r: &Arc<SharedRegion>, len: usize) -> Vec<u8> {
     let mut v = vec![0u8; len];
@@ -686,4 +691,172 @@ fn late_root_with_the_engine_rank_in_its_group() {
 #[test]
 fn late_root_alone_in_its_group_on_two_nodes() {
     late_off_engine_root(2, 2, &[1]);
+}
+
+/// The park rule, for broadcasts. On a 2 x 2 cluster op A runs over
+/// `[0, 1]` and op B over `[1]`, both rooted at rank 1 of node 0, so on
+/// node 1 B lands in rank 1's buffer. Rank 1 of node 1 waits on A before it
+/// posts B, while B's chunks queue behind A's: node 1's engine has
+/// registered B but cannot map its landing buffer yet, so it must park B's
+/// chunks. Eight rounds on one long-lived `Sched`, every byte checked,
+/// under a deadline.
+#[test]
+fn park_rule_ibcast_landing_member_posts_after_a_wait() {
+    const ROUNDS: usize = 8;
+    const A: usize = 64 << 10; // 64 chunks of 1 KiB
+    const B: usize = 32 << 10;
+    let got = within(30, || {
+        let cluster = Cluster::with_geometry(2, 2, 1024, 4);
+        cluster.run(|cctx| {
+            let (node, rank) = (cctx.node(), cctx.rank());
+            let mut sched = Sched::new(cctx);
+            let mut out = Vec::new();
+            for round in 0..ROUNDS {
+                let a = Arc::new(SharedRegion::new(A));
+                let b = (rank == 1).then(|| Arc::new(SharedRegion::new(B)));
+                if (node, rank) == (0, 1) {
+                    let b = b.as_ref().expect("rank 1 is in B's group");
+                    // SAFETY: fresh regions, before any post.
+                    unsafe {
+                        a.write(0, &payload(2 * round, A));
+                        b.write(0, &payload(2 * round + 1, B));
+                    }
+                }
+                let ra = sched.ibcast(&[0, 1], 0, 1, Some(&a), A).unwrap();
+                if (node, rank) == (1, 1) {
+                    sched.wait(ra);
+                }
+                let rb = sched.ibcast(&[1], 0, 1, b.as_ref(), B).unwrap();
+                sched.wait_all(&[ra, rb]);
+                out.push((read_bytes(&a, A), b.map(|b| read_bytes(&b, B))));
+            }
+            out
+        })
+    });
+    for (node, ranks) in got.iter().enumerate() {
+        for (rank, rounds) in ranks.iter().enumerate() {
+            for (round, (a, b)) in rounds.iter().enumerate() {
+                let at = format!("node {node} rank {rank} round {round}");
+                assert!(*a == payload(2 * round, A), "{at}: op A");
+                assert!(
+                    b.iter().all(|b| *b == payload(2 * round + 1, B)),
+                    "{at}: op B"
+                );
+            }
+        }
+    }
+}
+
+/// The same for allreduces, where waiting at the head of the port would
+/// deadlock: A runs over `[0, 1]` and B over `[1]`, with an empty op
+/// between them so that both ride the same ring direction. Node 0 injects
+/// B's partials as soon as its rank 1 has posted, possibly ahead of some of
+/// A's, whose shares wait on both of node 0's ranks; node 1 must park them
+/// until its rank 1, waiting on A, posts B.
+#[test]
+fn park_rule_iallreduce_landing_member_posts_after_a_wait() {
+    const ROUNDS: usize = 8;
+    const A: usize = 8 << 10; // doubles: 64 chunks of 1 KiB
+    const B: usize = 4 << 10;
+    let got = within(30, || {
+        let cluster = Cluster::with_geometry(2, 2, 1024, 4);
+        cluster.run(|cctx| {
+            let (node, rank, gr) = (cctx.node(), cctx.rank(), cctx.global_rank());
+            let empty = Arc::new(SharedRegion::new(8));
+            let mut sched = Sched::new(cctx);
+            let mut out = Vec::new();
+            for round in 0..ROUNDS {
+                let input = |count: usize| {
+                    let vals: Vec<f64> = (0..count)
+                        .map(|i| (1000 * (gr + round) + i % 100) as f64)
+                        .collect();
+                    let r = Arc::new(SharedRegion::new(count * 8));
+                    write_f64s(&r, 0, &vals);
+                    (r, Arc::new(SharedRegion::new(count * 8)))
+                };
+                let (a_in, a_out) = input(A);
+                let b = (rank == 1).then(|| input(B));
+                let ra = sched
+                    .iallreduce(&[0, 1], Some(&a_in), Some(&a_out), A)
+                    .unwrap();
+                sched.ibcast(&[0, 1], 0, 0, Some(&empty), 0).unwrap();
+                if (node, rank) == (1, 1) {
+                    sched.wait(ra);
+                }
+                let (b_in, b_out) = (b.as_ref().map(|b| &b.0), b.as_ref().map(|b| &b.1));
+                let rb = sched.iallreduce(&[1], b_in, b_out, B).unwrap();
+                sched.wait_all(&[ra, rb]);
+                out.push((read_f64s(&a_out, 0, A), b.map(|b| read_f64s(&b.1, 0, B))));
+            }
+            out
+        })
+    });
+    // A sums global ranks 0..4, B the rank-1s: global ranks 1 and 3.
+    let sum = |ranks: &[usize], round: usize, i: usize| -> f64 {
+        let each = |gr: usize| (1000 * (gr + round) + i % 100) as f64;
+        ranks.iter().map(|&gr| each(gr)).sum()
+    };
+    for (node, ranks) in got.iter().enumerate() {
+        for (rank, rounds) in ranks.iter().enumerate() {
+            for (round, (a, b)) in rounds.iter().enumerate() {
+                let at = format!("node {node} rank {rank} round {round}");
+                let a_wrong = (0..A).find(|&i| a[i] != sum(&[0, 1, 2, 3], round, i));
+                assert_eq!(a_wrong, None, "{at}: op A, first wrong element");
+                if let Some(b) = b {
+                    let b_wrong = (0..B).find(|&i| b[i] != sum(&[1, 3], round, i));
+                    assert_eq!(b_wrong, None, "{at}: op B, first wrong element");
+                }
+            }
+        }
+    }
+}
+
+/// One visit to a port parks at most a window of chunks, then lets the
+/// members run. Node 0 roots a depth-1 loop of 4 MiB broadcasts on one
+/// long-lived 2 x 1 `Sched`, out of two buffers it filled up front; it
+/// finishes each op as soon as its last chunk is in the link and injects
+/// the next one right behind it, while node 1 is still receiving. Node 1
+/// parks what arrives between its last chunk of op i and its post of op
+/// i+1 — a window or two, not most of the op.
+#[test]
+fn park_rule_bounds_what_a_depth_1_loop_parks() {
+    const OPS: usize = 16;
+    const LEN: usize = 4 << 20;
+    let (parked, wrong) = within(60, || {
+        let sent = Arc::new([payload(0, LEN), payload(1, LEN)]);
+        let cluster = Cluster::new(2, 1);
+        let wrong = cluster.run(move |cctx| {
+            let bufs = [0, 1].map(|_| Arc::new(SharedRegion::new(LEN)));
+            if cctx.node() == 0 {
+                for (buf, bytes) in bufs.iter().zip(sent.iter()) {
+                    // SAFETY: fresh regions, before any post.
+                    unsafe { buf.write(0, bytes) };
+                }
+            }
+            let mut sched = Sched::new(cctx);
+            let mut wrong = Vec::new();
+            for i in 0..OPS {
+                let buf = &bufs[i % 2];
+                let req = sched.ibcast(&[0], 0, 0, Some(buf), LEN).unwrap();
+                sched.wait(req);
+                // Only the receiver checks: the root goes straight on.
+                if cctx.node() == 1 {
+                    if read_bytes(buf, LEN) != sent[i % 2] {
+                        wrong.push(i);
+                    }
+                    // The next op must fill the other buffer afresh.
+                    // SAFETY: no request on it is in flight.
+                    unsafe { bufs[(i + 1) % 2].write(0, &[0; LEN]) };
+                }
+            }
+            wrong
+        });
+        (cluster.stats().stash_parked, wrong)
+    });
+    assert!(wrong.iter().flatten().all(|w| w.is_empty()), "{wrong:?}");
+    let bound = (2 * DEFAULT_WINDOW * OPS) as u64;
+    assert!(
+        parked <= bound,
+        "{parked} chunks parked over {OPS} ops of 256 (bound {bound})"
+    );
 }

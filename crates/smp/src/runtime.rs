@@ -50,13 +50,18 @@ use crate::collectives::FifoMsg;
 /// Parked chunks for one op, in arrival order: `(tag, bytes)`.
 type OpQueue = VecDeque<(u64, Box<[u8]>)>;
 
-/// Chunks that arrived for nonblocking ops this node has not posted yet,
-/// keyed by op id: `(link tag, payload)` in arrival order. It keeps every
-/// chunk it parks, because no cap is safe. Dropping a chunk wedges its op;
-/// refusing to drain the link instead strands chunks of an op this node has
-/// posted behind chunks of one it has not. And the memory is bounded
-/// anyway: every parked chunk belongs to an op the peers posted ahead of
-/// this node, which it will post too, allocating a buffer that size.
+/// Chunks that arrived for nonblocking ops this node cannot land yet — not
+/// posted here, or posted but with the member buffer they land in not
+/// exposed yet — keyed by op id: `(link tag, payload)` in arrival order. It
+/// keeps every chunk it parks, because no cap is safe. Dropping a chunk
+/// wedges its op; refusing to drain the link instead strands chunks of an
+/// op this node can land behind chunks of one it cannot. And the memory is
+/// bounded anyway: every parked chunk belongs to an op the peers posted
+/// ahead of this node's members, who will post it too, with a buffer that
+/// size. What keeps it small is the engine's pacing, not a cap: one visit
+/// to a port parks at most one window of chunks, then the node's members
+/// get a turn to post — and every chunk behind those still drains, on the
+/// next pass.
 #[derive(Default)]
 pub struct SchedStash {
     queues: HashMap<u64, OpQueue>,

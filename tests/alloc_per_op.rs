@@ -4,13 +4,16 @@
 //! allocates. The blocking node allreduces loop 4 MiB ops after a warm-up:
 //! each result byte is written straight into the callers' outputs, so an op
 //! may allocate its small bookkeeping (the `Vec`s of mapped windows) but
-//! never a result-sized region. A service broadcast copies each member's
-//! result once, from the op's completed region into its ticket.
+//! never a result-sized region. So do the nonblocking engine's broadcasts
+//! and allreduces, whose results land in a member's own buffer. A service
+//! broadcast copies each member's result once, from its member region into
+//! its ticket.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use bgp_collectives::sched::{Request, Sched};
 use bgp_collectives::shmem::SharedRegion;
 use bgp_collectives::smp::{Cluster, ClusterCtx, SenseBarrier};
 use bgp_collectives::svc::Service;
@@ -115,16 +118,97 @@ fn cluster_allreduce_allocates_no_colour_buffer_across_two_rank_nodes() {
     });
 }
 
+/// One depth-1 4 MiB nonblocking op, posted on a rank's long-lived `Sched`
+/// over `group`, its `i`-th of the loop; `bufs` are the rank's two 4 MiB
+/// regions.
+type Nonblocking = fn(&mut Sched, &[usize], [&Arc<SharedRegion>; 2], usize) -> Request;
+
+/// Bytes allocated by all threads per steady-state nonblocking `op` on an
+/// `m` x `n` cluster, every rank a member, with a barrier between ops.
+fn sched_bytes_per_op(m: usize, n: usize, op: Nonblocking) -> u64 {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let cluster = Cluster::new(m, n);
+    let bar = Arc::new(SenseBarrier::new(m * n));
+    let counted = cluster.run(move |c| {
+        let mut tok = bar.token();
+        let group: Vec<usize> = (0..n).collect();
+        let bufs = [0, 1].map(|_| Arc::new(SharedRegion::new(COUNT * 8)));
+        let mut sched = Sched::new(c);
+        let mut step = |i| {
+            let req = op(&mut sched, &group, [&bufs[0], &bufs[1]], i);
+            sched.wait(req);
+        };
+        for i in 0..WARM {
+            step(i);
+            bar.wait(&mut tok);
+        }
+        let first = c.global_rank() == 0;
+        let before = ALLOCATED.load(Ordering::Relaxed);
+        bar.wait(&mut tok);
+        for i in WARM..WARM + OPS as usize {
+            step(i);
+            bar.wait(&mut tok);
+        }
+        let after = ALLOCATED.load(Ordering::Relaxed);
+        first.then_some(after - before)
+    });
+    counted.into_iter().flatten().flatten().sum::<u64>() / OPS
+}
+
+/// The nonblocking per-op budget: bookkeeping only.
+const SCHED_BUDGET: u64 = 8 << 10;
+
+fn assert_sched_within_budget(what: &str, m: usize, n: usize, op: Nonblocking) {
+    let per_op = sched_bytes_per_op(m, n, op);
+    assert!(
+        per_op < SCHED_BUDGET,
+        "{what} on {m}x{n} allocates {per_op} B per 4 MiB op (budget {SCHED_BUDGET} B)"
+    );
+}
+
+/// Roots alternate between the two nodes.
+fn ibcast(s: &mut Sched, group: &[usize], [buf, _]: [&Arc<SharedRegion>; 2], i: usize) -> Request {
+    s.ibcast(group, i % 2, 0, Some(buf), COUNT * 8).unwrap()
+}
+
+fn iallreduce(
+    s: &mut Sched,
+    group: &[usize],
+    [i, o]: [&Arc<SharedRegion>; 2],
+    _: usize,
+) -> Request {
+    s.iallreduce(group, Some(i), Some(o), COUNT).unwrap()
+}
+
+#[test]
+fn ibcast_lands_in_member_buffers_across_one_rank_nodes() {
+    assert_sched_within_budget("Sched::ibcast", 2, 1, ibcast);
+}
+
+#[test]
+fn ibcast_lands_in_member_buffers_across_two_rank_nodes() {
+    assert_sched_within_budget("Sched::ibcast", 2, 2, ibcast);
+}
+
+#[test]
+fn iallreduce_lands_in_member_outputs_across_one_rank_nodes() {
+    assert_sched_within_budget("Sched::iallreduce", 2, 1, iallreduce);
+}
+
+#[test]
+fn iallreduce_lands_in_member_outputs_across_two_rank_nodes() {
+    assert_sched_within_budget("Sched::iallreduce", 2, 2, iallreduce);
+}
+
 /// A 512 KiB broadcast on a 2 x 1 service, rooted at node 0, counted from
 /// its submit to the return of its `wait`. The root's payload becomes its
-/// buffer as it is; node 1 receives into the engine's stage and copies out
-/// into its member region; each of the two member results is copied once
-/// into its ticket slot, which `wait` moves out: four payloads' worth,
-/// plus bookkeeping.
+/// buffer as it is; node 1's engine receives straight into its member
+/// region; each of the two member results is copied once into its ticket
+/// slot, which `wait` moves out: three payloads' worth, plus bookkeeping.
 #[test]
 fn service_bcast_copies_each_member_result_once() {
     const LEN: usize = 512 << 10;
-    const BUDGET: u64 = 4 * LEN as u64 + (64 << 10);
+    const BUDGET: u64 = 3 * LEN as u64 + (64 << 10);
     let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let svc = Service::new(2, 1);
     let session = svc.open_session("alloc", 1).unwrap();

@@ -100,40 +100,63 @@ fn mix(node: usize, rank: usize, n: usize) -> Vec<Op> {
     ops
 }
 
-fn run_nonblocking(m: usize, n: usize) -> Vec<Vec<RankResults>> {
+/// The mix posted nonblocking over the group `first..n` of an `m` x `n`
+/// cluster, member `i` with the operands of rank `i` of an `m` x
+/// `(n - first)` cluster and broadcasts rooted at the group's first member.
+/// Ranks below `first` post as non-members and deliver nothing.
+fn run_group(m: usize, n: usize, first: usize) -> Vec<Vec<RankResults>> {
     let cluster = Cluster::new(m, n);
     cluster.run(move |cctx| {
-        let group: Vec<usize> = (0..n).collect();
-        let world = m * n;
+        let group: Vec<usize> = (first..n).collect();
+        let g = group.len();
+        let world = m * g;
+        let me = cctx.rank().checked_sub(first);
+        let member = me.is_some();
         let mut sched = Sched::new(cctx);
         let mut reqs = Vec::new();
         let mut bufs: Vec<(Arc<SharedRegion>, usize)> = Vec::new();
         // Post everything up front: nine operations in flight at once.
-        for op in mix(cctx.node(), cctx.rank(), n) {
+        for op in mix(cctx.node(), me.unwrap_or(0), g) {
             let (req, out, bytes) = match op {
                 Op::Bcast {
                     root_node,
                     buf,
                     len,
                 } => (
-                    sched.ibcast(&group, root_node, 0, Some(&buf), len),
+                    sched.ibcast(&group, root_node, first, member.then_some(&buf), len),
                     buf,
                     len,
                 ),
                 Op::Allreduce(input, count) => {
                     let out = Arc::new(SharedRegion::new(count * 8));
-                    let req = sched.iallreduce(&group, Some(&input), Some(&out), count);
+                    let req = sched.iallreduce(
+                        &group,
+                        member.then_some(&input),
+                        member.then_some(&out),
+                        count,
+                    );
                     (req, out, count * 8)
                 }
                 Op::Allgather(input, len) => {
                     let out = Arc::new(SharedRegion::new(world * len));
-                    let req = sched.iallgather(&group, Some(&input), Some(&out), len);
+                    let req = sched.iallgather(
+                        &group,
+                        member.then_some(&input),
+                        member.then_some(&out),
+                        len,
+                    );
                     (req, out, world * len)
                 }
                 Op::ReduceScatter(input, count) => {
-                    let (lo, hi) = cctx.scatter_span(count);
+                    let gi = cctx.node() * g + me.unwrap_or(0);
+                    let (lo, hi) = (gi * count / world, (gi + 1) * count / world);
                     let out = Arc::new(SharedRegion::new(((hi - lo) * 8).max(1)));
-                    let req = sched.ireduce_scatter(&group, Some(&input), Some(&out), count);
+                    let req = sched.ireduce_scatter(
+                        &group,
+                        member.then_some(&input),
+                        member.then_some(&out),
+                        count,
+                    );
                     (req, out, (hi - lo) * 8)
                 }
             };
@@ -142,6 +165,9 @@ fn run_nonblocking(m: usize, n: usize) -> Vec<Vec<RankResults>> {
         }
         assert!(reqs.len() >= 4, "acceptance requires >= 4 concurrent ops");
         sched.wait_all(&reqs);
+        if me.is_none() {
+            return Vec::new();
+        }
         bufs.iter().map(|(b, len)| read_bytes(b, *len)).collect()
     })
 }
@@ -189,7 +215,7 @@ fn run_blocking(m: usize, n: usize) -> Vec<Vec<RankResults>> {
 #[test]
 fn concurrent_nonblocking_matches_sequential_blocking() {
     for (m, n) in [(2, 4), (3, 2), (4, 1)] {
-        let nb = run_nonblocking(m, n);
+        let nb = run_group(m, n, 0);
         let bl = run_blocking(m, n);
         assert_eq!(nb.len(), bl.len());
         for (node, (nb_node, bl_node)) in nb.iter().zip(&bl).enumerate() {
@@ -199,6 +225,30 @@ fn concurrent_nonblocking_matches_sequential_blocking() {
                     assert_eq!(
                         a, b,
                         "{m} x {n}, node {node} rank {rank} op {op}: nonblocking result diverged"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The same mix over a group that leaves out rank 0 delivers what the
+/// blocking collectives deliver on a cluster of the group's size: no result
+/// lands in a buffer of the engine's own rank, every landing buffer is one
+/// the engine maps from another rank.
+#[test]
+fn subgroup_without_the_engine_rank_matches_sequential_blocking() {
+    for (m, n) in [(2, 2), (3, 2)] {
+        let nb = run_group(m, n, 1);
+        let bl = run_blocking(m, n - 1);
+        for (node, (nb_node, bl_node)) in nb.iter().zip(&bl).enumerate() {
+            assert!(nb_node[0].is_empty(), "rank 0 is no member");
+            for (i, (nb_rank, bl_rank)) in nb_node[1..].iter().zip(bl_node).enumerate() {
+                assert_eq!(nb_rank.len(), bl_rank.len());
+                for (op, (a, b)) in nb_rank.iter().zip(bl_rank).enumerate() {
+                    assert_eq!(
+                        a, b,
+                        "{m} x {n}, node {node} member {i} op {op}: nonblocking result diverged"
                     );
                 }
             }
