@@ -58,6 +58,17 @@ for f in crates/smp/src/{collectives,cluster}.rs; do
   fi
 done
 
+# The nonblocking engine reaches its counters only through each op's one
+# counter block (bgp_shmem::OpCounters), looked up once per post and
+# recycled by the bank: a per-stream MessageCounter growing back in the
+# non-test part of engine.rs fails here.
+echo "== guard: no MessageCounter outside the op's counter block in crates/sched/src/engine.rs"
+if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
+  crates/sched/src/engine.rs | grep -F 'MessageCounter'; then
+  echo "engine.rs names MessageCounter (counters belong in the op's OpCounters block)" >&2
+  exit 1
+fi
+
 # Docs name runnable targets; a deletion must not leave one dangling. Every
 # `--bin X` / `--bench X` in the docs, this script and the verify skill must
 # resolve to a source file of that name.

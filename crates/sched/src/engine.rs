@@ -14,8 +14,11 @@
 //!   (allreduce, allgather) and role 2 = an engine-owned region, which only
 //!   `ireduce_scatter` has. The high bit keeps sched tags disjoint from the
 //!   blocking collectives'.
-//! * counter-bank keys: `(op << 8) | stream` — result bytes, member-done,
-//!   and one contribution stream per member.
+//! * counter blocks: one [`OpCounters`] per op in the node's bank, keyed
+//!   by the op id — result bytes, member-done, and one contribution stream
+//!   per member. A post looks the block up once; the rank's member record
+//!   and, on the engine rank, the engine share that `Arc`, and the bank
+//!   recycles the block once the op retires and nobody holds it.
 //! * link tags: [`tag::pack`]`(op, kind, chunk)` — the one layout every
 //!   link uses, with the op id in its stream field.
 //!
@@ -87,11 +90,11 @@
 //! more count the engine publishes on the result counter after the last
 //! result byte: a ring's result is complete before the engine stops reading
 //! it, because the last position sends fulls out of the region after
-//! landing them. Every member reports, and only after it has looked up every
-//! counter it will ever use: the engine retires the op's counters when all
-//! members of the node have reported, and the bank's lookup is
-//! get-or-create — a member still to look one up after retirement (a root
-//! that posts late, say) would wait on a fresh zero forever.
+//! landing them. Every member reports, and only after it has looked up the
+//! op's counter block: the engine retires the block when all members of the
+//! node have reported, and the bank's lookup is get-or-create — a member
+//! still to look it up after retirement (a root that posts late, say) would
+//! wait on a fresh zero forever.
 //!
 //! ## Progress, parking, completion
 //!
@@ -126,7 +129,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
-use bgp_shmem::{spin, MessageCounter, SharedRegion, WindowRegistry};
+use bgp_shmem::{spin, OpCounters, SharedRegion, WindowRegistry};
 use bgp_smp::cluster::sum_regions;
 use bgp_smp::transport::{ChunkChannel, Fabric, RingDir};
 use bgp_smp::wire::{
@@ -149,28 +152,16 @@ fn reg_tag(op: u64, role: u64) -> u64 {
     SCHED_TAG_BIT | (op << 2) | role
 }
 
-/// Counter-bank streams within one op (key = `(op << 8) | stream`).
-/// Result bytes valid on this node, as a prefix — received broadcast
-/// bytes, final ring values — and one more once the node's network flow is
-/// finished.
-const SUB_RES: u64 = 0;
-const SUB_DONE: u64 = 1;
-/// Per-member partial streams start here: `SUB_PART + member_index`.
-const SUB_PART: u64 = 8;
-
-/// Counter-bank sub-keys available to one op: [`bank_key`] packs the
-/// stream id into the low 8 bits, so an op owns exactly 256 keys.
+/// Counters one op's [`OpCounters`] block may hold: the fixed streams,
+/// headroom, and one contribution stream per member.
 pub const COUNTER_KEY_BUDGET: usize = 256;
-/// Sub-keys reserved for the op's fixed streams (`SUB_RES`, `SUB_DONE`
-/// plus headroom up to `SUB_PART`, where per-member streams begin).
-pub const RESERVED_COUNTER_KEYS: usize = SUB_PART as usize;
-/// Largest group one op can address: every member needs a partial stream
-/// out of the [`COUNTER_KEY_BUDGET`] after the [`RESERVED_COUNTER_KEYS`].
+/// Counters of the budget kept for the op's fixed streams (result bytes,
+/// member-done) and headroom.
+pub const RESERVED_COUNTER_KEYS: usize = 8;
+/// Largest group one op can address: every member needs a contribution
+/// stream out of the [`COUNTER_KEY_BUDGET`] after the
+/// [`RESERVED_COUNTER_KEYS`].
 pub const MAX_GROUP_RANKS: usize = COUNTER_KEY_BUDGET - RESERVED_COUNTER_KEYS;
-
-fn bank_key(op: u64, sub: u64) -> u64 {
-    (op << 8) | sub
-}
 
 /// The one op-size limit, shared by the engine posts and the server
 /// submissions: [`SchedError::TooLarge`] unless a `bytes`-byte stream of
@@ -283,18 +274,47 @@ struct Member {
     land: Mapped,
     contribute: Option<Contribute>,
     chase: Option<Chase>,
-    /// `(counter, value it must reach)`: once all hold, the windows this
-    /// rank exposed under the `withdraw` roles are withdrawn.
-    release: Vec<(Arc<MessageCounter>, u64)>,
+    /// Once it holds, the windows this rank exposed under the `withdraw`
+    /// roles are withdrawn.
+    release: Release,
     withdraw: &'static [u64],
-    /// Tells the engine this member is finished — every member, last of
-    /// all: the engine retires the op's counters once all have reported,
-    /// so reporting is the promise never to look one up again.
-    done: Arc<MessageCounter>,
+    /// The op's counter block. Its `done` counter tells the engine this
+    /// member is finished — every member, last of all: the engine retires
+    /// the block once all have reported, so reporting is the promise never
+    /// to look it up again.
+    ctr: Arc<OpCounters>,
+}
+
+/// The counts a member waits for before it withdraws its windows.
+#[derive(Clone, Copy, Default)]
+struct Release {
+    /// The result counter at least this far.
+    res: u64,
+    /// At least this many members reported done.
+    done: u64,
+    /// `Some((bytes, chunk))`: every member's contribution stream has
+    /// summed its [`reduce_share`] of the `bytes`-byte vector, so no
+    /// co-member reads this rank's input any more.
+    inputs_read: Option<(usize, usize)>,
+}
+
+impl Release {
+    fn holds(&self, ctr: &OpCounters) -> bool {
+        let parts = ctr.parts();
+        ctr.res.read() >= self.res
+            && ctr.done.read() >= self.done
+            && self.inputs_read.is_none_or(|(bytes, chunk)| {
+                parts.iter().enumerate().all(|(j, c)| {
+                    let (lo, hi) = reduce_share(j, parts.len(), bytes, chunk);
+                    c.read() >= (hi - lo) as u64
+                })
+            })
+    }
 }
 
 /// What a member puts into the landing region: the f64-lane sum of bytes
-/// `[lo, hi)` of every input, at offset `at`, publishing `part` as it goes.
+/// `[lo, hi)` of every input, at offset `at`, publishing contribution
+/// stream `part` as it goes.
 /// A reduce member sums every group member's exposed input over its share;
 /// an allgather member "sums" its one block — a copy.
 struct Contribute {
@@ -306,7 +326,7 @@ struct Contribute {
     hi: usize,
     at: usize,
     chunk: usize,
-    part: Arc<MessageCounter>,
+    part: usize,
 }
 
 impl Contribute {
@@ -316,6 +336,7 @@ impl Contribute {
         &mut self,
         op: u64,
         acc: &SharedRegion,
+        ctr: &OpCounters,
         shared: &NodeShared,
         seen: &mut HashSet<usize>,
     ) -> bool {
@@ -326,6 +347,7 @@ impl Contribute {
             };
             self.inputs.push(input);
         }
+        let part = &ctr.parts()[self.part];
         // SAFETY: this member is the unique writer of its share of the
         // landing region and readers (engine sends, co-member copy-outs)
         // are gated on the publish; inputs are final from before the post,
@@ -339,7 +361,7 @@ impl Contribute {
                 self.hi,
                 self.chunk,
                 |len| {
-                    self.part.publish(len as u64);
+                    part.publish(len as u64);
                 },
             )
         };
@@ -348,11 +370,11 @@ impl Contribute {
 }
 
 /// Copy bytes `[lo, hi)` of the landing region to the start of `dst`, as
-/// the gate counter passes them.
+/// the result counter passes them.
 struct Chase {
-    /// Bytes of the landing region that are valid, as a prefix from offset
-    /// 0; `None` when it was valid in full at post time.
-    gate: Option<Arc<MessageCounter>>,
+    /// Gated on the result counter — bytes of the landing region valid as a
+    /// prefix from offset 0; `false` when it was valid in full at post time.
+    gate: bool,
     lo: usize,
     hi: usize,
     dst: Arc<SharedRegion>,
@@ -361,8 +383,12 @@ struct Chase {
 
 impl Chase {
     /// Copy what became valid; `true` once the whole span is copied.
-    fn run(&mut self, src: &SharedRegion) -> bool {
-        let valid = self.gate.as_ref().map_or(self.hi, |g| g.read() as usize);
+    fn run(&mut self, src: &SharedRegion, ctr: &OpCounters) -> bool {
+        let valid = if self.gate {
+            ctr.res.read() as usize
+        } else {
+            self.hi
+        };
         let avail = valid.min(self.hi).saturating_sub(self.lo);
         if avail > self.copied {
             // SAFETY: `[lo + copied, lo + avail)` of the source was
@@ -380,14 +406,14 @@ impl Chase {
 
 impl Member {
     /// A member that copies `span` of the landing region `land` to the
-    /// start of `dst` as `gate` passes it (see [`Chase`]), then reports on
-    /// `done`.
+    /// start of `dst` — as the result counter passes it when `gate` (see
+    /// [`Chase`]) — then reports on the done counter of `ctr`.
     fn chasing(
         land: Mapped,
-        gate: Option<Arc<MessageCounter>>,
+        gate: bool,
         span: std::ops::Range<usize>,
         dst: Arc<SharedRegion>,
-        done: Arc<MessageCounter>,
+        ctr: Arc<OpCounters>,
     ) -> Member {
         let chase = Chase {
             gate,
@@ -400,9 +426,9 @@ impl Member {
             land,
             contribute: None,
             chase: Some(chase),
-            release: Vec::new(),
+            release: Release::default(),
             withdraw: &[],
-            done,
+            ctr,
         }
     }
 
@@ -420,22 +446,26 @@ impl Member {
                 return false;
             };
             if let Some(c) = self.contribute.as_mut() {
-                if !c.run(op, land, shared, seen) {
+                if !c.run(op, land, &self.ctr, shared, seen) {
                     return false;
                 }
                 self.contribute = None;
             }
-            if self.chase.as_mut().is_some_and(|ch| !ch.run(land)) {
+            if self
+                .chase
+                .as_mut()
+                .is_some_and(|ch| !ch.run(land, &self.ctr))
+            {
                 return false;
             }
         }
-        if !self.release.iter().all(|(c, v)| c.read() >= *v) {
+        if !self.release.holds(&self.ctr) {
             return false;
         }
         for &role in self.withdraw {
             registry.unexpose(rank as u32, reg_tag(op, role));
         }
-        self.done.publish(1);
+        self.ctr.done.publish(1);
         true
     }
 }
@@ -453,7 +483,8 @@ struct NetBcast {
     /// Bytes of the message valid on this node, as a prefix: all of it at
     /// the root, what has been received elsewhere.
     valid: usize,
-    res: Arc<MessageCounter>,
+    /// The op's counter block: received bytes go out on its result counter.
+    ctr: Arc<OpCounters>,
 }
 
 impl NetBcast {
@@ -464,7 +495,7 @@ impl NetBcast {
         // members' reads are gated on the result counter published below.
         unsafe { self.land.mapped().write(self.valid, bytes) };
         self.valid += bytes.len();
-        self.res.publish(bytes.len() as u64);
+        self.ctr.res.publish(bytes.len() as u64);
     }
 
     /// Inject (root node) or forward (elsewhere) on every outbound tree
@@ -488,12 +519,11 @@ impl NetBcast {
 /// against.
 struct Acc {
     land: Mapped,
-    /// One contribution stream per member: bytes of its reduce share summed,
-    /// or of its block deposited.
-    parts: Vec<Arc<MessageCounter>>,
-    /// Bytes of the region holding final values, as a prefix: what members
-    /// chase. Only the engine publishes it.
-    res: Arc<MessageCounter>,
+    /// The op's counter block. One contribution stream per member: bytes of
+    /// its reduce share summed, or of its block deposited. The result
+    /// counter: bytes of the region holding final values, as a prefix —
+    /// what members chase; only the engine publishes it.
+    ctr: Arc<OpCounters>,
     total: usize,
     layout: Layout,
 }
@@ -532,13 +562,13 @@ impl Acc {
             // A ring of one: every local sum is already the result.
             Layout::Sum { chunk } if solo => {
                 let chunk = *chunk;
-                let mut off = self.res.read() as usize;
+                let mut off = self.ctr.res.read() as usize;
                 while off < self.total {
                     let len = (self.total - off).min(chunk);
                     if !self.ready(0, off, len) {
                         break;
                     }
-                    self.res.publish(len as u64);
+                    self.ctr.res.publish(len as u64);
                     off += len;
                 }
             }
@@ -553,17 +583,18 @@ impl Acc {
                 prefix,
                 ..
             } => {
-                let parts = &self.parts;
-                let deposited = |_: &mut usize| parts.iter().all(|c| c.read() >= *block as u64);
+                let ctr = &self.ctr;
+                let deposited =
+                    |_: &mut usize| ctr.parts().iter().all(|c| c.read() >= *block as u64);
                 if let Some(node) = own.take_if(deposited) {
-                    self.res.publish(prefix.land(node, *sb) as u64);
+                    ctr.res.publish(prefix.land(node, *sb) as u64);
                 }
             }
         }
     }
 
     fn settled(&self) -> bool {
-        self.res.read() as usize >= self.total
+        self.ctr.res.read() as usize >= self.total
     }
 }
 
@@ -577,16 +608,17 @@ impl Local for Acc {
                     // The chunk's owner in the local reduce, and how far its
                     // stream must have come for the chunk's local sum to
                     // stand.
-                    let (g, kt) = (self.parts.len(), self.total.div_ceil(*chunk));
+                    let parts = self.ctr.parts();
+                    let (g, kt) = (parts.len(), self.total.div_ceil(*chunk));
                     let i = ((off / chunk + 1) * g - 1) / kt;
                     let (lo, hi) = reduce_share(i, g, self.total, *chunk);
                     debug_assert!(lo <= off && off + len <= hi);
-                    self.parts[i].read() >= (off + len - lo) as u64
+                    parts[i].read() >= (off + len - lo) as u64
                 }
                 // Only this node's own superblock is ever gated on
                 // readiness: have all local members deposited?
                 Layout::Blocks { block, .. } => {
-                    self.parts.iter().all(|c| c.read() >= *block as u64)
+                    self.ctr.parts().iter().all(|c| c.read() >= *block as u64)
                 }
             }
     }
@@ -608,7 +640,7 @@ impl Local for Acc {
         match &mut self.layout {
             // Fulls land in order, so the prefix grows chunk by chunk.
             Layout::Sum { .. } => {
-                self.res.publish(len as u64);
+                self.ctr.res.publish(len as u64);
             }
             // The node-major prefix members chase grows as they land.
             Layout::Blocks {
@@ -619,7 +651,7 @@ impl Local for Acc {
             } => {
                 let grew = prefix.land(node_of[off / *sb], len);
                 if grew > 0 {
-                    self.res.publish(grew as u64);
+                    self.ctr.res.publish(grew as u64);
                 }
             }
         }
@@ -696,13 +728,20 @@ struct NetOp {
     /// The op's network flow on this node is finished, and the result
     /// counter said so.
     finished: bool,
-    /// Members of this node that finished, against how many there are to
-    /// wait for before the op's counters and windows can go.
-    done: Arc<MessageCounter>,
+    /// Members of this node that must report done before the op's counter
+    /// block and windows can go.
     expected_done: u64,
 }
 
 impl NetOp {
+    /// The op's counter block.
+    fn ctr(&self) -> &OpCounters {
+        match &self.net {
+            Net::Bcast(b) => &b.ctr,
+            Net::Ring(r) => &r.acc.ctr,
+        }
+    }
+
     fn land(&mut self) -> &mut Mapped {
         match &mut self.net {
             Net::Bcast(b) => &mut b.land,
@@ -752,18 +791,18 @@ impl NetOp {
     /// consumed, everything it will ever send in a link — say so with one
     /// more count on the result counter: that releases the landing member.
     fn pump(&mut self, op: u64, fabric: &Fabric, node: usize, m: usize) {
-        let (finished, res) = match &mut self.net {
+        let finished = match &mut self.net {
             Net::Bcast(b) => {
                 b.pump(op, fabric.bcast_out(node, b.root_node));
-                (b.finished(), &b.res)
+                b.finished()
             }
             Net::Ring(r) => {
                 r.pump(op, (m > 1).then(|| fabric.ring_send(node, r.dir)));
-                (r.finished(), &r.acc.res)
+                r.finished()
             }
         };
         if finished && !self.finished {
-            res.publish(1);
+            self.ctr().res.publish(1);
             self.finished = true;
         }
     }
@@ -791,7 +830,15 @@ impl Engine {
     }
 
     /// Register a broadcast that lands in `lead`'s buffer on this node.
-    fn register_bcast(&mut self, op: u64, g: usize, root_node: usize, lead: usize, len: usize) {
+    fn register_bcast(
+        &mut self,
+        op: u64,
+        ctr: Arc<OpCounters>,
+        g: usize,
+        root_node: usize,
+        lead: usize,
+        len: usize,
+    ) {
         let is_root_node = self.node == root_node;
         let net = Net::Bcast(NetBcast {
             root_node,
@@ -804,7 +851,7 @@ impl Engine {
                 self.chunk,
             ),
             valid: if is_root_node { len } else { 0 },
-            res: self.shared.sched_bank().counter(bank_key(op, SUB_RES)),
+            ctr,
         });
         self.insert(op, net, g);
     }
@@ -815,23 +862,20 @@ impl Engine {
     fn register_ring(
         &mut self,
         op: u64,
-        g: usize,
+        ctr: Arc<OpCounters>,
         total: usize,
         layout: Layout,
         land: Mapped,
         step: impl FnOnce(usize) -> Step,
     ) {
-        let bank = self.shared.sched_bank();
         let dir = ring_dir(op);
+        let g = ctr.parts().len();
         let net = Net::Ring(Box::new(NetRing {
             dir,
             step: (self.m > 1).then(|| step(self.fabric.ring_pos(self.node, dir))),
             acc: Acc {
                 land,
-                parts: (0..g)
-                    .map(|i| bank.counter(bank_key(op, SUB_PART + i as u64)))
-                    .collect(),
-                res: bank.counter(bank_key(op, SUB_RES)),
+                ctr,
                 total,
                 layout,
             },
@@ -840,11 +884,9 @@ impl Engine {
     }
 
     fn insert(&mut self, op: u64, net: Net, expected_done: usize) {
-        let done = self.shared.sched_bank().counter(bank_key(op, SUB_DONE));
         let netop = NetOp {
             net,
             finished: false,
-            done,
             expected_done: expected_done as u64,
         };
         self.ops.insert(op, netop);
@@ -928,28 +970,19 @@ impl Engine {
         }
 
         // Retire ops whose network duties and local member copies are done:
-        // withdraw an engine-owned region and drop the per-op counters.
-        // Members keep their counter Arcs alive, so retirement is pure map
-        // cleanup.
+        // withdraw an engine-owned region and hand the op's counter block
+        // back to the bank. A member still holding the block keeps it
+        // alive, and the bank reuses it only once nobody does.
         let bank = shared.sched_bank();
         self.ops.retain(|&op, o| {
-            if !(o.finished && o.done.read() >= o.expected_done) {
+            if !(o.finished && o.ctr().done.read() >= o.expected_done) {
                 return true;
             }
             let stage = reg_tag(op, ROLE_STAGE);
             if o.land().tag == stage {
                 registry.unexpose(0, stage);
             }
-            let parts = match &o.net {
-                Net::Bcast(_) => 0,
-                Net::Ring(r) => r.acc.parts.len() as u64,
-            };
-            for sub in [SUB_RES, SUB_DONE]
-                .into_iter()
-                .chain(SUB_PART..SUB_PART + parts)
-            {
-                bank.retire(bank_key(op, sub));
-            }
+            bank.retire(op);
             false
         });
     }
@@ -1021,16 +1054,20 @@ impl Sched {
     /// limit on its widest tagged `stream` of bytes, membership against the
     /// buffers supplied, their sizes (`bufs` pairs each with the bytes it
     /// must hold), aliasing and the overlap guard are checked before any
-    /// side effect; then the op gets its id, a member its record from
-    /// `member(self, op, index in group)`, and the engine its half from
-    /// `register`. An operation of an empty stream is complete at post.
-    fn post(
+    /// side effect; then the op gets its id and, where a member or the
+    /// engine takes part, one lookup of its counter block with `parts`
+    /// contribution streams, which a member's record from `member(self, op,
+    /// index in group, block)` and the engine's half from `register(engine,
+    /// op, block)` share. An operation of an empty stream is complete at
+    /// post.
+    fn post<const N: usize>(
         &mut self,
         group: &[usize],
-        bufs: &[(Option<&Arc<SharedRegion>>, usize)],
+        bufs: [(Option<&Arc<SharedRegion>>, usize); N],
         stream: usize,
-        member: impl FnOnce(&Sched, u64, usize) -> Member,
-        register: impl FnOnce(&mut Engine, u64),
+        parts: usize,
+        member: impl FnOnce(&Sched, u64, usize, Arc<OpCounters>) -> Member,
+        register: impl FnOnce(&mut Engine, u64, Arc<OpCounters>),
     ) -> Result<Request, SchedError> {
         check_size(stream, self.chunk)?;
         let me = group.binary_search(&self.rank).ok();
@@ -1040,7 +1077,6 @@ impl Sched {
         if me.is_none() && bufs.iter().any(|(b, _)| b.is_some()) {
             return Err(SchedError::UnexpectedBuffer);
         }
-        let mut ptrs = Vec::with_capacity(bufs.len());
         for (b, needed) in bufs.iter().filter_map(|&(b, needed)| Some((b?, needed))) {
             if b.len() < needed {
                 return Err(SchedError::BufferTooShort {
@@ -1048,13 +1084,15 @@ impl Sched {
                     got: b.len(),
                 });
             }
-            ptrs.push(Arc::as_ptr(b) as usize);
         }
-        if ptrs.len() == 2 && ptrs[0] == ptrs[1] {
-            return Err(SchedError::BufferAliased);
+        let ptrs = bufs.map(|(b, _)| b.map(|b| Arc::as_ptr(b) as usize));
+        if let [Some(a), Some(b)] = ptrs[..] {
+            if a == b {
+                return Err(SchedError::BufferAliased);
+            }
         }
         if stream > 0 {
-            if let Some(&op) = ptrs.iter().find_map(|p| self.active_bufs.get(p)) {
+            if let Some(&op) = ptrs.iter().flatten().find_map(|p| self.active_bufs.get(p)) {
                 return Err(SchedError::BufferBusy { op });
             }
         }
@@ -1065,26 +1103,22 @@ impl Sched {
             self.issued.start = op;
         }
         self.issued.end = op + 1;
-        if stream == 0 {
+        // A non-member off the engine rank is complete at post, and never
+        // looks the op's block up: nothing would retire it.
+        if stream == 0 || (me.is_none() && self.engine.is_none()) {
             return Ok(Request { op });
         }
-        self.active_bufs.extend(ptrs.into_iter().map(|p| (p, op)));
+        self.active_bufs
+            .extend(ptrs.into_iter().flatten().map(|p| (p, op)));
         // Track a member's record, and on the engine rank even a
-        // non-member's wait for the node's network flow. A non-member
-        // elsewhere is complete at post.
-        let member = me.map(|i| member(self, op, i));
+        // non-member's wait for the node's network flow.
+        let ctr = self.shared.sched_bank().op(op, parts);
+        let member = me.map(|i| member(self, op, i, ctr.clone()));
         if let Some(engine) = self.engine.as_mut() {
-            register(engine, op);
-            self.roles.insert(op, member);
-        } else if member.is_some() {
-            self.roles.insert(op, member);
+            register(engine, op, ctr);
         }
+        self.roles.insert(op, member);
         Ok(Request { op })
-    }
-
-    /// The op's counter for stream `sub`.
-    fn counter(&self, op: u64, sub: u64) -> Arc<MessageCounter> {
-        self.shared.sched_bank().counter(bank_key(op, sub))
     }
 
     /// The landing member's record: `buf`, exposed under `role`, is where
@@ -1095,6 +1129,7 @@ impl Sched {
     fn landing(
         &self,
         op: u64,
+        ctr: Arc<OpCounters>,
         g: usize,
         role: u64,
         buf: Arc<SharedRegion>,
@@ -1104,8 +1139,6 @@ impl Sched {
         self.shared
             .registry()
             .expose(self.rank as u32, tag, buf.clone());
-        let done = self.counter(op, SUB_DONE);
-        let res = self.counter(op, SUB_RES);
         Member {
             land: Mapped {
                 region: Some(buf),
@@ -1113,13 +1146,17 @@ impl Sched {
             },
             contribute: None,
             chase: None,
-            release: vec![(res, valid as u64 + 1), (done.clone(), g as u64 - 1)],
+            release: Release {
+                res: valid as u64 + 1,
+                done: g as u64 - 1,
+                inputs_read: None,
+            },
             withdraw: if role == ROLE_DATA {
                 &[ROLE_DATA]
             } else {
                 &[ROLE_OUT]
             },
-            done,
+            ctr,
         }
     }
 
@@ -1149,22 +1186,21 @@ impl Sched {
         // The landing member: the root on its node, `group[0]` elsewhere.
         let on_root_node = self.node == root_node;
         let lead = if on_root_node { root_rank } else { group[0] };
-        let member = |s: &Sched, op, _| {
+        let member = |s: &Sched, op, _, ctr| {
             let buf = buf.expect("a member has a buffer").clone();
             if s.rank == lead {
                 // The engine injects from the buffer on the root's node and
                 // receives `len` bytes into it elsewhere.
                 let valid = if on_root_node { 0 } else { len };
-                return s.landing(op, g, ROLE_DATA, buf, valid);
+                return s.landing(op, ctr, g, ROLE_DATA, buf, valid);
             }
             // Copy out of the landing buffer: valid in full at post on the
             // root's node, as the result counter passes it elsewhere.
-            let gate = (!on_root_node).then(|| s.counter(op, SUB_RES));
             let land = Mapped::new(lead, reg_tag(op, ROLE_DATA));
-            Member::chasing(land, gate, 0..len, buf, s.counter(op, SUB_DONE))
+            Member::chasing(land, !on_root_node, 0..len, buf, ctr)
         };
-        self.post(group, &[(buf, len)], len, member, |engine, op| {
-            engine.register_bcast(op, g, root_node, lead, len)
+        self.post(group, [(buf, len)], len, 0, member, |engine, op, ctr| {
+            engine.register_bcast(op, ctr, g, root_node, lead, len)
         })
     }
 
@@ -1232,7 +1268,7 @@ impl Sched {
                 Mapped::new(group[0], reg_tag(op, ROLE_OUT))
             }
         };
-        let member = |s: &Sched, op, i| {
+        let member = |s: &Sched, op, i, ctr| {
             let input = input.expect("a member has an input").clone();
             let tag = reg_tag(op, ROLE_DATA);
             s.shared.registry().expose(s.rank as u32, tag, input);
@@ -1251,17 +1287,14 @@ impl Sched {
                 hi,
                 at: lo,
                 chunk,
-                part: s.counter(op, SUB_PART + i as u64),
+                part: i,
             });
             // The input may only be released once no co-member can still
             // read it — i.e. every local stream ran to completion.
-            let inputs_read = (0..g).map(|j| {
-                let (lo, hi) = reduce_share(j, g, bytes, chunk);
-                (s.counter(op, SUB_PART + j as u64), (hi - lo) as u64)
-            });
+            let inputs_read = Some((bytes, chunk));
             if !scatter && i == 0 {
-                let mut lead = s.landing(op, g, ROLE_OUT, output, bytes);
-                lead.release.extend(inputs_read);
+                let mut lead = s.landing(op, ctr, g, ROLE_OUT, output, bytes);
+                lead.release.inputs_read = inputs_read;
                 return Member {
                     contribute,
                     withdraw: &[ROLE_DATA, ROLE_OUT],
@@ -1270,28 +1303,31 @@ impl Sched {
             }
             // The result counter publishes a whole-message byte prefix; the
             // chase clamps it to this member's span.
-            let (res, done) = (s.counter(op, SUB_RES), s.counter(op, SUB_DONE));
             Member {
                 contribute,
-                release: inputs_read.collect(),
+                release: Release {
+                    inputs_read,
+                    ..Release::default()
+                },
                 withdraw: &[ROLE_DATA],
-                ..Member::chasing(land(op), Some(res), span, output, done)
+                ..Member::chasing(land(op), true, span, output, ctr)
             }
         };
-        let register = |engine: &mut Engine, op| {
+        let register = |engine: &mut Engine, op, ctr| {
             let region = land(op);
             if scatter {
                 let stage = Arc::new(SharedRegion::new(bytes));
                 engine.shared.registry().expose(0, region.tag, stage);
             }
-            engine.register_ring(op, g, bytes, Layout::Sum { chunk }, region, |pos| {
+            engine.register_ring(op, ctr, bytes, Layout::Sum { chunk }, region, |pos| {
                 Step::Flow(RingFlow::new(0, pos, m, bytes, chunk))
             })
         };
         self.post(
             group,
-            &[(input, bytes), (output, out_len)],
+            [(input, bytes), (output, out_len)],
             bytes,
+            g,
             member,
             register,
         )
@@ -1321,7 +1357,7 @@ impl Sched {
         let sb = g * len;
         let total = m * sb;
         let land = |op| Mapped::new(group[0], reg_tag(op, ROLE_OUT));
-        let member = |s: &Sched, op, i| {
+        let member = |s: &Sched, op, i, ctr| {
             let contribute = Some(Contribute {
                 owners: Vec::new(),
                 inputs: vec![input.expect("a member has an input").clone()],
@@ -1329,20 +1365,19 @@ impl Sched {
                 hi: len,
                 at: s.node * sb + i * len,
                 chunk,
-                part: s.counter(op, SUB_PART + i as u64),
+                part: i,
             });
             let output = output.expect("a member has an output").clone();
             if i == 0 {
-                let lead = s.landing(op, g, ROLE_OUT, output, total);
+                let lead = s.landing(op, ctr, g, ROLE_OUT, output, total);
                 return Member { contribute, ..lead };
             }
-            let (res, done) = (s.counter(op, SUB_RES), s.counter(op, SUB_DONE));
             Member {
                 contribute,
-                ..Member::chasing(land(op), Some(res), 0..total, output, done)
+                ..Member::chasing(land(op), true, 0..total, output, ctr)
             }
         };
-        let register = |engine: &mut Engine, op| {
+        let register = |engine: &mut Engine, op, ctr| {
             let layout = Layout::Blocks {
                 block: len,
                 sb,
@@ -1352,14 +1387,15 @@ impl Sched {
                     .collect(),
                 prefix: Prefix::new(total, sb),
             };
-            engine.register_ring(op, g, total, layout, land(op), |pos| {
+            engine.register_ring(op, ctr, total, layout, land(op), |pos| {
                 Step::Plan(PlanCursor::new(plan_allgather(m, pos, sb, chunk)))
             })
         };
         self.post(
             group,
-            &[(input, len), (output, total)],
+            [(input, len), (output, total)],
             sb,
+            g,
             member,
             register,
         )

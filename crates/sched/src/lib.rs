@@ -35,8 +35,9 @@
 //!   reductions, the allgather plan) — against the op's landing buffer
 //!   (a member's own; an engine region only for reduce-scatter, whose
 //!   member outputs cannot hold the whole vector), receives broadcast
-//!   chunks straight into it, and retires per-op counters once an
-//!   operation is globally drained on its node.
+//!   chunks straight into it, and retires the op's counter block — which
+//!   the node's bank recycles once nobody holds it — when the operation is
+//!   globally drained on its node.
 //! * [`CollectiveServer`] — a node-external, multi-tenant service
 //!   front-end: per-tenant bounded submission queues drained by a
 //!   deficit-round-robin dispatcher (register tenants with

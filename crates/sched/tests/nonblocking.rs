@@ -1,7 +1,7 @@
 //! Correctness of the nonblocking engine: delivery, reduction values,
 //! concurrency across ops and subgroups, the overlap guard, the
-//! pre-effect validation contract, and the park rule for chunks whose
-//! landing buffer is not mapped yet.
+//! pre-effect validation contract, the park rule for chunks whose landing
+//! buffer is not mapped yet, and retirement leaving nothing behind.
 
 use std::sync::Arc;
 
@@ -9,7 +9,7 @@ use bgp_sched::{Sched, SchedError};
 use bgp_shmem::SharedRegion;
 use bgp_smp::cluster::DEFAULT_WINDOW;
 use bgp_smp::collectives::{read_f64s, write_f64s};
-use bgp_smp::Cluster;
+use bgp_smp::{Cluster, SenseBarrier};
 
 mod common;
 use common::{payload, within};
@@ -670,7 +670,7 @@ fn late_off_engine_root(m: usize, n: usize, group: &'static [usize]) {
 /// Regression (the tier-1 livelock): on the root's node the engine used
 /// not to wait for the root before retiring a broadcast's counters. With
 /// no outbound port and no other member, net-done was published and the op
-/// retired before the root had posted; `CounterBank::counter` is
+/// retired before the root had posted; the counter bank's lookup is
 /// get-or-create, so the root got a fresh zero net-done counter and waited
 /// on it forever. Hung every run.
 #[test]
@@ -859,4 +859,74 @@ fn park_rule_bounds_what_a_depth_1_loop_parks() {
         parked <= bound,
         "{parked} chunks parked over {OPS} ops of 256 (bound {bound})"
     );
+}
+
+/// Counter blocks and windows left on each node of an `m` x `n` cluster
+/// once every rank has dropped its `Sched` and passed a barrier. Each rank
+/// posts two rounds of all four collectives over `group`; the first round
+/// is waited for, the second left to the drop's quiesce.
+fn left_after_drop(m: usize, n: usize, group: Vec<usize>) -> Vec<(usize, usize)> {
+    let cluster = Cluster::with_geometry(m, n, 256, 2);
+    let bar = Arc::new(SenseBarrier::new(m * n));
+    let (len, count) = (700, 100); // 3 and 4 chunks
+    let left = cluster.run(move |cctx| {
+        let mut tok = bar.token();
+        let (g, member) = (group.len(), group.contains(&cctx.rank()));
+        let region = |len: usize| member.then(|| Arc::new(SharedRegion::new(len)));
+        let mut sched = Sched::new(cctx);
+        let mut held = Vec::new();
+        let mut reqs = Vec::new();
+        for round in 0..2 {
+            let [b, ain, aout, rin, rout, gin, gout] = [
+                len,
+                8 * count,
+                8 * count,
+                8 * count,
+                8 * count,
+                len,
+                m * g * len,
+            ]
+            .map(region);
+            let root = (round % m, group[g - 1]);
+            if round == 1 {
+                sched.wait_all(&reqs);
+            }
+            reqs = vec![
+                sched
+                    .ibcast(&group, root.0, root.1, b.as_ref(), len)
+                    .unwrap(),
+                sched
+                    .iallreduce(&group, ain.as_ref(), aout.as_ref(), count)
+                    .unwrap(),
+                sched
+                    .ireduce_scatter(&group, rin.as_ref(), rout.as_ref(), count)
+                    .unwrap(),
+                sched
+                    .iallgather(&group, gin.as_ref(), gout.as_ref(), len)
+                    .unwrap(),
+            ];
+            held.push([b, ain, aout, rin, rout, gin, gout]);
+        }
+        drop(sched);
+        bar.wait(&mut tok);
+        let shared = cctx.node_shared();
+        (shared.sched_bank().len(), shared.registry().exposed_count())
+    });
+    left.into_iter().flatten().collect()
+}
+
+/// Each op is retired exactly once per node, after its last member
+/// reported: once every rank has dropped its `Sched` — the engine rank's
+/// drop retires the node's last op — nothing is left in the counter bank
+/// or the window registry, for a group of every rank, one without the
+/// engine rank, and one of the last rank alone.
+#[test]
+fn dropped_scheds_leave_no_counter_block_and_no_window() {
+    for (m, n) in [(2, 2), (3, 2), (1, 3)] {
+        for group in [(0..n).collect(), (1..n).collect(), vec![n - 1]] {
+            let at = format!("{m}x{n}, group {group:?}");
+            let left = within(30, move || left_after_drop(m, n, group));
+            assert!(left.iter().all(|&l| l == (0, 0)), "{at}: {left:?}");
+        }
+    }
 }

@@ -149,8 +149,9 @@ pub struct NodeShared {
     /// partials); index `n + c` is the allreduce result stream of color `c`.
     aux_counters: Vec<MessageCounter>,
     /// Per-operation counters of the nonblocking scheduler (`bgp-sched`):
-    /// keyed by op id + stream role, created on demand and retired by the
-    /// progress engine. Fresh keys start at zero, so no base juggling.
+    /// one block per op id, created on demand and retired by the progress
+    /// engine. A block is handed out at zero, and a recycled one only once
+    /// nobody holds it, so no base juggling.
     sched_bank: CounterBank,
     /// Per-rank nonblocking-op sequence. Advanced identically on every rank
     /// (posts are SPMD), persistent across jobs so op ids are never reused

@@ -1,15 +1,18 @@
 //! Allocation budgets at steady state.
 //!
 //! A counting global allocator (std only) sums the bytes every thread
-//! allocates. The blocking node allreduces loop 4 MiB ops after a warm-up:
-//! each result byte is written straight into the callers' outputs, so an op
-//! may allocate its small bookkeeping (the `Vec`s of mapped windows) but
-//! never a result-sized region. So do the nonblocking engine's broadcasts
-//! and allreduces, whose results land in a member's own buffer. A service
-//! broadcast copies each member's result once, from its member region into
-//! its ticket.
+//! allocates, and the allocation calls the cluster's rank threads make. The
+//! blocking node allreduces loop 4 MiB ops after a warm-up: each result byte
+//! is written straight into the callers' outputs, so an op may allocate its
+//! small bookkeeping (the `Vec`s of mapped windows) but never a result-sized
+//! region. So do the nonblocking engine's broadcasts and allreduces, whose
+//! results land in a member's own buffer. A small engine op allocates no
+//! counter — each node's bank recycles the op's counter block — and a
+//! broadcast nothing at all. A service broadcast copies each member's result
+//! once, from its member region into its ticket.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -20,23 +23,40 @@ use bgp_collectives::svc::Service;
 
 /// Bytes handed out by the allocator since the process started.
 static ALLOCATED: AtomicU64 = AtomicU64::new(0);
+/// Allocation calls (`alloc`, `alloc_zeroed`, `realloc`) made on a
+/// [`RANK`] thread since the process started.
+static CALLS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Do this thread's allocation calls count? Only the rank threads of
+    /// the cluster under test say so: the test harness spawns and retires
+    /// its own threads while a count runs.
+    static RANK: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count(bytes: usize) {
+    ALLOCATED.fetch_add(bytes as u64, Ordering::Relaxed);
+    if RANK.with(Cell::get) {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to the system allocator.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATED.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -118,24 +138,26 @@ fn cluster_allreduce_allocates_no_colour_buffer_across_two_rank_nodes() {
     });
 }
 
-/// One depth-1 4 MiB nonblocking op, posted on a rank's long-lived `Sched`
-/// over `group`, its `i`-th of the loop; `bufs` are the rank's two 4 MiB
-/// regions.
-type Nonblocking = fn(&mut Sched, &[usize], [&Arc<SharedRegion>; 2], usize) -> Request;
+/// One depth-1 nonblocking op of `bytes` bytes, posted on a rank's
+/// long-lived `Sched` over `group`, its `i`-th of the loop; `bufs` are the
+/// rank's two `bytes`-byte regions.
+type Nonblocking = fn(&mut Sched, &[usize], [&Arc<SharedRegion>; 2], usize, usize) -> Request;
 
-/// Bytes allocated by all threads per steady-state nonblocking `op` on an
-/// `m` x `n` cluster, every rank a member, with a barrier between ops.
-fn sched_bytes_per_op(m: usize, n: usize, op: Nonblocking) -> u64 {
+/// Allocation calls of the cluster's rank threads and bytes of all threads
+/// over [`OPS`] steady-state nonblocking `op`s of `bytes` bytes on an `m` x
+/// `n` cluster, every rank a member, with a barrier between ops.
+fn sched_allocs(m: usize, n: usize, bytes: usize, op: Nonblocking) -> (u64, u64) {
     let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let cluster = Cluster::new(m, n);
     let bar = Arc::new(SenseBarrier::new(m * n));
     let counted = cluster.run(move |c| {
+        RANK.set(true);
         let mut tok = bar.token();
         let group: Vec<usize> = (0..n).collect();
-        let bufs = [0, 1].map(|_| Arc::new(SharedRegion::new(COUNT * 8)));
+        let bufs = [0, 1].map(|_| Arc::new(SharedRegion::new(bytes)));
         let mut sched = Sched::new(c);
         let mut step = |i| {
-            let req = op(&mut sched, &group, [&bufs[0], &bufs[1]], i);
+            let req = op(&mut sched, &group, [&bufs[0], &bufs[1]], bytes, i);
             sched.wait(req);
         };
         for i in 0..WARM {
@@ -143,41 +165,67 @@ fn sched_bytes_per_op(m: usize, n: usize, op: Nonblocking) -> u64 {
             bar.wait(&mut tok);
         }
         let first = c.global_rank() == 0;
-        let before = ALLOCATED.load(Ordering::Relaxed);
+        let read = || [&CALLS, &ALLOCATED].map(|a| a.load(Ordering::Relaxed));
+        let before = read();
         bar.wait(&mut tok);
         for i in WARM..WARM + OPS as usize {
             step(i);
             bar.wait(&mut tok);
         }
-        let after = ALLOCATED.load(Ordering::Relaxed);
-        first.then_some(after - before)
+        let after = read();
+        RANK.set(false);
+        first.then_some((after[0] - before[0], after[1] - before[1]))
     });
-    counted.into_iter().flatten().flatten().sum::<u64>() / OPS
+    counted.into_iter().flatten().flatten().next().unwrap()
 }
 
 /// The nonblocking per-op budget: bookkeeping only.
 const SCHED_BUDGET: u64 = 8 << 10;
 
 fn assert_sched_within_budget(what: &str, m: usize, n: usize, op: Nonblocking) {
-    let per_op = sched_bytes_per_op(m, n, op);
+    let per_op = sched_allocs(m, n, COUNT * 8, op).1 / OPS;
     assert!(
         per_op < SCHED_BUDGET,
         "{what} on {m}x{n} allocates {per_op} B per 4 MiB op (budget {SCHED_BUDGET} B)"
     );
 }
 
+/// A small op allocates at most `budget` times per op, cluster-wide.
+fn assert_sched_calls_within(
+    what: &str,
+    m: usize,
+    n: usize,
+    bytes: usize,
+    op: Nonblocking,
+    budget: u64,
+) {
+    let (calls, b) = sched_allocs(m, n, bytes, op);
+    assert!(
+        calls <= budget * OPS,
+        "{what} of {bytes} B on {m}x{n} allocates {calls} times in {OPS} ops \
+         ({b} B; budget {budget} per op)"
+    );
+}
+
 /// Roots alternate between the two nodes.
-fn ibcast(s: &mut Sched, group: &[usize], [buf, _]: [&Arc<SharedRegion>; 2], i: usize) -> Request {
-    s.ibcast(group, i % 2, 0, Some(buf), COUNT * 8).unwrap()
+fn ibcast(
+    s: &mut Sched,
+    group: &[usize],
+    [buf, _]: [&Arc<SharedRegion>; 2],
+    bytes: usize,
+    i: usize,
+) -> Request {
+    s.ibcast(group, i % 2, 0, Some(buf), bytes).unwrap()
 }
 
 fn iallreduce(
     s: &mut Sched,
     group: &[usize],
     [i, o]: [&Arc<SharedRegion>; 2],
+    bytes: usize,
     _: usize,
 ) -> Request {
-    s.iallreduce(group, Some(i), Some(o), COUNT).unwrap()
+    s.iallreduce(group, Some(i), Some(o), bytes / 8).unwrap()
 }
 
 #[test]
@@ -198,6 +246,25 @@ fn iallreduce_lands_in_member_outputs_across_one_rank_nodes() {
 #[test]
 fn iallreduce_lands_in_member_outputs_across_two_rank_nodes() {
     assert_sched_within_budget("Sched::iallreduce", 2, 2, iallreduce);
+}
+
+/// A steady-state broadcast allocates nothing: its counter block is a
+/// recycled one and every other piece of bookkeeping reuses its capacity.
+#[test]
+fn small_ibcast_allocates_nothing_across_one_rank_nodes() {
+    assert_sched_calls_within("Sched::ibcast", 2, 1, 256, ibcast, 0);
+}
+
+#[test]
+fn small_ibcast_allocates_nothing_across_two_rank_nodes() {
+    assert_sched_calls_within("Sched::ibcast", 2, 2, 256, ibcast, 0);
+}
+
+/// A steady-state allreduce allocates no counter: what is left is the
+/// ring's own bookkeeping and each member's input list.
+#[test]
+fn small_iallreduce_allocates_no_counter_across_one_rank_nodes() {
+    assert_sched_calls_within("Sched::iallreduce", 2, 1, 32 * 8, iallreduce, 8);
 }
 
 /// A 512 KiB broadcast on a 2 x 1 service, rooted at node 0, counted from
