@@ -69,6 +69,16 @@ if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
   exit 1
 fi
 
+# The service has no thread of its own: global rank 0 (the lead) drains the
+# tenant queues inside its resident loop. A thread spawned in the non-test
+# part of server.rs — a dispatcher coming back — fails here.
+echo "== guard: no thread spawned in crates/sched/src/server.rs"
+if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
+  crates/sched/src/server.rs | grep -E 'thread::spawn|thread::Builder'; then
+  echo "server.rs spawns a thread (the lead rank drains the queues)" >&2
+  exit 1
+fi
+
 # Docs name runnable targets; a deletion must not leave one dangling. Every
 # `--bin X` / `--bench X` in the docs, this script and the verify skill must
 # resolve to a source file of that name.
@@ -153,10 +163,10 @@ done
 
 # Bounded soak of the service's resident engine and admission: a parked
 # ticket waiter that misses its wake-up, a rank thread that never parks, a
-# drop that strands a plan in flight, or an admission test whose held
-# dispatcher lets go too early shows up only under some thread timings. 50
-# runs of each built binary, each under a timeout; the cases' own
-# deadlines report a hang first.
+# drop that strands a plan in flight or misses a parked lead, or an
+# admission test whose held lead lets go too early shows up only under some
+# thread timings. 50 runs of each built binary, each under a timeout; the
+# cases' own deadlines report a hang first.
 echo "== soak: crates/sched/tests/{park,shutdown,server}.rs x 50 each (timeout 30 s each)"
 for t in park shutdown server; do
   bin="$(built_test "$t" -p bgp-sched)"

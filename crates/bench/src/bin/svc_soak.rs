@@ -219,8 +219,9 @@ fn flood_phase(svc: &Arc<Service>, shape: &Shape, check: bool) -> (Vec<Vec<u64>>
                     }
                     // Backpressure: drain the oldest in-flight op instead
                     // of spinning — couples the retry to real progress and
-                    // keeps the flooder from burning a core the victim,
-                    // dispatcher, and rank threads need on a small host.
+                    // keeps the flooder from burning a core the victim
+                    // and the rank threads (the lead among them) need on
+                    // a small host.
                     Err(SvcError::Sched(_)) if !pending.is_empty() => {
                         pending.remove(0).wait();
                     }

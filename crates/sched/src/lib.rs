@@ -39,8 +39,9 @@
 //!   the node's bank recycles once nobody holds it — when the operation is
 //!   globally drained on its node.
 //! * [`CollectiveServer`] — a node-external, multi-tenant service
-//!   front-end: per-tenant bounded submission queues drained by a
-//!   deficit-round-robin dispatcher (register tenants with
+//!   front-end with no thread of its own: per-tenant bounded submission
+//!   queues that the cluster's first rank, the *lead*, drains by deficit
+//!   round robin inside its engine loop (register tenants with
 //!   [`CollectiveServer::add_tenant`], weights scale each tenant's byte
 //!   credit per scan), bounded-depth admission control per tenant
 //!   ([`TENANT_MAX_PENDING`]) and globally ([`MAX_PENDING`]) (blocking

@@ -27,40 +27,46 @@
 //!   One tree traversal amortizes per-op overhead across every fused child,
 //!   the same economics that make the paper's 64-byte collectives
 //!   latency-bound.
-//! * **A resident engine, fed plans as they come** — the rank threads run
+//! * **A resident engine, led by its first rank** — the rank threads run
 //!   one long-lived body for the server's whole life, each holding one
-//!   [`Sched`]. The dispatcher turns every drained batch into a *plan* and
-//!   sends it down one channel per rank, all in the same order, so every
-//!   rank posts the same ops in the same order while earlier plans are
-//!   still in flight — reception of batch *k+1* overlaps the copies of
-//!   batch *k*, as the paper's network core keeps the protocol running
-//!   while its peers copy. Up to [`ServerConfig::pipeline`] plans with an
-//!   unfinished ticket are in flight; at that bound the dispatcher waits
-//!   on the oldest one. An idle rank spins for a moment, then parks in
-//!   its channel.
+//!   [`Sched`]; the server has no thread of its own. Global rank 0 — node
+//!   0's network core — is the *lead*: inside its loop it drains the queues
+//!   into a *plan* whenever fewer than [`ServerConfig::pipeline`] plans
+//!   have an unfinished ticket and sends the plan down every rank's
+//!   channel, its own included, so every rank posts the same ops in the
+//!   same order while earlier plans are still in flight — reception of
+//!   batch *k+1* overlaps the copies of batch *k*, as the paper's network
+//!   core keeps the protocol running while its peers copy. At the bound
+//!   the lead keeps polling; it never blocks on a ticket. An idle rank
+//!   spins for a moment, then parks: the lead on the queue, every other
+//!   rank in its channel. Only a parked thread costs a wake-up: a
+//!   submission wakes the lead only if it sleeps, a drain wakes only
+//!   submitters blocked at the admission bound.
 //!
 //! The admission bounds, the DRR quantum and the coalescing limits are
 //! constants; [`ServerConfig`] holds only the plan width
 //! (`batch_max_ops`) and the pipeline depth (`pipeline`).
 //!
-//! Each fact is counted once. What submitters and the dispatcher count
-//! under the queue lock — submissions, refusals, queue peaks, plans, queue
-//! wait — is a plain field of the tenant or the queue; a queue's depth is
-//! its length. Only `completed` (credited by the rank thread that finishes
-//! an op) and `coalesced` (credited by the dispatcher) are written outside
-//! the lock, into one atomic cell per tenant that each op's [`OpState`]
-//! carries. Server totals are sums over the tenants.
+//! Each fact is counted once. What submitters and the lead count under the
+//! queue lock — submissions, refusals, queue peaks, plans, queue wait — is
+//! a plain field of the tenant or the queue; a queue's depth is its length.
+//! Only `completed` (credited by the rank thread that finishes an op) and
+//! `coalesced` (credited by the lead) are written outside the lock, into
+//! one atomic cell per tenant that each op's [`OpState`] carries. Server
+//! totals are sums over the tenants.
 //!
 //! Completion is published through [`OpState`] — a slot-per-member result
 //! board whose done flag is release-published by the last finisher and
-//! acquire-read by [`BcastTicket::wait`] / [`AllreduceTicket::wait`]. That
-//! handshake is the protocol the bgp-check model tests verify (and mutate,
-//! via the `sched_done_relaxed` hook). A waiter spins for a moment, then
-//! parks on the board until the last finisher wakes it. Each member's
-//! result is copied once, from the op's completed region into its slot,
-//! and `wait` moves the slots out.
+//! acquire-read by [`BcastTicket::wait`] / [`AllreduceTicket::wait`]. A
+//! waiter spins for a moment, then registers in the board's waiters word
+//! and parks; the last finisher takes the park lock only if that word is
+//! set. Both handshakes are protocols the bgp-check model tests verify
+//! (and mutate, via the `sched_done_relaxed` and `wake_skipped` hooks).
+//! Each member's result is copied once, from the op's completed region
+//! into its slot, and `wait` moves the slots out.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{fence, AtomicBool};
 use std::sync::mpsc::{self, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -70,7 +76,7 @@ use bgp_shmem::sync::cell::UnsafeCell;
 use bgp_shmem::{model_support, spin, SharedRegion};
 use bgp_smp::cluster::DEFAULT_CHUNK_BYTES;
 use bgp_smp::collectives::write_f64s;
-use bgp_smp::{Cluster, ClusterCtx};
+use bgp_smp::{Cluster, ClusterCtx, PendingJob};
 
 use crate::engine::{check_size, validate_group_shape};
 use crate::{Request, Sched, SchedError};
@@ -87,10 +93,16 @@ use crate::{Request, Sched, SchedError};
 /// seeded bug) severs exactly that edge; the model checker catches it as a
 /// data race on the slot cells.
 ///
-/// Waiters that outlast [`WAIT_SPIN`] park: the last filler stores the done
-/// flag, then notifies under `park`; a waiter re-checks the flag under
-/// `park` before it sleeps, so the notify cannot fall between its check and
-/// its sleep.
+/// Waiters that outlast [`WAIT_SPIN`] park, and only a parked waiter costs
+/// the finisher a wake-up. A waiter registers in the `waiters` word under
+/// the park lock, issues a SeqCst fence and only then re-checks the done
+/// flag; the last filler stores the flag, issues a SeqCst fence and takes
+/// the park lock to notify only if the word is non-zero. The fences make
+/// one of the two see the other, so either the waiter sees done or the
+/// finisher sees the waiter — and registration under the lock keeps the
+/// notify from falling between the waiter's re-check and its sleep. Reading the word before the done store
+/// (the `wake_skipped` seeded bug) loses the wake-up; the model checker
+/// catches it as a deadlock.
 pub struct OpState {
     status: AtomicU64,
     pending: AtomicU64,
@@ -99,19 +111,30 @@ pub struct OpState {
     /// hand-built boards). The last slot filler credits `completed`
     /// *before* the Release store of the done flag, so a waiter that
     /// observes [`Self::is_done`] also observes the count. Crediting
-    /// anywhere later (e.g. when the dispatcher retires the plan) lets
+    /// anywhere later (e.g. when the lead retires the plan) lets
     /// `wait()` return while the stats still read stale.
     credit: Option<Arc<TenantCell>>,
+    /// Waiters that have registered to be woken (see the type docs).
+    waiters: AtomicU64,
+    #[cfg(not(feature = "model"))]
     park: Mutex<()>,
+    #[cfg(not(feature = "model"))]
     woken: Condvar,
+    /// Under `model` a std lock is invisible to the checker's scheduler: a
+    /// parked waiter spins on this word instead, which the finisher stores
+    /// in place of the notify — so a notify that never comes is a model
+    /// deadlock.
+    #[cfg(feature = "model")]
+    rung: AtomicU64,
 }
 
 /// How long a waiter on an [`OpState`] spins before it parks: long enough
 /// for a small service op to finish without a sleep and a wake-up on its
 /// path, short enough that waiting clients leave the cores to the ranks.
-const WAIT_SPIN: Duration = Duration::from_micros(200);
+/// (Under `model` a waiter parks at once: a model run has no clock.)
+const WAIT_SPIN: Duration = Duration::from_micros(if cfg!(feature = "model") { 0 } else { 200 });
 /// How long an idle rank thread keeps polling for the next plan before it
-/// parks in its channel.
+/// parks — in its channel, or the lead on the queue.
 const RANK_SPIN: Duration = Duration::from_micros(50);
 
 impl OpState {
@@ -127,8 +150,13 @@ impl OpState {
             pending: AtomicU64::new(pending as u64),
             slots: slots.map(UnsafeCell::new).collect(),
             credit: None,
+            waiters: AtomicU64::new(0),
+            #[cfg(not(feature = "model"))]
             park: Mutex::new(()),
+            #[cfg(not(feature = "model"))]
             woken: Condvar::new(),
+            #[cfg(feature = "model")]
+            rung: AtomicU64::new(0),
         }
     }
 
@@ -147,7 +175,7 @@ impl OpState {
     }
 
     /// Fill slot `i` (exactly once) and count down; the last filler
-    /// publishes the done flag.
+    /// publishes the done flag and wakes a parked waiter, if any.
     pub fn complete_slot(&self, i: usize, bytes: Vec<u8>) {
         // SAFETY: each slot has exactly one completer (the owning member),
         // and readers only touch slots after `is_done()` — ordered by the
@@ -163,16 +191,25 @@ impl OpState {
             // the waiter's Acquire load in `is_done`, so a waiter that sees
             // done also sees this (relaxed) increment. This is what makes
             // `ticket.wait(); stats().completed` read consistently even
-            // while the dispatcher has not yet retired the plan.
+            // while the lead has not yet retired the plan.
             if let Some(cell) = &self.credit {
                 cell.completed.fetch_add(1, Ordering::Relaxed);
             }
+            let early =
+                model_support::seeded("wake_skipped").then(|| self.waiters.load(Ordering::Relaxed));
             self.status.store(
                 1,
                 model_support::relaxed_if("sched_done_relaxed", Ordering::Release),
             );
-            let _parked = self.park.lock().expect("park lock");
-            self.woken.notify_all();
+            fence(Ordering::SeqCst);
+            if early.unwrap_or_else(|| self.waiters.load(Ordering::Relaxed)) != 0 {
+                #[cfg(not(feature = "model"))]
+                let _parked = self.park.lock().expect("park lock");
+                #[cfg(not(feature = "model"))]
+                self.woken.notify_all();
+                #[cfg(feature = "model")]
+                self.rung.store(1, Ordering::Release);
+            }
         }
     }
 
@@ -182,15 +219,25 @@ impl OpState {
         self.status.load(Ordering::Acquire) == 1
     }
 
-    /// Block until [`Self::is_done`]: spin for [`WAIT_SPIN`], then park
-    /// until the last slot filler wakes us.
-    fn wait(&self) {
+    /// Block until [`Self::is_done`]: spin for [`WAIT_SPIN`], then register
+    /// in the waiters word and park until the last slot filler wakes us.
+    pub fn wait(&self) {
         let start = Instant::now();
         while !self.is_done() {
             if start.elapsed() >= WAIT_SPIN {
+                #[cfg(not(feature = "model"))]
                 let mut parked = self.park.lock().expect("park lock");
+                self.waiters.fetch_add(1, Ordering::Relaxed);
+                fence(Ordering::SeqCst);
                 while !self.is_done() {
-                    parked = self.woken.wait(parked).expect("park lock");
+                    #[cfg(not(feature = "model"))]
+                    {
+                        parked = self.woken.wait(parked).expect("park lock");
+                    }
+                    #[cfg(feature = "model")]
+                    while self.rung.load(Ordering::Acquire) == 0 {
+                        spin();
+                    }
                 }
                 return;
             }
@@ -340,7 +387,7 @@ pub const TENANT_MAX_PENDING: usize = 16;
 /// tenants beyond this block / fail the same way.
 pub const MAX_PENDING: usize = 64;
 
-/// The service's two settings: how much the dispatcher drains into one plan
+/// The service's two settings: how much the lead drains into one plan
 /// and how many plans it keeps in flight. Their product bounds how many
 /// foreign ops a latency-sensitive op can wait behind (`svc_soak` runs
 /// 1 × 1); the default 16 × 2 favors throughput.
@@ -348,8 +395,8 @@ pub const MAX_PENDING: usize = 64;
 pub struct ServerConfig {
     /// Most submissions drained into one plan.
     pub batch_max_ops: usize,
-    /// Plans with an unfinished ticket the dispatcher keeps in flight at
-    /// once; at the bound it waits on the oldest before it drains more.
+    /// Plans with an unfinished ticket the lead keeps in flight at once; at
+    /// the bound it drains nothing until one of them finishes.
     pub pipeline: usize,
 }
 
@@ -369,7 +416,7 @@ impl Default for ServerConfig {
 /// queue lock, so every field written under that lock (`submitted`,
 /// `batches`, `rejected`, `peak_queue_depth`, `wait_ns`) belongs to one
 /// consistent cut. `completed` and `coalesced` are relaxed reads of
-/// counters the rank threads and the dispatcher bump outside the lock:
+/// counters the rank threads and the lead bump outside the lock:
 /// each is exact, monotone and never ahead of `submitted`, but an op that
 /// finishes while the snapshot is taken may or may not be in it. Consumers
 /// that need the counts to agree (`completed == submitted`) must quiesce
@@ -425,7 +472,7 @@ pub struct TenantStats {
 
 /// The two counters of a tenant written outside the queue lock. Every op
 /// the tenant submits carries the cell in its [`OpState`]: the rank thread
-/// that finishes the op credits `completed`, the dispatcher credits
+/// that finishes the op credits `completed`, the lead credits
 /// `coalesced` when it fuses the op with a sibling.
 #[derive(Default)]
 struct TenantCell {
@@ -456,7 +503,7 @@ impl Op {
     }
 }
 
-/// An admitted submission, queued until the dispatcher drains it.
+/// An admitted submission, queued until the lead drains it.
 struct Cmd {
     group: Arc<Vec<usize>>,
     op: Op,
@@ -471,7 +518,7 @@ const MIN_DRR_COST: u64 = 64;
 /// accumulation loop stays short; beyond this size the per-op cost is
 /// dominated by moving the bytes anyway.
 const DRR_COST_CAP: u64 = 4 << 20;
-/// DRR credit (bytes) granted per weight unit each time the dispatcher's
+/// DRR credit (bytes) granted per weight unit each time the lead's
 /// round-robin scan visits a backlogged tenant.
 const DRR_QUANTUM: u64 = 64 * 1024;
 /// Only broadcast payloads at most this long are coalescing candidates.
@@ -544,11 +591,19 @@ struct Queue {
     /// service resumes where it left off).
     rr: usize,
     closed: bool,
+    /// The lead sleeps on `not_empty`: the next admission wakes it.
+    lead_parked: bool,
+    /// Submitters asleep on `not_full`: a drain wakes them.
+    blocked: usize,
 }
 
 #[derive(Default)]
 struct ServerShared {
     queue: Mutex<Queue>,
+    /// Set under the queue lock while the queue holds a command or is
+    /// closed: the lead's check, without the lock, that a pass has
+    /// something to drain.
+    ready: AtomicBool,
     not_empty: Condvar,
     not_full: Condvar,
 }
@@ -557,11 +612,13 @@ struct ServerShared {
 /// module docs for the admission / DRR / coalescing / batching behavior.
 ///
 /// Submissions may come from any thread. Dropping the server stops
-/// accepting work, drains everything already queued, and joins the
-/// dispatcher.
+/// accepting work, lets the lead drain everything already queued, and
+/// collects the rank threads' resident body.
 pub struct CollectiveServer {
     shared: Arc<ServerShared>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    /// The cluster and its one resident job, collected on drop (behind a
+    /// lock only so the server is `Sync`; a `Cluster` is not).
+    cluster: Mutex<Option<(Cluster, PendingJob<()>)>>,
     m: usize,
     n: usize,
     cfg: ServerConfig,
@@ -580,19 +637,31 @@ impl CollectiveServer {
     pub fn with_config(m: usize, n: usize, cfg: ServerConfig) -> Self {
         assert!(m >= 1 && n >= 1, "cluster geometry must be at least 1x1");
         let shared = Arc::new(ServerShared::default());
-        let mut server = CollectiveServer {
+        let cluster = Cluster::new(m, n);
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..m * n).map(|_| mpsc::channel()).unzip();
+        let mut lead = Some(Lead {
             shared: shared.clone(),
-            handle: None,
+            cfg,
+            txs,
+            in_flight: Vec::new(),
+        });
+        let bodies: Vec<_> = rxs
+            .into_iter()
+            .map(|plans| Mutex::new(Some((plans, lead.take()))))
+            .collect();
+        let job = cluster.submit(move |cctx| {
+            let body = bodies[cctx.global_rank()].lock().expect("body").take();
+            let (plans, lead) = body.expect("one resident body per rank");
+            resident(cctx, plans, lead)
+        });
+        let server = CollectiveServer {
+            shared,
+            cluster: Mutex::new(Some((cluster, job))),
             m,
             n,
             cfg,
         };
         server.add_tenant(1); // DEFAULT_TENANT
-        let handle = std::thread::Builder::new()
-            .name("bgp-sched-dispatch".into())
-            .spawn(move || dispatch(m, n, cfg, shared))
-            .expect("spawn dispatcher");
-        server.handle = Some(handle);
         server
     }
 
@@ -807,7 +876,9 @@ impl CollectiveServer {
                     q.tenants[t].rejected += 1;
                     return Err(SchedError::Backpressure);
                 }
+                q.blocked += 1;
                 q = self.shared.not_full.wait(q).expect("queue lock");
+                q.blocked -= 1;
             }
             let state = Arc::new(OpState::credited(members, cell));
             q.tenants[t].cmds.push_back(Cmd {
@@ -817,8 +888,12 @@ impl CollectiveServer {
                 queued_at: Instant::now(),
             });
             q.total += 1;
+            self.shared.ready.store(true, Ordering::Relaxed);
             q.peak_queue_depth = q.peak_queue_depth.max(q.total as u64);
-            self.shared.not_empty.notify_one();
+            if q.lead_parked {
+                q.lead_parked = false;
+                self.shared.not_empty.notify_one();
+            }
             state
         };
         let tq = &mut q.tenants[t];
@@ -833,11 +908,12 @@ impl Drop for CollectiveServer {
         {
             let mut q = self.shared.queue.lock().expect("queue lock");
             q.closed = true;
+            self.shared.ready.store(true, Ordering::Relaxed);
         }
         self.shared.not_empty.notify_all();
         self.shared.not_full.notify_all();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
+        if let Some((cluster, job)) = self.cluster.get_mut().ok().and_then(Option::take) {
+            cluster.finish(job);
         }
     }
 }
@@ -879,60 +955,6 @@ fn drain_drr(q: &mut Queue, max_ops: usize) -> Vec<Cmd> {
     }
     q.batches += 1;
     cmds
-}
-
-/// The dispatcher thread: owns the cluster and its one resident job, drains
-/// the tenant queues by DRR into plans, coalesces, and keeps up to
-/// `cfg.pipeline` plans with an unfinished ticket in flight.
-fn dispatch(m: usize, n: usize, cfg: ServerConfig, shared: Arc<ServerShared>) {
-    let cluster = Cluster::new(m, n);
-    let (plan_txs, plan_rxs): (Vec<_>, Vec<_>) = (0..m * n)
-        .map(|_| {
-            let (tx, rx) = mpsc::channel::<Arc<Vec<PlanOp>>>();
-            (tx, Mutex::new(Some(rx)))
-        })
-        .unzip();
-    let resident_job = cluster.submit(move |cctx| {
-        let plans = plan_rxs[cctx.global_rank()]
-            .lock()
-            .expect("plan queue")
-            .take();
-        resident(cctx, plans.expect("one resident body per rank"))
-    });
-    // The tickets of each plan in flight, oldest first.
-    let mut in_flight: VecDeque<Vec<Arc<OpState>>> = VecDeque::new();
-    loop {
-        in_flight.retain(|states| !states.iter().all(|s| s.is_done()));
-        if in_flight.len() >= cfg.pipeline.max(1) {
-            in_flight[0].iter().for_each(|s| s.wait());
-            continue;
-        }
-        // Take a batch, or learn there is nothing left to do.
-        let batch = {
-            let mut q = shared.queue.lock().expect("queue lock");
-            loop {
-                if q.total > 0 {
-                    shared.not_full.notify_all();
-                    break Some(drain_drr(&mut q, cfg.batch_max_ops));
-                }
-                if q.closed {
-                    break None;
-                }
-                q = shared.not_empty.wait(q).expect("queue lock");
-            }
-        };
-        let Some(cmds) = batch else { break };
-        in_flight.push_back(cmds.iter().map(|c| c.state.clone()).collect());
-        let plan = Arc::new(build_plan(cmds));
-        for tx in &plan_txs {
-            tx.send(plan.clone())
-                .expect("rank thread exited prematurely");
-        }
-    }
-    // Closing the plan channels lets every rank finish what it posted and
-    // leave its resident body.
-    drop(plan_txs);
-    cluster.finish(resident_job);
 }
 
 /// An in-progress fusion of consecutive same-(group, root) broadcasts.
@@ -1106,37 +1128,102 @@ fn post_plan(
             op,
             member,
         });
+        // Start each op's traffic before the next one's buffers are built:
+        // a large op's post allocates and copies for hundreds of µs.
+        sched.poll();
+    }
+}
+
+/// What global rank 0 — the lead — needs to turn the tenant queues into
+/// plans.
+struct Lead {
+    shared: Arc<ServerShared>,
+    cfg: ServerConfig,
+    /// One plan channel per rank, the lead's own included.
+    txs: Vec<mpsc::Sender<Arc<Vec<PlanOp>>>>,
+    /// The tickets of each plan in flight.
+    in_flight: Vec<Vec<Arc<OpState>>>,
+}
+
+impl Lead {
+    /// While fewer than `cfg.pipeline` plans have an unfinished ticket,
+    /// drain a batch by DRR, coalesce it into a plan and send the plan to
+    /// every rank, in the same order. With `park` set (nothing posted for
+    /// [`RANK_SPIN`]) the engine is drained first and the lead sleeps on
+    /// `not_empty` until a command or the close arrives. Returns `false`
+    /// once the queue is closed and empty.
+    fn feed(&mut self, sched: &mut Sched, park: bool) -> bool {
+        let shared = &*self.shared;
+        let in_flight = &mut self.in_flight;
+        in_flight.retain(|states| !states.iter().all(|s| s.is_done()));
+        let ready = park || shared.ready.load(Ordering::Relaxed);
+        if !ready || in_flight.len() >= self.cfg.pipeline.max(1) {
+            return true;
+        }
+        if park {
+            sched.drain();
+        }
+        let mut q = shared.queue.lock().expect("queue lock");
+        while park && q.total == 0 && !q.closed {
+            q.lead_parked = true;
+            q = shared.not_empty.wait(q).expect("queue lock");
+        }
+        q.lead_parked = false;
+        if q.total == 0 {
+            return !q.closed;
+        }
+        let cmds = drain_drr(&mut q, self.cfg.batch_max_ops);
+        shared
+            .ready
+            .store(q.total > 0 || q.closed, Ordering::Relaxed);
+        if q.blocked > 0 {
+            shared.not_full.notify_all();
+        }
+        drop(q);
+        in_flight.push(cmds.iter().map(|c| c.state.clone()).collect());
+        let plan = Arc::new(build_plan(cmds));
+        for tx in &self.txs {
+            tx.send(plan.clone())
+                .expect("rank thread exited prematurely");
+        }
+        true
     }
 }
 
 /// The resident body every rank runs for the server's whole life: one
 /// [`Sched`], plans posted as they arrive — while earlier ones are still in
-/// flight — and member results published the moment each op completes. A
-/// rank with nothing posted polls for [`RANK_SPIN`], then leaves its
-/// engine idle and parks in its channel. Returns once the channel is
+/// flight — and member results published the moment each op completes. The
+/// lead (`lead` is `Some` on global rank 0 only) first feeds every rank's
+/// channel, its own included. A rank with nothing posted polls for
+/// [`RANK_SPIN`], then leaves its engine idle and parks — the lead on the
+/// queue, every other rank in its channel. Returns once its channel is
 /// closed and everything posted has completed; dropping the `Sched`
 /// quiesces the engine.
-fn resident(cctx: &mut ClusterCtx, plans: mpsc::Receiver<Arc<Vec<PlanOp>>>) {
+fn resident(
+    cctx: &mut ClusterCtx,
+    plans: mpsc::Receiver<Arc<Vec<PlanOp>>>,
+    mut lead: Option<Lead>,
+) {
     let at = (cctx.node(), cctx.rank());
     let mut sched = Sched::new(cctx);
     let mut posted: Vec<Posted> = Vec::new();
     let mut idle_since = Instant::now();
     loop {
+        let idle = posted.is_empty() && idle_since.elapsed() >= RANK_SPIN;
+        if lead.as_mut().is_some_and(|l| !l.feed(&mut sched, idle)) {
+            lead = None; // closes every plan channel
+        }
         let plan = match plans.try_recv() {
             Ok(plan) => Some(plan),
             Err(TryRecvError::Disconnected) if posted.is_empty() => return,
-            Err(TryRecvError::Empty) if posted.is_empty() && idle_since.elapsed() >= RANK_SPIN => {
+            Err(TryRecvError::Empty) if idle && lead.is_none() => {
                 sched.drain();
-                match plans.recv() {
-                    Ok(plan) => Some(plan),
-                    Err(_) => return,
-                }
+                plans.recv().ok()
             }
             Err(_) => None,
         };
         if let Some(plan) = plan {
             post_plan(&mut sched, at, &plan, &mut posted);
-            continue;
         }
         sched.poll();
         let busy = !posted.is_empty();

@@ -13,9 +13,13 @@
 //! flag; a waiter acquire-reads the flag and only then takes the slots.
 //! The tests check the full flag/slot protocol schedule-exhaustively, the
 //! request-handle lifecycle (a waiter polling `is_done` never misses the
-//! wakeup), and — the self-test — that weakening the final store to
+//! wakeup), the park handshake (a parked waiter registers in the waiters
+//! word and re-checks done; the last filler stores done and only then reads
+//! the word), and — the self-tests — that weakening the final store to
 //! `Relaxed` (the `sched_done_relaxed` seeded bug) is caught as a data
-//! race and that the reported trace replays deterministically.
+//! race, that reading the waiters word before the done store (the
+//! `wake_skipped` seeded bug) is caught as a deadlock, and that each
+//! reported trace replays deterministically.
 
 #![cfg(feature = "model")]
 
@@ -138,5 +142,46 @@ fn mutation_sched_done_relaxed_is_caught() {
         failure.kind,
         FailureKind::Race,
         "expected a data race on the slot cell, got: {failure:?}"
+    );
+}
+
+/// A waiter parks on the board while the one member completes it. Under
+/// `model` the waiter skips its spin, and its park is a spin on a word the
+/// finisher stores in place of its notify — so a wake-up the finisher skips
+/// leaves the waiter spinning with nobody left to store, which the checker
+/// reports as a deadlock.
+fn parked_waiter_scenario() {
+    let st = Arc::new(OpState::new(1));
+    let writer = {
+        let st = st.clone();
+        thread::spawn(move || {
+            st.complete_slot(0, vec![5]);
+        })
+    };
+    st.wait();
+    // SAFETY: this thread is the slot's one reader.
+    assert_eq!(unsafe { st.take(0) }, vec![5]);
+    writer.join();
+}
+
+/// The waiters-word handshake loses no wake-up: on every schedule either
+/// the waiter's re-check sees done or the finisher sees the registration.
+#[test]
+fn a_parked_waiter_is_always_woken() {
+    model_with(Config::dfs(10_000), parked_waiter_scenario);
+}
+
+/// Mutation self-test: `wake_skipped` has the finisher read the waiters
+/// word *before* its done store. A waiter that registers and re-checks
+/// between the two is never woken; the checker must report the deadlock,
+/// and the trace must replay.
+#[test]
+fn mutation_wake_skipped_is_caught() {
+    let failure =
+        assert_mutation_caught("wake_skipped", Config::dfs(10_000), parked_waiter_scenario);
+    assert_eq!(
+        failure.kind,
+        FailureKind::Deadlock,
+        "expected the lost wake-up as a deadlock, got: {failure:?}"
     );
 }

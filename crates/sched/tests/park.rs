@@ -1,12 +1,14 @@
 //! The server's threads park when there is nothing to do, and a parked
 //! ticket waiter always wakes.
 //!
-//! An idle rank thread polls for a moment, then blocks on its plan channel;
-//! the dispatcher blocks on its queue; a waiter that outlasts its spin
-//! parks on the op's completion board until the last result lands. The
-//! idle check reads the CPU time the kernel charged to the service's
-//! threads; the wake stress parks and wakes thousands of waiters under a
-//! deadline, so a lost wake-up fails in seconds instead of hanging.
+//! An idle rank thread polls for a moment, then blocks: the lead (global
+//! rank 0, which drains the tenant queues itself) on the queue, every other
+//! rank on its plan channel; a waiter that outlasts its spin parks on the
+//! op's completion board until the last result lands. The service has no
+//! thread but its rank threads. The idle check reads the CPU time the
+//! kernel charged to them; the wake stress parks and wakes thousands of
+//! waiters under a deadline, so a lost wake-up fails in seconds instead of
+//! hanging.
 
 use std::fs;
 use std::sync::{Arc, Mutex};
@@ -25,8 +27,8 @@ static SERIAL: Mutex<()> = Mutex::new(());
 /// Clock ticks per second of the times in `/proc/*/stat` (`USER_HZ`).
 const TICKS_PER_S: u64 = 100;
 
-/// `(threads, ticks)`: how many rank and dispatcher threads this process
-/// has, and the CPU time (utime + stime) they have used, in clock ticks.
+/// `(threads, ticks)`: how many rank threads this process has, and the CPU
+/// time (utime + stime) they have used, in clock ticks.
 fn service_cpu() -> (usize, u64) {
     let (mut threads, mut ticks) = (0, 0);
     for task in fs::read_dir("/proc/self/task").expect("procfs") {
@@ -37,8 +39,7 @@ fn service_cpu() -> (usize, u64) {
         // `tid (comm) state ...`; the kernel cuts comm to 15 bytes.
         let (head, rest) = stat.rsplit_once(')').expect("stat has a comm");
         let comm = &head[head.find('(').expect("stat has a comm") + 1..];
-        let rank = comm.starts_with("bgp-node") && comm.contains("-rank");
-        if !rank && !comm.starts_with("bgp-sched-disp") {
+        if !(comm.starts_with("bgp-node") && comm.contains("-rank")) {
             continue;
         }
         // Fields 14 and 15 of stat; `rest` starts at field 3.
@@ -50,34 +51,46 @@ fn service_cpu() -> (usize, u64) {
     (threads, ticks)
 }
 
-/// After 1 000 ops and 200 ms of quiet, a 2 x 1 server's rank and
-/// dispatcher threads use less than 5 ms of CPU over a further 200 ms.
-#[test]
-fn an_idle_service_parks_every_thread() {
+/// After 1 000 ops on an `m` x `n` server and 200 ms of quiet, its rank
+/// threads — the only threads it has — use less than 5 ms of CPU over a
+/// further 200 ms: every member parks in its channel and the lead on the
+/// queue.
+fn parks_every_thread(m: usize, n: usize) {
     let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let server = CollectiveServer::new(2, 1);
+    let server = CollectiveServer::new(m, n);
+    let group: Vec<usize> = (0..n).collect();
     for burst in 0..100 {
         let tickets: Vec<_> = (0..10)
             .map(|i| {
                 let sent = payload(burst * 10 + i, 64);
-                let t = server.submit_bcast(&[0], i % 2, 0, sent.clone()).unwrap();
-                (t, sent)
+                let t = server.submit_bcast(&group, i % m, i % n, sent.clone());
+                (t.unwrap(), sent)
             })
             .collect();
         for (t, sent) in tickets {
-            assert_eq!(t.wait(), vec![sent; 2]);
+            assert_eq!(t.wait(), vec![sent; m * n]);
         }
     }
     thread::sleep(Duration::from_millis(200));
     let (threads, before) = service_cpu();
     thread::sleep(Duration::from_millis(200));
     let (_, after) = service_cpu();
-    assert_eq!(threads, 3, "two rank threads and the dispatcher");
+    assert_eq!(threads, m * n, "one thread per rank and no other");
     let used_ms = (after - before) * 1000 / TICKS_PER_S;
     assert!(
         used_ms < 5,
-        "an idle service used {used_ms} ms of CPU in 200 ms"
+        "an idle {m} x {n} service used {used_ms} ms of CPU in 200 ms"
     );
+}
+
+#[test]
+fn an_idle_service_parks_every_thread() {
+    parks_every_thread(2, 1);
+}
+
+#[test]
+fn an_idle_2x2_service_parks_every_thread() {
+    parks_every_thread(2, 2);
 }
 
 /// Four clients run 2 000 depth-1 ops of 8-64 bytes each while a 4 MiB

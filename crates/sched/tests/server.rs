@@ -9,19 +9,19 @@ use bgp_sched::{
     MAX_GROUP_RANKS, MAX_PENDING, TENANT_MAX_PENDING,
 };
 
-/// One-op plans, one plan in flight: the dispatcher drains nothing while
-/// the op it sent last is unfinished.
+/// One-op plans, one plan in flight: the lead drains nothing while the op
+/// it sent last is unfinished.
 const HELD: ServerConfig = ServerConfig {
     batch_max_ops: 1,
     pipeline: 1,
 };
 
-/// Hold the dispatcher: a 4 MiB broadcast over every rank that it takes as
-/// a plan of its own and then waits on, so what is submitted next stays
-/// queued meanwhile. Returns once the dispatcher has taken it: queued
-/// beside other tenants' small ops, the big op would need many DRR visits'
-/// credit and could go last.
-fn held_dispatcher(server: &CollectiveServer) -> BcastTicket {
+/// Hold the lead: a 4 MiB broadcast over every rank that it takes as a
+/// plan of its own. The lead stops draining at the pipeline bound, so what
+/// is submitted next stays queued until the big op is done. Returns once
+/// the lead has taken it: queued beside other tenants' small ops, the big
+/// op would need many DRR visits' credit and could go last.
+fn held_lead(server: &CollectiveServer) -> BcastTicket {
     let group: Vec<usize> = (0..server.n_ranks()).collect();
     let held = server
         .submit_bcast(&group, 0, 0, vec![9u8; 4 << 20])
@@ -86,15 +86,15 @@ fn server_subgroup_results_are_member_ordered() {
 
 #[test]
 fn small_same_root_bcasts_coalesce() {
-    // Occupy the dispatcher with a heavy op so the small ones pile up and
-    // get drained as one batch (pipeline 1: the dispatcher blocks
-    // collecting the heavy job while we enqueue).
+    // Occupy the lead with a heavy op so the small ones pile up and get
+    // drained as one batch (pipeline 1: the lead drains nothing more until
+    // the heavy op is done).
     let cfg = ServerConfig {
         pipeline: 1,
         ..ServerConfig::default()
     };
     let server = CollectiveServer::with_config(2, 4, cfg);
-    let heavy = held_dispatcher(&server);
+    let heavy = held_lead(&server);
     let payloads: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i + 1; 64]).collect();
     let tickets: Vec<_> = payloads
         .iter()
@@ -127,7 +127,7 @@ fn bcasts_alternating_roots_never_fuse() {
         ..ServerConfig::default()
     };
     let server = CollectiveServer::with_config(2, 4, cfg);
-    let heavy = held_dispatcher(&server);
+    let heavy = held_lead(&server);
     let tickets: Vec<_> = (0..8u8)
         .map(|i| {
             let root_node = usize::from(i % 2);
@@ -148,7 +148,7 @@ fn bcasts_alternating_roots_never_fuse() {
     assert_eq!(stats.submitted, 9);
 }
 
-/// The server-wide backstop at its real value: with the dispatcher held,
+/// The server-wide backstop at its real value: with the lead held,
 /// four tenants queue [`TENANT_MAX_PENDING`] each, which fills
 /// [`MAX_PENDING`]; a fifth tenant with an empty queue of its own is
 /// refused by the global bound alone.
@@ -158,7 +158,7 @@ fn try_submit_backpressures_at_the_admission_bound() {
     let server = CollectiveServer::with_config(2, 4, HELD);
     let fillers: Vec<TenantId> = (0..4).map(|_| server.add_tenant(1)).collect();
     let late = server.add_tenant(1);
-    let heavy = held_dispatcher(&server);
+    let heavy = held_lead(&server);
     let mut tickets = Vec::new();
     for &t in &fillers {
         for i in 0..TENANT_MAX_PENDING {
@@ -285,7 +285,7 @@ fn per_tenant_backpressure_leaves_other_tenants_admitting() {
     let server = CollectiveServer::with_config(2, 4, HELD);
     let flooder = server.add_tenant(1);
     let victim = server.add_tenant(1);
-    let heavy = held_dispatcher(&server);
+    let heavy = held_lead(&server);
     // The flooder fills its own per-tenant bound...
     let queued: Vec<_> = (0..TENANT_MAX_PENDING)
         .map(|i| {
@@ -362,7 +362,7 @@ fn drr_drains_every_tenant_with_mixed_weights() {
     let server = CollectiveServer::with_config(1, 2, HELD);
     let heavy = server.add_tenant(8);
     let light = server.add_tenant(1);
-    let held = held_dispatcher(&server);
+    let held = held_lead(&server);
     let mut tickets = Vec::new();
     for i in 0..8u8 {
         let t = server.submit_bcast_as(heavy, &[0, 1], 0, 0, vec![i; 2048]);
@@ -378,7 +378,7 @@ fn drr_drains_every_tenant_with_mixed_weights() {
     assert_eq!(server.tenant_stats(light).unwrap().completed, 8);
 }
 
-/// Four submitters on four tenants race a held dispatcher while this
+/// Four submitters on four tenants race a held lead while this
 /// thread snapshots the tenants: every snapshot has each queue within its
 /// peak, and once everything is done the server's counters are exactly the
 /// tenants' sums and its peak covers every backlog a snapshot saw.
@@ -387,7 +387,7 @@ fn server_stats_are_tenant_sums_under_concurrent_submitters() {
     const OPS: usize = 24;
     let server = Arc::new(CollectiveServer::with_config(2, 4, HELD));
     let tenants: Vec<TenantId> = (0..4).map(|_| server.add_tenant(1)).collect();
-    let heavy = held_dispatcher(&server);
+    let heavy = held_lead(&server);
     let submitters: Vec<_> = tenants
         .iter()
         .map(|&t| {

@@ -1,11 +1,15 @@
-//! Dropping a server with plans in flight.
+//! Dropping a server: with plans in flight, idle, or fresh.
 //!
-//! The drop closes the queues, lets the dispatcher hand out everything
-//! already queued, and waits for the rank threads to finish what they
-//! posted before it collects their resident body. Every ticket issued
-//! before the drop therefore completes, byte-exact, and the drop returns.
+//! The drop closes the queues, lets the lead (global rank 0) drain and hand
+//! out everything already queued, and waits for the rank threads to finish
+//! what they posted before it collects their resident body. Every ticket
+//! issued before the drop therefore completes, byte-exact, and the drop
+//! returns — also when the lead sleeps on the queue, or has not started.
 //! The server is used directly: a `bgp-svc` communicator or ticket keeps
 //! its service alive, so that service could not be dropped here.
+
+use std::thread;
+use std::time::Duration;
 
 use bgp_sched::CollectiveServer;
 
@@ -67,4 +71,31 @@ fn dropping_a_server_with_plans_in_flight_completes_every_ticket() {
             "allreduce {op} summed wrong"
         );
     }
+}
+
+/// After 200 ms of quiet every rank of a 2 x 2 server has parked, the lead
+/// on the queue: the drop's close must wake it.
+#[test]
+fn dropping_an_idle_server_wakes_its_parked_lead() {
+    within(10, || {
+        let server = CollectiveServer::new(2, 2);
+        let sent = payload(1, 64);
+        let t = server.submit_bcast(&[0, 1], 1, 1, sent.clone()).unwrap();
+        assert_eq!(t.wait(), vec![sent; 4]);
+        thread::sleep(Duration::from_millis(200));
+        drop(server);
+    });
+}
+
+/// A server dropped as soon as it is built — its rank threads may not
+/// have entered their resident body yet — still returns.
+#[test]
+fn dropping_a_server_right_after_construction_returns() {
+    within(10, || {
+        for (m, n) in [(1, 1), (2, 1), (1, 2), (2, 2)] {
+            for _ in 0..5 {
+                drop(CollectiveServer::new(m, n));
+            }
+        }
+    });
 }

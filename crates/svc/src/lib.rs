@@ -10,8 +10,9 @@
 //! service layer between the scheduler and those clients:
 //!
 //! * **Tenants** are named principals with a DRR weight. A tenant owns a
-//!   bounded submission queue inside the server; the deficit-round-robin
-//!   dispatcher serves tenants proportionally to weight, so one flooding
+//!   bounded submission queue inside the server; the server's lead rank
+//!   drains the queues by deficit round robin, serving tenants
+//!   proportionally to weight, so one flooding
 //!   tenant gets [`SvcError::Sched`]`(`[`SchedError::Backpressure`]`)`
 //!   while everybody else keeps their latency.
 //! * **Sessions** ([`Service::open_session`]) are a client's handle onto a
