@@ -34,7 +34,10 @@
 //! members contribute into it and chase their copies out of it. Only
 //! `ireduce_scatter`, whose members' outputs cannot hold the whole vector,
 //! lands in a region of the engine's, reached through the same `(owner,
-//! tag)` path.
+//! tag)` path. An `iallreduce` whose group has one member per node on a
+//! ring of nodes maps that member's input beside its output: the ring reads
+//! the node's partial there, and the output is written only with the
+//! result.
 //!
 //! ## Protocols
 //!
@@ -64,7 +67,10 @@
 //! [`wire::RingFlow`](RingFlow) — the very partial/full flow of the
 //! blocking `allreduce_f64`, gating and all — over that region, tagged per
 //! op and interleaved with every other in-flight op's. Ring direction
-//! alternates with op parity so consecutive ops use both links.
+//! alternates with op parity so consecutive ops use both links. With one
+//! member per node an `iallreduce` has nothing to reduce: as in the
+//! blocking one-rank node, the flow reads the member's input in place
+//! ([`Local::read_own`], [`Local::combine`]) and nothing is summed first.
 //!
 //! **iallgather** — members deposit their blocks into the node's superblock
 //! of the landing member's output; the network side is
@@ -79,22 +85,26 @@
 //! ## Members
 //!
 //! A rank's side of any operation is one record ([`Member`]): an optional
-//! *contribution* (sum a share of the inputs, deposit a block), one *chase*
-//! (copy a span of the landing region into the rank's buffer as a counter
-//! passes it), an optional *release* condition under which the windows the
-//! rank exposed may be withdrawn, and a final report on the op's done
-//! counter. A landing member — a broadcast root included — releases once
-//! the node's network flow on its buffer is finished and the other `g - 1`
-//! members have reported; a reduce member once every local contribution
-//! stream is complete, since co-members read its input. "Finished" is one
-//! more count the engine publishes on the result counter after the last
-//! result byte: a ring's result is complete before the engine stops reading
-//! it, because the last position sends fulls out of the region after
-//! landing them. Every member reports, and only after it has looked up the
-//! op's counter block: the engine retires the block when all members of the
-//! node have reported, and the bank's lookup is get-or-create — a member
-//! still to look it up after retirement (a root that posts late, say) would
-//! wait on a fresh zero forever.
+//! *contribution* (sum a share of the inputs, deposit a block; a node's
+//! only `iallreduce` member contributes nothing, the engine reads its
+//! input), one *chase* (copy a span of the landing region into the rank's
+//! buffer as a counter passes it), an optional *release* condition under
+//! which the windows the rank exposed may be withdrawn, and a final report
+//! on the op's done counter. A landing member — a broadcast root included
+//! — releases once the node's network flow on its buffer is finished and
+//! the other `g - 1` members have reported; a reduce member once every
+//! local contribution stream is complete, since co-members read its input.
+//! A node's only `iallreduce` member needs nothing more: the engine reads
+//! its input only until the flow is finished, which its landing release
+//! already waits for. "Finished" is one more count the engine publishes on
+//! the result counter after the last result byte: a ring's result is
+//! complete before the engine stops reading it, because the last position
+//! sends fulls out of the region after landing them. Every member reports,
+//! and only after it has looked up the op's counter block: the engine
+//! retires the block when all members of the node have reported, and the
+//! bank's lookup is get-or-create — a member still to look it up after
+//! retirement (a root that posts late, say) would wait on a fresh zero
+//! forever.
 //!
 //! ## Progress, parking, completion
 //!
@@ -131,6 +141,7 @@ use std::sync::Arc;
 
 use bgp_shmem::{spin, OpCounters, SharedRegion, WindowRegistry};
 use bgp_smp::cluster::sum_regions;
+use bgp_smp::kernels;
 use bgp_smp::transport::{ChunkChannel, Fabric, RingDir};
 use bgp_smp::wire::{
     plan_allgather, tag, Kind, Local, PlanCursor, Prefix, RingFlow, RingPlan, Stepper, TreeFeed,
@@ -519,6 +530,11 @@ impl NetBcast {
 /// against.
 struct Acc {
     land: Mapped,
+    /// A lone member's input, which the ring reads as this node's partial
+    /// in place of a local sum (`iallreduce` of a one-member group on a
+    /// ring of nodes): nothing is summed into the landing region before its
+    /// result arrives.
+    own: Option<Mapped>,
     /// The op's counter block. One contribution stream per member: bytes of
     /// its reduce share summed, or of its block deposited. The result
     /// counter: bytes of the region holding final values, as a prefix —
@@ -596,14 +612,22 @@ impl Acc {
     fn settled(&self) -> bool {
         self.ctr.res.read() as usize >= self.total
     }
+
+    /// Are the landing region and a lone member's input both mapped?
+    /// Nothing lands in or leaves the region before.
+    fn is_mapped(&self) -> bool {
+        self.land.is_mapped() && self.own.as_ref().is_none_or(Mapped::is_mapped)
+    }
 }
 
 impl Local for Acc {
     fn ready(&self, _: usize, off: usize, len: usize) -> bool {
         // Members contributed into the region, so it is exposed; until the
-        // engine has mapped it too, nothing is ready.
-        self.land.is_mapped()
+        // engine has mapped it too, nothing is ready. A lone member's input
+        // is final from its post on.
+        self.is_mapped()
             && match &self.layout {
+                Layout::Sum { .. } if self.own.is_some() => true,
                 Layout::Sum { chunk } => {
                     // The chunk's owner in the local reduce, and how far its
                     // stream must have come for the chunk's local sum to
@@ -634,6 +658,29 @@ impl Local for Acc {
         // SAFETY: as for `read`; members read the range only after `res`
         // covers it.
         unsafe { self.land.mapped().with_bytes_mut(self.at(off), len, f) }
+    }
+
+    fn read_own<R>(&self, _: usize, off: usize, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
+        match &self.own {
+            // SAFETY: the member's input is final from before its post and
+            // stays exposed until the engine's flow is finished (its
+            // release waits for that count on the result counter).
+            Some(own) => unsafe { own.mapped().with_bytes(off, len, f) },
+            None => self.read(0, off, len, f),
+        }
+    }
+
+    fn combine(&mut self, _: usize, off: usize, len: usize, bytes: &[u8]) {
+        let Some(own) = &self.own else {
+            return self.write(0, off, len, |acc| kernels::add_bytes_assign(acc, bytes));
+        };
+        // SAFETY: as for `write` and `read_own`.
+        unsafe {
+            self.land.mapped().with_bytes_mut(off, len, |dst| {
+                own.mapped()
+                    .with_bytes(off, len, |mine| kernels::add_bytes_into(dst, mine, bytes))
+            })
+        }
     }
 
     fn landed(&mut self, _: usize, off: usize, len: usize) {
@@ -749,12 +796,23 @@ impl NetOp {
         }
     }
 
-    /// Can this op's chunks land? Until its landing region is mapped they
-    /// are parked.
+    /// Map the landing region, and a lone member's input beside it, once
+    /// their owners have exposed them.
+    fn map(&mut self, registry: &WindowRegistry, seen: &mut HashSet<usize>) {
+        self.land().get(registry, seen);
+        if let Net::Ring(r) = &mut self.net {
+            if let Some(own) = r.acc.own.as_mut() {
+                own.get(registry, seen);
+            }
+        }
+    }
+
+    /// Can this op's chunks land? Until its landing region (and a lone
+    /// member's input) is mapped they are parked.
     fn can_land(&self) -> bool {
         match &self.net {
             Net::Bcast(b) => b.land.is_mapped(),
-            Net::Ring(r) => r.acc.land.is_mapped(),
+            Net::Ring(r) => r.acc.is_mapped(),
         }
     }
 
@@ -856,29 +914,15 @@ impl Engine {
         self.insert(op, net, g);
     }
 
-    /// Register a ring collective over the `total`-byte landing region
-    /// `land`; `step(pos)` builds its stepper for ring position `pos`
-    /// (`m > 1`).
-    fn register_ring(
-        &mut self,
-        op: u64,
-        ctr: Arc<OpCounters>,
-        total: usize,
-        layout: Layout,
-        land: Mapped,
-        step: impl FnOnce(usize) -> Step,
-    ) {
+    /// Register a ring collective over its landing region `acc`;
+    /// `step(pos)` builds its stepper for ring position `pos` (`m > 1`).
+    fn register_ring(&mut self, op: u64, acc: Acc, step: impl FnOnce(usize) -> Step) {
         let dir = ring_dir(op);
-        let g = ctr.parts().len();
+        let g = acc.ctr.parts().len();
         let net = Net::Ring(Box::new(NetRing {
             dir,
             step: (self.m > 1).then(|| step(self.fabric.ring_pos(self.node, dir))),
-            acc: Acc {
-                land,
-                ctr,
-                total,
-                layout,
-            },
+            acc,
         }));
         self.insert(op, net, g);
     }
@@ -903,7 +947,7 @@ impl Engine {
         // Map the landing regions whose members posted after the op
         // registered here.
         for netop in self.ops.values_mut() {
-            netop.land().get(registry, &mut self.seen);
+            netop.map(registry, &mut self.seen);
         }
 
         // Replay parked chunks of ops that can land now, oldest first. Ops
@@ -1261,6 +1305,12 @@ impl Sched {
             _ => 0..bytes,
         };
         let out_len = span.len();
+        // A node's only member contributes nothing: the engine's ring reads
+        // its input in place (see `Acc`), and its one landing-member release
+        // keeps the input exposed until the flow is finished. A lone
+        // reduce-scatter member keeps its contribution — it may sit off the
+        // engine rank with no landing release to hold its input.
+        let rings_input = !scatter && g == 1 && m > 1;
         let land = |op| {
             if scatter {
                 Mapped::new(0, reg_tag(op, ROLE_STAGE))
@@ -1280,7 +1330,7 @@ impl Sched {
             // — so an owner can finish and unexpose before this member ever
             // maps, and waiting would spin forever.
             let (lo, hi) = reduce_share(i, g, bytes, chunk);
-            let contribute = (lo < hi).then(|| Contribute {
+            let contribute = (lo < hi && !rings_input).then(|| Contribute {
                 owners: group.to_vec(),
                 inputs: Vec::with_capacity(g),
                 lo,
@@ -1291,7 +1341,7 @@ impl Sched {
             });
             // The input may only be released once no co-member can still
             // read it — i.e. every local stream ran to completion.
-            let inputs_read = Some((bytes, chunk));
+            let inputs_read = (!rings_input).then_some((bytes, chunk));
             if !scatter && i == 0 {
                 let mut lead = s.landing(op, ctr, g, ROLE_OUT, output, bytes);
                 lead.release.inputs_read = inputs_read;
@@ -1314,12 +1364,20 @@ impl Sched {
             }
         };
         let register = |engine: &mut Engine, op, ctr| {
-            let region = land(op);
+            let land = land(op);
             if scatter {
                 let stage = Arc::new(SharedRegion::new(bytes));
-                engine.shared.registry().expose(0, region.tag, stage);
+                engine.shared.registry().expose(0, land.tag, stage);
             }
-            engine.register_ring(op, ctr, bytes, Layout::Sum { chunk }, region, |pos| {
+            let own = rings_input.then(|| Mapped::new(group[0], reg_tag(op, ROLE_DATA)));
+            let acc = Acc {
+                land,
+                own,
+                ctr,
+                total: bytes,
+                layout: Layout::Sum { chunk },
+            };
+            engine.register_ring(op, acc, |pos| {
                 Step::Flow(RingFlow::new(0, pos, m, bytes, chunk))
             })
         };
@@ -1387,7 +1445,14 @@ impl Sched {
                     .collect(),
                 prefix: Prefix::new(total, sb),
             };
-            engine.register_ring(op, ctr, total, layout, land(op), |pos| {
+            let acc = Acc {
+                land: land(op),
+                own: None,
+                ctr,
+                total,
+                layout,
+            };
+            engine.register_ring(op, acc, |pos| {
                 Step::Plan(PlanCursor::new(plan_allgather(m, pos, sb, chunk)))
             })
         };

@@ -617,6 +617,83 @@ fn three_node_window_two_deep_pipeline() {
     }
 }
 
+/// `iallreduce`s over the one-member group `[member]` on an `m` x `n`
+/// cluster, 16 in flight on one long-lived `Sched` per rank, of ragged
+/// sizes over 256 B chunks. The engine's ring reads the lone member's input
+/// in place, so the member overwrites it right after each `wait` — a
+/// release before the node's flow is finished shows as a wrong sum or, if
+/// the input is withdrawn before the engine mapped it, as a wedge — and
+/// every node's result must still be exact.
+fn lone_member_rings_from_its_input(m: usize, n: usize, member: usize) {
+    const OPS: usize = 64;
+    const DEPTH: usize = 16;
+    const COUNTS: [usize; 5] = [1, 31, 32, 33, 300];
+    let got = within(60, move || {
+        let cluster = Cluster::with_geometry(m, n, 256, 2);
+        cluster.run(move |cctx| {
+            let (node, is_member) = (cctx.node(), cctx.rank() == member);
+            let mut sched = Sched::new(cctx);
+            let mut in_flight = std::collections::VecDeque::new();
+            let mut results = Vec::new();
+            for i in 0..OPS + DEPTH {
+                if i < OPS {
+                    let count = COUNTS[i % COUNTS.len()];
+                    let bufs = is_member.then(|| {
+                        let input = Arc::new(SharedRegion::new(count * 8));
+                        let vals: Vec<f64> =
+                            (0..count).map(|k| (node * 1000 + i + k) as f64).collect();
+                        write_f64s(&input, 0, &vals);
+                        (input, Arc::new(SharedRegion::new(count * 8)))
+                    });
+                    let (input, output) =
+                        (bufs.as_ref().map(|b| &b.0), bufs.as_ref().map(|b| &b.1));
+                    let req = sched.iallreduce(&[member], input, output, count).unwrap();
+                    in_flight.push_back((i, count, req, bufs));
+                }
+                if in_flight.len() == DEPTH || i >= OPS {
+                    let Some((i, count, req, bufs)) = in_flight.pop_front() else {
+                        break;
+                    };
+                    sched.wait(req);
+                    if let Some((input, output)) = bufs {
+                        write_f64s(&input, 0, &vec![1e300; count]);
+                        results.push((i, read_f64s(&output, 0, count)));
+                    }
+                }
+            }
+            results
+        })
+    });
+    for (node, ranks) in got.iter().enumerate() {
+        assert_eq!(ranks[member].len(), OPS, "node {node}: every op completed");
+        for (i, result) in &ranks[member] {
+            let expect: Vec<f64> = (0..COUNTS[i % COUNTS.len()])
+                .map(|k| (1000 * m * (m - 1) / 2 + m * (i + k)) as f64)
+                .collect();
+            assert_eq!(*result, expect, "{m}x{n}, node {node}, op {i}");
+        }
+    }
+}
+
+/// One-rank nodes: the node's only member is the engine rank, and middle
+/// ring positions (3 and 4 nodes) combine straight from its input.
+#[test]
+fn iallreduce_rings_one_rank_nodes_from_their_inputs() {
+    for m in [3, 4] {
+        lone_member_rings_from_its_input(m, 1, 0);
+    }
+}
+
+/// A lone member off the engine rank: only its landing-member release —
+/// the engine's "flow finished" count past the result bytes — keeps its
+/// input exposed and unchanged while the engine reads it.
+#[test]
+fn a_lone_member_off_the_engine_rank_keeps_its_input_until_the_flow_is_done() {
+    for m in [2, 3] {
+        lone_member_rings_from_its_input(m, 2, 1);
+    }
+}
+
 /// A broadcast from rank 1 of node 0 over `group` on an `m` x `n` cluster,
 /// the root posting only after its node's engine has registered the op and
 /// run over it — under a progress deadline, so a rank left waiting is a

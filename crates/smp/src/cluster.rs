@@ -23,7 +23,8 @@
 //! * [`ClusterCtx::allreduce_f64`] — the §V-C multi-color ring allreduce.
 //!   Every non-network rank owns a color: it locally reduces its partition
 //!   across the node's inputs straight into its own output, which is the
-//!   color's buffer, publishing chunk by chunk. Rank 0 — the network core —
+//!   color's buffer, publishing chunk by chunk (a one-rank node reduces
+//!   nothing: its ring reads the input in place). Rank 0 — the network core —
 //!   drives *all* colors through the ring concurrently in the owners'
 //!   outputs (partials accumulate hop by hop in one direction,
 //!   fully-reduced chunks circulate back; the engine is
@@ -50,6 +51,7 @@ use std::thread::JoinHandle;
 use bgp_shmem::SharedRegion;
 
 use crate::collectives::IN_PLACE;
+use crate::kernels;
 use crate::runtime::{NodeShared, RankCtx};
 use crate::transport::Fabric;
 use crate::wire::{self, tag};
@@ -369,9 +371,11 @@ pub(crate) fn chunks_of(len: usize, chunk: usize) -> impl Iterator<Item = (usize
 }
 
 /// Sum bytes `[lo, hi)` of every region in `inputs` (f64 lanes) into `dst`
-/// at `dst_off`, `chunk` bytes at a time — seeded with the first input, the
-/// rest lane-added over it in place, no scratch vector — calling
-/// `done(len)` after each piece so the caller can publish it.
+/// at `dst_off`, `chunk` bytes at a time — the first two inputs summed
+/// straight into `dst` in one pass (a lone input is copied), the rest
+/// lane-added over it in place, no scratch vector — calling `done(len)`
+/// after each piece so the caller can publish it. The sum runs in input
+/// order, so it is bit-identical to copy-then-add.
 ///
 /// # Safety
 /// The caller is the only writer of the destination range and nobody reads
@@ -387,12 +391,14 @@ pub unsafe fn sum_regions(
     mut done: impl FnMut(usize),
 ) {
     for (_, off, len) in chunks_of(hi - lo, chunk) {
+        let at = lo + off;
         dst.with_bytes_mut(dst_off + off, len, |dst| {
-            inputs[0].with_bytes(lo + off, len, |src| dst.copy_from_slice(src));
-            for inp in &inputs[1..] {
-                inp.with_bytes(lo + off, len, |src| {
-                    crate::kernels::add_bytes_assign(dst, src)
-                });
+            inputs[0].with_bytes(at, len, |a| match inputs.get(1) {
+                Some(b) => b.with_bytes(at, len, |b| kernels::add_bytes_into(dst, a, b)),
+                None => dst.copy_from_slice(a),
+            });
+            for inp in inputs.iter().skip(2) {
+                inp.with_bytes(at, len, |src| kernels::add_bytes_assign(dst, src));
             }
         });
         done(len);
@@ -404,9 +410,12 @@ pub unsafe fn sum_regions(
 /// concurrently. `ready(c, off, len)` says whether the node's own
 /// contribution to that range has been published; `landed(c, off, len)`
 /// hands a finished range to the copy-out ranks (both flow-relative).
+/// With `own`, the node's contribution is that region at the same offsets
+/// instead — a one-rank node's input, which nobody seeds the result with.
 struct RegionLocal<'a, R, F> {
     bufs: &'a [Arc<SharedRegion>],
     offs: &'a [usize],
+    own: Option<&'a SharedRegion>,
     ready: R,
     landed: F,
 }
@@ -433,6 +442,28 @@ impl<R: Fn(usize, usize, usize) -> bool, F: FnMut(usize, usize, usize)> wire::Lo
 
     fn landed(&mut self, c: usize, off: usize, len: usize) {
         (self.landed)(c, off, len)
+    }
+
+    fn read_own<T>(&self, c: usize, off: usize, len: usize, f: impl FnOnce(&[u8]) -> T) -> T {
+        match self.own {
+            // SAFETY: the input is final from before the collective and
+            // nobody writes it during it.
+            Some(own) => unsafe { own.with_bytes(self.offs[c] + off, len, f) },
+            None => self.read(c, off, len, f),
+        }
+    }
+
+    fn combine(&mut self, c: usize, off: usize, len: usize, bytes: &[u8]) {
+        let Some(own) = self.own else {
+            return self.write(c, off, len, |acc| kernels::add_bytes_assign(acc, bytes));
+        };
+        let at = self.offs[c] + off;
+        // SAFETY: as for `write` and `read_own`.
+        unsafe {
+            self.bufs[c].with_bytes_mut(at, len, |dst| {
+                own.with_bytes(at, len, |mine| kernels::add_bytes_into(dst, mine, bytes))
+            })
+        }
     }
 }
 
@@ -697,7 +728,9 @@ impl ClusterCtx {
     /// multi-color ring decomposition. Every rank of every node calls with
     /// its own `input`; every `output` receives the global sum, each byte
     /// written once: a color's span is reduced, ringed and landed in its
-    /// owner's `output`, and only the other ranks copy it out. `input` and
+    /// owner's `output`, and only the other ranks copy it out. A one-rank
+    /// node rings straight from its input: nothing is reduced or seeded,
+    /// and its output is written only with the result. `input` and
     /// `output` must be distinct regions. SPMD.
     pub fn allreduce_f64(
         &mut self,
@@ -752,9 +785,14 @@ impl ClusterCtx {
             .collect();
         let offs: Vec<usize> = (0..colors).map(|c| span(c).0 * 8).collect();
 
+        // A one-rank node in a ring has nothing to reduce: the ring reads
+        // its input where it is, and the output is written once, with the
+        // result.
+        let rings_input = n == 1 && m > 1;
+
         // Phase A — color owners: local reduce of the partition across the
         // node's inputs, pipelined chunk by chunk into their own output.
-        if let Some(c) = my_color {
+        if let Some(c) = my_color.filter(|_| !rings_input) {
             let (lo, hi) = span(c);
             self.reduce_span(in_tag, output, lo * 8, lo * 8, hi * 8);
         }
@@ -768,8 +806,9 @@ impl ClusterCtx {
             let mut local = RegionLocal {
                 bufs: &cbufs,
                 offs: &offs,
+                own: rings_input.then_some(&**input),
                 ready: |c, off, len| {
-                    ctx.aux_counter(owner(c)).read() - pbase[c] >= (off + len) as u64
+                    rings_input || ctx.aux_counter(owner(c)).read() - pbase[c] >= (off + len) as u64
                 },
                 landed: |c, _, len| {
                     ctx.aux_counter(n + c).publish(len as u64);
@@ -929,6 +968,53 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// The fused first pair changes no bit: with 1 to 4 inputs, sums that
+    /// round and ragged spans and offsets, `sum_regions` matches
+    /// copy-then-add exactly and reports every byte once.
+    #[test]
+    fn sum_regions_matches_copy_then_add_bit_for_bit() {
+        const CHUNK: usize = 64;
+        for k in 1..=4usize {
+            for (lo, len) in [
+                (0, 0),
+                (8, 8),
+                (0, CHUNK),
+                (24, 3 * CHUNK + 40),
+                (8, 37 * 8),
+            ] {
+                let size = lo + len + 16;
+                let inputs: Vec<Arc<SharedRegion>> = (0..k)
+                    .map(|j| {
+                        let r = Arc::new(SharedRegion::new(size));
+                        let vals: Vec<f64> = (0..size / 8)
+                            .map(|i| (i as f64 + 0.1) / (j as f64 + 3.0))
+                            .collect();
+                        write_f64s(&r, 0, &vals);
+                        r
+                    })
+                    .collect();
+                let mut expect = vec![0u8; len];
+                // SAFETY: the regions are this test's alone.
+                unsafe { inputs[0].read(lo, &mut expect) };
+                for inp in &inputs[1..] {
+                    let add = unsafe { inp.snapshot() };
+                    kernels::add_bytes_assign(&mut expect, &add[lo..lo + len]);
+                }
+                let (dst, dst_off) = (SharedRegion::new(len + 16), 16);
+                let mut reported = 0;
+                // SAFETY: as above.
+                unsafe {
+                    sum_regions(&dst, dst_off, &inputs, lo, lo + len, CHUNK, |n| {
+                        reported += n
+                    })
+                };
+                let got = unsafe { dst.snapshot() };
+                assert_eq!(got[dst_off..], expect[..], "{k} inputs, [{lo}, +{len})");
+                assert_eq!(reported, len, "{k} inputs, [{lo}, +{len})");
             }
         }
     }

@@ -188,6 +188,7 @@ impl ClusterCtx {
             let mut local = RegionLocal {
                 bufs: from_ref(acc),
                 offs: &[0],
+                own: None,
                 ready,
                 landed: |_, off, len| publish_result(ctx, prefix.land(off / seg, len)),
             };
@@ -240,6 +241,7 @@ impl ClusterCtx {
                 let mut local = RegionLocal {
                     bufs: from_ref(&op.acc),
                     offs: &[0],
+                    own: None,
                     ready: |_, off, len| {
                         let (r, need) = reducer(off, len);
                         !fused || ctx.aux_counter(r).read() - op.pbase[r] >= need
@@ -300,6 +302,7 @@ impl ClusterCtx {
                     let mut local = RegionLocal {
                         bufs: from_ref(&op.acc),
                         offs: &[0],
+                        own: None,
                         ready: |_, _, _| true,
                         landed: |_, _, len| publish_result(ctx, len),
                     };

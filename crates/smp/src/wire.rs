@@ -55,6 +55,13 @@ use crate::transport::{ChunkChannel, Fabric, RingDir, SlotStore};
 /// and are the only writer of a range between its `ready` and its
 /// [`landed`](Self::landed) — implementors over shared memory rest their
 /// safety argument on exactly that.
+///
+/// [`RingFlow`] reaches this node's own partial through two more hooks,
+/// [`read_own`](Self::read_own) and [`combine`](Self::combine). By default
+/// the own partial *is* the result range, seeded by whoever made it ready;
+/// a node whose contribution already lives elsewhere (a one-rank node's
+/// input) overrides both, so the ring reads it where it is and every byte
+/// of the result is written once, with its final value.
 pub trait Local {
     /// Has this node's own contribution to the range been produced?
     fn ready(&self, _flow: usize, _off: usize, _len: usize) -> bool {
@@ -72,6 +79,18 @@ pub trait Local {
     ) -> R;
     /// The range now holds its final value.
     fn landed(&mut self, _flow: usize, _off: usize, _len: usize) {}
+    /// Read this node's own partial over the range, once
+    /// [`ready`](Self::ready) covered it. By default the partial is the
+    /// result range: [`read`](Self::read).
+    fn read_own<R>(&self, flow: usize, off: usize, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
+        self.read(flow, off, len, f)
+    }
+    /// The range becomes this node's own partial plus `bytes` (f64 lanes)
+    /// — the last ring hop. By default the partial is the result range, so
+    /// this is a [`write`](Self::write) that adds `bytes` in place.
+    fn combine(&mut self, flow: usize, off: usize, len: usize, bytes: &[u8]) {
+        self.write(flow, off, len, |acc| kernels::add_bytes_assign(acc, bytes))
+    }
 }
 
 /// A buffer the caller owns outright: always ready, nobody to notify.
@@ -329,8 +348,9 @@ pub trait Stepper {
 
 /// One colour of the partial/full ring allreduce on one node (`m ≥ 2`),
 /// over flow `flow` of the [`Local`]. Partials travel ring position
-/// 0 → m-1, accumulating this node's partial at each hop; the last position
-/// writes the full result and circulates it back 0 → m-2.
+/// 0 → m-1, accumulating this node's partial ([`Local::read_own`]) at each
+/// hop; the last position [`combines`](Local::combine) the full result and
+/// circulates it back 0 → m-2, where it is written once per node.
 ///
 /// Every consume is gated on local readiness *and* downstream space — a
 /// forward happens in the same step as the consume that feeds it, out of
@@ -418,8 +438,15 @@ impl Stepper for RingFlow {
             if !avail || !out.can_send() {
                 break;
             }
+            // Position 0 injects its own partial, the last position the
+            // result it landed.
             let ok = out.try_send_with(pack(c, kind, k), len, |dst| {
-                local.read(c, off, len, |src| dst.copy_from_slice(src))
+                let src = |src: &[u8]| dst.copy_from_slice(src);
+                if first {
+                    local.read_own(c, off, len, src)
+                } else {
+                    local.read(c, off, len, src)
+                }
             });
             debug_assert!(ok, "can_send held and we are the sole producer");
             self.sent += 1;
@@ -464,16 +491,16 @@ impl Stepper for RingFlow {
                 debug_assert!(self.pos > 0, "position 0 receives no partials");
                 debug_assert_eq!(k, self.combined, "partials must arrive in order");
                 if last {
-                    // Last hop: accumulate the incoming chunk into the
-                    // local partial in place — it *is* the result.
-                    local.write(c, off, len, |acc| kernels::add_bytes_assign(acc, bytes));
+                    // Last hop: local partial + incoming chunk is the
+                    // result.
+                    local.combine(c, off, len, bytes);
                     local.landed(c, off, len);
                 } else {
                     // Fused combine: local partial + incoming chunk summed
                     // by the lane kernel straight into the reserved
                     // outgoing slot. Zero staging copies.
                     let mut snd = out.reserve(len);
-                    local.read(c, off, len, |mine| {
+                    local.read_own(c, off, len, |mine| {
                         snd.with_bytes_mut(|dst| kernels::add_bytes_into(dst, mine, bytes))
                     });
                     snd.publish(pack(c, Kind::Partial, k));
@@ -1002,6 +1029,163 @@ mod tests {
                             }
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// Per-flow operands with the default hooks: the own partial is the
+    /// result range, seeded with a copy of the contribution.
+    struct Seeded(Vec<Vec<u8>>);
+
+    impl Local for Seeded {
+        fn read<R>(&self, c: usize, off: usize, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
+            f(&self.0[c][off..off + len])
+        }
+        fn write<R>(
+            &mut self,
+            c: usize,
+            off: usize,
+            len: usize,
+            f: impl FnOnce(&mut [u8]) -> R,
+        ) -> R {
+            f(&mut self.0[c][off..off + len])
+        }
+    }
+
+    /// Per-flow operands whose own partial lives apart from the result,
+    /// recording every write to the result: each must be the byte's only
+    /// one and carry its final value (`expect`), and the result is read
+    /// only where it was written.
+    struct Recording {
+        own: Vec<Vec<u8>>,
+        out: Vec<Vec<u8>>,
+        writes: Vec<Vec<u8>>,
+        expect: Vec<Vec<u8>>,
+    }
+
+    impl Recording {
+        fn wrote(&mut self, c: usize, off: usize, len: usize) {
+            let range = off..off + len;
+            for w in &mut self.writes[c][range.clone()] {
+                *w += 1;
+                assert_eq!(*w, 1, "flow {c}: a result byte in {range:?} written twice");
+            }
+            assert!(
+                self.out[c][range.clone()] == self.expect[c][range.clone()],
+                "flow {c}: {range:?} written before its final value"
+            );
+        }
+    }
+
+    impl Local for Recording {
+        fn read<R>(&self, c: usize, off: usize, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
+            let written = self.writes[c][off..off + len].iter().all(|&w| w == 1);
+            assert!(
+                written,
+                "flow {c}: result read at {off} before it was written"
+            );
+            f(&self.out[c][off..off + len])
+        }
+        fn write<R>(
+            &mut self,
+            c: usize,
+            off: usize,
+            len: usize,
+            f: impl FnOnce(&mut [u8]) -> R,
+        ) -> R {
+            let r = f(&mut self.out[c][off..off + len]);
+            self.wrote(c, off, len);
+            r
+        }
+        fn read_own<R>(&self, c: usize, off: usize, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
+            f(&self.own[c][off..off + len])
+        }
+        fn combine(&mut self, c: usize, off: usize, len: usize, bytes: &[u8]) {
+            let (own, out) = (
+                &self.own[c][off..off + len],
+                &mut self.out[c][off..off + len],
+            );
+            kernels::add_bytes_into(out, own, bytes);
+            self.wrote(c, off, len);
+        }
+    }
+
+    /// Run [`flat_ring`] over fresh heap links, one thread per node, each
+    /// node on its own `Local`; returns them in node order. A node that
+    /// panics leaves its peers waiting on the ring, so the result is
+    /// awaited under a deadline rather than joined.
+    fn ring_on_threads<L: Local + Send + 'static>(spans: &[usize], locals: Vec<L>) -> Vec<L> {
+        let fabric = std::sync::Arc::new(Fabric::new(locals.len(), CHUNK, 2));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let m = locals.len();
+        for (v, mut local) in locals.into_iter().enumerate() {
+            let (fabric, spans, tx) = (fabric.clone(), spans.to_vec(), tx.clone());
+            std::thread::spawn(move || {
+                flat_ring(&fabric, v, spans, &mut local);
+                tx.send((v, local)).unwrap();
+            });
+        }
+        drop(tx);
+        let mut done: Vec<_> = (0..m)
+            .map(|_| rx.recv_timeout(std::time::Duration::from_secs(20)))
+            .map(|r| r.expect("a node panicked or the ring wedged"))
+            .collect();
+        done.sort_by_key(|&(v, _)| v);
+        done.into_iter().map(|(_, local)| local).collect()
+    }
+
+    /// A node whose own partial lives apart from its result range (a
+    /// one-rank node's input) rings straight from it: every result byte is
+    /// written exactly once, with its final value — after its partial was
+    /// combined or its full arrived, never seeded — and the result is
+    /// bit-identical to the default seeded path's. Both ring directions,
+    /// ragged and empty flows, sums that round.
+    #[test]
+    fn ring_from_a_separate_own_partial_writes_each_result_byte_once() {
+        let flows = [
+            vec![CHUNK],
+            vec![8, 3 * CHUNK + 40],
+            vec![5 * CHUNK + 24, 0, CHUNK - 8, 2 * CHUNK],
+        ];
+        for m in 2..=4 {
+            for spans in &flows {
+                let own: Vec<Vec<Vec<u8>>> = (0..m)
+                    .map(|v| {
+                        let vals = |c: usize, len: usize| {
+                            (0..len / 8).flat_map(move |i| {
+                                let x = (i as f64 + 0.1) / (v as f64 + 3.0) + c as f64;
+                                x.to_ne_bytes()
+                            })
+                        };
+                        (spans.iter().enumerate())
+                            .map(|(c, &len)| vals(c, len).collect())
+                            .collect()
+                    })
+                    .collect();
+                let seeded = ring_on_threads(spans, own.iter().cloned().map(Seeded).collect());
+                let expect = seeded[0].0.clone();
+                let recording = own
+                    .into_iter()
+                    .map(|own| Recording {
+                        out: spans.iter().map(|&len| vec![0xA5; len]).collect(),
+                        writes: spans.iter().map(|&len| vec![0; len]).collect(),
+                        expect: expect.clone(),
+                        own,
+                    })
+                    .collect();
+                for (v, (node, seeded)) in ring_on_threads(spans, recording)
+                    .iter()
+                    .zip(&seeded)
+                    .enumerate()
+                {
+                    let at = format!("m={m} spans={spans:?} node {v}");
+                    assert_eq!(seeded.0, expect, "{at}: nodes disagree on the seeded path");
+                    assert_eq!(node.out, expect, "{at}: not the seeded path's result");
+                    assert!(
+                        node.writes.iter().flatten().all(|&w| w == 1),
+                        "{at}: a byte unwritten"
+                    );
                 }
             }
         }

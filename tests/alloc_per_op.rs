@@ -260,11 +260,12 @@ fn small_ibcast_allocates_nothing_across_two_rank_nodes() {
     assert_sched_calls_within("Sched::ibcast", 2, 2, 256, ibcast, 0);
 }
 
-/// A steady-state allreduce allocates no counter: what is left is the
-/// ring's own bookkeeping and each member's input list.
+/// A steady-state allreduce allocates no counter, and a node's only member
+/// no contribution (the ring reads its input in place): what is left is the
+/// ring state each node's engine boxes, 2 calls per op cluster-wide.
 #[test]
 fn small_iallreduce_allocates_no_counter_across_one_rank_nodes() {
-    assert_sched_calls_within("Sched::iallreduce", 2, 1, 32 * 8, iallreduce, 8);
+    assert_sched_calls_within("Sched::iallreduce", 2, 1, 32 * 8, iallreduce, 2);
 }
 
 /// A 512 KiB broadcast on a 2 x 1 service, rooted at node 0, counted from

@@ -62,7 +62,16 @@ fn bcast_matches_reference_across_sizes_2x4() {
 
 #[test]
 fn bcast_covers_many_shapes_and_roots() {
-    for (m, n) in [(1usize, 1usize), (1, 4), (2, 1), (2, 2), (3, 4), (4, 2)] {
+    for (m, n) in [
+        (1usize, 1usize),
+        (1, 4),
+        (2, 1),
+        (3, 1),
+        (4, 1),
+        (2, 2),
+        (3, 4),
+        (4, 2),
+    ] {
         let cluster = Cluster::with_geometry(m, n, 4096, 4);
         for root_node in [0, m - 1] {
             for len in [0usize, 1, 4095, 4097, 40_000] {
@@ -118,7 +127,16 @@ fn allreduce_matches_single_node_reference_2x4() {
 
 #[test]
 fn allreduce_covers_many_shapes() {
-    for (m, n) in [(1usize, 1usize), (1, 4), (2, 1), (2, 2), (3, 4), (4, 2)] {
+    for (m, n) in [
+        (1usize, 1usize),
+        (1, 4),
+        (2, 1),
+        (3, 1),
+        (4, 1),
+        (2, 2),
+        (3, 4),
+        (4, 2),
+    ] {
         let cluster = Cluster::with_geometry(m, n, 1024, 2);
         let world = m * n;
         for count in [0usize, 1, 127, 128, 129, 5000] {

@@ -190,9 +190,11 @@ fn weight_one_tenant_completes_under_weight_eight_flood() {
             sent
         })
     };
-    // The train starts once the flood has: 24 depth-1 ops can finish before
-    // a freshly spawned flooder first runs.
-    while svc.tenant_stats("flooder").map_or(0, |s| s.submitted) == 0 && !flooder.is_finished() {
+    // The train starts once the flooder has submitted more ops than the
+    // victim will: the flood the last assertion checks then exists by
+    // construction, however the threads are scheduled.
+    let flood_submitted = || svc.tenant_stats("flooder").map_or(0, |s| s.submitted);
+    while flood_submitted() <= VICTIM_OPS as u64 && !flooder.is_finished() {
         std::thread::yield_now();
     }
     let session = svc.open_session("victim", 1).unwrap();
