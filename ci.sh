@@ -58,6 +58,16 @@ for f in crates/smp/src/{collectives,cluster}.rs; do
   fi
 done
 
+# The service adopts each allreduce member's input vector as its input
+# region: filling a fresh region from the input (a copy per member) in the
+# non-test part of server.rs fails here.
+echo "== guard: no write_f64s( on the service's allreduce path in crates/sched/src/server.rs"
+if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
+  crates/sched/src/server.rs | grep -F 'write_f64s('; then
+  echo "server.rs copies an input into a region (adopt it: SharedRegion::from_f64s)" >&2
+  exit 1
+fi
+
 # The nonblocking engine reaches its counters only through each op's one
 # counter block (bgp_shmem::OpCounters), looked up once per post and
 # recycled by the bank: a per-stream MessageCounter growing back in the

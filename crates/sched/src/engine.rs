@@ -937,7 +937,7 @@ impl Engine {
     }
 
     /// One engine pass: map landing regions, replay parked chunks, drain
-    /// in-ports, push outbound progress, and retire finished ops.
+    /// in-ports and push outbound progress.
     fn advance(&mut self) {
         let fabric = self.fabric.clone();
         let shared = self.shared.clone();
@@ -1012,12 +1012,17 @@ impl Engine {
         for (&op, netop) in self.ops.iter_mut() {
             netop.pump(op, &fabric, node, m);
         }
+    }
 
-        // Retire ops whose network duties and local member copies are done:
-        // withdraw an engine-owned region and hand the op's counter block
-        // back to the bank. A member still holding the block keeps it
-        // alive, and the bank reuses it only once nobody does.
-        let bank = shared.sched_bank();
+    /// Retire ops whose network duties and local member copies are done:
+    /// withdraw an engine-owned region, drop every region the op mapped
+    /// and hand the op's counter block back to the bank. A member still
+    /// holding the block keeps it alive, and the bank reuses it only once
+    /// nobody does. Run after this rank's members stepped, so an op whose
+    /// last member report was this rank's goes in the same poll.
+    fn retire(&mut self) {
+        let registry = self.shared.registry();
+        let bank = self.shared.sched_bank();
         self.ops.retain(|&op, o| {
             if !(o.finished && o.ctr().done.read() >= o.expected_done) {
                 return true;
@@ -1467,7 +1472,8 @@ impl Sched {
     }
 
     /// Advance everything a little: the node's progress engine (rank 0)
-    /// and this rank's side of every in-flight operation. Never blocks.
+    /// and this rank's side of every in-flight operation, then, on rank 0,
+    /// retire the ops that are done. Never blocks.
     pub fn poll(&mut self) {
         if let Some(engine) = self.engine.as_mut() {
             engine.advance();
@@ -1495,6 +1501,9 @@ impl Sched {
             // ring would strand the peer.
             engine.as_ref().is_some_and(|e| !e.net_finished(op))
         });
+        if let Some(engine) = engine.as_mut() {
+            engine.retire();
+        }
     }
 
     /// Is the request locally complete (buffers reusable, nothing owed to
@@ -1600,6 +1609,70 @@ mod tests {
             )
         });
         assert!(left.iter().flatten().all(|&l| l == (0, 0, 0)), "{left:?}");
+    }
+
+    /// The engine lets go of an `iallreduce` member's output within the
+    /// polls that complete the op, so the output's vector can be moved out
+    /// (what the service does with every result). A member whose output
+    /// the result is chased into holds the only reference once its request
+    /// completes. On the engine rank the landing member's last report
+    /// retires the op in the same poll. A landing member off the engine
+    /// rank gets its output back once the engine rank polls again, which a
+    /// rank does before it idles (here: `drain`); waiting for it is bounded.
+    #[test]
+    fn an_allreduce_output_is_let_go_by_the_polls_that_complete_the_op() {
+        const COUNT: usize = 5000;
+        let shapes: [(usize, usize, &[usize]); 6] = [
+            (2, 1, &[0]),
+            (2, 2, &[0, 1]),
+            (3, 1, &[0]),
+            (1, 2, &[0, 1]),
+            (2, 2, &[1]),
+            (3, 2, &[1]),
+        ];
+        for (m, n, group) in shapes {
+            let cluster = Cluster::new(m, n);
+            cluster.run(move |cctx| {
+                let mut sched = Sched::new(cctx);
+                let member = group.binary_search(&cctx.rank()).ok();
+                for round in 0..8 {
+                    let own = |gi: usize| (0..COUNT).map(|k| (k + gi + round) as f64).collect();
+                    let bufs = member.map(|i| {
+                        let gi = cctx.node() * group.len() + i;
+                        let input = Arc::new(SharedRegion::from_f64s(own(gi)));
+                        (input, Arc::new(SharedRegion::from_f64s(vec![0.0; COUNT])))
+                    });
+                    let (input, output) =
+                        (bufs.as_ref().map(|b| &b.0), bufs.as_ref().map(|b| &b.1));
+                    let req = sched.iallreduce(group, input, output, COUNT).unwrap();
+                    sched.wait(req);
+                    let engine_ops = sched.engine.as_ref().map(|e| e.ops.contains_key(&req.op));
+                    match member {
+                        Some(0) if engine_ops.is_some() => {
+                            assert_eq!(engine_ops, Some(false), "{m}x{n} {group:?}: not retired")
+                        }
+                        Some(0) => {}
+                        Some(_) => assert_eq!(Arc::strong_count(output.unwrap()), 1),
+                        None => sched.drain(),
+                    }
+                    let Some((input, output)) = bufs else {
+                        continue;
+                    };
+                    drop(input);
+                    let start = std::time::Instant::now();
+                    while Arc::strong_count(&output) > 1 {
+                        assert!(start.elapsed().as_secs() < 30, "{m}x{n} {group:?}: held");
+                        sched.poll();
+                        spin();
+                    }
+                    let got = Arc::into_inner(output).unwrap().into_f64s().ok().unwrap();
+                    let members = m * group.len();
+                    let want =
+                        (0..COUNT).map(|k| (0..members).map(|gi| (k + gi + round) as f64).sum());
+                    assert!(got.into_iter().eq(want), "{m}x{n} {group:?} round {round}");
+                }
+            });
+        }
     }
 
     /// The one op-size limit at its boundary: a stream of one chunk less

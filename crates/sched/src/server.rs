@@ -62,8 +62,14 @@
 //! and parks; the last finisher takes the park lock only if that word is
 //! set. Both handshakes are protocols the bgp-check model tests verify
 //! (and mutate, via the `sched_done_relaxed` and `wake_skipped` hooks).
-//! Each member's result is copied once, from the op's completed region
-//! into its slot, and `wait` moves the slots out.
+//!
+//! An allreduce moves its payloads instead of copying them: each member's
+//! input vector is adopted, as it was submitted, as that member's input
+//! region, and each member's output region is born from a zeroed
+//! `Vec<f64>` that moves, once the engine has let go of it, into the
+//! member's slot and out of `wait`. A broadcast's result is copied once per
+//! member, from the op's completed region into its slot (a coalesced
+//! child's span of the fused payload), and `wait` moves the slots out.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicBool};
@@ -75,7 +81,6 @@ use bgp_shmem::sync::atomic::{AtomicU64, Ordering};
 use bgp_shmem::sync::cell::UnsafeCell;
 use bgp_shmem::{model_support, spin, SharedRegion};
 use bgp_smp::cluster::DEFAULT_CHUNK_BYTES;
-use bgp_smp::collectives::write_f64s;
 use bgp_smp::{Cluster, ClusterCtx, PendingJob};
 
 use crate::engine::{check_size, validate_group_shape};
@@ -83,7 +88,8 @@ use crate::{Request, Sched, SchedError};
 
 /// Shared completion state of one submitted operation: one result slot per
 /// group member (global member order, `node * group_len + index_in_group`),
-/// a countdown of unfilled slots, and a done flag.
+/// a countdown of unfilled slots, and a done flag. A slot holds bytes (a
+/// broadcast's, or a hand-filled board's) or an allreduce's `f64`s.
 ///
 /// The publication protocol: each member fills its slot, then decrements
 /// `pending` (AcqRel); whoever hits zero stores the done flag with Release.
@@ -106,7 +112,7 @@ use crate::{Request, Sched, SchedError};
 pub struct OpState {
     status: AtomicU64,
     pending: AtomicU64,
-    slots: Box<[UnsafeCell<Option<Vec<u8>>>]>,
+    slots: Box<[UnsafeCell<Option<Payload>>]>,
     /// The owning tenant's cell, on server-submitted ops (`None` for
     /// hand-built boards). The last slot filler credits `completed`
     /// *before* the Release store of the done flag, so a waiter that
@@ -144,7 +150,7 @@ impl OpState {
     }
 
     /// A board with `pending` slots still to fill (done when it is 0).
-    fn with_slots(pending: usize, slots: impl Iterator<Item = Option<Vec<u8>>>) -> Self {
+    fn with_slots(pending: usize, slots: impl Iterator<Item = Option<Payload>>) -> Self {
         OpState {
             status: AtomicU64::new(u64::from(pending == 0)),
             pending: AtomicU64::new(pending as u64),
@@ -171,19 +177,25 @@ impl OpState {
     /// A board born complete with the given slot contents (zero-length
     /// operations finish at submission).
     fn completed(slots: Vec<Vec<u8>>) -> Self {
-        Self::with_slots(0, slots.into_iter().map(Some))
+        Self::with_slots(0, slots.into_iter().map(|b| Some(Payload::Bytes(b))))
     }
 
-    /// Fill slot `i` (exactly once) and count down; the last filler
-    /// publishes the done flag and wakes a parked waiter, if any.
+    /// Fill slot `i` with `bytes` (exactly once) and count down; the last
+    /// filler publishes the done flag and wakes a parked waiter, if any.
     pub fn complete_slot(&self, i: usize, bytes: Vec<u8>) {
+        self.fill(i, Payload::Bytes(bytes));
+    }
+
+    /// [`Self::complete_slot`] with any result: bytes, or an allreduce's
+    /// `f64`s, moved in whole.
+    fn fill(&self, i: usize, result: Payload) {
         // SAFETY: each slot has exactly one completer (the owning member),
         // and readers only touch slots after `is_done()` — ordered by the
         // release/acquire chain below.
         unsafe {
             self.slots[i].with_mut(|p| {
                 debug_assert!((*p).is_none(), "slot {i} completed twice");
-                *p = Some(bytes);
+                *p = Some(result);
             });
         }
         if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -245,13 +257,28 @@ impl OpState {
         }
     }
 
-    /// Move slot `i`'s bytes out. Panics unless [`Self::is_done`].
+    /// Move slot `i`'s bytes out. Panics unless [`Self::is_done`], and if
+    /// the slot holds an allreduce's `f64`s.
     ///
     /// # Safety
     ///
     /// Nothing else reads or takes slot `i`, now or later: a ticket takes
     /// each slot once, as its `wait` consumes it.
     pub unsafe fn take(&self, i: usize) -> Vec<u8> {
+        // SAFETY: forwarded to the caller.
+        match unsafe { self.take_payload(i) } {
+            Payload::Bytes(bytes) => bytes,
+            Payload::F64s(_) => panic!("slot {i} holds an allreduce result"),
+        }
+    }
+
+    /// Move slot `i`'s result out, bytes or `f64`s. Panics unless
+    /// [`Self::is_done`].
+    ///
+    /// # Safety
+    ///
+    /// As for [`Self::take`].
+    unsafe fn take_payload(&self, i: usize) -> Payload {
         assert!(self.is_done(), "take() before the operation completed");
         // SAFETY: done was acquire-loaded, ordering us after every slot
         // write; no writer exists after the done publication, and the
@@ -264,13 +291,17 @@ impl OpState {
     /// # Safety
     ///
     /// As for [`Self::take`], for every slot.
-    unsafe fn take_all(&self) -> Vec<Vec<u8>> {
+    unsafe fn take_all(&self) -> impl Iterator<Item = Payload> + '_ {
         self.wait();
         // SAFETY: forwarded to the caller.
-        (0..self.slots.len())
-            .map(|i| unsafe { self.take(i) })
-            .collect()
+        (0..self.slots.len()).map(|i| unsafe { self.take_payload(i) })
     }
+}
+
+/// One member's result in an [`OpState`] slot.
+enum Payload {
+    Bytes(Vec<u8>),
+    F64s(Vec<f64>),
 }
 
 /// Completion handle of a submitted broadcast.
@@ -298,6 +329,11 @@ impl BcastTicket {
     pub fn wait(self) -> Vec<Vec<u8>> {
         // SAFETY: this ticket is the slots' one reader, consumed here.
         unsafe { self.state.take_all() }
+            .map(|result| match result {
+                Payload::Bytes(bytes) => bytes,
+                Payload::F64s(_) => unreachable!("a broadcast fills its slots with bytes"),
+            })
+            .collect()
     }
 }
 
@@ -323,6 +359,7 @@ impl AllreduceTicket {
     /// Block until done (as [`BcastTicket::wait`]); returns every member's
     /// result vector in global member order. All vectors are equal (the
     /// reduced sums) — returned per member so tests can assert exactly that.
+    /// Each is the member's output region itself, moved out, not a copy.
     ///
     /// Panics (with the [`SchedError::MalformedPayload`] message) if a slot
     /// was completed with a byte length that is not a multiple of 8; use
@@ -334,23 +371,24 @@ impl AllreduceTicket {
     /// Like [`Self::wait`] but surfacing a malformed slot length as
     /// [`SchedError::MalformedPayload`] instead of panicking.
     ///
-    /// Every internal completion path posts `count * 8`-byte payloads, so
-    /// this only trips when an [`OpState`] was completed by hand with a
-    /// byte length that is not a whole number of f64 lanes. The pre-fix
-    /// decode used `chunks_exact(8)`, which silently *dropped* such a tail
-    /// — a truncated result, not even a panic.
+    /// The service fills every slot with the member's `f64`s, which are
+    /// returned as they are. Only a byte slot is decoded: one of a
+    /// zero-length op, or of an [`OpState`] completed by hand — and only a
+    /// hand-filled one can have a byte length that is not a whole number of
+    /// f64 lanes. The pre-fix decode used `chunks_exact(8)`, which silently
+    /// *dropped* such a tail — a truncated result, not even a panic.
     pub fn try_wait(self) -> Result<Vec<Vec<f64>>, SchedError> {
         // SAFETY: this ticket is the slots' one reader, consumed here.
         unsafe { self.state.take_all() }
-            .into_iter()
-            .map(|bytes| {
-                if !bytes.len().is_multiple_of(8) {
-                    return Err(SchedError::MalformedPayload { len: bytes.len() });
+            .map(|result| match result {
+                Payload::F64s(values) => Ok(values),
+                Payload::Bytes(bytes) if !bytes.len().is_multiple_of(8) => {
+                    Err(SchedError::MalformedPayload { len: bytes.len() })
                 }
-                Ok(bytes
+                Payload::Bytes(bytes) => Ok(bytes
                     .chunks_exact(8)
                     .map(|b| f64::from_ne_bytes(b.try_into().unwrap()))
-                    .collect())
+                    .collect()),
             })
             .collect()
     }
@@ -530,7 +568,8 @@ const COALESCE_MAX_OPS: usize = 8;
 
 /// One engine op of a plan. A broadcast's payload is adopted, uncopied, as
 /// the root's buffer; a coalesced one carries the fused payload plus each
-/// child's `(state, offset, length)` slice.
+/// child's `(state, offset, length)` slice. An allreduce carries each
+/// member's input, for that member's rank to take.
 enum PlanOp {
     Bcast {
         group: Arc<Vec<usize>>,
@@ -541,10 +580,45 @@ enum PlanOp {
     },
     Ar {
         group: Arc<Vec<usize>>,
-        inputs: Vec<Vec<f64>>,
+        inputs: Box<[TakeOnce<Vec<f64>>]>,
         count: usize,
         state: Arc<OpState>,
     },
+}
+
+/// A value one thread of many takes out of a shared plan, without a lock:
+/// the first [`Self::take`] gets it, every later one `None`.
+struct TakeOnce<T> {
+    taken: AtomicBool,
+    value: std::cell::UnsafeCell<Option<T>>,
+}
+
+// SAFETY: `taken` is an atomic. `value` is moved out by at most one thread
+// (the one whose swap of `taken` read `false`), was moved in before the
+// cell was shared, and is dropped by whichever thread drops the cell last,
+// hence `T: Send`.
+unsafe impl<T: Send> Sync for TakeOnce<T> {}
+
+impl<T> TakeOnce<T> {
+    fn new(value: T) -> Self {
+        TakeOnce {
+            taken: AtomicBool::new(false),
+            value: std::cell::UnsafeCell::new(Some(value)),
+        }
+    }
+
+    fn take(&self) -> Option<T> {
+        // Relaxed: the flag only elects the taker and publishes nothing.
+        // The value is ordered before every taker by the channel send of
+        // the plan, and the cell's drop after every taker by the plan's
+        // `Arc`.
+        if self.taken.swap(true, Ordering::Relaxed) {
+            return None;
+        }
+        // SAFETY: the swap above let exactly one caller through, and no
+        // other access touches the value while the cell is shared.
+        unsafe { (*self.value.get()).take() }
+    }
 }
 
 /// One tenant's slot in the queue table: its bounded command queue, DRR
@@ -798,9 +872,9 @@ impl CollectiveServer {
 
     /// Submit a sum-allreduce over `group` on every node, as
     /// [`DEFAULT_TENANT`]. `inputs` holds one vector per member in global
-    /// member order (`node * group_len + index`), all the same length.
-    /// Blocks at the admission bound; zero-length reductions complete
-    /// immediately.
+    /// member order (`node * group_len + index`), all the same length; each
+    /// becomes its member's input region as it is, uncopied. Blocks at the
+    /// admission bound; zero-length reductions complete immediately.
     pub fn submit_allreduce(
         &self,
         group: &[usize],
@@ -1033,7 +1107,7 @@ fn build_plan(batch: Vec<Cmd>) -> Vec<PlanOp> {
                 plan.extend(open.take().map(FusedBcast::into_op));
                 plan.push(PlanOp::Ar {
                     group,
-                    inputs,
+                    inputs: inputs.into_iter().map(TakeOnce::new).collect(),
                     count,
                     state,
                 });
@@ -1050,28 +1124,44 @@ struct Posted {
     plan: Arc<Vec<PlanOp>>,
     op: usize,
     /// This rank's global member slot and the region its result lands in
-    /// (`None` for non-members).
+    /// (`None` for non-members, and once published).
     member: Option<(usize, Arc<SharedRegion>)>,
 }
 
 impl Posted {
-    /// Fill this rank's slot of every ticket the completed op carries: one
-    /// copy of each child's span out of the result region.
-    fn publish(&self) {
-        let Some((slot, buf)) = &self.member else {
-            return;
+    /// Fill this rank's slot of every ticket the completed op carries;
+    /// `false` while it cannot yet. A broadcast copies each child's span
+    /// out of the result region. An allreduce moves the region's vector
+    /// into its slot once nothing else holds the region. A landing
+    /// member's output is let go of by its node's engine when the op
+    /// retires, and by each co-member that chased out of it when that
+    /// member's record finishes; until then this rank keeps polling (an
+    /// engine rank retires everything before it parks).
+    fn publish(&mut self) -> bool {
+        let Some((slot, buf)) = self.member.take() else {
+            return true;
         };
-        // SAFETY: the request is complete, so the region holds the op's
-        // final contents and nothing writes it anymore.
-        let span = |off, len| unsafe { buf.with_bytes(off, len, <[u8]>::to_vec) };
         match &self.plan[self.op] {
             PlanOp::Bcast { children, .. } => {
                 for (state, off, len) in children {
-                    state.complete_slot(*slot, span(*off, *len));
+                    // SAFETY: the request is complete, so the region holds
+                    // the op's final contents and nothing writes it anymore.
+                    let span = unsafe { buf.with_bytes(*off, *len, <[u8]>::to_vec) };
+                    state.complete_slot(slot, span);
                 }
             }
-            PlanOp::Ar { state, count, .. } => state.complete_slot(*slot, span(0, count * 8)),
+            PlanOp::Ar { state, .. } => match Arc::try_unwrap(buf) {
+                Ok(region) => {
+                    let values = region.into_f64s().ok();
+                    state.fill(slot, Payload::F64s(values.expect("born from a Vec<f64>")));
+                }
+                Err(buf) => {
+                    self.member = Some((slot, buf));
+                    return false;
+                }
+            },
         }
+        true
     }
 }
 
@@ -1111,11 +1201,20 @@ fn post_plan(
                 count,
                 ..
             } => {
+                // The member's input, as submitted, is its input region;
+                // its output is born zeroed from the vector its ticket
+                // will return.
                 let bufs = group.binary_search(&rank).ok().map(|i| {
                     let slot = node * group.len() + i;
-                    let inb = Arc::new(SharedRegion::new(count * 8));
-                    write_f64s(&inb, 0, &inputs[slot]);
-                    (slot, inb, Arc::new(SharedRegion::new(count * 8)))
+                    let input = inputs[slot]
+                        .take()
+                        .expect("a member's rank takes its input");
+                    let inb = Arc::new(SharedRegion::from_f64s(input));
+                    (
+                        slot,
+                        inb,
+                        Arc::new(SharedRegion::from_f64s(vec![0.0; *count])),
+                    )
                 });
                 let (inb, outb) = (bufs.as_ref().map(|b| &b.1), bufs.as_ref().map(|b| &b.2));
                 let req = sched.iallreduce(group, inb, outb, *count);
@@ -1128,8 +1227,8 @@ fn post_plan(
             op,
             member,
         });
-        // Start each op's traffic before the next one's buffers are built:
-        // a large op's post allocates and copies for hundreds of µs.
+        // Start each op's traffic before the next one is posted: a large
+        // allreduce's post still allocates its zeroed output region.
         sched.poll();
     }
 }
@@ -1227,13 +1326,7 @@ fn resident(
         }
         sched.poll();
         let busy = !posted.is_empty();
-        posted.retain(|p| {
-            let done = sched.is_complete(p.req);
-            if done {
-                p.publish();
-            }
-            !done
-        });
+        posted.retain_mut(|p| !(sched.is_complete(p.req) && p.publish()));
         if busy && posted.is_empty() {
             idle_since = Instant::now();
         }

@@ -12,9 +12,17 @@
 //! and validated by the stress tests there and in
 //! [`crate::counter`].
 
-use std::cell::UnsafeCell;
+use std::alloc::{self, Layout};
+use std::mem::{self, ManuallyDrop};
+use std::ptr::NonNull;
 
 /// A fixed-size byte region shareable across threads.
+///
+/// The region owns one heap allocation: its own (zeroed at birth) or an
+/// adopted `Vec`'s, whole capacity included, so adoption never copies. It
+/// keeps the allocation's [`Layout`] and frees it with that layout; a
+/// region adopted from a `Vec<f64>` can hand its vector back
+/// ([`Self::into_f64s`]).
 ///
 /// # Safety contract for the `unsafe` accessors
 ///
@@ -25,40 +33,98 @@ use std::cell::UnsafeCell;
 /// collectives uphold this by construction: ranges are partitioned between
 /// writers, and every consumer copy is gated on a counter.
 pub struct SharedRegion {
-    data: Box<[UnsafeCell<u8>]>,
+    ptr: NonNull<u8>,
+    len: usize,
+    /// The allocation behind `ptr`; zero-sized when nothing was allocated.
+    layout: Layout,
 }
 
-// SAFETY: access discipline is delegated to callers per the contract above.
+// SAFETY: the region owns its allocation (freed once, by `Drop`, with its
+// `layout`), so it may move and be dropped on any thread; `len` and
+// `layout` never change, and byte access discipline is delegated to
+// callers per the contract above.
 unsafe impl Send for SharedRegion {}
 unsafe impl Sync for SharedRegion {}
 
 impl SharedRegion {
     /// Allocate a zeroed region of `len` bytes.
     pub fn new(len: usize) -> Self {
-        let data = (0..len).map(|_| UnsafeCell::new(0u8)).collect();
-        SharedRegion { data }
+        let layout = Layout::array::<u8>(len).expect("region length overflows");
+        if len == 0 {
+            return SharedRegion {
+                ptr: NonNull::dangling(),
+                len,
+                layout,
+            };
+        }
+        // SAFETY: the layout is not zero-sized.
+        let raw = unsafe { alloc::alloc_zeroed(layout) };
+        let ptr = NonNull::new(raw).unwrap_or_else(|| alloc::handle_alloc_error(layout));
+        SharedRegion { ptr, len, layout }
     }
 
-    /// Adopt `bytes` as a region without copying them (a spare capacity is
-    /// given back first, which may reallocate).
+    /// Adopt `bytes` as a region, its spare capacity included: no byte is
+    /// copied and nothing is reallocated.
     pub fn from_vec(bytes: Vec<u8>) -> Self {
-        let raw = Box::into_raw(bytes.into_boxed_slice()) as *mut [UnsafeCell<u8>];
-        // SAFETY: `UnsafeCell<u8>` is `repr(transparent)` over `u8`, so the
-        // slice keeps its layout and its allocation.
+        let mut bytes = ManuallyDrop::new(bytes);
         SharedRegion {
-            data: unsafe { Box::from_raw(raw) },
+            ptr: NonNull::new(bytes.as_mut_ptr()).expect("a Vec's pointer is non-null"),
+            len: bytes.len(),
+            layout: Layout::array::<u8>(bytes.capacity()).expect("a Vec's layout is valid"),
         }
+    }
+
+    /// Adopt `values` as a region of `8 * values.len()` bytes (native
+    /// byte order), its spare capacity included, without copying;
+    /// [`Self::into_f64s`] hands the vector back.
+    pub fn from_f64s(values: Vec<f64>) -> Self {
+        let mut values = ManuallyDrop::new(values);
+        SharedRegion {
+            ptr: NonNull::new(values.as_mut_ptr().cast()).expect("a Vec's pointer is non-null"),
+            len: values.len() * mem::size_of::<f64>(),
+            layout: Layout::array::<f64>(values.capacity()).expect("a Vec's layout is valid"),
+        }
+    }
+
+    /// The adopted vector of a region made by [`Self::from_f64s`], as it
+    /// now reads — moved out, not copied. Any other region comes back as
+    /// `Err(self)`.
+    pub fn into_f64s(self) -> Result<Vec<f64>, Self> {
+        let lane = mem::size_of::<f64>();
+        if self.layout.align() != mem::align_of::<f64>() {
+            return Err(self);
+        }
+        let region = ManuallyDrop::new(self);
+        // SAFETY: only `from_f64s` makes an f64-aligned layout: the
+        // allocation is a `Vec<f64>`'s of `layout.size() / 8` lanes, of
+        // which the first `len / 8` were initialized by it.
+        Ok(unsafe {
+            Vec::from_raw_parts(
+                region.ptr.as_ptr().cast(),
+                region.len / lane,
+                region.layout.size() / lane,
+            )
+        })
     }
 
     /// Region length in bytes.
     #[inline]
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.len
     }
 
     /// True if the region is zero-sized.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len == 0
+    }
+
+    /// The address of byte `offset` (`offset <= len`, bounds-checked by
+    /// the caller).
+    #[inline]
+    fn at(&self, offset: usize) -> *mut u8 {
+        debug_assert!(offset <= self.len);
+        // SAFETY: in bounds of the allocation, or one past its end.
+        unsafe { self.ptr.as_ptr().add(offset) }
     }
 
     /// Write `src` at `offset`.
@@ -69,16 +135,16 @@ impl SharedRegion {
     /// ordered after it (see type-level contract).
     pub unsafe fn write(&self, offset: usize, src: &[u8]) {
         assert!(
-            offset + src.len() <= self.data.len(),
+            offset + src.len() <= self.len,
             "write of {} bytes at {} exceeds region of {}",
             src.len(),
             offset,
-            self.data.len()
+            self.len
         );
         if src.is_empty() {
             return;
         }
-        let dst = self.data[offset].get();
+        let dst = self.at(offset);
         // SAFETY: bounds checked above; exclusivity per contract.
         unsafe { std::ptr::copy_nonoverlapping(src.as_ptr(), dst, src.len()) };
     }
@@ -90,16 +156,16 @@ impl SharedRegion {
     /// happen-before this call and that no concurrent writer overlaps it.
     pub unsafe fn read(&self, offset: usize, dst: &mut [u8]) {
         assert!(
-            offset + dst.len() <= self.data.len(),
+            offset + dst.len() <= self.len,
             "read of {} bytes at {} exceeds region of {}",
             dst.len(),
             offset,
-            self.data.len()
+            self.len
         );
         if dst.is_empty() {
             return;
         }
-        let src = self.data[offset].get();
+        let src = self.at(offset);
         // SAFETY: bounds checked above; happens-before per contract.
         unsafe { std::ptr::copy_nonoverlapping(src, dst.as_mut_ptr(), dst.len()) };
     }
@@ -121,8 +187,8 @@ impl SharedRegion {
         if len == 0 {
             return;
         }
-        let s = src.data[src_off].get();
-        let d = self.data[dst_off].get();
+        let s = src.at(src_off);
+        let d = self.at(dst_off);
         // SAFETY: bounds checked; disjointness per contract.
         unsafe { std::ptr::copy_nonoverlapping(s, d, len) };
     }
@@ -137,18 +203,17 @@ impl SharedRegion {
     /// no writer may touch `[offset, offset + len)` while `f` runs.
     pub unsafe fn with_bytes<R>(&self, offset: usize, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
         assert!(
-            offset + len <= self.data.len(),
+            offset + len <= self.len,
             "borrow of {} bytes at {} exceeds region of {}",
             len,
             offset,
-            self.data.len()
+            self.len
         );
         if len == 0 {
             return f(&[]);
         }
-        // SAFETY: `UnsafeCell<u8>` is layout-identical to `u8` and the cells
-        // are contiguous; bounds checked above, exclusivity per contract.
-        unsafe { f(std::slice::from_raw_parts(self.data[offset].get(), len)) }
+        // SAFETY: bounds checked above, exclusivity per contract.
+        unsafe { f(std::slice::from_raw_parts(self.at(offset), len)) }
     }
 
     /// Borrow `len` bytes at `offset` as a mutable slice for an in-place
@@ -164,17 +229,17 @@ impl SharedRegion {
         f: impl FnOnce(&mut [u8]) -> R,
     ) -> R {
         assert!(
-            offset + len <= self.data.len(),
+            offset + len <= self.len,
             "borrow of {} bytes at {} exceeds region of {}",
             len,
             offset,
-            self.data.len()
+            self.len
         );
         if len == 0 {
             return f(&mut []);
         }
         // SAFETY: as in `with_bytes`, plus exclusive access per contract.
-        unsafe { f(std::slice::from_raw_parts_mut(self.data[offset].get(), len)) }
+        unsafe { f(std::slice::from_raw_parts_mut(self.at(offset), len)) }
     }
 
     /// Snapshot the whole region into a `Vec` (test/diagnostic helper).
@@ -186,6 +251,16 @@ impl SharedRegion {
         // SAFETY: per contract.
         unsafe { self.read(0, &mut out) };
         out
+    }
+}
+
+impl Drop for SharedRegion {
+    fn drop(&mut self) {
+        if self.layout.size() != 0 {
+            // SAFETY: `ptr` was allocated with `layout` (by `new`, or by
+            // the `Vec` it was adopted from) and is freed only here.
+            unsafe { alloc::dealloc(self.ptr.as_ptr(), self.layout) };
+        }
     }
 }
 
@@ -210,13 +285,60 @@ mod tests {
 
     #[test]
     fn an_adopted_vec_keeps_its_bytes_and_its_buffer() {
-        let bytes: Vec<u8> = (0..100).collect();
-        let ptr = bytes.as_ptr();
-        let r = SharedRegion::from_vec(bytes);
-        assert_eq!(r.len(), 100);
+        // Exact and spare capacity: adoption never reallocates.
+        for capacity in [100, 4096] {
+            let mut bytes = Vec::with_capacity(capacity);
+            bytes.extend(0..100u8);
+            let ptr = bytes.as_ptr();
+            let r = SharedRegion::from_vec(bytes);
+            assert_eq!(r.len(), 100);
+            unsafe {
+                r.with_bytes(0, 100, |b| assert_eq!(b.as_ptr(), ptr));
+                assert_eq!(r.snapshot(), (0..100).collect::<Vec<u8>>());
+            }
+        }
+    }
+
+    #[test]
+    fn an_adopted_f64_vector_comes_back_as_it_now_reads() {
+        let mut values = Vec::with_capacity(1000);
+        values.extend([1.5f64, -2.0, 0.25]);
+        let ptr = values.as_ptr();
+        let r = SharedRegion::from_f64s(values);
+        assert_eq!(r.len(), 24);
         unsafe {
-            r.with_bytes(0, 100, |b| assert_eq!(b.as_ptr(), ptr));
-            assert_eq!(r.snapshot(), (0..100).collect::<Vec<u8>>());
+            r.with_bytes(0, 24, |b| assert_eq!(b.as_ptr(), ptr.cast()));
+            r.write(8, &4.0f64.to_ne_bytes());
+        }
+        let back = r
+            .into_f64s()
+            .ok()
+            .expect("an adopted f64 vector comes back");
+        assert_eq!(back.as_ptr(), ptr);
+        assert_eq!(back.capacity(), 1000);
+        assert_eq!(back, [1.5, 4.0, 0.25]);
+    }
+
+    #[test]
+    fn only_an_adopted_f64_vector_comes_back() {
+        let r = SharedRegion::new(64);
+        let r = r
+            .into_f64s()
+            .expect_err("a zeroed byte region is no f64 vector");
+        assert_eq!(r.len(), 64);
+        let adopted = SharedRegion::from_vec(vec![0u8; 64]);
+        assert!(adopted.into_f64s().is_err());
+        let empty = SharedRegion::from_f64s(Vec::new());
+        assert!(empty.is_empty());
+        assert_eq!(empty.into_f64s().ok(), Some(Vec::new()));
+    }
+
+    #[test]
+    fn a_new_region_reads_all_zeros() {
+        for len in [0, 1, 7, 4096, 1 << 20] {
+            let r = SharedRegion::new(len);
+            assert_eq!(r.len(), len);
+            assert!(unsafe { r.snapshot() }.iter().all(|&b| b == 0), "len {len}");
         }
     }
 

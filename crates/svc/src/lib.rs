@@ -460,8 +460,8 @@ impl Comm {
     }
 
     /// Sum-allreduce: one input vector per member in global member order
-    /// (`node * ranks().len() + index`), all the same length. Blocks at
-    /// the admission bound.
+    /// (`node * ranks().len() + index`), all the same length, each adopted
+    /// uncopied as its member's input. Blocks at the admission bound.
     pub fn allreduce(&self, inputs: Vec<Vec<f64>>) -> Result<AllreduceTicket, SvcError> {
         let guard = self.begin_op()?;
         let inner = self.inner.svc.server.submit_allreduce_as(
@@ -525,7 +525,8 @@ impl AllreduceTicket {
     }
 
     /// Block until done (as [`BcastTicket::wait`]); returns every member's
-    /// result vector in global member order.
+    /// result vector in global member order. Each is moved out, not copied:
+    /// it is the region the member's result was reduced into.
     pub fn wait(self) -> Vec<Vec<f64>> {
         self.inner.wait()
     }

@@ -9,7 +9,8 @@
 //! results land in a member's own buffer. A small engine op allocates no
 //! counter — each node's bank recycles the op's counter block — and a
 //! broadcast nothing at all. A service broadcast copies each member's result
-//! once, from its member region into its ticket.
+//! once, from its member region into its ticket; a service allreduce copies
+//! none: each member's input and result move.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -297,5 +298,49 @@ fn service_bcast_copies_each_member_result_once() {
     assert!(
         per_op <= BUDGET,
         "a 512 KiB service bcast allocates {per_op} B per op (budget {BUDGET} B)"
+    );
+}
+
+/// A 512 KiB allreduce on a 2 x 1 service at depth 1, counted from its
+/// submit to the return of its `wait`. Each member's input vector becomes
+/// its input region as it is, and each member's output region is born from
+/// a zeroed `Vec<f64>` that moves into its ticket slot and out of `wait`:
+/// two payloads' worth, the two outputs, plus bookkeeping. (8.00 payloads
+/// per op before inputs and results moved: a zeroed input region filled
+/// from the input, a zeroed output region, a copy of it into the ticket
+/// slot and a decode of that copy, per member.)
+#[test]
+fn service_allreduce_moves_each_member_input_and_result() {
+    const COUNT: usize = 64 << 10;
+    const LEN: u64 = COUNT as u64 * 8;
+    const BUDGET: u64 = 2 * LEN + (64 << 10);
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let svc = Service::new(2, 1);
+    let session = svc.open_session("alloc", 1).unwrap();
+    let comm = session.comm_world();
+    let mut counted = 0;
+    for i in 0..WARM + OPS as usize {
+        let inputs: Vec<Vec<f64>> = (0..2)
+            .map(|m| {
+                (0..COUNT)
+                    .map(|k| (k * 3 + m * 7 + i) as f64 * 0.5)
+                    .collect()
+            })
+            .collect();
+        let want: Vec<f64> = (0..COUNT).map(|k| inputs[0][k] + inputs[1][k]).collect();
+        let before = ALLOCATED.load(Ordering::Relaxed);
+        let got = comm.allreduce(inputs).unwrap().wait();
+        let after = ALLOCATED.load(Ordering::Relaxed);
+        assert_eq!(got, vec![want; 2], "op {i}");
+        if i >= WARM {
+            counted += after - before;
+        }
+    }
+    let per_op = counted / OPS;
+    assert!(
+        per_op <= BUDGET,
+        "a 512 KiB service allreduce allocates {per_op} B per op, {:.2} payloads \
+         (budget {BUDGET} B)",
+        per_op as f64 / LEN as f64
     );
 }

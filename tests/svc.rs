@@ -11,6 +11,12 @@ use std::sync::Arc;
 use bgp_collectives::sim::rng::Rng;
 use bgp_collectives::svc::{Comm, Service, Session, SvcError};
 
+// Only `within` is used here; the module is the sched tests' own.
+#[allow(dead_code)]
+#[path = "../crates/sched/tests/common/mod.rs"]
+mod common;
+use common::within;
+
 const NODES: usize = 2;
 const RANKS: usize = 4;
 /// Overlapping communicator groups every session creates (rank 1 is in
@@ -151,6 +157,72 @@ fn concurrent_sessions_match_sequential_reference() {
         let stats = svc.tenant_stats(&format!("tenant-{t}")).unwrap();
         assert_eq!(stats.submitted, 2 * TRAIN as u64);
         assert_eq!(stats.completed, 2 * TRAIN as u64);
+    }
+}
+
+/// Allreduces of 64 Ki doubles, 16 in flight, on 2 x 2, on 3 x 1 (one
+/// member per node: the ring reads each input in place) and on the
+/// subgroup comm `[1]` of 2 x 2 (a lone member off the engine rank, whose
+/// output the engine lands in and lets go of only when it retires the op).
+/// Every member's input is its own seeded vector, and every member's
+/// result — its output region, moved out — must be bit-identical to the
+/// sequential sum of the inputs. A result the server never manages to move
+/// out would wedge its `wait`: the deadline turns that into a failure.
+#[test]
+fn allreduce_results_move_out_bit_identical_to_the_sequential_sum() {
+    const COUNT: usize = 64 << 10;
+    const DEPTH: usize = 16;
+    let shapes: [(usize, usize, &'static [usize]); 3] =
+        [(2, 2, &[0, 1]), (3, 1, &[0]), (2, 2, &[1])];
+    for (shape, (nodes, ranks, group)) in shapes.into_iter().enumerate() {
+        let members = nodes * group.len();
+        let mut rng = Rng::new(0x5EED_0A11 + shape as u64);
+        // `members + 1` seeded vectors of multiples of 1/8 below 2^17, so
+        // every partial sum is exact and any summation order gives the
+        // same bits. Op `j` hands member `i` vector `(j + i) % pool`:
+        // members get distinct inputs, consecutive ops distinct sums.
+        let pool: Vec<Vec<f64>> = (0..=members)
+            .map(|_| {
+                let seed = rng.range_u32(0, u32::MAX);
+                (0..COUNT as u32)
+                    .map(|k| f64::from((k.wrapping_mul(0x9E37_79B9) ^ seed) >> 12) * 0.125)
+                    .collect()
+            })
+            .collect();
+        let inputs = |op: usize| -> Vec<Vec<f64>> {
+            (0..members)
+                .map(|i| pool[(op + i) % pool.len()].clone())
+                .collect()
+        };
+        let sums: Vec<Vec<u64>> = (0..pool.len())
+            .map(|op| {
+                let inputs = inputs(op);
+                (0..COUNT)
+                    .map(|k| inputs.iter().fold(0.0, |acc, v| acc + v[k]).to_bits())
+                    .collect()
+            })
+            .collect();
+        let trains: Vec<Vec<Vec<f64>>> = (0..DEPTH).map(inputs).collect();
+        within(120, move || {
+            let svc = Service::new(nodes, ranks);
+            let session = svc.open_session("ar", 1).unwrap();
+            let comm = session.comm_create(group).unwrap();
+            let tickets: Vec<_> = trains
+                .into_iter()
+                .map(|inputs| comm.allreduce(inputs).unwrap())
+                .collect();
+            for (op, t) in tickets.into_iter().enumerate() {
+                let (got, sum) = (t.wait(), &sums[op % sums.len()]);
+                assert_eq!(got.len(), members, "{nodes}x{ranks} {group:?} op {op}");
+                for (member, v) in got.iter().enumerate() {
+                    let bits: Vec<u64> = v.iter().map(|x| x.to_bits()).collect();
+                    assert!(
+                        bits == *sum,
+                        "{nodes}x{ranks} {group:?} op {op}: member {member} diverged"
+                    );
+                }
+            }
+        });
     }
 }
 
