@@ -18,10 +18,11 @@
 
 use std::process::ExitCode;
 
-use bgp_tune::gate::{self, GateScale};
+use bgp_bench::Scale;
+use bgp_tune::gate;
 
 fn main() -> ExitCode {
-    let mut scale = GateScale::Paper;
+    let mut scale = Scale::Paper;
     let mut label = "current".to_string();
     let mut baseline_path = "BENCH_baseline.json".to_string();
     let mut tol = gate::DEFAULT_TOLERANCE_PCT;
@@ -32,7 +33,7 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--small" => scale = GateScale::Small,
+            "--small" => scale = Scale::Small,
             "--check" => check = true,
             "--selftest" => selftest = true,
             "--no-write" => write = false,
@@ -125,7 +126,7 @@ fn main() -> ExitCode {
 
 /// Prove the gate can fail: an injected 20% slowdown across the suite must
 /// be flagged, and the unmodified suite must pass against itself.
-fn run_selftest(scale: GateScale) -> ExitCode {
+fn run_selftest(scale: Scale) -> ExitCode {
     let base = gate::run_suite(scale);
     let clean = gate::compare(&base, &base, gate::DEFAULT_TOLERANCE_PCT);
     if !clean.passed() {

@@ -4,20 +4,11 @@
 //! `bgp_tune::sweep` engine) plus a summary of where the *tuned* table
 //! places the selection crossovers versus the static §V thresholds.
 
+use bgp_bench::report::fmt_size;
 use bgp_bench::{figures, Scale};
 use bgp_machine::{MachineConfig, OpMode};
 use bgp_mpi::select::{SHORT_MSG_BYTES, TREE_TORUS_CROSSOVER_BYTES};
-use bgp_mpi::tune::{alg_id, SelectionPolicy};
-
-fn fmt_bytes(b: u64) -> String {
-    if b >= 1 << 20 && b.is_multiple_of(1 << 20) {
-        format!("{}M", b >> 20)
-    } else if b >= 1 << 10 && b.is_multiple_of(1 << 10) {
-        format!("{}K", b >> 10)
-    } else {
-        format!("{b}")
-    }
-}
+use bgp_mpi::tune::{SelectionPolicy, Tunable};
 
 fn main() {
     let scale = Scale::from_args();
@@ -31,8 +22,8 @@ fn main() {
     let Some(entry) = policy.table().and_then(|t| t.entry_for(&cfg)) else {
         println!(
             "no tuning-table entry for this shape; selection is static (crossovers {} / {})",
-            fmt_bytes(SHORT_MSG_BYTES),
-            fmt_bytes(TREE_TORUS_CROSSOVER_BYTES)
+            fmt_size(SHORT_MSG_BYTES),
+            fmt_size(TREE_TORUS_CROSSOVER_BYTES)
         );
         return;
     };
@@ -46,21 +37,21 @@ fn main() {
     let static_bounds = [SHORT_MSG_BYTES, TREE_TORUS_CROSSOVER_BYTES];
     for (i, r) in entry.regions.iter().enumerate() {
         let tuned = match r.upto {
-            Some(b) => fmt_bytes(b),
+            Some(b) => fmt_size(b),
             None => "inf".into(),
         };
         let delta = match (r.upto, static_bounds.get(i)) {
             (Some(t), Some(&s)) if t == s => " (same as static)".to_string(),
             (Some(t), Some(&s)) => format!(
                 " (static {}, {:+.0}%)",
-                fmt_bytes(s),
+                fmt_size(s),
                 (t as f64 - s as f64) / s as f64 * 100.0
             ),
             _ => String::new(),
         };
         println!(
             "  {:<20} up to {:>6}{delta}  confidence {:.0}%",
-            alg_id(r.alg),
+            r.alg.id(),
             tuned,
             r.confidence * 100.0
         );

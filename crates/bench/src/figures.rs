@@ -8,6 +8,7 @@
 use bgp_machine::{MachineConfig, OpMode};
 use bgp_mpi::allreduce::{throughput_mb, AllreduceAlgorithm};
 use bgp_mpi::{BcastAlgorithm, Mpi};
+use bgp_tune::sweep::{mbps, measure, pow2_sizes};
 
 use crate::report::{Figure, Row};
 use crate::Scale;
@@ -18,20 +19,6 @@ fn quad(scale: Scale) -> Mpi {
 
 fn smp(scale: Scale) -> Mpi {
     Mpi::new(MachineConfig::with_nodes(scale.nodes(), OpMode::Smp))
-}
-
-fn pow2_sizes(from: u64, to: u64) -> Vec<u64> {
-    let mut v = Vec::new();
-    let mut s = from;
-    while s <= to {
-        v.push(s);
-        s *= 2;
-    }
-    v
-}
-
-fn mbps(bytes: u64, t: bgp_sim::SimTime) -> f64 {
-    bytes as f64 / t.as_secs_f64() / 1e6
 }
 
 /// Figure 6 — latency of `MPI_Bcast` over the collective network, short
@@ -414,7 +401,7 @@ pub fn crossover(scale: Scale) -> Figure {
     // Per-path columns come from the shared sweep engine (the same
     // measurements the autotuner consumes); the "selected" column replays
     // the production tuned path.
-    let sweep = bgp_tune::sweep::sweep_bcast(&cfg, &algs, &sizes);
+    let sweep = measure(&cfg, &algs, &sizes);
     let mut q = quad(scale);
     let rows = sweep
         .sizes

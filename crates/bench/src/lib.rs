@@ -21,32 +21,7 @@ pub mod harness;
 pub mod report;
 pub mod trace;
 
+/// Experiment scale, shared with the `bgp-tune` gate suite.
+pub use bgp_tune::Scale;
+
 pub use report::{Figure, Row};
-
-/// Experiment scale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
-    /// Two racks: 2048 nodes / 8192 quad-mode ranks (the paper's system).
-    Paper,
-    /// 64 nodes (4x4x4) for fast runs.
-    Small,
-}
-
-impl Scale {
-    /// Nodes in the partition at this scale.
-    pub fn nodes(self) -> u32 {
-        match self {
-            Scale::Paper => 2048,
-            Scale::Small => 64,
-        }
-    }
-
-    /// Parse from argv: `--small` selects [`Scale::Small`].
-    pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--small") {
-            Scale::Small
-        } else {
-            Scale::Paper
-        }
-    }
-}

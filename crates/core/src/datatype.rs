@@ -12,9 +12,7 @@
 //! falls back to the FIFO (torus) or staged-shmem (tree) algorithms, paying
 //! an explicit pack/unpack cost.
 
-use bgp_machine::MachineConfig;
-
-use crate::select::{select_bcast, BcastAlgorithm};
+use crate::select::BcastAlgorithm;
 
 /// A (simplified) MPI datatype layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,6 +42,16 @@ impl Datatype {
                 stride,
                 count,
             } => count <= 1 || stride == blocklen,
+        }
+    }
+
+    /// `alg` when this layout may use it, else its §IV-C-safe equivalent
+    /// ([`demote_noncontiguous`]).
+    pub fn demote(&self, alg: BcastAlgorithm) -> BcastAlgorithm {
+        if self.is_contiguous() {
+            alg
+        } else {
+            demote_noncontiguous(alg)
         }
     }
 
@@ -99,24 +107,11 @@ pub fn demote_noncontiguous(alg: BcastAlgorithm) -> BcastAlgorithm {
     }
 }
 
-/// Datatype-aware broadcast algorithm selection (static thresholds).
-///
-/// Contiguous layouts follow the ordinary policy; non-contiguous ones take
-/// the same policy demoted by [`demote_noncontiguous`], whose slot/staging
-/// copies double as pack/unpack. The table-driven equivalent is
-/// `crate::tune::SelectionPolicy::select_bcast_typed`.
-pub fn select_bcast_typed(cfg: &MachineConfig, bytes: u64, dtype: Datatype) -> BcastAlgorithm {
-    let alg = select_bcast(cfg, bytes);
-    if dtype.is_contiguous() {
-        alg
-    } else {
-        demote_noncontiguous(alg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tune::SelectionPolicy;
+    use bgp_machine::MachineConfig;
 
     #[test]
     fn vector_with_gap_is_noncontiguous() {
@@ -162,6 +157,7 @@ mod tests {
 
     #[test]
     fn noncontiguous_never_selects_a_counter_path() {
+        let policy = SelectionPolicy::static_policy();
         let cfg = MachineConfig::two_racks_quad();
         let v = Datatype::Vector {
             count: 1024,
@@ -169,7 +165,7 @@ mod tests {
             stride: 4096,
         };
         for bytes in [1024u64, 64 << 10, 4 << 20] {
-            let alg = select_bcast_typed(&cfg, bytes, v);
+            let alg = policy.select_bcast_typed(&cfg, bytes, v);
             assert!(
                 !matches!(
                     alg,
@@ -181,7 +177,7 @@ mod tests {
         // Large non-contiguous: the Bcast FIFO (its packetization is the
         // pack step).
         assert_eq!(
-            select_bcast_typed(&cfg, 4 << 20, v),
+            policy.select_bcast_typed(&cfg, 4 << 20, v),
             BcastAlgorithm::TorusFifo
         );
     }
@@ -190,7 +186,11 @@ mod tests {
     fn contiguous_follows_the_ordinary_policy() {
         let cfg = MachineConfig::two_racks_quad();
         assert_eq!(
-            select_bcast_typed(&cfg, 4 << 20, Datatype::Contiguous),
+            SelectionPolicy::static_policy().select_bcast_typed(
+                &cfg,
+                4 << 20,
+                Datatype::Contiguous
+            ),
             crate::select::select_bcast(&cfg, 4 << 20)
         );
     }

@@ -43,7 +43,7 @@ pub mod tune;
 
 pub use allgather::AllgatherAlgorithm;
 pub use allreduce::AllreduceAlgorithm;
-pub use datatype::{demote_noncontiguous, select_bcast_typed, Datatype};
+pub use datatype::{demote_noncontiguous, Datatype};
 pub use mpi::Mpi;
 pub use select::{select_bcast, BcastAlgorithm};
 pub use tune::{SelectionPolicy, TuningTable};

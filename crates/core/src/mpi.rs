@@ -148,11 +148,9 @@ impl Mpi {
     /// `tune.fallback` (the static thresholds answered — either no table
     /// survived loading or the table has no entry for this mode).
     pub fn bcast_auto(&mut self, bytes: u64) -> (BcastAlgorithm, SimTime) {
-        let (alg, tuned) = self.policy.select_bcast_info(&self.machine.cfg, bytes);
+        let (alg, tuned) = self.policy.select_info(&self.machine.cfg, bytes);
         let t = self.bcast(alg, bytes);
-        self.machine
-            .probe
-            .count(if tuned { "tune.table" } else { "tune.fallback" }, 1);
+        self.count_selection(tuned);
         (alg, t)
     }
 
@@ -161,15 +159,19 @@ impl Mpi {
     /// tuning table can move crossovers but never force a counter path onto
     /// typed data. Broadcasts the packed size.
     pub fn bcast_auto_typed(&mut self, bytes: u64, dtype: Datatype) -> (BcastAlgorithm, SimTime) {
-        let alg = self
-            .policy
-            .select_bcast_typed(&self.machine.cfg, bytes, dtype);
-        let (_, tuned) = self.policy.select_bcast_info(&self.machine.cfg, bytes);
+        let (alg, tuned) = self.policy.select_info(&self.machine.cfg, bytes);
+        let alg = dtype.demote(alg);
         let t = self.bcast(alg, dtype.packed_size(bytes));
+        self.count_selection(tuned);
+        (alg, t)
+    }
+
+    /// Record which policy answered the auto-selected operation that just
+    /// ran: `tune.table` or `tune.fallback`.
+    fn count_selection(&mut self, tuned: bool) {
         self.machine
             .probe
             .count(if tuned { "tune.table" } else { "tune.fallback" }, 1);
-        (alg, t)
     }
 
     /// `MPI_Allreduce` (sum of doubles) with an explicit algorithm.
@@ -186,13 +188,9 @@ impl Mpi {
     /// [`Self::bcast_auto`]: `tune.table` when a tuning-table region
     /// answered, `tune.fallback` when the static thresholds did.
     pub fn allreduce_auto(&mut self, doubles: u64) -> (AllreduceAlgorithm, SimTime) {
-        let (alg, tuned) = self
-            .policy
-            .select_allreduce_info(&self.machine.cfg, doubles * 8);
+        let (alg, tuned) = self.policy.select_info(&self.machine.cfg, doubles * 8);
         let t = self.allreduce(alg, doubles);
-        self.machine
-            .probe
-            .count(if tuned { "tune.table" } else { "tune.fallback" }, 1);
+        self.count_selection(tuned);
         (alg, t)
     }
 

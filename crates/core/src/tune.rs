@@ -3,14 +3,15 @@
 //! The static thresholds in [`crate::select`] encode the paper's reported
 //! crossovers, but crossovers move whenever an executor or a calibration
 //! constant changes. `bgp-tune` (the `crates/tune` generator) sweeps every
-//! broadcast path on the simulated machine, derives the *measured* pairwise
-//! crossover points between the production candidate paths, and emits a
-//! versioned table that this module parses and serves at `Mpi` construction
-//! time.
+//! broadcast and allreduce path on the simulated machine, derives the
+//! *measured* pairwise crossover points between the production candidate
+//! paths, and emits a versioned table that this module parses and serves at
+//! `Mpi` construction time.
 //!
-//! Layering: this module owns the table *format* and the selection-time
-//! *policy* (so `bgp_mpi::select` has no dependency on the generator);
-//! `crates/tune` owns the sweep engine, the cost-model fits, and the
+//! Layering: this module owns the table *format*, the selection-time
+//! *policy* (so `bgp_mpi::select` has no dependency on the generator) and
+//! the [`Tunable`] trait through which broadcast and allreduce share every
+//! stage of the stack; `crates/tune` owns the sweep engine and the
 //! confidence resampling that produce `tuning/default.json`.
 //!
 //! ## Table resolution order (at [`SelectionPolicy::from_env`])
@@ -39,10 +40,12 @@ use std::fmt;
 
 use bgp_machine::{MachineConfig, OpMode};
 use bgp_sim::json::{self, Json};
+use bgp_sim::SimTime;
 
 use crate::allreduce::AllreduceAlgorithm;
-use crate::datatype::{demote_noncontiguous, Datatype};
+use crate::datatype::Datatype;
 use crate::select::{select_allreduce, select_bcast, BcastAlgorithm};
+use crate::Mpi;
 
 /// Schema identifier a table must carry to be accepted. Bump on any
 /// incompatible format change; old tables then fall back to the static
@@ -59,57 +62,123 @@ pub const BUILTIN_TABLE_JSON: &str = include_str!(concat!(
     "/../../tuning/default.json"
 ));
 
-/// Stable identifier of an algorithm in table JSON.
-pub fn alg_id(alg: BcastAlgorithm) -> &'static str {
-    match alg {
-        BcastAlgorithm::TorusDirectPut => "torus_direct_put",
-        BcastAlgorithm::TorusFifo => "torus_fifo",
-        BcastAlgorithm::TorusShaddr => "torus_shaddr",
-        BcastAlgorithm::TreeSmp => "tree_smp",
-        BcastAlgorithm::TreeShmem => "tree_shmem",
-        BcastAlgorithm::TreeDmaFifo => "tree_dma_fifo",
-        BcastAlgorithm::TreeDmaDirectPut => "tree_dma_direct_put",
-        BcastAlgorithm::TreeShaddr { caching: true } => "tree_shaddr_caching",
-        BcastAlgorithm::TreeShaddr { caching: false } => "tree_shaddr_nocaching",
+/// An operation whose algorithm is picked by message size: everything the
+/// tuning stack (sweep, crossover regions, table I/O, selection, figures)
+/// needs to know about one algorithm family.
+pub trait Tunable: Copy + PartialEq + fmt::Debug {
+    /// The operation's name in sweep documents.
+    const OP: &'static str;
+    /// The key of this operation's region list in a table entry.
+    const KEY: &'static str;
+
+    /// Stable identifier in table and sweep JSON.
+    fn id(self) -> &'static str;
+
+    /// Inverse of [`Tunable::id`].
+    fn from_id(id: &str) -> Option<Self>;
+
+    /// Whether an entry measured in `mode` may pick this algorithm.
+    fn allowed_in(self, _mode: OpMode) -> bool {
+        true
+    }
+
+    /// The entry's ordered regions for this operation.
+    fn regions(entry: &ShapeEntry) -> &[Region<Self>];
+
+    /// The static thresholds' pick for `bytes` on `cfg`.
+    fn static_pick(cfg: &MachineConfig, bytes: u64) -> Self;
+
+    /// Run one operation of `bytes` payload bytes on a quiet machine.
+    fn run(self, mpi: &mut Mpi, bytes: u64) -> SimTime;
+}
+
+impl Tunable for BcastAlgorithm {
+    const OP: &'static str = "bcast";
+    const KEY: &'static str = "regions";
+
+    fn id(self) -> &'static str {
+        match self {
+            BcastAlgorithm::TorusDirectPut => "torus_direct_put",
+            BcastAlgorithm::TorusFifo => "torus_fifo",
+            BcastAlgorithm::TorusShaddr => "torus_shaddr",
+            BcastAlgorithm::TreeSmp => "tree_smp",
+            BcastAlgorithm::TreeShmem => "tree_shmem",
+            BcastAlgorithm::TreeDmaFifo => "tree_dma_fifo",
+            BcastAlgorithm::TreeDmaDirectPut => "tree_dma_direct_put",
+            BcastAlgorithm::TreeShaddr { caching: true } => "tree_shaddr_caching",
+            BcastAlgorithm::TreeShaddr { caching: false } => "tree_shaddr_nocaching",
+        }
+    }
+
+    fn from_id(id: &str) -> Option<Self> {
+        Some(match id {
+            "torus_direct_put" => BcastAlgorithm::TorusDirectPut,
+            "torus_fifo" => BcastAlgorithm::TorusFifo,
+            "torus_shaddr" => BcastAlgorithm::TorusShaddr,
+            "tree_smp" => BcastAlgorithm::TreeSmp,
+            "tree_shmem" => BcastAlgorithm::TreeShmem,
+            "tree_dma_fifo" => BcastAlgorithm::TreeDmaFifo,
+            "tree_dma_direct_put" => BcastAlgorithm::TreeDmaDirectPut,
+            "tree_shaddr_caching" => BcastAlgorithm::TreeShaddr { caching: true },
+            "tree_shaddr_nocaching" => BcastAlgorithm::TreeShaddr { caching: false },
+            _ => return None,
+        })
+    }
+
+    fn allowed_in(self, mode: OpMode) -> bool {
+        !self.requires_smp() || mode == OpMode::Smp
+    }
+
+    fn regions(entry: &ShapeEntry) -> &[Region<Self>] {
+        &entry.regions
+    }
+
+    fn static_pick(cfg: &MachineConfig, bytes: u64) -> Self {
+        select_bcast(cfg, bytes)
+    }
+
+    fn run(self, mpi: &mut Mpi, bytes: u64) -> SimTime {
+        mpi.bcast(self, bytes)
     }
 }
 
-/// Stable identifier of an allreduce algorithm in table JSON.
-pub fn ar_alg_id(alg: AllreduceAlgorithm) -> &'static str {
-    match alg {
-        AllreduceAlgorithm::RingCurrent => "ring_current",
-        AllreduceAlgorithm::ShaddrSpecialized => "shaddr_specialized",
-        AllreduceAlgorithm::NodeAwareRsAg => "node_aware_rsag",
+impl Tunable for AllreduceAlgorithm {
+    const OP: &'static str = "allreduce";
+    const KEY: &'static str = "ar_regions";
+
+    fn id(self) -> &'static str {
+        match self {
+            AllreduceAlgorithm::RingCurrent => "ring_current",
+            AllreduceAlgorithm::ShaddrSpecialized => "shaddr_specialized",
+            AllreduceAlgorithm::NodeAwareRsAg => "node_aware_rsag",
+        }
+    }
+
+    fn from_id(id: &str) -> Option<Self> {
+        Some(match id {
+            "ring_current" => AllreduceAlgorithm::RingCurrent,
+            "shaddr_specialized" => AllreduceAlgorithm::ShaddrSpecialized,
+            "node_aware_rsag" => AllreduceAlgorithm::NodeAwareRsAg,
+            _ => return None,
+        })
+    }
+
+    fn regions(entry: &ShapeEntry) -> &[Region<Self>] {
+        &entry.ar_regions
+    }
+
+    fn static_pick(cfg: &MachineConfig, bytes: u64) -> Self {
+        select_allreduce(cfg, bytes)
+    }
+
+    /// Reduces `bytes / 8` doubles (at least one).
+    fn run(self, mpi: &mut Mpi, bytes: u64) -> SimTime {
+        mpi.allreduce(self, (bytes / 8).max(1))
     }
 }
 
-/// Inverse of [`ar_alg_id`].
-pub fn ar_alg_from_id(id: &str) -> Option<AllreduceAlgorithm> {
-    Some(match id {
-        "ring_current" => AllreduceAlgorithm::RingCurrent,
-        "shaddr_specialized" => AllreduceAlgorithm::ShaddrSpecialized,
-        "node_aware_rsag" => AllreduceAlgorithm::NodeAwareRsAg,
-        _ => return None,
-    })
-}
-
-/// Inverse of [`alg_id`].
-pub fn alg_from_id(id: &str) -> Option<BcastAlgorithm> {
-    Some(match id {
-        "torus_direct_put" => BcastAlgorithm::TorusDirectPut,
-        "torus_fifo" => BcastAlgorithm::TorusFifo,
-        "torus_shaddr" => BcastAlgorithm::TorusShaddr,
-        "tree_smp" => BcastAlgorithm::TreeSmp,
-        "tree_shmem" => BcastAlgorithm::TreeShmem,
-        "tree_dma_fifo" => BcastAlgorithm::TreeDmaFifo,
-        "tree_dma_direct_put" => BcastAlgorithm::TreeDmaDirectPut,
-        "tree_shaddr_caching" => BcastAlgorithm::TreeShaddr { caching: true },
-        "tree_shaddr_nocaching" => BcastAlgorithm::TreeShaddr { caching: false },
-        _ => return None,
-    })
-}
-
-fn mode_id(mode: OpMode) -> &'static str {
+/// Stable identifier of a mode in table and sweep JSON.
+pub fn mode_id(mode: OpMode) -> &'static str {
     match mode {
         OpMode::Smp => "smp",
         OpMode::Dual => "dual",
@@ -153,46 +222,6 @@ impl fmt::Display for TuneError {
     }
 }
 
-/// One linear piece of a fitted cost model: `t(bytes) = alpha + beta*bytes`
-/// in microseconds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostPiece {
-    /// Fixed latency, µs.
-    pub alpha_us: f64,
-    /// Marginal cost, µs per byte.
-    pub beta_us_per_byte: f64,
-}
-
-impl CostPiece {
-    /// Predicted time in µs.
-    pub fn predict_us(&self, bytes: u64) -> f64 {
-        self.alpha_us + self.beta_us_per_byte * bytes as f64
-    }
-}
-
-/// Two-piece linear cost model (latency regime / bandwidth regime), fitted
-/// by `bgp-tune` from the sweep measurements.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostModel {
-    /// Sizes `<= split_bytes` use `lo`, larger ones `hi`.
-    pub split_bytes: u64,
-    /// The small-message piece.
-    pub lo: CostPiece,
-    /// The large-message piece.
-    pub hi: CostPiece,
-}
-
-impl CostModel {
-    /// Predicted time in µs for a `bytes`-sized broadcast.
-    pub fn predict_us(&self, bytes: u64) -> f64 {
-        if bytes <= self.split_bytes {
-            self.lo.predict_us(bytes)
-        } else {
-            self.hi.predict_us(bytes)
-        }
-    }
-}
-
 /// One selection region: `alg` is the pick for sizes in
 /// `(previous upto, upto]` (the last region has `upto == None`, unbounded).
 #[derive(Debug, Clone, PartialEq)]
@@ -204,9 +233,6 @@ pub struct Region<A = BcastAlgorithm> {
     /// Fraction of seeded resamples that kept this pick, in `[0, 1]`.
     pub confidence: f64,
 }
-
-/// One allreduce selection region.
-pub type ArRegion = Region<AllreduceAlgorithm>;
 
 /// The pick of an ordered region list for a message of `bytes`.
 ///
@@ -230,29 +256,16 @@ pub struct ShapeEntry {
     /// Node count of the swept partition (the shape key; selection picks
     /// the entry with the nearest node count in log space).
     pub nodes: u32,
-    /// Ordered selection regions.
+    /// Ordered broadcast selection regions.
     pub regions: Vec<Region>,
     /// Ordered allreduce selection regions.
-    pub ar_regions: Vec<ArRegion>,
-    /// Fitted per-algorithm cost models (metadata: used by reports and the
-    /// crossover exhibit, not by selection).
-    pub models: Vec<(BcastAlgorithm, CostModel)>,
+    pub ar_regions: Vec<Region<AllreduceAlgorithm>>,
 }
 
 impl ShapeEntry {
-    /// The region pick for a message of `bytes`.
+    /// The broadcast region pick for a message of `bytes`.
     pub fn select(&self, bytes: u64) -> BcastAlgorithm {
         pick(&self.regions, bytes)
-    }
-
-    /// The allreduce region pick for a message of `bytes`.
-    pub fn select_allreduce(&self, bytes: u64) -> AllreduceAlgorithm {
-        pick(&self.ar_regions, bytes)
-    }
-
-    /// The fitted model for `alg`, if the table carries one.
-    pub fn model(&self, alg: BcastAlgorithm) -> Option<&CostModel> {
-        self.models.iter().find(|(a, _)| *a == alg).map(|(_, m)| m)
     }
 }
 
@@ -270,7 +283,8 @@ pub struct TuningTable {
 }
 
 impl TuningTable {
-    /// Parse and validate a table document.
+    /// Parse and validate a table document. Keys the format does not
+    /// define (such as the `models` blocks of older tables) are ignored.
     pub fn parse(text: &str) -> Result<TuningTable, TuneError> {
         let doc = json::parse(text).map_err(|e| TuneError::Corrupt(format!("not JSON: {e}")))?;
         let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
@@ -307,60 +321,11 @@ impl TuningTable {
                     .and_then(Json::as_f64)
                     .filter(|&n| n >= 1.0 && n == n.trunc())
                     .ok_or_else(|| corrupt("entry missing/invalid nodes"))? as u32;
-            let regions = parse_regions(e, "regions", "region", |id| {
-                let alg =
-                    alg_from_id(id).ok_or_else(|| corrupt(&format!("unknown algorithm {id:?}")))?;
-                if alg.requires_smp() && mode != OpMode::Smp {
-                    return Err(corrupt(&format!(
-                        "{id} requires SMP mode but the entry is {mode_s}"
-                    )));
-                }
-                Ok(alg)
-            })?;
-            let ar_regions = parse_regions(e, "ar_regions", "ar region", |id| {
-                ar_alg_from_id(id)
-                    .ok_or_else(|| corrupt(&format!("unknown allreduce algorithm {id:?}")))
-            })?;
-            let mut models = Vec::new();
-            if let Some(raw_models) = e.get("models").and_then(Json::as_arr) {
-                for m in raw_models {
-                    let alg_s = m
-                        .get("alg")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| corrupt("model missing alg"))?;
-                    let alg = alg_from_id(alg_s)
-                        .ok_or_else(|| corrupt(&format!("unknown algorithm {alg_s:?}")))?;
-                    let num = |obj: &Json, key: &str| -> Result<f64, TuneError> {
-                        obj.get(key)
-                            .and_then(Json::as_f64)
-                            .filter(|v| v.is_finite())
-                            .ok_or_else(|| corrupt(&format!("model missing {key}")))
-                    };
-                    let piece = |obj: &Json, key: &str| -> Result<CostPiece, TuneError> {
-                        let p = obj
-                            .get(key)
-                            .ok_or_else(|| corrupt(&format!("model missing {key}")))?;
-                        Ok(CostPiece {
-                            alpha_us: num(p, "alpha_us")?,
-                            beta_us_per_byte: num(p, "beta_us_per_byte")?,
-                        })
-                    };
-                    models.push((
-                        alg,
-                        CostModel {
-                            split_bytes: num(m, "split_bytes")? as u64,
-                            lo: piece(m, "lo")?,
-                            hi: piece(m, "hi")?,
-                        },
-                    ));
-                }
-            }
             entries.push(ShapeEntry {
                 mode,
                 nodes,
-                regions,
-                ar_regions,
-                models,
+                regions: parse_regions(e, mode)?,
+                ar_regions: parse_regions(e, mode)?,
             });
         }
         Ok(TuningTable {
@@ -384,33 +349,15 @@ impl TuningTable {
         out.push_str("  \"entries\": [\n");
         for (ei, e) in self.entries.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"mode\": {}, \"nodes\": {},\n     \"regions\": [\n",
+                "    {{\"mode\": {}, \"nodes\": {},\n",
                 json::escape(mode_id(e.mode)),
                 e.nodes
             ));
-            write_regions(&mut out, &e.regions, alg_id);
-            out.push_str("     \"ar_regions\": [\n");
-            write_regions(&mut out, &e.ar_regions, ar_alg_id);
-            out.push_str("     \"models\": [\n");
-            for (mi, (alg, m)) in e.models.iter().enumerate() {
-                let piece = |p: &CostPiece| {
-                    format!(
-                        "{{\"alpha_us\": {}, \"beta_us_per_byte\": {}}}",
-                        json::fmt_f64(p.alpha_us),
-                        json::fmt_f64(p.beta_us_per_byte)
-                    )
-                };
-                out.push_str(&format!(
-                    "       {{\"alg\": {}, \"split_bytes\": {}, \"lo\": {}, \"hi\": {}}}{}\n",
-                    json::escape(alg_id(*alg)),
-                    m.split_bytes,
-                    piece(&m.lo),
-                    piece(&m.hi),
-                    if mi + 1 < e.models.len() { "," } else { "" }
-                ));
-            }
+            write_regions(&mut out, &e.regions);
+            out.push_str(",\n");
+            write_regions(&mut out, &e.ar_regions);
             out.push_str(&format!(
-                "     ]}}{}\n",
+                "}}{}\n",
                 if ei + 1 < self.entries.len() { "," } else { "" }
             ));
         }
@@ -442,18 +389,13 @@ impl TuningTable {
     }
 }
 
-/// Parse and validate the region list under `key` of a table entry: a
-/// non-empty list of `{upto, alg, confidence}` with strictly increasing
-/// bounds, only the last unbounded. `what` names a region in error
-/// messages; `alg_of` maps an algorithm id (and rejects what the entry may
-/// not pick).
-fn parse_regions<A>(
-    entry: &Json,
-    key: &str,
-    what: &str,
-    alg_of: impl Fn(&str) -> Result<A, TuneError>,
-) -> Result<Vec<Region<A>>, TuneError> {
-    let bad = |m: &str| TuneError::Corrupt(format!("{what} {m}"));
+/// Parse and validate the [`Tunable::KEY`] region list of a table entry
+/// measured in `mode`: a non-empty list of `{upto, alg, confidence}` with
+/// strictly increasing bounds, only the last unbounded, every pick
+/// [`Tunable::allowed_in`] the mode.
+fn parse_regions<A: Tunable>(entry: &Json, mode: OpMode) -> Result<Vec<Region<A>>, TuneError> {
+    let key = A::KEY;
+    let bad = |m: &str| TuneError::Corrupt(format!("{key}: {m}"));
     let raw = entry
         .get(key)
         .and_then(Json::as_arr)
@@ -470,8 +412,8 @@ fn parse_regions<A>(
         };
         let prev = regions.last().and_then(|p| p.upto);
         match (i + 1 == raw.len(), upto) {
-            (false, None) => return Err(bad("is unbounded but not last")),
-            (true, Some(_)) => return Err(bad("is last but bounded")),
+            (false, None) => return Err(bad("an unbounded region is not last")),
+            (true, Some(_)) => return Err(bad("the last region is bounded")),
             (_, Some(b)) if prev.is_some_and(|p| b <= p) => {
                 return Err(bad("bounds must increase"))
             }
@@ -480,32 +422,41 @@ fn parse_regions<A>(
         let id = r
             .get("alg")
             .and_then(Json::as_str)
-            .ok_or_else(|| bad("missing alg"))?;
+            .ok_or_else(|| bad("a region is missing alg"))?;
+        let alg = A::from_id(id).ok_or_else(|| bad(&format!("unknown algorithm {id:?}")))?;
+        if !alg.allowed_in(mode) {
+            return Err(bad(&format!(
+                "{id} is not allowed in a {} entry",
+                mode_id(mode)
+            )));
+        }
         let confidence = r.get("confidence").and_then(Json::as_f64).unwrap_or(1.0);
         if !(0.0..=1.0).contains(&confidence) {
             return Err(bad("confidence must be in [0, 1]"));
         }
         regions.push(Region {
             upto,
-            alg: alg_of(id)?,
+            alg,
             confidence,
         });
     }
     Ok(regions)
 }
 
-/// Append `regions` to a table document, one per line, and close the list.
-fn write_regions<A: Copy>(out: &mut String, regions: &[Region<A>], id: fn(A) -> &'static str) {
+/// Append the [`Tunable::KEY`] list of `regions` to a table document, one
+/// region per line, up to and including its closing bracket.
+fn write_regions<A: Tunable>(out: &mut String, regions: &[Region<A>]) {
+    out.push_str(&format!("     \"{}\": [\n", A::KEY));
     for (ri, r) in regions.iter().enumerate() {
         let upto = r.upto.map_or("null".to_string(), |b| b.to_string());
         out.push_str(&format!(
             "       {{\"upto\": {upto}, \"alg\": {}, \"confidence\": {}}}{}\n",
-            json::escape(id(r.alg)),
+            json::escape(r.alg.id()),
             json::fmt_f64(r.confidence),
             if ri + 1 < regions.len() { "," } else { "" }
         ));
     }
-    out.push_str("     ],\n");
+    out.push_str("     ]");
 }
 
 /// Where a policy's picks come from.
@@ -598,42 +549,29 @@ impl SelectionPolicy {
         self.warning.as_deref()
     }
 
-    /// Select an algorithm, and report whether a table entry drove the pick
-    /// (`false` = static thresholds answered).
-    pub fn select_bcast_info(&self, cfg: &MachineConfig, bytes: u64) -> (BcastAlgorithm, bool) {
+    /// Select an algorithm for `bytes`, and report whether a table entry
+    /// drove the pick (`false` = static thresholds answered: no table, or
+    /// no entry for this mode).
+    pub fn select_info<A: Tunable>(&self, cfg: &MachineConfig, bytes: u64) -> (A, bool) {
         if let Some(entry) = self.table.as_ref().and_then(|t| t.entry_for(cfg)) {
-            let alg = entry.select(bytes);
+            let alg = pick(A::regions(entry), bytes);
             // Defensive clamp (parse validation already enforces this): a
             // mode-incompatible pick falls back to the static policy.
-            if !alg.requires_smp() || cfg.mode == OpMode::Smp {
+            if alg.allowed_in(cfg.mode) {
                 return (alg, true);
             }
         }
-        (select_bcast(cfg, bytes), false)
+        (A::static_pick(cfg, bytes), false)
     }
 
     /// The policy's pick for a contiguous broadcast of `bytes`.
     pub fn select_bcast(&self, cfg: &MachineConfig, bytes: u64) -> BcastAlgorithm {
-        self.select_bcast_info(cfg, bytes).0
-    }
-
-    /// Select an allreduce algorithm, and report whether a table entry
-    /// drove the pick (`false` = static thresholds answered — no table or
-    /// no matching entry).
-    pub fn select_allreduce_info(
-        &self,
-        cfg: &MachineConfig,
-        bytes: u64,
-    ) -> (AllreduceAlgorithm, bool) {
-        match self.table.as_ref().and_then(|t| t.entry_for(cfg)) {
-            Some(e) => (e.select_allreduce(bytes), true),
-            None => (select_allreduce(cfg, bytes), false),
-        }
+        self.select_info(cfg, bytes).0
     }
 
     /// The policy's pick for an allreduce of `bytes`.
     pub fn select_allreduce(&self, cfg: &MachineConfig, bytes: u64) -> AllreduceAlgorithm {
-        self.select_allreduce_info(cfg, bytes).0
+        self.select_info(cfg, bytes).0
     }
 
     /// Datatype-aware pick: contiguous layouts follow [`Self::select_bcast`];
@@ -647,12 +585,7 @@ impl SelectionPolicy {
         bytes: u64,
         dtype: Datatype,
     ) -> BcastAlgorithm {
-        let alg = self.select_bcast(cfg, bytes);
-        if dtype.is_contiguous() {
-            alg
-        } else {
-            demote_noncontiguous(alg)
-        }
+        dtype.demote(self.select_bcast(cfg, bytes))
     }
 }
 
@@ -668,22 +601,37 @@ mod tests {
         )
     }
 
+    fn ids_round_trip<A: Tunable>(algs: &[A], unknown: &str) {
+        for &alg in algs {
+            assert_eq!(A::from_id(alg.id()), Some(alg));
+        }
+        assert_eq!(A::from_id(unknown), None);
+    }
+
     #[test]
     fn alg_ids_round_trip() {
-        for alg in [
-            BcastAlgorithm::TorusDirectPut,
-            BcastAlgorithm::TorusFifo,
-            BcastAlgorithm::TorusShaddr,
-            BcastAlgorithm::TreeSmp,
-            BcastAlgorithm::TreeShmem,
-            BcastAlgorithm::TreeDmaFifo,
-            BcastAlgorithm::TreeDmaDirectPut,
-            BcastAlgorithm::TreeShaddr { caching: true },
-            BcastAlgorithm::TreeShaddr { caching: false },
-        ] {
-            assert_eq!(alg_from_id(alg_id(alg)), Some(alg));
-        }
-        assert_eq!(alg_from_id("warp_drive"), None);
+        ids_round_trip(
+            &[
+                BcastAlgorithm::TorusDirectPut,
+                BcastAlgorithm::TorusFifo,
+                BcastAlgorithm::TorusShaddr,
+                BcastAlgorithm::TreeSmp,
+                BcastAlgorithm::TreeShmem,
+                BcastAlgorithm::TreeDmaFifo,
+                BcastAlgorithm::TreeDmaDirectPut,
+                BcastAlgorithm::TreeShaddr { caching: true },
+                BcastAlgorithm::TreeShaddr { caching: false },
+            ],
+            "warp_drive",
+        );
+        ids_round_trip(
+            &[
+                AllreduceAlgorithm::RingCurrent,
+                AllreduceAlgorithm::ShaddrSpecialized,
+                AllreduceAlgorithm::NodeAwareRsAg,
+            ],
+            "warp_reduce",
+        );
     }
 
     #[test]
@@ -764,31 +712,17 @@ mod tests {
                     },
                 ],
                 ar_regions: vec![
-                    ArRegion {
+                    Region {
                         upto: Some(65536),
                         alg: AllreduceAlgorithm::ShaddrSpecialized,
                         confidence: 1.0,
                     },
-                    ArRegion {
+                    Region {
                         upto: None,
                         alg: AllreduceAlgorithm::NodeAwareRsAg,
                         confidence: 0.75,
                     },
                 ],
-                models: vec![(
-                    BcastAlgorithm::TreeShmem,
-                    CostModel {
-                        split_bytes: 4096,
-                        lo: CostPiece {
-                            alpha_us: 5.9,
-                            beta_us_per_byte: 0.0031,
-                        },
-                        hi: CostPiece {
-                            alpha_us: 1.2,
-                            beta_us_per_byte: 0.0024,
-                        },
-                    },
-                )],
             }],
         };
         let parsed = TuningTable::parse(&t.to_json()).unwrap();
@@ -811,7 +745,6 @@ mod tests {
                         confidence: 1.0,
                     }],
                     ar_regions: vec![],
-                    models: vec![],
                 },
                 ShapeEntry {
                     mode: OpMode::Quad,
@@ -822,7 +755,6 @@ mod tests {
                         confidence: 1.0,
                     }],
                     ar_regions: vec![],
-                    models: vec![],
                 },
             ],
         };
@@ -846,12 +778,12 @@ mod tests {
         .unwrap();
         let policy = SelectionPolicy::from_table(t, PolicySource::Builtin);
         let quad = MachineConfig::two_racks_quad();
-        let (alg, tuned) = policy.select_bcast_info(&quad, 1 << 20);
+        let (alg, tuned) = policy.select_info::<BcastAlgorithm>(&quad, 1 << 20);
         assert!(tuned);
         assert_eq!(alg, BcastAlgorithm::TorusFifo);
         // SMP machine, quad-only table: static thresholds answer.
         let smp = MachineConfig::racks(2, OpMode::Smp);
-        let (alg, tuned) = policy.select_bcast_info(&smp, 64);
+        let (alg, tuned) = policy.select_info::<BcastAlgorithm>(&smp, 64);
         assert!(!tuned);
         assert_eq!(alg, select_bcast(&smp, 64));
     }
@@ -874,12 +806,12 @@ mod tests {
         // Allreduce regions: shared-address ring small, node-aware RS+AG
         // once the per-stage syncs amortize.
         assert_eq!(
-            e.select_allreduce(4096),
+            pick(&e.ar_regions, 4096),
             AllreduceAlgorithm::ShaddrSpecialized,
             "small allreduce"
         );
         assert_eq!(
-            e.select_allreduce(1 << 20),
+            pick(&e.ar_regions, 1 << 20),
             AllreduceAlgorithm::NodeAwareRsAg,
             "large allreduce"
         );
@@ -901,7 +833,7 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(
-            ok.entries[0].select_allreduce(2048),
+            pick(&ok.entries[0].ar_regions, 2048),
             AllreduceAlgorithm::NodeAwareRsAg
         );
         assert_eq!(TuningTable::parse(&ok.to_json()).unwrap(), ok);
@@ -941,32 +873,58 @@ mod tests {
         );
     }
 
-    #[test]
-    fn ar_alg_ids_round_trip() {
-        for alg in [
-            AllreduceAlgorithm::RingCurrent,
-            AllreduceAlgorithm::ShaddrSpecialized,
-            AllreduceAlgorithm::NodeAwareRsAg,
-        ] {
-            assert_eq!(ar_alg_from_id(ar_alg_id(alg)), Some(alg));
-        }
-        assert_eq!(ar_alg_from_id("warp_reduce"), None);
-    }
+    /// The quad x 64 entry as tables written before the cost-model fits
+    /// were dropped carried it: with its `models` block.
+    const ENTRY_WITH_MODELS: &str = r#"
+    {"mode": "quad", "nodes": 64,
+     "regions": [
+       {"upto": 32768, "alg": "tree_shmem", "confidence": 0.975},
+       {"upto": 131072, "alg": "tree_shaddr_caching", "confidence": 0.9375},
+       {"upto": null, "alg": "torus_shaddr", "confidence": 1}
+     ],
+     "ar_regions": [
+       {"upto": 32768, "alg": "shaddr_specialized", "confidence": 0.9875},
+       {"upto": null, "alg": "node_aware_rsag", "confidence": 1}
+     ],
+     "models": [
+       {"alg": "tree_shmem", "split_bytes": 16384, "lo": {"alpha_us": 3.951991423934512, "beta_us_per_byte": 0.0036649231835310706}, "hi": {"alpha_us": 6.176506335147414, "beta_us_per_byte": 0.002466981777141417}},
+       {"alg": "tree_shaddr_caching", "split_bytes": 16384, "lo": {"alpha_us": 3.9564218300553686, "beta_us_per_byte": 0.004018047295375405}, "hi": {"alpha_us": 46.607223717977995, "beta_us_per_byte": 0.0012474177811158103}},
+       {"alg": "tree_shaddr_nocaching", "split_bytes": 16384, "lo": {"alpha_us": 8.330324238611244, "beta_us_per_byte": 0.004043662880255316}, "hi": {"alpha_us": 46.603384303050674, "beta_us_per_byte": 0.0012474747000012808}},
+       {"alg": "tree_dma_fifo", "split_bytes": 16384, "lo": {"alpha_us": 5.607693546379638, "beta_us_per_byte": 0.004979918913185567}, "hi": {"alpha_us": 21.502593867487676, "beta_us_per_byte": 0.0028712712819651794}},
+       {"alg": "tree_dma_direct_put", "split_bytes": 16384, "lo": {"alpha_us": 4.107001597217799, "beta_us_per_byte": 0.004240382351365253}, "hi": {"alpha_us": 25.838718553624272, "beta_us_per_byte": 0.002066681395557424}},
+       {"alg": "torus_shaddr", "split_bytes": 131072, "lo": {"alpha_us": 12.49106401812513, "beta_us_per_byte": 0.0015960291397138146}, "hi": {"alpha_us": 120.39114342649637, "beta_us_per_byte": 0.0004908859605611653}},
+       {"alg": "torus_fifo", "split_bytes": 65536, "lo": {"alpha_us": 7.4533146313887295, "beta_us_per_byte": 0.002350870301509779}, "hi": {"alpha_us": 158.89719320488584, "beta_us_per_byte": 0.001007815332708858}},
+       {"alg": "torus_direct_put", "split_bytes": 32768, "lo": {"alpha_us": 6.739533203360272, "beta_us_per_byte": 0.0024397005755346954}, "hi": {"alpha_us": 123.40392932123218, "beta_us_per_byte": 0.0012788131052865477}}
+     ]}"#;
 
     #[test]
-    fn model_prediction_uses_the_right_piece() {
-        let m = CostModel {
-            split_bytes: 1024,
-            lo: CostPiece {
-                alpha_us: 10.0,
-                beta_us_per_byte: 0.0,
-            },
-            hi: CostPiece {
-                alpha_us: 0.0,
-                beta_us_per_byte: 1.0,
-            },
-        };
-        assert_eq!(m.predict_us(512), 10.0);
-        assert_eq!(m.predict_us(2048), 2048.0);
+    fn an_entry_with_models_parses_and_selects_like_the_regenerated_one() {
+        let old = TuningTable::parse(&format!(
+            r#"{{"schema": "{TABLE_SCHEMA}", "generator": "older", "seed": 182, "resamples": 8,
+                "entries": [{ENTRY_WITH_MODELS}]}}"#
+        ))
+        .expect("a table with models blocks still parses");
+        let cfg = MachineConfig::test_small(OpMode::Quad);
+        let builtin = TuningTable::parse(BUILTIN_TABLE_JSON).unwrap();
+        let fresh = builtin.entry_for(&cfg).unwrap();
+        assert_eq!((fresh.mode, fresh.nodes), (OpMode::Quad, 64));
+        assert_eq!(old.entries[0], *fresh);
+        let (old, fresh) = (
+            SelectionPolicy::from_table(old, PolicySource::Builtin),
+            SelectionPolicy::from_table(builtin, PolicySource::Builtin),
+        );
+        for shift in 0..=32 {
+            let bytes = 1u64 << shift;
+            assert_eq!(
+                old.select_info::<BcastAlgorithm>(&cfg, bytes),
+                fresh.select_info::<BcastAlgorithm>(&cfg, bytes),
+                "bcast @ {bytes}"
+            );
+            assert_eq!(
+                old.select_info::<AllreduceAlgorithm>(&cfg, bytes),
+                fresh.select_info::<AllreduceAlgorithm>(&cfg, bytes),
+                "allreduce @ {bytes}"
+            );
+        }
     }
 }

@@ -121,14 +121,14 @@ fn run(opts: &Opts) -> Result<(), String> {
     // matches the small gate scale (64 nodes, quad mode).
     let cfg = MachineConfig::with_nodes(64, OpMode::Quad);
     let algs = bgp_tune::autotune::measured_algorithms(OpMode::Quad);
-    let (svg, sweep) = plots::bcast_figure(&cfg, &algs, &table);
+    let (svg, sweep) = plots::latency_figure(&cfg, &algs, &table);
     write("fig_bcast_latency.svg", &svg)?;
     write("sweep_bcast.json", &sweep.to_json())?;
     let mut ar_algs = vec![AllreduceAlgorithm::RingCurrent];
     ar_algs.extend(bgp_tune::autotune::ar_candidates());
-    let (svg, ar_sweep) = plots::allreduce_figure(&cfg, &ar_algs, &table);
+    let (svg, ar_sweep) = plots::latency_figure(&cfg, &ar_algs, &table);
     write("fig_allreduce_latency.svg", &svg)?;
-    write("sweep_allreduce.json", &ar_sweep.to_json(&cfg))?;
+    write("sweep_allreduce.json", &ar_sweep.to_json())?;
 
     // 2. Table-I grouped bars (skipped when no bandwidth series overlap).
     let bars = plots::table1_bars(&baseline.report, &newest.report);

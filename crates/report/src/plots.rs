@@ -12,9 +12,9 @@
 //! baseline's tolerance band shaded and gate violations marked.
 
 use bgp_machine::MachineConfig;
-use bgp_mpi::tune::{alg_id, ar_alg_id, ShapeEntry, TuningTable};
+use bgp_mpi::tune::{Region, Tunable, TuningTable};
 use bgp_tune::gate::{Better, GateReport};
-use bgp_tune::sweep::{pow2_sizes, sweep_allreduce, sweep_bcast, ArSweep, Sweep};
+use bgp_tune::sweep::{measure, pow2_sizes, Sweep};
 
 use crate::svg::{fmt_bytes, BarChart, BarGroup, LineChart, PointMark, ScaleKind, Series, VMark};
 
@@ -23,10 +23,9 @@ pub fn paper_sizes() -> Vec<u64> {
     pow2_sizes(64, 4 << 20)
 }
 
-/// Dashed markers at the tuned region boundaries of `entry` (broadcast).
-fn bcast_crossover_marks(entry: &ShapeEntry) -> Vec<VMark> {
-    entry
-        .regions
+/// Dashed markers at the boundaries of a tuned region list.
+fn crossover_marks<A: Tunable>(regions: &[Region<A>]) -> Vec<VMark> {
+    regions
         .windows(2)
         .filter_map(|w| {
             w[0].upto.map(|b| VMark {
@@ -34,107 +33,50 @@ fn bcast_crossover_marks(entry: &ShapeEntry) -> Vec<VMark> {
                 label: format!(
                     "tuned: {}>{}: {}",
                     fmt_bytes(b as f64),
-                    alg_id(w[0].alg),
-                    alg_id(w[1].alg)
+                    w[0].alg.id(),
+                    w[1].alg.id()
                 ),
             })
         })
         .collect()
 }
 
-/// Dashed markers at the tuned region boundaries of `entry` (allreduce).
-fn ar_crossover_marks(entry: &ShapeEntry) -> Vec<VMark> {
-    entry
-        .ar_regions
-        .windows(2)
-        .filter_map(|w| {
-            w[0].upto.map(|b| VMark {
-                x: b as f64,
-                label: format!(
-                    "tuned: {}>{}: {}",
-                    fmt_bytes(b as f64),
-                    ar_alg_id(w[0].alg),
-                    ar_alg_id(w[1].alg)
-                ),
-            })
-        })
-        .collect()
-}
-
-fn latency_chart(
-    title: &str,
-    swept: &[(String, Vec<(u64, f64)>)],
-    vmarks: Vec<VMark>,
-) -> LineChart {
-    let mut chart = LineChart::new(title, "message size (bytes)", "latency (us, log2)");
+/// The latency-vs-size figure of one operation for `cfg`, sweeping `algs`
+/// over [`paper_sizes`], with tuned crossover markers from `table`.
+/// Returns `(svg, sweep)` so the caller can also serialize the sweep.
+pub fn latency_figure<A: Tunable>(
+    cfg: &MachineConfig,
+    algs: &[A],
+    table: &TuningTable,
+) -> (String, Sweep<A>) {
+    let sweep = measure(cfg, algs, &paper_sizes());
+    let (head, tail) = A::OP.split_at(1);
+    let title = format!(
+        "MPI_{}{tail} latency vs size ({} nodes, {:?} mode)",
+        head.to_uppercase(),
+        cfg.node_count(),
+        cfg.mode
+    );
+    let mut chart = LineChart::new(&title, "message size (bytes)", "latency (us, log2)");
     chart.x_kind = ScaleKind::Log2;
     chart.y_kind = ScaleKind::Log2;
     chart.x_bytes = true;
-    chart.vmarks = vmarks;
-    for (name, pts) in swept {
+    chart.vmarks = table
+        .entry_for(cfg)
+        .map(|e| crossover_marks(A::regions(e)))
+        .unwrap_or_default();
+    for &a in algs {
         chart.series.push(Series {
-            name: name.clone(),
-            points: pts.iter().map(|&(s, us)| (s as f64, us)).collect(),
+            name: a.id().to_string(),
+            points: sweep
+                .series(a)
+                .unwrap()
+                .into_iter()
+                .map(|(s, us)| (s as f64, us))
+                .collect(),
         });
     }
-    chart
-}
-
-/// The broadcast latency-vs-size figure for `cfg`, sweeping `algs`, with
-/// tuned crossover markers from `table`. Returns `(svg, sweep)` so the
-/// caller can also serialize the sweep.
-pub fn bcast_figure(
-    cfg: &MachineConfig,
-    algs: &[bgp_mpi::BcastAlgorithm],
-    table: &TuningTable,
-) -> (String, Sweep) {
-    let sweep = sweep_bcast(cfg, algs, &paper_sizes());
-    let series: Vec<(String, Vec<(u64, f64)>)> = algs
-        .iter()
-        .map(|&a| (alg_id(a).to_string(), sweep.series(a).unwrap()))
-        .collect();
-    let vmarks = table
-        .entry_for(cfg)
-        .map(bcast_crossover_marks)
-        .unwrap_or_default();
-    let title = format!(
-        "MPI_Bcast latency vs size ({} nodes, {:?} mode)",
-        cfg.node_count(),
-        cfg.mode
-    );
-    (latency_chart(&title, &series, vmarks).render(), sweep)
-}
-
-/// The allreduce latency-vs-size figure, same layout as [`bcast_figure`].
-pub fn allreduce_figure(
-    cfg: &MachineConfig,
-    algs: &[bgp_mpi::AllreduceAlgorithm],
-    table: &TuningTable,
-) -> (String, ArSweep) {
-    let sizes = paper_sizes();
-    let sweep = sweep_allreduce(cfg, algs, &sizes);
-    let series: Vec<(String, Vec<(u64, f64)>)> = algs
-        .iter()
-        .enumerate()
-        .map(|(col, &a)| {
-            let pts = sizes
-                .iter()
-                .zip(&sweep.micros)
-                .map(|(&s, row)| (s, row[col]))
-                .collect();
-            (ar_alg_id(a).to_string(), pts)
-        })
-        .collect();
-    let vmarks = table
-        .entry_for(cfg)
-        .map(ar_crossover_marks)
-        .unwrap_or_default();
-    let title = format!(
-        "MPI_Allreduce latency vs size ({} nodes, {:?} mode)",
-        cfg.node_count(),
-        cfg.mode
-    );
-    (latency_chart(&title, &series, vmarks).render(), sweep)
+    (chart.render(), sweep)
 }
 
 /// The Table-I-style grouped bars: every bandwidth series (`table1/*`,
@@ -248,11 +190,11 @@ mod tests {
         let cfg = MachineConfig::with_nodes(64, OpMode::Quad);
         let algs = [BcastAlgorithm::TreeShmem, BcastAlgorithm::TorusShaddr];
         let t = table();
-        let (svg, sweep) = bcast_figure(&cfg, &algs, &t);
+        let (svg, sweep) = latency_figure(&cfg, &algs, &t);
         assert!(svg.contains("tuned:"), "crossover markers present");
         assert!(svg.contains("tree_shmem"));
         assert_eq!(sweep.sizes, paper_sizes());
-        let (svg2, _) = bcast_figure(&cfg, &algs, &t);
+        let (svg2, _) = latency_figure(&cfg, &algs, &t);
         assert_eq!(svg, svg2);
         crate::xml::check_well_formed(&svg).unwrap();
     }
@@ -261,7 +203,7 @@ mod tests {
     fn allreduce_figure_marks_the_node_aware_crossover() {
         let cfg = MachineConfig::with_nodes(64, OpMode::Quad);
         let algs = bgp_tune::autotune::ar_candidates();
-        let (svg, _) = allreduce_figure(&cfg, &algs, &table());
+        let (svg, _) = latency_figure(&cfg, &algs, &table());
         assert!(svg.contains("node_aware_rsag"));
         crate::xml::check_well_formed(&svg).unwrap();
     }

@@ -1,15 +1,18 @@
 //! The autotuner: measured crossover regions + resampled confidence.
 //!
 //! For each `(machine shape, mode)` grid point the tuner sweeps every
-//! mode-compatible broadcast algorithm over the size grid, then derives the
-//! selection regions from **measured pairwise crossovers** between the
-//! production candidate sequence (quad: staged-shmem tree → core-specialized
-//! Shaddr tree → multi-color Shaddr torus; SMP: hardware tree → torus): the
-//! boundary between adjacent candidates is the largest size at which the
-//! earlier path still measures at or below the later one. Above that size
-//! the later path wins every measured point, so the regions are monotone by
-//! construction — no algorithm flapping across the sweep, which is also what
-//! `bgp_mpi::select`'s property tests demand of any policy.
+//! mode-compatible broadcast algorithm and the allreduce candidates over
+//! the size grid, then derives each operation's selection regions from
+//! **measured pairwise crossovers** between its production candidate
+//! sequence (quad broadcast: staged-shmem tree → core-specialized Shaddr
+//! tree → multi-color Shaddr torus; SMP broadcast: hardware tree → torus;
+//! allreduce: shared-address ring → node-aware RS+AG): the boundary
+//! between adjacent candidates is the largest size at which the earlier
+//! path still measures at or below the later one. Above that size the
+//! later path wins every measured point, so the regions are monotone by
+//! construction — no algorithm flapping across the sweep, which is also
+//! what `bgp_mpi::select`'s property tests demand of any policy. Both
+//! operations run the same code, generic over `bgp_mpi::tune::Tunable`.
 //!
 //! Why pairwise crossovers and not per-size argmin? The measured landscape
 //! is not globally ordered: on the paper machine the torus dips below the
@@ -26,12 +29,11 @@
 //! the fraction of (resample, grid size) pairs that kept the same pick.
 
 use bgp_machine::{MachineConfig, OpMode};
-use bgp_mpi::tune::{pick, ArRegion, Region, ShapeEntry, TuningTable};
+use bgp_mpi::tune::{pick, Region, ShapeEntry, Tunable, TuningTable};
 use bgp_mpi::{AllreduceAlgorithm, BcastAlgorithm};
 use bgp_sim::Rng;
 
-use crate::model::fit_piecewise;
-use crate::sweep::{pow2_sizes, sweep_allreduce, sweep_bcast, ArSweep, Sweep};
+use crate::sweep::{measure, pow2_sizes, Sweep};
 
 /// What to sweep and how to resample.
 #[derive(Debug, Clone)]
@@ -122,33 +124,9 @@ pub fn ar_candidates() -> Vec<AllreduceAlgorithm> {
     ]
 }
 
-/// Derive monotone allreduce regions from measured pairwise crossovers.
-fn ar_regions_from(sweep: &ArSweep, cands: &[AllreduceAlgorithm]) -> Vec<ArRegion> {
-    let mut regions = Vec::new();
-    let mut prev_bound = 0u64;
-    for pair in cands.windows(2) {
-        if let Some(b) = sweep.last_win(pair[0], pair[1]) {
-            if b > prev_bound {
-                regions.push(ArRegion {
-                    upto: Some(b),
-                    alg: pair[0],
-                    confidence: 1.0,
-                });
-                prev_bound = b;
-            }
-        }
-    }
-    regions.push(ArRegion {
-        upto: None,
-        alg: *cands.last().expect("candidates are never empty"),
-        confidence: 1.0,
-    });
-    regions
-}
-
 /// Derive monotone selection regions from measured pairwise crossovers
 /// (confidences are filled in by the resampling pass; this returns 1.0).
-fn regions_from(sweep: &Sweep, cands: &[BcastAlgorithm]) -> Vec<Region> {
+fn regions_from<A: Tunable>(sweep: &Sweep<A>, cands: &[A]) -> Vec<Region<A>> {
     let mut regions = Vec::new();
     let mut prev_bound = 0u64;
     for pair in cands.windows(2) {
@@ -171,26 +149,23 @@ fn regions_from(sweep: &Sweep, cands: &[BcastAlgorithm]) -> Vec<Region> {
     regions
 }
 
-/// Tune one `(shape, mode)` point: sweep, derive regions, resample for
-/// confidence, fit models.
-pub fn tune_entry(cfg: &MachineConfig, opts: &AutotuneOpts) -> ShapeEntry {
-    let cands = candidates(cfg.mode);
-    let algs = measured_algorithms(cfg.mode);
-    let sweep = sweep_bcast(cfg, &algs, &opts.sizes);
-    let mut regions = regions_from(&sweep, &cands);
-
-    // Seeded resampling: perturb every measurement, re-derive the regions,
-    // and score agreement per (resample, size) pair against the base pick.
-    // The seed mixes in the shape and mode so each entry's resamples are
-    // independent but reproducible.
-    let entry_seed = opts
-        .seed
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(u64::from(cfg.node_count()))
-        .wrapping_add(cfg.mode.ranks_per_node() as u64);
+/// Sweep `algs` on `cfg`, derive the regions among `cands` (a subset of
+/// `algs`, in crossover order), and score each region's confidence with
+/// `opts.resamples` seeded perturbations of the measurements: the fraction
+/// of (resample, grid size) pairs whose re-derived pick agrees with the
+/// base pick.
+fn tuned_regions<A: Tunable>(
+    cfg: &MachineConfig,
+    algs: &[A],
+    cands: &[A],
+    opts: &AutotuneOpts,
+    seed: u64,
+) -> Vec<Region<A>> {
+    let sweep = measure(cfg, algs, &opts.sizes);
+    let mut regions = regions_from(&sweep, cands);
     let mut agree: Vec<u64> = vec![0; regions.len()];
     let mut total: Vec<u64> = vec![0; regions.len()];
-    let mut rng = Rng::new(entry_seed);
+    let mut rng = Rng::new(seed);
     for _ in 0..opts.resamples {
         let mut perturbed = sweep.clone();
         for row in &mut perturbed.micros {
@@ -199,15 +174,14 @@ pub fn tune_entry(cfg: &MachineConfig, opts: &AutotuneOpts) -> ShapeEntry {
                 *v *= 1.0 + rng.range_f64(-amp, amp);
             }
         }
-        let resampled = regions_from(&perturbed, &cands);
+        let resampled = regions_from(&perturbed, cands);
         for &bytes in &sweep.sizes {
-            let base = pick(&regions, bytes);
             let idx = regions
                 .iter()
                 .position(|r| r.upto.is_none_or(|b| bytes <= b))
                 .unwrap();
             total[idx] += 1;
-            if pick(&resampled, bytes) == base {
+            if pick(&resampled, bytes) == regions[idx].alg {
                 agree[idx] += 1;
             }
         }
@@ -219,58 +193,32 @@ pub fn tune_entry(cfg: &MachineConfig, opts: &AutotuneOpts) -> ShapeEntry {
             }
         }
     }
+    regions
+}
 
-    let models = algs
-        .iter()
-        .map(|&alg| {
-            let series = sweep.series(alg).expect("swept above");
-            (alg, fit_piecewise(&series))
-        })
-        .collect();
-
-    // Allreduce: sweep the production candidates, derive the RS+AG
-    // crossover, resample for confidence with the same protocol.
+/// Tune one `(shape, mode)` point: broadcast regions among [`candidates`]
+/// from a sweep of every [`measured_algorithms`] path, allreduce regions
+/// among [`ar_candidates`], each with resampled confidence.
+pub fn tune_entry(cfg: &MachineConfig, opts: &AutotuneOpts) -> ShapeEntry {
+    // The seed mixes in the shape and mode so each entry's resamples are
+    // independent but reproducible.
+    let entry_seed = opts
+        .seed
+        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        .wrapping_add(u64::from(cfg.node_count()))
+        .wrapping_add(cfg.mode.ranks_per_node() as u64);
     let ar_cands = ar_candidates();
-    let ar_sweep = sweep_allreduce(cfg, &ar_cands, &opts.sizes);
-    let mut ar_regions = ar_regions_from(&ar_sweep, &ar_cands);
-    let mut ar_agree: Vec<u64> = vec![0; ar_regions.len()];
-    let mut ar_total: Vec<u64> = vec![0; ar_regions.len()];
-    let mut ar_rng = Rng::new(entry_seed ^ 0xA11D_0CE5);
-    for _ in 0..opts.resamples {
-        let mut perturbed = ar_sweep.clone();
-        for row in &mut perturbed.micros {
-            for v in row.iter_mut() {
-                let amp = opts.perturb_pct / 100.0;
-                *v *= 1.0 + ar_rng.range_f64(-amp, amp);
-            }
-        }
-        let resampled = ar_regions_from(&perturbed, &ar_cands);
-        for &bytes in &ar_sweep.sizes {
-            let base = pick(&ar_regions, bytes);
-            let idx = ar_regions
-                .iter()
-                .position(|r| r.upto.is_none_or(|b| bytes <= b))
-                .unwrap();
-            ar_total[idx] += 1;
-            if pick(&resampled, bytes) == base {
-                ar_agree[idx] += 1;
-            }
-        }
-    }
-    if opts.resamples > 0 {
-        for (i, r) in ar_regions.iter_mut().enumerate() {
-            if ar_total[i] > 0 {
-                r.confidence = ar_agree[i] as f64 / ar_total[i] as f64;
-            }
-        }
-    }
-
     ShapeEntry {
         mode: cfg.mode,
         nodes: cfg.node_count(),
-        regions,
-        ar_regions,
-        models,
+        regions: tuned_regions(
+            cfg,
+            &measured_algorithms(cfg.mode),
+            &candidates(cfg.mode),
+            opts,
+            entry_seed,
+        ),
+        ar_regions: tuned_regions(cfg, &ar_cands, &ar_cands, opts, entry_seed ^ 0xA11D_0CE5),
     }
 }
 
@@ -319,8 +267,6 @@ mod tests {
             .regions
             .iter()
             .all(|r| (0.0..=1.0).contains(&r.confidence)));
-        // Every measured algorithm got a model.
-        assert_eq!(e.models.len(), measured_algorithms(OpMode::Quad).len());
     }
 
     #[test]

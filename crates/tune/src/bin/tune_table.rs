@@ -16,7 +16,7 @@
 
 use std::process::ExitCode;
 
-use bgp_mpi::tune::TuningTable;
+use bgp_mpi::tune::{Tunable, TuningTable};
 use bgp_tune::{autotune, AutotuneOpts};
 
 const DEFAULT_PATH: &str = "tuning/default.json";
@@ -85,7 +85,7 @@ fn main() -> ExitCode {
             .map(|r| {
                 format!(
                     "{}<= {} ({:.0}%)",
-                    bgp_mpi::tune::alg_id(r.alg),
+                    r.alg.id(),
                     r.upto.map_or("inf".to_string(), |b| b.to_string()),
                     r.confidence * 100.0
                 )

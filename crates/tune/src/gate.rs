@@ -31,6 +31,8 @@ use bgp_mpi::allreduce::{throughput_mb, AllreduceAlgorithm};
 use bgp_mpi::{BcastAlgorithm, Mpi};
 use bgp_sim::json::{self, Json};
 
+use crate::sweep::{mbps, Scale};
+
 /// Schema identifier of `BENCH_*.json` gate reports.
 pub const GATE_SCHEMA: &str = "bgp-bench-gate-v1";
 
@@ -367,38 +369,9 @@ pub fn stamp_meta(report: &mut GateReport, dir: &std::path::Path) {
     });
 }
 
-/// Suite scale (mirrors `bgp_bench::Scale` without the dependency).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GateScale {
-    /// 64 nodes — the deterministic CI mode.
-    Small,
-    /// The paper's two racks.
-    Paper,
-}
-
-impl GateScale {
-    fn nodes(self) -> u32 {
-        match self {
-            GateScale::Small => 64,
-            GateScale::Paper => 2048,
-        }
-    }
-
-    fn id(self) -> &'static str {
-        match self {
-            GateScale::Small => "small",
-            GateScale::Paper => "paper",
-        }
-    }
-}
-
-fn mbps(bytes: u64, t: bgp_sim::SimTime) -> f64 {
-    bytes as f64 / t.as_secs_f64() / 1e6
-}
-
 /// Run the pinned suite: the bit-deterministic simulated entries plus
 /// the three gated host ratios (the only series that vary between runs).
-pub fn run_suite(scale: GateScale) -> GateReport {
+pub fn run_suite(scale: Scale) -> GateReport {
     let mut entries = Vec::new();
     let mut sim_us = |id: &str, t: bgp_sim::SimTime| {
         entries.push(GateEntry {
@@ -997,7 +970,7 @@ mod tests {
     /// times.
     fn small_suite() -> &'static GateReport {
         static SUITE: std::sync::OnceLock<GateReport> = std::sync::OnceLock::new();
-        SUITE.get_or_init(|| run_suite(GateScale::Small))
+        SUITE.get_or_init(|| run_suite(Scale::Small))
     }
 
     #[test]
@@ -1020,7 +993,7 @@ mod tests {
     #[test]
     fn small_suite_runs_and_is_deterministic() {
         let a = small_suite();
-        let b = run_suite(GateScale::Small);
+        let b = run_suite(Scale::Small);
         // The hot-path ratio series are measured wall time; everything
         // else must be bit-identical between two runs of the same tree.
         let is_ratio = |id: &str| {

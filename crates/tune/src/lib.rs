@@ -2,13 +2,14 @@
 //!
 //! Two halves over one sweep engine:
 //!
-//! * **Autotuner** ([`autotune`]): sweep every broadcast path across message
-//!   sizes, modes, and machine shapes on the simulated machine
-//!   ([`sweep`]), fit per-algorithm piecewise cost models ([`model`]), find
-//!   the measured pairwise crossover points between the production candidate
-//!   paths, attach confidence from deterministic seeded resampling, and emit
-//!   the versioned tuning table (`tuning/default.json`) that
-//!   `bgp_mpi::tune::SelectionPolicy` serves at `Mpi` construction.
+//! * **Autotuner** ([`mod@autotune`]): sweep every broadcast and allreduce path
+//!   across message sizes, modes, and machine shapes on the simulated
+//!   machine ([`sweep`]), find the measured pairwise crossover points
+//!   between the production candidate paths, attach confidence from
+//!   deterministic seeded resampling, and emit the versioned tuning table
+//!   (`tuning/default.json`) that `bgp_mpi::tune::SelectionPolicy` serves at
+//!   `Mpi` construction. Both operations go through the same code, generic
+//!   over `bgp_mpi::tune::Tunable`.
 //! * **Regression gate** ([`gate`]): replay a pinned suite of the paper's
 //!   key measurement points (fig6/fig7/fig10/table1 + the tuned-selection
 //!   path + three dimensionless host ratios from [`hotpath`]), emit
@@ -18,16 +19,17 @@
 //!   gates exactly; wall-clock numbers of the real runtimes come from
 //!   `benchmark/`, not from here.
 //!
+//! [`Scale`], [`sweep::pow2_sizes`] and [`sweep::mbps`] are shared with
+//! `bgp-bench`, which re-exports the scale as `bgp_bench::Scale`.
+//!
 //! Binaries: `tune_table` (here) regenerates the table; `bench_gate`
 //! (in `bgp-bench`) runs the gate.
 
 pub mod autotune;
 pub mod gate;
 pub mod hotpath;
-pub mod model;
 pub mod sweep;
 
 pub use autotune::{autotune, AutotuneOpts};
 pub use gate::{compare, run_suite, CompareOutcome, GateReport};
-pub use model::fit_piecewise;
-pub use sweep::{sweep_bcast, Sweep};
+pub use sweep::{measure, Scale, Sweep};

@@ -9,8 +9,7 @@ use bgp_collectives::machine::{MachineConfig, OpMode};
 use bgp_collectives::mpi::allreduce::AllreduceAlgorithm;
 use bgp_collectives::mpi::select::select_bcast;
 use bgp_collectives::mpi::tune::{
-    ArRegion, PolicySource, Region, SelectionPolicy, ShapeEntry, TuningTable, BUILTIN_TABLE_JSON,
-    TABLE_ENV,
+    PolicySource, Region, SelectionPolicy, ShapeEntry, TuningTable, BUILTIN_TABLE_JSON, TABLE_ENV,
 };
 use bgp_collectives::mpi::{BcastAlgorithm, Datatype, Mpi};
 
@@ -150,12 +149,11 @@ fn table_cannot_override_noncontiguous_demotion() {
                 alg: BcastAlgorithm::TorusShaddr,
                 confidence: 1.0,
             }],
-            ar_regions: vec![ArRegion {
+            ar_regions: vec![Region {
                 upto: None,
                 alg: AllreduceAlgorithm::RingCurrent,
                 confidence: 1.0,
             }],
-            models: vec![],
         }],
     };
     // The table round-trips through the on-disk format, so this is exactly
@@ -180,12 +178,26 @@ fn table_cannot_override_noncontiguous_demotion() {
         "non-contiguous data is demoted off the counter path"
     );
 
-    // End to end through Mpi: the executed algorithm is the demoted one.
-    let mut mpi = Mpi::with_policy(cfg, policy);
-    let (alg, _) = mpi.bcast_auto_typed(1024, strided);
-    assert_eq!(alg, BcastAlgorithm::TorusFifo);
-    let (alg, _) = mpi.bcast_auto_typed(1024, Datatype::Contiguous);
-    assert_eq!(alg, BcastAlgorithm::TorusShaddr);
+    // End to end through Mpi: the executed algorithm is the demoted one,
+    // and each typed op counts exactly one table lookup.
+    let mut mpi = Mpi::with_policy(cfg.clone(), policy);
+    mpi.enable_probe();
+    for (dtype, expect) in [
+        (strided, BcastAlgorithm::TorusFifo),
+        (Datatype::Contiguous, BcastAlgorithm::TorusShaddr),
+    ] {
+        let (alg, _) = mpi.bcast_auto_typed(1024, dtype);
+        assert_eq!(alg, expect, "{dtype:?}");
+        assert_eq!(mpi.probe().counter("tune.table"), 1, "{dtype:?}");
+        assert_eq!(mpi.probe().counter("tune.fallback"), 0, "{dtype:?}");
+    }
+    // Without a table the static thresholds answer, counted once as such.
+    let mut mpi = Mpi::with_policy(cfg, SelectionPolicy::static_policy());
+    mpi.enable_probe();
+    let (alg, _) = mpi.bcast_auto_typed(64 << 10, strided);
+    assert_eq!(alg, BcastAlgorithm::TreeDmaDirectPut);
+    assert_eq!(mpi.probe().counter("tune.table"), 0);
+    assert_eq!(mpi.probe().counter("tune.fallback"), 1);
 }
 
 /// The auto path reports which policy answered: with the builtin table the
