@@ -624,6 +624,10 @@ mod tests {
             ],
             "warp_drive",
         );
+    }
+
+    #[test]
+    fn ar_alg_ids_round_trip() {
         ids_round_trip(
             &[
                 AllreduceAlgorithm::RingCurrent,

@@ -234,9 +234,14 @@ mod tests {
     #[test]
     fn last_win_finds_the_crossover() {
         // The staged tree path must lose to the torus for large messages on
-        // any shape; the shared-address ring wins small allreduces
-        // (node-aware RS+AG pays per-stage sync) and loses the large ones.
+        // any shape, so the crossover exists and is below the top size.
         crossover_below_the_top(BcastAlgorithm::TreeShmem, BcastAlgorithm::TorusShaddr);
+    }
+
+    #[test]
+    fn allreduce_sweep_finds_the_node_aware_crossover() {
+        // The shared-address ring wins small allreduces (node-aware RS+AG
+        // pays per-stage sync) and loses somewhere below the top of the grid.
         crossover_below_the_top(
             AllreduceAlgorithm::ShaddrSpecialized,
             AllreduceAlgorithm::NodeAwareRsAg,
