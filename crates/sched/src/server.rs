@@ -63,13 +63,18 @@
 //! set. Both handshakes are protocols the bgp-check model tests verify
 //! (and mutate, via the `sched_done_relaxed` and `wake_skipped` hooks).
 //!
-//! An allreduce moves its payloads instead of copying them: each member's
-//! input vector is adopted, as it was submitted, as that member's input
-//! region, and each member's output region is born from a zeroed
-//! `Vec<f64>` that moves, once the engine has let go of it, into the
-//! member's slot and out of `wait`. A broadcast's result is copied once per
-//! member, from the op's completed region into its slot (a coalesced
-//! child's span of the fused payload), and `wait` moves the slots out.
+//! Payloads move instead of being copied, and results land in memory that
+//! is already mapped. A broadcast's payload is adopted, as it was
+//! submitted, as the root's buffer; every other member receives into a
+//! region of its own. Once the engine has let go of a member's region, the
+//! region moves into the member's slot — the root gets its submitted
+//! vector back — and `wait` moves the slots out. Only a coalesced op copies:
+//! each child's span of the fused payload, once per member. An allreduce
+//! adopts each member's input vector as that member's input region, and
+//! its output region moves into the slot the same way. The rank then keeps
+//! the spent input as a spare, and its next allreduce zero-fills a spare
+//! that fits as its output instead of allocating one, so the engine writes
+//! into pages the rank has touched before, not into fresh ones.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicBool};
@@ -566,16 +571,17 @@ const COALESCE_MAX_BYTES: usize = 64 * 1024;
 /// Most children fused into one broadcast.
 const COALESCE_MAX_OPS: usize = 8;
 
-/// One engine op of a plan. A broadcast's payload is adopted, uncopied, as
-/// the root's buffer; a coalesced one carries the fused payload plus each
-/// child's `(state, offset, length)` slice. An allreduce carries each
-/// member's input, for that member's rank to take.
+/// One engine op of a plan. A broadcast carries its `len`-byte payload —
+/// the fused one of a coalesced op — for the root member's rank to take as
+/// its buffer, plus each child's `(state, offset, length)` slice. An
+/// allreduce carries each member's input, for that member's rank to take.
 enum PlanOp {
     Bcast {
         group: Arc<Vec<usize>>,
         root_node: usize,
         root_rank: usize,
-        source: Arc<SharedRegion>,
+        payload: TakeOnce<Vec<u8>>,
+        len: usize,
         children: Vec<(Arc<OpState>, usize, usize)>,
     },
     Ar {
@@ -1053,7 +1059,8 @@ impl FusedBcast {
             group: self.group,
             root_node: self.root_node,
             root_rank: self.root_rank,
-            source: Arc::new(SharedRegion::from_vec(self.payload)),
+            len: self.payload.len(),
+            payload: TakeOnce::new(self.payload),
             children: self.children,
         }
     }
@@ -1126,42 +1133,88 @@ struct Posted {
     /// This rank's global member slot and the region its result lands in
     /// (`None` for non-members, and once published).
     member: Option<(usize, Arc<SharedRegion>)>,
+    /// An allreduce member's input region, kept as a spare once published.
+    input: Option<Arc<SharedRegion>>,
 }
 
 impl Posted {
     /// Fill this rank's slot of every ticket the completed op carries;
-    /// `false` while it cannot yet. A broadcast copies each child's span
-    /// out of the result region. An allreduce moves the region's vector
-    /// into its slot once nothing else holds the region. A landing
-    /// member's output is let go of by its node's engine when the op
-    /// retires, and by each co-member that chased out of it when that
-    /// member's record finishes; until then this rank keeps polling (an
-    /// engine rank retires everything before it parks).
-    fn publish(&mut self) -> bool {
+    /// `false` while it cannot yet. A coalesced broadcast copies each
+    /// child's span out of the result region. Every other op moves the
+    /// region itself into its slot — a broadcast's bytes, an allreduce's
+    /// vector — once nothing else holds the region, and an allreduce
+    /// member's spent input goes to `spares`. A landing member's region is
+    /// let go of by its node's engine when the op retires, and by each
+    /// co-member that chased out of it when that member's record finishes;
+    /// until then this rank keeps polling (an engine rank retires
+    /// everything before it parks).
+    fn publish(&mut self, spares: &mut Spares) -> bool {
         let Some((slot, buf)) = self.member.take() else {
             return true;
         };
-        match &self.plan[self.op] {
-            PlanOp::Bcast { children, .. } => {
+        let op = &self.plan[self.op];
+        if let PlanOp::Bcast { children, .. } = op {
+            if children.len() > 1 {
                 for (state, off, len) in children {
                     // SAFETY: the request is complete, so the region holds
                     // the op's final contents and nothing writes it anymore.
                     let span = unsafe { buf.with_bytes(*off, *len, <[u8]>::to_vec) };
                     state.complete_slot(slot, span);
                 }
+                return true;
             }
-            PlanOp::Ar { state, .. } => match Arc::try_unwrap(buf) {
-                Ok(region) => {
-                    let values = region.into_f64s().ok();
-                    state.fill(slot, Payload::F64s(values.expect("born from a Vec<f64>")));
-                }
-                Err(buf) => {
-                    self.member = Some((slot, buf));
-                    return false;
-                }
-            },
+        }
+        let region = match Arc::try_unwrap(buf) {
+            Ok(region) => region,
+            Err(buf) => {
+                self.member = Some((slot, buf));
+                return false;
+            }
+        };
+        match op {
+            PlanOp::Bcast { children, .. } => {
+                let bytes = region.into_bytes().ok().expect("born from a Vec<u8>");
+                children[0].0.complete_slot(slot, bytes);
+            }
+            PlanOp::Ar { state, .. } => {
+                spares.keep(self.input.take().expect("a member has an input"));
+                let values = region.into_f64s().ok().expect("born from a Vec<f64>");
+                state.fill(slot, Payload::F64s(values));
+            }
         }
         true
+    }
+}
+
+/// The spent allreduce inputs of one rank, reused as its later outputs.
+/// One push per publish and one pop per post keep the list within the
+/// rank's peak number of allreduces in flight, so it needs no cap; it
+/// lives as long as the rank's loop, parked spells included.
+#[derive(Default)]
+struct Spares(Vec<Vec<f64>>);
+
+impl Spares {
+    /// An output of `count` zeros: the last spare, zero-filled to `count`,
+    /// if its capacity is `count..=2 * count`; otherwise a fresh vector, and
+    /// a spare that does not fit is dropped. A zero-filled spare reads as a
+    /// fresh vector does, so no input's bytes reach another op's result.
+    fn output(&mut self, count: usize) -> Vec<f64> {
+        match self.0.pop() {
+            Some(mut v) if (count..=2 * count).contains(&v.capacity()) => {
+                v.clear();
+                v.resize(count, 0.0);
+                v
+            }
+            _ => vec![0.0; count],
+        }
+    }
+
+    /// Keep a published op's input vector, unless something still holds
+    /// its region: then the last holder frees it.
+    fn keep(&mut self, input: Arc<SharedRegion>) {
+        if let Some(v) = Arc::try_unwrap(input).ok().and_then(|r| r.into_f64s().ok()) {
+            self.0.push(v);
+        }
     }
 }
 
@@ -1172,28 +1225,34 @@ fn post_plan(
     at: (usize, usize),
     plan: &Arc<Vec<PlanOp>>,
     posted: &mut Vec<Posted>,
+    spares: &mut Spares,
 ) {
     let (node, rank) = at;
     for (op, p) in plan.iter().enumerate() {
-        let (req, member) = match p {
+        let (req, member, input) = match p {
             PlanOp::Bcast {
                 group,
                 root_node,
                 root_rank,
-                source,
+                payload,
+                len,
                 ..
             } => {
+                // The root's payload, as submitted, is its buffer; every
+                // other member receives into a region its ticket will
+                // return.
                 let member = group.binary_search(&rank).ok().map(|i| {
                     let buf = if at == (*root_node, *root_rank) {
-                        source.clone()
+                        let payload = payload.take().expect("the root's rank takes the payload");
+                        SharedRegion::from_vec(payload)
                     } else {
-                        Arc::new(SharedRegion::new(source.len()))
+                        SharedRegion::new(*len)
                     };
-                    (node * group.len() + i, buf)
+                    (node * group.len() + i, Arc::new(buf))
                 });
                 let buf = member.as_ref().map(|(_, b)| b);
-                let req = sched.ibcast(group, *root_node, *root_rank, buf, source.len());
-                (req, member)
+                let req = sched.ibcast(group, *root_node, *root_rank, buf, *len);
+                (req, member, None)
             }
             PlanOp::Ar {
                 group,
@@ -1202,23 +1261,24 @@ fn post_plan(
                 ..
             } => {
                 // The member's input, as submitted, is its input region;
-                // its output is born zeroed from the vector its ticket
-                // will return.
+                // its output is the zeroed vector its ticket will return,
+                // a spent input where one fits.
                 let bufs = group.binary_search(&rank).ok().map(|i| {
                     let slot = node * group.len() + i;
                     let input = inputs[slot]
                         .take()
                         .expect("a member's rank takes its input");
-                    let inb = Arc::new(SharedRegion::from_f64s(input));
+                    let out = spares.output(*count);
                     (
                         slot,
-                        inb,
-                        Arc::new(SharedRegion::from_f64s(vec![0.0; *count])),
+                        Arc::new(SharedRegion::from_f64s(input)),
+                        Arc::new(SharedRegion::from_f64s(out)),
                     )
                 });
                 let (inb, outb) = (bufs.as_ref().map(|b| &b.1), bufs.as_ref().map(|b| &b.2));
                 let req = sched.iallreduce(group, inb, outb, *count);
-                (req, bufs.map(|(slot, _, out)| (slot, out)))
+                let (member, input) = bufs.map(|(slot, inb, out)| ((slot, out), inb)).unzip();
+                (req, member, input)
             }
         };
         posted.push(Posted {
@@ -1226,9 +1286,10 @@ fn post_plan(
             plan: plan.clone(),
             op,
             member,
+            input,
         });
         // Start each op's traffic before the next one is posted: a large
-        // allreduce's post still allocates its zeroed output region.
+        // allreduce's post still zero-fills its output.
         sched.poll();
     }
 }
@@ -1306,6 +1367,7 @@ fn resident(
     let at = (cctx.node(), cctx.rank());
     let mut sched = Sched::new(cctx);
     let mut posted: Vec<Posted> = Vec::new();
+    let mut spares = Spares::default();
     let mut idle_since = Instant::now();
     loop {
         let idle = posted.is_empty() && idle_since.elapsed() >= RANK_SPIN;
@@ -1322,11 +1384,11 @@ fn resident(
             Err(_) => None,
         };
         if let Some(plan) = plan {
-            post_plan(&mut sched, at, &plan, &mut posted);
+            post_plan(&mut sched, at, &plan, &mut posted, &mut spares);
         }
         sched.poll();
         let busy = !posted.is_empty();
-        posted.retain_mut(|p| !(sched.is_complete(p.req) && p.publish()));
+        posted.retain_mut(|p| !(sched.is_complete(p.req) && p.publish(&mut spares)));
         if busy && posted.is_empty() {
             idle_since = Instant::now();
         }
@@ -1364,6 +1426,94 @@ mod tests {
         .concat()]));
         let ticket = AllreduceTicket { state };
         let _ = ticket.wait();
+    }
+
+    /// A spent input of `cap` doubles, all 7.5.
+    fn spent(cap: usize) -> Arc<SharedRegion> {
+        let mut v = Vec::with_capacity(cap);
+        v.resize(cap, 7.5);
+        Arc::new(SharedRegion::from_f64s(v))
+    }
+
+    /// A spare serves as an output of `count` only if its capacity is
+    /// `count..=2 * count`, and then reads as `count` zeros; one that does
+    /// not fit is dropped for a fresh vector, and an input something still
+    /// holds is not kept.
+    #[test]
+    fn a_spare_serves_zeroed_only_where_it_fits() {
+        let mut spares = Spares::default();
+        for (count, reused) in [
+            (60, true),
+            (50, true),
+            (100, true),
+            (49, false),
+            (101, false),
+        ] {
+            spares.keep(spent(100));
+            let out = spares.output(count);
+            assert_eq!(out, vec![0.0; count], "count {count}");
+            let cap = if reused { 100 } else { count };
+            assert_eq!(out.capacity(), cap, "count {count}");
+            assert!(spares.0.is_empty(), "count {count}");
+        }
+        let held = spent(8);
+        spares.keep(held.clone());
+        assert!(spares.0.is_empty(), "a held input is no spare");
+        assert_eq!(spares.output(8).capacity(), 8);
+    }
+
+    /// Trains of `D` allreduces posted at once on each rank of a 2 x 1
+    /// cluster, with counts that fit a spare and counts that do not: every
+    /// result is the exact sum, and no rank ever keeps more than `D` spares.
+    #[test]
+    fn a_depth_d_train_leaves_at_most_d_spares() {
+        const D: usize = 4;
+        const COUNTS: [usize; D] = [1000, 700, 1000, 300];
+        let group = Arc::new(vec![0]);
+        let trains: Vec<_> = (0..3)
+            .map(|train| {
+                let cmds: Vec<Cmd> = (0..D)
+                    .map(|j| Cmd {
+                        group: group.clone(),
+                        op: Op::Allreduce {
+                            inputs: (0..2)
+                                .map(|m| vec![(train * D + j + m) as f64; COUNTS[j]])
+                                .collect(),
+                            count: COUNTS[j],
+                        },
+                        state: Arc::new(OpState::new(2)),
+                        queued_at: Instant::now(),
+                    })
+                    .collect();
+                let states: Vec<_> = cmds.iter().map(|c| c.state.clone()).collect();
+                (Arc::new(build_plan(cmds)), states)
+            })
+            .collect();
+        let plans: Vec<_> = trains.iter().map(|(plan, _)| plan.clone()).collect();
+        let most = Cluster::new(2, 1).run(move |c| {
+            let at = (c.node(), c.rank());
+            let mut sched = Sched::new(c);
+            let (mut posted, mut spares, mut most) = (Vec::new(), Spares::default(), 0);
+            for plan in &plans {
+                post_plan(&mut sched, at, plan, &mut posted, &mut spares);
+                while !posted.is_empty() {
+                    sched.poll();
+                    posted.retain_mut(|p| !(sched.is_complete(p.req) && p.publish(&mut spares)));
+                    most = most.max(spares.0.len());
+                }
+            }
+            most
+        });
+        for (rank, most) in most.iter().flatten().enumerate() {
+            assert!((1..=D).contains(most), "rank {rank} kept {most} spares");
+        }
+        for (train, (_, states)) in trains.into_iter().enumerate() {
+            for (j, state) in states.into_iter().enumerate() {
+                let sum = (2 * (train * D + j) + 1) as f64;
+                let got = AllreduceTicket { state }.wait();
+                assert_eq!(got, vec![vec![sum; COUNTS[j]]; 2], "train {train} op {j}");
+            }
+        }
     }
 
     /// Well-formed slots still decode lane-exactly through the checked path.

@@ -20,9 +20,9 @@ use std::ptr::NonNull;
 ///
 /// The region owns one heap allocation: its own (zeroed at birth) or an
 /// adopted `Vec`'s, whole capacity included, so adoption never copies. It
-/// keeps the allocation's [`Layout`] and frees it with that layout; a
+/// keeps the allocation's [`Layout`] and frees it with that layout. A
 /// region adopted from a `Vec<f64>` can hand its vector back
-/// ([`Self::into_f64s`]).
+/// ([`Self::into_f64s`]), any other its bytes ([`Self::into_bytes`]).
 ///
 /// # Safety contract for the `unsafe` accessors
 ///
@@ -105,6 +105,21 @@ impl SharedRegion {
                 region.layout.size() / lane,
             )
         })
+    }
+
+    /// The bytes of a region made by [`Self::new`] or [`Self::from_vec`],
+    /// as they now read — moved out, not copied, spare capacity included.
+    /// A region adopted from a `Vec<f64>` comes back as `Err(self)`.
+    pub fn into_bytes(self) -> Result<Vec<u8>, Self> {
+        if self.layout.align() != 1 {
+            return Err(self);
+        }
+        let region = ManuallyDrop::new(self);
+        // SAFETY: a byte-aligned layout is a `Vec<u8>`'s of `layout.size()`
+        // bytes — adopted by `from_vec`, or allocated by `new` with the
+        // layout a `Vec<u8>` of that capacity has — of which the first
+        // `len` are initialized (by the `Vec`, or zeroed).
+        Ok(unsafe { Vec::from_raw_parts(region.ptr.as_ptr(), region.len, region.layout.size()) })
     }
 
     /// Region length in bytes.
@@ -331,6 +346,45 @@ mod tests {
         let empty = SharedRegion::from_f64s(Vec::new());
         assert!(empty.is_empty());
         assert_eq!(empty.into_f64s().ok(), Some(Vec::new()));
+    }
+
+    #[test]
+    fn a_new_region_comes_back_as_its_bytes() {
+        let r = SharedRegion::new(64);
+        unsafe { r.write(60, &[1, 2, 3, 4]) };
+        let bytes = r.into_bytes().ok().expect("a new region is bytes");
+        assert_eq!(bytes.len(), 64);
+        assert!(bytes[..60].iter().all(|&b| b == 0));
+        assert_eq!(bytes[60..], [1, 2, 3, 4]);
+        let zeros = SharedRegion::new(4096).into_bytes().ok();
+        assert_eq!(zeros, Some(vec![0u8; 4096]));
+    }
+
+    #[test]
+    fn an_adopted_vec_comes_back_with_its_capacity() {
+        let mut bytes = Vec::with_capacity(4096);
+        bytes.extend(0..100u8);
+        let ptr = bytes.as_ptr();
+        let r = SharedRegion::from_vec(bytes);
+        unsafe { r.write(0, &[0xFF]) };
+        let back = r.into_bytes().ok().expect("an adopted Vec comes back");
+        assert_eq!(back.as_ptr(), ptr);
+        assert_eq!(back.capacity(), 4096);
+        assert_eq!(back[0], 0xFF);
+        assert_eq!(back[1..], (1..100).collect::<Vec<u8>>());
+    }
+
+    #[test]
+    fn only_a_byte_region_comes_back_as_bytes() {
+        let r = SharedRegion::from_f64s(vec![1.5, -2.0]);
+        let r = r
+            .into_bytes()
+            .expect_err("an adopted f64 vector is no byte vector");
+        assert_eq!(r.into_f64s().ok(), Some(vec![1.5, -2.0]));
+        assert!(SharedRegion::from_f64s(Vec::new()).into_bytes().is_err());
+        for empty in [SharedRegion::new(0), SharedRegion::from_vec(Vec::new())] {
+            assert_eq!(empty.into_bytes().ok(), Some(Vec::new()));
+        }
     }
 
     #[test]

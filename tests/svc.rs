@@ -160,21 +160,80 @@ fn concurrent_sessions_match_sequential_reference() {
     }
 }
 
-/// Allreduces of 64 Ki doubles, 16 in flight, on 2 x 2, on 3 x 1 (one
-/// member per node: the ring reads each input in place) and on the
-/// subgroup comm `[1]` of 2 x 2 (a lone member off the engine rank, whose
-/// output the engine lands in and lets go of only when it retires the op).
+/// The three shapes of the move-out tests: 2 x 2, 3 x 1 (one member per
+/// node: the ring reads each input in place) and the subgroup comm `[1]` of
+/// 2 x 2 (a lone member off the engine rank, whose buffer the engine lands
+/// in and lets go of only when it retires the op).
+const MOVE_OUT_SHAPES: [(usize, usize, &[usize]); 3] =
+    [(2, 2, &[0, 1]), (3, 1, &[0]), (2, 2, &[1])];
+
+/// Broadcasts of 512 KiB, 16 in flight, on the move-out shapes, the root
+/// rotating over every node and group rank; every fourth op is small, so
+/// small ops run alone too. Every member's result — the root's own
+/// payload, or the region it received into, moved out — must equal the
+/// payload. A result the server never manages to move out would wedge its
+/// `wait`: the deadline turns that into a failure.
+#[test]
+fn bcast_results_move_out_equal_to_the_payload() {
+    const LEN: usize = 512 << 10;
+    const DEPTH: usize = 16;
+    for (shape, (nodes, ranks, group)) in MOVE_OUT_SHAPES.into_iter().enumerate() {
+        let mut rng = Rng::new(0x5EED_0B0C + shape as u64);
+        let train: Vec<(usize, usize, Vec<u8>)> = (0..DEPTH)
+            .map(|op| {
+                let len = if op % 4 == 3 { 1000 + op } else { LEN };
+                let seed = rng.range_u32(0, u32::MAX);
+                let payload = (0..len as u32)
+                    .map(|k| (k.wrapping_mul(0x9E37_79B9) ^ seed) as u8)
+                    .collect();
+                (op % nodes, group[op / nodes % group.len()], payload)
+            })
+            .collect();
+        within(120, move || {
+            let svc = Service::new(nodes, ranks);
+            let session = svc.open_session("bcast", 1).unwrap();
+            let comm = session.comm_create(group).unwrap();
+            let tickets: Vec<_> = train
+                .iter()
+                .map(|(node, rank, payload)| comm.bcast(*node, *rank, payload.clone()).unwrap())
+                .collect();
+            for (op, (t, (node, rank, payload))) in tickets.into_iter().zip(&train).enumerate() {
+                let got = t.wait();
+                assert_eq!(
+                    got.len(),
+                    nodes * group.len(),
+                    "{nodes}x{ranks} {group:?} op {op}"
+                );
+                for (member, bytes) in got.iter().enumerate() {
+                    assert!(
+                        bytes == payload,
+                        "{nodes}x{ranks} {group:?} op {op} from ({node}, {rank}): \
+                         member {member} diverged"
+                    );
+                }
+            }
+        });
+    }
+}
+
+/// Allreduces of 64 Ki doubles, 16 in flight, on the move-out shapes.
 /// Every member's input is its own seeded vector, and every member's
 /// result — its output region, moved out — must be bit-identical to the
-/// sequential sum of the inputs. A result the server never manages to move
-/// out would wedge its `wait`: the deadline turns that into a failure.
+/// sequential sum of the inputs. A second train, 8 deep, then alternates
+/// two tenants, the second reducing 3/4 or 1/4 as many doubles: a rank's spent
+/// inputs of the first train fit the 3/4 outputs and are too large for the
+/// 1/4 ones, and the second tenant's spent inputs are too short for the
+/// first tenant's outputs. Each result is the exact sum, as long as its
+/// count, and holds at most twice its count. A result the server
+/// never manages to move out would wedge its `wait`: the deadline turns
+/// that into a failure.
 #[test]
 fn allreduce_results_move_out_bit_identical_to_the_sequential_sum() {
     const COUNT: usize = 64 << 10;
+    /// What the second tenant reduces, alternately.
+    const SHORT: [usize; 2] = [COUNT - COUNT / 4, COUNT / 4];
     const DEPTH: usize = 16;
-    let shapes: [(usize, usize, &'static [usize]); 3] =
-        [(2, 2, &[0, 1]), (3, 1, &[0]), (2, 2, &[1])];
-    for (shape, (nodes, ranks, group)) in shapes.into_iter().enumerate() {
+    for (shape, (nodes, ranks, group)) in MOVE_OUT_SHAPES.into_iter().enumerate() {
         let members = nodes * group.len();
         let mut rng = Rng::new(0x5EED_0A11 + shape as u64);
         // `members + 1` seeded vectors of multiples of 1/8 below 2^17, so
@@ -202,24 +261,54 @@ fn allreduce_results_move_out_bit_identical_to_the_sequential_sum() {
                     .collect()
             })
             .collect();
-        let trains: Vec<Vec<Vec<f64>>> = (0..DEPTH).map(inputs).collect();
+        // Train 0 is one tenant's; train 1 alternates the two tenants, the
+        // second's op taking a prefix of its inputs (and of the sum).
+        let tenant = |train: usize, op: usize| train * (op % 2);
+        let count = move |train, op| match tenant(train, op) {
+            0 => COUNT,
+            _ => SHORT[op / 2 % 2],
+        };
+        let trains: Vec<Vec<Vec<Vec<f64>>>> = [DEPTH, DEPTH / 2]
+            .into_iter()
+            .enumerate()
+            .map(|(train, depth)| {
+                (0..depth)
+                    .map(|op| {
+                        // Each input's capacity is its count, as submitted.
+                        let mut v = inputs(op + train);
+                        for x in &mut v {
+                            x.truncate(count(train, op));
+                            x.shrink_to_fit();
+                        }
+                        v
+                    })
+                    .collect()
+            })
+            .collect();
         within(120, move || {
             let svc = Service::new(nodes, ranks);
-            let session = svc.open_session("ar", 1).unwrap();
-            let comm = session.comm_create(group).unwrap();
-            let tickets: Vec<_> = trains
-                .into_iter()
-                .map(|inputs| comm.allreduce(inputs).unwrap())
-                .collect();
-            for (op, t) in tickets.into_iter().enumerate() {
-                let (got, sum) = (t.wait(), &sums[op % sums.len()]);
-                assert_eq!(got.len(), members, "{nodes}x{ranks} {group:?} op {op}");
-                for (member, v) in got.iter().enumerate() {
-                    let bits: Vec<u64> = v.iter().map(|x| x.to_bits()).collect();
-                    assert!(
-                        bits == *sum,
-                        "{nodes}x{ranks} {group:?} op {op}: member {member} diverged"
-                    );
+            let sessions = ["ar", "ar-short"].map(|t| svc.open_session(t, 1).unwrap());
+            let comms = sessions.each_ref().map(|s| s.comm_create(group).unwrap());
+            for (train, ops) in trains.into_iter().enumerate() {
+                let tickets: Vec<_> = ops
+                    .into_iter()
+                    .enumerate()
+                    .map(|(op, inputs)| comms[tenant(train, op)].allreduce(inputs).unwrap())
+                    .collect();
+                for (op, t) in tickets.into_iter().enumerate() {
+                    let (got, n) = (t.wait(), count(train, op));
+                    let sum = &sums[(op + train) % sums.len()][..n];
+                    let what = format!("{nodes}x{ranks} {group:?} train {train} op {op}");
+                    assert_eq!(got.len(), members, "{what}");
+                    for (member, v) in got.iter().enumerate() {
+                        let bits: Vec<u64> = v.iter().map(|x| x.to_bits()).collect();
+                        assert!(bits == sum, "{what}: member {member} diverged");
+                        assert!(
+                            v.capacity() <= 2 * n,
+                            "{what}: member {member} holds {}",
+                            v.capacity()
+                        );
+                    }
                 }
             }
         });
