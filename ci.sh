@@ -58,6 +58,19 @@ for f in crates/smp/src/{collectives,cluster}.rs; do
   fi
 done
 
+# The blocking ops find a peer's window on the node's window board
+# (bgp_smp::runtime::WindowBoard), not in the registry map, which serves
+# only the nonblocking engine: a registry map or withdrawal in the non-test
+# part of crates/smp/src fails here.
+echo "== guard: no registry map or unexpose on the blocking path of crates/smp/src"
+for f in crates/smp/src/*.rs; do
+  if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
+    grep -E 'map_auto_blocking\(|try_map_auto\(|\.unexpose\('; then
+    echo "registry map in $f (blocking ops map through the window board)" >&2
+    exit 1
+  fi
+done
+
 # The service adopts each allreduce member's input vector as its input
 # region: filling a fresh region from the input (a copy per member) in the
 # non-test part of server.rs fails here.

@@ -8,12 +8,13 @@
 //! every rank at post time, so ids agree across the whole cluster and are
 //! never reused:
 //!
-//! * window tags: `(1 << 62) | (op << 2) | role` with role 0 = a member's
+//! * window tags: `(op << 2) | role` with role 0 = a member's
 //!   application buffer (a broadcast root's source, a broadcast's landing
 //!   buffer, an allreduce input), role 1 = the landing member's output
 //!   (allreduce, allgather) and role 2 = an engine-owned region, which only
-//!   `ireduce_scatter` has. The high bit keeps sched tags disjoint from the
-//!   blocking collectives'.
+//!   `ireduce_scatter` has. The registry map holds only the engine's
+//!   windows — the blocking collectives post theirs on the node's window
+//!   board — so these tags share their space with nothing.
 //! * counter blocks: one [`OpCounters`] per op in the node's bank, keyed
 //!   by the op id — result bytes, member-done, and one contribution stream
 //!   per member. A post looks the block up once; the rank's member record
@@ -156,11 +157,10 @@ const ROLE_DATA: u64 = 0;
 const ROLE_OUT: u64 = 1;
 /// Window-tag role: an engine-owned region (`ireduce_scatter` only).
 const ROLE_STAGE: u64 = 2;
-/// Keeps sched window tags disjoint from the blocking collectives' tags.
-const SCHED_TAG_BIT: u64 = 1 << 62;
 
+/// The window tag of `op`'s `role` (see the module doc).
 fn reg_tag(op: u64, role: u64) -> u64 {
-    SCHED_TAG_BIT | (op << 2) | role
+    (op << 2) | role
 }
 
 /// Counters one op's [`OpCounters`] block may hold: the fixed streams,

@@ -11,6 +11,14 @@
 //! * the *accounting*: map calls and cache hits/misses are counted so the
 //!   simulator and harness can charge the Figure 8 syscall costs for
 //!   exactly the operations a real CNK stack would issue.
+//!
+//! The map serves the nonblocking engine (`bgp-sched`), whose windows
+//! outlive ops and whose ops overlap, so many windows of one rank are in
+//! flight at once. The blocking collectives of `bgp-smp` swap window
+//! addresses on a per-rank board instead (`bgp_smp::runtime::WindowBoard`):
+//! one op at a time, two slots per rank, no lock. The ledger serves both
+//! paths — the board charges it through [`WindowRegistry::note_expose`] and
+//! [`WindowRegistry::note_map`], the calls every map here goes through too.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -90,8 +98,18 @@ impl WindowRegistry {
         self.shard(owner).read().get(&(owner, tag)).cloned()
     }
 
-    /// Charge one map to the ledger: a hit if `cached`, else a miss.
-    fn charge(&self, cached: bool) {
+    /// Charge one expose to the ledger: the owner-side translation a CNK
+    /// stack pays per exposed buffer. [`Self::expose`] charges it; a path
+    /// that exposes a window elsewhere (the blocking collectives' board)
+    /// calls it itself.
+    pub fn note_expose(&self) {
+        self.inner.stats.exposes.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Charge one map to the ledger: a hit if `cached`, else a miss. The
+    /// map calls here charge it; a path that maps a window elsewhere calls
+    /// it itself.
+    pub fn note_map(&self, cached: bool) {
         let stats = &self.inner.stats;
         let word = if cached {
             &stats.map_hits
@@ -105,7 +123,7 @@ impl WindowRegistry {
     /// previous exposure with that key. This is the virtual→physical
     /// translation step on BG/P.
     pub fn expose(&self, owner: u32, tag: u64, region: Arc<SharedRegion>) {
-        self.inner.stats.exposes.fetch_add(1, Ordering::Relaxed);
+        self.note_expose();
         self.shard(owner).write().insert((owner, tag), region);
     }
 
@@ -120,7 +138,7 @@ impl WindowRegistry {
     /// Returns `None` if the owner has not exposed the tag yet.
     pub fn map(&self, owner: u32, tag: u64, cached: bool) -> Option<Arc<SharedRegion>> {
         let region = self.lookup(owner, tag)?;
-        self.charge(cached);
+        self.note_map(cached);
         Some(region)
     }
 
@@ -165,7 +183,7 @@ impl WindowRegistry {
         seen: &mut std::collections::HashSet<usize>,
     ) -> Option<Arc<SharedRegion>> {
         let region = self.lookup(owner, tag)?;
-        self.charge(!seen.insert(Arc::as_ptr(&region) as usize));
+        self.note_map(!seen.insert(Arc::as_ptr(&region) as usize));
         Some(region)
     }
 

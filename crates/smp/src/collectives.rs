@@ -10,8 +10,8 @@
 //!   packetizes into FIFO slots (payload + `{conn, len}` metadata); each
 //!   peer drains every slot. Concurrent, multiplexable, but still staged.
 //! * [`RankCtx::bcast_shaddr`] — **shared address + message counters**
-//!   (§IV-C/§V-A): the root exposes its *application buffer* through the
-//!   window registry and publishes a byte counter chunk by chunk; peers
+//!   (§IV-C/§V-A): the root exposes its *application buffer* on the node's
+//!   window board and publishes a byte counter chunk by chunk; peers
 //!   copy directly out of the root's buffer — one copy, pipelined.
 //!
 //! Plus [`RankCtx::allreduce_f64`] — the §V-C decomposition (local reduce by
@@ -843,6 +843,72 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Regression (board slot reuse): a rank posts every op's windows in
+    /// the same two board slots, so a peer that took whatever a slot holds
+    /// would find an earlier op's buffer there. 1 000 ops on a 1 x 4 node,
+    /// each rank alternating between two buffers with different payloads:
+    /// `bcast_shaddr` from rotating roots, and `allreduce_f64` on
+    /// alternating input/output pairs. Every byte must be this op's.
+    #[test]
+    fn a_reused_board_slot_never_yields_a_stale_window() {
+        const OPS: usize = 1000;
+        const COUNT: usize = 125;
+        // One length for every buffer: a stale window copies wrong bytes
+        // rather than running past a shorter region's end.
+        const LEN: usize = COUNT * 8;
+        let wrong = on_node(4, |ctx| {
+            let me = ctx.rank();
+            let bufs = [ctx.alloc_buffer(LEN), ctx.alloc_buffer(LEN)];
+            let pairs = [0, 1].map(|_| (ctx.alloc_buffer(LEN), ctx.alloc_buffer(LEN)));
+            let mut got = vec![0.0; COUNT];
+            let mut wrong = 0;
+            for k in 0..OPS / 2 {
+                let (root, buf) = (k % 4, &bufs[k % 2]);
+                let payload = pattern(LEN, k as u8);
+                if me == root {
+                    // SAFETY: our own buffer, before the collective.
+                    unsafe { buf.write(0, &payload) };
+                }
+                ctx.bcast_shaddr(root, buf, LEN, 256);
+                // SAFETY: the collective completed.
+                wrong += usize::from(unsafe { buf.snapshot() } != payload);
+                let (input, output) = &pairs[k % 2];
+                write_f64s(input, 0, &vec![(4 * k + me) as f64; COUNT]);
+                ctx.allreduce_f64(input, output, COUNT);
+                read_f64s_into(output, 0, &mut got);
+                wrong += got.iter().filter(|&&v| v != (16 * k + 6) as f64).count();
+            }
+            wrong
+        });
+        assert_eq!(wrong, vec![0; 4], "ops delivered another op's bytes");
+    }
+
+    /// The window ledger charges what a CNK stack would pay, whatever path
+    /// maps the windows: per pass on n ranks, `allreduce_f64` exposes two
+    /// windows a rank and maps n inputs and n - 1 outputs, `bcast_shaddr`
+    /// and `gather` expose the root's one and map it n - 1 times, and
+    /// `allgather` exposes one a rank and maps n. Every buffer stays alive,
+    /// so the first pass misses on every map and the second hits on every
+    /// one.
+    #[test]
+    fn window_ledger_charges_the_closed_form() {
+        const N: u64 = 4;
+        let ledger = on_node(N as usize, |ctx| {
+            let [input, output, buf, send, recv] =
+                [8, 8, 64, 16, 64].map(|len| ctx.alloc_buffer(len));
+            for _ in 0..2 {
+                ctx.allreduce_f64(&input, &output, 1);
+                ctx.bcast_shaddr(0, &buf, 64, 16);
+                ctx.gather(0, &send, &recv, 16);
+                ctx.allgather(&send, &recv, 16);
+            }
+            ctx.registry().stats().snapshot()
+        });
+        let exposes = 2 * N + 1 + 1 + N;
+        let maps = N * (2 * N - 1) + (N - 1) + (N - 1) + N * N;
+        assert_eq!(ledger[0], (2 * exposes, maps, maps));
     }
 
     /// Run `op` with root 2 on a 1 x 2 cluster: every rank must panic on

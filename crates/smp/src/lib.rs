@@ -6,8 +6,10 @@
 //! whose [`RankCtx`] (`ClusterCtx::intra`) is the rank's view of its node.
 //! The intra-node collectives in [`collectives`] move actual bytes between
 //! actual threads using the `bgp-shmem` primitives — the Bcast FIFO, message
-//! counters, completion counters, and the window registry standing in for
-//! CNK process windows. `Cluster::new(1, n)` is a single node of `n` ranks.
+//! counters, completion counters — and the node's window board
+//! ([`runtime::WindowBoard`]) standing in for CNK process windows, charged to
+//! the window registry's ledger. `Cluster::new(1, n)` is a single node of `n`
+//! ranks.
 //!
 //! Scaling out, the same [`Cluster`] runs M such nodes at once — still all
 //! real threads — connected by a [`transport`] fabric of paced byte-chunk

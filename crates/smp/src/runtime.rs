@@ -1,9 +1,10 @@
 //! One node's shared state and one rank's view of it.
 //!
 //! [`NodeShared`] is what the ranks of a node share — the barrier, the
-//! window registry, the message and completion counters, one node-wide
-//! Bcast FIFO, the nonblocking scheduler's counter bank and stash (which
-//! keeps every early chunk it parks; [`SchedStash`] says why no cap is safe).
+//! window board and registry, the message and completion counters, one
+//! node-wide Bcast FIFO, the nonblocking scheduler's counter bank and
+//! stash (which keeps every early chunk it parks; [`SchedStash`] says why
+//! no cap is safe).
 //! [`RankCtx`] is one rank's handle on it: the intra-node collectives of
 //! [`crate::collectives`] are its methods, and the cluster collectives reach
 //! it through [`ClusterCtx::intra`](crate::ClusterCtx::intra). The rank
@@ -18,11 +19,17 @@
 //! * **Tags.** An op that exposes windows takes both of its window tags
 //!   from one [`RankCtx::next_op`] call ([`window_tags`]: `2·op` and
 //!   `2·op+1`). Op ids advance identically on every rank (SPMD) and no two
-//!   ops share a tag, so a window an earlier op has not withdrawn yet is
-//!   never mapped by a later one.
+//!   ops share a tag, so a board slot still holding an earlier op's window
+//!   never reads as a later op's.
 //! * **Window lifetime.** A rank exposes only its own windows
-//!   ([`RankCtx::expose`]); [`RankCtx::close_op`] withdraws them after the
-//!   op's closing barrier, when no peer can still be reading them.
+//!   ([`RankCtx::expose`]): it posts each one's address in its slot `tag & 1`
+//!   of the node's [`WindowBoard`] and holds the region until
+//!   [`RankCtx::close_op`]'s barrier, when no peer can still be reading it.
+//!   A peer maps the window (`RankCtx::map_cached`) once the slot reads
+//!   the op's tag; the owner posts to that slot again only in a later op,
+//!   after the barrier. No lock is taken and nothing is withdrawn: the
+//!   [`WindowRegistry`]'s map serves only the nonblocking engine, and its
+//!   ledger still counts every expose and map made here.
 //! * **Cumulative counters.** No counter is ever reset. The `RankCtx`
 //!   collectives wait past rank-local bases, which `close_op` advances by
 //!   the bytes each producer published in the op — the same amounts on
@@ -36,12 +43,13 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-use bgp_shmem::sync::atomic::AtomicU64;
+use bgp_shmem::model_support;
+use bgp_shmem::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use bgp_shmem::sync::Mutex;
 
 use bgp_shmem::{
-    BcastConsumer, BcastFifo, CompletionCounter, CounterBank, MessageCounter, SharedRegion,
-    WindowRegistry,
+    BcastConsumer, BcastFifo, CachePadded, CompletionCounter, CounterBank, MessageCounter,
+    SharedRegion, WindowRegistry,
 };
 
 use crate::barrier::{BarrierToken, SenseBarrier};
@@ -124,10 +132,81 @@ pub struct ClusterNodeStats {
     pub copyout_overlapped: AtomicU64,
 }
 
+/// One window slot on the [`WindowBoard`]: the tag its rank last posted
+/// here and the address of the region posted under it.
+#[derive(Default)]
+struct BoardSlot {
+    tag: AtomicU64,
+    region: AtomicUsize,
+}
+
+/// The blocking collectives' window rendezvous: each rank owns a pair of
+/// slots on its own cache line and posts the address of every buffer it
+/// exposes in slot `tag & 1`, so an op's two `window_tags` never share
+/// one. A peer maps the window by waiting until the slot reads its tag —
+/// one `Release` store per expose and one `Acquire` load per map, where the
+/// [`WindowRegistry`] takes a shard lock and a hash lookup each way. The
+/// nonblocking engine keeps the registry: its windows outlive ops and many
+/// are in flight per rank.
+pub struct WindowBoard {
+    slots: Vec<CachePadded<[BoardSlot; 2]>>,
+}
+
+impl WindowBoard {
+    /// A board for `n` ranks, every slot empty.
+    pub fn new(n: usize) -> Self {
+        WindowBoard {
+            slots: (0..n).map(|_| CachePadded::default()).collect(),
+        }
+    }
+
+    /// Owner side: post `region` as `rank`'s window under `tag`. The
+    /// address is stored before the tag, and the tag with `Release`, so a
+    /// peer that reads the tag reads this address and every write made to
+    /// the region before the post.
+    pub fn post(&self, rank: usize, tag: u64, region: &Arc<SharedRegion>) {
+        let slot = &self.slots[rank][(tag & 1) as usize];
+        slot.region
+            .store(Arc::as_ptr(region) as usize, Ordering::Relaxed);
+        // Seeded bug for the model checker: a relaxed tag no longer
+        // publishes the owner's writes to the region it names.
+        slot.tag.store(
+            tag,
+            model_support::relaxed_if("window_board_publish_relaxed", Ordering::Release),
+        );
+    }
+
+    /// Peer side: wait until `owner` has posted under `tag`, then take a
+    /// reference to the region it posted.
+    ///
+    /// # Safety
+    ///
+    /// `owner` posts under `tag` a region it keeps alive until this call
+    /// has returned, and posts nothing else to that slot before then.
+    pub unsafe fn map(&self, owner: usize, tag: u64) -> Arc<SharedRegion> {
+        let slot = &self.slots[owner][(tag & 1) as usize];
+        while slot.tag.load(Ordering::Acquire) != tag {
+            bgp_shmem::spin();
+        }
+        let region = slot.region.load(Ordering::Relaxed) as *const SharedRegion;
+        // SAFETY: the slot reads `tag`, so `region` is the `Arc::as_ptr` of
+        // the region posted under it, which the owner still holds.
+        unsafe {
+            Arc::increment_strong_count(region);
+            Arc::from_raw(region)
+        }
+    }
+}
+
 /// State shared by all ranks of the node.
 pub struct NodeShared {
     n: usize,
     barrier: SenseBarrier,
+    /// The blocking collectives' window board: each rank's two window
+    /// slots, posted by `RankCtx::expose` and read by `RankCtx::map_cached`.
+    board: WindowBoard,
+    /// The nonblocking engine's windows, and the window ledger of both the
+    /// engine and the board.
     registry: WindowRegistry,
     /// Per-rank message counter of the intra-node collectives: counter `r`
     /// is published by rank `r` when it acts as a producer (root /
@@ -176,6 +255,7 @@ impl NodeShared {
         Arc::new(NodeShared {
             n,
             barrier: SenseBarrier::new(n),
+            board: WindowBoard::new(n),
             registry: WindowRegistry::new(),
             msg_counters: (0..n).map(|_| MessageCounter::new()).collect(),
             stage_done: [
@@ -217,7 +297,6 @@ impl NodeShared {
     /// Only that rank may call this (the entry is logically rank-private;
     /// it lives here so it survives across jobs on persistent workers).
     pub fn next_sched_op(&self, rank: usize) -> u64 {
-        use bgp_shmem::sync::atomic::Ordering;
         self.sched_seq[rank].fetch_add(1, Ordering::Relaxed)
     }
 
@@ -253,8 +332,9 @@ pub struct RankCtx {
     /// Windowed-collective sequence number; identical across ranks because
     /// collectives are called SPMD in the same order.
     op_seq: u64,
-    /// Tags of the windows this rank exposed in the current op.
-    exposed: Vec<u64>,
+    /// The regions this rank exposed in the current op, held until its
+    /// closing barrier so that every peer's board mapping stays valid.
+    exposed: Vec<Arc<SharedRegion>>,
     /// Entry `r`: the bytes producer `r` published on its message counter
     /// in every op closed so far — the base of the current op's waits.
     msg_base: Vec<u64>,
@@ -309,7 +389,8 @@ impl RankCtx {
         Arc::new(SharedRegion::new(len))
     }
 
-    /// The node's window registry (the CNK stand-in).
+    /// The node's window registry: the nonblocking engine's windows, and
+    /// the ledger (`stats`) of every expose and map on the node.
     pub fn registry(&self) -> &WindowRegistry {
         &self.shared.registry
     }
@@ -322,28 +403,36 @@ impl RankCtx {
     }
 
     /// Expose `region` as this rank's window under `tag` until the op's
-    /// [`close_op`](Self::close_op).
+    /// [`close_op`](Self::close_op): post it on the node's board and hold it.
     pub(crate) fn expose(&mut self, tag: u64, region: Arc<SharedRegion>) {
-        self.shared.registry.expose(self.rank as u32, tag, region);
-        self.exposed.push(tag);
+        self.shared.registry.note_expose();
+        self.shared.board.post(self.rank, tag, &region);
+        self.exposed.push(region);
     }
 
-    /// Map `owner`'s window under `tag` through this rank's window cache,
-    /// waiting until it is exposed.
+    /// Map `owner`'s window under `tag`, waiting until it is exposed, and
+    /// charge the map to the ledger as a hit if this rank's window cache
+    /// has mapped the region before, else as a miss.
     pub(crate) fn map_cached(&mut self, owner: usize, tag: u64) -> Arc<SharedRegion> {
-        let registry = &self.shared.registry;
-        registry.map_auto_blocking(owner as u32, tag, &mut self.mapped_before)
+        // SAFETY: `owner` holds the region it posts under `tag` in its
+        // `exposed` until after this op's closing barrier, and this rank
+        // maps before it reaches that barrier. The owner can post to the
+        // slot again only in its next op, which it cannot start before the
+        // barrier either — and a later op's tags differ. So a slot that
+        // reads this op's tag still names this op's region, alive.
+        let region = unsafe { self.shared.board.map(owner, tag) };
+        let cached = !self.mapped_before.insert(Arc::as_ptr(&region) as usize);
+        self.shared.registry.note_map(cached);
+        region
     }
 
-    /// Close the current collective: the closing barrier, then withdraw this
+    /// Close the current collective: the closing barrier, then release this
     /// rank's windows and advance each producer's base by `published(r)`,
     /// the bytes producer `r` published on its message counter in the op
     /// (the same on every rank; `|_| 0` for an op that used none).
     pub(crate) fn close_op(&mut self, published: impl Fn(usize) -> usize) {
         self.barrier();
-        for tag in self.exposed.drain(..) {
-            self.shared.registry.unexpose(self.rank as u32, tag);
-        }
+        self.exposed.clear();
         for (r, base) in self.msg_base.iter_mut().enumerate() {
             *base += published(r) as u64;
         }

@@ -116,6 +116,80 @@ fn mutation_barrier_release_relaxed_is_caught() {
 }
 
 // ---------------------------------------------------------------------------
+// The window board: the blocking ops' lock-free window rendezvous.
+
+use bgp_smp::runtime::WindowBoard;
+
+/// Two ranks, two ops. In each op the owner writes its buffer and posts it
+/// under the op's first window tag (2 and 4: the same board slot both
+/// times, a different buffer each time); the peer maps the window and
+/// reads the buffer; both cross the closing barrier, and only then does
+/// the owner hold no reference to the op's buffer. The peer must get this
+/// op's buffer — never the slot's previous one — with its payload visible.
+fn window_board_scenario() {
+    let board = Arc::new(WindowBoard::new(2));
+    let barrier = Arc::new(SenseBarrier::new(2));
+    let bufs: Arc<[Arc<SharedRegion>; 2]> =
+        Arc::new([0, 1].map(|_| Arc::new(SharedRegion::new(8))));
+    // The buffers' payloads, in model cells so the checker sees the race.
+    let payload: Arc<[UnsafeCell<u64>; 2]> = Arc::new([0, 1].map(|_| UnsafeCell::new(0)));
+    let peer = {
+        let (board, barrier, bufs, payload) = (
+            board.clone(),
+            barrier.clone(),
+            bufs.clone(),
+            payload.clone(),
+        );
+        thread::spawn(move || {
+            let mut token = barrier.token();
+            for op in 1..=2u64 {
+                let k = op as usize - 1;
+                // SAFETY: the owner holds the buffer it posts under this
+                // tag (in `bufs`) past the barrier below, and posts to the
+                // slot again only after it.
+                let window = unsafe { board.map(0, 2 * op) };
+                assert!(
+                    Arc::ptr_eq(&window, &bufs[k]),
+                    "op {op} mapped a stale window"
+                );
+                unsafe { payload[k].with(|p| assert_eq!(*p, op, "op {op} payload not visible")) };
+                barrier.wait(&mut token);
+            }
+        })
+    };
+    let mut token = barrier.token();
+    for op in 1..=2u64 {
+        let k = op as usize - 1;
+        unsafe { payload[k].with_mut(|p| *p = op) };
+        board.post(0, 2 * op, &bufs[k]);
+        barrier.wait(&mut token);
+    }
+    peer.join();
+}
+
+/// Under every explored schedule the peer maps the op's own window and
+/// sees the owner's writes to it, across a reuse of the same slot.
+#[test]
+fn window_board_hands_each_op_its_own_window() {
+    model_with(Config::dfs(5_000), window_board_scenario);
+}
+
+/// Seeded bug: the board's tag stored `Relaxed` — a peer that reads the
+/// tag no longer sees the owner's writes to the buffer it names. The
+/// checker must report the race on the payload.
+#[test]
+fn mutation_window_board_publish_relaxed_is_caught() {
+    let report = explore(
+        Config::dfs(5_000).mutate("window_board_publish_relaxed"),
+        window_board_scenario,
+    );
+    let failure = report
+        .failure
+        .unwrap_or_else(|| panic!("seeded bug `window_board_publish_relaxed` was NOT caught"));
+    assert_eq!(failure.kind, FailureKind::Race, "{failure}");
+}
+
+// ---------------------------------------------------------------------------
 // Cluster transport: the paced inter-node chunk channel and the integrated
 // channel → shared-region → message-counter pipeline the cluster
 // collectives are built from.
