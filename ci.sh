@@ -59,9 +59,8 @@ for f in crates/smp/src/{collectives,cluster}.rs; do
 done
 
 # The blocking ops find a peer's window on the node's window board
-# (bgp_smp::runtime::WindowBoard), not in the registry map, which serves
-# only the nonblocking engine: a registry map or withdrawal in the non-test
-# part of crates/smp/src fails here.
+# (bgp_smp::runtime::WindowBoard), not in the registry map: a registry map
+# or withdrawal in the non-test part of crates/smp/src fails here.
 echo "== guard: no registry map or unexpose on the blocking path of crates/smp/src"
 for f in crates/smp/src/*.rs; do
   if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
@@ -70,6 +69,30 @@ for f in crates/smp/src/*.rs; do
     exit 1
   fi
 done
+
+# The nonblocking engine keeps an op's windows in the op's counter block
+# (bgp_shmem::OpWindow): an owner posts its buffer there and a peer maps it,
+# so nothing in crates/sched/src exposes, maps or withdraws a window in the
+# registry map.
+echo "== guard: no registry expose, map or unexpose in crates/sched/src"
+if grep -nE 'try_map_auto\(|\.unexpose\(|registry\(\)\.expose\(' crates/sched/src/*.rs; then
+  echo "registry map in crates/sched/src (engine windows live in the op's OpCounters block)" >&2
+  exit 1
+fi
+
+# A per-op path clones no cluster-wide Arc: an Arc clone writes its
+# refcount, which shares a cache line with what every rank of every node
+# reads per op (the fabric's link table, the cluster's geometry). The
+# engine's pass and the blocking cluster collectives borrow instead; a
+# clone of self.fabric or self.shared in the non-test part of engine.rs or
+# cluster.rs fails here.
+echo "== guard: no self.fabric.clone() / self.shared.clone() in engine.rs and cluster.rs"
+if for f in crates/sched/src/engine.rs crates/smp/src/cluster.rs; do
+  awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f"
+done | grep -E 'self\.fabric\.clone\(\)|self\.shared\.clone\(\)'; then
+  echo "cluster-wide Arc cloned on a per-op path (borrow it)" >&2
+  exit 1
+fi
 
 # The service adopts each allreduce member's input vector as its input
 # region: filling a fresh region from the input (a copy per member) in the

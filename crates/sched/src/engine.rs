@@ -8,18 +8,21 @@
 //! every rank at post time, so ids agree across the whole cluster and are
 //! never reused:
 //!
-//! * window tags: `(op << 2) | role` with role 0 = a member's
-//!   application buffer (a broadcast root's source, a broadcast's landing
-//!   buffer, an allreduce input), role 1 = the landing member's output
-//!   (allreduce, allgather) and role 2 = an engine-owned region, which only
-//!   `ireduce_scatter` has. The registry map holds only the engine's
-//!   windows — the blocking collectives post theirs on the node's window
-//!   board — so these tags share their space with nothing.
 //! * counter blocks: one [`OpCounters`] per op in the node's bank, keyed
 //!   by the op id — result bytes, member-done, and one contribution stream
 //!   per member. A post looks the block up once; the rank's member record
 //!   and, on the engine rank, the engine share that `Arc`, and the bank
 //!   recycles the block once the op retires and nobody holds it.
+//! * windows: the block also carries the op's buffer addresses, so they
+//!   need no name of their own. Its `land` window holds the buffer the
+//!   result lands in on this node (a broadcast's landing buffer, the
+//!   landing member's output, or the `ireduce_scatter` stage the engine
+//!   posts), and input window `i` member `i`'s reduce input, indexed like
+//!   the contribution streams. An owner posts a buffer with one `Release`
+//!   store and a peer maps it with one `Acquire` load. A member clears its
+//!   own input window once its release holds, so the caller has its input
+//!   to itself again when the request completes; the engine clears the
+//!   rest when it retires the op.
 //! * link tags: [`tag::pack`]`(op, kind, chunk)` — the one layout every
 //!   link uses, with the op id in its stream field.
 //!
@@ -30,12 +33,12 @@
 //! On a broadcast root's node that is the root's buffer; on every other
 //! node it is the buffer of the group's first member, `group[0]` — for an
 //! allreduce or an allgather its output, which holds the whole result. This
-//! *landing member* exposes the buffer at post, the engine maps it lazily
-//! by `(owner, tag)` — whenever the member gets to its post — and the other
-//! members contribute into it and chase their copies out of it. Only
+//! *landing member* posts the buffer in the op's `land` window at post, the
+//! engine maps it lazily — whenever the member gets to its post — and the
+//! other members contribute into it and chase their copies out of it. Only
 //! `ireduce_scatter`, whose members' outputs cannot hold the whole vector,
-//! lands in a region of the engine's, reached through the same `(owner,
-//! tag)` path. An `iallreduce` whose group has one member per node on a
+//! lands in a region of the engine's, posted in the same window and mapped
+//! the same way. An `iallreduce` whose group has one member per node on a
 //! ring of nodes maps that member's input beside its output: the ring reads
 //! the node's partial there, and the output is written only with the
 //! result.
@@ -61,7 +64,7 @@
 //! buffer the members chase, so a full downstream link never holds up a
 //! receive.
 //!
-//! **iallreduce / ireduce_scatter** — members expose inputs. The local
+//! **iallreduce / ireduce_scatter** — members post inputs. The local
 //! reduce is partitioned by member index (member i sums *all* local inputs
 //! over its chunk share into the landing region, publishing its
 //! contribution stream), and the network side is a
@@ -89,23 +92,24 @@
 //! *contribution* (sum a share of the inputs, deposit a block; a node's
 //! only `iallreduce` member contributes nothing, the engine reads its
 //! input), one *chase* (copy a span of the landing region into the rank's
-//! buffer as a counter passes it), an optional *release* condition under
-//! which the windows the rank exposed may be withdrawn, and a final report
-//! on the op's done counter. A landing member — a broadcast root included
-//! — releases once the node's network flow on its buffer is finished and
-//! the other `g - 1` members have reported; a reduce member once every
-//! local contribution stream is complete, since co-members read its input.
-//! A node's only `iallreduce` member needs nothing more: the engine reads
-//! its input only until the flow is finished, which its landing release
-//! already waits for. "Finished" is one more count the engine publishes on
-//! the result counter after the last result byte: a ring's result is
-//! complete before the engine stops reading it, because the last position
-//! sends fulls out of the region after landing them. Every member reports,
-//! and only after it has looked up the op's counter block: the engine
-//! retires the block when all members of the node have reported, and the
-//! bank's lookup is get-or-create — a member still to look it up after
-//! retirement (a root that posts late, say) would wait on a fresh zero
-//! forever.
+//! buffer as a counter passes it), an optional *release* condition, and a
+//! final report on the op's done counter, which the release holds back for
+//! as long as anyone else may still use a buffer the rank posted; a reduce
+//! member then clears its input window, which nobody maps any more. A
+//! landing member — a broadcast root included — releases once the node's
+//! network flow on its buffer is finished and the other `g - 1` members
+//! have reported; a reduce member once every local contribution stream is
+//! complete, since co-members read its input. A node's only `iallreduce`
+//! member needs nothing more: the engine reads its input only until the
+//! flow is finished, which its landing release already waits for.
+//! "Finished" is one more count the engine publishes on the result counter
+//! after the last result byte: a ring's result is complete before the
+//! engine stops reading it, because the last position sends fulls out of
+//! the region after landing them. Every member reports, and only after it
+//! has looked up the op's counter block: the engine retires the block when
+//! all members of the node have reported, and the bank's lookup is
+//! get-or-create — a member still to look it up after retirement (a root
+//! that posts late, say) would wait on a fresh zero forever.
 //!
 //! ## Progress, parking, completion
 //!
@@ -140,7 +144,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
-use bgp_shmem::{spin, OpCounters, SharedRegion, WindowRegistry};
+use bgp_shmem::{spin, OpCounters, OpWindow, SharedRegion, WindowRegistry};
 use bgp_smp::cluster::sum_regions;
 use bgp_smp::kernels;
 use bgp_smp::transport::{ChunkChannel, Fabric, RingDir};
@@ -150,18 +154,6 @@ use bgp_smp::wire::{
 use bgp_smp::{ClusterCtx, NodeShared};
 
 use crate::SchedError;
-
-/// Window-tag role: a member's exposed application buffer.
-const ROLE_DATA: u64 = 0;
-/// Window-tag role: the landing member's output.
-const ROLE_OUT: u64 = 1;
-/// Window-tag role: an engine-owned region (`ireduce_scatter` only).
-const ROLE_STAGE: u64 = 2;
-
-/// The window tag of `op`'s `role` (see the module doc).
-fn reg_tag(op: u64, role: u64) -> u64 {
-    (op << 2) | role
-}
 
 /// Counters one op's [`OpCounters`] block may hold: the fixed streams,
 /// headroom, and one contribution stream per member.
@@ -238,65 +230,73 @@ fn reduce_share(i: usize, g: usize, bytes: usize, chunk: usize) -> (usize, usize
     )
 }
 
-/// A region exposed under `(owner, tag)`, mapped on first use.
-struct Mapped {
-    owner: u32,
-    tag: u64,
-    region: Option<Arc<SharedRegion>>,
+/// Map `window`: the region its owner posted there, or `None` before the
+/// post. Each map charges the node's ledger, as a hit if `seen` (the
+/// mapping side's window cache) holds the region already, else as a miss.
+fn map(
+    window: &OpWindow,
+    registry: &WindowRegistry,
+    seen: &mut HashSet<usize>,
+) -> Option<Arc<SharedRegion>> {
+    // SAFETY: a window is mapped by a member of its op before that member
+    // reports on the op's done counter, or by the engine on its own thread,
+    // and cleared only once nothing maps it any more: an input window by
+    // its member once its release holds (`Member::step`), every window in
+    // `Engine::retire`, once every member on the node has reported.
+    let region = unsafe { window.get() }?;
+    registry.note_map(!seen.insert(Arc::as_ptr(&region) as usize));
+    Some(region)
 }
 
-impl Mapped {
-    fn new(owner: usize, tag: u64) -> Self {
-        Mapped {
-            owner: owner as u32,
-            tag,
-            region: None,
-        }
-    }
+/// A region posted in one of the op's windows, mapped on first use.
+#[derive(Default)]
+struct Mapped(Option<Arc<SharedRegion>>);
 
-    /// The region, once its owner has exposed it.
+impl Mapped {
+    /// The region, once its owner has posted it in `window`.
     fn get(
         &mut self,
+        window: &OpWindow,
         registry: &WindowRegistry,
         seen: &mut HashSet<usize>,
     ) -> Option<&Arc<SharedRegion>> {
-        if self.region.is_none() {
-            self.region = registry.try_map_auto(self.owner, self.tag, seen);
+        if self.0.is_none() {
+            self.0 = map(window, registry, seen);
         }
-        self.region.as_ref()
+        self.0.as_ref()
     }
 
     fn is_mapped(&self) -> bool {
-        self.region.is_some()
+        self.0.is_some()
     }
 
     /// The region; nothing lands in or leaves it before it is mapped.
     fn mapped(&self) -> &SharedRegion {
-        self.region
-            .as_deref()
-            .expect("the landing region is mapped")
+        self.0.as_deref().expect("the landing region is mapped")
     }
 }
 
 /// This rank's side of one in-flight operation (see the module docs).
 struct Member {
-    /// The op's landing region on this node: what a contribution goes into
-    /// and a chase copies out of. A landing member holds its own buffer.
+    /// The op's landing region on this node (its block's `land` window):
+    /// what a contribution goes into and a chase copies out of. A landing
+    /// member holds its own buffer.
     land: Mapped,
     contribute: Option<Contribute>,
     chase: Option<Chase>,
-    /// Once it holds, the windows this rank exposed under the `withdraw`
-    /// roles are withdrawn.
+    /// Once it holds, the member lets go of its input window and reports.
     release: Release,
-    withdraw: &'static [u64],
-    /// The op's counter block. Its `done` counter tells the engine this
-    /// member is finished — every member, last of all: the engine retires
-    /// the block once all have reported, so reporting is the promise never
-    /// to look it up again.
+    /// The member's index, when it posted an input in the op's block.
+    input: Option<usize>,
+    /// The op's counter block, and its windows. Its `done` counter tells
+    /// the engine this member is finished — every member, last of all: the
+    /// engine retires the block once all have reported, so reporting is the
+    /// promise never to look it up again.
     ctr: Arc<OpCounters>,
 }
 
-/// The counts a member waits for before it withdraws its windows.
+/// The counts a member waits for before it reports: until then a
+/// co-member or the engine may still use a buffer it posted.
 #[derive(Clone, Copy, Default)]
 struct Release {
     /// The result counter at least this far.
@@ -326,12 +326,12 @@ impl Release {
 /// What a member puts into the landing region: the f64-lane sum of bytes
 /// `[lo, hi)` of every input, at offset `at`, publishing contribution
 /// stream `part` as it goes.
-/// A reduce member sums every group member's exposed input over its share;
+/// A reduce member sums every group member's posted input over its share;
 /// an allgather member "sums" its one block — a copy.
 struct Contribute {
-    /// Ranks whose exposed inputs are summed, mapped in this order into
-    /// `inputs`; empty when `inputs` was handed over complete.
-    owners: Vec<usize>,
+    /// `inputs` are mapped from the op's input windows, in member order;
+    /// `false` when they were handed over complete.
+    from_block: bool,
     inputs: Vec<Arc<SharedRegion>>,
     lo: usize,
     hi: usize,
@@ -342,27 +342,27 @@ struct Contribute {
 
 impl Contribute {
     /// Make the contribution into `acc`; `false` (nothing written) while a
-    /// co-member's input is not exposed yet.
+    /// co-member's input is not posted yet.
     fn run(
         &mut self,
-        op: u64,
         acc: &SharedRegion,
         ctr: &OpCounters,
-        shared: &NodeShared,
+        registry: &WindowRegistry,
         seen: &mut HashSet<usize>,
     ) -> bool {
-        while let Some(&owner) = self.owners.get(self.inputs.len()) {
-            let tag = reg_tag(op, ROLE_DATA);
-            let Some(input) = shared.registry().try_map_auto(owner as u32, tag, seen) else {
-                return false;
-            };
-            self.inputs.push(input);
+        if self.from_block {
+            for window in &ctr.inputs()[self.inputs.len()..] {
+                let Some(input) = map(window, registry, seen) else {
+                    return false;
+                };
+                self.inputs.push(input);
+            }
         }
         let part = &ctr.parts()[self.part];
         // SAFETY: this member is the unique writer of its share of the
         // landing region and readers (engine sends, co-member copy-outs)
         // are gated on the publish; inputs are final from before the post,
-        // and reading a co-member's ungated is ordered by the registry map.
+        // and reading a co-member's ungated is ordered by its window.
         unsafe {
             sum_regions(
                 acc,
@@ -404,7 +404,7 @@ impl Chase {
         if avail > self.copied {
             // SAFETY: `[lo + copied, lo + avail)` of the source was
             // published before the counter value we acquired (or before
-            // the exposure, when ungated); dst is exclusively ours.
+            // its window was posted, when ungated); dst is exclusively ours.
             unsafe {
                 self.dst
                     .copy_from(self.copied, src, self.lo + self.copied, avail - self.copied)
@@ -420,7 +420,6 @@ impl Member {
     /// start of `dst` — as the result counter passes it when `gate` (see
     /// [`Chase`]) — then reports on the done counter of `ctr`.
     fn chasing(
-        land: Mapped,
         gate: bool,
         span: std::ops::Range<usize>,
         dst: Arc<SharedRegion>,
@@ -434,30 +433,23 @@ impl Member {
             copied: 0,
         };
         Member {
-            land,
+            land: Mapped::default(),
             contribute: None,
             chase: Some(chase),
             release: Release::default(),
-            withdraw: &[],
+            input: None,
             ctr,
         }
     }
 
     /// Advance a little; `true` once finished (and not to be stepped again).
-    fn step(
-        &mut self,
-        op: u64,
-        rank: usize,
-        shared: &NodeShared,
-        seen: &mut HashSet<usize>,
-    ) -> bool {
-        let registry = shared.registry();
+    fn step(&mut self, registry: &WindowRegistry, seen: &mut HashSet<usize>) -> bool {
         if self.contribute.is_some() || self.chase.is_some() {
-            let Some(land) = self.land.get(registry, seen) else {
+            let Some(land) = self.land.get(&self.ctr.land, registry, seen) else {
                 return false;
             };
             if let Some(c) = self.contribute.as_mut() {
-                if !c.run(op, land, &self.ctr, shared, seen) {
+                if !c.run(land, &self.ctr, registry, seen) {
                     return false;
                 }
                 self.contribute = None;
@@ -473,8 +465,13 @@ impl Member {
         if !self.release.holds(&self.ctr) {
             return false;
         }
-        for &role in self.withdraw {
-            registry.unexpose(rank as u32, reg_tag(op, role));
+        if let Some(i) = self.input {
+            // SAFETY: the release holds, so nothing maps this input again:
+            // every co-member that reads inputs mapped them all before its
+            // contribution stream ran to completion, and a lone member's
+            // engine mapped it before its flow finished. The caller gets
+            // its input back to itself once the request completes.
+            unsafe { self.ctr.inputs()[i].clear() };
         }
         self.ctr.done.publish(1);
         true
@@ -486,8 +483,9 @@ struct NetBcast {
     root_node: usize,
     len: usize,
     is_root_node: bool,
-    /// The landing buffer: the root's source on its node (it may lag the
-    /// post of a co-located root), the landing member's buffer elsewhere.
+    /// The landing buffer (the block's `land` window): the root's source
+    /// on its node (it may lag the post of a co-located root), the landing
+    /// member's buffer elsewhere.
     land: Mapped,
     /// What is out on the outbound tree ports (port order of `bcast_out`).
     feed: TreeFeed,
@@ -512,7 +510,7 @@ impl NetBcast {
     /// Inject (root node) or forward (elsewhere) on every outbound tree
     /// port.
     fn pump<'c>(&mut self, op: u64, outs: impl IntoIterator<Item = &'c ChunkChannel> + Clone) {
-        if let Some(buf) = self.land.region.as_ref() {
+        if let Some(buf) = self.land.0.as_ref() {
             let data = |k| tag::pack(op, Kind::Data, k);
             // SAFETY: `feed` only asks for bytes below `valid`.
             (self.feed).pump(outs, self.valid, data, |off, d| unsafe { buf.read(off, d) });
@@ -529,11 +527,12 @@ impl NetBcast {
 /// to and copy results out of — as the [`Local`] the op's stepper runs
 /// against.
 struct Acc {
+    /// The block's `land` window.
     land: Mapped,
-    /// A lone member's input, which the ring reads as this node's partial
-    /// in place of a local sum (`iallreduce` of a one-member group on a
-    /// ring of nodes): nothing is summed into the landing region before its
-    /// result arrives.
+    /// A lone member's input (input window 0), which the ring reads as
+    /// this node's partial in place of a local sum (`iallreduce` of a
+    /// one-member group on a ring of nodes): nothing is summed into the
+    /// landing region before its result arrives.
     own: Option<Mapped>,
     /// The op's counter block. One contribution stream per member: bytes of
     /// its reduce share summed, or of its block deposited. The result
@@ -622,7 +621,7 @@ impl Acc {
 
 impl Local for Acc {
     fn ready(&self, _: usize, off: usize, len: usize) -> bool {
-        // Members contributed into the region, so it is exposed; until the
+        // Members contributed into the region, so it is posted; until the
         // engine has mapped it too, nothing is ready. A lone member's input
         // is final from its post on.
         self.is_mapped()
@@ -663,7 +662,7 @@ impl Local for Acc {
     fn read_own<R>(&self, _: usize, off: usize, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
         match &self.own {
             // SAFETY: the member's input is final from before its post and
-            // stays exposed until the engine's flow is finished (its
+            // stays unchanged until the engine's flow is finished (its
             // release waits for that count on the result counter).
             Some(own) => unsafe { own.mapped().with_bytes(off, len, f) },
             None => self.read(0, off, len, f),
@@ -789,20 +788,19 @@ impl NetOp {
         }
     }
 
-    fn land(&mut self) -> &mut Mapped {
-        match &mut self.net {
-            Net::Bcast(b) => &mut b.land,
-            Net::Ring(r) => &mut r.acc.land,
-        }
-    }
-
     /// Map the landing region, and a lone member's input beside it, once
-    /// their owners have exposed them.
+    /// their owners have posted them.
     fn map(&mut self, registry: &WindowRegistry, seen: &mut HashSet<usize>) {
-        self.land().get(registry, seen);
-        if let Net::Ring(r) = &mut self.net {
-            if let Some(own) = r.acc.own.as_mut() {
-                own.get(registry, seen);
+        match &mut self.net {
+            Net::Bcast(b) => {
+                b.land.get(&b.ctr.land, registry, seen);
+            }
+            Net::Ring(r) => {
+                let acc = &mut r.acc;
+                acc.land.get(&acc.ctr.land, registry, seen);
+                if let Some(own) = acc.own.as_mut() {
+                    own.get(&acc.ctr.inputs()[0], registry, seen);
+                }
             }
         }
     }
@@ -887,14 +885,14 @@ impl Engine {
         self.ops.get(&op).is_none_or(|o| o.finished)
     }
 
-    /// Register a broadcast that lands in `lead`'s buffer on this node.
+    /// Register a broadcast that lands in the landing member's buffer on
+    /// this node.
     fn register_bcast(
         &mut self,
         op: u64,
         ctr: Arc<OpCounters>,
         g: usize,
         root_node: usize,
-        lead: usize,
         len: usize,
     ) {
         let is_root_node = self.node == root_node;
@@ -902,7 +900,7 @@ impl Engine {
             root_node,
             len,
             is_root_node,
-            land: Mapped::new(lead, reg_tag(op, ROLE_DATA)),
+            land: Mapped::default(),
             feed: TreeFeed::new(
                 self.fabric.bcast_out(self.node, root_node).count(),
                 len,
@@ -939,15 +937,22 @@ impl Engine {
     /// One engine pass: map landing regions, replay parked chunks, drain
     /// in-ports and push outbound progress.
     fn advance(&mut self) {
-        let fabric = self.fabric.clone();
-        let shared = self.shared.clone();
+        let Engine {
+            node,
+            m,
+            shared,
+            fabric,
+            seen,
+            ops,
+            ..
+        } = self;
+        let (node, m, shared, fabric) = (*node, *m, &**shared, &**fabric);
         let registry = shared.registry();
-        let (node, m) = (self.node, self.m);
 
         // Map the landing regions whose members posted after the op
         // registered here.
-        for netop in self.ops.values_mut() {
-            netop.map(registry, &mut self.seen);
+        for netop in ops.values_mut() {
+            netop.map(registry, seen);
         }
 
         // Replay parked chunks of ops that can land now, oldest first. Ops
@@ -956,13 +961,13 @@ impl Engine {
         let mut stashed_ops: HashSet<u64> = HashSet::new();
         {
             let mut stash = shared.sched_stash().lock();
-            for (op, netop) in self.ops.iter_mut().filter(|(_, o)| o.can_land()) {
+            for (op, netop) in ops.iter_mut().filter(|(_, o)| o.can_land()) {
                 while let Some(t) = stash.front_tag(*op) {
-                    if !netop.can_accept(tag::unpack(t).1, &fabric, node) {
+                    if !netop.can_accept(tag::unpack(t).1, fabric, node) {
                         break;
                     }
                     let (_, bytes) = stash.pop_front(*op).expect("front_tag was Some");
-                    netop.accept(t, &bytes, &fabric, node);
+                    netop.accept(t, &bytes, fabric, node);
                 }
             }
             stashed_ops.extend(stash.parked_ops());
@@ -970,16 +975,16 @@ impl Engine {
 
         // Drain the in-port of every active op, with nothing allocated per
         // pass: a port several ops share is emptied on its first visit.
-        let mut next = self.ops.keys().next().copied().filter(|_| m > 1);
+        let mut next = ops.keys().next().copied().filter(|_| m > 1);
         while let Some(at) = next {
-            next = self.ops.range(at + 1..).next().map(|(&op, _)| op);
-            let Some(port) = self.ops[&at].in_port(&fabric, node) else {
+            next = ops.range(at + 1..).next().map(|(&op, _)| op);
+            let Some(port) = ops[&at].in_port(fabric, node) else {
                 continue;
             };
             let mut parked = 0;
             while let Some(t) = port.peek_tag() {
                 let (op, kind, _) = tag::unpack(t);
-                let target = self.ops.get_mut(&op);
+                let target = ops.get_mut(&op);
                 let Some(netop) = target.filter(|o| o.can_land() && !stashed_ops.contains(&op))
                 else {
                     // Not posted here yet, its landing region not mapped
@@ -999,38 +1004,42 @@ impl Engine {
                     parked += 1;
                     continue;
                 };
-                if !netop.can_accept(kind, &fabric, node) {
+                if !netop.can_accept(kind, fabric, node) {
                     // Transient head-of-line wait on node-local progress
                     // or downstream room.
                     break;
                 }
-                port.recv_with(|_, bytes| netop.accept(t, bytes, &fabric, node));
+                port.recv_with(|_, bytes| netop.accept(t, bytes, fabric, node));
             }
         }
 
         // Outbound progress.
-        for (&op, netop) in self.ops.iter_mut() {
-            netop.pump(op, &fabric, node, m);
+        for (&op, netop) in ops.iter_mut() {
+            netop.pump(op, fabric, node, m);
         }
     }
 
     /// Retire ops whose network duties and local member copies are done:
-    /// withdraw an engine-owned region, drop every region the op mapped
-    /// and hand the op's counter block back to the bank. A member still
-    /// holding the block keeps it alive, and the bank reuses it only once
-    /// nobody does. Run after this rank's members stepped, so an op whose
-    /// last member report was this rank's goes in the same poll.
+    /// drop every region the op mapped, clear its windows and hand its
+    /// counter block back to the bank. A member still holding the block
+    /// keeps it alive, and the bank reuses it only once nobody does. Run
+    /// after this rank's members stepped, so an op whose last member report
+    /// was this rank's goes in the same poll.
     fn retire(&mut self) {
-        let registry = self.shared.registry();
         let bank = self.shared.sched_bank();
         self.ops.retain(|&op, o| {
-            if !(o.finished && o.ctr().done.read() >= o.expected_done) {
+            let ctr = o.ctr();
+            if !(o.finished && ctr.done.read() >= o.expected_done) {
                 return true;
             }
-            let stage = reg_tag(op, ROLE_STAGE);
-            if o.land().tag == stage {
-                registry.unexpose(0, stage);
-            }
+            // SAFETY: no map of the op's windows runs during or after the
+            // clear. Every member maps before it publishes its report on
+            // `done` (`Member::step` reports last of all), and every member
+            // of the node has reported: `done >= expected_done`, read with
+            // `Acquire`. The engine maps only in `advance`, on this thread.
+            // A rank that is no member never looks the block up, and the
+            // bank hands the block to a later op only once nobody holds it.
+            unsafe { ctr.clear_windows() };
             bank.retire(op);
             false
         });
@@ -1046,7 +1055,7 @@ impl Engine {
 ///
 /// Dropping a `Sched` quiesces it: it keeps polling until every posted
 /// request is complete and the engine is idle, so no chunks, counters, or
-/// window exposures leak into the next operation (or job) on these links.
+/// posted windows leak into the next operation (or job) on these links.
 /// Under SPMD discipline every rank reaches its drop, so the quiesce
 /// terminates.
 pub struct Sched {
@@ -1105,7 +1114,7 @@ impl Sched {
     /// must hold), aliasing and the overlap guard are checked before any
     /// side effect; then the op gets its id and, where a member or the
     /// engine takes part, one lookup of its counter block with `parts`
-    /// contribution streams, which a member's record from `member(self, op,
+    /// contribution streams, which a member's record from `member(self,
     /// index in group, block)` and the engine's half from `register(engine,
     /// op, block)` share. An operation of an empty stream is complete at
     /// post.
@@ -1115,7 +1124,7 @@ impl Sched {
         bufs: [(Option<&Arc<SharedRegion>>, usize); N],
         stream: usize,
         parts: usize,
-        member: impl FnOnce(&Sched, u64, usize, Arc<OpCounters>) -> Member,
+        member: impl FnOnce(&Sched, usize, Arc<OpCounters>) -> Member,
         register: impl FnOnce(&mut Engine, u64, Arc<OpCounters>),
     ) -> Result<Request, SchedError> {
         check_size(stream, self.chunk)?;
@@ -1162,7 +1171,7 @@ impl Sched {
         // Track a member's record, and on the engine rank even a
         // non-member's wait for the node's network flow.
         let ctr = self.shared.sched_bank().op(op, parts);
-        let member = me.map(|i| member(self, op, i, ctr.clone()));
+        let member = me.map(|i| member(self, i, ctr.clone()));
         if let Some(engine) = self.engine.as_mut() {
             register(engine, op, ctr);
         }
@@ -1170,29 +1179,22 @@ impl Sched {
         Ok(Request { op })
     }
 
-    /// The landing member's record: `buf`, exposed under `role`, is where
-    /// the op's result lands on this node. It waits until the engine is
-    /// done with the buffer — the result counter one past the `valid`
-    /// bytes the engine publishes on this node — and the other `g - 1`
-    /// members have reported, then withdraws the buffer and reports.
+    /// The landing member's record: `buf`, posted in the block's `land`
+    /// window, is where the op's result lands on this node. It waits until
+    /// the engine is done with the buffer — the result counter one past the
+    /// `valid` bytes the engine publishes on this node — and the other
+    /// `g - 1` members have reported, then reports.
     fn landing(
         &self,
-        op: u64,
         ctr: Arc<OpCounters>,
         g: usize,
-        role: u64,
         buf: Arc<SharedRegion>,
         valid: usize,
     ) -> Member {
-        let tag = reg_tag(op, role);
-        self.shared
-            .registry()
-            .expose(self.rank as u32, tag, buf.clone());
+        self.shared.registry().note_expose();
+        ctr.land.post(buf.clone());
         Member {
-            land: Mapped {
-                region: Some(buf),
-                ..Mapped::new(self.rank, tag)
-            },
+            land: Mapped(Some(buf)),
             contribute: None,
             chase: None,
             release: Release {
@@ -1200,11 +1202,7 @@ impl Sched {
                 done: g as u64 - 1,
                 inputs_read: None,
             },
-            withdraw: if role == ROLE_DATA {
-                &[ROLE_DATA]
-            } else {
-                &[ROLE_OUT]
-            },
+            input: None,
             ctr,
         }
     }
@@ -1235,21 +1233,20 @@ impl Sched {
         // The landing member: the root on its node, `group[0]` elsewhere.
         let on_root_node = self.node == root_node;
         let lead = if on_root_node { root_rank } else { group[0] };
-        let member = |s: &Sched, op, _, ctr| {
+        let member = |s: &Sched, _, ctr| {
             let buf = buf.expect("a member has a buffer").clone();
             if s.rank == lead {
                 // The engine injects from the buffer on the root's node and
                 // receives `len` bytes into it elsewhere.
                 let valid = if on_root_node { 0 } else { len };
-                return s.landing(op, ctr, g, ROLE_DATA, buf, valid);
+                return s.landing(ctr, g, buf, valid);
             }
             // Copy out of the landing buffer: valid in full at post on the
             // root's node, as the result counter passes it elsewhere.
-            let land = Mapped::new(lead, reg_tag(op, ROLE_DATA));
-            Member::chasing(land, !on_root_node, 0..len, buf, ctr)
+            Member::chasing(!on_root_node, 0..len, buf, ctr)
         };
         self.post(group, [(buf, len)], len, 0, member, |engine, op, ctr| {
-            engine.register_bcast(op, ctr, g, root_node, lead, len)
+            engine.register_bcast(op, ctr, g, root_node, len)
         })
     }
 
@@ -1312,31 +1309,24 @@ impl Sched {
         let out_len = span.len();
         // A node's only member contributes nothing: the engine's ring reads
         // its input in place (see `Acc`), and its one landing-member release
-        // keeps the input exposed until the flow is finished. A lone
+        // keeps the input unchanged until the flow is finished. A lone
         // reduce-scatter member keeps its contribution — it may sit off the
         // engine rank with no landing release to hold its input.
         let rings_input = !scatter && g == 1 && m > 1;
-        let land = |op| {
-            if scatter {
-                Mapped::new(0, reg_tag(op, ROLE_STAGE))
-            } else {
-                Mapped::new(group[0], reg_tag(op, ROLE_OUT))
-            }
-        };
-        let member = |s: &Sched, op, i, ctr| {
+        let member = |s: &Sched, i: usize, ctr: Arc<OpCounters>| {
             let input = input.expect("a member has an input").clone();
-            let tag = reg_tag(op, ROLE_DATA);
-            s.shared.registry().expose(s.rank as u32, tag, input);
+            s.shared.registry().note_expose();
+            ctr.inputs()[i].post(input);
             let output = output.expect("a member has an output").clone();
             // Only chunk owners read co-member inputs. A member whose share
-            // is empty (`kt < g`) must not wait to map them: owners
-            // withdraw their inputs once every contribution *stream*
+            // is empty (`kt < g`) must not wait to map them: owners clear
+            // their input windows once every contribution *stream*
             // completes, and an empty share's stream is trivially complete
-            // — so an owner can finish and unexpose before this member ever
-            // maps, and waiting would spin forever.
+            // — so an owner can finish before this member ever maps, and
+            // waiting would spin forever.
             let (lo, hi) = reduce_share(i, g, bytes, chunk);
             let contribute = (lo < hi && !rings_input).then(|| Contribute {
-                owners: group.to_vec(),
+                from_block: true,
                 inputs: Vec::with_capacity(g),
                 lo,
                 hi,
@@ -1344,15 +1334,15 @@ impl Sched {
                 chunk,
                 part: i,
             });
-            // The input may only be released once no co-member can still
-            // read it — i.e. every local stream ran to completion.
+            // The member may only report once no co-member can still read
+            // its input — i.e. every local stream ran to completion.
             let inputs_read = (!rings_input).then_some((bytes, chunk));
             if !scatter && i == 0 {
-                let mut lead = s.landing(op, ctr, g, ROLE_OUT, output, bytes);
+                let mut lead = s.landing(ctr, g, output, bytes);
                 lead.release.inputs_read = inputs_read;
                 return Member {
                     contribute,
-                    withdraw: &[ROLE_DATA, ROLE_OUT],
+                    input: Some(i),
                     ..lead
                 };
             }
@@ -1364,20 +1354,20 @@ impl Sched {
                     inputs_read,
                     ..Release::default()
                 },
-                withdraw: &[ROLE_DATA],
-                ..Member::chasing(land(op), true, span, output, ctr)
+                input: Some(i),
+                ..Member::chasing(true, span, output, ctr)
             }
         };
-        let register = |engine: &mut Engine, op, ctr| {
-            let land = land(op);
+        let register = |engine: &mut Engine, op, ctr: Arc<OpCounters>| {
+            // The stage is posted like a landing member's buffer, and the
+            // engine maps it on its next pass like any other.
             if scatter {
-                let stage = Arc::new(SharedRegion::new(bytes));
-                engine.shared.registry().expose(0, land.tag, stage);
+                engine.shared.registry().note_expose();
+                ctr.land.post(Arc::new(SharedRegion::new(bytes)));
             }
-            let own = rings_input.then(|| Mapped::new(group[0], reg_tag(op, ROLE_DATA)));
             let acc = Acc {
-                land,
-                own,
+                land: Mapped::default(),
+                own: rings_input.then(Mapped::default),
                 ctr,
                 total: bytes,
                 layout: Layout::Sum { chunk },
@@ -1419,10 +1409,9 @@ impl Sched {
         // A node's superblock: its members' blocks, in group order.
         let sb = g * len;
         let total = m * sb;
-        let land = |op| Mapped::new(group[0], reg_tag(op, ROLE_OUT));
-        let member = |s: &Sched, op, i, ctr| {
+        let member = |s: &Sched, i, ctr| {
             let contribute = Some(Contribute {
-                owners: Vec::new(),
+                from_block: false,
                 inputs: vec![input.expect("a member has an input").clone()],
                 lo: 0,
                 hi: len,
@@ -1432,12 +1421,12 @@ impl Sched {
             });
             let output = output.expect("a member has an output").clone();
             if i == 0 {
-                let lead = s.landing(op, ctr, g, ROLE_OUT, output, total);
+                let lead = s.landing(ctr, g, output, total);
                 return Member { contribute, ..lead };
             }
             Member {
                 contribute,
-                ..Member::chasing(land(op), true, 0..total, output, ctr)
+                ..Member::chasing(true, 0..total, output, ctr)
             }
         };
         let register = |engine: &mut Engine, op, ctr| {
@@ -1451,7 +1440,7 @@ impl Sched {
                 prefix: Prefix::new(total, sb),
             };
             let acc = Acc {
-                land: land(op),
+                land: Mapped::default(),
                 own: None,
                 ctr,
                 total,
@@ -1479,7 +1468,6 @@ impl Sched {
             engine.advance();
         }
         let Sched {
-            rank,
             shared,
             seen,
             roles,
@@ -1487,9 +1475,10 @@ impl Sched {
             engine,
             ..
         } = self;
+        let registry = shared.registry();
         roles.retain(|&op, slot| {
             if let Some(member) = slot {
-                if !member.step(op, *rank, shared, seen) {
+                if !member.step(registry, seen) {
                     return true;
                 }
                 active_bufs.retain(|_, owner| *owner != op);

@@ -1143,11 +1143,13 @@ impl Posted {
     /// child's span out of the result region. Every other op moves the
     /// region itself into its slot — a broadcast's bytes, an allreduce's
     /// vector — once nothing else holds the region, and an allreduce
-    /// member's spent input goes to `spares`. A landing member's region is
-    /// let go of by its node's engine when the op retires, and by each
-    /// co-member that chased out of it when that member's record finishes;
-    /// until then this rank keeps polling (an engine rank retires
-    /// everything before it parks).
+    /// member's spent input goes to `spares` (its member cleared the op's
+    /// input window before reporting). A landing member's region is let go
+    /// of by its node's engine when the op retires — it drops its own
+    /// mapping and clears the op's landing window — and by each co-member
+    /// that chased out of it when that member's record finishes; until then
+    /// this rank keeps polling (an engine rank retires everything before it
+    /// parks).
     fn publish(&mut self, spares: &mut Spares) -> bool {
         let Some((slot, buf)) = self.member.take() else {
             return true;

@@ -439,11 +439,11 @@ fn mixed_collectives_in_flight_concurrently() {
 
 /// Regression: with fewer chunks than members (`kt < g`) the members with
 /// an empty reduce partition never read co-member inputs, so they must not
-/// wait to map them — a chunk owner may finish and unexpose its input
+/// wait to map them — a chunk owner may finish and clear its input window
 /// first (its await-parts gate sees the empty partials trivially done),
 /// after which the map could never succeed and `wait` spun forever. The
 /// single-chunk shape below idles three of four members per node; the loop
-/// gives the scheduler chances to order the owner's unexpose first.
+/// gives the scheduler chances to order the owner's clear first.
 #[test]
 fn single_chunk_ops_with_idle_partitions_terminate() {
     let cluster = Cluster::new(2, 4);
@@ -938,10 +938,121 @@ fn park_rule_bounds_what_a_depth_1_loop_parks() {
     );
 }
 
-/// Counter blocks and windows left on each node of an `m` x `n` cluster
-/// once every rank has dropped its `Sched` and passed a barrier. Each rank
-/// posts two rounds of all four collectives over `group`; the first round
-/// is waited for, the second left to the drop's quiesce.
+/// Input `k` of global member `gi` in the recycled-block test: small
+/// integers, so every sum is exact.
+fn ar_input(k: usize, gi: usize, count: usize) -> Vec<f64> {
+    (0..count)
+        .map(|e| ((k * 7 + gi * 3 + e) % 1000) as f64)
+        .collect()
+}
+
+/// A recycled counter block never hands an op the windows of an op that
+/// used the block before. On 2 x 2, 1 000 ops at depth 4 — broadcasts with
+/// rotating roots and allreduces, alternating — over eight sets of buffers,
+/// so the ops in flight around any op use other buffers than it does. Each
+/// op's landing member posts last: its co-member posts and polls first,
+/// looking into a block an earlier op retired, and only then does the
+/// landing member post. Every byte of every result is checked, and once the
+/// schedulers are dropped nothing else holds any of the buffers.
+#[test]
+fn a_recycled_block_never_shows_an_earlier_ops_window() {
+    const OPS: usize = 1000;
+    const DEPTH: usize = 4;
+    const SETS: usize = 2 * DEPTH;
+    const LEN: usize = 700; // 3 chunks
+    const COUNT: usize = 100; // 4 chunks
+    let out = within(120, || {
+        let cluster = Cluster::with_geometry(2, 2, 256, 4);
+        let bars: Arc<[SenseBarrier; 3]> = Arc::new([2, 2, 4].map(SenseBarrier::new));
+        cluster.run(move |cctx| {
+            let (node, rank) = (cctx.node(), cctx.rank());
+            let gi = node * 2 + rank;
+            let mut tok = bars[node].token();
+            let sets: Vec<[Arc<SharedRegion>; 3]> = (0..SETS)
+                .map(|_| [LEN, 8 * COUNT, 8 * COUNT].map(|l| Arc::new(SharedRegion::new(l))))
+                .collect();
+            let mut sched = Sched::new(cctx);
+            let mut flight = std::collections::VecDeque::new();
+            let mut wrong = Vec::new();
+            let mut check = |j: usize| {
+                let [b, _, output] = &sets[j % SETS];
+                let ok = if j.is_multiple_of(2) {
+                    read_bytes(b, LEN) == payload(j, LEN)
+                } else {
+                    let sum = (0..4).map(|gi| ar_input(j, gi, COUNT));
+                    let want = sum.reduce(|a, b| a.iter().zip(b).map(|(x, y)| x + y).collect());
+                    read_f64s(output, 0, COUNT) == want.unwrap()
+                };
+                if !ok {
+                    wrong.push(j);
+                }
+            };
+            for k in 0..OPS {
+                let [b, input, output] = &sets[k % SETS];
+                let bcast = k.is_multiple_of(2);
+                let root = ((k / 2) % 2, (k / 4) % 2);
+                // The landing member: the root on its node, else group[0].
+                let lead = if bcast && node == root.0 { root.1 } else { 0 };
+                if bcast && (node, rank) == root {
+                    // SAFETY: the op that last used the buffer completed.
+                    unsafe { b.write(0, &payload(k, LEN)) };
+                } else if !bcast {
+                    write_f64s(input, 0, &ar_input(k, gi, COUNT));
+                }
+                let post = |s: &mut Sched| {
+                    let group = [0, 1];
+                    let req = if bcast {
+                        s.ibcast(&group, root.0, root.1, Some(b), LEN)
+                    } else {
+                        s.iallreduce(&group, Some(input), Some(output), COUNT)
+                    };
+                    req.unwrap()
+                };
+                let req = if rank == lead {
+                    bars[node].wait(&mut tok);
+                    post(&mut sched)
+                } else {
+                    let req = post(&mut sched);
+                    for _ in 0..4 {
+                        sched.poll();
+                    }
+                    bars[node].wait(&mut tok);
+                    req
+                };
+                flight.push_back((k, req));
+                if flight.len() > DEPTH {
+                    let (j, req) = flight.pop_front().unwrap();
+                    sched.wait(req);
+                    check(j);
+                }
+            }
+            for (j, req) in flight {
+                sched.wait(req);
+                check(j);
+            }
+            drop(sched);
+            let mut all = bars[2].token();
+            bars[2].wait(&mut all);
+            let held = sets.iter().flatten().filter(|r| Arc::strong_count(r) > 1);
+            (wrong, held.count())
+        })
+    });
+    for (node, ranks) in out.iter().enumerate() {
+        for (rank, (wrong, held)) in ranks.iter().enumerate() {
+            assert!(
+                wrong.is_empty(),
+                "node {node} rank {rank}: ops {wrong:?} wrong"
+            );
+            assert_eq!(*held, 0, "node {node} rank {rank}: buffers still held");
+        }
+    }
+}
+
+/// Counter blocks left on each node of an `m` x `n` cluster once every
+/// rank has dropped its `Sched` and passed a barrier, and buffers of the
+/// rank's that something besides the rank still holds. Each rank posts two
+/// rounds of all four collectives over `group`; the first round is waited
+/// for, the second left to the drop's quiesce.
 fn left_after_drop(m: usize, n: usize, group: Vec<usize>) -> Vec<(usize, usize)> {
     let cluster = Cluster::with_geometry(m, n, 256, 2);
     let bar = Arc::new(SenseBarrier::new(m * n));
@@ -986,8 +1097,9 @@ fn left_after_drop(m: usize, n: usize, group: Vec<usize>) -> Vec<(usize, usize)>
         }
         drop(sched);
         bar.wait(&mut tok);
-        let shared = cctx.node_shared();
-        (shared.sched_bank().len(), shared.registry().exposed_count())
+        let held = held.iter().flatten().flatten();
+        let held = held.filter(|r| Arc::strong_count(r) > 1).count();
+        (cctx.node_shared().sched_bank().len(), held)
     });
     left.into_iter().flatten().collect()
 }
@@ -995,7 +1107,7 @@ fn left_after_drop(m: usize, n: usize, group: Vec<usize>) -> Vec<(usize, usize)>
 /// Each op is retired exactly once per node, after its last member
 /// reported: once every rank has dropped its `Sched` — the engine rank's
 /// drop retires the node's last op — nothing is left in the counter bank
-/// or the window registry, for a group of every rank, one without the
+/// and no window holds a buffer, for a group of every rank, one without the
 /// engine rank, and one of the last rank alone.
 #[test]
 fn dropped_scheds_leave_no_counter_block_and_no_window() {
@@ -1006,4 +1118,72 @@ fn dropped_scheds_leave_no_counter_block_and_no_window() {
             assert!(left.iter().all(|&l| l == (0, 0)), "{at}: {left:?}");
         }
     }
+}
+
+/// The window ledger after each of two passes of a fixed 2 x 2 sequence
+/// over a group of both ranks, summed over the nodes: `ibcast`,
+/// `iallreduce`, `ireduce_scatter` and `iallgather`, each waited for and
+/// retired before the next, on the same buffers both times.
+fn engine_ledger() -> [(u64, u64, u64); 2] {
+    let cluster = Cluster::new(2, 2);
+    let bar = Arc::new(SenseBarrier::new(4));
+    let (len, count, block) = (700, 100, 64);
+    let ledgers = cluster.run(move |cctx| {
+        let mut tok = bar.token();
+        let [b, ain, aout, rin, rout, gin, gout] = [
+            len,
+            8 * count,
+            8 * count,
+            8 * count,
+            4 * count,
+            block,
+            4 * block,
+        ]
+        .map(|len| Arc::new(SharedRegion::new(len)));
+        let group = [0, 1];
+        let mut sched = Sched::new(cctx);
+        [0, 1].map(|_| {
+            for op in 0..4 {
+                let req = match op {
+                    0 => sched.ibcast(&group, 1, 1, Some(&b), len),
+                    1 => sched.iallreduce(&group, Some(&ain), Some(&aout), count),
+                    2 => sched.ireduce_scatter(&group, Some(&rin), Some(&rout), count),
+                    _ => sched.iallgather(&group, Some(&gin), Some(&gout), block),
+                };
+                sched.wait(req.unwrap());
+                sched.drain();
+                bar.wait(&mut tok);
+            }
+            cctx.node_shared().registry().stats().snapshot()
+        })
+    });
+    [0, 1].map(|pass| {
+        let per_node = ledgers.iter().map(|node| node[0][pass]);
+        per_node.fold((0, 0, 0), |t, l| (t.0 + l.0, t.1 + l.1, t.2 + l.2))
+    })
+}
+
+/// The engine charges the window ledger exactly what it charged when its
+/// windows lived in the registry map. Per node and pass: `ibcast` exposes
+/// the landing buffer, which the co-member and the engine map; `iallreduce`
+/// exposes two inputs and the output, and the one member with a non-empty
+/// share (one chunk, two members) maps both inputs while the co-member and
+/// the engine map the output; `ireduce_scatter` is the same with the
+/// engine's stage in place of the output, which both members chase;
+/// `iallgather` exposes the output, mapped by the co-member and the engine.
+/// That is 8 exposes and 13 maps, all misses on the first pass. On the
+/// second every member buffer hits; only the stage is a fresh region,
+/// whose three maps on a node hit when it happens to reuse the address of
+/// the first pass's stage (about 1 run in 12, at this change and before
+/// it).
+#[test]
+fn engine_window_ledger_is_exact() {
+    let [first, both] = engine_ledger();
+    assert_eq!(first, (16, 26, 0), "first pass");
+    let (exposes, misses, hits) = both;
+    assert_eq!((exposes, misses + hits), (32, 52), "{both:?}");
+    assert!(
+        (20..=26).contains(&hits) && (hits - 20) % 3 == 0,
+        "second-pass hits: 20, plus 3 per node whose stage reused an address: {both:?}"
+    );
 }

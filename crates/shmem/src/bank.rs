@@ -23,6 +23,18 @@
 //!   its final values. So nothing is ever reset under a reader, waiters can
 //!   use absolute byte counts, and the free list never holds more blocks
 //!   than the peak number of live operations.
+//! * **A block carries the op's windows, and retirement clears them.** Next
+//!   to its counters a block holds the op's buffer addresses: one landing
+//!   window and one input window per member ([`OpWindow`]). An owner posts
+//!   a buffer with one `Release` store and a peer maps it with one
+//!   `Acquire` load, so the members of an op find each other's buffers in
+//!   the block they already share, with no lock and no lookup. A posted
+//!   window holds its buffer until it is cleared: by its owner, once nobody
+//!   maps it any more ([`OpWindow::clear`]), or by the retiring side
+//!   ([`OpCounters::clear_windows`], which the `bgp-sched` engine calls
+//!   just before [`retire`](CounterBank::retire)). A block handed out
+//!   again starts from empty windows whatever it held, and a dropped one
+//!   lets go of what it held.
 //! * **Retirement is map cleanup — after the last lookup.**
 //!   [`retire`](CounterBank::retire) removes the entry; any participant
 //!   still holding the `Arc` keeps the block alive and sees frozen final
@@ -41,7 +53,81 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::counter::MessageCounter;
+use crate::model_support;
+use crate::region::SharedRegion;
+use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::sync::Mutex;
+
+/// One buffer address of an op: empty, or the `Arc::into_raw` of a region
+/// its owner posted, which the window holds until it is cleared (or
+/// dropped). Posting is one `Release` store and mapping one `Acquire`
+/// load, so a peer that maps the window sees every write the owner made
+/// to the region before posting it.
+#[derive(Debug, Default)]
+pub struct OpWindow {
+    ptr: AtomicUsize,
+}
+
+impl OpWindow {
+    /// Owner side: post `region`. A window is posted at most once per use
+    /// of its block.
+    pub fn post(&self, region: Arc<SharedRegion>) {
+        // Seeded bug for the model checker: a relaxed store no longer
+        // publishes the owner's writes to the region it names.
+        self.ptr.store(
+            Arc::into_raw(region) as usize,
+            model_support::relaxed_if("op_window_publish_relaxed", Ordering::Release),
+        );
+    }
+
+    /// Peer side: the posted region, or `None` while nothing is posted.
+    ///
+    /// # Safety
+    ///
+    /// The window is not cleared before this call returns: in `bgp-sched`
+    /// a member maps before it reports on the op's done counter, an owner
+    /// clears its input window only once every mapper has mapped it, and
+    /// the retiring side clears only after every member reported and only
+    /// on its own thread.
+    pub unsafe fn get(&self) -> Option<Arc<SharedRegion>> {
+        let region = self.ptr.load(Ordering::Acquire) as *const SharedRegion;
+        if region.is_null() {
+            return None;
+        }
+        // SAFETY: a non-null word is the `Arc::into_raw` of a posted region
+        // whose reference the window holds until it is cleared, which the
+        // caller guarantees has not happened yet.
+        unsafe {
+            Arc::increment_strong_count(region);
+            Some(Arc::from_raw(region))
+        }
+    }
+
+    /// Drop the posted region, if any.
+    ///
+    /// # Safety
+    ///
+    /// No [`get`](Self::get) of this window runs during or after the call
+    /// (until the block's next use posts again).
+    pub unsafe fn clear(&self) {
+        let region = self.ptr.swap(0, Ordering::Relaxed) as *const SharedRegion;
+        if !region.is_null() {
+            // SAFETY: the word held this reference, and no reader can take
+            // another from it any more.
+            drop(unsafe { Arc::from_raw(region) });
+        }
+    }
+}
+
+impl Drop for OpWindow {
+    fn drop(&mut self) {
+        let region = std::mem::take(self.ptr.get_mut()) as *const SharedRegion;
+        if !region.is_null() {
+            // SAFETY: an exclusive borrow: nobody can map the window.
+            drop(unsafe { Arc::from_raw(region) });
+        }
+    }
+}
 
 /// The counters of one operation on one node.
 #[derive(Debug)]
@@ -53,6 +139,10 @@ pub struct OpCounters {
     pub done: MessageCounter,
     /// One contribution stream per member.
     parts: Vec<MessageCounter>,
+    /// Where the op's result lands on this node.
+    pub land: OpWindow,
+    /// One input window per member, indexed like [`Self::parts`].
+    inputs: Vec<OpWindow>,
 }
 
 impl OpCounters {
@@ -61,21 +151,46 @@ impl OpCounters {
             res: MessageCounter::new(),
             done: MessageCounter::new(),
             parts: (0..parts).map(|_| MessageCounter::new()).collect(),
+            land: OpWindow::default(),
+            inputs: (0..parts).map(|_| OpWindow::default()).collect(),
         }
     }
 
-    /// Back to zero, with `parts` streams; allocates only to grow past
-    /// every earlier use of the block.
+    /// Back to zero, with `parts` streams and empty windows; allocates only
+    /// to grow past every earlier use of the block.
     fn reset(&mut self, parts: usize) {
         self.res = MessageCounter::new();
         self.done = MessageCounter::new();
         self.parts.clear();
         self.parts.resize_with(parts, MessageCounter::new);
+        self.land = OpWindow::default();
+        self.inputs.clear();
+        self.inputs.resize_with(parts, OpWindow::default);
     }
 
     /// The contribution streams, one per member.
     pub fn parts(&self) -> &[MessageCounter] {
         &self.parts
+    }
+
+    /// The input windows, one per member.
+    pub fn inputs(&self) -> &[OpWindow] {
+        &self.inputs
+    }
+
+    /// Drop every region posted in the op's windows.
+    ///
+    /// # Safety
+    ///
+    /// No [`OpWindow::get`] of the block runs during or after the call:
+    /// every member that maps has reported, and the caller is the only
+    /// other side that maps.
+    pub unsafe fn clear_windows(&self) {
+        // SAFETY: per this function's contract.
+        unsafe {
+            self.land.clear();
+            self.inputs.iter().for_each(|w| w.clear());
+        }
     }
 }
 
@@ -241,6 +356,48 @@ mod tests {
         assert_eq!((reused.res.read(), reused.done.read()), (0, 0));
         assert!(reused.parts().iter().all(|c| c.read() == 0));
         assert_eq!(reused.parts().len(), 3);
+    }
+
+    /// A window holds its region until it is cleared; a block handed out
+    /// again starts with empty windows even if nobody cleared it, and a
+    /// dropped block lets go of what it holds.
+    #[test]
+    fn windows_hold_until_cleared_and_a_reused_block_starts_empty() {
+        let bank = CounterBank::new();
+        let (a, b) = (
+            Arc::new(SharedRegion::new(8)),
+            Arc::new(SharedRegion::new(8)),
+        );
+        let counts = || (Arc::strong_count(&a), Arc::strong_count(&b));
+        let block = bank.op(1, 2);
+        block.land.post(a.clone());
+        block.inputs()[1].post(b.clone());
+        // SAFETY (every `get` and `clear_windows` here): one thread, so no
+        // map runs during or after a clear.
+        let got = unsafe { block.inputs()[1].get() }.expect("posted");
+        assert!(Arc::ptr_eq(&got, &b));
+        assert!(unsafe { block.inputs()[0].get() }.is_none());
+        drop(got);
+        assert_eq!(counts(), (2, 2));
+        unsafe { block.clear_windows() };
+        assert_eq!(counts(), (1, 1));
+        assert!(unsafe { block.land.get() }.is_none());
+
+        // Posted again and retired without a clear: the reuse empties it.
+        block.land.post(a.clone());
+        let released = Arc::as_ptr(&block);
+        drop(block);
+        assert!(bank.retire(1));
+        let reused = bank.op(2, 3);
+        assert_eq!(Arc::as_ptr(&reused), released, "the released block");
+        assert_eq!(counts(), (1, 1), "the reset dropped the posted region");
+        assert!(unsafe { reused.land.get() }.is_none());
+        assert!(reused.inputs().iter().all(|w| unsafe { w.get() }.is_none()));
+        assert_eq!(reused.inputs().len(), 3);
+
+        reused.inputs()[2].post(b.clone());
+        drop((reused, bank));
+        assert_eq!(counts(), (1, 1), "a dropped block drops its regions");
     }
 
     /// Ten thousand ops, sixteen in flight, each retired while its last

@@ -45,7 +45,7 @@ pub mod window;
 #[cfg(not(feature = "model"))]
 pub mod proc;
 
-pub use bank::{CounterBank, OpCounters};
+pub use bank::{CounterBank, OpCounters, OpWindow};
 pub use bcast_fifo::{BcastConsumer, BcastFifo, FifoStats};
 pub use counter::{CompletionCounter, MessageCounter};
 pub use pad::CachePadded;

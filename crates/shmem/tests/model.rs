@@ -32,7 +32,9 @@ use std::sync::Arc;
 use bgp_check::thread;
 use bgp_check::{explore, model_with, Config, Failure, FailureKind};
 use bgp_shmem::sync::cell::UnsafeCell;
-use bgp_shmem::{BcastFifo, CompletionCounter, MessageCounter, PtpFifo, SeqLock};
+use bgp_shmem::{
+    BcastFifo, CompletionCounter, CounterBank, MessageCounter, PtpFifo, SeqLock, SharedRegion,
+};
 
 /// Explore a mutated scenario, require a failure within the budget, then
 /// require that replaying the reported trace (with the same mutation)
@@ -451,6 +453,89 @@ fn mutation_counter_publish_relaxed_is_caught() {
         unsafe { buf.with(|p| assert_eq!(*p, 1)) };
         producer.join();
     });
+    assert_eq!(f.kind, FailureKind::Race, "{f}");
+}
+
+// ---------------------------------------------------------------------------
+// Op windows: buffer addresses in a recycled counter block
+// ---------------------------------------------------------------------------
+
+/// Two members, two ops, one bank. In each op the owner writes its payload
+/// (model cells) and posts its region in the block's landing window; the
+/// peer maps the window, reads the payload and reports on `done`; the owner,
+/// as the retiring side, waits for the report, clears the block's windows
+/// and retires the op. The peer looks the second op up only once the first
+/// is retired, so the second op gets the first one's block back, and its
+/// owner posts a different region in it — before or after the peer starts
+/// polling. The peer must map each op's own region — never the block's
+/// previous one — and see the payload written before the post.
+fn op_window_scenario() {
+    let bank = Arc::new(CounterBank::new());
+    let retired = Arc::new(MessageCounter::new());
+    let regions: Arc<[Arc<SharedRegion>; 2]> =
+        Arc::new([0, 1].map(|_| Arc::new(SharedRegion::new(8))));
+    let payload: Arc<[UnsafeCell<u64>; 2]> = Arc::new([0, 1].map(|_| UnsafeCell::new(0)));
+    let peer = {
+        let (bank, retired) = (bank.clone(), retired.clone());
+        let (regions, payload) = (regions.clone(), payload.clone());
+        thread::spawn(move || {
+            for op in 0..2u64 {
+                let k = op as usize;
+                retired.wait_for(op);
+                let block = bank.op(op, 2);
+                let window = loop {
+                    // SAFETY: the owner clears the block's windows only
+                    // after this peer reported below.
+                    if let Some(window) = unsafe { block.land.get() } {
+                        break window;
+                    }
+                    bgp_shmem::spin();
+                };
+                assert!(
+                    Arc::ptr_eq(&window, &regions[k]),
+                    "op {op} mapped a stale window"
+                );
+                unsafe { payload[k].with(|p| assert_eq!(*p, op + 1, "op {op} payload")) };
+                block.done.publish(1);
+            }
+        })
+    };
+    let mut first = None;
+    for op in 0..2u64 {
+        let k = op as usize;
+        let block = bank.op(op, 2);
+        let at = *first.get_or_insert(Arc::as_ptr(&block));
+        assert_eq!(Arc::as_ptr(&block), at, "op {op} got a fresh block");
+        unsafe { payload[k].with_mut(|p| *p = op + 1) };
+        block.land.post(regions[k].clone());
+        block.done.wait_for(1);
+        // SAFETY: the peer mapped before it reported, and this side maps
+        // nothing.
+        unsafe { block.clear_windows() };
+        drop(block);
+        assert!(bank.retire(op));
+        retired.publish(1);
+    }
+    peer.join();
+}
+
+/// Under every explored schedule the peer maps the op's own region, with
+/// its payload visible, across the block's reuse.
+#[test]
+fn op_window_hands_each_op_its_own_region() {
+    model_with(Config::dfs(5_000), op_window_scenario);
+}
+
+/// Seeded bug: the window posted with a `Relaxed` store — a peer that maps
+/// the region no longer sees the owner's writes made before the post. The
+/// checker must report the race on the payload.
+#[test]
+fn mutation_op_window_publish_relaxed_is_caught() {
+    let f = assert_mutation_caught(
+        "op_window_publish_relaxed",
+        Config::dfs(5_000),
+        op_window_scenario,
+    );
     assert_eq!(f.kind, FailureKind::Race, "{f}");
 }
 

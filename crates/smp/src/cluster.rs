@@ -611,14 +611,14 @@ impl ClusterCtx {
     /// of every node calls with consistent arguments.
     pub fn bcast(&mut self, root_node: usize, buf: &Arc<SharedRegion>, len: usize) {
         self.check_size(len);
-        let shared = self.shared.clone();
-        let (m, n) = (shared.m, shared.n);
+        let (m, n) = (self.shared.m, self.shared.n);
         assert!(root_node < m, "root node out of range");
         assert!(buf.len() >= len, "buffer shorter than message");
         let [tag, _] = self.ctx.next_op();
         let me = self.ctx.rank();
         let v = self.node;
-        let chunk = shared.fabric.chunk_bytes();
+        let fabric = &*self.shared.fabric;
+        let chunk = fabric.chunk_bytes();
 
         let is_root_node = v == root_node;
         // The producer rank of this node's reception stream: rank 0 injects
@@ -650,7 +650,7 @@ impl ClusterCtx {
                 // outbound tree port, then publish it for the local peers.
                 let ctr = self.ctx.aux_counter(0);
                 wire::tree_send(
-                    shared.fabric.bcast_out(v, root_node),
+                    fabric.bcast_out(v, root_node),
                     chunk,
                     len,
                     || len,
@@ -669,24 +669,19 @@ impl ClusterCtx {
             // application buffer and each landing is published to the
             // node's other ranks. A single-rank node has none; it forwards
             // each chunk itself while the incoming slot is still on loan.
-            let outs = shared.fabric.bcast_out(v, root_node).filter(|_| n == 1);
+            let outs = fabric.bcast_out(v, root_node).filter(|_| n == 1);
             self.ctx
                 .cluster_stats()
                 .bcast_recv_ops
                 .fetch_add(1, Ordering::Relaxed);
             let ctr = self.ctx.aux_counter(recv_rank);
-            wire::tree_recv(
-                shared.fabric.bcast_in(v, root_node),
-                outs,
-                len,
-                |off, bytes| {
-                    // SAFETY: sole writer; readers gated on the publish.
-                    unsafe { buf.write(off, bytes) };
-                    if n > 1 {
-                        ctr.publish(bytes.len() as u64);
-                    }
-                },
-            );
+            wire::tree_recv(fabric.bcast_in(v, root_node), outs, len, |off, bytes| {
+                // SAFETY: sole writer; readers gated on the publish.
+                unsafe { buf.write(off, bytes) };
+                if n > 1 {
+                    ctr.publish(bytes.len() as u64);
+                }
+            });
         } else if me == 0 {
             // The network core: the same `wire::TreeFeed` loop as the
             // root's, fed by the reception counter instead of a whole
@@ -695,7 +690,7 @@ impl ClusterCtx {
             let src = self.ctx.map_cached(recv_rank, tag);
             let ctr = self.ctx.aux_counter(recv_rank);
             wire::tree_send(
-                shared.fabric.bcast_out(v, root_node),
+                fabric.bcast_out(v, root_node),
                 chunk,
                 len,
                 || ((ctr.read() - base) as usize).min(len),
@@ -739,8 +734,7 @@ impl ClusterCtx {
         count: usize,
     ) {
         self.check_size(count * 8);
-        let shared = self.shared.clone();
-        let (m, n) = (shared.m, shared.n);
+        let (m, n) = (self.shared.m, self.shared.n);
         assert!(input.len() >= count * 8, "input shorter than count");
         assert!(output.len() >= count * 8, "output shorter than count");
         assert!(!Arc::ptr_eq(input, output), "{IN_PLACE}");
@@ -814,7 +808,7 @@ impl ClusterCtx {
                     ctx.aux_counter(n + c).publish(len as u64);
                 },
             };
-            wire::flat_ring(&shared.fabric, self.node, spans, &mut local);
+            wire::flat_ring(&self.shared.fabric, self.node, spans, &mut local);
         }
 
         // Phase C — every rank copies the other colors' finished chunks out

@@ -317,27 +317,45 @@ fn service_bcast_moves_each_member_result() {
 /// the ticket slot and a decode of that copy, per member.)
 #[test]
 fn service_allreduce_moves_each_member_input_and_result() {
+    assert_service_allreduce_within_budget(1);
+}
+
+/// The same on 2 x 2, where each node's second member reduces its share
+/// and chases the result out of the first's output: its spent input must
+/// be its own again by the time it publishes, or its next output is a
+/// fresh vector (2.00 payloads per op while the engine held every input
+/// until the op retired).
+#[test]
+fn service_allreduce_on_two_ranks_a_node_reuses_every_spent_input() {
+    assert_service_allreduce_within_budget(2);
+}
+
+/// Depth-1 512 KiB allreduces over every rank of a 2 x `n` service: at
+/// steady state each allocates at most bookkeeping.
+fn assert_service_allreduce_within_budget(n: usize) {
     const COUNT: usize = 64 << 10;
     const LEN: u64 = COUNT as u64 * 8;
     const BUDGET: u64 = 64 << 10;
     let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let svc = Service::new(2, 1);
+    let svc = Service::new(2, n);
     let session = svc.open_session("alloc", 1).unwrap();
     let comm = session.comm_world();
     let mut counted = 0;
     for i in 0..WARM + OPS as usize {
-        let inputs: Vec<Vec<f64>> = (0..2)
+        let inputs: Vec<Vec<f64>> = (0..2 * n)
             .map(|m| {
                 (0..COUNT)
                     .map(|k| (k * 3 + m * 7 + i) as f64 * 0.5)
                     .collect()
             })
             .collect();
-        let want: Vec<f64> = (0..COUNT).map(|k| inputs[0][k] + inputs[1][k]).collect();
+        let want: Vec<f64> = (0..COUNT)
+            .map(|k| inputs.iter().map(|v| v[k]).sum())
+            .collect();
         let before = ALLOCATED.load(Ordering::Relaxed);
         let got = comm.allreduce(inputs).unwrap().wait();
         let after = ALLOCATED.load(Ordering::Relaxed);
-        assert_eq!(got, vec![want; 2], "op {i}");
+        assert_eq!(got, vec![want; 2 * n], "op {i}");
         if i >= WARM {
             counted += after - before;
         }
@@ -345,8 +363,8 @@ fn service_allreduce_moves_each_member_input_and_result() {
     let per_op = counted / OPS;
     assert!(
         per_op <= BUDGET,
-        "a 512 KiB service allreduce allocates {per_op} B per op, {:.2} payloads \
-         (budget {BUDGET} B)",
+        "a 512 KiB service allreduce on 2 x {n} allocates {per_op} B per op, {:.2} \
+         payloads (budget {BUDGET} B)",
         per_op as f64 / LEN as f64
     );
 }
