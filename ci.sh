@@ -115,6 +115,18 @@ if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
   exit 1
 fi
 
+# The engine keys its in-flight ops by op id (its OpRing: an index, no
+# tree) and hashes integer keys with bgp_shmem::IdHasher (IdMap / IdSet,
+# no SipHash); so does the counter bank. A std map or set in the non-test
+# part of engine.rs or bank.rs fails here.
+echo "== guard: no BTreeMap / HashMap / HashSet in engine.rs and bank.rs"
+if for f in crates/sched/src/engine.rs crates/shmem/src/bank.rs; do
+  awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f"
+done | grep -E 'BTreeMap|HashMap|HashSet'; then
+  echo "std map or set on the engine's per-op path (use OpRing or IdMap / IdSet)" >&2
+  exit 1
+fi
+
 # The service has no thread of its own: global rank 0 (the lead) drains the
 # tenant queues inside its resident loop. A thread spawned in the non-test
 # part of server.rs — a dispatcher coming back — fails here.

@@ -131,20 +131,27 @@
 //! ([`SchedStash`](bgp_smp::SchedStash)). One visit to a port parks at most
 //! one window of chunks, though, then yields to member progress: a peer
 //! refilling the link as fast as the engine parks would otherwise keep it
-//! parking a whole op its own rank was about to post.
+//! parking a whole op its own rank was about to post. A pass with nothing
+//! parked takes no stash lock: the engine is the stash's only writer, so
+//! it knows when the stash is empty.
 //!
 //! A request completes when the rank's member record is finished **and**,
 //! on the engine rank, the op's network flow on this node is too: all its
 //! receives consumed, everything it will ever send in a link. Without the
 //! second half a caller could leave `wait` and block somewhere that does not
 //! poll while its node still owed the ring a chunk — the peer would wait
-//! for it forever. [`Sched`] tracks only in-flight operations; a completed
-//! one leaves nothing behind.
+//! for it forever. [`Sched`] tracks only in-flight operations, and so does
+//! the engine, each in a deque ordered by op id (`OpRing`): a rank's ids
+//! increase with every post, so an insert is a push and a lookup a binary
+//! search over the live ops, and a completed op leaves nothing behind.
+//! Integer keys elsewhere (the overlap guard, the window caches, the stash,
+//! the counter bank) hash with [`IdHasher`](bgp_shmem::IdHasher), not
+//! SipHash.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-use bgp_shmem::{spin, OpCounters, OpWindow, SharedRegion, WindowRegistry};
+use bgp_shmem::{spin, IdMap, IdSet, OpCounters, OpWindow, SharedRegion, WindowRegistry};
 use bgp_smp::cluster::sum_regions;
 use bgp_smp::kernels;
 use bgp_smp::transport::{ChunkChannel, Fabric, RingDir};
@@ -236,7 +243,7 @@ fn reduce_share(i: usize, g: usize, bytes: usize, chunk: usize) -> (usize, usize
 fn map(
     window: &OpWindow,
     registry: &WindowRegistry,
-    seen: &mut HashSet<usize>,
+    seen: &mut IdSet<usize>,
 ) -> Option<Arc<SharedRegion>> {
     // SAFETY: a window is mapped by a member of its op before that member
     // reports on the op's done counter, or by the engine on its own thread,
@@ -246,6 +253,52 @@ fn map(
     let region = unsafe { window.get() }?;
     registry.note_map(!seen.insert(Arc::as_ptr(&region) as usize));
     Some(region)
+}
+
+/// In-flight entries keyed by op id, oldest first. A scheduler's op ids
+/// increase with every post, so an insert pushes at the back and a lookup
+/// is a binary search over the entries alone. Ops retire in any order, and
+/// a retired op leaves nothing behind: memory and the work of every walk
+/// follow the live count, however far apart the live ids are.
+struct OpRing<T>(VecDeque<(u64, T)>);
+
+impl<T> OpRing<T> {
+    /// Track `op`, which is newer than every op tracked so far.
+    fn insert(&mut self, op: u64, v: T) {
+        assert!(self.0.back().is_none_or(|e| e.0 < op), "op ids increase");
+        self.0.push_back((op, v));
+    }
+
+    fn get(&self, op: u64) -> Option<&T> {
+        let at = self.0.binary_search_by_key(&op, |e| e.0).ok()?;
+        Some(&self.0[at].1)
+    }
+
+    fn get_mut(&mut self, op: u64) -> Option<&mut T> {
+        let at = self.0.binary_search_by_key(&op, |e| e.0).ok()?;
+        Some(&mut self.0[at].1)
+    }
+
+    fn contains(&self, op: u64) -> bool {
+        self.get(op).is_some()
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = (u64, &mut T)> {
+        self.0.iter_mut().map(|(op, v)| (*op, v))
+    }
+
+    /// Keep the entries `keep` says to.
+    fn retain(&mut self, mut keep: impl FnMut(u64, &mut T) -> bool) {
+        self.0.retain_mut(|(op, v)| keep(*op, v));
+    }
 }
 
 /// A region posted in one of the op's windows, mapped on first use.
@@ -258,7 +311,7 @@ impl Mapped {
         &mut self,
         window: &OpWindow,
         registry: &WindowRegistry,
-        seen: &mut HashSet<usize>,
+        seen: &mut IdSet<usize>,
     ) -> Option<&Arc<SharedRegion>> {
         if self.0.is_none() {
             self.0 = map(window, registry, seen);
@@ -348,7 +401,7 @@ impl Contribute {
         acc: &SharedRegion,
         ctr: &OpCounters,
         registry: &WindowRegistry,
-        seen: &mut HashSet<usize>,
+        seen: &mut IdSet<usize>,
     ) -> bool {
         if self.from_block {
             for window in &ctr.inputs()[self.inputs.len()..] {
@@ -443,7 +496,7 @@ impl Member {
     }
 
     /// Advance a little; `true` once finished (and not to be stepped again).
-    fn step(&mut self, registry: &WindowRegistry, seen: &mut HashSet<usize>) -> bool {
+    fn step(&mut self, registry: &WindowRegistry, seen: &mut IdSet<usize>) -> bool {
         if self.contribute.is_some() || self.chase.is_some() {
             let Some(land) = self.land.get(&self.ctr.land, registry, seen) else {
                 return false;
@@ -765,7 +818,7 @@ impl NetRing {
 
 enum Net {
     Bcast(NetBcast),
-    Ring(Box<NetRing>),
+    Ring(NetRing),
 }
 
 /// One operation as the engine sees it.
@@ -790,7 +843,7 @@ impl NetOp {
 
     /// Map the landing region, and a lone member's input beside it, once
     /// their owners have posted them.
-    fn map(&mut self, registry: &WindowRegistry, seen: &mut HashSet<usize>) {
+    fn map(&mut self, registry: &WindowRegistry, seen: &mut IdSet<usize>) {
         match &mut self.net {
             Net::Bcast(b) => {
                 b.land.get(&b.ctr.land, registry, seen);
@@ -871,8 +924,14 @@ struct Engine {
     chunk: usize,
     shared: Arc<NodeShared>,
     fabric: Arc<Fabric>,
-    seen: HashSet<usize>,
-    ops: BTreeMap<u64, NetOp>,
+    seen: IdSet<usize>,
+    ops: OpRing<NetOp>,
+    /// The node's stash may hold chunks: set when this engine parks one,
+    /// cleared by a pass that finds the stash empty. Only this engine
+    /// parks (one `Sched` per rank per job), so a pass that finds it clear
+    /// takes no stash lock. It starts set: a previous job's engine may
+    /// have parked chunks of this job's ops.
+    stash_held: bool,
 }
 
 impl Engine {
@@ -882,7 +941,7 @@ impl Engine {
 
     /// Has the op's network flow on this node finished? A retired op has.
     fn net_finished(&self, op: u64) -> bool {
-        self.ops.get(&op).is_none_or(|o| o.finished)
+        self.ops.get(op).is_none_or(|o| o.finished)
     }
 
     /// Register a broadcast that lands in the landing member's buffer on
@@ -917,11 +976,11 @@ impl Engine {
     fn register_ring(&mut self, op: u64, acc: Acc, step: impl FnOnce(usize) -> Step) {
         let dir = ring_dir(op);
         let g = acc.ctr.parts().len();
-        let net = Net::Ring(Box::new(NetRing {
+        let net = Net::Ring(NetRing {
             dir,
             step: (self.m > 1).then(|| step(self.fabric.ring_pos(self.node, dir))),
             acc,
-        }));
+        });
         self.insert(op, net, g);
     }
 
@@ -944,6 +1003,7 @@ impl Engine {
             fabric,
             seen,
             ops,
+            stash_held,
             ..
         } = self;
         let (node, m, shared, fabric) = (*node, *m, &**shared, &**fabric);
@@ -951,40 +1011,40 @@ impl Engine {
 
         // Map the landing regions whose members posted after the op
         // registered here.
-        for netop in ops.values_mut() {
+        for (_, netop) in ops.iter_mut() {
             netop.map(registry, seen);
         }
 
         // Replay parked chunks of ops that can land now, oldest first. Ops
         // whose stash stays non-empty must keep stashing port arrivals to
-        // preserve per-link order.
-        let mut stashed_ops: HashSet<u64> = HashSet::new();
-        {
+        // preserve per-link order. With `stash_held` clear the stash is
+        // empty, and so `stashed_ops` stays.
+        let mut stashed_ops = IdSet::default();
+        if *stash_held {
             let mut stash = shared.sched_stash().lock();
             for (op, netop) in ops.iter_mut().filter(|(_, o)| o.can_land()) {
-                while let Some(t) = stash.front_tag(*op) {
+                while let Some(t) = stash.front_tag(op) {
                     if !netop.can_accept(tag::unpack(t).1, fabric, node) {
                         break;
                     }
-                    let (_, bytes) = stash.pop_front(*op).expect("front_tag was Some");
+                    let (_, bytes) = stash.pop_front(op).expect("front_tag was Some");
                     netop.accept(t, &bytes, fabric, node);
                 }
             }
             stashed_ops.extend(stash.parked_ops());
+            *stash_held = !stashed_ops.is_empty();
         }
 
         // Drain the in-port of every active op, with nothing allocated per
         // pass: a port several ops share is emptied on its first visit.
-        let mut next = ops.keys().next().copied().filter(|_| m > 1);
-        while let Some(at) = next {
-            next = ops.range(at + 1..).next().map(|(&op, _)| op);
-            let Some(port) = ops[&at].in_port(fabric, node) else {
+        for at in (0..ops.0.len()).filter(|_| m > 1) {
+            let Some(port) = ops.0[at].1.in_port(fabric, node) else {
                 continue;
             };
             let mut parked = 0;
             while let Some(t) = port.peek_tag() {
                 let (op, kind, _) = tag::unpack(t);
-                let target = ops.get_mut(&op);
+                let target = ops.get_mut(op);
                 let Some(netop) = target.filter(|o| o.can_land() && !stashed_ops.contains(&op))
                 else {
                     // Not posted here yet, its landing region not mapped
@@ -1001,6 +1061,7 @@ impl Engine {
                     let mut stash = shared.sched_stash().lock();
                     port.recv_with(|t, b| stash.park(op, t, b));
                     stashed_ops.insert(op);
+                    *stash_held = true;
                     parked += 1;
                     continue;
                 };
@@ -1014,7 +1075,7 @@ impl Engine {
         }
 
         // Outbound progress.
-        for (&op, netop) in ops.iter_mut() {
+        for (op, netop) in ops.iter_mut() {
             netop.pump(op, fabric, node, m);
         }
     }
@@ -1027,7 +1088,7 @@ impl Engine {
     /// was this rank's goes in the same poll.
     fn retire(&mut self) {
         let bank = self.shared.sched_bank();
-        self.ops.retain(|&op, o| {
+        self.ops.retain(|op, o| {
             let ctr = o.ctr();
             if !(o.finished && ctr.done.read() >= o.expected_done) {
                 return true;
@@ -1065,15 +1126,17 @@ pub struct Sched {
     n: usize,
     shared: Arc<NodeShared>,
     chunk: usize,
-    seen: HashSet<usize>,
-    /// In-flight operations only. `None`: the member side is finished (or
-    /// this rank is no member) and the request waits for the node's network
+    seen: IdSet<usize>,
+    /// In-flight operations only, each with the addresses of the buffers
+    /// its member posted: its entries in `active_bufs`, which its member's
+    /// completion removes. `None`: the member side is finished (or this
+    /// rank is no member) and the request waits for the node's network
     /// flow — engine rank only.
-    roles: BTreeMap<u64, Option<Member>>,
+    roles: OpRing<(Option<Member>, [Option<usize>; 2])>,
     /// Op ids this scheduler issued (they are consecutive).
     issued: std::ops::Range<u64>,
     /// Region pointer -> op currently owning the buffer (overlap guard).
-    active_bufs: HashMap<usize, u64>,
+    active_bufs: IdMap<usize, u64>,
     engine: Option<Engine>,
 }
 
@@ -1090,8 +1153,9 @@ impl Sched {
             chunk,
             shared: shared.clone(),
             fabric,
-            seen: HashSet::new(),
-            ops: BTreeMap::new(),
+            seen: IdSet::default(),
+            ops: OpRing(VecDeque::new()),
+            stash_held: true,
         });
         Sched {
             node: cctx.node(),
@@ -1100,10 +1164,10 @@ impl Sched {
             n: cctx.n_ranks(),
             shared,
             chunk,
-            seen: HashSet::new(),
-            roles: BTreeMap::new(),
+            seen: IdSet::default(),
+            roles: OpRing(VecDeque::new()),
             issued: 0..0,
-            active_bufs: HashMap::new(),
+            active_bufs: IdMap::default(),
             engine,
         }
     }
@@ -1127,6 +1191,8 @@ impl Sched {
         member: impl FnOnce(&Sched, usize, Arc<OpCounters>) -> Member,
         register: impl FnOnce(&mut Engine, u64, Arc<OpCounters>),
     ) -> Result<Request, SchedError> {
+        // A role entry carries at most two busy buffers.
+        const { assert!(N <= 2) };
         check_size(stream, self.chunk)?;
         let me = group.binary_search(&self.rank).ok();
         if me.is_some() && bufs.iter().any(|(b, _)| b.is_none()) {
@@ -1175,7 +1241,8 @@ impl Sched {
         if let Some(engine) = self.engine.as_mut() {
             register(engine, op, ctr);
         }
-        self.roles.insert(op, member);
+        let busy = std::array::from_fn(|i| ptrs.get(i).copied().flatten());
+        self.roles.insert(op, (member, busy));
         Ok(Request { op })
     }
 
@@ -1476,12 +1543,14 @@ impl Sched {
             ..
         } = self;
         let registry = shared.registry();
-        roles.retain(|&op, slot| {
+        roles.retain(|op, (slot, busy)| {
             if let Some(member) = slot {
                 if !member.step(registry, seen) {
                     return true;
                 }
-                active_bufs.retain(|_, owner| *owner != op);
+                for p in busy.iter().flatten() {
+                    active_bufs.remove(p);
+                }
                 *slot = None;
             }
             // On the engine rank the request stays open until the op's
@@ -1502,7 +1571,7 @@ impl Sched {
             self.issued.contains(&req.op),
             "request was issued by this scheduler"
         );
-        !self.roles.contains_key(&req.op)
+        !self.roles.contains(req.op)
     }
 
     /// Poll once and report whether `req` is complete.
@@ -1568,8 +1637,69 @@ mod tests {
     use super::*;
     use bgp_smp::Cluster;
 
+    /// Ops retire in any order and leave nothing behind; ids below the
+    /// oldest, between two live ones (never tracked, or retired) and past
+    /// the newest are absent.
+    #[test]
+    fn an_op_ring_keeps_only_live_ops() {
+        let mut ring = OpRing(VecDeque::new());
+        for op in [10, 11, 12, 15] {
+            ring.insert(op, op * 2);
+        }
+        ring.retain(|op, _| op != 11 && op != 12);
+        assert_eq!(ring.len(), 2);
+        *ring.get_mut(15).unwrap() += 1;
+        let found: Vec<_> = (0..20).filter(|&op| ring.contains(op)).collect();
+        assert_eq!(found, [10, 15]);
+        assert_eq!((ring.get(9), ring.get(13)), (None, None));
+        assert_eq!(ring.get_mut(16), None);
+        let live: Vec<_> = ring.iter_mut().map(|(op, v)| (op, *v)).collect();
+        assert_eq!(live, [(10, 20), (15, 31)]);
+        ring.insert(16, 0);
+        ring.retain(|op, _| op != 15);
+        assert_eq!(ring.0.iter().map(|e| e.0).collect::<Vec<_>>(), [10, 16]);
+        ring.retain(|_, _| false);
+        assert!(ring.is_empty());
+    }
+
+    /// One held op keeps only itself: on 1 x 2, rank 1 posts an `ibcast`
+    /// over both ranks and does not poll it while rank 0 completes a
+    /// thousand `ibcast`s of its own (rank 1 posts them as a non-member).
+    /// Rank 0's rings hold at most the held op and the current one, and
+    /// nothing once the held op completes.
+    #[test]
+    fn a_held_op_keeps_only_itself() {
+        const OPS: usize = 1000;
+        let cluster = Cluster::new(1, 2);
+        let bar = Arc::new(bgp_smp::SenseBarrier::new(2));
+        let out = cluster.run(move |cctx| {
+            let mut tok = bar.token();
+            let [held, buf] = [(); 2].map(|_| Arc::new(SharedRegion::new(64)));
+            let mut sched = Sched::new(cctx);
+            let first = sched.ibcast(&[0, 1], 0, 0, Some(&held), 64).unwrap();
+            let mut widest = 0;
+            for _ in 0..OPS {
+                let mine = (cctx.rank() == 0).then_some(&buf);
+                let req = sched.ibcast(&[0], 0, 0, mine, 64).unwrap();
+                // Rank 1 does not poll: its non-member post is complete.
+                let Some(e) = sched.engine.as_ref() else {
+                    continue;
+                };
+                widest = widest.max(sched.roles.len().max(e.ops.len()));
+                sched.wait(req);
+            }
+            bar.wait(&mut tok);
+            sched.wait(first);
+            sched.drain();
+            let left = sched.engine.as_ref().map(|e| e.ops.len());
+            (widest, sched.roles.len(), left)
+        });
+        assert_eq!(out[0][0], (2, 0, Some(0)), "{out:?}");
+        assert_eq!(out[0][1], (0, 0, None), "{out:?}");
+    }
+
     /// `Sched` keeps only in-flight operations: ten thousand completed ones
-    /// leave nothing for `poll` to walk.
+    /// leave nothing for `poll` or the engine to walk.
     #[test]
     fn completed_ops_leave_nothing_behind() {
         let cluster = Cluster::new(2, 1);
@@ -1593,11 +1723,15 @@ mod tests {
             }
             (
                 sched.roles.len(),
+                sched.engine.as_ref().map_or(0, |e| e.ops.len()),
                 sched.active_bufs.len(),
                 sched.in_flight(),
             )
         });
-        assert!(left.iter().flatten().all(|&l| l == (0, 0, 0)), "{left:?}");
+        assert!(
+            left.iter().flatten().all(|&l| l == (0, 0, 0, 0)),
+            "{left:?}"
+        );
     }
 
     /// The engine lets go of an `iallreduce` member's output within the
@@ -1635,7 +1769,7 @@ mod tests {
                         (bufs.as_ref().map(|b| &b.0), bufs.as_ref().map(|b| &b.1));
                     let req = sched.iallreduce(group, input, output, COUNT).unwrap();
                     sched.wait(req);
-                    let engine_ops = sched.engine.as_ref().map(|e| e.ops.contains_key(&req.op));
+                    let engine_ops = sched.engine.as_ref().map(|e| e.ops.contains(req.op));
                     match member {
                         Some(0) if engine_ops.is_some() => {
                             assert_eq!(engine_ops, Some(false), "{m}x{n} {group:?}: not retired")

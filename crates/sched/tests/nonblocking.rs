@@ -1154,7 +1154,11 @@ fn engine_ledger() -> [(u64, u64, u64); 2] {
                 sched.drain();
                 bar.wait(&mut tok);
             }
-            cctx.node_shared().registry().stats().snapshot()
+            let ledger = cctx.node_shared().registry().stats().snapshot();
+            // Nobody starts the next pass before every snapshot is taken:
+            // its `ibcast` root, rank 1 of node 1, charges an expose at post.
+            bar.wait(&mut tok);
+            ledger
         })
     });
     [0, 1].map(|pass| {

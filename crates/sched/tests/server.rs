@@ -5,8 +5,8 @@ use std::sync::Arc;
 use std::thread;
 
 use bgp_sched::{
-    BcastTicket, CollectiveServer, SchedError, ServerConfig, TenantId, TenantStats, DEFAULT_TENANT,
-    MAX_GROUP_RANKS, MAX_PENDING, TENANT_MAX_PENDING,
+    AllreduceTicket, CollectiveServer, SchedError, ServerConfig, TenantId, TenantStats,
+    DEFAULT_TENANT, MAX_GROUP_RANKS, MAX_PENDING, TENANT_MAX_PENDING,
 };
 
 /// One-op plans, one plan in flight: the lead drains nothing while the op
@@ -16,16 +16,24 @@ const HELD: ServerConfig = ServerConfig {
     pipeline: 1,
 };
 
-/// Hold the lead: a 4 MiB broadcast over every rank that it takes as a
-/// plan of its own. The lead stops draining at the pipeline bound, so what
-/// is submitted next stays queued until the big op is done. Returns once
-/// the lead has taken it: queued beside other tenants' small ops, the big
-/// op would need many DRR visits' credit and could go last.
-fn held_lead(server: &CollectiveServer) -> BcastTicket {
+/// Doubles a member of the op that holds the lead.
+const HELD_COUNT: usize = 64 << 10;
+
+/// Hold the lead: an allreduce of [`HELD_COUNT`] doubles a member over
+/// every rank, which it takes as a plan of its own. The lead stops
+/// draining at the pipeline bound, so what is submitted next stays queued
+/// until the held op is done. Its reduction keeps the ranks busy for
+/// ~0.1 s on 2 x 4 in a debug build, against ~0.1 ms for a test's burst of
+/// submissions, so a test thread that loses the CPU for a while still
+/// submits while the op is held (a 4 MiB broadcast took 3-25 ms, and a
+/// starved test thread sometimes found it done). Returns once the lead has
+/// taken it: queued beside other tenants' small ops, the big op would need
+/// many DRR visits' credit and could go last.
+fn held_lead(server: &CollectiveServer) -> AllreduceTicket {
     let group: Vec<usize> = (0..server.n_ranks()).collect();
-    let held = server
-        .submit_bcast(&group, 0, 0, vec![9u8; 4 << 20])
-        .unwrap();
+    let members = server.n_nodes() * group.len();
+    let inputs = vec![vec![1.0; HELD_COUNT]; members];
+    let held = server.submit_allreduce(&group, inputs).unwrap();
     while server.tenant_stats(DEFAULT_TENANT).unwrap().queue_depth > 0 {
         thread::yield_now();
     }
@@ -100,8 +108,8 @@ fn small_same_root_bcasts_coalesce() {
         .iter()
         .map(|p| server.submit_bcast(&[0, 1, 2, 3], 0, 0, p.clone()).unwrap())
         .collect();
-    let heavy_got = heavy.wait();
-    assert!(heavy_got.iter().all(|m| m == &vec![9u8; 4 << 20]));
+    let sum = vec![8.0; HELD_COUNT];
+    assert!(heavy.wait().iter().all(|m| m == &sum));
     for (p, t) in payloads.iter().zip(tickets) {
         let got = t.wait();
         assert_eq!(got.len(), 8);

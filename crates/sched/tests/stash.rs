@@ -112,3 +112,47 @@ fn a_512_ki_double_server_allreduce_is_exact_on_every_member() {
         assert_eq!(wrong, None, "member {member}: first wrong element");
     }
 }
+
+/// The stash outlives a `Sched`: a job's engine parks the chunks of an op
+/// its rank posts only on its next `Sched`, and that one's engine replays
+/// them. On 2 x 2, each rank posts a 64-byte broadcast from rank 1 of node
+/// 1 to rank 1 of every node on one `Sched`, drops it, and posts a second
+/// on a fresh one. Node 0's member waits 300 ms before it completes the
+/// first, so node 0's old engine is still draining the link when node 1's
+/// second broadcast arrives, and parks it.
+#[test]
+fn chunks_a_dropped_sched_parked_reach_the_next_one() {
+    let (got, parked) = within(20, || {
+        let cluster = Cluster::new(2, 2);
+        let got = cluster.run(|cctx| {
+            let at = (cctx.node(), cctx.rank());
+            let bufs = [(); 2].map(|_| Arc::new(SharedRegion::new(64)));
+            if at == (1, 1) {
+                for (seed, b) in bufs.iter().enumerate() {
+                    // SAFETY: our buffer, before any post.
+                    unsafe { b.write(0, &payload(seed, 64)) };
+                }
+            }
+            let mine = |b| (at.1 == 1).then_some(b);
+            {
+                let mut sched = Sched::new(cctx);
+                let req = sched.ibcast(&[1], 1, 1, mine(&bufs[0]), 64).unwrap();
+                if at == (0, 1) {
+                    std::thread::sleep(std::time::Duration::from_millis(300));
+                }
+                sched.wait(req);
+            }
+            let mut sched = Sched::new(cctx);
+            let req = sched.ibcast(&[1], 1, 1, mine(&bufs[1]), 64).unwrap();
+            sched.wait(req);
+            // SAFETY: both requests completed.
+            bufs.map(|b| unsafe { b.snapshot() })
+        });
+        (got, cluster.stats().stash_parked)
+    });
+    assert!(parked > 0, "nothing was parked: the test proved nothing");
+    let sent = [payload(0, 64), payload(1, 64)];
+    for (node, ranks) in got.iter().enumerate() {
+        assert_eq!(ranks[1], sent, "node {node}");
+    }
+}

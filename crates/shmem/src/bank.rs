@@ -49,10 +49,10 @@
 //!   `bgp-sched` engine follows it: every member of an op, a broadcast's
 //!   root included, reports on the op's done counter last of all.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::counter::MessageCounter;
+use crate::hash::IdMap;
 use crate::model_support;
 use crate::region::SharedRegion;
 use crate::sync::atomic::{AtomicUsize, Ordering};
@@ -196,7 +196,7 @@ impl OpCounters {
 
 #[derive(Default)]
 struct Blocks {
-    live: HashMap<u64, Arc<OpCounters>>,
+    live: IdMap<u64, Arc<OpCounters>>,
     /// Retired blocks, most recent last.
     free: Vec<Arc<OpCounters>>,
 }

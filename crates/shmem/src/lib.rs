@@ -35,6 +35,7 @@
 pub mod bank;
 pub mod bcast_fifo;
 pub mod counter;
+pub mod hash;
 pub mod pad;
 pub mod ptp_fifo;
 pub mod region;
@@ -48,6 +49,7 @@ pub mod proc;
 pub use bank::{CounterBank, OpCounters, OpWindow};
 pub use bcast_fifo::{BcastConsumer, BcastFifo, FifoStats};
 pub use counter::{CompletionCounter, MessageCounter};
+pub use hash::{IdHasher, IdMap, IdSet};
 pub use pad::CachePadded;
 pub use ptp_fifo::PtpFifo;
 pub use region::SharedRegion;

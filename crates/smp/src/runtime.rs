@@ -40,7 +40,7 @@
 //!   producer publishes the next op's bytes, or reuses a buffer, while a
 //!   consumer still copies this op's.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 use bgp_shmem::model_support;
@@ -48,7 +48,7 @@ use bgp_shmem::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use bgp_shmem::sync::Mutex;
 
 use bgp_shmem::{
-    BcastConsumer, BcastFifo, CachePadded, CompletionCounter, CounterBank, MessageCounter,
+    BcastConsumer, BcastFifo, CachePadded, CompletionCounter, CounterBank, IdMap, MessageCounter,
     SharedRegion, WindowRegistry,
 };
 
@@ -72,7 +72,7 @@ type OpQueue = VecDeque<(u64, Box<[u8]>)>;
 /// next pass.
 #[derive(Default)]
 pub struct SchedStash {
-    queues: HashMap<u64, OpQueue>,
+    queues: IdMap<u64, OpQueue>,
     parked: u64,
 }
 
