@@ -80,6 +80,21 @@ if grep -nE 'try_map_auto\(|\.unexpose\(|registry\(\)\.expose\(' crates/sched/sr
   exit 1
 fi
 
+# Every cluster-side wait yields through bgp_shmem::spin, the one place
+# that sees the cluster's abort flag: a wait that yields on its own would
+# hang on a peer that panicked. A yield_now in the non-test part of
+# crates/smp/src (but proc.rs, whose processes have no such flag),
+# crates/sched/src or crates/shmem/src (but lib.rs, which defines spin)
+# fails here.
+echo "== guard: no yield_now outside bgp_shmem::spin"
+if for f in crates/smp/src/*.rs crates/sched/src/*.rs crates/shmem/src/*.rs; do
+  case "$f" in crates/smp/src/proc.rs | crates/shmem/src/lib.rs) continue ;; esac
+  awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f"
+done | grep -F 'yield_now'; then
+  echo "a wait yields outside bgp_shmem::spin (it would miss the abort flag)" >&2
+  exit 1
+fi
+
 # A per-op path clones no cluster-wide Arc: an Arc clone writes its
 # refcount, which shares a cache line with what every rank of every node
 # reads per op (the fabric's link table, the cluster's geometry). The
@@ -117,10 +132,11 @@ fi
 
 # The engine keys its in-flight ops by op id (its OpRing: an index, no
 # tree) and hashes integer keys with bgp_shmem::IdHasher (IdMap / IdSet,
-# no SipHash); so does the counter bank. A std map or set in the non-test
-# part of engine.rs or bank.rs fails here.
-echo "== guard: no BTreeMap / HashMap / HashSet in engine.rs and bank.rs"
-if for f in crates/sched/src/engine.rs crates/shmem/src/bank.rs; do
+# no SipHash); so do the counter bank and a rank's window cache. A std map
+# or set in the non-test part of engine.rs, bank.rs or runtime.rs fails
+# here.
+echo "== guard: no BTreeMap / HashMap / HashSet in engine.rs, bank.rs and runtime.rs"
+if for f in crates/sched/src/engine.rs crates/shmem/src/bank.rs crates/smp/src/runtime.rs; do
   awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f"
 done | grep -E 'BTreeMap|HashMap|HashSet'; then
   echo "std map or set on the engine's per-op path (use OpRing or IdMap / IdSet)" >&2

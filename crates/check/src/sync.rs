@@ -105,10 +105,6 @@ pub mod atomic {
                 pub fn fetch_sub(&self, value: $ty, order: Ordering) -> $ty {
                     op_rmw(&self.data, order, |v| v.wrapping_sub(value))
                 }
-
-                pub fn fetch_max(&self, value: $ty, order: Ordering) -> $ty {
-                    op_rmw(&self.data, order, |v| v.max(value))
-                }
             }
         };
     }
@@ -117,10 +113,4 @@ pub mod atomic {
     model_atomic_int!(AtomicU64, u64);
     model_atomic_int!(AtomicU32, u32);
     model_atomic_common!(AtomicBool, bool);
-
-    impl AtomicBool {
-        pub fn fetch_xor(&self, value: bool, order: Ordering) -> bool {
-            op_rmw(&self.data, order, |v| v ^ value)
-        }
-    }
 }

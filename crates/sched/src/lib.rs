@@ -109,13 +109,6 @@ pub enum SchedError {
     },
     /// Allreduce input and output must be distinct regions.
     BufferAliased,
-    /// An allreduce payload's byte length is not a whole number of f64
-    /// lanes. Surfaced by [`AllreduceTicket::try_wait`] instead of the
-    /// pre-fix behavior (`chunks_exact(8)` silently dropping the tail).
-    MalformedPayload {
-        /// The offending payload length in bytes.
-        len: usize,
-    },
     /// Malformed group or root. The message says what — including, for an
     /// oversized group, the actual [`MAX_GROUP_RANKS`] limit and where it
     /// comes from.
@@ -145,12 +138,6 @@ impl std::fmt::Display for SchedError {
             }
             SchedError::BufferAliased => {
                 write!(f, "allreduce input and output must be distinct regions")
-            }
-            SchedError::MalformedPayload { len } => {
-                write!(
-                    f,
-                    "allreduce payload of {len} bytes is not a whole number of f64 values"
-                )
             }
             SchedError::BadGroup(why) => write!(f, "bad group: {why}"),
             SchedError::TooLarge => write!(f, "op exceeds the {CHUNK_LIMIT}-chunk link tag limit"),

@@ -179,12 +179,6 @@ impl OpState {
         state
     }
 
-    /// A board born complete with the given slot contents (zero-length
-    /// operations finish at submission).
-    fn completed(slots: Vec<Vec<u8>>) -> Self {
-        Self::with_slots(0, slots.into_iter().map(|b| Some(Payload::Bytes(b))))
-    }
-
     /// Fill slot `i` with `bytes` (exactly once) and count down; the last
     /// filler publishes the done flag and wakes a parked waiter, if any.
     pub fn complete_slot(&self, i: usize, bytes: Vec<u8>) {
@@ -365,35 +359,12 @@ impl AllreduceTicket {
     /// result vector in global member order. All vectors are equal (the
     /// reduced sums) — returned per member so tests can assert exactly that.
     /// Each is the member's output region itself, moved out, not a copy.
-    ///
-    /// Panics (with the [`SchedError::MalformedPayload`] message) if a slot
-    /// was completed with a byte length that is not a multiple of 8; use
-    /// [`Self::try_wait`] to handle that as a typed error instead.
     pub fn wait(self) -> Vec<Vec<f64>> {
-        self.try_wait().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`Self::wait`] but surfacing a malformed slot length as
-    /// [`SchedError::MalformedPayload`] instead of panicking.
-    ///
-    /// The service fills every slot with the member's `f64`s, which are
-    /// returned as they are. Only a byte slot is decoded: one of a
-    /// zero-length op, or of an [`OpState`] completed by hand — and only a
-    /// hand-filled one can have a byte length that is not a whole number of
-    /// f64 lanes. The pre-fix decode used `chunks_exact(8)`, which silently
-    /// *dropped* such a tail — a truncated result, not even a panic.
-    pub fn try_wait(self) -> Result<Vec<Vec<f64>>, SchedError> {
         // SAFETY: this ticket is the slots' one reader, consumed here.
         unsafe { self.state.take_all() }
             .map(|result| match result {
-                Payload::F64s(values) => Ok(values),
-                Payload::Bytes(bytes) if !bytes.len().is_multiple_of(8) => {
-                    Err(SchedError::MalformedPayload { len: bytes.len() })
-                }
-                Payload::Bytes(bytes) => Ok(bytes
-                    .chunks_exact(8)
-                    .map(|b| f64::from_ne_bytes(b.try_into().unwrap()))
-                    .collect()),
+                Payload::F64s(values) => values,
+                Payload::Bytes(_) => unreachable!("an allreduce fills its slots with f64s"),
             })
             .collect()
     }
@@ -542,6 +513,15 @@ impl Op {
         match self {
             Op::Bcast { payload, .. } => payload.len(),
             Op::Allreduce { count, .. } => count * 8,
+        }
+    }
+
+    /// One member's result of the op at zero length: no bytes for a
+    /// broadcast, no `f64`s for an allreduce.
+    fn empty_result(&self) -> Payload {
+        match self {
+            Op::Bcast { .. } => Payload::Bytes(Vec::new()),
+            Op::Allreduce { .. } => Payload::F64s(Vec::new()),
         }
     }
 }
@@ -943,7 +923,8 @@ impl CollectiveServer {
             .clone();
         let state = if op.bytes() == 0 {
             cell.completed.fetch_add(1, Ordering::Relaxed);
-            Arc::new(OpState::completed(vec![Vec::new(); members]))
+            let empty = (0..members).map(|_| Some(op.empty_result()));
+            Arc::new(OpState::with_slots(0, empty))
         } else {
             while q.closed
                 || q.tenants[t].cmds.len() >= TENANT_MAX_PENDING
@@ -1402,34 +1383,6 @@ fn resident(
 mod tests {
     use super::*;
 
-    /// Satellite regression: a slot whose byte length is not a multiple of
-    /// 8 must surface [`SchedError::MalformedPayload`], not decode. The
-    /// pre-fix `wait` ran `chunks_exact(8)` directly, silently dropping
-    /// the 7-byte tail and returning a truncated (empty) lane vector.
-    #[test]
-    fn malformed_slot_length_is_a_typed_error() {
-        let state = Arc::new(OpState::completed(vec![vec![0u8; 7]]));
-        let ticket = AllreduceTicket { state };
-        assert_eq!(
-            ticket.try_wait(),
-            Err(SchedError::MalformedPayload { len: 7 })
-        );
-    }
-
-    /// The blocking `wait` surfaces the same condition as a panic carrying
-    /// the typed error's message (pre-fix it returned a truncated result).
-    #[test]
-    #[should_panic(expected = "not a whole number of f64")]
-    fn wait_panics_on_malformed_rather_than_truncating() {
-        let state = Arc::new(OpState::completed(vec![[
-            1.0f64.to_ne_bytes().to_vec(),
-            vec![0u8; 3],
-        ]
-        .concat()]));
-        let ticket = AllreduceTicket { state };
-        let _ = ticket.wait();
-    }
-
     /// A spent input of `cap` doubles, all 7.5.
     fn spent(cap: usize) -> Arc<SharedRegion> {
         let mut v = Vec::with_capacity(cap);
@@ -1516,18 +1469,5 @@ mod tests {
                 assert_eq!(got, vec![vec![sum; COUNTS[j]]; 2], "train {train} op {j}");
             }
         }
-    }
-
-    /// Well-formed slots still decode lane-exactly through the checked path.
-    #[test]
-    fn well_formed_slots_decode_exactly() {
-        let mut bytes = Vec::new();
-        for v in [1.5f64, -2.0, 0.25] {
-            bytes.extend_from_slice(&v.to_ne_bytes());
-        }
-        let state = Arc::new(OpState::completed(vec![bytes.clone(), bytes]));
-        let ticket = AllreduceTicket { state };
-        let got = ticket.try_wait().expect("3 lanes is well-formed");
-        assert_eq!(got, vec![vec![1.5, -2.0, 0.25]; 2]);
     }
 }

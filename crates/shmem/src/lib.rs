@@ -56,6 +56,9 @@ pub use region::SharedRegion;
 pub use seqlock::{HeapSeqWords, SeqLock, SeqWords};
 pub use window::{WindowRegistry, WindowStats};
 
+use std::cell::Cell;
+use std::sync::atomic::AtomicBool;
+
 /// Wait hint used by all blocking primitives in this crate.
 ///
 /// On a real BG/P node each rank owns a core, so pure `spin_loop` is right;
@@ -63,6 +66,10 @@ pub use window::{WindowRegistry, WindowStats};
 /// cores) a waiting thread must yield or the thread it waits on may not be
 /// scheduled. Yielding costs little on dedicated cores and is mandatory for
 /// correctness-of-progress when oversubscribed, so we always yield.
+///
+/// A wait on a peer that has panicked would never end, so a thread that
+/// watches an abort flag ([`abort_spins_on`]) panics with [`PeerPanicked`]
+/// here once the flag is set.
 ///
 /// Under the `model` feature this routes to `bgp_check::thread::spin`,
 /// which parks the model thread until another thread performs a store —
@@ -73,7 +80,39 @@ pub fn spin() {
     #[cfg(feature = "model")]
     bgp_check::thread::spin();
     #[cfg(not(feature = "model"))]
-    std::thread::yield_now();
+    {
+        std::thread::yield_now();
+        let flag = ABORT.with(Cell::get);
+        // SAFETY: `abort_spins_on`'s caller keeps the flag alive for as
+        // long as this thread spins.
+        if !flag.is_null() && unsafe { (*flag).load(std::sync::atomic::Ordering::Relaxed) } {
+            std::panic::panic_any(PeerPanicked);
+        }
+    }
+}
+
+/// The panic payload of a [`spin`] that found its thread's abort flag set:
+/// a peer panicked, and this thread gave up waiting for it. A runtime that
+/// reports a job's panic names the first one that is not this.
+#[derive(Debug)]
+pub struct PeerPanicked;
+
+thread_local! {
+    /// The abort flag [`spin`] watches on this thread; null for none. A
+    /// plain pointer, so reading it costs no lazy initialisation and the
+    /// thread no destructor.
+    static ABORT: Cell<*const AtomicBool> = const { Cell::new(std::ptr::null()) };
+}
+
+/// Make every later [`spin`] on this thread panic with [`PeerPanicked`]
+/// once `flag` is set (not under the `model` feature, whose spin parks the
+/// model thread instead).
+///
+/// # Safety
+///
+/// `flag` stays alive until this thread exits or calls this again.
+pub unsafe fn abort_spins_on(flag: &AtomicBool) {
+    ABORT.with(|cell| cell.set(flag));
 }
 
 /// Named mutation points for the model checker's self-tests.

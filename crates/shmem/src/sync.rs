@@ -1,4 +1,4 @@
-//! Synchronization facade: locks, atomics, and the unsafe cell the
+//! Synchronization facade: a lock, atomics, and the unsafe cell the
 //! lock-free primitives are written against.
 //!
 //! The [`atomic`] and [`cell`] modules (and [`crate::spin`]) exist so the
@@ -12,24 +12,22 @@
 //!   point and check the release/acquire protocol with vector clocks. See
 //!   `tests/model.rs`.
 //!
-//! The lock wrappers are thin `parking_lot`-style types over `std::sync`,
+//! The lock is a thin `parking_lot`-style [`Mutex`] over `std::sync`,
 //! with two differences from std, both load-bearing for this crate:
 //!
-//! * `lock()` / `read()` / `write()` return the guard directly instead of a
-//!   `Result` — lock poisoning is deliberately ignored. A rank thread that
-//!   panicked already fails the whole node operation (the runtime re-panics
-//!   on join); making every other rank *also* panic on a poisoned registry
-//!   lock only obscures the original failure.
+//! * `lock()` returns the guard directly instead of a `Result` — lock
+//!   poisoning is deliberately ignored. A rank thread that panicked already
+//!   fails the whole node operation (the runtime re-panics on join); making
+//!   every other rank *also* panic on a poisoned lock only obscures the
+//!   original failure.
 //! * No poison flag means the mutex-strawman FIFO measures pure lock
 //!   hand-off cost, which is the comparison §IV-A actually makes.
 //!
-//! (The locks are *not* modeled: the mutex-strawman FIFO is a baseline, not
+//! (The lock is *not* modeled: the mutex-strawman FIFO is a baseline, not
 //! a protocol under verification, and a `std` mutex is invisible to the
 //! model scheduler. Model tests only exercise the lock-free primitives.)
 
-use std::sync::{
-    Mutex as StdMutex, MutexGuard, RwLock as StdRwLock, RwLockReadGuard, RwLockWriteGuard,
-};
+use std::sync::{Mutex as StdMutex, MutexGuard};
 
 /// Atomic types the primitives use, switched by the `model` feature.
 /// `Ordering` is always `std`'s.
@@ -127,47 +125,6 @@ impl<T> Mutex<T> {
             Err(poisoned) => poisoned.into_inner(),
         }
     }
-
-    /// Try to acquire without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(g),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-}
-
-/// Reader-writer lock; `read()`/`write()` return guards directly and ignore
-/// poisoning (see module docs).
-#[derive(Default, Debug)]
-pub struct RwLock<T> {
-    inner: StdRwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// Create the lock holding `value`.
-    pub const fn new(value: T) -> Self {
-        RwLock {
-            inner: StdRwLock::new(value),
-        }
-    }
-
-    /// Acquire a shared read guard.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        match self.inner.read() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Acquire the exclusive write guard.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        match self.inner.write() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -175,23 +132,25 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// The guard excludes: a second locker waits until the first guard
+    /// drops, then sees its write.
     #[test]
     fn mutex_basic_and_try() {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-        let g = m.lock();
-        assert!(m.try_lock().is_none());
-        drop(g);
-        assert_eq!(m.try_lock().map(|g| *g), Some(2));
-    }
-
-    #[test]
-    fn rwlock_basic() {
-        let l = RwLock::new(vec![1, 2]);
-        assert_eq!(l.read().len(), 2);
-        l.write().push(3);
-        assert_eq!(*l.read(), vec![1, 2, 3]);
+        let mut g = m.lock();
+        std::thread::scope(|s| {
+            let other = s.spawn(|| *m.lock());
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            assert!(
+                !other.is_finished(),
+                "a second guard while the first is held"
+            );
+            *g = 3;
+            drop(g);
+            assert_eq!(other.join().unwrap(), 3);
+        });
     }
 
     #[test]

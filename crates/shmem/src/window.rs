@@ -20,16 +20,16 @@
 //! can be in flight at once. What both still use is the ledger: each
 //! charges it through [`WindowRegistry::note_expose`] and
 //! [`WindowRegistry::note_map`], the calls every map here goes through
-//! too. The map itself remains for the benchmark's window probe and the
-//! failure-injection tests.
+//! too. The map itself, one mutex over one hash map, remains for the
+//! benchmark's window probe and the failure-injection tests.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::pad::CachePadded;
 use crate::region::SharedRegion;
-use crate::sync::RwLock;
+use crate::sync::Mutex;
 
 /// Statistics mirroring what the CNK window path would have cost.
 #[derive(Debug, Default)]
@@ -53,52 +53,20 @@ impl WindowStats {
     }
 }
 
-/// Shards of a registry: owner `o`'s windows live in shard `o % SHARDS`,
-/// each behind its own lock on its own cache line, so ranks exposing,
-/// mapping and withdrawing different owners' windows never write the same
-/// lock word. Nodes have a handful of ranks, so every rank gets a shard of
-/// its own.
-const SHARDS: usize = 16;
-
-/// One shard: the exposed windows of the owners that map to it.
-type Shard = RwLock<HashMap<(u32, u64), Arc<SharedRegion>>>;
-
-/// A node-wide registry of exposed buffers, keyed by `(owner rank, tag)`.
-///
-/// Cloneable handle (`Arc` inside); one registry per node.
-#[derive(Clone)]
+/// A node-wide registry of exposed buffers, keyed by `(owner rank, tag)`,
+/// and the node's window ledger. One registry per node.
+#[derive(Default)]
 pub struct WindowRegistry {
-    inner: Arc<Inner>,
-}
-
-struct Inner {
-    shards: [CachePadded<Shard>; SHARDS],
-    stats: WindowStats,
-}
-
-impl Default for WindowRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
+    windows: Mutex<HashMap<(u32, u64), Arc<SharedRegion>>>,
+    /// On a line of its own: every rank charges it per expose and map, and
+    /// the registry sits inline among node state the ranks read per op.
+    stats: CachePadded<WindowStats>,
 }
 
 impl WindowRegistry {
     /// An empty registry.
     pub fn new() -> Self {
-        WindowRegistry {
-            inner: Arc::new(Inner {
-                shards: std::array::from_fn(|_| CachePadded::new(RwLock::new(HashMap::new()))),
-                stats: WindowStats::default(),
-            }),
-        }
-    }
-
-    fn shard(&self, owner: u32) -> &Shard {
-        &self.inner.shards[owner as usize % SHARDS]
-    }
-
-    fn lookup(&self, owner: u32, tag: u64) -> Option<Arc<SharedRegion>> {
-        self.shard(owner).read().get(&(owner, tag)).cloned()
+        Self::default()
     }
 
     /// Charge one expose to the ledger: the owner-side translation a CNK
@@ -106,18 +74,17 @@ impl WindowRegistry {
     /// that exposes a window elsewhere (the blocking collectives' board)
     /// calls it itself.
     pub fn note_expose(&self) {
-        self.inner.stats.exposes.fetch_add(1, Ordering::Relaxed);
+        self.stats.exposes.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Charge one map to the ledger: a hit if `cached`, else a miss. The
     /// map calls here charge it; a path that maps a window elsewhere calls
     /// it itself.
     pub fn note_map(&self, cached: bool) {
-        let stats = &self.inner.stats;
         let word = if cached {
-            &stats.map_hits
+            &self.stats.map_hits
         } else {
-            &stats.map_misses
+            &self.stats.map_misses
         };
         word.fetch_add(1, Ordering::Relaxed);
     }
@@ -127,12 +94,7 @@ impl WindowRegistry {
     /// translation step on BG/P.
     pub fn expose(&self, owner: u32, tag: u64, region: Arc<SharedRegion>) {
         self.note_expose();
-        self.shard(owner).write().insert((owner, tag), region);
-    }
-
-    /// Remove an exposure (e.g. when the application frees the buffer).
-    pub fn unexpose(&self, owner: u32, tag: u64) {
-        self.shard(owner).write().remove(&(owner, tag));
+        self.windows.lock().insert((owner, tag), region);
     }
 
     /// Peer side: map `(owner, tag)`. `cached` reports whether the *caller's*
@@ -140,59 +102,34 @@ impl WindowRegistry {
     /// so the stats ledger matches what a CNK stack would really pay.
     /// Returns `None` if the owner has not exposed the tag yet.
     pub fn map(&self, owner: u32, tag: u64, cached: bool) -> Option<Arc<SharedRegion>> {
-        let region = self.lookup(owner, tag)?;
+        let region = self.windows.lock().get(&(owner, tag)).cloned()?;
         self.note_map(cached);
         Some(region)
     }
 
-    /// Spin until `(owner, tag)` is exposed, then map it. Collectives use
-    /// this at operation start: the master exposes its application buffer,
-    /// peers block momentarily until it appears.
-    pub fn map_blocking(&self, owner: u32, tag: u64, cached: bool) -> Arc<SharedRegion> {
-        loop {
-            if let Some(r) = self.map(owner, tag, cached) {
-                return r;
-            }
-            std::thread::yield_now();
-        }
-    }
-
-    /// Peer side with automatic cache classification: the caller supplies
-    /// its private set of region pointers already mapped (its window cache);
-    /// a region seen before counts as a hit, a new one as a miss. Blocks
-    /// until the tag is exposed.
+    /// Peer side with automatic cache classification, blocking until the
+    /// tag is exposed: the caller supplies its private set of region
+    /// pointers already mapped (its window cache); a region seen before
+    /// counts as a hit, a new one as a miss.
     pub fn map_auto_blocking(
         &self,
         owner: u32,
         tag: u64,
-        seen: &mut std::collections::HashSet<usize>,
+        seen: &mut HashSet<usize>,
     ) -> Arc<SharedRegion> {
         loop {
-            if let Some(r) = self.try_map_auto(owner, tag, seen) {
-                return r;
+            let found = self.windows.lock().get(&(owner, tag)).cloned();
+            if let Some(region) = found {
+                self.note_map(!seen.insert(Arc::as_ptr(&region) as usize));
+                return region;
             }
-            std::thread::yield_now();
+            crate::spin();
         }
-    }
-
-    /// Non-blocking form of [`map_auto_blocking`](Self::map_auto_blocking):
-    /// `None` if the tag is not exposed yet (no stats are charged), so
-    /// pollers — the nonblocking progress engine's `test()` path — can
-    /// retry later without ever parking.
-    pub fn try_map_auto(
-        &self,
-        owner: u32,
-        tag: u64,
-        seen: &mut std::collections::HashSet<usize>,
-    ) -> Option<Arc<SharedRegion>> {
-        let region = self.lookup(owner, tag)?;
-        self.note_map(!seen.insert(Arc::as_ptr(&region) as usize));
-        Some(region)
     }
 
     /// The accounting ledger.
     pub fn stats(&self) -> &WindowStats {
-        &self.inner.stats
+        &self.stats
     }
 }
 
@@ -200,6 +137,7 @@ impl WindowRegistry {
 mod tests {
     use super::*;
     use std::thread;
+    use std::time::Duration;
 
     #[test]
     fn expose_then_map() {
@@ -239,42 +177,51 @@ mod tests {
         reg.expose(0, 5, a);
         reg.expose(0, 5, b);
         assert_eq!(reg.map(0, 5, true).unwrap().len(), 8);
-        reg.unexpose(0, 5);
-        assert!(reg.map(0, 5, true).is_none());
-    }
-
-    #[test]
-    fn owners_sharing_a_shard_stay_distinct() {
-        let reg = WindowRegistry::new();
-        let (a, b) = (3u32, 3 + SHARDS as u32);
-        reg.expose(a, 1, Arc::new(SharedRegion::new(4)));
-        reg.expose(b, 1, Arc::new(SharedRegion::new(8)));
-        assert_eq!(reg.map(a, 1, false).unwrap().len(), 4);
-        assert_eq!(reg.map(b, 1, false).unwrap().len(), 8);
-        reg.unexpose(a, 1);
-        assert!(reg.map(a, 1, true).is_none());
-        assert_eq!(reg.map(b, 1, true).unwrap().len(), 8);
+        assert!(reg.map(1, 5, true).is_none(), "another owner's key");
     }
 
     #[test]
     fn map_blocking_waits_for_exposure() {
         let reg = WindowRegistry::new();
-        let reg2 = reg.clone();
-        let waiter = thread::spawn(move || {
-            let r = reg2.map_blocking(3, 9, false);
-            r.len()
+        let len = thread::scope(|s| {
+            let waiter = s.spawn(|| reg.map_auto_blocking(3, 9, &mut HashSet::new()).len());
+            // Give the waiter a moment to start spinning, then expose.
+            thread::sleep(Duration::from_millis(5));
+            reg.expose(3, 9, Arc::new(SharedRegion::new(321)));
+            waiter.join().unwrap()
         });
-        // Give the waiter a moment to start spinning, then expose.
-        thread::sleep(std::time::Duration::from_millis(5));
-        reg.expose(3, 9, Arc::new(SharedRegion::new(321)));
-        assert_eq!(waiter.join().unwrap(), 321);
+        assert_eq!(len, 321);
     }
 
+    /// The map the benchmark's window probe times: a region the caller's
+    /// cache has not seen is a miss, one it has seen a hit, and a tag
+    /// exposed late is waited for and charged once.
     #[test]
-    fn registry_handle_is_shared() {
+    fn map_auto_blocking_charges_misses_then_hits() {
         let reg = WindowRegistry::new();
-        let clone = reg.clone();
-        clone.expose(0, 1, Arc::new(SharedRegion::new(1)));
-        assert_eq!(reg.map(0, 1, false).unwrap().len(), 1);
+        let mut seen = HashSet::new();
+        let (a, b) = (
+            Arc::new(SharedRegion::new(4)),
+            Arc::new(SharedRegion::new(8)),
+        );
+        reg.expose(0, 1, a.clone());
+        reg.expose(1, 1, b.clone());
+        assert!(Arc::ptr_eq(&reg.map_auto_blocking(0, 1, &mut seen), &a));
+        assert!(Arc::ptr_eq(&reg.map_auto_blocking(0, 1, &mut seen), &a));
+        assert!(Arc::ptr_eq(&reg.map_auto_blocking(1, 1, &mut seen), &b));
+        assert_eq!(reg.stats().snapshot(), (2, 2, 1));
+        // The same region under a new tag is a hit: the cache keys regions.
+        reg.expose(0, 2, a.clone());
+        reg.map_auto_blocking(0, 2, &mut seen);
+        assert_eq!(reg.stats().snapshot(), (3, 2, 2));
+        let late = thread::scope(|s| {
+            let waiter = s.spawn(|| reg.map_auto_blocking(2, 7, &mut seen).len());
+            thread::sleep(Duration::from_millis(5));
+            assert_eq!(reg.stats().snapshot(), (3, 2, 2), "nothing charged yet");
+            reg.expose(2, 7, Arc::new(SharedRegion::new(16)));
+            waiter.join().unwrap()
+        });
+        assert_eq!(late, 16);
+        assert_eq!(reg.stats().snapshot(), (4, 3, 2));
     }
 }

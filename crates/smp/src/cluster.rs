@@ -44,11 +44,11 @@ use std::any::Any;
 use std::cell::Cell;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
-use bgp_shmem::SharedRegion;
+use bgp_shmem::{PeerPanicked, SharedRegion};
 
 use crate::collectives::IN_PLACE;
 use crate::kernels;
@@ -157,15 +157,20 @@ impl Cluster {
             nodes: (0..m).map(|_| NodeShared::new(n)).collect(),
             fabric: Arc::new(Fabric::new(m, chunk_bytes, window)),
         });
+        // Set by the first rank whose job panics: every other rank's next
+        // `spin` then panics too, instead of waiting for the dead one.
+        let abort = Arc::new(AtomicBool::new(false));
         let workers = (0..m * n)
             .map(|i| {
                 let (node, rank) = (i / n, i % n);
                 let (job_tx, job_rx) = mpsc::channel::<Job>();
                 let (res_tx, res_rx) = mpsc::channel();
-                let shared = shared.clone();
+                let (shared, abort) = (shared.clone(), abort.clone());
                 let handle = std::thread::Builder::new()
                     .name(format!("bgp-node{node}-rank{rank}"))
                     .spawn(move || {
+                        // SAFETY: this closure owns `abort` until the thread exits.
+                        unsafe { bgp_shmem::abort_spins_on(&abort) };
                         let mut cctx = ClusterCtx {
                             node,
                             ctx: RankCtx::new(shared.nodes[node].clone(), rank),
@@ -173,6 +178,9 @@ impl Cluster {
                         };
                         while let Ok(job) = job_rx.recv() {
                             let res = catch_unwind(AssertUnwindSafe(|| job(&mut cctx)));
+                            if res.is_err() {
+                                abort.store(true, Ordering::Relaxed);
+                            }
                             if res_tx.send(res).is_err() {
                                 break;
                             }
@@ -322,12 +330,17 @@ impl Cluster {
     }
 
     /// One job's results, one per worker. If any rank panicked, poison the
-    /// cluster and re-panic with the first rank's message.
+    /// cluster and re-panic with the message of the first rank whose panic
+    /// is its own, not a [`PeerPanicked`] wait it gave up.
     fn unwrap_results(
         &self,
         results: Vec<std::thread::Result<Box<dyn Any + Send>>>,
     ) -> Vec<Box<dyn Any + Send>> {
-        if let Some(p) = results.iter().find_map(|r| r.as_ref().err()) {
+        let panics = || results.iter().filter_map(|r| r.as_ref().err());
+        if let Some(p) = panics()
+            .find(|p| !p.is::<PeerPanicked>())
+            .or_else(|| panics().next())
+        {
             self.poisoned.set(true);
             let msg = p
                 .downcast_ref::<&str>()
@@ -923,6 +936,20 @@ mod tests {
             // half-finished collective, so collection terminates.
             panic!("boom from rank {}", cctx.rank());
         });
+    }
+
+    /// Rank 1 panics while rank 0 waits for it at a barrier: the wait ends
+    /// in a panic of its own, and `run` reports rank 1's, within the
+    /// deadline instead of never.
+    #[test]
+    fn rank_panic_ends_a_peer_waiting_on_it() {
+        let msg = crate::runtime::refusal(1, 2, |c| {
+            if c.rank() == 1 {
+                panic!("boom");
+            }
+            c.intra().barrier();
+        });
+        assert_eq!(msg, "rank thread panicked: boom");
     }
 
     #[test]

@@ -28,8 +28,8 @@
 //!   A peer maps the window (`RankCtx::map_cached`) once the slot reads
 //!   the op's tag; the owner posts to that slot again only in a later op,
 //!   after the barrier. No lock is taken and nothing is withdrawn: the
-//!   [`WindowRegistry`]'s map serves only the nonblocking engine, and its
-//!   ledger still counts every expose and map made here.
+//!   [`WindowRegistry`]'s ledger still counts every expose and map made
+//!   here, and its map serves no runtime.
 //! * **Cumulative counters.** No counter is ever reset. The `RankCtx`
 //!   collectives wait past rank-local bases, which `close_op` advances by
 //!   the bytes each producer published in the op — the same amounts on
@@ -40,7 +40,7 @@
 //!   producer publishes the next op's bytes, or reuses a buffer, while a
 //!   consumer still copies this op's.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use bgp_shmem::model_support;
@@ -48,8 +48,8 @@ use bgp_shmem::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use bgp_shmem::sync::Mutex;
 
 use bgp_shmem::{
-    BcastConsumer, BcastFifo, CachePadded, CompletionCounter, CounterBank, IdMap, MessageCounter,
-    SharedRegion, WindowRegistry,
+    BcastConsumer, BcastFifo, CachePadded, CompletionCounter, CounterBank, IdMap, IdSet,
+    MessageCounter, SharedRegion, WindowRegistry,
 };
 
 use crate::barrier::{BarrierToken, SenseBarrier};
@@ -145,9 +145,9 @@ struct BoardSlot {
 /// exposes in slot `tag & 1`, so an op's two `window_tags` never share
 /// one. A peer maps the window by waiting until the slot reads its tag —
 /// one `Release` store per expose and one `Acquire` load per map, where the
-/// [`WindowRegistry`] takes a shard lock and a hash lookup each way. The
-/// nonblocking engine keeps the registry: its windows outlive ops and many
-/// are in flight per rank.
+/// [`WindowRegistry`]'s map takes a lock and a hash lookup each way. The
+/// nonblocking engine keeps its windows in each op's counter block: they
+/// outlive ops, and many are in flight per rank.
 pub struct WindowBoard {
     slots: Vec<CachePadded<[BoardSlot; 2]>>,
 }
@@ -205,8 +205,7 @@ pub struct NodeShared {
     /// The blocking collectives' window board: each rank's two window
     /// slots, posted by `RankCtx::expose` and read by `RankCtx::map_cached`.
     board: WindowBoard,
-    /// The nonblocking engine's windows, and the window ledger of both the
-    /// engine and the board.
+    /// The window ledger of both the nonblocking engine and the board.
     registry: WindowRegistry,
     /// Per-rank message counter of the intra-node collectives: counter `r`
     /// is published by rank `r` when it acts as a producer (root /
@@ -340,7 +339,7 @@ pub struct RankCtx {
     msg_base: Vec<u64>,
     /// Region pointers this rank has mapped before (its window cache, the
     /// subject of Figure 8).
-    mapped_before: HashSet<usize>,
+    mapped_before: IdSet<usize>,
     /// Recycled Bcast-FIFO payload buffers (root side of `bcast_fifo`):
     /// buffers come back once every consumer retired the slot holding them,
     /// so the steady state allocates nothing per chunk.
@@ -361,7 +360,7 @@ impl RankCtx {
             op_seq: 0,
             exposed: Vec::new(),
             msg_base: vec![0; shared.n],
-            mapped_before: HashSet::new(),
+            mapped_before: IdSet::default(),
             fifo_pool: VecDeque::new(),
             shared,
         }
@@ -389,8 +388,8 @@ impl RankCtx {
         Arc::new(SharedRegion::new(len))
     }
 
-    /// The node's window registry: the nonblocking engine's windows, and
-    /// the ledger (`stats`) of every expose and map on the node.
+    /// The node's window registry, whose ledger (`stats`) counts every
+    /// expose and map on the node.
     pub fn registry(&self) -> &WindowRegistry {
         &self.shared.registry
     }
@@ -516,8 +515,8 @@ pub(crate) fn on_node<R: Send + 'static>(
 }
 
 /// Run `body` once on an `m` x `n` cluster under a 5 s deadline and return
-/// the panic `Cluster::run` reported: every rank must refuse before any
-/// effect, so nothing waits for a peer that never comes.
+/// the panic `Cluster::run` reported: a refused op (every rank refuses
+/// before any effect) or a rank's own panic, which ends its peers' waits.
 #[cfg(test)]
 pub(crate) fn refusal(
     m: usize,
@@ -534,7 +533,7 @@ pub(crate) fn refusal(
     });
     let msg = rx
         .recv_timeout(std::time::Duration::from_secs(5))
-        .expect("a rank hung instead of refusing the op");
+        .expect("a rank hung instead of panicking");
     helper.join().expect("the helper thread finished cleanly");
     assert!(msg.starts_with("rank thread panicked"), "{msg}");
     msg
@@ -544,6 +543,7 @@ pub(crate) fn refusal(
 mod tests {
     use super::*;
     use crate::cluster::Cluster;
+    use std::collections::HashSet;
 
     #[test]
     fn ranks_are_distinct_and_complete() {
@@ -583,7 +583,9 @@ mod tests {
                 ctx.registry().expose(0, 999, buf);
             }
             ctx.barrier();
-            let mapped = ctx.registry().map_blocking(0, 999, false);
+            let mapped = ctx
+                .registry()
+                .map_auto_blocking(0, 999, &mut HashSet::new());
             let mut b = [0u8; 1];
             unsafe { mapped.read(3, &mut b) };
             ctx.barrier();

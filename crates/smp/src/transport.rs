@@ -301,7 +301,7 @@ impl<S: SlotStore> ChunkChannel<S> {
 
     /// Consumer-side: has ticket `h` been published (and not yet retired by
     /// us)? This acquire is *the* validated load every consumer entry point
-    /// goes through — `peek`, `try_peek`, and `peek_tag` all gate header
+    /// goes through — `peek` and `peek_tag` both gate header
     /// access on it, so a slot mid-write by the producer is never readable.
     #[inline]
     fn published(&self, h: usize) -> bool {
@@ -401,28 +401,12 @@ impl<S: SlotStore> ChunkChannel<S> {
         RecvSlot::acquired(self, h)
     }
 
-    /// Consumer: loan the next chunk if one is published, `None` otherwise.
-    pub fn try_peek(&self) -> Option<RecvSlot<'_, S>> {
-        let h = self.store.recv_cursor().load(Ordering::Relaxed);
-        if !self.published(h) {
-            return None;
-        }
-        Some(RecvSlot::acquired(self, h))
-    }
-
     /// Consumer: receive the next chunk, blocking until one is published.
     /// `f` reads the payload in place (no intermediate copy); the slot is
     /// recycled after it returns.
     pub fn recv_with<R>(&self, f: impl FnOnce(u64, &[u8]) -> R) -> R {
         let s = self.peek();
         s.with_bytes(|b| f(s.tag(), b))
-    }
-
-    /// Consumer: receive if a chunk is ready; `None` (without calling `f`)
-    /// otherwise.
-    pub fn try_recv_with<R>(&self, f: impl FnOnce(u64, &[u8]) -> R) -> Option<R> {
-        let s = self.try_peek()?;
-        Some(s.with_bytes(|b| f(s.tag(), b)))
     }
 }
 
@@ -809,8 +793,8 @@ mod tests {
         assert!(ch.try_send_with(3, 1, |d| d[0] = 3));
         assert_eq!(ch.recv_with(|t, b| (t, b[0])), (2, 2));
         assert_eq!(ch.recv_with(|t, b| (t, b[0])), (3, 3));
-        assert_eq!(ch.try_recv_with(|_, _| ()), None);
         assert_eq!(ch.peek_tag(), None);
+        assert_eq!(ch.received(), 3);
     }
 
     #[test]
@@ -921,7 +905,6 @@ mod tests {
         }
         assert_eq!(ch.sent(), 0);
         assert_eq!(ch.peek_tag(), None);
-        assert!(ch.try_peek().is_none());
         // The same ticket is re-loanable and works normally.
         ch.send_with(3, 2, |d| d.copy_from_slice(b"ok"));
         assert_eq!(ch.recv_with(|t, b| (t, b.to_vec())), (3, b"ok".to_vec()));

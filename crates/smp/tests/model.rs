@@ -379,7 +379,7 @@ fn abandoned_send_loan_is_clean_under_model() {
         assert_eq!(r.tag(), 1, "an abandoned loan must publish nothing");
         r.with_bytes(|b| assert!(b.iter().all(|&x| x == 5)));
         drop(r);
-        assert!(ch.try_peek().is_none());
+        assert!(ch.peek_tag().is_none());
         producer.join();
     });
 }

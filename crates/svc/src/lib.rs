@@ -530,12 +530,6 @@ impl AllreduceTicket {
     pub fn wait(self) -> Vec<Vec<f64>> {
         self.inner.wait()
     }
-
-    /// [`Self::wait`], but a slot whose byte length is not a whole number
-    /// of f64 lanes is [`SchedError::MalformedPayload`] instead of a panic.
-    pub fn try_wait(self) -> Result<Vec<Vec<f64>>, SvcError> {
-        self.inner.try_wait().map_err(SvcError::Sched)
-    }
 }
 
 #[cfg(test)]
