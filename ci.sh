@@ -80,12 +80,15 @@ if grep -nE 'try_map_auto\(|\.unexpose\(|registry\(\)\.expose\(' crates/sched/sr
   exit 1
 fi
 
-# Every cluster-side wait yields through bgp_shmem::spin, the one place
+# Every spin-wait on a peer yields through bgp_shmem::spin, the one place
 # that sees the cluster's abort flag: a wait that yields on its own would
-# hang on a peer that panicked. A yield_now in the non-test part of
-# crates/smp/src (but proc.rs, whose processes have no such flag),
-# crates/sched/src or crates/shmem/src (but lib.rs, which defines spin)
-# fails here.
+# hang on a peer that panicked. (The service's resident rank loop also
+# parks outside spin, the lead on the queue's not_empty Condvar and the
+# other ranks in their plan channel's recv; those are waits for work, not
+# for a peer, and the close or the dropped sender ends them.) A yield_now
+# in the non-test part of crates/smp/src (but proc.rs, whose processes
+# have no such flag), crates/sched/src or crates/shmem/src (but lib.rs,
+# which defines spin) fails here.
 echo "== guard: no yield_now outside bgp_shmem::spin"
 if for f in crates/smp/src/*.rs crates/sched/src/*.rs crates/shmem/src/*.rs; do
   case "$f" in crates/smp/src/proc.rs | crates/shmem/src/lib.rs) continue ;; esac

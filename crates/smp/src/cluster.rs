@@ -78,6 +78,9 @@ struct ClusterShared {
     n: usize,
     nodes: Vec<Arc<NodeShared>>,
     fabric: Arc<Fabric>,
+    /// Set by the first rank whose job panics: every other rank's next
+    /// `spin` then panics too, instead of waiting for the dead one.
+    abort: AtomicBool,
 }
 
 /// One rank's view of the cluster: its node-local [`RankCtx`] plus the
@@ -156,21 +159,20 @@ impl Cluster {
             n,
             nodes: (0..m).map(|_| NodeShared::new(n)).collect(),
             fabric: Arc::new(Fabric::new(m, chunk_bytes, window)),
+            abort: AtomicBool::new(false),
         });
-        // Set by the first rank whose job panics: every other rank's next
-        // `spin` then panics too, instead of waiting for the dead one.
-        let abort = Arc::new(AtomicBool::new(false));
         let workers = (0..m * n)
             .map(|i| {
                 let (node, rank) = (i / n, i % n);
                 let (job_tx, job_rx) = mpsc::channel::<Job>();
                 let (res_tx, res_rx) = mpsc::channel();
-                let (shared, abort) = (shared.clone(), abort.clone());
+                let shared = shared.clone();
                 let handle = std::thread::Builder::new()
                     .name(format!("bgp-node{node}-rank{rank}"))
                     .spawn(move || {
-                        // SAFETY: this closure owns `abort` until the thread exits.
-                        unsafe { bgp_shmem::abort_spins_on(&abort) };
+                        // SAFETY: `cctx.shared` holds the flag for the
+                        // thread's life.
+                        unsafe { bgp_shmem::abort_spins_on(&shared.abort) };
                         let mut cctx = ClusterCtx {
                             node,
                             ctx: RankCtx::new(shared.nodes[node].clone(), rank),
@@ -179,7 +181,7 @@ impl Cluster {
                         while let Ok(job) = job_rx.recv() {
                             let res = catch_unwind(AssertUnwindSafe(|| job(&mut cctx)));
                             if res.is_err() {
-                                abort.store(true, Ordering::Relaxed);
+                                cctx.shared.abort.store(true, Ordering::Relaxed);
                             }
                             if res_tx.send(res).is_err() {
                                 break;
@@ -939,17 +941,19 @@ mod tests {
     }
 
     /// Rank 1 panics while rank 0 waits for it at a barrier: the wait ends
-    /// in a panic of its own, and `run` reports rank 1's, within the
-    /// deadline instead of never.
+    /// in a `PeerPanicked` of its own, and `run` reports rank 1's panic,
+    /// within the deadline instead of never.
     #[test]
     fn rank_panic_ends_a_peer_waiting_on_it() {
-        let msg = crate::runtime::refusal(1, 2, |c| {
+        let (msg, mut gave_up) = crate::runtime::panics_within_deadline(1, 2, |c| {
             if c.rank() == 1 {
                 panic!("boom");
             }
             c.intra().barrier();
         });
         assert_eq!(msg, "rank thread panicked: boom");
+        gave_up.sort();
+        assert_eq!(gave_up, [false, true], "rank 0 gave up its wait");
     }
 
     #[test]

@@ -515,20 +515,30 @@ pub(crate) fn on_node<R: Send + 'static>(
 }
 
 /// Run `body` once on an `m` x `n` cluster under a 5 s deadline and return
-/// the panic `Cluster::run` reported: a refused op (every rank refuses
-/// before any effect) or a rank's own panic, which ends its peers' waits.
+/// the panic `Cluster::run` reported, with one entry per rank that
+/// panicked: whether its panic was a [`bgp_shmem::PeerPanicked`] wait it
+/// gave up rather than its own.
 #[cfg(test)]
-pub(crate) fn refusal(
+pub(crate) fn panics_within_deadline(
     m: usize,
     n: usize,
     body: impl Fn(&mut crate::ClusterCtx) + Send + Sync + 'static,
-) -> String {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
+) -> (String, Vec<bool>) {
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    let gave_up = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let log = gave_up.clone();
     let (tx, rx) = std::sync::mpsc::channel();
     let helper = std::thread::spawn(move || {
         let cluster = crate::Cluster::new(m, n);
-        let run = catch_unwind(AssertUnwindSafe(|| cluster.run(body)));
-        let panic = run.expect_err("the op must be refused");
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            cluster.run(move |c| {
+                if let Err(p) = catch_unwind(AssertUnwindSafe(|| body(c))) {
+                    log.lock().unwrap().push(p.is::<bgp_shmem::PeerPanicked>());
+                    resume_unwind(p);
+                }
+            })
+        }));
+        let panic = run.expect_err("a rank must panic");
         let _ = tx.send(panic.downcast_ref::<String>().cloned().unwrap_or_default());
     });
     let msg = rx
@@ -536,6 +546,22 @@ pub(crate) fn refusal(
         .expect("a rank hung instead of panicking");
     helper.join().expect("the helper thread finished cleanly");
     assert!(msg.starts_with("rank thread panicked"), "{msg}");
+    let gave_up = gave_up.lock().unwrap().clone();
+    (msg, gave_up)
+}
+
+/// Run `body` once on an `m` x `n` cluster under a 5 s deadline and return
+/// the panic `Cluster::run` reported: every rank must refuse the op by
+/// itself, before any effect — none may wait for a refusing peer, give up
+/// and let that peer's message pass for its own.
+#[cfg(test)]
+pub(crate) fn refusal(
+    m: usize,
+    n: usize,
+    body: impl Fn(&mut crate::ClusterCtx) + Send + Sync + 'static,
+) -> String {
+    let (msg, gave_up) = panics_within_deadline(m, n, body);
+    assert_eq!(gave_up, vec![false; m * n], "not every rank refused: {msg}");
     msg
 }
 
