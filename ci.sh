@@ -122,6 +122,16 @@ if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
   exit 1
 fi
 
+# The service moves every member's result out of the region it landed in
+# (SharedRegion::into_bytes / into_f64s) and never copies it: a read-out of
+# a region in the non-test part of server.rs fails here.
+echo "== guard: no with_bytes( on the service's result path in crates/sched/src/server.rs"
+if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
+  crates/sched/src/server.rs | grep -F 'with_bytes('; then
+  echo "server.rs copies a result out of its region (move it: into_bytes / into_f64s)" >&2
+  exit 1
+fi
+
 # The nonblocking engine reaches its counters only through each op's one
 # counter block (bgp_shmem::OpCounters), looked up once per post and
 # recycled by the bank: a per-stream MessageCounter growing back in the

@@ -46,14 +46,13 @@
 //!   credit per scan), bounded-depth admission control per tenant
 //!   ([`TENANT_MAX_PENDING`]) and globally ([`MAX_PENDING`]) (blocking
 //!   [`CollectiveServer::submit_bcast`] or failing
-//!   [`CollectiveServer::try_submit_bcast`]), coalescing of small
-//!   same-root broadcasts into one fused payload, batching of queued ops
-//!   into plans that stream to a resident engine (every rank thread keeps
-//!   one [`Sched`] for the server's life and posts each plan while earlier
-//!   ones are in flight), tickets that park, communicator subgroups, and
-//!   per-tenant counters ([`CollectiveServer::tenant_stats`]). The
-//!   `bgp-svc` crate wraps this in named sessions and communicator
-//!   lifecycle.
+//!   [`CollectiveServer::try_submit_bcast_as`]), batching of queued ops —
+//!   each its own engine op — into plans that stream to a resident engine
+//!   (every rank thread keeps one [`Sched`] for the server's life and posts
+//!   each plan while earlier ones are in flight), tickets that park,
+//!   communicator subgroups, and per-tenant counters
+//!   ([`CollectiveServer::tenant_stats`]). The `bgp-svc` crate wraps this
+//!   in named sessions and communicator lifecycle.
 //!
 //! ## Posting discipline (SPMD)
 //!

@@ -9,7 +9,7 @@
 //! * **Per-tenant admission control** — every registered tenant
 //!   ([`CollectiveServer::add_tenant`]) owns a submission queue bounded at
 //!   [`TENANT_MAX_PENDING`]; `submit_*` blocks when the tenant's bound (or
-//!   the server-wide [`MAX_PENDING`] backstop) is hit, `try_submit_bcast*`
+//!   the server-wide [`MAX_PENDING`] backstop) is hit, `try_submit_bcast_as`
 //!   fails fast with [`SchedError::Backpressure`]. One flooding tenant
 //!   fills *its own* queue; everybody else keeps submitting. Every
 //!   submission takes one admission path: validation, tenant lookup, then —
@@ -21,20 +21,15 @@
 //!   while the deficit covers their cost. Service is proportional to
 //!   weight over time regardless of who floods, which is what keeps a
 //!   well-behaved tenant's latency flat (the `svc_soak` isolation check).
-//! * **Coalescing** — consecutive small broadcasts with the same group and
-//!   root are fused, up to 8 at a time, into one payload and run as a
-//!   *single* engine op; members slice their copies apart on completion.
-//!   One tree traversal amortizes per-op overhead across every fused child,
-//!   the same economics that make the paper's 64-byte collectives
-//!   latency-bound.
 //! * **A resident engine, led by its first rank** — the rank threads run
 //!   one long-lived body for the server's whole life, each holding one
 //!   [`Sched`]; the server has no thread of its own. Global rank 0 — node
 //!   0's network core — is the *lead*: inside its loop it drains the queues
-//!   into a *plan* whenever fewer than [`ServerConfig::pipeline`] plans
-//!   have an unfinished ticket and sends the plan down every rank's
-//!   channel, its own included, so every rank posts the same ops in the
-//!   same order while earlier plans are still in flight — reception of
+//!   into a *plan* — the drained commands themselves, each one engine op —
+//!   whenever fewer than [`ServerConfig::pipeline`] plans have an
+//!   unfinished ticket and sends the plan down every rank's channel, its
+//!   own included, so every rank posts the same ops in the same order
+//!   while earlier plans are still in flight — reception of
 //!   batch *k+1* overlaps the copies of batch *k*, as the paper's network
 //!   core keeps the protocol running while its peers copy. At the bound
 //!   the lead keeps polling; it never blocks on a ticket. An idle rank
@@ -43,17 +38,16 @@
 //!   submission wakes the lead only if it sleeps, a drain wakes only
 //!   submitters blocked at the admission bound.
 //!
-//! The admission bounds, the DRR quantum and the coalescing limits are
-//! constants; [`ServerConfig`] holds only the plan width
-//! (`batch_max_ops`) and the pipeline depth (`pipeline`).
+//! The admission bounds and the DRR quantum are constants; [`ServerConfig`]
+//! holds only the plan width (`batch_max_ops`) and the pipeline depth
+//! (`pipeline`).
 //!
 //! Each fact is counted once. What submitters and the lead count under the
 //! queue lock — submissions, refusals, queue peaks, plans, queue wait — is
 //! a plain field of the tenant or the queue; a queue's depth is its length.
-//! Only `completed` (credited by the rank thread that finishes an op) and
-//! `coalesced` (credited by the lead) are written outside the lock, into
-//! one atomic cell per tenant that each op's [`OpState`] carries. Server
-//! totals are sums over the tenants.
+//! Only `completed` is written outside the lock, by the rank thread that
+//! finishes an op, into the one atomic counter per tenant that each op's
+//! [`OpState`] carries. Server totals are sums over the tenants.
 //!
 //! Completion is published through [`OpState`] — a slot-per-member result
 //! board whose done flag is release-published by the last finisher and
@@ -68,13 +62,13 @@
 //! submitted, as the root's buffer; every other member receives into a
 //! region of its own. Once the engine has let go of a member's region, the
 //! region moves into the member's slot — the root gets its submitted
-//! vector back — and `wait` moves the slots out. Only a coalesced op copies:
-//! each child's span of the fused payload, once per member. An allreduce
-//! adopts each member's input vector as that member's input region, and
-//! its output region moves into the slot the same way. The rank then keeps
-//! the spent input as a spare, and its next allreduce zero-fills a spare
-//! that fits as its output instead of allocating one, so the engine writes
-//! into pages the rank has touched before, not into fresh ones.
+//! vector back — and `wait` moves the slots out; no result is copied. An
+//! allreduce adopts each member's input vector as that member's input
+//! region, and its output region moves into the slot the same way. The
+//! rank then keeps the spent input as a spare, and its next allreduce
+//! zero-fills a spare that fits as its output instead of allocating one,
+//! so the engine writes into pages the rank has touched before, not into
+//! fresh ones.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicBool};
@@ -118,13 +112,13 @@ pub struct OpState {
     status: AtomicU64,
     pending: AtomicU64,
     slots: Box<[UnsafeCell<Option<Payload>>]>,
-    /// The owning tenant's cell, on server-submitted ops (`None` for
-    /// hand-built boards). The last slot filler credits `completed`
+    /// The owning tenant's `completed` counter, on server-submitted ops
+    /// (`None` for hand-built boards). The last slot filler credits it
     /// *before* the Release store of the done flag, so a waiter that
     /// observes [`Self::is_done`] also observes the count. Crediting
     /// anywhere later (e.g. when the lead retires the plan) lets
     /// `wait()` return while the stats still read stale.
-    credit: Option<Arc<TenantCell>>,
+    credit: Option<Arc<AtomicU64>>,
     /// Waiters that have registered to be woken (see the type docs).
     waiters: AtomicU64,
     #[cfg(not(feature = "model"))]
@@ -171,11 +165,11 @@ impl OpState {
         }
     }
 
-    /// [`Self::new`] plus the owning tenant's cell, credited exactly once
-    /// when the last slot fills.
-    fn credited(n_slots: usize, cell: Arc<TenantCell>) -> Self {
+    /// [`Self::new`] plus the owning tenant's `completed` counter,
+    /// credited exactly once when the last slot fills.
+    fn credited(n_slots: usize, completed: Arc<AtomicU64>) -> Self {
         let mut state = Self::new(n_slots);
-        state.credit = Some(cell);
+        state.credit = Some(completed);
         state
     }
 
@@ -203,8 +197,8 @@ impl OpState {
             // done also sees this (relaxed) increment. This is what makes
             // `ticket.wait(); stats().completed` read consistently even
             // while the lead has not yet retired the plan.
-            if let Some(cell) = &self.credit {
-                cell.completed.fetch_add(1, Ordering::Relaxed);
+            if let Some(completed) = &self.credit {
+                completed.fetch_add(1, Ordering::Relaxed);
             }
             let early =
                 model_support::seeded("wake_skipped").then(|| self.waiters.load(Ordering::Relaxed));
@@ -394,7 +388,7 @@ impl TenantId {
 pub const DEFAULT_TENANT: TenantId = TenantId(0);
 
 /// Per-tenant admission bound: one tenant's queued (undispatched)
-/// submissions beyond this block `submit_*` / fail `try_submit_bcast*`,
+/// submissions beyond this block `submit_*` / fail `try_submit_bcast_as`,
 /// leaving other tenants unaffected.
 pub const TENANT_MAX_PENDING: usize = 16;
 /// Server-wide admission backstop: total queued submissions across *all*
@@ -429,9 +423,9 @@ impl Default for ServerConfig {
 /// **Snapshot semantics:** [`CollectiveServer::stats`] reads under the
 /// queue lock, so every field written under that lock (`submitted`,
 /// `batches`, `rejected`, `peak_queue_depth`, `wait_ns`) belongs to one
-/// consistent cut. `completed` and `coalesced` are relaxed reads of
-/// counters the rank threads and the lead bump outside the lock:
-/// each is exact, monotone and never ahead of `submitted`, but an op that
+/// consistent cut. `completed` is a relaxed read of counters the rank
+/// threads bump outside the lock: it is exact, monotone and never ahead
+/// of `submitted`, but an op that
 /// finishes while the snapshot is taken may or may not be in it. Consumers
 /// that need the counts to agree (`completed == submitted`) must quiesce
 /// the server first (e.g. wait on every outstanding ticket, as the tests
@@ -445,9 +439,11 @@ pub struct ServerStats {
     pub completed: u64,
     /// Plans (drained batches) handed to the rank threads.
     pub batches: u64,
-    /// Submissions that ran fused with at least one sibling.
+    /// Always 0: every submission runs as its own engine op. Kept only
+    /// until the `benchmark/` package stops reading it.
     pub coalesced: u64,
-    /// `try_submit_bcast*` refusals (admission bound hit), summed over tenants.
+    /// `try_submit_bcast_as` refusals (admission bound hit), summed over
+    /// tenants.
     pub rejected: u64,
     /// Deepest the total (all-tenant) submission backlog has been.
     pub peak_queue_depth: u64,
@@ -471,9 +467,7 @@ pub struct TenantStats {
     pub submitted: u64,
     /// This tenant's operations whose every member result is in.
     pub completed: u64,
-    /// This tenant's submissions that ran fused with at least one sibling.
-    pub coalesced: u64,
-    /// `try_submit_bcast*` refusals charged to this tenant.
+    /// `try_submit_bcast_as` refusals charged to this tenant.
     pub rejected: u64,
     /// Currently queued (undispatched) submissions — a gauge, not a
     /// monotone counter.
@@ -484,25 +478,21 @@ pub struct TenantStats {
     pub wait_ns: u64,
 }
 
-/// The two counters of a tenant written outside the queue lock. Every op
-/// the tenant submits carries the cell in its [`OpState`]: the rank thread
-/// that finishes the op credits `completed`, the lead credits
-/// `coalesced` when it fuses the op with a sibling.
-#[derive(Default)]
-struct TenantCell {
-    completed: AtomicU64,
-    coalesced: AtomicU64,
-}
-
-/// What a submission asks the cluster to do.
+/// What a submission asks the cluster to do: one engine op. Its payloads
+/// sit in [`TakeOnce`] cells from admission on, so a drained batch is the
+/// plan itself, and each member's rank takes its own out of it.
 enum Op {
+    /// The `len`-byte payload, for the root member's rank to take as its
+    /// buffer.
     Bcast {
         root_node: usize,
         root_rank: usize,
-        payload: Vec<u8>,
+        len: usize,
+        payload: TakeOnce<Vec<u8>>,
     },
+    /// Each member's input, for that member's rank to take.
     Allreduce {
-        inputs: Vec<Vec<f64>>,
+        inputs: Box<[TakeOnce<Vec<f64>>]>,
         count: usize,
     },
 }
@@ -511,7 +501,7 @@ impl Op {
     /// Bytes the op moves to each member.
     fn bytes(&self) -> usize {
         match self {
-            Op::Bcast { payload, .. } => payload.len(),
+            Op::Bcast { len, .. } => *len,
             Op::Allreduce { count, .. } => count * 8,
         }
     }
@@ -526,9 +516,9 @@ impl Op {
     }
 }
 
-/// An admitted submission, queued until the lead drains it.
+/// An admitted submission, queued until the lead drains it into a plan.
 struct Cmd {
-    group: Arc<Vec<usize>>,
+    group: Vec<usize>,
     op: Op,
     state: Arc<OpState>,
     queued_at: Instant,
@@ -544,33 +534,6 @@ const DRR_COST_CAP: u64 = 4 << 20;
 /// DRR credit (bytes) granted per weight unit each time the lead's
 /// round-robin scan visits a backlogged tenant.
 const DRR_QUANTUM: u64 = 64 * 1024;
-/// Only broadcast payloads at most this long are coalescing candidates.
-const COALESCE_ELIGIBLE: usize = 4096;
-/// A fused broadcast payload never exceeds this many bytes.
-const COALESCE_MAX_BYTES: usize = 64 * 1024;
-/// Most children fused into one broadcast.
-const COALESCE_MAX_OPS: usize = 8;
-
-/// One engine op of a plan. A broadcast carries its `len`-byte payload —
-/// the fused one of a coalesced op — for the root member's rank to take as
-/// its buffer, plus each child's `(state, offset, length)` slice. An
-/// allreduce carries each member's input, for that member's rank to take.
-enum PlanOp {
-    Bcast {
-        group: Arc<Vec<usize>>,
-        root_node: usize,
-        root_rank: usize,
-        payload: TakeOnce<Vec<u8>>,
-        len: usize,
-        children: Vec<(Arc<OpState>, usize, usize)>,
-    },
-    Ar {
-        group: Arc<Vec<usize>>,
-        inputs: Box<[TakeOnce<Vec<f64>>]>,
-        count: usize,
-        state: Arc<OpState>,
-    },
-}
 
 /// A value one thread of many takes out of a shared plan, without a lock:
 /// the first [`Self::take`] gets it, every later one `None`.
@@ -609,7 +572,7 @@ impl<T> TakeOnce<T> {
 
 /// One tenant's slot in the queue table: its bounded command queue, DRR
 /// scheduling state, and counters — plain fields for everything written
-/// under the queue lock, the shared [`TenantCell`] for the rest.
+/// under the queue lock, the shared `completed` counter for the rest.
 #[derive(Default)]
 struct Tenant {
     weight: u32,
@@ -619,7 +582,7 @@ struct Tenant {
     rejected: u64,
     peak_queue_depth: u64,
     wait_ns: u64,
-    cell: Arc<TenantCell>,
+    completed: Arc<AtomicU64>,
 }
 
 impl Tenant {
@@ -628,8 +591,7 @@ impl Tenant {
             tenant,
             weight: self.weight,
             submitted: self.submitted,
-            completed: self.cell.completed.load(Ordering::Relaxed),
-            coalesced: self.cell.coalesced.load(Ordering::Relaxed),
+            completed: self.completed.load(Ordering::Relaxed),
             rejected: self.rejected,
             queue_depth: self.cmds.len() as u64,
             peak_queue_depth: self.peak_queue_depth,
@@ -669,7 +631,7 @@ struct ServerShared {
 }
 
 /// A collectives-as-a-service front-end over an owned cluster. See the
-/// module docs for the admission / DRR / coalescing / batching behavior.
+/// module docs for the admission / DRR / batching behavior.
 ///
 /// Submissions may come from any thread. Dropping the server stops
 /// accepting work, lets the lead drain everything already queued, and
@@ -764,7 +726,6 @@ impl CollectiveServer {
         for t in q.tenants.iter().map(|t| t.snapshot(0)) {
             s.submitted += t.submitted;
             s.completed += t.completed;
-            s.coalesced += t.coalesced;
             s.rejected += t.rejected;
             s.wait_ns += t.wait_ns;
         }
@@ -802,18 +763,6 @@ impl CollectiveServer {
         self.submit_bcast_inner(DEFAULT_TENANT, group, root_node, root_rank, payload, true)
     }
 
-    /// Like [`Self::submit_bcast`] but failing with
-    /// [`SchedError::Backpressure`] instead of blocking.
-    pub fn try_submit_bcast(
-        &self,
-        group: &[usize],
-        root_node: usize,
-        root_rank: usize,
-        payload: Vec<u8>,
-    ) -> Result<BcastTicket, SchedError> {
-        self.submit_bcast_inner(DEFAULT_TENANT, group, root_node, root_rank, payload, false)
-    }
-
     /// [`Self::submit_bcast`] on behalf of a registered tenant.
     pub fn submit_bcast_as(
         &self,
@@ -826,7 +775,8 @@ impl CollectiveServer {
         self.submit_bcast_inner(tenant, group, root_node, root_rank, payload, true)
     }
 
-    /// [`Self::try_submit_bcast`] on behalf of a registered tenant.
+    /// [`Self::submit_bcast_as`], but failing with
+    /// [`SchedError::Backpressure`] instead of blocking.
     pub fn try_submit_bcast_as(
         &self,
         tenant: TenantId,
@@ -850,7 +800,8 @@ impl CollectiveServer {
         let op = Op::Bcast {
             root_node,
             root_rank,
-            payload,
+            len: payload.len(),
+            payload: TakeOnce::new(payload),
         };
         let state = self.admit(tenant, group, op, block)?;
         Ok(BcastTicket { state })
@@ -877,16 +828,23 @@ impl CollectiveServer {
         inputs: Vec<Vec<f64>>,
     ) -> Result<AllreduceTicket, SchedError> {
         let count = inputs.first().map_or(0, Vec::len);
+        if inputs.iter().any(|v| v.len() != count) {
+            let why = "input vectors must all be the same length";
+            return Err(SchedError::BadGroup(why.into()));
+        }
+        let inputs = inputs.into_iter().map(TakeOnce::new).collect();
         let state = self.admit(tenant, group, Op::Allreduce { inputs, count }, true)?;
         Ok(AllreduceTicket { state })
     }
 
     /// The one admission path. Validates the group (every submission: the
     /// check is O(group) and keeps direct callers safe), the op's root or
-    /// inputs and its size; then, under the queue lock, looks the tenant
-    /// up and either completes a zero-byte op on the spot or queues the op
-    /// — waiting for room, or refusing with [`SchedError::Backpressure`]
-    /// unless `block`. Either way the op counts as submitted.
+    /// its number of inputs (whose lengths [`Self::submit_allreduce_as`]
+    /// checked as it wrapped them) and its size; then, under the queue
+    /// lock, looks the tenant up and either completes a zero-byte op on the
+    /// spot or queues the op — waiting for room, or refusing with
+    /// [`SchedError::Backpressure`] unless `block`. Either way the op counts
+    /// as submitted.
     fn admit(
         &self,
         tenant: TenantId,
@@ -904,9 +862,6 @@ impl CollectiveServer {
             Op::Allreduce { inputs, .. } if inputs.len() != members => {
                 Some("need one input vector per member")
             }
-            Op::Allreduce { inputs, count } if inputs.iter().any(|v| v.len() != *count) => {
-                Some("input vectors must all be the same length")
-            }
             _ => None,
         };
         if let Some(why) = refusal {
@@ -915,14 +870,14 @@ impl CollectiveServer {
         check_size(op.bytes(), DEFAULT_CHUNK_BYTES)?;
         let mut q = self.shared.queue.lock().expect("queue lock");
         let t = tenant.0;
-        let cell = q
+        let completed = q
             .tenants
             .get(t)
             .ok_or(SchedError::UnknownTenant)?
-            .cell
+            .completed
             .clone();
         let state = if op.bytes() == 0 {
-            cell.completed.fetch_add(1, Ordering::Relaxed);
+            completed.fetch_add(1, Ordering::Relaxed);
             let empty = (0..members).map(|_| Some(op.empty_result()));
             Arc::new(OpState::with_slots(0, empty))
         } else {
@@ -941,9 +896,9 @@ impl CollectiveServer {
                 q = self.shared.not_full.wait(q).expect("queue lock");
                 q.blocked -= 1;
             }
-            let state = Arc::new(OpState::credited(members, cell));
+            let state = Arc::new(OpState::credited(members, completed));
             q.tenants[t].cmds.push_back(Cmd {
-                group: Arc::new(group.to_vec()),
+                group: group.to_vec(),
                 op,
                 state: state.clone(),
                 queued_at: Instant::now(),
@@ -1018,98 +973,10 @@ fn drain_drr(q: &mut Queue, max_ops: usize) -> Vec<Cmd> {
     cmds
 }
 
-/// An in-progress fusion of consecutive same-(group, root) broadcasts.
-struct FusedBcast {
-    group: Arc<Vec<usize>>,
-    root_node: usize,
-    root_rank: usize,
-    payload: Vec<u8>,
-    children: Vec<(Arc<OpState>, usize, usize)>,
-}
-
-impl FusedBcast {
-    /// The finished fusion as one plan op, crediting each child's tenant
-    /// `coalesced` if it ran with a sibling.
-    fn into_op(self) -> PlanOp {
-        if self.children.len() > 1 {
-            for cell in self.children.iter().filter_map(|c| c.0.credit.as_ref()) {
-                cell.coalesced.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        PlanOp::Bcast {
-            group: self.group,
-            root_node: self.root_node,
-            root_rank: self.root_rank,
-            len: self.payload.len(),
-            payload: TakeOnce::new(self.payload),
-            children: self.children,
-        }
-    }
-}
-
-/// Turn a drained batch into engine ops. Every broadcast opens or joins a
-/// fusion: it joins the open one if it is small, has the same group and
-/// root, and fits the fusion's op and byte bounds; a broadcast too large
-/// to coalesce runs as a one-child fusion.
-fn build_plan(batch: Vec<Cmd>) -> Vec<PlanOp> {
-    let mut plan: Vec<PlanOp> = Vec::new();
-    let mut open: Option<FusedBcast> = None;
-    for Cmd {
-        group, op, state, ..
-    } in batch
-    {
-        match op {
-            Op::Bcast {
-                root_node,
-                root_rank,
-                payload,
-            } => {
-                let len = payload.len();
-                let eligible = len <= COALESCE_ELIGIBLE;
-                if let Some(f) = open.as_mut().filter(|f| {
-                    eligible
-                        && *f.group == *group
-                        && (f.root_node, f.root_rank) == (root_node, root_rank)
-                        && f.children.len() < COALESCE_MAX_OPS
-                        && f.payload.len() + len <= COALESCE_MAX_BYTES
-                }) {
-                    f.children.push((state, f.payload.len(), len));
-                    f.payload.extend_from_slice(&payload);
-                    continue;
-                }
-                plan.extend(open.take().map(FusedBcast::into_op));
-                let f = FusedBcast {
-                    group,
-                    root_node,
-                    root_rank,
-                    payload,
-                    children: vec![(state, 0, len)],
-                };
-                if eligible {
-                    open = Some(f);
-                } else {
-                    plan.push(f.into_op());
-                }
-            }
-            Op::Allreduce { inputs, count } => {
-                plan.extend(open.take().map(FusedBcast::into_op));
-                plan.push(PlanOp::Ar {
-                    group,
-                    inputs: inputs.into_iter().map(TakeOnce::new).collect(),
-                    count,
-                    state,
-                });
-            }
-        }
-    }
-    plan.extend(open.map(FusedBcast::into_op));
-    plan
-}
-
-/// One posted engine op of a plan, until its member results are published.
+/// One posted engine op of a plan, until its member result is published.
 struct Posted {
     req: Request,
-    plan: Arc<Vec<PlanOp>>,
+    plan: Arc<Vec<Cmd>>,
     op: usize,
     /// This rank's global member slot and the region its result lands in
     /// (`None` for non-members, and once published).
@@ -1119,11 +986,9 @@ struct Posted {
 }
 
 impl Posted {
-    /// Fill this rank's slot of every ticket the completed op carries;
-    /// `false` while it cannot yet. A coalesced broadcast copies each
-    /// child's span out of the result region. Every other op moves the
-    /// region itself into its slot — a broadcast's bytes, an allreduce's
-    /// vector — once nothing else holds the region, and an allreduce
+    /// Move this rank's result region of the completed op into its ticket
+    /// slot — a broadcast's bytes, an allreduce's vector — once nothing
+    /// else holds the region; `false` while something does. An allreduce
     /// member's spent input goes to `spares` (its member cleared the op's
     /// input window before reporting). A landing member's region is let go
     /// of by its node's engine when the op retires — it drops its own
@@ -1135,18 +1000,6 @@ impl Posted {
         let Some((slot, buf)) = self.member.take() else {
             return true;
         };
-        let op = &self.plan[self.op];
-        if let PlanOp::Bcast { children, .. } = op {
-            if children.len() > 1 {
-                for (state, off, len) in children {
-                    // SAFETY: the request is complete, so the region holds
-                    // the op's final contents and nothing writes it anymore.
-                    let span = unsafe { buf.with_bytes(*off, *len, <[u8]>::to_vec) };
-                    state.complete_slot(slot, span);
-                }
-                return true;
-            }
-        }
         let region = match Arc::try_unwrap(buf) {
             Ok(region) => region,
             Err(buf) => {
@@ -1154,17 +1007,17 @@ impl Posted {
                 return false;
             }
         };
-        match op {
-            PlanOp::Bcast { children, .. } => {
-                let bytes = region.into_bytes().ok().expect("born from a Vec<u8>");
-                children[0].0.complete_slot(slot, bytes);
+        let cmd = &self.plan[self.op];
+        let result = match cmd.op {
+            Op::Bcast { .. } => {
+                Payload::Bytes(region.into_bytes().ok().expect("born from a Vec<u8>"))
             }
-            PlanOp::Ar { state, .. } => {
+            Op::Allreduce { .. } => {
                 spares.keep(self.input.take().expect("a member has an input"));
-                let values = region.into_f64s().ok().expect("born from a Vec<f64>");
-                state.fill(slot, Payload::F64s(values));
+                Payload::F64s(region.into_f64s().ok().expect("born from a Vec<f64>"))
             }
-        }
+        };
+        cmd.state.fill(slot, result);
         true
     }
 }
@@ -1206,20 +1059,19 @@ impl Spares {
 fn post_plan(
     sched: &mut Sched,
     at: (usize, usize),
-    plan: &Arc<Vec<PlanOp>>,
+    plan: &Arc<Vec<Cmd>>,
     posted: &mut Vec<Posted>,
     spares: &mut Spares,
 ) {
     let (node, rank) = at;
-    for (op, p) in plan.iter().enumerate() {
-        let (req, member, input) = match p {
-            PlanOp::Bcast {
-                group,
+    for (op, cmd) in plan.iter().enumerate() {
+        let group = &cmd.group;
+        let (req, member, input) = match &cmd.op {
+            Op::Bcast {
                 root_node,
                 root_rank,
-                payload,
                 len,
-                ..
+                payload,
             } => {
                 // The root's payload, as submitted, is its buffer; every
                 // other member receives into a region its ticket will
@@ -1237,12 +1089,7 @@ fn post_plan(
                 let req = sched.ibcast(group, *root_node, *root_rank, buf, *len);
                 (req, member, None)
             }
-            PlanOp::Ar {
-                group,
-                inputs,
-                count,
-                ..
-            } => {
+            Op::Allreduce { inputs, count } => {
                 // The member's input, as submitted, is its input region;
                 // its output is the zeroed vector its ticket will return,
                 // a spent input where one fits.
@@ -1283,22 +1130,22 @@ struct Lead {
     shared: Arc<ServerShared>,
     cfg: ServerConfig,
     /// One plan channel per rank, the lead's own included.
-    txs: Vec<mpsc::Sender<Arc<Vec<PlanOp>>>>,
-    /// The tickets of each plan in flight.
-    in_flight: Vec<Vec<Arc<OpState>>>,
+    txs: Vec<mpsc::Sender<Arc<Vec<Cmd>>>>,
+    /// The plans in flight.
+    in_flight: Vec<Arc<Vec<Cmd>>>,
 }
 
 impl Lead {
     /// While fewer than `cfg.pipeline` plans have an unfinished ticket,
-    /// drain a batch by DRR, coalesce it into a plan and send the plan to
-    /// every rank, in the same order. With `park` set (nothing posted for
+    /// drain a batch by DRR and send it, as the plan, to every rank, in
+    /// the same order. With `park` set (nothing posted for
     /// [`RANK_SPIN`]) the engine is drained first and the lead sleeps on
     /// `not_empty` until a command or the close arrives. Returns `false`
     /// once the queue is closed and empty.
     fn feed(&mut self, sched: &mut Sched, park: bool) -> bool {
         let shared = &*self.shared;
         let in_flight = &mut self.in_flight;
-        in_flight.retain(|states| !states.iter().all(|s| s.is_done()));
+        in_flight.retain(|plan| !plan.iter().all(|c| c.state.is_done()));
         let ready = park || shared.ready.load(Ordering::Relaxed);
         if !ready || in_flight.len() >= self.cfg.pipeline.max(1) {
             return true;
@@ -1323,12 +1170,12 @@ impl Lead {
             shared.not_full.notify_all();
         }
         drop(q);
-        in_flight.push(cmds.iter().map(|c| c.state.clone()).collect());
-        let plan = Arc::new(build_plan(cmds));
+        let plan = Arc::new(cmds);
         for tx in &self.txs {
             tx.send(plan.clone())
                 .expect("rank thread exited prematurely");
         }
+        in_flight.push(plan);
         true
     }
 }
@@ -1342,11 +1189,7 @@ impl Lead {
 /// queue, every other rank in its channel. Returns once its channel is
 /// closed and everything posted has completed; dropping the `Sched`
 /// quiesces the engine.
-fn resident(
-    cctx: &mut ClusterCtx,
-    plans: mpsc::Receiver<Arc<Vec<PlanOp>>>,
-    mut lead: Option<Lead>,
-) {
+fn resident(cctx: &mut ClusterCtx, plans: mpsc::Receiver<Arc<Vec<Cmd>>>, mut lead: Option<Lead>) {
     let at = (cctx.node(), cctx.rank());
     let mut sched = Sched::new(cctx);
     let mut posted: Vec<Posted> = Vec::new();
@@ -1424,15 +1267,14 @@ mod tests {
     fn a_depth_d_train_leaves_at_most_d_spares() {
         const D: usize = 4;
         const COUNTS: [usize; D] = [1000, 700, 1000, 300];
-        let group = Arc::new(vec![0]);
         let trains: Vec<_> = (0..3)
             .map(|train| {
                 let cmds: Vec<Cmd> = (0..D)
                     .map(|j| Cmd {
-                        group: group.clone(),
+                        group: vec![0],
                         op: Op::Allreduce {
                             inputs: (0..2)
-                                .map(|m| vec![(train * D + j + m) as f64; COUNTS[j]])
+                                .map(|m| TakeOnce::new(vec![(train * D + j + m) as f64; COUNTS[j]]))
                                 .collect(),
                             count: COUNTS[j],
                         },
@@ -1441,7 +1283,7 @@ mod tests {
                     })
                     .collect();
                 let states: Vec<_> = cmds.iter().map(|c| c.state.clone()).collect();
-                (Arc::new(build_plan(cmds)), states)
+                (Arc::new(cmds), states)
             })
             .collect();
         let plans: Vec<_> = trains.iter().map(|(plan, _)| plan.clone()).collect();

@@ -319,13 +319,6 @@ impl Probe {
         }
     }
 
-    /// Export all spans in the Chrome tracing (`chrome://tracing`,
-    /// Perfetto) JSON array format: complete (`"ph": "X"`) events,
-    /// microsecond timestamps, one `tid` track per node. Schema
-    /// [`TRACE_SCHEMA`] is stamped into the first metadata event. Any
-    /// recorded [`Self::count`] totals follow as counter (`"ph": "C"`)
-    /// events so service-level gauges (queue depth, wait time, coalesced
-    /// ops) land in the same artifact as the phase timeline.
     /// Export all spans in collapsed-stack ("folded") format — the input
     /// of `inferno-flamegraph` and speedscope's "collapsed" importer: one
     /// line per distinct stack, `frame;frame;...;frame <count>`, counts
@@ -355,6 +348,13 @@ impl Probe {
         out
     }
 
+    /// Export all spans in the Chrome tracing (`chrome://tracing`,
+    /// Perfetto) JSON array format: complete (`"ph": "X"`) events,
+    /// microsecond timestamps, one `tid` track per node. Schema
+    /// [`TRACE_SCHEMA`] is stamped into the first metadata event. Any
+    /// recorded [`Self::count`] totals follow as counter (`"ph": "C"`)
+    /// events so service-level gauges (queue depth, wait time,
+    /// refusals) land in the same artifact as the phase timeline.
     pub fn chrome_trace(&self) -> String {
         let mut out = String::from("[\n");
         out.push_str(&format!(

@@ -136,12 +136,12 @@ impl std::error::Error for SvcError {}
 struct TenantEntry {
     id: TenantId,
     weight: u32,
-    probe_names: [&'static str; 5],
-    last_exported: [u64; 5],
+    probe_names: [&'static str; 4],
+    last_exported: [u64; 4],
 }
 
 /// Order of the exported probe series, matching `TenantEntry::probe_names`.
-const PROBE_SERIES: [&str; 5] = ["submitted", "completed", "coalesced", "rejected", "wait_ns"];
+const PROBE_SERIES: [&str; 4] = ["submitted", "completed", "rejected", "wait_ns"];
 
 struct ServiceInner {
     server: CollectiveServer,
@@ -212,7 +212,7 @@ impl Service {
                     id,
                     weight,
                     probe_names,
-                    last_exported: [0; 5],
+                    last_exported: [0; 4],
                 })
             }
         };
@@ -258,17 +258,17 @@ impl Service {
 
     /// Export every tenant's counters into `probe` as Chrome-trace `"C"`
     /// series named `svc/<tenant>/<counter>` (submitted, completed,
-    /// coalesced, rejected, wait_ns). Probe counters are cumulative, so
-    /// each call adds the delta since the previous call; calling this
-    /// periodically (or once at the end of a run) makes the per-tenant
-    /// totals line up with [`Service::tenant_stats`].
+    /// rejected, wait_ns). Probe counters are cumulative, so each call
+    /// adds the delta since the previous call; calling this periodically
+    /// (or once at the end of a run) makes the per-tenant totals line up
+    /// with [`Service::tenant_stats`].
     pub fn record_probe(&self, probe: &mut Probe) {
         let mut tenants = self.inner.tenants.lock().expect("tenant table lock");
         for e in tenants.values_mut() {
             let Ok(s) = self.inner.server.tenant_stats(e.id) else {
                 continue;
             };
-            let now = [s.submitted, s.completed, s.coalesced, s.rejected, s.wait_ns];
+            let now = [s.submitted, s.completed, s.rejected, s.wait_ns];
             for (i, value) in now.iter().enumerate() {
                 let delta = value.saturating_sub(e.last_exported[i]);
                 if delta > 0 {

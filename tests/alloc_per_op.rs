@@ -18,7 +18,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use bgp_collectives::sched::{Request, Sched};
+use bgp_collectives::sched::{CollectiveServer, Request, Sched, ServerConfig, DEFAULT_TENANT};
 use bgp_collectives::shmem::SharedRegion;
 use bgp_collectives::smp::{Cluster, ClusterCtx, SenseBarrier};
 use bgp_collectives::svc::Service;
@@ -303,6 +303,68 @@ fn service_bcast_moves_each_member_result() {
         per_op <= BUDGET,
         "a 512 KiB service bcast allocates {per_op} B per op, {:.2} payloads \
          (budget {BUDGET} B)",
+        per_op as f64 / LEN as f64
+    );
+}
+
+/// Eight 4 KiB broadcasts from one root on a 2 x 1 service, queued behind
+/// a held lead so that they share a plan, counted from the submit of the
+/// op that holds the lead to the return of the last `wait`. Each runs as an
+/// engine op of its own, so each costs what a lone one does: node 1's
+/// landing region, which moves into its ticket slot (1.15 payloads per op
+/// with bookkeeping), and in some rounds a copy of the chunks node 1's
+/// engine parks in its stash because they arrived before its rank posted
+/// the op (up to one payload more). The held op is an allreduce whose
+/// outputs are the ranks' spent inputs of the previous round, so it adds
+/// bookkeeping only. (4.90 payloads per op while same-root broadcasts were
+/// fused into one op: the fused payload grown from the first one's, its
+/// landing region, and a copy of each broadcast's span for each member.)
+#[test]
+fn small_service_bcasts_sharing_a_plan_move_each_member_result() {
+    const LEN: usize = 4 << 10;
+    const SMALL: usize = 8;
+    const HELD_COUNT: usize = 64 << 10;
+    const BUDGET: u64 = LEN as u64 * 5 / 2;
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = ServerConfig {
+        batch_max_ops: 16,
+        pipeline: 1,
+    };
+    let server = CollectiveServer::with_config(2, 1, cfg);
+    let mut counted = 0;
+    for round in 0..WARM + OPS as usize {
+        let held_inputs = vec![vec![1.0; HELD_COUNT]; 2];
+        let sent: Vec<Vec<u8>> = (0..SMALL)
+            .map(|i| vec![(round * SMALL + i) as u8; LEN])
+            .collect();
+        let payloads = sent.clone();
+        let mut tickets = Vec::with_capacity(SMALL);
+        let before = ALLOCATED.load(Ordering::Relaxed);
+        // The lead takes the allreduce as a plan of its own and, at the
+        // pipeline bound, drains nothing more until it is done.
+        let held = server.submit_allreduce(&[0], held_inputs).unwrap();
+        while server.tenant_stats(DEFAULT_TENANT).unwrap().queue_depth > 0 {
+            std::thread::yield_now();
+        }
+        for payload in payloads {
+            tickets.push(server.submit_bcast(&[0], 0, 0, payload).unwrap());
+        }
+        let reduced = held.wait();
+        let got: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
+        let after = ALLOCATED.load(Ordering::Relaxed);
+        assert_eq!(reduced, vec![vec![2.0; HELD_COUNT]; 2], "round {round}");
+        for (i, (got, sent)) in got.into_iter().zip(sent).enumerate() {
+            assert_eq!(got, vec![sent; 2], "round {round} broadcast {i}");
+        }
+        if round >= WARM {
+            counted += after - before;
+        }
+    }
+    let per_op = counted / (OPS * SMALL as u64);
+    assert!(
+        per_op <= BUDGET,
+        "a 4 KiB service bcast sharing a plan allocates {per_op} B per op, {:.2} \
+         payloads (budget {BUDGET} B)",
         per_op as f64 / LEN as f64
     );
 }
