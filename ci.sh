@@ -7,8 +7,8 @@
 # regression and of the service's park/wake, shutdown and admission cases, the
 # bgp-check model-checking
 # suites, a smoke run
-# of a figure binary checking that its JSON report and its --trace probe
-# artifacts parse, the performance-regression gate (bench_gate) against the
+# of all_experiments checking that its JSON report (one array of the 11
+# figures) and its --trace probe artifacts parse, the performance-regression gate (bench_gate) against the
 # committed baseline, and the two committed simulator artifacts
 # (experiments_paper_scale.txt, tuning/default.json) reproducing exactly.
 set -euo pipefail
@@ -25,8 +25,9 @@ export BGP_GIT_SHA
 # (the committed BENCH_baseline.json / BENCH_pr<N>.json are history points,
 # not smoke artifacts, and stay).
 cleanup() {
-  rm -f ci_fig6.json BENCH_fig6_phases.json BENCH_fig6_trace.json \
-    BENCH_fig6_folded.txt BENCH_ci.json ci_svc_soak.json
+  rm -f ci_figures.json BENCH_fig6_phases.json BENCH_fig6_trace.json \
+    BENCH_fig6_folded.txt BENCH_table1_phases.json BENCH_table1_trace.json \
+    BENCH_table1_folded.txt BENCH_ci.json ci_svc_soak.json
   rm -rf ci_report
   # Stray cross-process segments from an interrupted proc_cluster run.
   # (Worker processes need no kill here: they watch getppid and exit on
@@ -294,14 +295,19 @@ echo "== smoke: svc_soak --small --check (3 tenants x 2 sessions)"
 cargo run --release -p bgp-bench --bin svc_soak -- --small --check --json ci_svc_soak.json
 python3 -m json.tool ci_svc_soak.json >/dev/null
 
-echo "== smoke: fig6 --small --json parses"
-cargo run --release -p bgp-bench --bin fig6 -- --small --json >ci_fig6.json
-python3 -m json.tool ci_fig6.json >/dev/null
+echo "== smoke: all_experiments --small --json is one array of 11 figures"
+cargo run --release -p bgp-bench --bin all_experiments -- --small --json >ci_figures.json
+python3 -m json.tool ci_figures.json >/dev/null
+python3 -c 'import json, sys
+figs = json.load(open(sys.argv[1]))
+assert isinstance(figs, list) and len(figs) == 11, f"expected 11 figures, got {len(figs)}"' ci_figures.json
 
-echo "== smoke: fig6 --small --trace artifacts parse"
-cargo run --release -p bgp-bench --bin fig6 -- --small --trace >/dev/null
-python3 -m json.tool BENCH_fig6_phases.json >/dev/null
-python3 -m json.tool BENCH_fig6_trace.json >/dev/null
+echo "== smoke: all_experiments --small --trace artifacts (fig6, table1) parse"
+cargo run --release -p bgp-bench --bin all_experiments -- --small --trace >/dev/null
+for id in fig6 table1; do
+  python3 -m json.tool "BENCH_${id}_phases.json" >/dev/null
+  python3 -m json.tool "BENCH_${id}_trace.json" >/dev/null
+done
 
 # The perf gate: the pinned suite at the small deterministic shape must
 # match the committed BENCH_baseline.json within tolerance, its report
@@ -328,7 +334,8 @@ cargo run --release -p bgp-tune --bin tune_table -- --check
 # from the committed baseline plus the BENCH_ci.json the gate step just
 # wrote. --check re-validates every emitted artifact: SVGs through the
 # vendored XML well-formedness scanner, .folded files through the
-# collapsed-stack format check, sweep JSONs through history ingestion.
+# collapsed-stack format check, sweep JSONs by re-parsing each into the
+# figure it was written from.
 echo "== report: bgp-report tests"
 cargo test -q -p bgp-report
 echo "== report: perf_report --check (history -> ci_report/)"

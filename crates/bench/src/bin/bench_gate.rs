@@ -8,8 +8,8 @@
 //!
 //! Flags: `--small` (64 nodes, the deterministic CI shape; default is the
 //! paper's 2048), `--label <name>` (output `BENCH_<name>.json`, default
-//! `current`), `--baseline <path>`, `--tol <pct>` (default 10), `--check`,
-//! `--selftest`, `--no-write`.
+//! `current`), `--baseline <path>`, `--tol <pct>` (finite and
+//! non-negative; default 10), `--check`, `--selftest`, `--no-write`.
 //!
 //! Simulated entries are bit-deterministic, so any delta against the
 //! committed baseline is a real behavior change, not noise; the three host
@@ -45,10 +45,10 @@ fn main() -> ExitCode {
                 match a.as_str() {
                     "--label" => label = v,
                     "--baseline" => baseline_path = v,
-                    _ => match v.parse::<f64>() {
-                        Ok(t) if t >= 0.0 => tol = t,
-                        _ => {
-                            eprintln!("bad tolerance {v:?}");
+                    _ => match gate::parse_tolerance(&v) {
+                        Some(t) => tol = t,
+                        None => {
+                            eprintln!("bad tolerance {v:?} (a finite, non-negative percent)");
                             return ExitCode::FAILURE;
                         }
                     },

@@ -4,11 +4,11 @@
 //! `bgp_tune::sweep` engine) plus a summary of where the *tuned* table
 //! places the selection crossovers versus the static §V thresholds.
 
-use bgp_bench::report::fmt_size;
 use bgp_bench::{figures, Scale};
 use bgp_machine::{MachineConfig, OpMode};
 use bgp_mpi::select::{SHORT_MSG_BYTES, TREE_TORUS_CROSSOVER_BYTES};
 use bgp_mpi::tune::{SelectionPolicy, Tunable};
+use bgp_tune::sweep::fmt_size;
 
 fn main() {
     let scale = Scale::from_args();

@@ -10,8 +10,7 @@ use bgp_mpi::allreduce::{throughput_mb, AllreduceAlgorithm};
 use bgp_mpi::{BcastAlgorithm, Mpi};
 use bgp_tune::sweep::{mbps, measure, pow2_sizes};
 
-use crate::report::{Figure, Row};
-use crate::Scale;
+use crate::{Figure, Row, Scale};
 
 fn quad(scale: Scale) -> Mpi {
     Mpi::new(MachineConfig::with_nodes(scale.nodes(), OpMode::Quad))
@@ -401,25 +400,18 @@ pub fn crossover(scale: Scale) -> Figure {
     // Per-path columns come from the shared sweep engine (the same
     // measurements the autotuner consumes); the "selected" column replays
     // the production tuned path.
-    let sweep = measure(&cfg, &algs, &sizes);
+    let mut rows = measure(&cfg, &algs, &sizes).rows;
     let mut q = quad(scale);
-    let rows = sweep
-        .sizes
-        .iter()
-        .zip(&sweep.micros)
-        .map(|(&b, row)| {
-            let mut values = row.clone();
-            let (picked, t) = q.bcast_auto(b);
-            values.push(t.as_micros_f64());
-            // Encode the picked algorithm as an index for the JSON side.
-            values.push(match picked {
-                BcastAlgorithm::TreeShmem => 0.0,
-                BcastAlgorithm::TreeShaddr { .. } => 1.0,
-                _ => 2.0,
-            });
-            Row { x: b, values }
-        })
-        .collect();
+    for row in &mut rows {
+        let (picked, t) = q.bcast_auto(row.x);
+        row.values.push(t.as_micros_f64());
+        // Encode the picked algorithm as an index for the JSON side.
+        row.values.push(match picked {
+            BcastAlgorithm::TreeShmem => 0.0,
+            BcastAlgorithm::TreeShaddr { .. } => 1.0,
+            _ => 2.0,
+        });
+    }
     Figure {
         id: "crossover".into(),
         title: "Algorithm crossover: latency of each path + the selected one".into(),
@@ -482,8 +474,8 @@ mod tests {
     use super::*;
 
     // All shape tests run at Small scale to stay fast in debug builds; the
-    // integration suite re-checks the headline ratios, and the binaries
-    // regenerate the Paper scale.
+    // integration suite re-checks the headline ratios, and `all_experiments`
+    // regenerates the Paper scale.
 
     #[test]
     fn fig6_shape() {

@@ -1,12 +1,13 @@
 //! # bgp-bench — regenerate every table and figure of the paper
 //!
-//! One function per experiment ([`figures`]), a common result format
-//! ([`report`]), and runnable binaries (`src/bin/fig6.rs` … `table1.rs`,
-//! plus the ablations) that print the measured series next to the paper's
-//! anchor numbers. Everything here is the deterministic simulator except
-//! `proc_cluster`, `svc_soak` and the §IV-A `fifo_vs_mutex` ablation in
-//! `benches/`; wall-clock numbers of the real runtimes come from
-//! `benchmark/`.
+//! One function per experiment ([`figures`]), each returning the shared
+//! size × series table ([`Figure`], re-exported from `bgp_tune::sweep`),
+//! and one binary, `all_experiments`, that prints all of them with the
+//! paper's anchor numbers under each table (`--json` for one JSON array,
+//! `--trace` for the probe artifacts of [`trace`]). Everything here is
+//! the deterministic simulator except `proc_cluster`, `svc_soak` and the
+//! §IV-A `fifo_vs_mutex` ablation in `benches/`; wall-clock numbers of the
+//! real runtimes come from `benchmark/`.
 //!
 //! Everything runs at two scales:
 //!
@@ -18,10 +19,7 @@
 
 pub mod figures;
 pub mod harness;
-pub mod report;
 pub mod trace;
 
-/// Experiment scale, shared with the `bgp-tune` gate suite.
-pub use bgp_tune::Scale;
-
-pub use report::{Figure, Row};
+/// Experiment scale and result table, shared with `bgp-tune`.
+pub use bgp_tune::{Figure, Row, Scale};

@@ -1,8 +1,8 @@
-//! Probe artifacts for the figure binaries.
+//! Probe artifacts of `all_experiments --trace`.
 //!
-//! When a figure binary is run with `--trace`, it re-runs one
-//! representative operation of its figure with the probe enabled and writes
-//! two machine-readable files next to the report:
+//! With `--trace`, `all_experiments` re-runs one representative operation
+//! of fig6 and of table1 with the probe enabled and writes three
+//! machine-readable files per figure next to the report:
 //!
 //! * `BENCH_<id>_phases.json` — the per-phase breakdown (schema
 //!   [`bgp_sim::TRACE_SCHEMA`]): per-phase busy and exclusive times, where
@@ -64,7 +64,7 @@ pub fn emit(id: &str, cfg: MachineConfig, op: TraceOp) -> io::Result<(PathBuf, P
 }
 
 /// [`emit`] if `--trace` was requested, reporting the written paths on
-/// stdout (what the figure binaries call after printing their table).
+/// stdout (what `all_experiments` calls after printing its tables).
 pub fn emit_if_requested(id: &str, cfg: MachineConfig, op: TraceOp) {
     if !requested() {
         return;

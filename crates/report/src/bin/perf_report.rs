@@ -10,7 +10,8 @@
 //! * a Table-I-style grouped bar chart (baseline vs newest bandwidths);
 //! * one cross-PR trend chart per gated series, with the baseline's
 //!   tolerance band shaded and gate violations marked;
-//! * serialized sweeps (`bgp-sweep-v1`) behind the latency figures;
+//! * the latency figures' measured tables, as figure JSON
+//!   (`bgp_tune::sweep::Figure::to_json`);
 //! * collapsed-stack (`.folded`) exports of representative traced
 //!   operations, directly loadable in inferno / speedscope.
 //!
@@ -26,7 +27,8 @@
 //!   --check  after writing, re-validate every emitted artifact: SVGs
 //!            through the vendored XML well-formedness check, .folded
 //!            files through the collapsed-stack format check, sweep
-//!            JSONs through history ingestion, index.md link targets
+//!            JSONs by re-parsing each into the figure it was written
+//!            from, index.md link targets
 //! ```
 
 use std::fs;
@@ -36,10 +38,11 @@ use std::process::ExitCode;
 use bgp_machine::{MachineConfig, OpMode};
 use bgp_mpi::tune::{TuningTable, BUILTIN_TABLE_JSON};
 use bgp_mpi::AllreduceAlgorithm;
-use bgp_report::history::{self, History, HistoryPoint, Ingested};
+use bgp_report::history::{History, HistoryPoint};
 use bgp_report::plots::{self, TrendPoint};
 use bgp_report::{flame, xml};
-use bgp_tune::gate::DEFAULT_TOLERANCE_PCT;
+use bgp_tune::gate::{self, DEFAULT_TOLERANCE_PCT};
+use bgp_tune::Figure;
 
 struct Opts {
     dir: PathBuf,
@@ -72,9 +75,8 @@ fn parse_args() -> Result<Opts, String> {
             "--tol" => {
                 opts.tol = it
                     .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|v: &f64| v.is_finite() && *v >= 0.0)
-                    .ok_or("--tol needs a non-negative number")?
+                    .and_then(|v| gate::parse_tolerance(v))
+                    .ok_or("--tol needs a finite, non-negative number")?
             }
             "--check" => opts.check = true,
             bad => return Err(format!("unknown flag {bad}")),
@@ -123,12 +125,17 @@ fn run(opts: &Opts) -> Result<(), String> {
     let algs = bgp_tune::autotune::measured_algorithms(OpMode::Quad);
     let (svg, sweep) = plots::latency_figure(&cfg, &algs, &table);
     write("fig_bcast_latency.svg", &svg)?;
-    write("sweep_bcast.json", &sweep.to_json())?;
     let mut ar_algs = vec![AllreduceAlgorithm::RingCurrent];
     ar_algs.extend(bgp_tune::autotune::ar_candidates());
     let (svg, ar_sweep) = plots::latency_figure(&cfg, &ar_algs, &table);
     write("fig_allreduce_latency.svg", &svg)?;
-    write("sweep_allreduce.json", &ar_sweep.to_json())?;
+    let sweeps = [
+        ("sweep_bcast.json", sweep),
+        ("sweep_allreduce.json", ar_sweep),
+    ];
+    for (name, fig) in &sweeps {
+        write(name, &fig.to_json())?;
+    }
 
     // 2. Table-I grouped bars (skipped when no bandwidth series overlap).
     let bars = plots::table1_bars(&baseline.report, &newest.report);
@@ -263,15 +270,16 @@ fn run(opts: &Opts) -> Result<(), String> {
     );
 
     if opts.check {
-        check_output(&opts.out)?;
+        check_output(&opts.out, &sweeps)?;
     }
     Ok(())
 }
 
 /// Validate everything in `out`: SVGs are well-formed XML, `.folded`
-/// files follow the collapsed-stack format, sweep JSONs re-ingest, and
-/// every relative link in index.md resolves.
-fn check_output(out: &Path) -> Result<(), String> {
+/// files follow the collapsed-stack format, each written sweep JSON
+/// re-parses to the figure it was written from, and every relative link
+/// in index.md resolves.
+fn check_output(out: &Path, sweeps: &[(&str, Figure)]) -> Result<(), String> {
     let mut names: Vec<String> = fs::read_dir(out)
         .map_err(|e| format!("scan {}: {e}", out.display()))?
         .filter_map(|e| e.ok())
@@ -280,7 +288,6 @@ fn check_output(out: &Path) -> Result<(), String> {
     names.sort();
     let mut svgs = 0;
     let mut folded = 0;
-    let mut sweeps = 0;
     for name in &names {
         let text = fs::read_to_string(out.join(name)).map_err(|e| format!("read {name}: {e}"))?;
         if name.ends_with(".svg") {
@@ -289,21 +296,19 @@ fn check_output(out: &Path) -> Result<(), String> {
         } else if name.ends_with(".folded") {
             flame::check_folded(&text).map_err(|e| format!("{name}: bad folded: {e}"))?;
             folded += 1;
-        } else if name.starts_with("sweep_") && name.ends_with(".json") {
-            match history::ingest(&text) {
-                Ok(Ingested::Sweep(_)) => sweeps += 1,
-                Ok(_) => return Err(format!("{name}: ingested as a non-sweep document")),
-                Err(e) => return Err(format!("{name}: {e}")),
-            }
+        }
+    }
+    for (name, fig) in sweeps {
+        let text = fs::read_to_string(out.join(name)).map_err(|e| format!("read {name}: {e}"))?;
+        if Figure::parse(&text).map_err(|e| format!("{name}: {e}"))? != *fig {
+            return Err(format!("{name}: does not re-parse to the figure written"));
         }
     }
     if svgs < 4 {
         return Err(format!("expected at least 4 SVG figures, found {svgs}"));
     }
-    if folded == 0 || sweeps == 0 {
-        return Err(format!(
-            "missing artifacts: {folded} folded, {sweeps} sweeps"
-        ));
+    if folded == 0 {
+        return Err("missing artifacts: no folded traces".into());
     }
     // Every relative link target in index.md must exist.
     let index =
@@ -325,7 +330,8 @@ fn check_output(out: &Path) -> Result<(), String> {
     }
     println!(
         "perf_report check: OK ({svgs} SVGs well-formed, {folded} folded valid, \
-         {sweeps} sweeps re-ingested, {links} index links resolve)"
+         {} sweeps re-parse equal, {links} index links resolve)",
+        sweeps.len()
     );
     Ok(())
 }

@@ -1,15 +1,13 @@
-//! The bench-history model: every perf artifact the repo emits, parsed
-//! into one schema-tagged store.
+//! The bench-history model: the gate reports the repo emits, parsed into
+//! one trajectory.
 //!
-//! Three input schemas exist today:
+//! [`ingest`] dispatches on a document's `schema` tag. One schema is read
+//! today: `bgp-bench-gate-v1`, the gate suites `bench_gate` writes. (The
+//! latency sweeps `perf_report` plots are `bgp_tune::sweep::Figure`s,
+//! which `Figure::parse` reads back.)
 //!
-//! * `bgp-bench-gate-v1` — gate suites (`bench_gate`);
-//! * `bgp-svc-soak-v1` — multi-tenant soak summaries (`svc_soak --json`);
-//! * `bgp-sweep-v1` — serialized latency sweeps (`Sweep::to_json`).
-//!
-//! Every parse failure is a *typed* [`IngestError`] naming the schema it
-//! happened in — malformed inputs must never panic the reporter (tested
-//! per schema in the unit tests below).
+//! Every parse failure is a *typed* [`IngestError`] — malformed inputs must
+//! never panic the reporter (tested in the unit tests below).
 //!
 //! History ordering: every gate report carries a `bgp-bench-meta-v1`
 //! block (one without is a malformed gate report) and points order by its
@@ -23,10 +21,6 @@ use std::path::Path;
 
 use bgp_sim::json::{self, Json};
 use bgp_tune::gate::{self, GateReport};
-use bgp_tune::sweep::SWEEP_SCHEMA;
-
-/// Soak summary schema id (written by `svc_soak --json`).
-pub const SOAK_SCHEMA: &str = "bgp-svc-soak-v1";
 
 /// A parse failure, typed by the schema that rejected the document.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,10 +31,6 @@ pub enum IngestError {
     UnknownSchema(String),
     /// A malformed `bgp-bench-gate-v1` suite report.
     Gate(String),
-    /// A malformed `bgp-svc-soak-v1` summary.
-    Soak(String),
-    /// A malformed `bgp-sweep-v1` document.
-    Sweep(String),
 }
 
 impl fmt::Display for IngestError {
@@ -49,123 +39,14 @@ impl fmt::Display for IngestError {
             IngestError::NotJson(e) => write!(f, "not JSON: {e}"),
             IngestError::UnknownSchema(s) => write!(f, "unknown schema {s:?}"),
             IngestError::Gate(e) => write!(f, "malformed gate report: {e}"),
-            IngestError::Soak(e) => write!(f, "malformed soak summary: {e}"),
-            IngestError::Sweep(e) => write!(f, "malformed sweep: {e}"),
         }
     }
-}
-
-/// A parsed `bgp-svc-soak-v1` summary (the fields the report renders).
-#[derive(Debug, Clone)]
-pub struct SoakDoc {
-    pub jain: f64,
-    pub aggregate_ops_per_s: f64,
-    pub flood_p99_vs_solo: f64,
-    pub tenants: usize,
-}
-
-/// A parsed `bgp-sweep-v1` document.
-#[derive(Debug, Clone)]
-pub struct SweepDoc {
-    pub op: String,
-    pub mode: String,
-    pub nodes: u64,
-    pub algs: Vec<String>,
-    pub sizes: Vec<u64>,
-    /// `micros[size_idx][alg_idx]`.
-    pub micros: Vec<Vec<f64>>,
 }
 
 /// Any successfully ingested document.
 #[derive(Debug, Clone)]
 pub enum Ingested {
     Gate(Box<GateReport>),
-    Soak(SoakDoc),
-    Sweep(SweepDoc),
-}
-
-fn soak_num(doc: &Json, outer: &str, key: &str) -> Result<f64, IngestError> {
-    doc.get(outer)
-        .and_then(|o| o.get(key))
-        .and_then(Json::as_f64)
-        .ok_or_else(|| IngestError::Soak(format!("missing {outer}.{key}")))
-}
-
-fn parse_soak(doc: &Json) -> Result<SoakDoc, IngestError> {
-    let tenants = doc
-        .get("fairness")
-        .and_then(|f| f.get("tenants"))
-        .and_then(Json::as_arr)
-        .ok_or_else(|| IngestError::Soak("missing fairness.tenants".into()))?
-        .len();
-    Ok(SoakDoc {
-        jain: soak_num(doc, "fairness", "jain")?,
-        aggregate_ops_per_s: soak_num(doc, "fairness", "aggregate_ops_per_s")?,
-        flood_p99_vs_solo: soak_num(doc, "flood", "p99_vs_solo")?,
-        tenants,
-    })
-}
-
-fn parse_sweep(doc: &Json) -> Result<SweepDoc, IngestError> {
-    let err = |m: &str| IngestError::Sweep(m.to_string());
-    let str_field = |k: &str| {
-        doc.get(k)
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| IngestError::Sweep(format!("missing {k}")))
-    };
-    let algs = doc
-        .get("algs")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| err("missing algs"))?
-        .iter()
-        .map(|a| {
-            a.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| err("non-string alg"))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let sizes = doc
-        .get("sizes")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| err("missing sizes"))?
-        .iter()
-        .map(|s| {
-            s.as_f64()
-                .filter(|v| v.fract() == 0.0 && *v >= 0.0)
-                .map(|v| v as u64)
-                .ok_or_else(|| err("non-integer size"))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let micros = doc
-        .get("micros")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| err("missing micros"))?
-        .iter()
-        .map(|row| {
-            row.as_arr()
-                .ok_or_else(|| err("micros row is not an array"))?
-                .iter()
-                .map(|v| v.as_f64().ok_or_else(|| err("non-number micros cell")))
-                .collect::<Result<Vec<_>, _>>()
-        })
-        .collect::<Result<Vec<Vec<_>>, _>>()?;
-    if micros.len() != sizes.len() || micros.iter().any(|r| r.len() != algs.len()) {
-        return Err(err("micros shape does not match sizes x algs"));
-    }
-    Ok(SweepDoc {
-        op: str_field("op")?,
-        mode: str_field("mode")?,
-        nodes: doc
-            .get("nodes")
-            .and_then(Json::as_f64)
-            .filter(|v| v.fract() == 0.0 && *v > 0.0)
-            .map(|v| v as u64)
-            .ok_or_else(|| err("missing nodes"))?,
-        algs,
-        sizes,
-        micros,
-    })
 }
 
 /// Parse any supported perf artifact, dispatching on its `schema` tag.
@@ -176,8 +57,6 @@ pub fn ingest(text: &str) -> Result<Ingested, IngestError> {
         gate::GATE_SCHEMA => GateReport::parse(text)
             .map(|r| Ingested::Gate(Box::new(r)))
             .map_err(IngestError::Gate),
-        SOAK_SCHEMA => parse_soak(&doc).map(Ingested::Soak),
-        SWEEP_SCHEMA => parse_sweep(&doc).map(Ingested::Sweep),
         other => Err(IngestError::UnknownSchema(other.to_string())),
     }
 }
@@ -247,7 +126,6 @@ impl History {
                         report: *r,
                     });
                 }
-                Ok(_) => h.skipped.push((name, "not a gate report".into())),
                 Err(e) => h.skipped.push((name, e.to_string())),
             }
         }
@@ -257,8 +135,9 @@ impl History {
     }
 
     /// The trajectory of gated series `id`, restricted to points at
-    /// `scale` (mixing scales would chart incomparable numbers):
-    /// `(point_index_within_result, point, value)`.
+    /// `scale` (mixing scales would chart incomparable numbers): one
+    /// `(point, value)` pair per point that carries the series, in
+    /// trajectory order.
     pub fn series(&self, id: &str, scale: &str) -> Vec<(&HistoryPoint, f64)> {
         self.points
             .iter()
@@ -310,50 +189,6 @@ mod tests {
             ingest("{\"schema\": \"who-knows-v9\"}"),
             Err(IngestError::UnknownSchema(_))
         ));
-    }
-
-    #[test]
-    fn malformed_soak_summary_is_a_typed_error() {
-        let bad = format!("{{\"schema\": \"{SOAK_SCHEMA}\", \"fairness\": {{}}}}");
-        assert!(matches!(ingest(&bad), Err(IngestError::Soak(_))));
-        let ok = format!(
-            "{{\"schema\": \"{SOAK_SCHEMA}\", \"fairness\": {{\"jain\": 0.99, \
-             \"aggregate_ops_per_s\": 1200.5, \"tenants\": [{{}}, {{}}]}}, \
-             \"flood\": {{\"p99_vs_solo\": 1.4}}}}"
-        );
-        match ingest(&ok) {
-            Ok(Ingested::Soak(s)) => {
-                assert_eq!(s.tenants, 2);
-                assert!((s.jain - 0.99).abs() < 1e-12);
-                assert!((s.flood_p99_vs_solo - 1.4).abs() < 1e-12);
-            }
-            other => panic!("expected soak, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn malformed_sweep_is_a_typed_error() {
-        let missing = format!("{{\"schema\": \"{SWEEP_SCHEMA}\", \"op\": \"bcast\"}}");
-        assert!(matches!(ingest(&missing), Err(IngestError::Sweep(_))));
-        // Shape mismatch: 2 sizes but 1 micros row.
-        let ragged = format!(
-            "{{\"schema\": \"{SWEEP_SCHEMA}\", \"op\": \"bcast\", \"mode\": \"quad\", \
-             \"nodes\": 64, \"algs\": [\"tree_shmem\"], \"sizes\": [64, 128], \
-             \"micros\": [[1.0]]}}"
-        );
-        assert!(matches!(ingest(&ragged), Err(IngestError::Sweep(_))));
-        let ok = format!(
-            "{{\"schema\": \"{SWEEP_SCHEMA}\", \"op\": \"bcast\", \"mode\": \"quad\", \
-             \"nodes\": 64, \"algs\": [\"tree_shmem\"], \"sizes\": [64, 128], \
-             \"micros\": [[1.0], [2.0]]}}"
-        );
-        match ingest(&ok) {
-            Ok(Ingested::Sweep(s)) => {
-                assert_eq!(s.sizes, vec![64, 128]);
-                assert_eq!(s.algs, vec!["tree_shmem"]);
-            }
-            other => panic!("expected sweep, got {other:?}"),
-        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! bgp-report — the perf-trajectory reporting subsystem.
 //!
-//! Turns the repo's bench artifacts (`BENCH_*.json` gate suites and
-//! hot-path reports, soak summaries, serialized sweeps) into a browsable
-//! report: `report/index.md` plus deterministic SVG figures reproducing
-//! the paper's plot layouts, cross-PR trend charts per gated series, and
-//! flamegraph-ready collapsed-stack exports of representative traced
-//! operations.
+//! Turns the repo's bench history (the `BENCH_*.json` gate reports) into
+//! a browsable report: `report/index.md` plus deterministic SVG figures
+//! reproducing the paper's plot layouts (drawn from
+//! `bgp_tune::sweep::Figure` sweeps, written next to them as figure
+//! JSON), cross-PR trend charts per gated series, and flamegraph-ready
+//! collapsed-stack exports of representative traced operations.
 //!
 //! Everything is vendored — the SVG writer ([`svg`]), the XML
 //! well-formedness check ([`xml`]), the history ingestion ([`history`]),

@@ -14,9 +14,9 @@
 use bgp_machine::MachineConfig;
 use bgp_mpi::tune::{Region, Tunable, TuningTable};
 use bgp_tune::gate::{Better, GateReport};
-use bgp_tune::sweep::{measure, pow2_sizes, Sweep};
+use bgp_tune::sweep::{fmt_size, measure, pow2_sizes, Figure};
 
-use crate::svg::{fmt_bytes, BarChart, BarGroup, LineChart, PointMark, ScaleKind, Series, VMark};
+use crate::svg::{BarChart, BarGroup, LineChart, PointMark, ScaleKind, Series, VMark};
 
 /// The size grid of the paper-layout figures: 64 B … 4 MiB.
 pub fn paper_sizes() -> Vec<u64> {
@@ -32,7 +32,7 @@ fn crossover_marks<A: Tunable>(regions: &[Region<A>]) -> Vec<VMark> {
                 x: b as f64,
                 label: format!(
                     "tuned: {}>{}: {}",
-                    fmt_bytes(b as f64),
+                    fmt_size(b),
                     w[0].alg.id(),
                     w[1].alg.id()
                 ),
@@ -48,16 +48,9 @@ pub fn latency_figure<A: Tunable>(
     cfg: &MachineConfig,
     algs: &[A],
     table: &TuningTable,
-) -> (String, Sweep<A>) {
+) -> (String, Figure) {
     let sweep = measure(cfg, algs, &paper_sizes());
-    let (head, tail) = A::OP.split_at(1);
-    let title = format!(
-        "MPI_{}{tail} latency vs size ({} nodes, {:?} mode)",
-        head.to_uppercase(),
-        cfg.node_count(),
-        cfg.mode
-    );
-    let mut chart = LineChart::new(&title, "message size (bytes)", "latency (us, log2)");
+    let mut chart = LineChart::new(&sweep.title, "message size (bytes)", "latency (us, log2)");
     chart.x_kind = ScaleKind::Log2;
     chart.y_kind = ScaleKind::Log2;
     chart.x_bytes = true;
@@ -65,14 +58,13 @@ pub fn latency_figure<A: Tunable>(
         .entry_for(cfg)
         .map(|e| crossover_marks(A::regions(e)))
         .unwrap_or_default();
-    for &a in algs {
+    for (i, name) in sweep.series.iter().enumerate() {
         chart.series.push(Series {
-            name: a.id().to_string(),
+            name: name.clone(),
             points: sweep
-                .series(a)
-                .unwrap()
-                .into_iter()
-                .map(|(s, us)| (s as f64, us))
+                .rows
+                .iter()
+                .map(|r| (r.x as f64, r.values[i]))
                 .collect(),
         });
     }
@@ -193,7 +185,10 @@ mod tests {
         let (svg, sweep) = latency_figure(&cfg, &algs, &t);
         assert!(svg.contains("tuned:"), "crossover markers present");
         assert!(svg.contains("tree_shmem"));
-        assert_eq!(sweep.sizes, paper_sizes());
+        assert_eq!(
+            sweep.rows.iter().map(|r| r.x).collect::<Vec<_>>(),
+            paper_sizes()
+        );
         let (svg2, _) = latency_figure(&cfg, &algs, &t);
         assert_eq!(svg, svg2);
         crate::xml::check_well_formed(&svg).unwrap();

@@ -13,6 +13,8 @@
 //! The golden-file tests in `tests/golden.rs` hold the writer to the
 //! byte-stability promise.
 
+use bgp_tune::sweep::fmt_size;
+
 /// The pinned float formatter: fixed three decimal places.
 ///
 /// All geometry and data labels go through this single chokepoint so the
@@ -276,19 +278,6 @@ impl Scale {
     }
 }
 
-/// Format a byte count the way the paper's figures label sizes
-/// (64, 1K, 64K, 4M).
-pub fn fmt_bytes(b: f64) -> String {
-    let b = b.round() as u64;
-    if b >= 1 << 20 && b.is_multiple_of(1 << 20) {
-        format!("{}M", b >> 20)
-    } else if b >= 1 << 10 && b.is_multiple_of(1 << 10) {
-        format!("{}K", b >> 10)
-    } else {
-        format!("{b}")
-    }
-}
-
 /// Format a generic tick value: integers plainly, else via [`fmt3`].
 pub fn fmt_tick(v: f64) -> String {
     if v.fract() == 0.0 && v.abs() < 1e12 {
@@ -427,7 +416,7 @@ impl LineChart {
                 .iter()
                 .map(|&t| {
                     let label = if self.x_bytes {
-                        fmt_bytes(t)
+                        fmt_size(t.round() as u64)
                     } else {
                         fmt_tick(t)
                     };
@@ -640,10 +629,17 @@ mod tests {
 
     #[test]
     fn byte_labels_match_paper_figures() {
-        assert_eq!(fmt_bytes(64.0), "64");
-        assert_eq!(fmt_bytes(1024.0), "1K");
-        assert_eq!(fmt_bytes(65536.0), "64K");
-        assert_eq!(fmt_bytes((4u64 << 20) as f64), "4M");
+        let mut c = LineChart::new("t", "bytes", "us");
+        c.x_kind = ScaleKind::Log2;
+        c.x_bytes = true;
+        c.series.push(Series {
+            name: "s".into(),
+            points: vec![(64.0, 1.0), ((4u64 << 20) as f64, 2.0)],
+        });
+        let svg = c.render();
+        for label in ["64", "1K", "64K", "4M"] {
+            assert!(svg.contains(&format!(">{label}</text>")), "tick {label}");
+        }
     }
 
     #[test]

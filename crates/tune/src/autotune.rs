@@ -33,7 +33,7 @@ use bgp_mpi::tune::{pick, Region, ShapeEntry, Tunable, TuningTable};
 use bgp_mpi::{AllreduceAlgorithm, BcastAlgorithm};
 use bgp_sim::Rng;
 
-use crate::sweep::{measure, pow2_sizes, Sweep};
+use crate::sweep::{measure, pow2_sizes, Figure};
 
 /// What to sweep and how to resample.
 #[derive(Debug, Clone)]
@@ -126,11 +126,11 @@ pub fn ar_candidates() -> Vec<AllreduceAlgorithm> {
 
 /// Derive monotone selection regions from measured pairwise crossovers
 /// (confidences are filled in by the resampling pass; this returns 1.0).
-fn regions_from<A: Tunable>(sweep: &Sweep<A>, cands: &[A]) -> Vec<Region<A>> {
+fn regions_from<A: Tunable>(sweep: &Figure, cands: &[A]) -> Vec<Region<A>> {
     let mut regions = Vec::new();
     let mut prev_bound = 0u64;
     for pair in cands.windows(2) {
-        if let Some(b) = sweep.last_win(pair[0], pair[1]) {
+        if let Some(b) = sweep.last_win(pair[0].id(), pair[1].id()) {
             if b > prev_bound {
                 regions.push(Region {
                     upto: Some(b),
@@ -168,14 +168,14 @@ fn tuned_regions<A: Tunable>(
     let mut rng = Rng::new(seed);
     for _ in 0..opts.resamples {
         let mut perturbed = sweep.clone();
-        for row in &mut perturbed.micros {
-            for v in row.iter_mut() {
+        for row in &mut perturbed.rows {
+            for v in row.values.iter_mut() {
                 let amp = opts.perturb_pct / 100.0;
                 *v *= 1.0 + rng.range_f64(-amp, amp);
             }
         }
         let resampled = regions_from(&perturbed, cands);
-        for &bytes in &sweep.sizes {
+        for &bytes in &opts.sizes {
             let idx = regions
                 .iter()
                 .position(|r| r.upto.is_none_or(|b| bytes <= b))

@@ -50,6 +50,13 @@ pub const SEQ_ENV: &str = "BGP_BENCH_SEQ";
 /// Default slowdown tolerance, percent.
 pub const DEFAULT_TOLERANCE_PCT: f64 = 10.0;
 
+/// Parse a `--tol` value: a finite, non-negative percentage. An infinite
+/// or NaN tolerance would let [`compare`] pass every regression, so both
+/// are refused along with negative values.
+pub fn parse_tolerance(s: &str) -> Option<f64> {
+    s.parse().ok().filter(|t: &f64| t.is_finite() && *t >= 0.0)
+}
+
 /// Which direction is good for an entry's value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Better {
@@ -759,6 +766,15 @@ pub fn inject_slowdown(report: &mut GateReport, pct: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tolerance_must_be_finite_and_non_negative() {
+        assert_eq!(parse_tolerance("10"), Some(10.0));
+        assert_eq!(parse_tolerance("0"), Some(0.0));
+        assert_eq!(parse_tolerance("inf"), None);
+        assert_eq!(parse_tolerance("NaN"), None);
+        assert_eq!(parse_tolerance("-1"), None);
+    }
 
     fn synthetic() -> GateReport {
         GateReport {

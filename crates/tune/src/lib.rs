@@ -19,8 +19,11 @@
 //!   gates exactly; wall-clock numbers of the real runtimes come from
 //!   `benchmark/`, not from here.
 //!
-//! [`Scale`], [`sweep::pow2_sizes`] and [`sweep::mbps`] are shared with
-//! `bgp-bench`, which re-exports the scale as `bgp_bench::Scale`.
+//! [`sweep`] also holds [`Figure`], the one size × series table: the
+//! autotuner's sweeps, `bgp-bench`'s paper figures and `bgp-report`'s
+//! latency plots all use it. [`Scale`], [`Figure`], [`sweep::pow2_sizes`],
+//! [`sweep::mbps`] and [`sweep::fmt_size`] are shared with `bgp-bench`,
+//! which re-exports `Scale`, `Figure` and `Row`.
 //!
 //! Binaries: `tune_table` (here) regenerates the table; `bench_gate`
 //! (in `bgp-bench`) runs the gate.
@@ -32,4 +35,4 @@ pub mod sweep;
 
 pub use autotune::{autotune, AutotuneOpts};
 pub use gate::{compare, run_suite, CompareOutcome, GateReport};
-pub use sweep::{measure, Scale, Sweep};
+pub use sweep::{measure, Figure, Row, Scale};
