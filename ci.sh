@@ -191,6 +191,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo clippy --features model (-D warnings)"
 cargo clippy -p bgp-shmem -p bgp-smp -p bgp-sched --all-targets --features model -- -D warnings
 
+# Broken and private intra-doc links fail here, not in a reader's browser.
+echo "== cargo doc (-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 # BGP_STRESS_FULL=1 restores the full stress-test iteration counts that
 # bgp_shmem::testing::stress_iters would otherwise scale down on small
 # (1-2 core) hosts. CI always runs the full volumes. The root Cargo.toml's

@@ -388,7 +388,7 @@ pub fn ext_allgather(scale: Scale) -> Figure {
 
 /// The crossover exhibit: every quad-mode broadcast path across the full
 /// size range plus the production selection's pick - the evidence behind
-/// `select_bcast`'s thresholds.
+/// the tuning table's crossovers.
 pub fn crossover(scale: Scale) -> Figure {
     let sizes = pow2_sizes(64, 4 << 20);
     let cfg = MachineConfig::with_nodes(scale.nodes(), OpMode::Quad);

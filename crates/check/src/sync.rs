@@ -2,7 +2,7 @@
 //!
 //! Drop-in replacements for the `std::sync::atomic` types the shmem
 //! primitives use. Inside a model run every operation is a scheduling point
-//! and moves the vector clocks per its `Ordering` (see [`crate::rt`]).
+//! and moves the vector clocks per its `Ordering` (see `crate::rt`).
 //! Outside a model run the operations fall back to mutex-serialized direct
 //! access — sequentially consistent, i.e. strictly stronger than anything
 //! the caller asked for — so a crate compiled with its `model` feature still

@@ -157,7 +157,7 @@ mod tests {
 
     #[test]
     fn noncontiguous_never_selects_a_counter_path() {
-        let policy = SelectionPolicy::static_policy();
+        let policy = SelectionPolicy::builtin();
         let cfg = MachineConfig::two_racks_quad();
         let v = Datatype::Vector {
             count: 1024,
@@ -185,13 +185,10 @@ mod tests {
     #[test]
     fn contiguous_follows_the_ordinary_policy() {
         let cfg = MachineConfig::two_racks_quad();
+        let policy = SelectionPolicy::builtin();
         assert_eq!(
-            SelectionPolicy::static_policy().select_bcast_typed(
-                &cfg,
-                4 << 20,
-                Datatype::Contiguous
-            ),
-            crate::select::select_bcast(&cfg, 4 << 20)
+            policy.select_bcast_typed(&cfg, 4 << 20, Datatype::Contiguous),
+            policy.select_bcast(&cfg, 4 << 20)
         );
     }
 }

@@ -45,5 +45,5 @@ pub use allgather::AllgatherAlgorithm;
 pub use allreduce::AllreduceAlgorithm;
 pub use datatype::{demote_noncontiguous, Datatype};
 pub use mpi::Mpi;
-pub use select::{select_bcast, BcastAlgorithm};
+pub use select::BcastAlgorithm;
 pub use tune::{SelectionPolicy, TuningTable};

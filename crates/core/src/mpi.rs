@@ -1,4 +1,8 @@
 //! The MPI-like front end and the paper's timing microbenchmark.
+//!
+//! Every operation either names its algorithm or, as `*_auto`, asks the
+//! instance's [`SelectionPolicy`]: a tuning table, with the builtin table
+//! answering what it cannot (see [`crate::tune`]).
 
 use bgp_dcmf::Machine;
 use bgp_machine::geometry::NodeId;
@@ -20,16 +24,15 @@ pub struct Mpi {
     /// Elapsed time of the most recent collective (what the probe's spans
     /// are measured against).
     last_elapsed: SimTime,
-    /// The algorithm-selection policy, resolved once at construction
-    /// (tuning table when available, static thresholds otherwise).
+    /// The algorithm-selection policy, resolved once at construction.
     policy: SelectionPolicy,
 }
 
 impl Mpi {
     /// Boot the partition described by `cfg`. The selection policy is
-    /// resolved here, once: `BGP_TUNE_TABLE` override, else the builtin
-    /// `tuning/default.json`, else the static thresholds (see
-    /// [`crate::tune`] for the fallback rules).
+    /// resolved here, once: the `BGP_TUNE_TABLE` override when it loads,
+    /// else the builtin `tuning/default.json` (see [`crate::tune`] for the
+    /// fallback rules).
     pub fn new(cfg: MachineConfig) -> Self {
         Self::with_policy(cfg, SelectionPolicy::from_env())
     }
@@ -47,12 +50,6 @@ impl Mpi {
     /// The active selection policy.
     pub fn policy(&self) -> &SelectionPolicy {
         &self.policy
-    }
-
-    /// The policy's load-time warning, if it had to fall back to the
-    /// static thresholds (missing/corrupt/stale table).
-    pub fn tune_warning(&self) -> Option<&str> {
-        self.policy.warning()
     }
 
     /// Turn on span/counter recording for subsequent operations. Recording
@@ -140,18 +137,16 @@ impl Mpi {
         t
     }
 
-    /// `MPI_Bcast` with the production selection policy; returns the chosen
-    /// algorithm and the elapsed time.
+    /// `MPI_Bcast` of contiguous data with the production selection
+    /// policy; returns the chosen algorithm and the elapsed time.
     ///
     /// When the probe is enabled, each auto-selected operation records one
-    /// of two counters: `tune.table` (a tuning-table region answered) or
-    /// `tune.fallback` (the static thresholds answered — either no table
-    /// survived loading or the table has no entry for this mode).
+    /// of two counters: `tune.table` (the policy's own table answered) or
+    /// `tune.fallback` (the builtin table answered in its place — the
+    /// `BGP_TUNE_TABLE` override failed to load or has no entry for this
+    /// mode).
     pub fn bcast_auto(&mut self, bytes: u64) -> (BcastAlgorithm, SimTime) {
-        let (alg, tuned) = self.policy.select_info(&self.machine.cfg, bytes);
-        let t = self.bcast(alg, bytes);
-        self.count_selection(tuned);
-        (alg, t)
+        self.bcast_auto_typed(bytes, Datatype::Contiguous)
     }
 
     /// Datatype-aware [`Self::bcast_auto`]: non-contiguous layouts are
@@ -185,8 +180,9 @@ impl Mpi {
 
     /// `MPI_Allreduce` with the production selection policy; returns the
     /// chosen algorithm and the elapsed time. Same probe contract as
-    /// [`Self::bcast_auto`]: `tune.table` when a tuning-table region
-    /// answered, `tune.fallback` when the static thresholds did.
+    /// [`Self::bcast_auto`]: `tune.table` when the policy's own table
+    /// answered, `tune.fallback` when the builtin table answered in its
+    /// place.
     pub fn allreduce_auto(&mut self, doubles: u64) -> (AllreduceAlgorithm, SimTime) {
         let (alg, tuned) = self.policy.select_info(&self.machine.cfg, doubles * 8);
         let t = self.allreduce(alg, doubles);

@@ -1,4 +1,4 @@
-//! Algorithm identifiers and the message-size selection policy.
+//! Broadcast algorithm identifiers.
 //!
 //! BG/P's MPI picks the collective-network path for short/medium broadcasts
 //! (latency-dominated; the tree has the lowest latency and the ALU combines
@@ -7,15 +7,10 @@
 //! the message size, either the Torus or the Collective network based
 //! algorithms perform optimally."
 //!
-//! The constants here are the *static* policy: the paper's reported
-//! crossovers, frozen. Production selection ([`crate::Mpi::bcast_auto`])
-//! goes through [`crate::tune::SelectionPolicy`], which serves measured
-//! crossovers from a checked-in tuning table and falls back to these
-//! thresholds when no valid table is available.
-
-use bgp_machine::{MachineConfig, OpMode};
-
-use crate::allreduce::AllreduceAlgorithm;
+//! No crossover is frozen here: [`crate::Mpi::bcast_auto`] and
+//! [`crate::Mpi::allreduce_auto`] pick through
+//! [`crate::tune::SelectionPolicy`], which serves measured crossovers from
+//! a checked-in tuning table.
 
 /// Every broadcast algorithm the paper evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,86 +60,52 @@ impl BcastAlgorithm {
     }
 }
 
-/// Message-size threshold below which the staged shared-memory tree path
-/// wins (pure latency; one extra staging copy is irrelevant).
-pub const SHORT_MSG_BYTES: u64 = 8 * 1024;
-
-/// Threshold above which the six-link torus path beats the tree.
-///
-/// Crossover estimate: the tree sustains ≈ 800 MB/s with ~6 µs base
-/// latency; the torus sustains ≈ 2.4 GB/s but pays the multi-phase fill
-/// (tens of µs). They cross around 64–256 KB on the two-rack system.
-pub const TREE_TORUS_CROSSOVER_BYTES: u64 = 128 * 1024;
-
-/// The selection policy for a broadcast of `bytes` on `cfg`.
-pub fn select_bcast(cfg: &MachineConfig, bytes: u64) -> BcastAlgorithm {
-    if cfg.mode == OpMode::Smp {
-        return if bytes <= TREE_TORUS_CROSSOVER_BYTES {
-            BcastAlgorithm::TreeSmp
-        } else {
-            BcastAlgorithm::TorusDirectPut
-        };
-    }
-    if bytes <= SHORT_MSG_BYTES {
-        BcastAlgorithm::TreeShmem
-    } else if bytes <= TREE_TORUS_CROSSOVER_BYTES {
-        BcastAlgorithm::TreeShaddr { caching: true }
-    } else {
-        BcastAlgorithm::TorusShaddr
-    }
-}
-
-/// Threshold above which the node-aware RS+AG allreduce amortizes its
-/// per-stage counter synchronizations and beats the pipelined
-/// shared-address ring (measured crossover on the two-rack quad machine
-/// falls between 8 KiB and 128 KiB; the tuned table refines this).
-pub const ALLREDUCE_NODE_AWARE_CROSSOVER_BYTES: u64 = 64 * 1024;
-
-/// The static selection policy for an allreduce of `bytes` on `cfg`.
-pub fn select_allreduce(cfg: &MachineConfig, bytes: u64) -> AllreduceAlgorithm {
-    // A single node has no inter-node ring to restructure: the
-    // shared-address scheme's intra-node machinery is all there is.
-    if cfg.node_count() < 2 || bytes <= ALLREDUCE_NODE_AWARE_CROSSOVER_BYTES {
-        AllreduceAlgorithm::ShaddrSpecialized
-    } else {
-        AllreduceAlgorithm::NodeAwareRsAg
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::allreduce::AllreduceAlgorithm;
+    use crate::tune::SelectionPolicy;
+    use bgp_machine::{MachineConfig, OpMode};
 
     #[test]
     fn allreduce_selection_crosses_to_node_aware() {
+        let policy = SelectionPolicy::builtin();
         let cfg = MachineConfig::two_racks_quad();
         assert_eq!(
-            select_allreduce(&cfg, 4096),
+            policy.select_allreduce(&cfg, 4096),
             AllreduceAlgorithm::ShaddrSpecialized
         );
         assert_eq!(
-            select_allreduce(&cfg, 1 << 20),
+            policy.select_allreduce(&cfg, 1 << 20),
             AllreduceAlgorithm::NodeAwareRsAg
         );
     }
 
     #[test]
     fn quad_selection_follows_the_paper() {
+        let policy = SelectionPolicy::builtin();
         let cfg = MachineConfig::two_racks_quad();
-        assert_eq!(select_bcast(&cfg, 64), BcastAlgorithm::TreeShmem);
-        assert_eq!(select_bcast(&cfg, 4096), BcastAlgorithm::TreeShmem);
+        assert_eq!(policy.select_bcast(&cfg, 64), BcastAlgorithm::TreeShmem);
+        assert_eq!(policy.select_bcast(&cfg, 4096), BcastAlgorithm::TreeShmem);
         assert_eq!(
-            select_bcast(&cfg, 64 * 1024),
+            policy.select_bcast(&cfg, 64 * 1024),
             BcastAlgorithm::TreeShaddr { caching: true }
         );
-        assert_eq!(select_bcast(&cfg, 1 << 20), BcastAlgorithm::TorusShaddr);
+        assert_eq!(
+            policy.select_bcast(&cfg, 1 << 20),
+            BcastAlgorithm::TorusShaddr
+        );
     }
 
     #[test]
     fn smp_selection_uses_smp_paths() {
+        let policy = SelectionPolicy::builtin();
         let cfg = MachineConfig::racks(2, OpMode::Smp);
-        assert_eq!(select_bcast(&cfg, 64), BcastAlgorithm::TreeSmp);
-        assert_eq!(select_bcast(&cfg, 4 << 20), BcastAlgorithm::TorusDirectPut);
+        assert_eq!(policy.select_bcast(&cfg, 64), BcastAlgorithm::TreeSmp);
+        assert_eq!(
+            policy.select_bcast(&cfg, 4 << 20),
+            BcastAlgorithm::TorusDirectPut
+        );
     }
 
     #[test]

@@ -1,30 +1,33 @@
-//! Measurement-driven tuning tables for algorithm selection.
+//! Measurement-driven tuning tables: the one source of algorithm selection.
 //!
-//! The static thresholds in [`crate::select`] encode the paper's reported
-//! crossovers, but crossovers move whenever an executor or a calibration
-//! constant changes. `bgp-tune` (the `crates/tune` generator) sweeps every
-//! broadcast and allreduce path on the simulated machine, derives the
-//! *measured* pairwise crossover points between the production candidate
-//! paths, and emits a versioned table that this module parses and serves at
-//! `Mpi` construction time.
+//! Crossovers move whenever an executor or a calibration constant changes,
+//! so no pick is frozen in code. `bgp-tune` (the `crates/tune` generator)
+//! sweeps every broadcast and allreduce path on the simulated machine,
+//! derives the *measured* pairwise crossover points between the production
+//! candidate paths, and emits a versioned table that this module parses and
+//! serves at `Mpi` construction time.
 //!
 //! Layering: this module owns the table *format*, the selection-time
-//! *policy* (so `bgp_mpi::select` has no dependency on the generator) and
-//! the [`Tunable`] trait through which broadcast and allreduce share every
-//! stage of the stack; `crates/tune` owns the sweep engine and the
-//! confidence resampling that produce `tuning/default.json`.
+//! *policy* and the [`Tunable`] trait through which broadcast and allreduce
+//! share every stage of the stack; `crates/tune` owns the sweep engine and
+//! the confidence resampling that produce `tuning/default.json`.
 //!
-//! ## Table resolution order (at [`SelectionPolicy::from_env`])
+//! ## Table resolution (at [`SelectionPolicy::from_env`])
+//!
+//! A policy always holds a table:
 //!
 //! 1. `BGP_TUNE_TABLE=<path>` — an operator-provided table. If the file is
-//!    missing, corrupt, or carries a stale schema version, the policy falls
-//!    back to the **static thresholds** (never to the builtin table: an
-//!    explicit override that fails should not silently pick different
-//!    numbers) and records a warning, surfaced as the `tune.fallback` probe
-//!    counter on auto-selected operations.
+//!    missing, corrupt, or carries a stale schema version, the policy holds
+//!    the builtin table instead and records a warning naming the variable
+//!    and the error; every auto-selected operation then counts the
+//!    `tune.fallback` probe counter.
 //! 2. The builtin table — `tuning/default.json`, compiled in via
-//!    `include_str!` so selection needs no filesystem access.
-//! 3. The static thresholds of [`crate::select::select_bcast`].
+//!    `include_str!` so selection needs no filesystem access, and gated by
+//!    `tune_table --check`. It has an entry for every mode.
+//!
+//! The builtin table's entry for the machine's mode also answers whatever
+//! the held table cannot: an override with no entry for that mode, or a
+//! pick that mode does not allow (see [`SelectionPolicy::select_info`]).
 //!
 //! ## Safety clamps
 //!
@@ -37,6 +40,7 @@
 //!   matter what the table says — see [`SelectionPolicy::select_bcast_typed`].
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use bgp_machine::{MachineConfig, OpMode};
 use bgp_sim::json::{self, Json};
@@ -44,12 +48,12 @@ use bgp_sim::SimTime;
 
 use crate::allreduce::AllreduceAlgorithm;
 use crate::datatype::Datatype;
-use crate::select::{select_allreduce, select_bcast, BcastAlgorithm};
+use crate::select::BcastAlgorithm;
 use crate::Mpi;
 
 /// Schema identifier a table must carry to be accepted. Bump on any
-/// incompatible format change; old tables then fall back to the static
-/// policy instead of being misread.
+/// incompatible format change; old tables then fall back to the builtin
+/// table instead of being misread.
 pub const TABLE_SCHEMA: &str = "bgp-tune-table-v1";
 
 /// Environment variable naming a table file that overrides the builtin one.
@@ -84,9 +88,6 @@ pub trait Tunable: Copy + PartialEq + fmt::Debug {
 
     /// The entry's ordered regions for this operation.
     fn regions(entry: &ShapeEntry) -> &[Region<Self>];
-
-    /// The static thresholds' pick for `bytes` on `cfg`.
-    fn static_pick(cfg: &MachineConfig, bytes: u64) -> Self;
 
     /// Run one operation of `bytes` payload bytes on a quiet machine.
     fn run(self, mpi: &mut Mpi, bytes: u64) -> SimTime;
@@ -133,10 +134,6 @@ impl Tunable for BcastAlgorithm {
         &entry.regions
     }
 
-    fn static_pick(cfg: &MachineConfig, bytes: u64) -> Self {
-        select_bcast(cfg, bytes)
-    }
-
     fn run(self, mpi: &mut Mpi, bytes: u64) -> SimTime {
         mpi.bcast(self, bytes)
     }
@@ -165,10 +162,6 @@ impl Tunable for AllreduceAlgorithm {
 
     fn regions(entry: &ShapeEntry) -> &[Region<Self>] {
         &entry.ar_regions
-    }
-
-    fn static_pick(cfg: &MachineConfig, bytes: u64) -> Self {
-        select_allreduce(cfg, bytes)
     }
 
     /// Reduces `bytes / 8` doubles (at least one).
@@ -459,11 +452,18 @@ fn write_regions<A: Tunable>(out: &mut String, regions: &[Region<A>]) {
     out.push_str("     ]");
 }
 
-/// Where a policy's picks come from.
+/// The builtin table, parsed once. It is compiled in and gated by
+/// `tune_table --check`, so a parse failure is a build defect.
+pub fn builtin_table() -> &'static TuningTable {
+    static BUILTIN: OnceLock<TuningTable> = OnceLock::new();
+    BUILTIN.get_or_init(|| {
+        TuningTable::parse(BUILTIN_TABLE_JSON).expect("the builtin tuning table must validate")
+    })
+}
+
+/// Where a policy's table comes from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PolicySource {
-    /// The static thresholds in [`crate::select`].
-    Static,
     /// The compiled-in `tuning/default.json`.
     Builtin,
     /// A table loaded from the path in [`TABLE_ENV`].
@@ -471,97 +471,87 @@ pub enum PolicySource {
 }
 
 /// The selection policy an [`crate::Mpi`] instance carries: a validated
-/// tuning table when one is available, the static thresholds otherwise.
+/// tuning table, with the builtin table answering what it cannot.
 #[derive(Debug, Clone)]
 pub struct SelectionPolicy {
-    table: Option<TuningTable>,
+    table: TuningTable,
     source: PolicySource,
     warning: Option<String>,
 }
 
 impl SelectionPolicy {
-    /// The static-thresholds policy (no table).
-    pub fn static_policy() -> Self {
-        SelectionPolicy {
-            table: None,
-            source: PolicySource::Static,
-            warning: None,
-        }
+    /// The builtin table alone, without reading the environment (the
+    /// autotuner's sweeps, the golden tests). Only the `*_auto` operations
+    /// consult a policy; an operation that names its algorithm never does,
+    /// so such callers read the same numbers under any policy.
+    pub fn builtin() -> Self {
+        Self::from_table(builtin_table().clone(), PolicySource::Builtin)
     }
 
     /// A policy over an explicit, already-validated table.
     pub fn from_table(table: TuningTable, source: PolicySource) -> Self {
         SelectionPolicy {
-            table: Some(table),
+            table,
             source,
             warning: None,
         }
     }
 
-    /// Resolve the policy: `BGP_TUNE_TABLE` override, else the builtin
-    /// table, else static (see module docs for the fallback rules).
+    /// Resolve the policy: the `BGP_TUNE_TABLE` override when it loads,
+    /// else the builtin table (see module docs for the fallback rules).
     pub fn from_env() -> Self {
-        if let Ok(path) = std::env::var(TABLE_ENV) {
-            let loaded = std::fs::read_to_string(&path)
-                .map_err(|e| TuneError::Unreadable(format!("{path}: {e}")))
-                .and_then(|text| TuningTable::parse(&text));
-            return match loaded {
-                Ok(table) => SelectionPolicy {
-                    table: Some(table),
-                    source: PolicySource::Env(path),
-                    warning: None,
-                },
-                Err(e) => SelectionPolicy {
-                    table: None,
-                    source: PolicySource::Static,
-                    warning: Some(format!("{TABLE_ENV}={path}: {e}; using static thresholds")),
-                },
-            };
-        }
-        match TuningTable::parse(BUILTIN_TABLE_JSON) {
-            Ok(table) => SelectionPolicy {
-                table: Some(table),
-                source: PolicySource::Builtin,
-                warning: None,
-            },
+        let Ok(path) = std::env::var(TABLE_ENV) else {
+            return Self::builtin();
+        };
+        let loaded = std::fs::read_to_string(&path)
+            .map_err(|e| TuneError::Unreadable(format!("{path}: {e}")))
+            .and_then(|text| TuningTable::parse(&text));
+        match loaded {
+            Ok(table) => Self::from_table(table, PolicySource::Env(path)),
             Err(e) => SelectionPolicy {
-                table: None,
-                source: PolicySource::Static,
-                warning: Some(format!(
-                    "builtin tuning table rejected: {e}; using static thresholds"
-                )),
+                warning: Some(format!("{TABLE_ENV}={path}: {e}; using the builtin table")),
+                ..Self::builtin()
             },
         }
     }
 
-    /// The policy's table, when it has one.
+    /// The policy's table (the `Option` is kept for the `benchmark/`
+    /// package's `tune.selected_alg_stable` read in `layers.rs`; it is
+    /// always `Some`).
     pub fn table(&self) -> Option<&TuningTable> {
-        self.table.as_ref()
+        Some(&self.table)
     }
 
-    /// Where the picks come from.
+    /// Where the held table comes from.
     pub fn source(&self) -> &PolicySource {
         &self.source
     }
 
-    /// The load-time warning, if the policy had to fall back.
+    /// The load-time warning, if the override failed and the builtin
+    /// table took its place.
     pub fn warning(&self) -> Option<&str> {
         self.warning.as_deref()
     }
 
-    /// Select an algorithm for `bytes`, and report whether a table entry
-    /// drove the pick (`false` = static thresholds answered: no table, or
-    /// no entry for this mode).
+    /// Select an algorithm for `bytes`, and report whether the table the
+    /// policy was resolved to answered (`false` = the builtin table
+    /// answered in its place: the override failed to load, has no entry
+    /// for this mode, or picks what this mode does not allow).
     pub fn select_info<A: Tunable>(&self, cfg: &MachineConfig, bytes: u64) -> (A, bool) {
-        if let Some(entry) = self.table.as_ref().and_then(|t| t.entry_for(cfg)) {
-            let alg = pick(A::regions(entry), bytes);
-            // Defensive clamp (parse validation already enforces this): a
-            // mode-incompatible pick falls back to the static policy.
-            if alg.allowed_in(cfg.mode) {
-                return (alg, true);
+        let held = self
+            .table
+            .entry_for(cfg)
+            .map(|entry| pick(A::regions(entry), bytes))
+            .filter(|alg| alg.allowed_in(cfg.mode));
+        match held {
+            Some(alg) => (alg, self.warning.is_none()),
+            None => {
+                let entry = builtin_table()
+                    .entry_for(cfg)
+                    .expect("the builtin table has an entry for every mode");
+                (pick(A::regions(entry), bytes), false)
             }
         }
-        (A::static_pick(cfg, bytes), false)
     }
 
     /// The policy's pick for a contiguous broadcast of `bytes`.
@@ -774,6 +764,8 @@ mod tests {
         assert!(t.entry_for(&smp).is_none());
     }
 
+    /// A quad-only table answers quad picks itself; on an SMP machine it has
+    /// no entry, and the builtin table's SMP entry answers.
     #[test]
     fn policy_falls_back_to_static_without_a_matching_entry() {
         let t = TuningTable::parse(&table_json(
@@ -785,16 +777,29 @@ mod tests {
         let (alg, tuned) = policy.select_info::<BcastAlgorithm>(&quad, 1 << 20);
         assert!(tuned);
         assert_eq!(alg, BcastAlgorithm::TorusFifo);
-        // SMP machine, quad-only table: static thresholds answer.
         let smp = MachineConfig::racks(2, OpMode::Smp);
-        let (alg, tuned) = policy.select_info::<BcastAlgorithm>(&smp, 64);
-        assert!(!tuned);
-        assert_eq!(alg, select_bcast(&smp, 64));
+        for bytes in [64, 4 << 20] {
+            let (alg, tuned) = policy.select_info::<BcastAlgorithm>(&smp, bytes);
+            assert!(!tuned);
+            assert_eq!(alg, builtin_table().entry_for(&smp).unwrap().select(bytes));
+        }
+        assert_eq!(
+            policy.select_bcast(&smp, 64),
+            BcastAlgorithm::TreeSmp,
+            "the builtin SMP entry answers"
+        );
     }
 
     #[test]
     fn builtin_table_parses_and_matches_the_paper_regimes() {
         let t = TuningTable::parse(BUILTIN_TABLE_JSON).expect("builtin table must validate");
+        // Every mode has an entry, so the builtin fallback always answers.
+        for mode in [OpMode::Smp, OpMode::Dual, OpMode::Quad] {
+            assert!(
+                t.entry_for(&MachineConfig::racks(1, mode)).is_some(),
+                "no builtin entry for {mode:?}"
+            );
+        }
         let e = t.entry_for(&MachineConfig::two_racks_quad()).unwrap();
         assert_eq!(e.select(1024), BcastAlgorithm::TreeShmem, "short regime");
         assert_eq!(

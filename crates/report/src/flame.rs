@@ -4,7 +4,7 @@
 //! The collapsed-stack format is one sample per line —
 //! `frame;frame;...;frame <count>` — the lingua franca of
 //! `inferno-flamegraph`, Brendan Gregg's `flamegraph.pl`, and
-//! speedscope's collapsed importer. [`Probe::collapsed`] synthesizes
+//! speedscope's collapsed importer. [`bgp_sim::Probe::collapsed`] synthesizes
 //! stacks as `op;alg;node<N>;phase` with nanosecond counts;
 //! [`check_folded`] enforces the format rules so CI catches an export
 //! regression before a viewer does.

@@ -98,7 +98,7 @@ use crate::{Request, Sched, SchedError};
 /// seeded bug) severs exactly that edge; the model checker catches it as a
 /// data race on the slot cells.
 ///
-/// Waiters that outlast [`WAIT_SPIN`] park, and only a parked waiter costs
+/// Waiters that outlast `WAIT_SPIN` park, and only a parked waiter costs
 /// the finisher a wake-up. A waiter registers in the `waiters` word under
 /// the park lock, issues a SeqCst fence and only then re-checks the done
 /// flag; the last filler stores the flag, issues a SeqCst fence and takes
@@ -224,7 +224,7 @@ impl OpState {
         self.status.load(Ordering::Acquire) == 1
     }
 
-    /// Block until [`Self::is_done`]: spin for [`WAIT_SPIN`], then register
+    /// Block until [`Self::is_done`]: spin for `WAIT_SPIN`, then register
     /// in the waiters word and park until the last slot filler wakes us.
     pub fn wait(&self) {
         let start = Instant::now();

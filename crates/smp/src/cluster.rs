@@ -2,7 +2,7 @@
 //!
 //! A [`Cluster`] is the real-thread counterpart of the simulator's machine:
 //! each node is a [`NodeShared`] exactly as in the single-node runtime, and
-//! nodes are connected by a [`Fabric`](crate::transport::Fabric) of paced
+//! nodes are connected by a [`Fabric`] of paced
 //! byte-chunk channels (tree + ring links). The rank threads are
 //! **persistent**: spawned once, parked on a job queue between operations,
 //! so back-to-back collectives pay neither thread spawn nor `NodeShared`

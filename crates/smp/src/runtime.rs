@@ -17,14 +17,14 @@
 //! alike, follows one protocol:
 //!
 //! * **Tags.** An op that exposes windows takes both of its window tags
-//!   from one [`RankCtx::next_op`] call ([`window_tags`]: `2·op` and
+//!   from one `RankCtx::next_op` call (`window_tags`: `2·op` and
 //!   `2·op+1`). Op ids advance identically on every rank (SPMD) and no two
 //!   ops share a tag, so a board slot still holding an earlier op's window
 //!   never reads as a later op's.
 //! * **Window lifetime.** A rank exposes only its own windows
-//!   ([`RankCtx::expose`]): it posts each one's address in its slot `tag & 1`
+//!   (`RankCtx::expose`): it posts each one's address in its slot `tag & 1`
 //!   of the node's [`WindowBoard`] and holds the region until
-//!   [`RankCtx::close_op`]'s barrier, when no peer can still be reading it.
+//!   `RankCtx::close_op`'s barrier, when no peer can still be reading it.
 //!   A peer maps the window (`RankCtx::map_cached`) once the slot reads
 //!   the op's tag; the owner posts to that slot again only in a later op,
 //!   after the barrier. No lock is taken and nothing is withdrawn: the

@@ -43,10 +43,6 @@ pub const META_SCHEMA: &str = "bgp-bench-meta-v1";
 /// (exported by `ci.sh`; `"unknown"` when absent).
 pub const GIT_SHA_ENV: &str = "BGP_GIT_SHA";
 
-/// Environment variable overriding the monotonic sequence number
-/// ([`next_seq`] scans the output directory when it is unset).
-pub const SEQ_ENV: &str = "BGP_BENCH_SEQ";
-
 /// Default slowdown tolerance, percent.
 pub const DEFAULT_TOLERANCE_PCT: f64 = 10.0;
 
@@ -340,13 +336,8 @@ impl GateReport {
 /// The next monotonic sequence number for a report written into `dir`:
 /// one more than the largest stamped `seq` among the parseable
 /// `BENCH_*.json` files already there (0 for a pristine directory).
-/// Unparseable files are skipped. [`SEQ_ENV`] overrides the scan.
+/// Unparseable files are skipped.
 pub fn next_seq(dir: &std::path::Path) -> u64 {
-    if let Ok(v) = std::env::var(SEQ_ENV) {
-        if let Ok(n) = v.parse::<u64>() {
-            return n;
-        }
-    }
     let mut max_seq: Option<u64> = None;
     if let Ok(entries) = std::fs::read_dir(dir) {
         for entry in entries.flatten() {
@@ -519,8 +510,8 @@ pub fn run_suite(scale: Scale) -> GateReport {
     sim_us("tuned/bcast_auto/64K", quad.bcast_auto(64 << 10).1);
     sim_us("tuned/bcast_auto/2M", quad.bcast_auto(2 << 20).1);
     // The allreduce selection path: small stays on the shared-address
-    // ring, large crosses to node-aware RS+AG (region tables or static
-    // fallback — either way the landed-on path must stay fast).
+    // ring, large crosses to node-aware RS+AG (the tuning table's regions;
+    // the landed-on path must stay fast).
     sim_us("tuned/allreduce_auto/1K", quad.allreduce_auto(128).1);
     sim_us("tuned/allreduce_auto/4M", quad.allreduce_auto(512 << 10).1);
 

@@ -302,10 +302,11 @@ impl Figure {
 /// a figure with one row per size and one series per [`Tunable::id`],
 /// valued in simulated µs.
 ///
-/// The `Mpi` carries the static policy so sweeping never recursively
-/// consults a tuning table (the sweep is what *produces* tables).
+/// Every point names its algorithm, so no tuning table answers it (the
+/// sweep is what *produces* tables); the `Mpi` carries the builtin policy
+/// only so that building one reads no environment.
 pub fn measure<A: Tunable>(cfg: &MachineConfig, algs: &[A], sizes: &[u64]) -> Figure {
-    let mut mpi = Mpi::with_policy(cfg.clone(), SelectionPolicy::static_policy());
+    let mut mpi = Mpi::with_policy(cfg.clone(), SelectionPolicy::builtin());
     let rows = sizes
         .iter()
         .map(|&bytes| Row {

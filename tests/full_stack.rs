@@ -6,7 +6,7 @@ use bgp_collectives::machine::geometry::NodeId;
 use bgp_collectives::machine::{MachineConfig, OpMode};
 use bgp_collectives::mpi::allreduce::AllreduceAlgorithm;
 use bgp_collectives::mpi::bcast_torus::{torus_direct_put, torus_fifo, torus_shaddr};
-use bgp_collectives::mpi::{select_bcast, BcastAlgorithm, Mpi};
+use bgp_collectives::mpi::{BcastAlgorithm, Mpi};
 use bgp_collectives::sim::SimTime;
 
 fn quad() -> MachineConfig {
@@ -56,7 +56,7 @@ fn selection_policy_end_to_end() {
         (64 << 10, BcastAlgorithm::TreeShaddr { caching: true }),
         (1 << 20, BcastAlgorithm::TorusShaddr),
     ] {
-        let picked = select_bcast(mpi.config(), bytes);
+        let picked = mpi.policy().select_bcast(mpi.config(), bytes);
         assert_eq!(picked, expect, "{bytes} bytes");
         let t = mpi.bcast(picked, bytes);
         assert!(t > SimTime::ZERO);

@@ -10,7 +10,7 @@ use bgp_collectives::machine::geometry::{Coord, Dims, NodeId};
 use bgp_collectives::machine::routing::{color_routes, coverage, nr_schedule};
 use bgp_collectives::machine::{MachineConfig, OpMode};
 use bgp_collectives::mpi::bcast_torus::torus_shaddr;
-use bgp_collectives::mpi::select::{select_bcast, BcastAlgorithm};
+use bgp_collectives::mpi::{BcastAlgorithm, SelectionPolicy};
 use bgp_collectives::sim::Rng;
 use bgp_collectives::smp::collectives::{read_f64s, write_f64s};
 use bgp_collectives::smp::Cluster;
@@ -132,12 +132,14 @@ fn simulated_bcast_conserves_payload() {
     }
 }
 
-/// The selection policy is monotone in message size: as the message grows
-/// the chosen algorithm only ever moves forward through the policy's
-/// sequence — it never flips back (no flip-flopping across a crossover) —
-/// and `requires_smp()` algorithms are only ever chosen in SMP mode.
+/// The builtin selection policy is monotone in message size: as the
+/// message grows the chosen algorithm only ever moves forward through the
+/// policy's sequence — it never flips back (no flip-flopping across a
+/// crossover) — and `requires_smp()` algorithms are only ever chosen in SMP
+/// mode.
 #[test]
 fn select_bcast_is_monotone_and_mode_correct() {
+    let policy = SelectionPolicy::builtin();
     for mode in [OpMode::Smp, OpMode::Dual, OpMode::Quad] {
         let cfg = MachineConfig::racks(2, mode);
         // Dense sweep around the crossovers plus randomized fill-in.
@@ -165,7 +167,7 @@ fn select_bcast_is_monotone_and_mode_correct() {
         let mut prev: Option<BcastAlgorithm> = None;
         let mut seen: Vec<BcastAlgorithm> = Vec::new();
         for &bytes in &sizes {
-            let alg = select_bcast(&cfg, bytes);
+            let alg = policy.select_bcast(&cfg, bytes);
             assert!(
                 !alg.requires_smp() || mode == OpMode::Smp,
                 "{alg:?} needs SMP but mode is {mode:?} (bytes={bytes})"

@@ -50,9 +50,9 @@ fn machines() -> [(&'static str, MachineConfig); 3] {
 fn table() -> String {
     let mut out = String::new();
     for (name, cfg) in machines() {
-        // Explicit-algorithm calls never consult the policy; the static one
+        // Explicit-algorithm calls never consult the policy; the builtin one
         // keeps the table independent of `BGP_TUNE_TABLE`.
-        let mut mpi = Mpi::with_policy(cfg, SelectionPolicy::static_policy());
+        let mut mpi = Mpi::with_policy(cfg, SelectionPolicy::builtin());
         for (alg_name, alg) in SUM_ALGS {
             for d in DOUBLES {
                 let t = mpi.allreduce(alg, d).as_nanos();
@@ -72,10 +72,7 @@ fn table() -> String {
             }
         }
     }
-    let mut mpi = Mpi::with_policy(
-        MachineConfig::two_racks_quad(),
-        SelectionPolicy::static_policy(),
-    );
+    let mut mpi = Mpi::with_policy(MachineConfig::two_racks_quad(), SelectionPolicy::builtin());
     mpi.enable_probe();
     for (alg_name, alg) in SUM_ALGS {
         let total = mpi.allreduce(alg, BREAKDOWN_DOUBLES);

@@ -1,13 +1,12 @@
 //! Cross-crate properties of the tuned selection policy: monotone picks,
-//! agreement with the static §V thresholds at the paper's figure sizes,
-//! clean fallback on bad tables, and the §IV-C non-contiguous rule that no
-//! table may override.
+//! the paper's §V regimes at its figure sizes, a clean fallback to the
+//! builtin table on bad overrides, and the §IV-C non-contiguous rule that
+//! no table may override.
 
 use std::sync::Mutex;
 
 use bgp_collectives::machine::{MachineConfig, OpMode};
 use bgp_collectives::mpi::allreduce::AllreduceAlgorithm;
-use bgp_collectives::mpi::select::select_bcast;
 use bgp_collectives::mpi::tune::{
     PolicySource, Region, SelectionPolicy, ShapeEntry, TuningTable, BUILTIN_TABLE_JSON, TABLE_ENV,
 };
@@ -17,16 +16,11 @@ use bgp_collectives::mpi::{BcastAlgorithm, Datatype, Mpi};
 /// every test that sets or depends on the variable holds this lock.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-fn builtin_policy() -> SelectionPolicy {
-    let table = TuningTable::parse(BUILTIN_TABLE_JSON).expect("checked-in table must parse");
-    SelectionPolicy::from_table(table, PolicySource::Builtin)
-}
-
 /// Tuned selection never flaps: once an algorithm is left behind on the
 /// size axis it is never selected again, on every table shape.
 #[test]
 fn tuned_selection_is_monotone_in_size() {
-    let policy = builtin_policy();
+    let policy = SelectionPolicy::builtin();
     for &(nodes, mode) in &[
         (64u32, OpMode::Quad),
         (512, OpMode::Quad),
@@ -53,13 +47,14 @@ fn tuned_selection_is_monotone_in_size() {
     }
 }
 
-/// At the characteristic sizes of the paper's figures the tuned table and
-/// the static thresholds agree on two_racks_quad: fig6's short messages
-/// ride the shmem tree, fig7's medium messages the core-specialized Shaddr
-/// tree, fig10's large messages the multi-color torus.
+/// At the characteristic sizes of the paper's figures the tuned table
+/// picks what the paper's §V crossovers (8 KiB / 128 KiB) pick on
+/// two_racks_quad: fig6's short messages ride the shmem tree, fig7's medium
+/// messages the core-specialized Shaddr tree, fig10's large messages the
+/// multi-color torus.
 #[test]
 fn tuned_agrees_with_static_at_figure_sizes() {
-    let policy = builtin_policy();
+    let policy = SelectionPolicy::builtin();
     let cfg = MachineConfig::two_racks_quad();
     for (bytes, expect) in [
         (1024, BcastAlgorithm::TreeShmem),
@@ -67,7 +62,6 @@ fn tuned_agrees_with_static_at_figure_sizes() {
         (2 << 20, BcastAlgorithm::TorusShaddr),
     ] {
         assert_eq!(policy.select_bcast(&cfg, bytes), expect, "tuned @ {bytes}");
-        assert_eq!(select_bcast(&cfg, bytes), expect, "static @ {bytes}");
     }
 }
 
@@ -86,13 +80,16 @@ fn auto_with_env(path: &str) -> (BcastAlgorithm, Option<String>, u64, u64) {
 }
 
 /// A corrupt, a stale-schema, and a missing env-override table all fall
-/// back to the static thresholds — no panic, a warning recorded, and the
-/// `tune.fallback` probe counter ticking instead of `tune.table`.
+/// back to the builtin table — no panic, the builtin pick, a warning
+/// recorded, and the `tune.fallback` probe counter ticking instead of
+/// `tune.table`.
 #[test]
 fn bad_env_tables_fall_back_to_static_cleanly() {
     let _guard = ENV_LOCK.lock().unwrap();
     let dir = std::env::temp_dir();
-    let static_pick = select_bcast(&MachineConfig::test_small(OpMode::Quad), 1024);
+    let builtin_pick =
+        SelectionPolicy::builtin().select_bcast(&MachineConfig::test_small(OpMode::Quad), 1024);
+    assert_eq!(builtin_pick, BcastAlgorithm::TreeShmem);
 
     let corrupt = dir.join(format!("bgp_tune_corrupt_{}.json", std::process::id()));
     std::fs::write(
@@ -110,7 +107,10 @@ fn bad_env_tables_fall_back_to_static_cleanly() {
 
     for path in [&corrupt, &stale, &missing] {
         let (alg, warning, table, fallback) = auto_with_env(path.to_str().unwrap());
-        assert_eq!(alg, static_pick, "{path:?} must fall back to static");
+        assert_eq!(
+            alg, builtin_pick,
+            "{path:?} must fall back to the builtin table"
+        );
         let w = warning.expect("a bad env table must record a warning");
         assert!(
             w.contains("BGP_TUNE_TABLE"),
@@ -191,8 +191,17 @@ fn table_cannot_override_noncontiguous_demotion() {
         assert_eq!(mpi.probe().counter("tune.table"), 1, "{dtype:?}");
         assert_eq!(mpi.probe().counter("tune.fallback"), 0, "{dtype:?}");
     }
-    // Without a table the static thresholds answer, counted once as such.
-    let mut mpi = Mpi::with_policy(cfg, SelectionPolicy::static_policy());
+    // A table with no entry for this mode: the builtin table answers,
+    // counted once as the fallback, and its pick is demoted all the same.
+    let smp_only = TuningTable {
+        entries: vec![ShapeEntry {
+            mode: OpMode::Smp,
+            ..all_shaddr.entries[0].clone()
+        }],
+        ..all_shaddr
+    };
+    let policy = SelectionPolicy::from_table(smp_only, PolicySource::Builtin);
+    let mut mpi = Mpi::with_policy(cfg, policy);
     mpi.enable_probe();
     let (alg, _) = mpi.bcast_auto_typed(64 << 10, strided);
     assert_eq!(alg, BcastAlgorithm::TreeDmaDirectPut);
@@ -207,7 +216,7 @@ fn table_cannot_override_noncontiguous_demotion() {
 fn builtin_table_serves_the_default_machine() {
     let _guard = ENV_LOCK.lock().unwrap();
     let mut mpi = Mpi::new(MachineConfig::two_racks_quad());
-    assert_eq!(mpi.tune_warning(), None);
+    assert_eq!(mpi.policy().warning(), None);
     mpi.enable_probe();
     for bytes in [1024, 2 << 20] {
         mpi.bcast_auto(bytes);
