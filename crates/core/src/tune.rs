@@ -461,21 +461,11 @@ pub fn builtin_table() -> &'static TuningTable {
     })
 }
 
-/// Where a policy's table comes from.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PolicySource {
-    /// The compiled-in `tuning/default.json`.
-    Builtin,
-    /// A table loaded from the path in [`TABLE_ENV`].
-    Env(String),
-}
-
 /// The selection policy an [`crate::Mpi`] instance carries: a validated
 /// tuning table, with the builtin table answering what it cannot.
 #[derive(Debug, Clone)]
 pub struct SelectionPolicy {
     table: TuningTable,
-    source: PolicySource,
     warning: Option<String>,
 }
 
@@ -485,14 +475,13 @@ impl SelectionPolicy {
     /// consult a policy; an operation that names its algorithm never does,
     /// so such callers read the same numbers under any policy.
     pub fn builtin() -> Self {
-        Self::from_table(builtin_table().clone(), PolicySource::Builtin)
+        Self::from_table(builtin_table().clone())
     }
 
     /// A policy over an explicit, already-validated table.
-    pub fn from_table(table: TuningTable, source: PolicySource) -> Self {
+    pub fn from_table(table: TuningTable) -> Self {
         SelectionPolicy {
             table,
-            source,
             warning: None,
         }
     }
@@ -507,7 +496,7 @@ impl SelectionPolicy {
             .map_err(|e| TuneError::Unreadable(format!("{path}: {e}")))
             .and_then(|text| TuningTable::parse(&text));
         match loaded {
-            Ok(table) => Self::from_table(table, PolicySource::Env(path)),
+            Ok(table) => Self::from_table(table),
             Err(e) => SelectionPolicy {
                 warning: Some(format!("{TABLE_ENV}={path}: {e}; using the builtin table")),
                 ..Self::builtin()
@@ -520,11 +509,6 @@ impl SelectionPolicy {
     /// always `Some`).
     pub fn table(&self) -> Option<&TuningTable> {
         Some(&self.table)
-    }
-
-    /// Where the held table comes from.
-    pub fn source(&self) -> &PolicySource {
-        &self.source
     }
 
     /// The load-time warning, if the override failed and the builtin
@@ -772,7 +756,7 @@ mod tests {
             r#"{"upto": null, "alg": "torus_fifo", "confidence": 1}"#,
         ))
         .unwrap();
-        let policy = SelectionPolicy::from_table(t, PolicySource::Builtin);
+        let policy = SelectionPolicy::from_table(t);
         let quad = MachineConfig::two_racks_quad();
         let (alg, tuned) = policy.select_info::<BcastAlgorithm>(&quad, 1 << 20);
         assert!(tuned);
@@ -919,8 +903,8 @@ mod tests {
         assert_eq!((fresh.mode, fresh.nodes), (OpMode::Quad, 64));
         assert_eq!(old.entries[0], *fresh);
         let (old, fresh) = (
-            SelectionPolicy::from_table(old, PolicySource::Builtin),
-            SelectionPolicy::from_table(builtin, PolicySource::Builtin),
+            SelectionPolicy::from_table(old),
+            SelectionPolicy::from_table(builtin),
         );
         for shift in 0..=32 {
             let bytes = 1u64 << shift;

@@ -15,14 +15,13 @@
 //!   recycles the block once the op retires and nobody holds it.
 //! * windows: the block also carries the op's buffer addresses, so they
 //!   need no name of their own. Its `land` window holds the buffer the
-//!   result lands in on this node (a broadcast's landing buffer, the
-//!   landing member's output, or the `ireduce_scatter` stage the engine
-//!   posts), and input window `i` member `i`'s reduce input, indexed like
-//!   the contribution streams. An owner posts a buffer with one `Release`
-//!   store and a peer maps it with one `Acquire` load. A member clears its
-//!   own input window once its release holds, so the caller has its input
-//!   to itself again when the request completes; the engine clears the
-//!   rest when it retires the op.
+//!   result lands in on this node (a broadcast's landing buffer or the
+//!   landing member's output), and input window `i` member `i`'s reduce
+//!   input, indexed like the contribution streams. An owner posts a
+//!   buffer with one `Release` store and a peer maps it with one `Acquire`
+//!   load. A member clears its own input window once its release holds, so
+//!   the caller has its input to itself again when the request completes;
+//!   the engine clears the rest when it retires the op.
 //! * link tags: [`tag::pack`]`(op, kind, chunk)` — the one layout every
 //!   link uses, with the op id in its stream field.
 //!
@@ -32,21 +31,18 @@
 //! master that receives network data straight into its application buffer.
 //! On a broadcast root's node that is the root's buffer; on every other
 //! node it is the buffer of the group's first member, `group[0]` — for an
-//! allreduce or an allgather its output, which holds the whole result. This
-//! *landing member* posts the buffer in the op's `land` window at post, the
-//! engine maps it lazily — whenever the member gets to its post — and the
-//! other members contribute into it and chase their copies out of it. Only
-//! `ireduce_scatter`, whose members' outputs cannot hold the whole vector,
-//! lands in a region of the engine's, posted in the same window and mapped
-//! the same way. An `iallreduce` whose group has one member per node on a
-//! ring of nodes maps that member's input beside its output: the ring reads
-//! the node's partial there, and the output is written only with the
-//! result.
+//! allreduce its output, which holds the whole result. This *landing
+//! member* posts the buffer in the op's `land` window at post, the engine
+//! maps it lazily — whenever the member gets to its post — and the other
+//! members contribute into it and chase their copies out of it. An
+//! `iallreduce` whose group has one member per node on a ring of nodes maps
+//! that member's input beside its output: the ring reads the node's partial
+//! there, and the output is written only with the result.
 //!
 //! ## Protocols
 //!
-//! The engine steps `bgp_smp::wire` for all three; no link send originates
-//! in this file:
+//! The engine steps `bgp_smp::wire` for both; no link send originates in
+//! this file:
 //!
 //! **ibcast** — the engine on the root node maps the root's buffer and
 //! injects all chunks down the re-rooted tree ([`Fabric::bcast_out`]);
@@ -64,10 +60,10 @@
 //! buffer the members chase, so a full downstream link never holds up a
 //! receive.
 //!
-//! **iallreduce / ireduce_scatter** — members post inputs. The local
-//! reduce is partitioned by member index (member i sums *all* local inputs
-//! over its chunk share into the landing region, publishing its
-//! contribution stream), and the network side is a
+//! **iallreduce** — members post inputs. The local reduce is partitioned
+//! by member index (member i sums *all* local inputs over its chunk share
+//! into the landing region, publishing its contribution stream), and the
+//! network side is a
 //! [`wire::RingFlow`](RingFlow) — the very partial/full flow of the
 //! blocking `allreduce_f64`, gating and all — over that region, tagged per
 //! op and interleaved with every other in-flight op's. Ring direction
@@ -76,23 +72,16 @@
 //! blocking one-rank node, the flow reads the member's input in place
 //! ([`Local::read_own`], [`Local::combine`]) and nothing is summed first.
 //!
-//! **iallgather** — members deposit their blocks into the node's superblock
-//! of the landing member's output; the network side is
-//! [`wire::plan_allgather`] over ring positions under a
-//! [`wire::PlanCursor`](PlanCursor), and a [`wire::Prefix`](Prefix) turns
-//! superblocks landing in ring order into the node-major byte prefix
-//! members chase.
-//!
 //! What is the engine's own: demultiplexing arrivals by op tag, the stash,
 //! receiving broadcast chunks into the landing buffer, and retirement.
 //!
 //! ## Members
 //!
 //! A rank's side of any operation is one record ([`Member`]): an optional
-//! *contribution* (sum a share of the inputs, deposit a block; a node's
-//! only `iallreduce` member contributes nothing, the engine reads its
-//! input), one *chase* (copy a span of the landing region into the rank's
-//! buffer as a counter passes it), an optional *release* condition, and a
+//! *contribution* (sum a share of the inputs; a node's only `iallreduce`
+//! member contributes nothing, the engine reads its input), one *chase*
+//! (copy the landing region into the rank's buffer as a counter passes
+//! it), an optional *release* condition, and a
 //! final report on the op's done counter, which the release holds back for
 //! as long as anyone else may still use a buffer the rank posted; a reduce
 //! member then clears its input window, which nobody maps any more. A
@@ -114,8 +103,8 @@
 //! ## Progress, parking, completion
 //!
 //! Everything the engine sends uses non-blocking sends, and every gate is
-//! the stepper's: broadcast data and planned receives land in a mapped
-//! landing region unconditionally; a `RingFlow` consume waits for the local
+//! the stepper's: broadcast data lands in a mapped landing region
+//! unconditionally; a `RingFlow` consume waits for the local
 //! partial and for downstream room, which `bgp_smp::wire` shows cannot
 //! deadlock the ring cycle however many flows share a link. Chunks that
 //! arrive for an op this node has not posted yet (a faster peer ran ahead,
@@ -155,9 +144,7 @@ use bgp_shmem::{spin, IdMap, IdSet, OpCounters, OpWindow, SharedRegion, WindowRe
 use bgp_smp::cluster::sum_regions;
 use bgp_smp::kernels;
 use bgp_smp::transport::{ChunkChannel, Fabric, RingDir};
-use bgp_smp::wire::{
-    plan_allgather, tag, Kind, Local, PlanCursor, Prefix, RingFlow, RingPlan, Stepper, TreeFeed,
-};
+use bgp_smp::wire::{tag, Kind, Local, RingFlow, Stepper, TreeFeed};
 use bgp_smp::{ClusterCtx, NodeShared};
 
 use crate::SchedError;
@@ -376,19 +363,14 @@ impl Release {
     }
 }
 
-/// What a member puts into the landing region: the f64-lane sum of bytes
-/// `[lo, hi)` of every input, at offset `at`, publishing contribution
-/// stream `part` as it goes.
-/// A reduce member sums every group member's posted input over its share;
-/// an allgather member "sums" its one block — a copy.
+/// What a reduce member puts into the landing region: the f64-lane sum of
+/// bytes `[lo, hi)` of every group member's posted input, at the same
+/// offset, publishing contribution stream `part` as it goes.
 struct Contribute {
-    /// `inputs` are mapped from the op's input windows, in member order;
-    /// `false` when they were handed over complete.
-    from_block: bool,
+    /// Mapped from the op's input windows, in member order.
     inputs: Vec<Arc<SharedRegion>>,
     lo: usize,
     hi: usize,
-    at: usize,
     chunk: usize,
     part: usize,
 }
@@ -403,13 +385,11 @@ impl Contribute {
         registry: &WindowRegistry,
         seen: &mut IdSet<usize>,
     ) -> bool {
-        if self.from_block {
-            for window in &ctr.inputs()[self.inputs.len()..] {
-                let Some(input) = map(window, registry, seen) else {
-                    return false;
-                };
-                self.inputs.push(input);
-            }
+        for window in &ctr.inputs()[self.inputs.len()..] {
+            let Some(input) = map(window, registry, seen) else {
+                return false;
+            };
+            self.inputs.push(input);
         }
         let part = &ctr.parts()[self.part];
         // SAFETY: this member is the unique writer of its share of the
@@ -419,7 +399,7 @@ impl Contribute {
         unsafe {
             sum_regions(
                 acc,
-                self.at,
+                self.lo,
                 &self.inputs,
                 self.lo,
                 self.hi,
@@ -433,55 +413,48 @@ impl Contribute {
     }
 }
 
-/// Copy bytes `[lo, hi)` of the landing region to the start of `dst`, as
-/// the result counter passes them.
+/// Copy the first `len` bytes of the landing region to `dst`, as the
+/// result counter passes them.
 struct Chase {
     /// Gated on the result counter — bytes of the landing region valid as a
     /// prefix from offset 0; `false` when it was valid in full at post time.
     gate: bool,
-    lo: usize,
-    hi: usize,
+    len: usize,
     dst: Arc<SharedRegion>,
     copied: usize,
 }
 
 impl Chase {
-    /// Copy what became valid; `true` once the whole span is copied.
+    /// Copy what became valid; `true` once all `len` bytes are copied.
     fn run(&mut self, src: &SharedRegion, ctr: &OpCounters) -> bool {
         let valid = if self.gate {
             ctr.res.read() as usize
         } else {
-            self.hi
+            self.len
         };
-        let avail = valid.min(self.hi).saturating_sub(self.lo);
+        let avail = valid.min(self.len);
         if avail > self.copied {
-            // SAFETY: `[lo + copied, lo + avail)` of the source was
-            // published before the counter value we acquired (or before
-            // its window was posted, when ungated); dst is exclusively ours.
+            // SAFETY: `[copied, avail)` of the source was published before
+            // the counter value we acquired (or before its window was
+            // posted, when ungated); dst is exclusively ours.
             unsafe {
                 self.dst
-                    .copy_from(self.copied, src, self.lo + self.copied, avail - self.copied)
+                    .copy_from(self.copied, src, self.copied, avail - self.copied)
             };
             self.copied = avail;
         }
-        self.copied == self.hi - self.lo
+        self.copied == self.len
     }
 }
 
 impl Member {
-    /// A member that copies `span` of the landing region `land` to the
-    /// start of `dst` — as the result counter passes it when `gate` (see
+    /// A member that copies the first `len` bytes of the landing region to
+    /// `dst` — as the result counter passes them when `gate` (see
     /// [`Chase`]) — then reports on the done counter of `ctr`.
-    fn chasing(
-        gate: bool,
-        span: std::ops::Range<usize>,
-        dst: Arc<SharedRegion>,
-        ctr: Arc<OpCounters>,
-    ) -> Member {
+    fn chasing(gate: bool, len: usize, dst: Arc<SharedRegion>, ctr: Arc<OpCounters>) -> Member {
         let chase = Chase {
             gate,
-            lo: span.start,
-            hi: span.end,
+            len,
             dst,
             copied: 0,
         };
@@ -576,8 +549,8 @@ impl NetBcast {
     }
 }
 
-/// The landing region of one ring collective — the one members contribute
-/// to and copy results out of — as the [`Local`] the op's stepper runs
+/// The landing region of one allreduce — the one members contribute to and
+/// copy results out of — as the [`Local`] the op's [`RingFlow`] runs
 /// against.
 struct Acc {
     /// The block's `land` window.
@@ -588,76 +561,28 @@ struct Acc {
     /// landing region before its result arrives.
     own: Option<Mapped>,
     /// The op's counter block. One contribution stream per member: bytes of
-    /// its reduce share summed, or of its block deposited. The result
-    /// counter: bytes of the region holding final values, as a prefix —
-    /// what members chase; only the engine publishes it.
+    /// its reduce share summed. The result counter: bytes of the region
+    /// holding final values, as a prefix — what members chase; only the
+    /// engine publishes it.
     ctr: Arc<OpCounters>,
     total: usize,
-    layout: Layout,
-}
-
-enum Layout {
-    /// One f64 vector in `chunk`-byte ring chunks, member `i` summing
-    /// [`reduce_share`]`(i)`.
-    Sum { chunk: usize },
-    /// One `sb`-byte superblock (the node's member blocks) per node, in node
-    /// order. The plan addresses them by ring position: `node_of[w]` is the
-    /// node at position `w`.
-    Blocks {
-        block: usize,
-        sb: usize,
-        /// This node, until its own superblock is complete.
-        own: Option<usize>,
-        node_of: Vec<usize>,
-        /// Which bytes are valid, superblock by superblock.
-        prefix: Prefix,
-    },
+    /// The ring chunk size; member `i` sums [`reduce_share`]`(i)`.
+    chunk: usize,
 }
 
 impl Acc {
-    /// The region offset of the stepper's offset `off`.
-    fn at(&self, off: usize) -> usize {
-        match &self.layout {
-            Layout::Sum { .. } => off,
-            Layout::Blocks { sb, node_of, .. } => node_of[off / sb] * sb + off % sb,
-        }
-    }
-
-    /// Progress no arrival drives: publish what became final because
-    /// *members* moved. Called on every engine pass.
-    fn settle(&mut self, solo: bool) {
-        match &mut self.layout {
-            // A ring of one: every local sum is already the result.
-            Layout::Sum { chunk } if solo => {
-                let chunk = *chunk;
-                let mut off = self.ctr.res.read() as usize;
-                while off < self.total {
-                    let len = (self.total - off).min(chunk);
-                    if !self.ready(0, off, len) {
-                        break;
-                    }
-                    self.ctr.res.publish(len as u64);
-                    off += len;
-                }
+    /// Progress no arrival drives, on a ring of one: every local sum is
+    /// already the result, so publish what became final because *members*
+    /// moved. On a ring of nodes fulls publish as they land.
+    fn settle(&self) {
+        let mut off = self.ctr.res.read() as usize;
+        while off < self.total {
+            let len = (self.total - off).min(self.chunk);
+            if !self.ready(0, off, len) {
+                break;
             }
-            // Fulls publish as they land.
-            Layout::Sum { .. } => {}
-            // So do superblocks; this node's own is complete once every
-            // local member deposited.
-            Layout::Blocks {
-                block,
-                sb,
-                own,
-                prefix,
-                ..
-            } => {
-                let ctr = &self.ctr;
-                let deposited =
-                    |_: &mut usize| ctr.parts().iter().all(|c| c.read() >= *block as u64);
-                if let Some(node) = own.take_if(deposited) {
-                    ctr.res.publish(prefix.land(node, *sb) as u64);
-                }
-            }
+            self.ctr.res.publish(len as u64);
+            off += len;
         }
     }
 
@@ -677,39 +602,33 @@ impl Local for Acc {
         // Members contributed into the region, so it is posted; until the
         // engine has mapped it too, nothing is ready. A lone member's input
         // is final from its post on.
-        self.is_mapped()
-            && match &self.layout {
-                Layout::Sum { .. } if self.own.is_some() => true,
-                Layout::Sum { chunk } => {
-                    // The chunk's owner in the local reduce, and how far its
-                    // stream must have come for the chunk's local sum to
-                    // stand.
-                    let parts = self.ctr.parts();
-                    let (g, kt) = (parts.len(), self.total.div_ceil(*chunk));
-                    let i = ((off / chunk + 1) * g - 1) / kt;
-                    let (lo, hi) = reduce_share(i, g, self.total, *chunk);
-                    debug_assert!(lo <= off && off + len <= hi);
-                    parts[i].read() >= (off + len - lo) as u64
-                }
-                // Only this node's own superblock is ever gated on
-                // readiness: have all local members deposited?
-                Layout::Blocks { block, .. } => {
-                    self.ctr.parts().iter().all(|c| c.read() >= *block as u64)
-                }
-            }
+        if !self.is_mapped() {
+            return false;
+        }
+        if self.own.is_some() {
+            return true;
+        }
+        // The chunk's owner in the local reduce, and how far its stream
+        // must have come for the chunk's local sum to stand.
+        let parts = self.ctr.parts();
+        let (g, kt) = (parts.len(), self.total.div_ceil(self.chunk));
+        let i = ((off / self.chunk + 1) * g - 1) / kt;
+        let (lo, hi) = reduce_share(i, g, self.total, self.chunk);
+        debug_assert!(lo <= off && off + len <= hi);
+        parts[i].read() >= (off + len - lo) as u64
     }
 
     fn read<R>(&self, _: usize, off: usize, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
         // SAFETY: per the `Local` contract the range's contributors have
         // published it (`ready`, an acquire) or the engine wrote it, and the
         // engine is its only writer from then on.
-        unsafe { self.land.mapped().with_bytes(self.at(off), len, f) }
+        unsafe { self.land.mapped().with_bytes(off, len, f) }
     }
 
     fn write<R>(&mut self, _: usize, off: usize, len: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
         // SAFETY: as for `read`; members read the range only after `res`
         // covers it.
-        unsafe { self.land.mapped().with_bytes_mut(self.at(off), len, f) }
+        unsafe { self.land.mapped().with_bytes_mut(off, len, f) }
     }
 
     fn read_own<R>(&self, _: usize, off: usize, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
@@ -735,25 +654,9 @@ impl Local for Acc {
         }
     }
 
-    fn landed(&mut self, _: usize, off: usize, len: usize) {
-        match &mut self.layout {
-            // Fulls land in order, so the prefix grows chunk by chunk.
-            Layout::Sum { .. } => {
-                self.ctr.res.publish(len as u64);
-            }
-            // The node-major prefix members chase grows as they land.
-            Layout::Blocks {
-                sb,
-                node_of,
-                prefix,
-                ..
-            } => {
-                let grew = prefix.land(node_of[off / *sb], len);
-                if grew > 0 {
-                    self.ctr.res.publish(grew as u64);
-                }
-            }
-        }
+    fn landed(&mut self, _: usize, _: usize, len: usize) {
+        // Fulls land in order, so the prefix grows chunk by chunk.
+        self.ctr.res.publish(len as u64);
     }
 }
 
@@ -767,52 +670,37 @@ fn ring_dir(op: u64) -> RingDir {
     }
 }
 
-/// The two ring steppers, behind the entry points they share.
-enum Step {
-    Flow(RingFlow),
-    Plan(PlanCursor<RingPlan>),
-}
-
-/// The network side of one ring collective on this node.
+/// The network side of one allreduce on this node.
 struct NetRing {
     dir: RingDir,
     /// `None` on a one-node cluster: there is no ring to step.
-    step: Option<Step>,
+    flow: Option<RingFlow>,
     acc: Acc,
 }
 
 impl NetRing {
     fn finished(&self) -> bool {
-        self.acc.settled()
-            && self.step.as_ref().is_none_or(|s| match s {
-                Step::Flow(f) => f.finished(),
-                Step::Plan(c) => c.finished(),
-            })
+        self.acc.settled() && self.flow.as_ref().is_none_or(|f| f.finished())
     }
 
     fn pump(&mut self, op: u64, out: Option<&ChunkChannel>) {
-        let pack = |_, kind, k| tag::pack(op, kind, k);
-        match (self.step.as_mut(), out) {
-            (Some(Step::Flow(f)), Some(out)) => f.pump(out, &mut self.acc, &pack),
-            (Some(Step::Plan(c)), Some(out)) => c.pump(out, &mut self.acc, &pack),
-            _ => false,
-        };
-        self.acc.settle(self.step.is_none());
+        if let (Some(f), Some(out)) = (self.flow.as_mut(), out) {
+            f.pump(out, &mut self.acc, &|_, kind, k| tag::pack(op, kind, k));
+        } else {
+            self.acc.settle();
+        }
     }
 
     fn can_accept(&self, kind: Kind, out: &ChunkChannel) -> bool {
-        match self.step.as_ref().expect("chunks arrive over a ring") {
-            Step::Flow(f) => f.can_accept(kind, out, &self.acc),
-            Step::Plan(c) => c.can_accept(kind, out, &self.acc),
-        }
+        let f = self.flow.as_ref().expect("chunks arrive over a ring");
+        f.can_accept(kind, out, &self.acc)
     }
 
     fn accept(&mut self, op: u64, kind: Kind, k: usize, bytes: &[u8], out: &ChunkChannel) {
-        let pack = |_, kind, k| tag::pack(op, kind, k);
-        match self.step.as_mut().expect("chunks arrive over a ring") {
-            Step::Flow(f) => f.accept(kind, k, bytes, out, &mut self.acc, &pack),
-            Step::Plan(c) => c.accept(kind, k, bytes, out, &mut self.acc, &pack),
-        }
+        let f = self.flow.as_mut().expect("chunks arrive over a ring");
+        f.accept(kind, k, bytes, out, &mut self.acc, &|_, kind, k| {
+            tag::pack(op, kind, k)
+        });
     }
 }
 
@@ -971,17 +859,16 @@ impl Engine {
         self.insert(op, net, g);
     }
 
-    /// Register a ring collective over its landing region `acc`;
-    /// `step(pos)` builds its stepper for ring position `pos` (`m > 1`).
-    fn register_ring(&mut self, op: u64, acc: Acc, step: impl FnOnce(usize) -> Step) {
-        let dir = ring_dir(op);
+    /// Register an allreduce over its landing region `acc`, with a ring
+    /// flow on a ring of nodes.
+    fn register_ring(&mut self, op: u64, acc: Acc) {
+        let (dir, m) = (ring_dir(op), self.m);
         let g = acc.ctr.parts().len();
-        let net = Net::Ring(NetRing {
-            dir,
-            step: (self.m > 1).then(|| step(self.fabric.ring_pos(self.node, dir))),
-            acc,
+        let flow = (m > 1).then(|| {
+            let pos = self.fabric.ring_pos(self.node, dir);
+            RingFlow::new(0, pos, m, acc.total, acc.chunk)
         });
-        self.insert(op, net, g);
+        self.insert(op, Net::Ring(NetRing { dir, flow, acc }), g);
     }
 
     fn insert(&mut self, op: u64, net: Net, expected_done: usize) {
@@ -1310,7 +1197,7 @@ impl Sched {
             }
             // Copy out of the landing buffer: valid in full at post on the
             // root's node, as the result counter passes it elsewhere.
-            Member::chasing(!on_root_node, 0..len, buf, ctr)
+            Member::chasing(!on_root_node, len, buf, ctr)
         };
         self.post(group, [(buf, len)], len, 0, member, |engine, op, ctr| {
             engine.register_bcast(op, ctr, g, root_node, len)
@@ -1328,58 +1215,12 @@ impl Sched {
         output: Option<&Arc<SharedRegion>>,
         count: usize,
     ) -> Result<Request, SchedError> {
-        self.post_reduce(group, input, output, count, false)
-    }
-
-    /// Post a nonblocking sum-reduce-scatter of `count` `f64`s over every
-    /// rank in `group` on every node: the reduced vector is partitioned by
-    /// global member index (`node * group_len + index_in_group`), member
-    /// `gi` of `G` receiving elements `[gi*count/G, (gi+1)*count/G)` at
-    /// offset 0 of its output. Shares the allreduce ring flow on the
-    /// progress engine — only the member-side copy-out span differs — so
-    /// it interleaves with every other in-flight op. A member's output
-    /// region only needs its own span (possibly zero bytes when
-    /// `count < G`); buffer rules match [`Self::iallreduce`].
-    pub fn ireduce_scatter(
-        &mut self,
-        group: &[usize],
-        input: Option<&Arc<SharedRegion>>,
-        output: Option<&Arc<SharedRegion>>,
-        count: usize,
-    ) -> Result<Request, SchedError> {
-        self.post_reduce(group, input, output, count, true)
-    }
-
-    /// Shared body of [`Self::iallreduce`] / [`Self::ireduce_scatter`]:
-    /// identical network flow, differing in each member's result span and
-    /// so in where the result lands — `group[0]`'s output, or, when no
-    /// output holds the whole vector, a region of the engine's.
-    fn post_reduce(
-        &mut self,
-        group: &[usize],
-        input: Option<&Arc<SharedRegion>>,
-        output: Option<&Arc<SharedRegion>>,
-        count: usize,
-        scatter: bool,
-    ) -> Result<Request, SchedError> {
         validate_group_shape(group, self.n)?;
         let (g, m, bytes, chunk) = (group.len(), self.m, count * 8, self.chunk);
-        // The member's result span: the whole message for allreduce, its
-        // global-member-index slice for reduce-scatter.
-        let span = match group.binary_search(&self.rank) {
-            Ok(i) if scatter => {
-                let (gi, big) = (self.node * g + i, m * g);
-                gi * count / big * 8..(gi + 1) * count / big * 8
-            }
-            _ => 0..bytes,
-        };
-        let out_len = span.len();
         // A node's only member contributes nothing: the engine's ring reads
         // its input in place (see `Acc`), and its one landing-member release
-        // keeps the input unchanged until the flow is finished. A lone
-        // reduce-scatter member keeps its contribution — it may sit off the
-        // engine rank with no landing release to hold its input.
-        let rings_input = !scatter && g == 1 && m > 1;
+        // keeps the input unchanged until the flow is finished.
+        let rings_input = g == 1 && m > 1;
         let member = |s: &Sched, i: usize, ctr: Arc<OpCounters>| {
             let input = input.expect("a member has an input").clone();
             s.shared.registry().note_expose();
@@ -1393,18 +1234,16 @@ impl Sched {
             // waiting would spin forever.
             let (lo, hi) = reduce_share(i, g, bytes, chunk);
             let contribute = (lo < hi && !rings_input).then(|| Contribute {
-                from_block: true,
                 inputs: Vec::with_capacity(g),
                 lo,
                 hi,
-                at: lo,
                 chunk,
                 part: i,
             });
             // The member may only report once no co-member can still read
             // its input — i.e. every local stream ran to completion.
             let inputs_read = (!rings_input).then_some((bytes, chunk));
-            if !scatter && i == 0 {
+            if i == 0 {
                 let mut lead = s.landing(ctr, g, output, bytes);
                 lead.release.inputs_read = inputs_read;
                 return Member {
@@ -1413,8 +1252,6 @@ impl Sched {
                     ..lead
                 };
             }
-            // The result counter publishes a whole-message byte prefix; the
-            // chase clamps it to this member's span.
             Member {
                 contribute,
                 release: Release {
@@ -1422,105 +1259,23 @@ impl Sched {
                     ..Release::default()
                 },
                 input: Some(i),
-                ..Member::chasing(true, span, output, ctr)
+                ..Member::chasing(true, bytes, output, ctr)
             }
         };
-        let register = |engine: &mut Engine, op, ctr: Arc<OpCounters>| {
-            // The stage is posted like a landing member's buffer, and the
-            // engine maps it on its next pass like any other.
-            if scatter {
-                engine.shared.registry().note_expose();
-                ctr.land.post(Arc::new(SharedRegion::new(bytes)));
-            }
+        let register = |engine: &mut Engine, op, ctr| {
             let acc = Acc {
                 land: Mapped::default(),
                 own: rings_input.then(Mapped::default),
                 ctr,
                 total: bytes,
-                layout: Layout::Sum { chunk },
-            };
-            engine.register_ring(op, acc, |pos| {
-                Step::Flow(RingFlow::new(0, pos, m, bytes, chunk))
-            })
-        };
-        self.post(
-            group,
-            [(input, bytes), (output, out_len)],
-            bytes,
-            g,
-            member,
-            register,
-        )
-    }
-
-    /// Post a nonblocking allgather of `len`-byte blocks over every rank
-    /// in `group` on every node: each member contributes its input block
-    /// and every member's output receives all `m * group_len` blocks
-    /// concatenated in global member order (`node * group_len +
-    /// index_in_group`). Runs a ring allgather of node superblocks on the
-    /// progress engine, interleaved with every other in-flight op, landing
-    /// in `group[0]`'s output.
-    /// Members pass input (`len` bytes) and output (`m * group_len * len`
-    /// bytes) regions; non-members pass `None`. Inputs must be final
-    /// before the post; neither buffer may be touched until the request
-    /// completes.
-    pub fn iallgather(
-        &mut self,
-        group: &[usize],
-        input: Option<&Arc<SharedRegion>>,
-        output: Option<&Arc<SharedRegion>>,
-        len: usize,
-    ) -> Result<Request, SchedError> {
-        validate_group_shape(group, self.n)?;
-        let (g, m, chunk) = (group.len(), self.m, self.chunk);
-        // A node's superblock: its members' blocks, in group order.
-        let sb = g * len;
-        let total = m * sb;
-        let member = |s: &Sched, i, ctr| {
-            let contribute = Some(Contribute {
-                from_block: false,
-                inputs: vec![input.expect("a member has an input").clone()],
-                lo: 0,
-                hi: len,
-                at: s.node * sb + i * len,
                 chunk,
-                part: i,
-            });
-            let output = output.expect("a member has an output").clone();
-            if i == 0 {
-                let lead = s.landing(ctr, g, output, total);
-                return Member { contribute, ..lead };
-            }
-            Member {
-                contribute,
-                ..Member::chasing(true, 0..total, output, ctr)
-            }
-        };
-        let register = |engine: &mut Engine, op, ctr| {
-            let layout = Layout::Blocks {
-                block: len,
-                sb,
-                own: Some(engine.node),
-                node_of: (0..m)
-                    .map(|w| engine.fabric.ring_node(w, ring_dir(op)))
-                    .collect(),
-                prefix: Prefix::new(total, sb),
             };
-            let acc = Acc {
-                land: Mapped::default(),
-                own: None,
-                ctr,
-                total,
-                layout,
-            };
-            engine.register_ring(op, acc, |pos| {
-                Step::Plan(PlanCursor::new(plan_allgather(m, pos, sb, chunk)))
-            })
+            engine.register_ring(op, acc)
         };
         self.post(
             group,
-            [(input, len), (output, total)],
-            sb,
+            [(input, bytes), (output, bytes)],
+            bytes,
             g,
             member,
             register,
@@ -1825,17 +1580,27 @@ mod tests {
             let refused = [
                 sched.ibcast(&[0, 1], 0, 0, Some(&a), limit),
                 sched.iallreduce(&[0, 1], Some(&a), Some(&b), limit / 8),
-                sched.ireduce_scatter(&[0, 1], Some(&a), Some(&b), limit / 8),
-                sched.iallgather(&[0, 1], Some(&a), Some(&b), limit / 2),
             ];
             let next = sched.ibcast(&[0, 1], 0, 0, Some(&a), 8).unwrap();
             sched.wait(next);
             (refused.map(|r| r.unwrap_err()), next.op_id())
         });
         for (refused, next) in out.into_iter().flatten() {
-            assert_eq!(refused, [(); 4].map(|_| SchedError::TooLarge));
+            assert_eq!(refused, [(); 2].map(|_| SchedError::TooLarge));
             assert_eq!(next, 0, "a refused post consumed an op id");
         }
+    }
+
+    /// The engine walks its in-flight entries on every pass, so their width
+    /// is paid per op per pass: at 272 bytes, with a second ring stepper and
+    /// a second landing layout inline, it cost ~1.05x on the `sched_train`
+    /// benchmark's small-message latencies (the FOUND on the entry's width
+    /// in CHANGES.md). A change that widens the entry past this bound says
+    /// why here.
+    #[test]
+    fn an_engine_entry_stays_slim() {
+        let width = std::mem::size_of::<(u64, NetOp)>();
+        assert!(width <= 160, "an engine entry is {width} bytes");
     }
 
     #[test]

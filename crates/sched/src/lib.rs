@@ -21,9 +21,8 @@
 //!
 //! Three layers:
 //!
-//! * [`Sched`] — the rank-level API: [`Sched::ibcast`],
-//!   [`Sched::iallreduce`], [`Sched::ireduce_scatter`] and
-//!   [`Sched::iallgather`] return [`Request`]s; [`Sched::test`],
+//! * [`Sched`] — the rank-level API: [`Sched::ibcast`] and
+//!   [`Sched::iallreduce`] return [`Request`]s; [`Sched::test`],
 //!   [`Sched::wait`] and [`Sched::wait_all`] complete them. Completion has
 //!   MPI semantics: *local* completion (the caller's buffers are reusable
 //!   and, on the engine rank, the node owes the network nothing more for
@@ -31,11 +30,9 @@
 //! * the progress engine (internal to [`Sched`], on rank 0) — advances the
 //!   network side of every posted op a little per [`Sched::poll`]: steps
 //!   [`bgp_smp::wire`] — the tree feeder for broadcast injection and
-//!   forwarding, the ring protocols (the partial/full flow for the
-//!   reductions, the allgather plan) — against the op's landing buffer
-//!   (a member's own; an engine region only for reduce-scatter, whose
-//!   member outputs cannot hold the whole vector), receives broadcast
-//!   chunks straight into it, and retires the op's counter block — which
+//!   forwarding, the partial/full ring flow for the allreduce — against
+//!   the op's landing buffer, a member's own, receives broadcast chunks
+//!   straight into it, and retires the op's counter block — which
 //!   the node's bank recycles once nobody holds it — when the operation is
 //!   globally drained on its node.
 //! * [`CollectiveServer`] — a node-external, multi-tenant service

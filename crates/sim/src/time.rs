@@ -100,12 +100,6 @@ impl SimTime {
     pub fn saturating_sub(self, other: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(other.0))
     }
-
-    /// Checked addition.
-    #[inline]
-    pub fn checked_add(self, other: SimTime) -> Option<SimTime> {
-        self.0.checked_add(other.0).map(SimTime)
-    }
 }
 
 impl Add for SimTime {

@@ -15,10 +15,10 @@
 //! * [`tree_recv`] — the receive-and-relay-from-loan loop of the blocking
 //!   tree broadcast;
 //! * [`RingFlow`] — one colour of the partial/full ring allreduce;
-//! * [`RingPlan`] + [`PlanCursor`] — an ordered send plan and receive plan
-//!   over ring positions, built per algorithm by [`plan_allreduce`],
+//! * [`RingPlan`] — an ordered send plan and receive plan over ring
+//!   positions, built per algorithm by [`plan_allreduce`],
 //!   [`plan_reduce_scatter`] and [`plan_allgather`] from one stage builder,
-//!   and by [`plan_alltoall`];
+//!   and by [`plan_alltoall`], and stepped by [`run_plan`];
 //! * [`Prefix`] — which bytes of a result that lands segment by segment
 //!   are valid as a prefix, i.e. what a node's copy-out ranks may chase;
 //! * [`tag`] — the one link-tag layout every chunk carries, and with it the
@@ -37,8 +37,6 @@
 //! buffer the caller owns outright); the thread cluster and the engine
 //! supply theirs over shared regions and message counters. All hooks are
 //! statically dispatched; the steppers allocate nothing per chunk.
-
-use std::borrow::Borrow;
 
 use bgp_shmem::spin;
 
@@ -766,26 +764,19 @@ impl Prefix {
 /// Where one position stands in its [`RingPlan`], against flow 0 of the
 /// [`Local`]: sends go out in plan order as their gates open, receives are
 /// consumed in plan order. The packer's `flow` is the chunk's segment.
-pub struct PlanCursor<P: Borrow<RingPlan>> {
-    plan: P,
+struct PlanCursor<'a> {
+    plan: &'a RingPlan,
     si: usize,
     ri: usize,
 }
 
-impl<P: Borrow<RingPlan>> PlanCursor<P> {
-    /// A cursor at the start of `plan`.
-    pub fn new(plan: P) -> Self {
-        PlanCursor { plan, si: 0, ri: 0 }
-    }
-}
-
-impl<P: Borrow<RingPlan>> Stepper for PlanCursor<P> {
+impl Stepper for PlanCursor<'_> {
     fn recvs_left(&self) -> usize {
-        self.plan.borrow().recvs.len() - self.ri
+        self.plan.recvs.len() - self.ri
     }
 
     fn finished(&self) -> bool {
-        self.recvs_left() == 0 && self.si == self.plan.borrow().sends.len()
+        self.recvs_left() == 0 && self.si == self.plan.sends.len()
     }
 
     fn pump<S: SlotStore, L: Local + ?Sized>(
@@ -795,7 +786,7 @@ impl<P: Borrow<RingPlan>> Stepper for PlanCursor<P> {
         pack: &impl Fn(usize, Kind, usize) -> u64,
     ) -> bool {
         let first = self.si;
-        while let Some(it) = self.plan.borrow().sends.get(self.si) {
+        while let Some(it) = self.plan.sends.get(self.si) {
             let open = match it.gate {
                 Gate::Local => local.ready(0, it.off, it.len),
                 Gate::After(i) => self.ri > i,
@@ -820,7 +811,7 @@ impl<P: Borrow<RingPlan>> Stepper for PlanCursor<P> {
         _: &ChunkChannel<S>,
         local: &L,
     ) -> bool {
-        let it = &self.plan.borrow().recvs[self.ri];
+        let it = &self.plan.recvs[self.ri];
         !it.combine || local.ready(0, it.off, it.len)
     }
 
@@ -833,7 +824,7 @@ impl<P: Borrow<RingPlan>> Stepper for PlanCursor<P> {
         local: &mut L,
         _: &impl Fn(usize, Kind, usize) -> u64,
     ) {
-        let it = &self.plan.borrow().recvs[self.ri];
+        let it = &self.plan.recvs[self.ri];
         let expected = if it.combine {
             Kind::Partial
         } else {
@@ -943,7 +934,8 @@ pub fn run_plan<S: SlotStore, L: Local + ?Sized>(
     plan: &RingPlan,
     local: &mut L,
 ) {
-    drive(fabric, v, &mut [(0, PlanCursor::new(plan))], local, |_| 0);
+    let cursor = PlanCursor { plan, si: 0, ri: 0 };
+    drive(fabric, v, &mut [(0, cursor)], local, |_| 0);
 }
 
 #[cfg(test)]

@@ -249,7 +249,7 @@ pub fn autotune(opts: &AutotuneOpts) -> TuningTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgp_mpi::tune::{PolicySource, SelectionPolicy};
+    use bgp_mpi::tune::SelectionPolicy;
 
     #[test]
     fn quick_autotune_produces_a_valid_monotone_table() {
@@ -279,7 +279,7 @@ mod tests {
     #[test]
     fn tuned_policy_selects_without_flapping() {
         let t = autotune(&AutotuneOpts::quick());
-        let policy = SelectionPolicy::from_table(t, PolicySource::Builtin);
+        let policy = SelectionPolicy::from_table(t);
         let cfg = MachineConfig::test_small(OpMode::Quad);
         let mut seen: Vec<BcastAlgorithm> = Vec::new();
         let mut prev = None;

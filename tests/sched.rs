@@ -11,13 +11,9 @@ use bgp_collectives::smp::collectives::write_f64s;
 use bgp_collectives::smp::Cluster;
 
 /// The op mix both runs execute: three broadcasts (alternating root nodes,
-/// multi-chunk and sub-chunk sizes), two allreduces, two allgathers (block
-/// bytes) and two reduce-scatters (the second with fewer elements than some
-/// shapes have ranks, so spans go empty).
+/// multi-chunk and sub-chunk sizes) and two allreduces.
 const BCASTS: [(usize, usize); 3] = [(0, 40_000), (1, 9_000), (1, 33_000)];
 const REDUCES: [usize; 2] = [5_000, 700];
-const GATHERS: [usize; 2] = [9_000, 100];
-const SCATTERS: [usize; 2] = [6_000, 5];
 
 fn bcast_payload(op: usize, len: usize) -> Vec<u8> {
     (0..len)
@@ -62,8 +58,6 @@ enum Op {
         len: usize,
     },
     Allreduce(Arc<SharedRegion>, usize),
-    Allgather(Arc<SharedRegion>, usize),
-    ReduceScatter(Arc<SharedRegion>, usize),
 }
 
 /// The mix with the operands of rank `rank` on node `node` (`n` ranks per
@@ -87,16 +81,6 @@ fn mix(node: usize, rank: usize, n: usize) -> Vec<Op> {
         let input = f64_region(&reduce_input(ops.len(), gr, count));
         ops.push(Op::Allreduce(input, count));
     }
-    for &len in &GATHERS {
-        ops.push(Op::Allgather(
-            region(&bcast_payload(ops.len() + gr, len)),
-            len,
-        ));
-    }
-    for &count in &SCATTERS {
-        let input = f64_region(&reduce_input(ops.len(), gr, count));
-        ops.push(Op::ReduceScatter(input, count));
-    }
     ops
 }
 
@@ -108,15 +92,13 @@ fn run_group(m: usize, n: usize, first: usize) -> Vec<Vec<RankResults>> {
     let cluster = Cluster::new(m, n);
     cluster.run(move |cctx| {
         let group: Vec<usize> = (first..n).collect();
-        let g = group.len();
-        let world = m * g;
         let me = cctx.rank().checked_sub(first);
         let member = me.is_some();
         let mut sched = Sched::new(cctx);
         let mut reqs = Vec::new();
         let mut bufs: Vec<(Arc<SharedRegion>, usize)> = Vec::new();
-        // Post everything up front: nine operations in flight at once.
-        for op in mix(cctx.node(), me.unwrap_or(0), g) {
+        // Post everything up front: five operations in flight at once.
+        for op in mix(cctx.node(), me.unwrap_or(0), group.len()) {
             let (req, out, bytes) = match op {
                 Op::Bcast {
                     root_node,
@@ -137,28 +119,6 @@ fn run_group(m: usize, n: usize, first: usize) -> Vec<Vec<RankResults>> {
                     );
                     (req, out, count * 8)
                 }
-                Op::Allgather(input, len) => {
-                    let out = Arc::new(SharedRegion::new(world * len));
-                    let req = sched.iallgather(
-                        &group,
-                        member.then_some(&input),
-                        member.then_some(&out),
-                        len,
-                    );
-                    (req, out, world * len)
-                }
-                Op::ReduceScatter(input, count) => {
-                    let gi = cctx.node() * g + me.unwrap_or(0);
-                    let (lo, hi) = (gi * count / world, (gi + 1) * count / world);
-                    let out = Arc::new(SharedRegion::new(((hi - lo) * 8).max(1)));
-                    let req = sched.ireduce_scatter(
-                        &group,
-                        member.then_some(&input),
-                        member.then_some(&out),
-                        count,
-                    );
-                    (req, out, (hi - lo) * 8)
-                }
             };
             reqs.push(req.unwrap());
             bufs.push((out, bytes));
@@ -175,7 +135,6 @@ fn run_group(m: usize, n: usize, first: usize) -> Vec<Vec<RankResults>> {
 fn run_blocking(m: usize, n: usize) -> Vec<Vec<RankResults>> {
     let cluster = Cluster::new(m, n);
     cluster.run(move |cctx| {
-        let world = m * n;
         let mut out: RankResults = Vec::new();
         for op in mix(cctx.node(), cctx.rank(), n) {
             out.push(match op {
@@ -192,24 +151,13 @@ fn run_blocking(m: usize, n: usize) -> Vec<Vec<RankResults>> {
                     cctx.allreduce_f64(&input, &output, count);
                     read_bytes(&output, count * 8)
                 }
-                Op::Allgather(input, len) => {
-                    let output = Arc::new(SharedRegion::new(world * len));
-                    cctx.allgather(&input, &output, len);
-                    read_bytes(&output, world * len)
-                }
-                Op::ReduceScatter(input, count) => {
-                    let (lo, hi) = cctx.scatter_span(count);
-                    let output = Arc::new(SharedRegion::new(((hi - lo) * 8).max(1)));
-                    cctx.reduce_scatter_f64(&input, &output, count);
-                    read_bytes(&output, (hi - lo) * 8)
-                }
             });
         }
         out
     })
 }
 
-/// Nine nonblocking operations in flight at once deliver exactly what the
+/// Five nonblocking operations in flight at once deliver exactly what the
 /// blocking collectives deliver one at a time — on two nodes, and on three
 /// and four, where rings have middle positions and trees interior nodes.
 #[test]

@@ -8,7 +8,7 @@ use std::sync::Mutex;
 use bgp_collectives::machine::{MachineConfig, OpMode};
 use bgp_collectives::mpi::allreduce::AllreduceAlgorithm;
 use bgp_collectives::mpi::tune::{
-    PolicySource, Region, SelectionPolicy, ShapeEntry, TuningTable, BUILTIN_TABLE_JSON, TABLE_ENV,
+    Region, SelectionPolicy, ShapeEntry, TuningTable, BUILTIN_TABLE_JSON, TABLE_ENV,
 };
 use bgp_collectives::mpi::{BcastAlgorithm, Datatype, Mpi};
 
@@ -159,7 +159,7 @@ fn table_cannot_override_noncontiguous_demotion() {
     // The table round-trips through the on-disk format, so this is exactly
     // what a checked-in file could express.
     let table = TuningTable::parse(&all_shaddr.to_json()).unwrap();
-    let policy = SelectionPolicy::from_table(table, PolicySource::Builtin);
+    let policy = SelectionPolicy::from_table(table);
     let cfg = MachineConfig::test_small(OpMode::Quad);
     let strided = Datatype::Vector {
         count: 256,
@@ -200,7 +200,7 @@ fn table_cannot_override_noncontiguous_demotion() {
         }],
         ..all_shaddr
     };
-    let policy = SelectionPolicy::from_table(smp_only, PolicySource::Builtin);
+    let policy = SelectionPolicy::from_table(smp_only);
     let mut mpi = Mpi::with_policy(cfg, policy);
     mpi.enable_probe();
     let (alg, _) = mpi.bcast_auto_typed(64 << 10, strided);
